@@ -1,4 +1,4 @@
-"""Async-serving gate for the E18 concurrency experiment (CI smoke).
+"""Serving gate for the E18 concurrency experiment (CI smoke).
 
 Runs the E18 collection — the asyncio serving tier under a 1k-client
 burst against a sharded, replicated collection — writes the results to
@@ -103,11 +103,11 @@ def main(argv: list[str]) -> int:
     )
     failures = check(results)
     if failures:
-        print("async-serving gate failed:")
+        print("serving gate failed:")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print("async-serving gate passed")
+    print("serving gate passed")
     return 0
 
 

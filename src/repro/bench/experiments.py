@@ -1388,8 +1388,7 @@ def collect_e18(
     The admission numbers are the point, not a blemish: with
     ``max_inflight`` slots and a bounded queue, a 1k-client burst is
     *supposed* to shed its overflow with 429 + Retry-After instead of
-    queueing without bound (which is what the thread-per-connection
-    server does).
+    queueing without bound.
     """
     import asyncio
     import json as jsonlib

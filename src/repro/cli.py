@@ -76,14 +76,13 @@ Commands
 
         python -m repro serve --shards 4 -d a.xml=a.xml -d b.xml=b.xml
 
-    ``--async`` swaps the thread-per-connection front end for the
-    asyncio serving tier (:mod:`repro.serve`): admission control
-    (``--max-inflight`` / ``--admission-queue`` / ``--queue-timeout-ms``,
-    shedding with 429 + ``Retry-After``), WAL-shipped read replicas
-    (``--replicas N``), and per-query cost budgets
-    (``--query-budget``) — see ``docs/SERVING.md``::
+    Every server is the asyncio serving tier (:mod:`repro.serve`):
+    admission control (``--max-inflight`` / ``--admission-queue`` /
+    ``--queue-timeout-ms``, shedding with 429 + ``Retry-After``),
+    WAL-shipped read replicas (``--replicas N``), and per-query cost
+    budgets (``--query-budget``) — see ``docs/SERVING.md``::
 
-        python -m repro serve --async --replicas 2 --max-inflight 32 \\
+        python -m repro serve --replicas 2 --max-inflight 32 \\
             --query-budget 200000 --books 100
 
 ``traces``
@@ -234,25 +233,24 @@ def _build_parser() -> argparse.ArgumentParser:
                             "log with their span tree (0 disables)")
     serve.add_argument("--trace-buffer", type=int, default=64,
                        help="ring-buffer capacity for recent/slow traces")
-    serve.add_argument("--async", dest="async_tier", action="store_true",
-                       help="asyncio frontend + worker pool instead of a "
-                            "thread per connection (repro.serve): admission "
-                            "control, read replicas, per-query budgets")
+    # Accepted and ignored: there is one transport, and scripts written
+    # when this flag selected it still pass it.
+    serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument("--replicas", type=int, default=0, metavar="N",
-                       help="WAL-shipped read replicas per shard (--async "
-                            "only); reads round-robin the replicas and "
-                            "fall back to the primary when stale")
+                       help="WAL-shipped read replicas per shard; reads "
+                            "round-robin the replicas and fall back to the "
+                            "primary when stale")
     serve.add_argument("--max-inflight", type=int, default=64,
-                       help="concurrent requests executing (--async only); "
-                            "excess requests queue then shed with 429")
+                       help="concurrent requests executing; excess requests "
+                            "queue then shed with 429")
     serve.add_argument("--admission-queue", type=int, default=128,
                        metavar="N",
                        help="requests allowed to wait for a slot before "
-                            "arrivals shed immediately (--async only)")
+                            "arrivals shed immediately")
     serve.add_argument("--queue-timeout-ms", type=float, default=500.0,
                        metavar="MS",
                        help="max wait for an execution slot before a queued "
-                            "request sheds (--async only)")
+                            "request sheds")
     serve.add_argument("--query-budget", type=int, default=0, metavar="VISITS",
                        help="per-query node-visit ceiling enforced by the "
                             "cost meter (0 = unlimited); clients may tighten "
@@ -360,32 +358,31 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_traces(args)
 
     if args.command == "serve":
-        from repro.service import QueryService
-        from repro.service.server import serve_forever
+        import asyncio
 
-        slow_query_s = args.slow_query_ms / 1e3 if args.slow_query_ms > 0 else None
+        from repro.query.budget import CostBudget
+        from repro.serve import build_serving, serve_async
+        from repro.service import QueryService
+
+        options = dict(
+            mode=args.mode,
+            trace_sample=args.trace_sample,
+            trace_buffer=args.trace_buffer,
+            slow_query_s=args.slow_query_ms / 1e3 if args.slow_query_ms > 0 else None,
+        )
         if args.shards > 1:
             from repro.shard import ShardedService
 
             service = ShardedService(
                 shards=args.shards,
                 pool_size=max(1, args.threads // args.shards),
-                mode=args.mode,
                 workers=args.shard_workers,
-                trace_sample=args.trace_sample,
-                trace_buffer=args.trace_buffer,
-                slow_query_s=slow_query_s,
+                **options,
             )
             print(f"sharding across {args.shards} shards "
                   f"({args.shard_workers} workers)", file=sys.stderr)
         else:
-            service = QueryService(
-                pool_size=args.threads,
-                mode=args.mode,
-                trace_sample=args.trace_sample,
-                trace_buffer=args.trace_buffer,
-                slow_query_s=slow_query_s,
-            )
+            service = QueryService(pool_size=args.threads, **options)
         uris = _load_documents(service, args)
         for spec in args.durable:
             if "=" in spec:
@@ -401,39 +398,26 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not uris:
             print("note: no documents loaded; doc()/virtualDoc() will fail",
                   file=sys.stderr)
-        if args.async_tier:
-            import asyncio
-
-            from repro.query.budget import CostBudget
-            from repro.serve import build_serving, serve_async
-
-            budget = (
-                CostBudget(max_node_visits=args.query_budget)
-                if args.query_budget > 0
-                else None
+        budget = (
+            CostBudget(max_node_visits=args.query_budget)
+            if args.query_budget > 0
+            else None
+        )
+        app = build_serving(
+            service,
+            replicas=max(0, args.replicas),
+            max_inflight=args.max_inflight,
+            queue_limit=args.admission_queue,
+            queue_timeout_s=args.queue_timeout_ms / 1e3,
+            max_budget=budget,
+        )
+        if args.replicas > 0:
+            print(f"replicating: {args.replicas} replica(s) per shard",
+                  file=sys.stderr)
+        asyncio.run(
+            serve_async(
+                app, args.host, args.port, drain_deadline_s=args.drain_deadline_s
             )
-            app = build_serving(
-                service,
-                replicas=max(0, args.replicas),
-                max_inflight=args.max_inflight,
-                queue_limit=args.admission_queue,
-                queue_timeout_s=args.queue_timeout_ms / 1e3,
-                max_budget=budget,
-            )
-            if args.replicas > 0:
-                print(f"replicating: {args.replicas} replica(s) per shard",
-                      file=sys.stderr)
-            asyncio.run(
-                serve_async(
-                    app,
-                    args.host,
-                    args.port,
-                    drain_deadline_s=args.drain_deadline_s,
-                )
-            )
-            return 0
-        serve_forever(
-            service, args.host, args.port, drain_deadline_s=args.drain_deadline_s
         )
         return 0
 

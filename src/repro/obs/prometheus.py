@@ -6,7 +6,7 @@ and labeled counters, latency histograms with cumulative ``_bucket`` /
 as the ``text/plain; version=0.0.4`` format every Prometheus scraper
 understands.  The JSON snapshot stays the ``GET /metrics`` default; this
 format is served on content negotiation (see
-:mod:`repro.service.server`).
+:mod:`repro.serve.app`).
 
 Naming: dotted metric names map to underscored ones under a ``repro_``
 prefix (``engine.query_seconds`` -> ``repro_engine_query_seconds``), so

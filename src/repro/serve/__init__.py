@@ -1,5 +1,5 @@
-"""Async serving tier: asyncio HTTP frontend, admission control, and
-WAL-shipped read replicas over the query service.
+"""The serving tier — the repo's one HTTP stack: asyncio frontend,
+admission control, and WAL-shipped read replicas over the query service.
 
 The package splits along the request path:
 
@@ -11,15 +11,14 @@ The package splits along the request path:
     ships every applied op to N replicas, tracks lag, and falls back to
     the primary for reads it cannot serve fresh enough.
 :mod:`repro.serve.app`
-    the protocol-independent request router (query / update / explain /
-    metrics / replication endpoints) with per-query cost budgets.
+    the protocol-independent request router — the only route table
+    (query / update / explain / metrics / replication / healthz / trace
+    endpoints) and error mapping — with per-query cost budgets.
 :mod:`repro.serve.http`
     the asyncio HTTP/1.1 server (keep-alive, graceful drain) that feeds
     :mod:`~repro.serve.app` and hosts the worker pool.
 
-Everything is stdlib-only, mirroring the sync tier in
-:mod:`repro.service.server` — the async tier replaces the
-thread-per-connection model with an event loop in front of a bounded
+Everything is stdlib-only.  An event loop sits in front of a bounded
 worker pool, which is what lets the admission controller see (and shed)
 load *before* a thread is committed to it.
 """

@@ -1,16 +1,20 @@
-"""Protocol-independent request routing for the async serving tier.
+"""Request routing for the serving tier: the one route table.
 
 :class:`ServingApp` owns the request path between the asyncio HTTP
 server (:mod:`repro.serve.http`) and the query service: admission
 control, the worker pool that runs blocking engine work off the event
 loop, per-query cost budgets, and read/write splitting across the
-replica tier.  The route surface mirrors the sync server
-(:mod:`repro.service.server`) byte-for-byte on the shared endpoints and
-adds:
+replica tier.  It is protocol-independent — ``await app.handle(method,
+path, params, headers, body)`` answers a :class:`Response` — and holds
+the only error mapping (``400`` :class:`~repro.errors.ReproError`,
+``422`` budget, ``429`` shed, ``500`` otherwise).  Endpoints:
 
-``GET /replication``
-    per-shard replica state: ship-log position, per-replica applied
-    sequence and lag, plus the admission controller's counters.
+``POST /query``
+    Body is the query text.  Optional query parameters: ``mode``
+    (``indexed`` / ``tree`` / ``sql``) and ``values=1`` to return
+    newline-separated string values instead of XML.  ``200`` with the
+    serialized result; ``400`` with the error message for
+    parse/evaluation failures and for an empty or non-UTF-8 body.
 
 ``POST /query?max_visits=N&max_rows=M``
     per-request cost budget, clamped under the server's ``--query-budget``
@@ -18,6 +22,41 @@ adds:
     that crosses its budget is aborted *by the cost meter* mid-plan and
     answered ``422`` with the structured ``budget_exceeded`` payload —
     distinct from ``429`` (shed before execution) and from timeouts.
+
+``POST /update``
+    Body is a JSON update operation (the WAL payload format of
+    :mod:`repro.updates.ops`): ``{"op": "insert", "parent": "1",
+    "fragment": "<x/>", "before"/"after": ...}``, ``{"op": "delete",
+    "target": "1.2"}``, or ``{"op": "replace", "target": "1.2.1",
+    "text": ...}``.  The target document is the ``uri`` query parameter
+    (optional when exactly one document is loaded).  ``200`` with
+    ``{"uri", "version", "minted", "removed", "touched"}``; ``400`` for
+    invalid operations (the store is unchanged).
+
+``POST /explain``
+    Body is the query text (optional ``mode`` parameter).  ``200`` with
+    the EXPLAIN ANALYZE report of the service's ``explain`` — static
+    plan, measured per-operator profile, and summary; ``400`` for
+    parse/evaluation failures.
+
+``GET /metrics``
+    JSON by default: the service snapshot (counters, histograms, cache
+    and storage stats) plus ``admission`` and ``replication`` blocks.
+    With ``Accept: text/plain`` (or ``openmetrics``, or
+    ``?format=prometheus``) the same counters render in the Prometheus
+    text exposition format, ``text/plain; version=0.0.4``.
+
+``GET /replication``
+    per-shard replica state: ship-log position, per-replica applied
+    sequence and lag, plus the admission controller's counters.
+
+``GET /debug/traces``
+    JSON dump of the tracer's ring buffer: ``{"recent": [...], "slow":
+    [...], "counts": {...}}`` — each entry one full span tree.
+
+``GET /healthz``
+    JSON: ``{"status": "ok", "documents": [...]}``, plus ``shards`` for
+    a sharded service and ``replicas`` when a replica tier is attached.
 """
 
 from __future__ import annotations
@@ -58,6 +97,20 @@ class Response:
 
 def _json_response(status: int, document: dict, headers: Optional[dict] = None):
     return Response(status, json.dumps(document, indent=2), headers=headers)
+
+
+def _decode(body: bytes) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ReproError(f"request body is not valid UTF-8: {error}") from None
+
+
+def _query_text(body: bytes) -> str:
+    text = _decode(body)
+    if not text.strip():
+        raise ReproError("empty query body")
+    return text
 
 
 class ServingApp:
@@ -114,13 +167,12 @@ class ServingApp:
         """
         self.metrics.incr("serve.requests")
         started = time.perf_counter()
-        tracer = getattr(self.service, "tracer", None)
         handle = NOOP
-        if tracer is not None and method == "POST" and path in _WORK_ROUTES:
-            handle = tracer.start(
+        if method == "POST" and path in _WORK_ROUTES:
+            handle = self.service.tracer.start(
                 "serve.request",
                 detail=f"{method} {path}",
-                stats=getattr(self.service, "stats", None),
+                stats=self.service.stats,
                 parent=SpanContext.from_header(headers.get("traceparent")),
             )
         with handle as root_span:
@@ -220,9 +272,7 @@ class ServingApp:
         return requested
 
     async def _do_query(self, params: dict, body: bytes) -> Response:
-        text = body.decode("utf-8")
-        if not text.strip():
-            return _json_response(400, {"error": "empty query body"})
+        text = _query_text(body)
         mode = params.get("mode")
         as_values = params.get("values") in ("1", "true", "yes")
         budget = self._parse_budget(params)
@@ -237,11 +287,9 @@ class ServingApp:
         return Response(200, result.to_xml(), "application/xml")
 
     async def _do_explain(self, params: dict, body: bytes) -> Response:
-        text = body.decode("utf-8")
-        if not text.strip():
-            return _json_response(400, {"error": "empty query body"})
-        mode = params.get("mode")
-        report = await self._offload(self.service.explain, text, mode)
+        report = await self._offload(
+            self.service.explain, _query_text(body), params.get("mode")
+        )
         return _json_response(200, report)
 
     # -- write path --------------------------------------------------------------
@@ -258,7 +306,7 @@ class ServingApp:
                 )
             uri = uris[0]
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = json.loads(_decode(body))
             if not isinstance(payload, dict):
                 raise ValueError("update body must be a JSON object")
         except ValueError as error:
@@ -307,10 +355,9 @@ class ServingApp:
         catalog = getattr(self.service, "catalog", None)
         if catalog is not None:
             report["shards"] = catalog.summary()
-        if self._replica_sets():
-            report["replicas"] = sum(
-                len(replica_set.replicas) for replica_set in self._replica_sets()
-            )
+        sets = self._replica_sets()
+        if sets:
+            report["replicas"] = sum(len(replica_set.replicas) for replica_set in sets)
         return _json_response(200, report)
 
     def _do_traces(self) -> Response:
@@ -326,6 +373,7 @@ class ServingApp:
 
     def _do_metrics(self, params: dict, headers: dict) -> Response:
         service = self.service
+        sets = self._replica_sets()
         accept = headers.get("accept", "")
         wants_text = (
             params.get("format") == "prometheus"
@@ -335,7 +383,6 @@ class ServingApp:
         if not wants_text:
             report = service.snapshot()
             report["admission"] = self.admission.snapshot()
-            sets = self._replica_sets()
             if sets:
                 report["replication"] = [s.snapshot() for s in sets]
             return _json_response(200, report)
@@ -346,7 +393,6 @@ class ServingApp:
             "cache.view.entries": len(service.view_cache),
         }
         gauges.update(self.admission.gauges())
-        sets = self._replica_sets()
         if sets:
             gauges["serve.replica.lag"] = max(s.lag() for s in sets)
             labeled: dict[str, list] = {}

@@ -2,56 +2,51 @@
 
 One event loop accepts connections and parses requests; blocking engine
 work never runs on the loop — the app offloads it to its worker pool —
-so thousands of idle keep-alive connections cost one task each instead
-of one thread each (the sync tier's model).  Connections are HTTP/1.1
-keep-alive by default; ``Connection: close`` and malformed framing end
-the connection.
+so thousands of idle keep-alive connections cost one task each, not one
+thread each.  Connections are HTTP/1.1 keep-alive by default;
+``Connection: close`` ends the connection after the response, and
+malformed framing is answered with a structured JSON ``400``/``413``
+before the connection closes.
 
 Graceful drain (:meth:`AsyncHTTPServer.drain`): stop accepting, let
 in-flight requests finish within a bounded deadline, then close every
 lingering connection.  :func:`serve_async` wires SIGTERM/SIGINT to the
-drain, which is the contract the CLI's ``serve --async`` exposes.
+drain, which is the contract the CLI's ``serve`` exposes.
 """
 
 from __future__ import annotations
 
 import asyncio
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.serve.app import Response, ServingApp
+from repro.serve.app import Response, ServingApp, _json_response
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 #: Refuse request bodies larger than this (16 MiB).
 _MAX_BODY = 16 * 1024 * 1024
+
+
+class _BadFraming(Exception):
+    """A request the parser cannot frame; answered with ``status`` and
+    ``Connection: close`` (what follows on the wire is unknowable)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class AsyncHTTPServer:
     """One asyncio server bound to one :class:`ServingApp`."""
 
     def __init__(
-        self,
-        app: ServingApp,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        verbose: bool = False,
+        self, app: ServingApp, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.app = app
         self.host = host
         self._requested_port = port
-        self.verbose = verbose
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[asyncio.Task] = set()
@@ -92,7 +87,12 @@ class AsyncHTTPServer:
             task.add_done_callback(self._connections.discard)
         try:
             while not self._draining:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadFraming as error:
+                    response = _json_response(error.status, {"error": str(error)})
+                    await self._write_response(writer, response, keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -125,27 +125,34 @@ class AsyncHTTPServer:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one request; ``None`` on clean EOF or malformed framing."""
+        """Parse one request; ``None`` on clean EOF, :class:`_BadFraming`
+        on a request line, header or ``Content-Length`` it cannot frame."""
+        headers: dict[str, str] = {}
         try:
             line = await reader.readline()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+            if not line:
+                return None
+            parts = line.decode("latin-1").strip().split()
+            if len(parts) != 3:
+                raise _BadFraming(400, "malformed request line")
+            method, target, _version = parts
+            while True:
+                line = await reader.readline()
+                if not line or line in (b"\r\n", b"\n"):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ConnectionResetError:
             return None
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            return None
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        except ValueError:  # StreamReader.readline past its buffer limit
+            raise _BadFraming(400, "request line or header too long") from None
+        declared = headers.get("content-length") or "0"
+        # isdigit, not int(): int() also takes "+5", "1_0" and " 5 ".
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadFraming(400, f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY:
-            return None
+            raise _BadFraming(413, f"request body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -171,14 +178,12 @@ async def serve_async(
     host: str = "127.0.0.1",
     port: int = 8080,
     drain_deadline_s: float = 10.0,
-    ready=None,
 ) -> None:
-    """Run the async tier until SIGTERM/SIGINT, then drain gracefully
-    (the ``repro serve --async`` entry point).  ``ready`` (if given) is
-    called with the server once it is accepting."""
+    """Run the server until SIGTERM/SIGINT, then drain gracefully (the
+    ``repro serve`` entry point)."""
     import signal
 
-    server = AsyncHTTPServer(app, host=host, port=port, verbose=True)
+    server = AsyncHTTPServer(app, host=host, port=port)
     await server.start()
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -193,8 +198,6 @@ async def serve_async(
         "GET /replication, GET /debug/traces)",
         flush=True,
     )
-    if ready is not None:
-        ready(server)
     try:
         await stop.wait()
     except (KeyboardInterrupt, asyncio.CancelledError):

@@ -84,6 +84,52 @@ class BatchResult:
         return len(self.outcomes)
 
 
+def run_batch(service, queries: list[str], mode: Optional[str], workers: int) -> BatchResult:
+    """``service.execute`` over ``queries`` on at most ``workers``
+    threads, outcomes in submission order; failures are captured per
+    query, not raised.  The one ``batch`` of both service classes."""
+    service.metrics.incr("service.batches")
+    started = time.perf_counter()
+    worker_count = min(workers, max(len(queries), 1))
+
+    def run(text: str):
+        try:
+            return service.execute(text, mode=mode)
+        except Exception as error:  # per-query fault isolation
+            return error
+
+    if worker_count <= 1 or len(queries) <= 1:
+        outcomes = [run(text) for text in queries]
+    else:
+        with ThreadPoolExecutor(max_workers=worker_count) as executor:
+            outcomes = list(executor.map(run, queries))
+    return BatchResult(outcomes, time.perf_counter() - started)
+
+
+def service_snapshot(service, primaries: list["QueryService"]) -> dict:
+    """The ``snapshot()`` of both service classes: ``service``'s metrics,
+    logical-cost counters and cache occupancy, plus the durable state of
+    ``primaries`` (the service itself, or a sharded service's shards)."""
+    report = service.metrics.snapshot()
+    report["storage"] = service.stats.snapshot()
+    report["caches"] = {
+        name: {
+            "entries": len(cache),
+            "capacity": cache.capacity,
+            "hit_rate": service.metrics.hit_rate(name),
+        }
+        for name, cache in (("plan", service.plan_cache), ("view", service.view_cache))
+    }
+    durables: dict[str, dict] = {}
+    for primary in primaries:
+        with primary._write_lock:
+            for uri, durable in primary._durables.items():
+                durables[uri] = {"seq": durable.seq, "wal_bytes": durable.wal_size}
+    if durables:
+        report["durable"] = durables
+    return report
+
+
 class QueryService:
     """A thread-safe query facade over a pool of engines.
 
@@ -480,22 +526,7 @@ class QueryService:
         """Evaluate ``queries`` concurrently (at most ``workers`` at once,
         default the pool size), returning outcomes in submission order.
         Failures are captured per query, not raised."""
-        self.metrics.incr("service.batches")
-        started = time.perf_counter()
-        worker_count = min(workers or self.pool_size, max(len(queries), 1))
-
-        def run(text: str):
-            try:
-                return self.execute(text, mode=mode)
-            except Exception as error:  # per-query fault isolation
-                return error
-
-        if worker_count <= 1 or len(queries) <= 1:
-            outcomes = [run(text) for text in queries]
-        else:
-            with ThreadPoolExecutor(max_workers=worker_count) as executor:
-                outcomes = list(executor.map(run, queries))
-        return BatchResult(outcomes, time.perf_counter() - started)
+        return run_batch(self, queries, mode, workers or self.pool_size)
 
     def explain_plan(self, expr, mode: Optional[str] = None, detail: str = ""):
         """Run an already-parsed plan under a forced trace on a pooled
@@ -541,28 +572,7 @@ class QueryService:
 
     def snapshot(self) -> dict:
         """Operational metrics plus the shared logical-cost counters."""
-        report = self.metrics.snapshot()
-        report["storage"] = self.stats.snapshot()
-        report["caches"] = {
-            "plan": {
-                "entries": len(self.plan_cache),
-                "capacity": self.plan_cache.capacity,
-                "hit_rate": self.metrics.hit_rate("plan"),
-            },
-            "view": {
-                "entries": len(self.view_cache),
-                "capacity": self.view_cache.capacity,
-                "hit_rate": self.metrics.hit_rate("view"),
-            },
-        }
-        with self._write_lock:
-            durables = {
-                uri: {"seq": durable.seq, "wal_bytes": durable.wal_size}
-                for uri, durable in self._durables.items()
-            }
-        if durables:
-            report["durable"] = durables
-        return report
+        return service_snapshot(self, [self])
 
     def reset_stats(self) -> None:
         self.stats.reset()

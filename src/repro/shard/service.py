@@ -49,7 +49,12 @@ from repro.query.engine import _preview
 from repro.query.items import VirtualDocItem, is_node
 from repro.service.cache import PlanCache, ViewCache
 from repro.service.metrics import ServiceMetrics
-from repro.service.service import BatchResult, QueryService
+from repro.service.service import (
+    BatchResult,
+    QueryService,
+    run_batch,
+    service_snapshot,
+)
 from repro.storage.stats import StorageStats
 from repro.xmlmodel.nodes import Document, Node
 from repro.xmlmodel.serializer import serialize
@@ -575,24 +580,7 @@ class ShardedService:
     ) -> BatchResult:
         """Evaluate many queries concurrently (each individually routed
         or scattered), outcomes in submission order."""
-        self.metrics.incr("service.batches")
-        started = time.perf_counter()
-        worker_count = min(
-            workers or self.catalog.shards * 2, max(len(queries), 1)
-        )
-
-        def run(text: str):
-            try:
-                return self.execute(text, mode=mode)
-            except Exception as error:  # per-query fault isolation
-                return error
-
-        if worker_count <= 1 or len(queries) <= 1:
-            outcomes = [run(text) for text in queries]
-        else:
-            with ThreadPoolExecutor(max_workers=worker_count) as executor:
-                outcomes = list(executor.map(run, queries))
-        return BatchResult(outcomes, time.perf_counter() - started)
+        return run_batch(self, queries, mode, workers or self.catalog.shards * 2)
 
     # -- explain -----------------------------------------------------------------
 
@@ -661,31 +649,8 @@ class ShardedService:
     def snapshot(self) -> dict:
         """One collection-wide report: the shared metrics/storage/cache
         counters plus the shard topology and per-shard durable state."""
-        report = self.metrics.snapshot()
-        report["storage"] = self.stats.snapshot()
-        report["caches"] = {
-            "plan": {
-                "entries": len(self.plan_cache),
-                "capacity": self.plan_cache.capacity,
-                "hit_rate": self.metrics.hit_rate("plan"),
-            },
-            "view": {
-                "entries": len(self.view_cache),
-                "capacity": self.view_cache.capacity,
-                "hit_rate": self.metrics.hit_rate("view"),
-            },
-        }
+        report = service_snapshot(self, self.services)
         report["shards"] = self.catalog.summary()
-        durables: dict[str, dict] = {}
-        for service in self.services:
-            with service._write_lock:
-                for uri, durable in service._durables.items():
-                    durables[uri] = {
-                        "seq": durable.seq,
-                        "wal_bytes": durable.wal_size,
-                    }
-        if durables:
-            report["durable"] = durables
         return report
 
     def reset_stats(self) -> None:

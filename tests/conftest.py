@@ -1,14 +1,19 @@
-"""Shared fixtures: the paper's running example, small engines, and the
-cross-strategy agreement helper the differential suites are built on."""
+"""Shared fixtures: the paper's running example, small engines, the
+cross-strategy agreement helper the differential suites are built on,
+and the ``served`` helper every HTTP test reaches the server through."""
 
 from __future__ import annotations
 
+import asyncio
+import threading
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import pytest
 
 from repro.dataguide.build import build_dataguide
 from repro.query.engine import Engine
+from repro.serve import AsyncHTTPServer, ServingApp
 from repro.workloads.books import books_document, paper_figure2
 
 #: The strategies that answer over the *same* stored document and must be
@@ -60,6 +65,44 @@ def strategies_agree():
     """The :func:`assert_strategies_agree` helper, as a fixture so suites
     outside this package share one implementation."""
     return assert_strategies_agree
+
+
+class Served:
+    """What a test holds of a live server: blocking clients (urllib, raw
+    sockets) talk to ``port``; ``service`` is what it serves."""
+
+    def __init__(self, port: int, service) -> None:
+        self.port = port
+        self.service = service
+
+    def url(self, path: str) -> str:
+        return f"http://127.0.0.1:{self.port}{path}"
+
+
+@contextmanager
+def served(service):
+    """Serve ``service`` on an OS-assigned port from an event loop on a
+    daemon thread; drains the server and stops the loop on exit."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = AsyncHTTPServer(ServingApp(service))
+
+    def on_loop(coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, loop).result(15)
+
+    try:
+        on_loop(server.start())
+        try:
+            yield Served(server.port, service)
+        finally:
+            on_loop(server.drain(2.0))
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        assert not thread.is_alive(), "served(): event loop did not stop"
+        loop.close()
+
 
 #: Figure 2's XML, used verbatim by many tests.
 FIGURE2_XML = (

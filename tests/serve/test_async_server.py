@@ -1,17 +1,25 @@
-"""End-to-end tests for the asyncio serving tier: routing, keep-alive,
-read/write splitting, shedding (429), budget rejection (422), drain."""
+"""End-to-end tests for the HTTP server: keep-alive, read/write
+splitting, shedding (429), budget rejection (422), drain, and structured
+answers to malformed framing.  (What each route answers is
+``test_routes.py``.)"""
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import logging
+import socket
 import threading
+
+import pytest
 
 from repro.query.budget import CostBudget
 from repro.serve.admission import AdmissionController
 from repro.serve.app import ServingApp, build_serving
-from repro.serve.http import AsyncHTTPServer
+from repro.serve.http import _MAX_BODY, AsyncHTTPServer
 from repro.service.service import QueryService
+from tests.conftest import served
 
 DOC = "<a><b x='1'>t1</b><b x='2'>t2</b><c>z</c></a>"
 
@@ -227,24 +235,44 @@ def test_drain_finishes_inflight_and_refuses_new():
     asyncio.run(main())
 
 
-def test_unknown_routes_and_methods():
+def test_drain_is_idempotent():
     service = QueryService(pool_size=1)
     service.load("doc.xml", DOC)
-    app = ServingApp(service)
 
     async def main():
-        server = _serve(app)
+        server = _serve(ServingApp(service))
         await server.start()
-        status, _, _ = await request(server.port, "GET", "/nope")
-        assert status == 404
-        status, _, _ = await request(server.port, "PUT", "/query", b"x")
-        assert status == 405
-        status, _, body = await request(server.port, "POST", "/query", b"   ")
-        assert status == 400
-        status, _, body = await request(server.port, "POST", "/query", b"][")
-        assert status == 400
-        assert "error" in json.loads(body)
-        await server.drain(2.0)
+        assert await server.drain(2.0) is True
+        assert await server.drain(2.0) is True
+
+    asyncio.run(main())
+
+
+def test_deadline_bounds_the_drain():
+    service = GatedService(pool_size=1)
+    service.load("doc.xml", DOC)
+    admission = AdmissionController(max_inflight=1)
+
+    async def main():
+        server = _serve(ServingApp(service, admission=admission))
+        await server.start()
+        stuck = asyncio.ensure_future(
+            request(server.port, "POST", "/query", b"count(doc('doc.xml')//b)")
+        )
+        for _ in range(400):
+            if admission.inflight == 1:
+                break
+            await asyncio.sleep(0.005)
+        assert admission.inflight == 1
+        # The gate never opens: the drain must give up at the deadline
+        # and cut the connection instead of waiting for the worker.
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        assert await server.drain(0.2) is False
+        assert loop.time() - started < 5.0
+        with pytest.raises((asyncio.IncompleteReadError, ConnectionError, IndexError)):
+            await stuck  # bare EOF: no status line ever arrives
+        service.gate.set()
 
     asyncio.run(main())
 
@@ -272,3 +300,84 @@ def test_metrics_prometheus_exposes_serving_counters():
         await server.drain(2.0)
 
     asyncio.run(main())
+
+
+# -- malformed framing and bodies ---------------------------------------------
+
+
+def _raw(port: int, payload: bytes) -> tuple[int, dict, dict]:
+    """Send raw bytes, read to EOF; returns (status, headers, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(payload)
+        received = b""
+        while chunk := conn.recv(65536):
+            received += chunk
+    assert received, "the server closed the connection without answering"
+    head, _, body = received.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in header_lines)
+    }
+    assert int(headers["content-length"]) == len(body)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+@pytest.fixture
+def raw_server(caplog):
+    """A served QueryService; afterwards, nothing may have escaped a
+    connection task (asyncio reports those on its logger)."""
+    service = QueryService(pool_size=1)
+    service.load("doc.xml", DOC)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with served(service) as handle:
+            yield handle
+        gc.collect()  # "Task exception was never retrieved" is logged on collection
+    escaped = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+    assert not escaped, escaped
+
+
+@pytest.mark.parametrize(
+    "payload, status",
+    [
+        (b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"POST /query HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", 400),
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n", 400),
+        (
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (_MAX_BODY + 1),
+            413,
+        ),
+    ],
+    ids=[
+        "length-not-a-number", "length-negative", "length-signed",
+        "request-line-short", "request-line-long", "request-line-over-limit",
+        "header-over-limit", "body-over-max",
+    ],
+)
+def test_malformed_framing_is_answered_then_closed(raw_server, payload, status):
+    answered, headers, body = _raw(raw_server.port, payload)
+    assert answered == status
+    assert headers["connection"] == "close"
+    assert "application/json" in headers["content-type"]
+    assert body["error"]
+    # The listener survives: the next connection is served.
+    answered, _, body = _raw(
+        raw_server.port, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+    )
+    assert (answered, body["status"]) == (200, "ok")
+
+
+@pytest.mark.parametrize("path", ["/query", "/explain", "/update"])
+def test_invalid_utf8_body_is_400(raw_server, path):
+    body = b"doc('doc.xml')//b[. = '\xff\xfe']"
+    status, _, report = _raw(
+        raw_server.port,
+        b"POST %s HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+        % (path.encode(), len(body), body),
+    )
+    assert status == 400
+    assert "UTF-8" in report["error"]

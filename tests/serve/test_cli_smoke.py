@@ -1,11 +1,11 @@
-"""End-to-end async-serving smoke: a real ``repro serve --async``
-subprocess with replicas, driven by concurrent clients.
+"""End-to-end serving smoke: a real ``repro serve`` subprocess with
+replicas, driven by concurrent clients.
 
-This is the CI async-serving job: it proves the CLI wiring (flags →
-``build_serving`` → ``serve_async``), that concurrent traffic answers
-correctly through the replica read path, and that the admission and
-replication metrics — shed counters and per-replica lag — are exposed
-over HTTP.
+Part of the CI serving job: it proves the CLI wiring (flags →
+``build_serving`` → ``serve_async``, with no ``--async`` needed to reach
+it), that concurrent traffic answers correctly through the replica read
+path, that the admission and replication metrics — shed counters and
+per-replica lag — are exposed over HTTP, and that SIGTERM drains.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def served():
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--async", "--replicas", "2", "--books", "20", "--port", "0",
+            "--replicas", "2", "--books", "20", "--port", "0",
             "--max-inflight", "8", "--query-budget", "1000000",
         ],
         env=env,
@@ -47,7 +47,7 @@ def served():
         banner = ""
         while time.monotonic() < deadline:
             banner = process.stdout.readline()
-            if "serving (async) on http://" in banner:
+            if banner.startswith("serving (async) on http://"):
                 break
             assert process.poll() is None, f"server died: {banner}"
         match = re.search(r"http://([\d.]+):(\d+)", banner)
@@ -55,7 +55,8 @@ def served():
         yield f"http://{match.group(1)}:{match.group(2)}"
     finally:
         process.terminate()
-        process.wait(timeout=10)
+        remainder, _ = process.communicate(timeout=10)
+    assert process.returncode == 0 and "draining" in remainder
 
 
 def _query(base: str, text: str) -> tuple[int, str]:
@@ -102,6 +103,9 @@ def test_async_cli_serves_concurrent_clients_and_exposes_metrics(served):
     assert snapshot["replication"][0]["shipped"] == 1
     for replica in snapshot["replication"][0]["replicas"]:
         assert replica["lag"] >= 0
+
+    with urllib.request.urlopen(f"{served}/healthz", timeout=10) as response:
+        assert json.loads(response.read())["replicas"] == 2
 
     # /replication reports the same through the dedicated route.
     with urllib.request.urlopen(f"{served}/replication", timeout=10) as response:

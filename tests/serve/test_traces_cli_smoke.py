@@ -1,5 +1,5 @@
 """End-to-end smoke for ``repro traces``: a real sharded+replicated
-``repro serve --async`` subprocess, one traced scatter query, then the
+``repro serve`` subprocess, one traced scatter query, then the
 CLI fetching the ring buffer in every format.
 
 Proves the full distributed-tracing loop through real process
@@ -48,6 +48,8 @@ def served(tmp_path):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
+            # --async is a hidden no-op the benchmark still passes; this
+            # is the test that it stays accepted.
             "--async", "--shards", "4", "--replicas", "2",
             "--port", "0", "--trace-sample", "1.0", *flags,
         ],

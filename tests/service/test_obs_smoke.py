@@ -3,7 +3,7 @@
 Starts the CLI server as a subprocess, drives one query and one update
 through HTTP, then scrapes ``/metrics`` in both formats and
 ``/debug/traces`` — validating the Prometheus text with a tiny in-test
-parser (no dependencies).  This is the CI observability-smoke job.
+parser (no dependencies).  Part of the CI serving job.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def served():
         banner = ""
         while time.monotonic() < deadline:
             banner = process.stdout.readline()
-            if "serving on http://" in banner:
+            if banner.startswith("serving (async) on http://"):
                 break
             assert process.poll() is None, f"server died: {banner}"
         match = re.search(r"http://([\d.]+):(\d+)", banner)
@@ -162,5 +162,13 @@ def test_serve_query_update_and_scrape(served):
     body, _ = _get(f"{served}/debug/traces")
     traces = json.loads(body)
     assert traces["counts"]["sampled"] >= 2
-    roots = {entry["root"]["name"] for entry in traces["recent"]}
-    assert {"query", "update"} <= roots
+    # One tree per served request: serve.request > serve.worker > the work.
+    roots = [entry["root"] for entry in traces["recent"]]
+    assert {root["name"] for root in roots} == {"serve.request"}
+    work = {
+        hop["name"]
+        for root in roots
+        for worker in root["children"] if worker["name"] == "serve.worker"
+        for hop in worker["children"]
+    }
+    assert {"query", "update"} <= work

@@ -1,12 +1,10 @@
-"""Prometheus exposition and /metrics content negotiation."""
+"""Prometheus exposition: the renderer, and what the serving tier adds
+to it.  (``/metrics`` content negotiation over HTTP is part of the route
+contract, ``tests/serve/test_routes.py``.)"""
 
 from __future__ import annotations
 
 import asyncio
-import threading
-import urllib.request
-
-import pytest
 
 from repro.obs.prometheus import (
     escape_label_value,
@@ -16,7 +14,6 @@ from repro.obs.prometheus import (
 )
 from repro.service import QueryService
 from repro.service.metrics import ServiceMetrics
-from repro.service.server import ServiceServer
 from repro.workloads.books import books_document
 
 
@@ -211,61 +208,3 @@ def test_serving_gauges_and_exemplars_reach_the_exposition():
         f'# exemplar repro_serve_latency_seconds {{trace_id="{trace_id}"}}'
         in body
     )
-
-
-# -- HTTP content negotiation ---------------------------------------------
-
-
-@pytest.fixture
-def server():
-    service = QueryService(pool_size=2)
-    service.load("book.xml", books_document(10, seed=5))
-    server = ServiceServer(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _get(server: ServiceServer, path: str, accept: str | None = None):
-    request = urllib.request.Request(f"http://127.0.0.1:{server.port}{path}")
-    if accept is not None:
-        request.add_header("Accept", accept)
-    return urllib.request.urlopen(request, timeout=10)
-
-
-def test_metrics_default_is_json(server):
-    with _get(server, "/metrics") as response:
-        assert "application/json" in response.headers["Content-Type"]
-        assert response.read().decode("utf-8").lstrip().startswith("{")
-
-
-def test_metrics_negotiates_prometheus_text(server):
-    server.service.execute('doc("book.xml")//title')
-    for path, accept in (
-        ("/metrics", "text/plain"),
-        ("/metrics", "application/openmetrics-text"),
-        ("/metrics?format=prometheus", None),
-    ):
-        with _get(server, path, accept=accept) as response:
-            content_type = response.headers["Content-Type"]
-            assert "text/plain; version=0.0.4" in content_type
-            body = response.read().decode("utf-8")
-        assert "# TYPE repro_service_queries counter" in body
-        assert "repro_service_queries 1" in body
-        assert "repro_engine_query_seconds_count" in body
-        assert "repro_storage_index_range_scans" in body
-        assert "repro_cache_plan_entries" in body
-
-
-def test_strategy_labels_reach_the_exposition(server):
-    server.service.execute(
-        'virtualDoc("book.xml", "title { author { name } }")//title'
-    )
-    server.service.execute('doc("book.xml")//title')
-    with _get(server, "/metrics", accept="text/plain") as response:
-        body = response.read().decode("utf-8")
-    assert 'repro_engine_queries{strategy="virtual"} 1' in body
-    assert 'repro_engine_queries{strategy="indexed"} 1' in body

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.errors import QueryEvaluationError, ReproError, StorageError
 from repro.pbn.number import Pbn
 from repro.service import QueryService
-from repro.service.server import ServiceServer
 from repro.updates.durable import DurableStore
 from repro.updates.ops import DeleteSubtree, InsertSubtree, ReplaceText
 from repro.workloads.books import books_document
@@ -195,50 +191,3 @@ def test_open_durable_and_update_through_service(tmp_path):
 def test_checkpoint_requires_durable_uri(service):
     with pytest.raises(StorageError):
         service.checkpoint("book.xml")
-
-
-@pytest.fixture
-def server(service):
-    server = ServiceServer(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _post(server: ServiceServer, path: str, body: str):
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{server.port}{path}",
-        data=body.encode("utf-8"),
-        method="POST",
-    )
-    return urllib.request.urlopen(request, timeout=10)
-
-
-def test_http_update_round_trip(server):
-    payload = {"op": "insert", "parent": "1", "fragment": "<memo>hi</memo>"}
-    with _post(server, "/update", json.dumps(payload)) as response:
-        report = json.loads(response.read().decode("utf-8"))
-    assert report["uri"] == "book.xml"
-    assert report["minted"] == ["1.9", "1.9.1"]
-    assert "data.memo" in report["touched"]
-    with _post(server, "/query?values=1", 'count(doc("book.xml")//memo)') as response:
-        assert response.read().decode("utf-8") == "1"
-
-
-def test_http_update_rejects_bad_payloads(server):
-    with pytest.raises(urllib.error.HTTPError) as outcome:
-        _post(server, "/update", "not json")
-    assert outcome.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as outcome:
-        _post(server, "/update", json.dumps({"op": "delete", "target": "42"}))
-    assert outcome.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as outcome:
-        _post(
-            server,
-            "/update?uri=missing.xml",
-            json.dumps({"op": "delete", "target": "1.1"}),
-        )
-    assert outcome.value.code == 400
