@@ -1,43 +1,41 @@
-"""E6 — transformed values: range stitching vs per-element construction."""
+"""E6 — transformed values: range stitching vs materialize + serialize."""
 
 import pytest
 
-from repro.core.values import VirtualValueBuilder
+from repro.core.values import ValueStats, write
 from repro.query.engine import Engine
 from repro.workloads.books import books_document
+from repro.xmlmodel.serializer import serialize
 
 
 @pytest.fixture(scope="module")
 def value_setup():
     engine = Engine()
-    store = engine.load("book.xml", books_document(300, seed=6))
+    engine.load("book.xml", books_document(300, seed=6))
     vdoc = engine.virtual("book.xml", "book { ** }")
-    return store, vdoc, vdoc.roots()
+    return vdoc, vdoc.roots()
 
 
 def test_spliced_values(benchmark, value_setup):
-    store, vdoc, roots = value_setup
+    _, roots = value_setup
 
     def run():
-        builder = VirtualValueBuilder(vdoc, store, use_splicing=True)
+        stats, parts = ValueStats(), []
         for vnode in roots:
-            builder.value(vnode)
-        return builder
+            write(vnode, parts, stats)
+        return stats, "".join(parts)
 
-    builder = benchmark(run)
-    benchmark.extra_info["spliced_ranges"] = builder.stats.spliced_ranges
-    assert builder.stats.constructed_elements == 0
+    stats, _ = benchmark(run)
+    benchmark.extra_info["spliced_ranges"] = stats.spliced_ranges
+    assert stats.spliced_ranges == len(roots)
+    assert stats.constructed_elements == 0
 
 
 def test_constructed_values(benchmark, value_setup):
-    store, vdoc, roots = value_setup
+    vdoc, roots = value_setup
 
     def run():
-        builder = VirtualValueBuilder(vdoc, store, use_splicing=False)
-        for vnode in roots:
-            builder.value(vnode)
-        return builder
+        return "".join(serialize(vdoc.copy_subtree(vnode)) for vnode in roots)
 
-    builder = benchmark(run)
-    benchmark.extra_info["constructed_elements"] = builder.stats.constructed_elements
-    assert builder.stats.constructed_elements > 0
+    text = benchmark(run)
+    assert text == "".join(vdoc.value(vnode) for vnode in roots)

@@ -6,7 +6,6 @@ info) are the result — ``python -m repro.bench e9`` prints the full table.
 
 import pytest
 
-from repro.core.values import VirtualValueBuilder
 from repro.query.engine import Engine
 from repro.transform.materialize import materialize_to_store
 from repro.workloads.books import books_document
@@ -23,16 +22,13 @@ def io_setup():
 
 def test_virtual_value_retrieval_cold(benchmark, io_setup):
     engine, vdoc = io_setup
-    store = engine.store("book.xml")
     titles = engine.execute(
         f'(virtualDoc("book.xml", "{Q.BOOKS_INVERT.spec}")//title)[position() <= 10]'
     )
 
     def run():
         engine.cold_caches()
-        builder = VirtualValueBuilder(vdoc, store)
-        for vnode in titles:
-            builder.value(vnode)
+        titles.to_xml()
 
     engine.reset_stats()
     benchmark(run)

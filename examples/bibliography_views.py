@@ -16,7 +16,7 @@ Run with ``python examples/bibliography_views.py``.
 """
 
 from repro import Engine
-from repro.core.values import VirtualValueBuilder
+from repro.core.values import ValueStats, write
 from repro.workloads.dblplike import dblp_document
 
 SPEC = (
@@ -27,7 +27,7 @@ SPEC = (
 
 def main() -> None:
     engine = Engine()
-    store = engine.load("dblp.xml", dblp_document(publications=60, seed=31))
+    engine.load("dblp.xml", dblp_document(publications=60, seed=31))
 
     print("== the physical hierarchy ==")
     flat = engine.execute('count(doc("dblp.xml")//article | doc("dblp.xml")//inproceedings)')
@@ -68,11 +68,11 @@ def main() -> None:
 
     print()
     print("== a transformed value that never physically exists ==")
-    builder = VirtualValueBuilder(vdoc, store)
+    stats = ValueStats()
     author_vnode = vdoc.roots()[0]
-    print(" ", builder.value(author_vnode)[:160], "...")
-    print(f"  stitched from {builder.stats.spliced_ranges} stored ranges, "
-          f"{builder.stats.constructed_elements} constructed tags")
+    print(" ", "".join(write(author_vnode, [], stats))[:160], "...")
+    print(f"  stitched from {stats.spliced_ranges} stored ranges, "
+          f"{stats.constructed_elements} constructed tags")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import random
 from repro.bench.harness import best_of, experiment, per_op_ns
 from repro.bench.report import Table, seconds
 from repro.core.level_arrays import build_level_arrays
-from repro.core.values import VirtualValueBuilder
+from repro.core.values import ValueStats, write
 from repro.core.virtual_document import VirtualDocument
 from repro.core import vpbn as V
 from repro.dataguide.build import build_dataguide
@@ -31,7 +31,8 @@ from repro.workloads.books import books_document
 from repro.workloads.dblplike import dblp_document
 from repro.workloads.xmarklike import auction_document
 from repro.workloads import queries as Q
-from repro.xmlmodel.nodes import Document
+from repro.xmlmodel.nodes import Document, NodeKind
+from repro.xmlmodel.serializer import serialize
 
 _AXES = [
     "self",
@@ -378,37 +379,39 @@ def e6_values() -> list[Table]:
             "elements built",
         ],
         notes=[
-            "spec 'book { ** }' keeps book subtrees intact, so splicing "
-            "reads one range per book; construction walks every node — "
-            "expected shape: speedup grows with subtree size"
+            "spec 'book { ** }' keeps book subtrees intact, so the writer "
+            "reads one range per book; the construct arm materializes the "
+            "view and serializes the copy, walking every node — expected "
+            "shape: speedup grows with subtree size"
         ],
     )
     for books in (50, 200, 800):
         engine = Engine()
-        document = books_document(books, seed=6)
-        store = engine.load("book.xml", document)
+        engine.load("book.xml", books_document(books, seed=6))
         vdoc = engine.virtual("book.xml", "book { ** }")
         roots = vdoc.roots()
 
-        def build_values(use_splicing: bool) -> VirtualValueBuilder:
-            builder = VirtualValueBuilder(vdoc, store, use_splicing=use_splicing)
+        def splice(stats: ValueStats) -> str:
+            parts: list[str] = []
             for vnode in roots:
-                builder.value(vnode)
-            return builder
+                write(vnode, parts, stats)
+            return "".join(parts)
 
-        splice_s = best_of(lambda: build_values(True))
-        construct_s = best_of(lambda: build_values(False))
-        splicer = build_values(True)
-        constructor = build_values(False)
+        splice_s = best_of(lambda: splice(ValueStats()))
+        construct_s = best_of(lambda: serialize(vdoc.materialize()))
+        stats = ValueStats()
         table.rows.append(
             [
                 books,
-                splicer.stats.bytes_copied,
+                len(splice(stats)),
                 seconds(splice_s * 1e3),
                 seconds(construct_s * 1e3),
                 seconds(construct_s / splice_s),
-                splicer.stats.spliced_ranges,
-                constructor.stats.constructed_elements,
+                stats.spliced_ranges,
+                sum(
+                    node.kind is NodeKind.ELEMENT
+                    for node in vdoc.materialize().iter_subtree()
+                ),
             ]
         )
     return [table]
@@ -522,7 +525,7 @@ def e9_io() -> list[Table]:
     books = 500
     engine = Engine(buffer_capacity=8)
     document = books_document(books, seed=9)
-    store = engine.load("book.xml", document)
+    engine.load("book.xml", document)
     spec = Q.BOOKS_INVERT.spec
     vdoc = engine.virtual("book.xml", spec)
 
@@ -543,9 +546,7 @@ def e9_io() -> list[Table]:
     result = engine.execute(
         f'(virtualDoc("book.xml", "{spec}")//title)[position() <= 10]'
     )
-    builder = VirtualValueBuilder(vdoc, store)
-    for vnode in result:
-        builder.value(vnode)
+    result.to_xml()
     virtual_stats = engine.stats.snapshot()
     table.rows.append(
         [

@@ -1,9 +1,9 @@
-"""Computing transformed values (paper Section 6).
+"""Writing transformed values (paper Section 6).
 
 The value of a node is its substring of the stored document string.  After a
 virtual transformation, a node's value must reflect the *virtual* subtree —
 children may have moved in, out, or reordered — so the value is stitched
-together: reconstructed tags around recursively built child values.
+together: synthesized tags around the children's values.
 
 The efficiency lever is the *intact* check: when a virtual type's subtree
 mirrors its original subtree exactly (every original child type present as
@@ -12,137 +12,145 @@ its original value, and one value-index lookup plus one heap range read
 produces it — no per-node work, no matter how large the subtree.  The
 ``**`` wildcard produces intact subtrees by construction, so a typical
 vDataGuide pins a few types and copies everything below them wholesale.
+The heap is the canonical serialization and every update keeps it so, so a
+spliced range is byte-identical to serializing a copy of the subtree.
 
-:class:`ValueStats` counts spliced ranges versus constructed elements; the
-E6 experiment compares stitching against element-by-element construction.
+:func:`write` is the only writer: query answers, shard payloads and
+:meth:`VirtualDocument.value <repro.core.virtual_document.VirtualDocument.value>`
+all stream through it into a parts list.  Per virtual type it works from a
+plan — the intact flag and the child types split into attributes and
+content, each with its ``lca_length`` and row-aligned key and node lists —
+memoized with the view, so a restructured element finds its children by
+bisecting key lists (:func:`~repro.core.virtual_document.sibling_rows`) and
+allocates no virtual nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from repro.core.virtual_document import VirtualDocument, VNode
-from repro.storage.store import DocumentStore
+from repro.core.virtual_document import VirtualDocument, VNode, sibling_rows
 from repro.vdataguide.ast import VType
-from repro.xmlmodel.nodes import NodeKind
+from repro.xmlmodel.nodes import Node, NodeKind
+from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
 
 
 @dataclass
 class ValueStats:
-    """Work counters for one builder.
+    """Work counters of the writer.
 
     :ivar spliced_ranges: whole subtrees copied by a single range read.
     :ivar constructed_elements: elements whose tags were re-synthesized.
-    :ivar bytes_copied: characters delivered into values.
     """
 
     spliced_ranges: int = 0
     constructed_elements: int = 0
-    bytes_copied: int = 0
-
-    def reset(self) -> None:
-        self.spliced_ranges = 0
-        self.constructed_elements = 0
-        self.bytes_copied = 0
 
 
-class VirtualValueBuilder:
-    """Builds transformed values from the stored source string.
+class _Plan(NamedTuple):
+    """How to write instances of one virtual type.  ``attributes`` and
+    ``content`` hold one ``(lca_length, keys, nodes, plan)`` entry per
+    child type, in specification order; both stay empty for an intact
+    type, whose children are never visited."""
 
-    :param vdoc: the virtual document (navigation + level arrays).
-    :param store: the document's store (value index + heap).
-    :param use_splicing: when ``False``, every element is constructed
-        piece by piece even if its subtree is intact — the naive strategy
-        the E6 experiment compares against.
-    """
+    intact: bool
+    attributes: tuple = ()
+    content: tuple = ()
 
-    def __init__(
-        self,
-        vdoc: VirtualDocument,
-        store: DocumentStore,
-        use_splicing: bool = True,
-    ) -> None:
-        if store.document is not vdoc.document:
-            raise ValueError("store and virtual document must share the document")
-        self.vdoc = vdoc
-        self.store = store
-        self.use_splicing = use_splicing
-        self.stats = ValueStats()
-        self._intact: dict[VType, bool] = {}
 
-    # -- intactness ---------------------------------------------------------------
-
-    def is_intact(self, vtype: VType) -> bool:
-        """True iff the virtual subtree below ``vtype`` mirrors the original
-        subtree below its original type, so original values can be reused."""
-        cached = self._intact.get(vtype)
-        if cached is not None:
-            return cached
-        # Break potential recursion defensively (vDataGuides are trees, so
-        # recursion terminates; the seed value is never observed).
-        self._intact[vtype] = False
-        result = self._compute_intact(vtype)
-        self._intact[vtype] = result
-        return result
-
-    def _compute_intact(self, vtype: VType) -> bool:
-        original_children = vtype.original.children
-        virtual_children = vtype.children
-        if len(original_children) != len(virtual_children):
-            return False
-        parent_length = vtype.original.length
-        matched = set()
-        for child in virtual_children:
-            if child.lca_length != parent_length:
-                return False  # not a real parent/child edge
-            if id(child.original) in matched:
-                return False  # duplicated placement
-            if child.original.parent is not vtype.original:
-                return False
-            matched.add(id(child.original))
-            if not self.is_intact(child):
-                return False
-        return len(matched) == len(original_children)
-
-    # -- value construction ------------------------------------------------------
-
-    def value(self, vnode: VNode) -> str:
-        """The transformed value of ``vnode`` — equal to serializing its
-        subtree in the materialized virtual document."""
-        node = vnode.node
-        entry = self.store.value_index.lookup(node.pbn)
-        if node.kind in (NodeKind.TEXT, NodeKind.ATTRIBUTE):
-            text = self.store.heap.read_range(entry.start, entry.end)
-            self.stats.spliced_ranges += 1
-            self.stats.bytes_copied += len(text)
-            return text
-        if self.use_splicing and self.is_intact(vnode.vtype):
-            text = self.store.heap.read_range(entry.start, entry.end)
-            self.stats.spliced_ranges += 1
-            self.stats.bytes_copied += len(text)
-            return text
-        return self._construct_element(vnode)
-
-    def _construct_element(self, vnode: VNode) -> str:
-        self.stats.constructed_elements += 1
-        name = vnode.node.name
-        attribute_parts: list[str] = []
-        content_parts: list[str] = []
-        for child in self.vdoc.children(vnode):
-            if child.vtype.is_attribute:
-                attribute_parts.append(self.value(child))
-            else:
-                content_parts.append(self.value(child))
-        attributes = "".join(" " + part for part in attribute_parts)
-        if not content_parts:
-            text = f"<{name}{attributes}/>"
+def _plan(vdoc: VirtualDocument, vtype: VType) -> _Plan:
+    # Racing builders produce equal plans; the dict write is atomic.  The
+    # plans reference rows and each other downward only, never the vdoc,
+    # so a dropped view frees them by reference count.
+    plan = vdoc._value_plans.get(vtype)
+    if plan is None:
+        children = [(child, _plan(vdoc, child)) for child in vtype.children]
+        if _mirrors_original(vtype) and all(p.intact for _, p in children):
+            plan = _Plan(True)
         else:
-            inner = "".join(content_parts)
-            text = f"<{name}{attributes}>{inner}</{name}>"
-        # Children already counted their own bytes; add only the tag text
-        # synthesized at this level.
-        synthesized = len(text) - sum(len(part) for part in content_parts) - sum(
-            len(part) for part in attribute_parts
-        )
-        self.stats.bytes_copied += synthesized
-        return text
+            entries = [
+                (child.is_attribute, (child.lca_length, *vdoc.rows(child.original), p))
+                for child, p in children
+            ]
+            plan = _Plan(
+                False,
+                tuple(entry for is_attribute, entry in entries if is_attribute),
+                tuple(entry for is_attribute, entry in entries if not is_attribute),
+            )
+        vdoc._value_plans[vtype] = plan
+    return plan
+
+
+def _mirrors_original(vtype: VType) -> bool:
+    """True iff the virtual children of ``vtype`` are exactly its original
+    type's children, each placed once, as real parent/child edges."""
+    original = vtype.original
+    if len(original.children) != len(vtype.children):
+        return False
+    matched = set()
+    for child in vtype.children:
+        if child.lca_length != original.length or child.original.parent is not original:
+            return False  # not a real parent/child edge
+        matched.add(child.original)
+    return len(matched) == len(original.children)  # no duplicated placement
+
+
+def is_intact(vdoc: VirtualDocument, vtype: VType) -> bool:
+    """True iff the virtual subtree below ``vtype`` mirrors the original
+    subtree below its original type, so original values can be reused."""
+    return _plan(vdoc, vtype).intact
+
+
+def write(
+    vnode: VNode,
+    parts: list[str],
+    stats: Optional[ValueStats] = None,
+    vdoc: Optional[VirtualDocument] = None,
+) -> list[str]:
+    """Append the transformed value of ``vnode`` — equal to serializing
+    its subtree in the materialized virtual document — to ``parts`` (and
+    return ``parts``).  ``vdoc`` defaults to the view the node is tagged
+    with."""
+    if vdoc is None:
+        vdoc = vnode._vdoc
+        if vdoc is None:
+            raise ValueError("virtual node is not attached to a virtual document")
+    if stats is None:
+        stats = ValueStats()
+    _write(_plan(vdoc, vnode.vtype), vnode.node, parts, stats, vdoc.store)
+    return parts
+
+
+def _write(plan: _Plan, node: Node, parts: list[str], stats: ValueStats, store) -> None:
+    kind = node.kind
+    if kind is NodeKind.TEXT:
+        parts.append(escape_text(node.value))  # type: ignore[attr-defined]
+        return
+    if kind is NodeKind.ATTRIBUTE:
+        parts.append(f'{node.attr_name}="{escape_attribute(node.value)}"')  # type: ignore[attr-defined]
+        return
+    if plan.intact:
+        stats.spliced_ranges += 1
+        if store is None:  # a store-less view has no heap to read from
+            parts.append(serialize(node))
+        else:
+            entry = store.value_index.lookup(node.pbn)
+            parts.append(store.heap.read_range(entry.start, entry.end))
+        return
+    stats.constructed_elements += 1
+    components = node.pbn.components
+    tag = node.tag  # type: ignore[attr-defined]
+    parts.append("<" + tag)
+    if plan.attributes:
+        for child_plan, child in sibling_rows(plan.attributes, components):
+            parts.append(" ")
+            _write(child_plan, child, parts, stats, store)
+    content = sibling_rows(plan.content, components)
+    if not content:
+        parts.append("/>")
+        return
+    parts.append(">")
+    for child_plan, child in content:
+        _write(child_plan, child, parts, stats, store)
+    parts.append("</" + tag + ">")

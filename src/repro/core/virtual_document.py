@@ -7,11 +7,15 @@ node can occupy several virtual positions (see the duplication caveat in
 :mod:`repro.core.vpbn`).
 
 Navigation never walks the virtual tree top-down from scratch: the children
-of a virtual node are found by a binary-search range scan over the per-type
-node lists (the in-memory analogue of the type index a PBN-based XML DBMS
-maintains), using the ``lcaLength`` prefix that defines the virtual
-parent/child relation.  Only data the caller actually navigates to is
-touched — the paper's core efficiency argument.
+of a virtual node are found by a binary-search range scan over the type
+index's posting lists, using the ``lcaLength`` prefix that defines the
+virtual parent/child relation.  Only data the caller actually navigates to
+is touched — the paper's core efficiency argument.  A view built over a
+:class:`~repro.storage.store.DocumentStore` is a lens: it borrows the
+store's posting lists and columns by identity and resolves a type's node
+list the first time a query touches the type.  Built from a bare document
+(tests, the property oracles) it fills a private type index with one walk;
+navigation is the same code either way.
 
 :meth:`VirtualDocument.materialize` instantiates the transformed document
 (the "rewrite the data" strategy) and renumbers it; the library uses it as
@@ -23,7 +27,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 from repro.core.vpbn import VPbn
 from repro.dataguide.build import build_dataguide
@@ -31,6 +36,8 @@ from repro.dataguide.guide import DataGuide, GuideType
 from repro.pbn.assign import assign_numbers
 from repro.pbn.columnar import Column, subtree_bound
 from repro.pbn.succinct import build_column
+from repro.storage.stats import StorageStats
+from repro.storage.type_index import TypeIndex
 from repro.vdataguide.ast import VGuide, VType
 from repro.xmlmodel.nodes import Attribute, Document, Element, Node, NodeKind, Text
 
@@ -82,6 +89,39 @@ class VNode:
         return f"VNode({self.node.pbn} @ {self.vtype.dotted()})"
 
 
+def _prefix_bounds(keys, prefix: tuple) -> tuple[int, int]:
+    """Row range of the sorted ``keys`` that start with ``prefix``."""
+    low = bisect_left(keys, prefix)
+    # Fraction-safe subtree bound (a careted 5/2 sibling must not fall
+    # inside 2's child range), see repro.pbn.columnar.
+    return low, bisect_left(keys, subtree_bound(prefix), low)
+
+
+def sibling_rows(entries, components: tuple) -> list:
+    """The virtual children of the node numbered ``components`` among
+    ``entries`` — one ``(lca_length, keys, nodes, tag)`` per child type,
+    in specification order — as ``(tag, node)`` pairs in sibling order:
+    original document order, specification order breaking ties (a node
+    placed twice).  Each child type costs one prefix-range bisect of its
+    key list; :meth:`VirtualDocument.children` and the value writer both
+    find children here."""
+    runs = []
+    for lca_length, keys, nodes, tag in entries:
+        low, high = _prefix_bounds(keys, components[:lca_length])
+        if low < high:
+            runs.append((keys, nodes, tag, low, high))
+    if len(runs) == 1:  # one child type's rows are already in order
+        _, nodes, tag, low, high = runs[0]
+        return [(tag, node) for node in nodes[low:high]]
+    found = [
+        (keys[row], tag, nodes[row])
+        for keys, nodes, tag, low, high in runs
+        for row in range(low, high)
+    ]
+    found.sort(key=itemgetter(0))  # stable: equal keys keep specification order
+    return [(tag, node) for _, tag, node in found]
+
+
 class VirtualDocument:
     """A document reinterpreted through a vDataGuide.
 
@@ -90,31 +130,46 @@ class VirtualDocument:
         numbers it automatically if it is not).
     :param vguide: a resolved virtual guide with level arrays built (use
         :func:`repro.vdataguide.grammar.parse_vdataguide`).
+    :param store: the store holding ``document`` (``vguide`` must be
+        resolved against ``store.guide``).  The view then borrows the
+        store's type index and reads transformed values from its heap.
     """
 
-    def __init__(self, document: Document, vguide: VGuide, stats=None) -> None:
-        from repro.storage.stats import StorageStats
-
+    def __init__(self, document: Document, vguide: VGuide, stats=None, store=None) -> None:
         root = document.root
         if root is not None and root.pbn is None:
             assign_numbers(document)
+        if store is not None and store.document is not document:
+            raise ValueError("store and virtual document must share the document")
         self.document = document
         self.vguide = vguide
+        self.store = store
         self.stats = stats if stats is not None else StorageStats()
-        self._nodes_by_type: dict[GuideType, list[Node]] = {}
-        self._keys_by_type: dict[GuideType, list[tuple[int, ...]]] = {}
+        # Per original type: (document-ordered keys, row-aligned nodes).
+        # Over a store the key list *is* the type index's posting list and
+        # an entry appears when a type is first touched; without a store
+        # one document walk fills every entry.
+        self._rows: dict[GuideType, tuple[Sequence[tuple[int, ...]], list[Node]]] = {}
         self._reachable: dict[VType, list[Node]] = {}
-        # Lazy columnar views for the batch kernels: per original type
-        # (sharing the _keys_by_type spine) and per virtual type (over the
-        # reachable instances only).  The virtual document is immutable —
-        # updates publish a new one — so these never invalidate piecemeal.
-        self._columns: dict[GuideType, Column] = {}
+        self._reachable_id_sets: dict[VType, frozenset] = {}
+        # Columns over the *reachable* instances of a virtual type (whole
+        # type columns live in the type index).  The virtual document is
+        # immutable — updates publish a new one — so nothing here ever
+        # invalidates piecemeal.
         self._reachable_columns: dict[VType, tuple[Column, list[Node]]] = {}
+        # Per-vtype plans of the value writer (repro.core.values) and
+        # virtual-value CAS columns (repro.storage.cas_index).
+        self._value_plans: dict = {}
+        self._cas_memo: dict = {}
         # Reentrant: reachability recurses parent-ward under the lock.  A
         # view cached by the service is navigated from several engine
         # threads at once; the lock keeps the lazy memos single-build.
         self._memo_lock = threading.RLock()
-        self._index_nodes()
+        if store is not None:
+            self._type_index = store.type_index
+            self._type_id = store.type_id
+        else:
+            self._index_nodes()
 
     @classmethod
     def from_spec(
@@ -129,36 +184,52 @@ class VirtualDocument:
         return cls(document, parse_vdataguide(spec, guide))
 
     def _index_nodes(self) -> None:
-        """Group data nodes by original type, in document order (one pass)."""
+        """Store-less construction: group data nodes by original type, in
+        document order (one pass), into a private type index."""
         guide = self.vguide.source
+        type_ids = {guide_type: i for i, guide_type in enumerate(guide.iter_types())}
+        index = TypeIndex(self.stats)
+        nodes_by_type: dict[GuideType, list[Node]] = {}
         for root in self.document.children:
             stack: list[tuple[Node, tuple[str, ...]]] = [(root, ())]
             # Manual preorder keeps document order per type without sorting.
-            order: list[tuple[Node, tuple[str, ...]]] = []
             while stack:
                 node, parent_path = stack.pop()
-                order.append((node, parent_path))
                 path = parent_path + (node.name,)
                 stack.extend(
                     (child, path) for child in reversed(node.children)
                 )
-            for node, parent_path in order:
-                guide_type = guide.lookup_path(parent_path + (node.name,))
+                guide_type = guide.lookup_path(path)
                 if guide_type is None:
                     continue  # type absent from the guide: not addressable
-                self._nodes_by_type.setdefault(guide_type, []).append(node)
-                self._keys_by_type.setdefault(guide_type, []).append(
-                    node.pbn.components
-                )
+                index.append(type_ids[guide_type], node.pbn)
+                nodes_by_type.setdefault(guide_type, []).append(node)
+        for guide_type, nodes in nodes_by_type.items():
+            self._rows[guide_type] = (index.postings(type_ids[guide_type]), nodes)
+        self._type_index = index
+        self._type_id = type_ids.__getitem__
+
+    def rows(self, original: GuideType) -> tuple[Sequence[tuple[int, ...]], list[Node]]:
+        """The type's keys in document order and the row-aligned node
+        list.  Neither may be mutated: the keys are the type index's own
+        posting list."""
+        entry = self._rows.get(original)
+        if entry is None:
+            with self._memo_lock:
+                entry = self._rows.get(original)
+                if entry is None:
+                    keys = self._type_index.postings(self._type_id(original))
+                    # A store-less view reaches here only for a type
+                    # without instances; its walk filled the rest.
+                    nodes = list(map(self.store.node_by_components, keys)) if keys else []
+                    entry = self._rows[original] = (keys, nodes)
+        return entry
 
     # -- navigation ----------------------------------------------------------
 
     def instances(self, vtype: VType) -> list[VNode]:
         """All virtual nodes of ``vtype``, in original document order."""
-        return [
-            VNode(vtype, node, self)
-            for node in self._nodes_by_type.get(vtype.original, [])
-        ]
+        return [VNode(vtype, node, self) for node in self.rows(vtype.original)[1]]
 
     def roots(self) -> list[VNode]:
         """Virtual root nodes: instances of each root type, grouped by the
@@ -173,33 +244,20 @@ class VirtualDocument:
         (binary-search range scan on the per-type document-order list —
         the in-memory stand-in for a type-index scan, counted as one)."""
         self.stats.index_range_scans += 1
-        keys = self._keys_by_type.get(original)
-        if keys is None:
-            return []
-        low = bisect_left(keys, prefix)
-        # Fraction-safe subtree bound (a careted 5/2 sibling must not
-        # fall inside 2's child range), see repro.pbn.columnar.
-        high = bisect_left(keys, subtree_bound(prefix), low)
-        return self._nodes_by_type[original][low:high]
+        keys, nodes = self.rows(original)
+        low, high = _prefix_bounds(keys, prefix)
+        return nodes[low:high]
 
     def column(self, original: GuideType) -> Optional[tuple[Column, list[Node]]]:
-        """The type's document-ordered key column plus the row-aligned
-        node list (lazy; built through the codec registry, so stable
-        integer keys come back bit-packed while careted rational keys
-        stay a raw tuple view).  ``None`` for a type with no
+        """The type index's key column for the type (lazy there; built
+        through the codec registry, so stable integer keys come back
+        bit-packed while careted rational keys stay a raw tuple view)
+        plus the row-aligned node list.  ``None`` for a type with no
         instances."""
-        column = self._columns.get(original)
+        column = self._type_index.column(self._type_id(original))
         if column is None:
-            keys = self._keys_by_type.get(original)
-            if not keys:
-                return None
-            with self._memo_lock:
-                column = self._columns.get(original)
-                if column is None:
-                    column = build_column(keys)
-                    self.stats.column_bytes += column.nbytes
-                    self._columns[original] = column
-        return column, self._nodes_by_type[original]
+            return None
+        return column, self.rows(original)[1]
 
     def reachable_column(self, vtype: VType) -> Optional[tuple[Column, list[Node]]]:
         """Like :meth:`column` but over the *reachable* instances of one
@@ -213,11 +271,14 @@ class VirtualDocument:
             with self._memo_lock:
                 entry = self._reachable_columns.get(vtype)
                 if entry is None:
-                    column = build_column(
-                        [node.pbn.components for node in nodes]
-                    )
-                    self.stats.column_bytes += column.nbytes
-                    entry = (column, nodes)
+                    if len(nodes) == len(self.rows(vtype.original)[1]):
+                        entry = self.column(vtype.original)  # nothing orphaned
+                    else:
+                        column = build_column(
+                            [node.pbn.components for node in nodes]
+                        )
+                        self.stats.column_bytes += column.nbytes
+                        entry = (column, nodes)
                     self._reachable_columns[vtype] = entry
         return entry
 
@@ -225,21 +286,18 @@ class VirtualDocument:
         """Virtual children of ``vnode``, in virtual sibling order:
         attributes first (the data model's sibling invariant), then
         original document order, with specification order breaking ties."""
-        found: list[tuple[int, tuple[int, ...], int, VNode]] = []
-        for position, child_vtype in enumerate(vnode.vtype.children):
-            prefix = vnode.node.pbn.components[: child_vtype.lca_length]
-            group = 0 if child_vtype.is_attribute else 1
-            for node in self._range(child_vtype.original, prefix):
-                found.append(
-                    (
-                        group,
-                        node.pbn.components,
-                        position,
-                        VNode(child_vtype, node, self),
-                    )
-                )
-        found.sort(key=lambda item: item[:3])
-        return [vnode for (_, _, _, vnode) in found]
+        components = vnode.node.pbn.components
+        groups: tuple[list, list] = ([], [])
+        for child in vnode.vtype.children:
+            groups[0 if child.is_attribute else 1].append(
+                (child.lca_length, *self.rows(child.original), child)
+            )
+        self.stats.index_range_scans += len(vnode.vtype.children)
+        return [
+            VNode(vtype, node, self)
+            for group in groups
+            for vtype, node in sibling_rows(group, components)
+        ]
 
     def parents(self, vnode: VNode) -> list[VNode]:
         """Virtual parents of ``vnode`` — plural because each copy of the
@@ -265,15 +323,11 @@ class VirtualDocument:
         """Identity set of the reachable instances of ``vtype`` (memoized
         alongside :meth:`reachable_instances`)."""
         with self._memo_lock:
-            cached = getattr(self, "_reachable_id_sets", None)
-            if cached is None:
-                cached = {}
-                self._reachable_id_sets = cached
-            ids = cached.get(vtype)
+            ids = self._reachable_id_sets.get(vtype)
             if ids is None:
                 self.reachable_instances(vtype)  # populate self._reachable
                 ids = frozenset(id(node) for node in self._reachable[vtype])
-                cached[vtype] = ids
+                self._reachable_id_sets[vtype] = ids
             return ids
 
     def reachable_instances(self, vtype: VType) -> list[VNode]:
@@ -292,9 +346,9 @@ class VirtualDocument:
             with self._memo_lock:
                 cached = self._reachable.get(vtype)
                 if cached is None:
-                    nodes = self._nodes_by_type.get(vtype.original, [])
+                    nodes = self.rows(vtype.original)[1]
                     if vtype.parent is None:
-                        cached = list(nodes)
+                        cached = nodes
                     else:
                         k = vtype.lca_length
                         parent_prefixes = {
@@ -395,9 +449,8 @@ class VirtualDocument:
 
     def value(self, vnode: VNode) -> str:
         """The node's *transformed value* (Section 6): the serialization of
-        its subtree in the virtual hierarchy.  This is the reference
-        implementation; :mod:`repro.core.values` reproduces it by stitching
-        stored character ranges."""
-        from repro.xmlmodel.serializer import serialize
+        its subtree in the virtual hierarchy, stitched from stored
+        character ranges by :func:`repro.core.values.write`."""
+        from repro.core.values import write
 
-        return serialize(self._build(vnode))
+        return "".join(write(vnode, [], vdoc=self))

@@ -29,15 +29,13 @@ from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval import Evaluator
 from repro.query.eval_indexed import IndexedNavigator
-from repro.query.functions import format_atomic
-from repro.query.items import is_node, string_value
+from repro.query.items import items_to_xml, string_value
 from repro.query.parser import parse_query
 from repro.storage.stats import StorageStats
 from repro.storage.store import DocumentStore
 from repro.vdataguide.grammar import parse_vdataguide
 from repro.xmlmodel.nodes import Document, Element, Node
 from repro.xmlmodel.parser import parse_document
-from repro.xmlmodel.serializer import serialize
 
 logger = logging.getLogger("repro.engine")
 
@@ -54,10 +52,9 @@ class Result:
         produced this result (parse + evaluate).
     """
 
-    def __init__(self, items: list, engine: "Engine", elapsed_seconds: float = 0.0) -> None:
+    def __init__(self, items: list, elapsed_seconds: float = 0.0) -> None:
         self.items = items
         self.elapsed_seconds = elapsed_seconds
-        self._engine = engine
 
     def __iter__(self):
         return iter(self.items)
@@ -75,15 +72,7 @@ class Result:
     def to_xml(self) -> str:
         """Serialize the result sequence: nodes as XML (virtual nodes as
         their transformed values), atomics via the XPath rules."""
-        parts: list[str] = []
-        for item in self.items:
-            if isinstance(item, Node):
-                parts.append(serialize(item))
-            elif is_node(item):
-                parts.append(serialize(self._engine.copy_item(item)))
-            else:
-                parts.append(format_atomic(item))
-        return "".join(parts)
+        return items_to_xml(self.items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Result({len(self.items)} items)"
@@ -250,7 +239,7 @@ class Engine:
                 # vDataGuide resolution including the O(cN) level-array
                 # construction the paper's Algorithm 1 describes.
                 vguide = parse_vdataguide(spec, store.guide)
-            vdoc = VirtualDocument(store.document, vguide, stats=self.stats)
+            vdoc = VirtualDocument(store.document, vguide, stats=self.stats, store=store)
             if resolve_span is not None:
                 resolve_span.set("vtypes", len(vguide))
                 resolve_span.set("chain_exact", str(vguide.chain_exact()))
@@ -440,7 +429,7 @@ class Engine:
                 "query returned %d item(s) in %.3f ms [%s]: %s",
                 len(items), elapsed * 1e3, mode or self.mode, preview,
             )
-        return Result(items, self, elapsed)
+        return Result(items, elapsed)
 
     def _resolve_plan(self, query: str):
         if self.plan_cache is not None:
@@ -510,11 +499,6 @@ class Engine:
             self._containers[key] = index
             self._container_refs.append(container)
         return index
-
-    def copy_item(self, item) -> Node:
-        """Materialize any node item into a free-standing tree node."""
-        evaluator = Evaluator(self, "tree")
-        return evaluator._copy_item(item)
 
     # -- persistence ---------------------------------------------------------------
 

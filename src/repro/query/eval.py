@@ -22,11 +22,12 @@ from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval_tree import TreeNavigator
 from repro.query.eval_virtual import VirtualNavigator
-from repro.query.functions import REGISTRY, format_atomic
+from repro.query.functions import REGISTRY
 from repro.query.items import (
     VirtualDocItem,
     atomize,
     effective_boolean,
+    format_atomic,
     is_node,
     string_value,
     to_number,
@@ -649,7 +650,8 @@ class Evaluator:
         previous_atomic = False
         for item in items:
             if is_node(item):
-                element.append(self._copy_item(item))
+                for copy in self._copies(item):
+                    element.append(copy)
                 previous_atomic = False
             else:
                 text = format_atomic(item)
@@ -658,23 +660,22 @@ class Evaluator:
                 _append_text(element, text)
                 previous_atomic = True
 
-    def _copy_item(self, item: Any) -> Node:
+    def _copies(self, item: Any) -> list[Node]:
+        """Free-standing copies of a node item for a constructor to embed
+        (a ``virtualDoc()`` handle contributes one per virtual root)."""
         if isinstance(item, VNode):
             vdoc = item._vdoc
             if vdoc is None:
                 raise QueryEvaluationError("virtual node without a document")
-            return vdoc.copy_subtree(item)
+            return [vdoc.copy_subtree(item)]
         if isinstance(item, VirtualDocItem):
-            wrapper = Element("#virtual-roots")
-            for root in item.vdoc.roots():
-                wrapper.append(item.vdoc.copy_subtree(root))
-            return wrapper
+            return [item.vdoc.copy_subtree(root) for root in item.vdoc.roots()]
         if isinstance(item, Document):
             root = item.root
             if root is None:
                 raise QueryEvaluationError("cannot embed an empty document")
-            return clone_subtree(root)
-        return clone_subtree(item)
+            return [clone_subtree(root)]
+        return [clone_subtree(item)]
 
     # ------------------------------------------------------------------ ordering
 

@@ -489,12 +489,3 @@ def _virtual_contains(context, vdoc, store, item, term: str) -> bool:
             if all(ref_n[i] == components[i] for i in guarded):
                 return True
     return False
-
-
-def format_atomic(value) -> str:
-    """Render an atomic for serialization."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return format_number(value)
-    return str(value)

@@ -8,19 +8,24 @@ A query value is a Python list (*sequence*) of items.  An item is one of:
   constructors;
 * a virtual node — :class:`repro.core.virtual_document.VNode`;
 * a virtual document handle — :class:`VirtualDocItem`, returned by
-  ``virtualDoc()``.
+  ``virtualDoc()``;
+* a node that crossed a process boundary as text — :class:`RemoteItem`
+  (only in results merged from process shard workers).
 """
 
 from __future__ import annotations
 
 from typing import Any, Union
 
+from repro.core.values import ValueStats, is_intact, write
 from repro.core.virtual_document import VirtualDocument, VNode
 from repro.errors import QueryEvaluationError
+from repro.obs.trace import span
 from repro.xmlmodel.nodes import Node, NodeKind
+from repro.xmlmodel.serializer import serialize
 
 Atomic = Union[str, int, float, bool]
-Item = Any  # Atomic | Node | VNode | VirtualDocItem
+Item = Any  # Atomic | Node | VNode | VirtualDocItem | RemoteItem
 Sequence = list
 
 
@@ -34,6 +39,20 @@ class VirtualDocItem:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualDocItem({self.vdoc.document.uri})"
+
+
+class RemoteItem:
+    """A node materialized in a shard worker process, shipped as its
+    serialized XML plus its XPath string value."""
+
+    __slots__ = ("xml", "value")
+
+    def __init__(self, xml: str, value: str) -> None:
+        self.xml = xml
+        self.value = value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RemoteItem({self.xml[:40]!r})"
 
 
 def is_node(item: Item) -> bool:
@@ -83,6 +102,8 @@ def string_value(item: Item) -> str:
         return "".join(
             _virtual_string_value(root, item.vdoc) for root in item.vdoc.roots()
         )
+    if isinstance(item, RemoteItem):
+        return item.value
     raise QueryEvaluationError(f"cannot take the string value of {item!r}")
 
 
@@ -92,9 +113,45 @@ def _virtual_string_value(vnode: VNode, vdoc: VirtualDocument | None = None) -> 
         return node.value  # type: ignore[attr-defined]
     if vdoc is None:
         vdoc = _require_vdoc(vnode)
+    if is_intact(vdoc, vnode.vtype):
+        return node.string_value()  # the virtual subtree is the original one
     return "".join(
         _virtual_string_value(child, vdoc) for child in vdoc.children(vnode)
     )
+
+
+def write_item(item: Item, parts: list[str], stats: ValueStats) -> None:
+    """Append one result item's XML text to ``parts`` — the only place an
+    item becomes XML: stored and constructed nodes through the
+    serializer, virtual nodes as their transformed values (a
+    ``virtualDoc()`` handle writes its roots in virtual root order, the
+    way ``doc()`` writes its children), atomics via the XPath rules."""
+    if isinstance(item, Node):
+        parts.append(serialize(item))
+    elif isinstance(item, VNode):
+        write(item, parts, stats)
+    elif isinstance(item, VirtualDocItem):
+        for root in item.vdoc.roots():
+            write(root, parts, stats)
+    elif isinstance(item, RemoteItem):
+        parts.append(item.xml)
+    else:
+        parts.append(format_atomic(item))
+
+
+def items_to_xml(items: Sequence) -> str:
+    """The XML text of a result sequence.  Under an active trace the work
+    shows as a ``result.to_xml`` span carrying the writer's counters."""
+    parts: list[str] = []
+    stats = ValueStats()
+    with span("result.to_xml") as to_xml_span:
+        for item in items:
+            write_item(item, parts, stats)
+        text = "".join(parts)
+        to_xml_span.set("spliced_ranges", stats.spliced_ranges)
+        to_xml_span.set("constructed_elements", stats.constructed_elements)
+        to_xml_span.set("bytes", len(text))
+    return text
 
 
 def atomize(sequence: Sequence) -> list[Atomic]:
@@ -103,6 +160,15 @@ def atomize(sequence: Sequence) -> list[Atomic]:
         string_value(item) if is_node(item) else item
         for item in sequence
     ]
+
+
+def format_atomic(value: Atomic) -> str:
+    """Render an atomic for serialization."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return format_number(value)
+    return str(value)
 
 
 def format_number(value: Union[int, float]) -> str:

@@ -277,14 +277,15 @@ class ServingApp:
         as_values = params.get("values") in ("1", "true", "yes")
         budget = self._parse_budget(params)
 
-        def run():
-            service = self._read_service()
-            return service.execute(text, mode=mode, budget=budget)
+        def run() -> str:
+            # Serialize in the worker too: writing a large answer on the
+            # loop thread would stall every other connection and escape
+            # the ``serve.worker`` span and the admission slot.
+            result = self._read_service().execute(text, mode=mode, budget=budget)
+            return "\n".join(result.values()) if as_values else result.to_xml()
 
-        result = await self._offload(run)
-        if as_values:
-            return Response(200, "\n".join(result.values()), "text/plain")
-        return Response(200, result.to_xml(), "application/xml")
+        body_text = await self._offload(run)
+        return Response(200, body_text, "text/plain" if as_values else "application/xml")
 
     async def _do_explain(self, params: dict, body: bytes) -> Response:
         report = await self._offload(

@@ -40,12 +40,11 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.virtual_document import VNode
 from repro.obs.trace import Tracer, current_context, fork
-from repro.query.engine import _preview
+from repro.query.engine import Result, _preview
 from repro.query.items import VirtualDocItem, is_node
 from repro.service.cache import PlanCache, ViewCache
 from repro.service.metrics import ServiceMetrics
@@ -61,7 +60,6 @@ from repro.xmlmodel.serializer import serialize
 
 from repro.shard.catalog import ShardCatalog, ShardError
 from repro.shard.merge import keyed_stream, merge_streams
-from repro.shard.worker import RemoteItem
 from repro.shard.plan import (
     COMBINERS,
     check_scatterable,
@@ -78,68 +76,21 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.xmlmodel.nodes import Document as DocumentNode
 
 
-class ShardResult:
-    """A gathered scatter result, shaped like an engine ``Result``.
+class ShardResult(Result):
+    """A gathered scatter result: the merged items in global document
+    order (or the single combined aggregate value), serialized like any
+    engine ``Result`` — process-mode items arrive pre-serialized.
 
-    :ivar items: merged items in global document order (or the single
-        combined aggregate value).
     :ivar elapsed_seconds: scatter wall-clock (fan-out to last gather).
     :ivar shards: shard ids that evaluated a specialization.
     """
 
-    def __init__(self, entries: list, elapsed_seconds: float, shards: list[int]) -> None:
-        #: (item, owning QueryService | None) per merged item.
-        self._entries = entries
-        self.elapsed_seconds = elapsed_seconds
+    def __init__(self, items: list, elapsed_seconds: float, shards: list[int]) -> None:
+        super().__init__(items, elapsed_seconds)
         self.shards = shards
 
-    @property
-    def items(self) -> list:
-        return [item for item, _ in self._entries]
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, index: int):
-        return self._entries[index][0]
-
-    def values(self) -> list[str]:
-        from repro.query.items import string_value
-
-        return [
-            item.value if isinstance(item, RemoteItem) else string_value(item)
-            for item, _ in self._entries
-        ]
-
-    def to_xml(self) -> str:
-        """Serialize like ``Result.to_xml``, borrowing an engine from each
-        item's owning shard for virtual-node materialization (process-mode
-        items arrive pre-serialized)."""
-        from repro.query.functions import format_atomic
-
-        parts: list[str] = []
-        with ExitStack() as stack:
-            engines: dict[int, object] = {}
-            for item, service in self._entries:
-                if isinstance(item, RemoteItem):
-                    parts.append(item.xml)
-                elif isinstance(item, Node):
-                    parts.append(serialize(item))
-                elif is_node(item):
-                    engine = engines.get(id(service))
-                    if engine is None:
-                        engine = stack.enter_context(service._engine())
-                        engines[id(service)] = engine
-                    parts.append(serialize(engine.copy_item(item)))
-                else:
-                    parts.append(format_atomic(item))
-        return "".join(parts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardResult({len(self._entries)} items over shards {self.shards})"
+        return f"ShardResult({len(self.items)} items over shards {self.shards})"
 
 
 class ShardedService:
@@ -496,19 +447,19 @@ class ShardedService:
             combined = COMBINERS[combine](
                 results[shard].items[0] for shard in shard_ids
             )
-            return ShardResult([(combined, None)], 0.0, shard_ids)
+            return ShardResult([combined], 0.0, shard_ids)
         streams = []
         for shard in shard_ids:
-            service = executors[shard]
             ordinal_by_container = self._container_ordinals(
-                service, analysis, involved, shard
+                executors[shard], analysis, involved, shard
             )
-            entries = keyed_stream(
-                results[shard].items,
-                lambda item, _m=ordinal_by_container: _m.get(_container_id(item)),
-                _pbn_components,
+            streams.append(
+                keyed_stream(
+                    results[shard].items,
+                    lambda item, _m=ordinal_by_container: _m.get(_container_id(item)),
+                    _pbn_components,
+                )
             )
-            streams.append([(key, (item, service)) for key, item in entries])
         merged = merge_streams(streams)
         return ShardResult(merged, 0.0, shard_ids)
 
@@ -563,13 +514,8 @@ class ShardedService:
             combined = COMBINERS[combine](
                 streams[shard][0][1] for shard in shard_ids
             )
-            return ShardResult([(combined, None)], 0.0, shard_ids)
-        merged = merge_streams(
-            [
-                [(key, (item, None)) for key, item in streams[shard]]
-                for shard in shard_ids
-            ]
-        )
+            return ShardResult([combined], 0.0, shard_ids)
+        merged = merge_streams([streams[shard] for shard in shard_ids])
         return ShardResult(merged, 0.0, shard_ids)
 
     def batch(

@@ -1,7 +1,7 @@
 """Process-based shard workers (`serve --shard-workers process`).
 
 Thread scatter shares one address space, so merged items are live nodes
-and ``to_xml`` can borrow the owning shard's engine.  Process scatter
+and ``to_xml`` writes them in the coordinator.  Process scatter
 (:class:`ProcessShardPool`) instead gives every shard its own worker
 process — its own interpreter, engine pool, and stores — which sidesteps
 the GIL for CPU-bound shard evaluation on multi-core machines, at the
@@ -12,7 +12,7 @@ price of a narrower contract:
   thread-mode features — the pool is for read-mostly serving;
 * result items come back *materialized*: each node crosses the pipe as
   its serialized XML plus its XPath string value
-  (:class:`RemoteItem`), not as a live object;
+  (:class:`~repro.query.items.RemoteItem`), not as a live object;
 * per-shard trace spans ride back with the results: requests carry the
   coordinator's :class:`~repro.obs.trace.SpanContext` carrier, the
   worker roots a ``shard.worker`` trace under it (same trace id — ids
@@ -36,74 +36,21 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
+from repro.core.values import ValueStats
 from repro.obs.trace import SpanContext, current_context, span
+from repro.query.engine import Result
+from repro.query.items import RemoteItem, is_node, string_value, write_item
 from repro.shard.catalog import ShardError
 
 
-class RemoteItem:
-    """A node materialized in a worker process, shipped as bytes."""
-
-    __slots__ = ("xml", "value")
-
-    def __init__(self, xml: str, value: str) -> None:
-        self.xml = xml
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemoteItem({self.xml[:40]!r})"
-
-
-class RemoteResult:
-    """A routed query's outcome from a worker process, shaped like a
-    ``Result``: ``items`` are atomics and :class:`RemoteItem` nodes."""
-
-    def __init__(self, items: list, elapsed_seconds: float) -> None:
-        self.items = items
-        self.elapsed_seconds = elapsed_seconds
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __getitem__(self, index: int):
-        return self.items[index]
-
-    def values(self) -> list[str]:
-        return [
-            item.value if isinstance(item, RemoteItem) else _format(item)
-            for item in self.items
-        ]
-
-    def to_xml(self) -> str:
-        return "".join(
-            item.xml if isinstance(item, RemoteItem) else _format(item)
-            for item in self.items
-        )
-
-
-def _format(item) -> str:
-    from repro.query.functions import format_atomic
-
-    return format_atomic(item)
-
-
-def _materialize(engine, items: list) -> list:
-    """Each item as a pipe payload: ``("node", xml, value)`` or
+def _payload(item, stats: ValueStats):
+    """One item as a pipe payload: ``("node", xml, value)`` or
     ``("atomic", value)``."""
-    from repro.query.items import is_node, string_value
-    from repro.xmlmodel.serializer import serialize
-
-    payloads = []
-    for item in items:
-        if is_node(item):
-            payloads.append(
-                ("node", serialize(engine.copy_item(item)), string_value(item))
-            )
-        else:
-            payloads.append(("atomic", item))
-    return payloads
+    if not is_node(item):
+        return ("atomic", item)
+    parts: list[str] = []
+    write_item(item, parts, stats)
+    return ("node", "".join(parts), string_value(item))
 
 
 def _revive(payload):
@@ -155,8 +102,8 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
                     result = service.execute(
                         text, mode=mode_override, variables=variables
                     )
-                    with service._engine() as engine:
-                        payloads = _materialize(engine, result.items)
+                    stats = ValueStats()
+                    payloads = [_payload(item, stats) for item in result.items]
                 remote = _worker_fragment(handle)
                 conn.send(("ok", (payloads, result.elapsed_seconds, remote)))
             elif command == "plan":
@@ -180,11 +127,10 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
                             lambda item: ordinals.get(_container_id(item)),
                             _pbn_components,
                         )
-                        with service._engine() as engine:
-                            shipped = [
-                                (key, _materialize(engine, [item])[0])
-                                for key, item in entries
-                            ]
+                        stats = ValueStats()
+                        shipped = [
+                            (key, _payload(item, stats)) for key, item in entries
+                        ]
                 remote = _worker_fragment(handle)
                 conn.send(("ok", (shipped, remote)))
             else:
@@ -232,14 +178,14 @@ class ProcessShardPool:
 
     def execute_routed(
         self, shard: int, query: str, mode: Optional[str], variables=None
-    ) -> RemoteResult:
+    ) -> Result:
         with span("shard.route", f"shard={shard}") as route_span:
             payloads, elapsed, remote = self._call(
                 shard, ("query", query, mode, variables, current_context())
             )
             if remote is not None:
                 route_span.adopt(remote)
-        return RemoteResult([_revive(p) for p in payloads], elapsed)
+        return Result([_revive(p) for p in payloads], elapsed)
 
     def execute_plan(
         self,

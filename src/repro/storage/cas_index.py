@@ -243,14 +243,7 @@ def virtual_cas_columns(vdoc, vtype) -> Optional[CasColumns]:
     revalidation, which is exactly the invalidation the other per-vdoc
     lazy indexes rely on.
     """
-    try:
-        memo = vdoc._cas_memo
-    except AttributeError:
-        with vdoc._memo_lock:
-            memo = getattr(vdoc, "_cas_memo", None)
-            if memo is None:
-                memo = {}
-                vdoc._cas_memo = memo
+    memo = vdoc._cas_memo
     built = memo.get(id(vtype))
     if built is None:
         if id(vtype) in memo:

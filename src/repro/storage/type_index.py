@@ -41,6 +41,13 @@ class TypeIndex:
         self._columns.pop(type_id, None)
         self._postings.setdefault(type_id, []).append(number.components)
 
+    def postings(self, type_id: int) -> Sequence[tuple[int, ...]]:
+        """The type's posting list itself (no copy, no scan counted) — a
+        virtual view navigates it in place.  Read-only for callers: a
+        published index never mutates a list, updates copy it first
+        (:meth:`derived`)."""
+        return self._postings.get(type_id, ())
+
     def column(self, type_id: int) -> Column | None:
         """The type's keys as a :class:`~repro.pbn.columnar.Column`
         (built lazily through the codec registry — bit-packed when the

@@ -63,6 +63,8 @@ class VType:
     :ivar lca_length: length of ``lcaTypeOf(original(parent), original)`` —
         the number of leading PBN components a node of this type shares with
         its virtual parent (for a root, its own path length, vacuously).
+    :ivar is_text: the original type is the text-node type.
+    :ivar is_attribute: the original type is an attribute type.
     """
 
     __slots__ = (
@@ -74,6 +76,8 @@ class VType:
         "level_array",
         "lca_length",
         "implicit",
+        "is_text",
+        "is_attribute",
         "_cuts",
         "_chain",
     )
@@ -89,6 +93,10 @@ class VType:
         #: True for text/attribute leaves the resolver keeps implicitly
         #: (they are not part of the user's specification).
         self.implicit = False
+        # Plain slots, not properties: the value writer and the sibling
+        # sort read these once per child per answer.
+        self.is_text = original.is_text
+        self.is_attribute = original.is_attribute
         self._cuts: Optional[tuple[int, ...]] = None
         self._chain: Optional[tuple["VType", ...]] = None
 
@@ -96,14 +104,6 @@ class VType:
     def name(self) -> str:
         """Label of the virtual type (its original type's own label)."""
         return self.original.name
-
-    @property
-    def is_text(self) -> bool:
-        return self.original.is_text
-
-    @property
-    def is_attribute(self) -> bool:
-        return self.original.is_attribute
 
     def dotted(self) -> str:
         """Virtual path in dotted notation, e.g. ``title.author.name``."""

@@ -143,10 +143,10 @@ def _expand_star(
         child_vtype = vguide.register(VType(child, vtype))
         _attach_implicit_leaves(child_vtype, vguide)
         if recursive:
-            _copy_subtree(child_vtype, vguide, mentioned)
+            _mirror_subtree(child_vtype, vguide, mentioned)
 
 
-def _copy_subtree(vtype: VType, vguide: VGuide, mentioned: set[GuideType]) -> None:
+def _mirror_subtree(vtype: VType, vguide: VGuide, mentioned: set[GuideType]) -> None:
     """Reproduce the original subtree shape below ``vtype`` (for ``**``)."""
     for child in vtype.original.children:
         if child.is_text or child.is_attribute:
@@ -155,4 +155,4 @@ def _copy_subtree(vtype: VType, vguide: VGuide, mentioned: set[GuideType]) -> No
             continue
         child_vtype = vguide.register(VType(child, vtype))
         _attach_implicit_leaves(child_vtype, vguide)
-        _copy_subtree(child_vtype, vguide, mentioned)
+        _mirror_subtree(child_vtype, vguide, mentioned)

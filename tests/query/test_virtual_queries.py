@@ -137,6 +137,37 @@ def test_virtual_doc_to_xml(figure2_engine):
     )
 
 
+def test_virtual_doc_handle_writes_its_roots_without_a_wrapper(figure2_engine):
+    """The handle serializes the way ``doc()`` does: its (virtual) roots,
+    in virtual root order, nothing around them."""
+    from repro.xmlmodel.parser import parse_document
+    from repro.xmlmodel.serializer import serialize
+
+    result = q(figure2_engine, 'virtualDoc("book.xml", "name title { author }")')
+    xml = result.to_xml()
+    assert xml == (
+        "<name>C</name><name>D</name>"
+        "<title>X<author/></title><title>Y<author/></title>"
+    )
+    assert serialize(parse_document(f"<w>{xml}</w>")) == f"<w>{xml}</w>"
+    stored = q(figure2_engine, 'doc("book.xml")').to_xml()
+    assert stored.startswith("<data>") and "#" not in stored
+
+
+def test_virtual_doc_handle_in_constructor_appends_each_root(figure2_engine):
+    from repro.xmlmodel.parser import parse_document
+    from repro.xmlmodel.serializer import serialize
+
+    result = q(figure2_engine, f'<w>{{virtualDoc("book.xml", "{SPEC}")}}</w>')
+    xml = result.to_xml()
+    assert xml == (
+        "<w><title>X<author><name>C</name></author></title>"
+        "<title>Y<author><name>D</name></author></title></w>"
+    )
+    assert serialize(parse_document(xml)) == xml
+    assert [child.name for child in result[0].children] == ["title", "title"]
+
+
 def test_case2_query(figure2_engine):
     result = q(figure2_engine, 'virtualDoc("book.xml", "name { author }")//name/author')
     assert len(result) == 2

@@ -259,3 +259,74 @@ def test_routed_process_query_adopts_the_worker_fragment():
         assert fragment["trace_id"] == trace.hex_id
     finally:
         sharded.close()
+
+
+def test_answers_are_serialized_on_a_worker_thread():
+    """``to_xml`` / ``values`` of a large answer must not run on the event
+    loop (where it would stall every other connection): the worker hands
+    back text."""
+    import threading
+
+    class StubResult:
+        def __init__(self) -> None:
+            self.threads: list = []
+
+        def to_xml(self) -> str:
+            self.threads.append(threading.current_thread())
+            return "<x/>"
+
+        def values(self) -> list:
+            self.threads.append(threading.current_thread())
+            return ["x"]
+
+    class StubService(QueryService):
+        def execute(self, *args, **kwargs):
+            return result
+
+    result = StubResult()
+    app = build_serving(StubService(pool_size=1), max_inflight=2, queue_limit=2)
+    try:
+
+        async def both():
+            loop_thread = threading.current_thread()
+            xml = await app.handle("POST", "/query", {}, {}, b"q")
+            values = await app.handle("POST", "/query", {"values": "1"}, {}, b"q")
+            return loop_thread, xml, values
+
+        loop_thread, xml, values = asyncio.run(both())
+    finally:
+        app.close()
+    assert (xml.status, xml.body) == (200, b"<x/>")
+    assert (values.status, values.body) == (200, b"x")
+    assert len(result.threads) == 2
+    for thread in result.threads:
+        assert thread is not loop_thread
+        assert thread.name.startswith("serve-worker")
+
+
+def test_serialization_time_lands_under_the_worker_span(served):
+    """A ``virtualDoc`` union is mostly stitching: the ``result.to_xml``
+    span (with the writer's counters) must sit inside ``serve.worker`` —
+    inside the admission slot — not beside it on the loop."""
+    app, sharded = served
+    spec = "book { ** }"
+    union = " | ".join(
+        f'virtualDoc("doc{i}.xml", "{spec}")//book' for i in range(DOCS)
+    )
+    response = asyncio.run(
+        app.handle("POST", "/query", {}, {}, union.encode("utf-8"))
+    )
+    assert response.status == 200
+    assert response.body.decode("utf-8") == "".join(
+        '<book id="%d"><title>T%d</title></book>' % (i, i) for i in range(DOCS)
+    )
+    [trace] = sharded.tracer.recent()
+    assert [child.name for child in trace.root.children] == [
+        "serve.admission", "serve.worker",
+    ]
+    worker = trace.root.children[1]
+    [to_xml] = _spans(worker, "result.to_xml")
+    assert to_xml.attrs["spliced_ranges"] == DOCS
+    assert to_xml.attrs["constructed_elements"] == 0
+    assert to_xml.attrs["bytes"] == len(response.body)
+    assert 0.0 < to_xml.duration_s <= worker.duration_s

@@ -5,7 +5,6 @@ through 6 — asserting each figure and worked example along the way.  If
 this test passes, the reproduction tells the paper's story end to end.
 """
 
-from repro.core.values import VirtualValueBuilder
 from repro.core.vpbn import (
     VPbn,
     v_child,
@@ -93,9 +92,8 @@ def test_the_whole_story():
     assert serialize(vdoc.materialize()) == figure3
 
     # --- Section 6: transformed values from the stored string. -----------
-    builder = VirtualValueBuilder(vdoc, store)
     first_title = vdoc.roots()[0]
-    assert builder.value(first_title) == (
+    assert vdoc.value(first_title) == (
         "<title>X<author><name>C</name></author></title>"
     )
     # The paper's concrete example: the first author's (physical) value.
