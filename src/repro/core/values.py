@@ -135,8 +135,7 @@ def _write(plan: _Plan, node: Node, parts: list[str], stats: ValueStats, store) 
         if store is None:  # a store-less view has no heap to read from
             parts.append(serialize(node))
         else:
-            entry = store.value_index.lookup(node.pbn)
-            parts.append(store.heap.read_range(entry.start, entry.end))
+            parts.append(store.value_of(node.pbn))
         return
     stats.constructed_elements += 1
     components = node.pbn.components

@@ -9,9 +9,9 @@ order-preserving component encoding so that for any two numbers ``p``, ``q``:
 * ``encode_pbn(p)`` is a byte-prefix of ``encode_pbn(q)`` iff ``p`` is a
   component-prefix of ``q`` (i.e. an ancestor-or-self),
 
-which means encoded numbers can serve directly as B+-tree keys (the storage
-engine's value index uses them) while keeping every axis predicate a cheap
-bytes comparison.
+which means encoded numbers can serve directly as sorted-index keys (the
+storage engine's value index uses them) while keeping every axis predicate a
+cheap bytes comparison.
 
 Encoding per component ``c`` (1-based):
 

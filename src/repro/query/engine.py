@@ -109,7 +109,6 @@ class Engine:
         mode: str = "indexed",
         page_size: int = 4096,
         buffer_capacity: int = 256,
-        index_order: int = 64,
         stats: Optional[StorageStats] = None,
         metrics=None,
         plan_cache=None,
@@ -119,7 +118,6 @@ class Engine:
         self.mode = mode
         self.page_size = page_size
         self.buffer_capacity = buffer_capacity
-        self.index_order = index_order
         self.stats = stats if stats is not None else StorageStats()
         self.metrics = metrics
         self.plan_cache = plan_cache
@@ -153,7 +151,6 @@ class Engine:
             page_size=self.page_size,
             buffer_capacity=self.buffer_capacity,
             stats=self.stats,
-            index_order=self.index_order,
             metrics=self.metrics,
         )
         logger.info(
@@ -522,7 +519,6 @@ class Engine:
         store.page_manager.stats = self.stats
         store.type_index.stats = self.stats
         store.value_index.stats = self.stats
-        store.value_index._tree.stats = self.stats
         store.buffer_pool.metrics = self.metrics
         key = uri if uri is not None else store.document.uri
         store.document.uri = key

@@ -153,7 +153,6 @@ class ReplicaSet:
                     mode=primary.mode,
                     page_size=primary.page_size,
                     buffer_capacity=primary.buffer_capacity,
-                    index_order=primary.index_order,
                     metrics=primary.metrics,
                     tracer=primary.tracer,
                     stats=primary.stats,

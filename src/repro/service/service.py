@@ -137,7 +137,7 @@ class QueryService:
     :param mode: default navigation mode, as for :class:`Engine`.
     :param plan_cache_capacity: LRU size of the shared parsed-plan cache.
     :param view_cache_capacity: LRU size of the shared virtual-view cache.
-    :param page_size / buffer_capacity / index_order: storage knobs
+    :param page_size / buffer_capacity: storage knobs
         forwarded to document loading.
     :param metrics: share an external metrics block; fresh when omitted.
     :param stats: share an external :class:`StorageStats` block (the
@@ -168,7 +168,6 @@ class QueryService:
         view_cache_capacity: int = 64,
         page_size: int = 4096,
         buffer_capacity: int = 256,
-        index_order: int = 64,
         metrics: Optional[ServiceMetrics] = None,
         trace_sample: float = 0.0,
         trace_buffer: int = 64,
@@ -186,7 +185,6 @@ class QueryService:
         self.default_budget = default_budget
         self.page_size = page_size
         self.buffer_capacity = buffer_capacity
-        self.index_order = index_order
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.tracer = tracer if tracer is not None else Tracer(
             capacity=trace_buffer,
@@ -225,7 +223,6 @@ class QueryService:
             mode=self.mode,
             page_size=self.page_size,
             buffer_capacity=self.buffer_capacity,
-            index_order=self.index_order,
             stats=self.stats,
             metrics=self.metrics,
             plan_cache=self.plan_cache,
@@ -248,7 +245,6 @@ class QueryService:
             page_size=self.page_size,
             buffer_capacity=self.buffer_capacity,
             stats=self.stats,
-            index_order=self.index_order,
             metrics=self.metrics,
         )
         self._attach(uri, store)
@@ -265,7 +261,6 @@ class QueryService:
         store.page_manager.stats = self.stats
         store.type_index.stats = self.stats
         store.value_index.stats = self.stats
-        store.value_index._tree.stats = self.stats
         store.buffer_pool.metrics = self.metrics
         key = uri if uri is not None else store.document.uri
         store.document.uri = key
@@ -295,7 +290,6 @@ class QueryService:
         store.page_manager.stats = self.stats
         store.type_index.stats = self.stats
         store.value_index.stats = self.stats
-        store.value_index._tree.stats = self.stats
         store.buffer_pool.metrics = self.metrics
         key = uri if uri is not None else store.document.uri
         store.document.uri = key

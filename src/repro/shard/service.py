@@ -124,7 +124,6 @@ class ShardedService:
         view_cache_capacity: int = 64,
         page_size: int = 4096,
         buffer_capacity: int = 256,
-        index_order: int = 64,
         metrics: Optional[ServiceMetrics] = None,
         trace_sample: float = 0.0,
         trace_buffer: int = 64,
@@ -153,7 +152,6 @@ class ShardedService:
                 mode=mode,
                 page_size=page_size,
                 buffer_capacity=buffer_capacity,
-                index_order=index_order,
                 metrics=self.metrics,
                 tracer=self.tracer,
                 stats=self.stats,

@@ -4,7 +4,7 @@ assumes (Section 6).
 * a paged heap holding the document text ("an XML DBMS stores the source
   XML data as a long string"),
 * a buffer pool with LRU replacement and I/O accounting,
-* a B+-tree *value index* mapping a node's PBN number to the character
+* a paged *value index* mapping a node's PBN number to the character
   range of its XML value (plus the node's header: Type ID and kind),
 * a *type index* mapping each DataGuide type to its nodes' numbers in
   document order ("an index to quickly look up nodes of a given type"),
@@ -15,7 +15,6 @@ assumes (Section 6).
 from repro.storage.stats import StorageStats
 from repro.storage.pages import PageManager
 from repro.storage.buffer import BufferPool
-from repro.storage.bptree import BPlusTree
 from repro.storage.heap import HeapFile
 from repro.storage.value_index import ValueEntry, ValueIndex
 from repro.storage.type_index import TypeIndex
@@ -24,7 +23,6 @@ from repro.storage.persist import load_store, save_store
 from repro.storage.text_index import TextIndex
 
 __all__ = [
-    "BPlusTree",
     "BufferPool",
     "DocumentStore",
     "HeapFile",

@@ -9,6 +9,8 @@ the value index is designed to minimize.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import PageManager
@@ -19,26 +21,36 @@ class HeapFile:
 
     :param manager: page allocator / simulated disk.
     :param buffer_pool: cache in front of the disk (shared across files).
+    :param shared_ids: leading pages taken over from an older version.
+    :param tail: the text after them, written to freshly allocated pages.
+
+    The heap holds one reference on each of its pages for as long as it is
+    alive; the manager drops a page once no heap version lists it.
     """
 
-    def __init__(self, manager: PageManager, buffer_pool: BufferPool):
+    def __init__(
+        self,
+        manager: PageManager,
+        buffer_pool: BufferPool,
+        shared_ids: list[int],
+        tail: str,
+    ):
         self.manager = manager
         self.buffer_pool = buffer_pool
-        self._page_ids: list[int] = []
-        self._length = 0
+        size = manager.page_size
+        self._page_ids = list(shared_ids)
+        for start in range(0, len(tail), size):
+            page_id = manager.allocate()
+            manager.write(page_id, tail[start : start + size])
+            self._page_ids.append(page_id)
+        self._length = len(shared_ids) * size + len(tail)
+        manager.retain(self._page_ids)
+        weakref.finalize(self, manager.release, tuple(self._page_ids)).atexit = False
 
     @classmethod
     def store(cls, text: str, manager: PageManager, buffer_pool: BufferPool) -> "HeapFile":
         """Write ``text`` page by page and return the heap file."""
-        heap = cls(manager, buffer_pool)
-        size = manager.page_size
-        for start in range(0, len(text), size):
-            page_id = manager.allocate()
-            manager.write(page_id, text[start : start + size])
-        # An empty document still owns zero pages; record ids and length.
-        heap._page_ids = list(range(manager.page_count - _page_span(len(text), size), manager.page_count))
-        heap._length = len(text)
-        return heap
+        return cls(manager, buffer_pool, [], text)
 
     @classmethod
     def splice(
@@ -71,14 +83,7 @@ class HeapFile:
             + replacement
             + base.read_range(cut_end, base._length)
         )
-        heap = cls(manager, base.buffer_pool)
-        heap._page_ids = base._page_ids[:shared]
-        for start in range(0, len(tail), size):
-            page_id = manager.allocate()
-            manager.write(page_id, tail[start : start + size])
-            heap._page_ids.append(page_id)
-        heap._length = shared * size + len(tail)
-        return heap
+        return cls(manager, base.buffer_pool, base._page_ids[:shared], tail)
 
     def shared_page_prefix(self, other: "HeapFile") -> int:
         """How many leading pages this heap shares (by id) with ``other``
@@ -125,8 +130,3 @@ class HeapFile:
     def read_all(self) -> str:
         """The full document text (a whole-heap scan)."""
         return self.read_range(0, self._length)
-
-
-def _page_span(length: int, page_size: int) -> int:
-    """Number of pages a string of ``length`` occupies."""
-    return (length + page_size - 1) // page_size

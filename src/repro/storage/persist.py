@@ -41,7 +41,6 @@ from typing import BinaryIO, Optional
 from repro.dataguide.build import build_dataguide
 from repro.errors import StorageError
 from repro.pbn.codec import decode_key, decode_pbn, encode_key
-from repro.pbn.number import Pbn
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.pages import PageManager
@@ -130,10 +129,9 @@ def dump_store(store: DocumentStore, out: BinaryIO, applied_seq: int = 0) -> Non
     _write_section(out, types.getvalue())
 
     nodes = io.BytesIO()
-    entries = list(store.value_index.subtree_all())
-    nodes.write(struct.pack("<I", len(entries)))
-    for number, entry in entries:
-        _write_bytes(nodes, encode_key(number))
+    nodes.write(struct.pack("<I", len(store.value_index)))
+    for key, entry in store.value_index.items():
+        _write_bytes(nodes, key)
         nodes.write(
             _ENTRY.pack(
                 entry.type_id,
@@ -242,9 +240,11 @@ def _parse_v2(
 
     nodes = io.BytesIO(_read_section(data, "nodes"))
     (node_count,) = struct.unpack("<I", _read_exact(nodes, 4))
+    keys = []
     rows = []
     for _ in range(node_count):
-        number = decode_key(_read_bytes(nodes))
+        keys.append(_read_bytes(nodes))
+        number = decode_key(keys[-1])
         type_id, kind_code, start, end, content_start, content_end = _ENTRY.unpack(
             _read_exact(nodes, _ENTRY.size)
         )
@@ -255,7 +255,7 @@ def _parse_v2(
 
     document = _reconstruct_tree(uri, text, rows)
     store = _assemble_v2(
-        document, text, saved_types, rows, page_size, buffer_capacity
+        document, text, saved_types, keys, rows, page_size, buffer_capacity
     )
     return store, applied_seq
 
@@ -319,6 +319,7 @@ def _assemble_v2(
     document: Document,
     text: str,
     saved_types: list[str],
+    keys: list[bytes],
     rows: list,
     page_size: int,
     buffer_capacity: int,
@@ -355,7 +356,7 @@ def _assemble_v2(
     node_by_key: dict = {}
     type_of_node: dict = {}
     type_index = TypeIndex(stats)
-    entries: list[tuple[Pbn, ValueEntry]] = []
+    entries: list[ValueEntry] = []
     id_of_type = {guide_type: i for i, guide_type in enumerate(types_by_id)}
     for record, row in zip(records, rows):
         node, start, end, content_start, content_end = record
@@ -377,7 +378,7 @@ def _assemble_v2(
                 "(corrupted image?)"
             )
         entries.append(
-            (number, ValueEntry(start, end, type_id, kind, content_start, content_end))
+            ValueEntry(start, end, type_id, kind, content_start, content_end)
         )
         type_index.append(type_id, node.pbn)
         node_by_key[node.pbn.components] = node
@@ -390,7 +391,7 @@ def _assemble_v2(
         page_manager=page_manager,
         buffer_pool=buffer_pool,
         heap=heap,
-        value_index=ValueIndex.build(entries, stats),
+        value_index=ValueIndex.from_items(zip(keys, entries), stats),
         type_index=type_index,
         node_by_key=node_by_key,
         type_of_node=type_of_node,
@@ -440,12 +441,11 @@ def _verify_v1(store: DocumentStore, saved_types: list[str], saved_nodes: list) 
             "store image type table does not match the rebuilt DataGuide "
             "(corrupted image?)"
         )
-    rebuilt = list(store.value_index.subtree_all())
-    if len(rebuilt) != len(saved_nodes):
+    if len(store.value_index) != len(saved_nodes):
         raise StorageError("store image node count mismatch (corrupted image?)")
-    for (number, entry), saved in zip(rebuilt, saved_nodes):
-        expected = (
-            number,
+    for (key, entry), saved in zip(store.value_index.items(), saved_nodes):
+        rebuilt = (
+            key,
             entry.type_id,
             _KIND_CODES[entry.kind],
             entry.start,
@@ -453,7 +453,7 @@ def _verify_v1(store: DocumentStore, saved_types: list[str], saved_nodes: list) 
             entry.content_start,
             entry.content_end,
         )
-        if expected != saved:
+        if rebuilt != (encode_key(saved[0]), *saved[1:]):
             raise StorageError(
                 f"store image entry for {saved[0]} does not match the "
                 "rebuilt index (corrupted image?)"

@@ -51,7 +51,6 @@ class DocumentStore:
         page_size: int = DEFAULT_PAGE_SIZE,
         buffer_capacity: int = 64,
         stats: Optional[StorageStats] = None,
-        index_order: int = 64,
         metrics=None,
     ) -> None:
         self.stats = stats if stats is not None else StorageStats()
@@ -87,7 +86,7 @@ class DocumentStore:
             self.type_index.append(type_id, node.pbn)
             self._node_by_key[node.pbn.components] = node
             self._type_of_node[node] = guide_type
-        self.value_index = ValueIndex.build(entries, self.stats, order=index_order)
+        self.value_index = ValueIndex.build(entries, self.stats)
         self._text_index = None
         self._text_index_lock = threading.Lock()
         self._cas_index = None
@@ -180,8 +179,7 @@ class DocumentStore:
     def value_of(self, number: Pbn) -> str:
         """The node's XML value (paper Section 6): its substring of the
         stored document string, fetched through the buffer pool."""
-        entry = self.value_index.lookup(number)
-        return self.heap.read_range(entry.start, entry.end)
+        return self.heap.read_range(*self.value_index.span(number))
 
     def content_of(self, number: Pbn) -> str:
         """An element's inner content (between its tags), or the raw text
@@ -226,7 +224,6 @@ class DocumentStore:
             "heap_chars": self.heap.length,
             "heap_pages": self.heap.page_count,
             "value_index_entries": len(self.value_index),
-            "value_index_height": self.value_index.height,
         }
 
 

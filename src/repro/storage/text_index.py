@@ -46,12 +46,11 @@ class TextIndex:
         from repro.xmlmodel.nodes import NodeKind
 
         index = cls(stats=stats if stats is not None else store.stats)
-        for number, entry in store.value_index.subtree_all():
-            if entry.kind not in (NodeKind.TEXT, NodeKind.ATTRIBUTE):
+        for components, node in store._node_by_key.items():
+            if node.kind not in (NodeKind.TEXT, NodeKind.ATTRIBUTE):
                 continue
-            node = store.node(number)
             for term in set(tokenize(node.value)):  # type: ignore[attr-defined]
-                index._postings.setdefault(term, []).append(number.components)
+                index._postings.setdefault(term, []).append(components)
         for postings in index._postings.values():
             postings.sort()
         return index

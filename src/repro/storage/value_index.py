@@ -8,23 +8,36 @@ node kind.
 
 Keys are order-preserving encoded PBN numbers, so the index doubles as a
 document-order directory: a prefix scan enumerates a subtree.
+
+Layout: sorted *pages* of at most ``2 * PAGE_ENTRIES`` keys with their
+entries, a directory of each page's first key, and a parallel list of
+per-page offset *bases*.  An entry's absolute offsets are its stored
+offsets plus its page's base, so an update that shifts every span after a
+splice point re-bases whole pages instead of rewriting their entries — the
+blocked layout of Pibiri & Venturini (arXiv 2006.14552) applied to span
+offsets.  Pages are immutable once built: a version derived by
+:meth:`ValueIndex.derive` owns a new directory and shares every untouched
+page with its parent by identity, which is what lets in-flight queries and
+replicas keep reading the version they pinned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.errors import StorageError
 from repro.pbn.codec import decode_key, encode_key
 from repro.pbn.number import Pbn
-from repro.storage.bptree import BPlusTree
 from repro.storage.stats import StorageStats
 from repro.xmlmodel.nodes import NodeKind
 
+#: Entries per page at build / image load; an edited page splits past twice this.
+PAGE_ENTRIES = 64
 
-@dataclass(frozen=True)
-class ValueEntry:
+
+class ValueEntry(NamedTuple):
     """One node's header and value range.
 
     :ivar start: first character of the node's XML value (for an element,
@@ -48,70 +61,263 @@ class ValueEntry:
     content_end: int
 
 
+def _shifted(entry: ValueEntry, by: int) -> ValueEntry:
+    start, end, type_id, kind, content_start, content_end = entry
+    return tuple.__new__(
+        ValueEntry,
+        (start + by, end + by, type_id, kind, content_start + by, content_end + by),
+    )
+
+
+class _Page(NamedTuple):
+    keys: list  # encoded PBN keys, strictly increasing
+    entries: list  # ValueEntry per key, offsets relative to the page's base
+
+
 class ValueIndex:
-    """B+-tree from encoded PBN numbers to :class:`ValueEntry` rows.
+    """Encoded PBN numbers -> :class:`ValueEntry` rows, in sorted pages.
 
     Keys use the rational-capable :func:`~repro.pbn.codec.encode_key`
     codec (not the gap-free ``encode_pbn``) so numbers minted by the
     update subsystem sort between extant integers without renumbering.
     """
 
-    def __init__(self, stats: StorageStats | None = None, order: int = 64):
+    def __init__(self, stats: StorageStats | None = None):
         self.stats = stats if stats is not None else StorageStats()
-        self._tree = BPlusTree(order=order, stats=self.stats)
+        self._firsts: list[bytes] = []  # first key of each page
+        self._pages: list[_Page] = []
+        self._bases: list[int] = []
+        self._size = 0
 
     @classmethod
     def build(
-        cls,
-        entries: list[tuple[Pbn, ValueEntry]],
-        stats: StorageStats | None = None,
-        order: int = 64,
+        cls, entries: list[tuple[Pbn, ValueEntry]], stats: StorageStats | None = None
     ) -> "ValueIndex":
         """Bulk-load from document-order ``(number, entry)`` pairs."""
-        index = cls(stats=stats, order=order)
-        items = [(encode_key(number), entry) for number, entry in entries]
-        index._tree = BPlusTree.bulk_load(items, order=order, stats=index.stats)
+        return cls.from_items(
+            [(encode_key(number), entry) for number, entry in entries], stats
+        )
+
+    @classmethod
+    def from_items(
+        cls,
+        items: Iterable[tuple[bytes, ValueEntry]],
+        stats: StorageStats | None = None,
+    ) -> "ValueIndex":
+        """Bulk-load from ``(encoded key, entry)`` pairs, pages packed full.
+
+        :raises StorageError: if the keys are not strictly increasing.
+        """
+        index = cls(stats)
+        pairs = list(items)
+        keys = [key for key, _ in pairs]
+        if any(left >= right for left, right in zip(keys, keys[1:])):
+            raise StorageError("value index keys must be strictly increasing")
+        index._append_pages(pairs)
+        index._size = len(pairs)
         return index
 
-    def insert(self, number: Pbn, entry: ValueEntry) -> None:
-        self._tree.insert(encode_key(number), entry)
+    def _append_pages(self, pairs: list) -> None:
+        """Append ``pairs`` (sorted, absolute offsets) as base-0 pages: one
+        page up to twice the build size, else split at the build size."""
+        size = len(pairs) if len(pairs) <= 2 * PAGE_ENTRIES else PAGE_ENTRIES
+        for start in range(0, len(pairs), size or 1):  # no pairs, no page
+            chunk = pairs[start : start + size]
+            self._firsts.append(chunk[0][0])
+            self._pages.append(_Page([k for k, _ in chunk], [e for _, e in chunk]))
+            self._bases.append(0)
 
-    def delete(self, number: Pbn) -> None:
-        """Remove one entry.
+    # -- reads -------------------------------------------------------------------
 
-        :raises StorageError: if the number was never indexed.
-        """
-        if not self._tree.delete(encode_key(number)):
-            raise StorageError(f"no value entry for PBN {number}")
+    def _find(self, number: Pbn) -> tuple[Optional[ValueEntry], int]:
+        """The stored entry for ``number`` (``None`` when absent) and the
+        base its offsets are relative to."""
+        self.stats.index_probes += 1
+        key = encode_key(number)
+        page_index = bisect_right(self._firsts, key) - 1
+        if page_index >= 0:
+            keys, entries = self._pages[page_index]
+            slot = bisect_left(keys, key)
+            if slot < len(keys) and keys[slot] == key:
+                return entries[slot], self._bases[page_index]
+        return None, 0
+
+    def get(self, number: Pbn) -> Optional[ValueEntry]:
+        """Point lookup returning ``None`` when absent."""
+        entry, base = self._find(number)
+        return _shifted(entry, base) if base else entry
 
     def lookup(self, number: Pbn) -> ValueEntry:
         """Point lookup.
 
         :raises StorageError: if the number was never indexed.
         """
-        entry = self._tree.get(encode_key(number))
+        entry = self.get(number)
         if entry is None:
             raise StorageError(f"no value entry for PBN {number}")
         return entry
 
-    def get(self, number: Pbn) -> Optional[ValueEntry]:
-        """Point lookup returning ``None`` when absent."""
-        return self._tree.get(encode_key(number))
+    def span(self, number: Pbn) -> tuple[int, int]:
+        """``(start, end)`` of the node's value — all the answer path needs
+        of :meth:`lookup`, without building an entry on a re-based page.
+
+        :raises StorageError: if the number was never indexed.
+        """
+        entry, base = self._find(number)
+        if entry is None:
+            raise StorageError(f"no value entry for PBN {number}")
+        return entry[0] + base, entry[1] + base
+
+    def items(
+        self, low: Optional[bytes] = None, high: Optional[bytes] = None
+    ) -> Iterator[tuple[bytes, ValueEntry]]:
+        """``(encoded key, entry)`` pairs with ``low <= key < high`` in key
+        order, offsets absolute.  ``None`` bounds are open."""
+        self.stats.index_range_scans += 1
+        first = 0 if low is None else max(bisect_right(self._firsts, low) - 1, 0)
+        for page_index in range(first, len(self._pages)):
+            if high is not None and self._firsts[page_index] >= high:
+                return
+            keys, entries = self._pages[page_index]
+            base = self._bases[page_index]
+            start = bisect_left(keys, low) if page_index == first and low else 0
+            stop = len(keys) if high is None else bisect_left(keys, high)
+            for slot in range(start, stop):
+                entry = entries[slot]
+                yield keys[slot], (_shifted(entry, base) if base else entry)
 
     def subtree(self, number: Pbn) -> Iterator[tuple[Pbn, ValueEntry]]:
         """All indexed nodes in the subtree rooted at ``number``
         (descendant-or-self), in document order."""
-        for key, entry in self._tree.prefix_scan(encode_key(number)):
+        prefix = encode_key(number)
+        for key, entry in self.items(prefix, _prefix_successor(prefix)):
             yield decode_key(key), entry
 
     def subtree_all(self) -> Iterator[tuple[Pbn, ValueEntry]]:
         """Every indexed node in document order (a full index scan)."""
-        for key, entry in self._tree.scan():
+        for key, entry in self.items():
             yield decode_key(key), entry
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return self._size
 
     @property
-    def height(self) -> int:
-        return self._tree.height
+    def page_count(self) -> int:
+        return len(self._pages)
+
+    def shared_pages(self, other: "ValueIndex") -> int:
+        """How many of this index's pages are ``other``'s page objects —
+        E14's measure of copy-on-write effectiveness, beside the heap's."""
+        theirs = {id(page) for page in other._pages}
+        return sum(id(page) in theirs for page in self._pages)
+
+    # -- copy-on-write derivation ------------------------------------------------
+
+    def derive(
+        self,
+        cut_start: int,
+        cut_end: int,
+        delta: int,
+        drop_prefix: Optional[bytes] = None,
+        overrides: Optional[dict] = None,
+        stretch: frozenset = frozenset(),
+        inserted: Iterable[tuple[bytes, ValueEntry]] = (),
+    ) -> "ValueIndex":
+        """The next version after the heap splice ``[cut_start, cut_end)``
+        -> a replacement ``delta`` characters longer.
+
+        Per entry, first rule that applies: a key under ``drop_prefix`` is
+        dropped; a key in ``overrides`` takes its ``(start, end,
+        content_start, content_end)`` from there; a key in ``stretch`` (the
+        ancestors of the mutation site) grows by ``delta`` around the cut;
+        an entry starting at or after ``cut_start`` shifts by ``delta``.
+        ``inserted`` pairs (absolute offsets) merge in.
+
+        Only pages holding a dropped, overridden, stretched or inserted key
+        and the *split page* — the first whose last entry starts at or
+        after ``cut_start`` (starts are monotone in key order) — are
+        rewritten, at base 0.  Pages before the split page are shared as
+        they are, pages after it are shared with ``base + delta``.
+        """
+        overrides = overrides or {}
+        firsts, pages, bases = self._firsts, self._pages, self._bases
+        count = len(pages)
+
+        def page_of(key: bytes) -> int:
+            return max(bisect_right(firsts, key) - 1, 0)
+
+        split = bisect_left(
+            range(count),
+            cut_start,
+            key=lambda i: pages[i].entries[-1].start + bases[i],
+        )
+        touched = {page_of(key) for key in (*overrides, *stretch)}
+        if split < count:
+            touched.add(split)
+        if drop_prefix is not None:
+            successor = _prefix_successor(drop_prefix)
+            stop = count if successor is None else bisect_left(firsts, successor)
+            touched.update(range(page_of(drop_prefix), stop))
+        landing: dict[int, list] = {}
+        for pair in inserted:
+            landing.setdefault(page_of(pair[0]), []).append(pair)
+        touched.update(landing)
+
+        derived = ValueIndex(self.stats)
+        derived._size = self._size
+
+        def share(start: int, stop: int) -> None:
+            derived._firsts += firsts[start:stop]
+            derived._pages += pages[start:stop]
+            if delta and start > split:
+                derived._bases += [base + delta for base in bases[start:stop]]
+            else:
+                derived._bases += bases[start:stop]
+
+        done = 0
+        for page_index in sorted(touched):
+            share(done, page_index)
+            done = page_index + 1
+            pairs = landing.get(page_index, [])
+            derived._size += len(pairs)
+            if page_index < count:
+                base = bases[page_index]
+                for key, entry in zip(*pages[page_index]):
+                    if drop_prefix is not None and key.startswith(drop_prefix):
+                        derived._size -= 1
+                        continue
+                    start, end, type_id, kind, content_start, content_end = entry
+                    if key in overrides:
+                        start, end, content_start, content_end = overrides[key]
+                    elif key in stretch:
+                        start += base
+                        end += base + delta
+                        content_start += base
+                        if cut_end < content_start:
+                            content_start += delta
+                        content_end += base + delta
+                    else:
+                        shift = base + delta if start + base >= cut_start else base
+                        start += shift
+                        end += shift
+                        content_start += shift
+                        content_end += shift
+                    pairs.append(
+                        (key, ValueEntry(start, end, type_id, kind, content_start, content_end))
+                    )
+            if page_index in landing:
+                pairs.sort(key=itemgetter(0))
+                if any(left[0] == right[0] for left, right in zip(pairs, pairs[1:])):
+                    raise StorageError("inserted value index key already exists")
+            derived._append_pages(pairs)
+        share(done, count)
+        return derived
+
+
+def _prefix_successor(prefix: bytes) -> Optional[bytes]:
+    """Smallest byte string greater than every string starting with
+    ``prefix`` (``None`` when the prefix is all ``0xFF``)."""
+    trimmed = prefix.rstrip(b"\xff")
+    if not trimmed:
+        return None
+    return trimmed[:-1] + bytes([trimmed[-1] + 1])

@@ -11,10 +11,12 @@ What "incremental maintenance" means here, structure by structure:
 * **heap** — one text splice; every page wholly before the first changed
   character is *shared by id* with the old version
   (:meth:`~repro.storage.heap.HeapFile.splice`);
-* **value index** — one streaming pass over the old index: entries in a
-  deleted subtree are dropped, spans after the splice point shift by the
-  length delta, ancestors of the mutation site stretch, fragment entries
-  merge in — then a bulk load.  No re-serialization, no re-parse;
+* **value index** — pages before the splice point are shared as they
+  are, pages after it are shared under a shifted per-page offset base;
+  only the pages holding the splice point, a deleted subtree, an ancestor
+  of the mutation site or the fragment's entries are rewritten
+  (:meth:`~repro.storage.value_index.ValueIndex.derive`).  Keys stay
+  encoded throughout; no re-serialization, no re-parse;
 * **type index** — only the posting lists of types actually gaining or
   losing instances are copied and edited; all others are shared;
 * **text index** — only the terms occurring in changed values are copied
@@ -26,21 +28,25 @@ What "incremental maintenance" means here, structure by structure:
   (:mod:`repro.updates.careting`); the subtree below it is numbered
   densely ``1..n`` as at initial load.
 
-The node tree itself is deep-copied (node identity is how engines tell
-stores apart, and parent pointers preclude structural sharing); everything
-heavy — pages, posting lists, span records — is shared or derived.
+The node tree itself is deep-copied, and the two per-node maps are filled
+in the same walk (engines find a node's store by walking ``parent`` up to
+its ``Document``, so a subtree shared between versions would be attributed
+to the old one); everything else — heap pages, index pages, posting lists
+— is shared or derived in time proportional to the change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import StorageError, UpdateError
 from repro.obs.trace import span
+from repro.pbn.codec import encode_key
 from repro.pbn.number import Pbn
 from repro.storage.store import DocumentStore, _serialize_with_spans
 from repro.storage.heap import HeapFile
-from repro.storage.value_index import ValueEntry, ValueIndex
+from repro.storage.value_index import ValueEntry
 from repro.updates.careting import (
     component_after,
     component_before,
@@ -102,29 +108,54 @@ def apply_op(store: DocumentStore, op: UpdateOp) -> MutationResult:
 # ---------------------------------------------------------------------------
 
 
-def _copy_tree(document: Document) -> tuple[Document, dict[Node, Node]]:
-    duplicate = Document(document.uri)
-    mapping: dict[Node, Node] = {}
+def _copy_tree(
+    store: DocumentStore, guide_map: dict, skip: Optional[Node] = None
+) -> tuple[Document, dict, dict]:
+    """Deep-copy ``store``'s node tree, minus the subtree at ``skip``, and
+    fill the copy's ``node_by_key`` / ``type_of_node`` maps (typed against
+    the copied guide) in the same walk.
 
-    def copy(node: Node, parent: Node) -> None:
-        if node.kind is NodeKind.ELEMENT:
-            twin: Node = Element(node.tag)  # type: ignore[attr-defined]
-        elif node.kind is NodeKind.ATTRIBUTE:
-            twin = Attribute(node.attr_name, node.value)  # type: ignore[attr-defined]
-        elif node.kind is NodeKind.TEXT:
-            twin = Text(node.value)  # type: ignore[attr-defined]
-        else:  # pragma: no cover - documents are never children
-            raise UpdateError("cannot copy a document node as a child")
-        twin.pbn = node.pbn
-        twin.parent = parent
-        parent.children.append(twin)
-        mapping[node] = twin
+    This walk is what an update still pays per document node, so it is
+    written for speed: twins are made with ``object.__new__`` and their
+    slots filled directly (the constructors re-validate names and
+    initialise ``parent`` / ``pbn`` only to have them overwritten — a third
+    of the walk).  And it is a loop, not a recursive closure: a closure
+    that calls itself is a reference cycle holding both maps until the
+    next full collection.
+    """
+    old_types = store._type_of_node
+    duplicate = Document(store.document.uri)
+    node_by_key: dict = {}
+    type_of_node: dict = {}
+    new = object.__new__
+    element, attribute, text = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
+    pending: list[tuple[Node, Node]] = [(store.document, duplicate)]
+    for node, twin in pending:  # grows while iterated: breadth-first
+        siblings = twin.children
         for child in node.children:
-            copy(child, twin)
-
-    for root in document.children:
-        copy(root, duplicate)
-    return duplicate, mapping
+            if child is skip:
+                continue
+            kind = child.kind
+            if kind is element:
+                copy = new(Element)
+                copy.tag = child.tag
+                copy._children = []
+                pending.append((child, copy))
+            elif kind is attribute:
+                copy = new(Attribute)
+                copy.attr_name = child.attr_name
+                copy.value = child.value
+            elif kind is text:
+                copy = new(Text)
+                copy.value = child.value
+            else:  # pragma: no cover - documents are never children
+                raise UpdateError("cannot copy a document node as a child")
+            number = copy.pbn = child.pbn
+            copy.parent = twin
+            siblings.append(copy)
+            node_by_key[number.components] = copy
+            type_of_node[copy] = guide_map[old_types[child]]
+    return duplicate, node_by_key, type_of_node
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +166,26 @@ def _copy_tree(document: Document) -> tuple[Document, dict[Node, Node]]:
 @dataclass
 class _Derivation:
     """Everything one splice-shaped mutation needs to derive the next
-    version's structures."""
+    version's structures.  Nodes named here are the *old* version's."""
 
     store: DocumentStore
     document: Document  # already-mutated copy
-    node_map: dict
+    node_by_key: dict  # the copy's maps; fragment nodes join in _derive
+    type_of_node: dict
     guide: object
     guide_map: dict
     cut_start: int
     cut_end: int
     replacement: str
-    ancestors: frozenset  # component tuples whose spans stretch
-    overrides: dict = field(default_factory=dict)  # comps -> (s, e, cs, ce)
-    deleted_prefix: tuple = ()  # drop entries with this component prefix
+    ancestors: list  # nodes whose spans stretch around the cut
+    overrides: dict = field(default_factory=dict)  # node -> (s, e, cs, ce)
+    deleted: Optional[Node] = None  # root of the dropped subtree
     inserted: list = field(default_factory=list)  # (node, s, e, cs, ce)
     text_removed: list = field(default_factory=list)  # (value, comps)
     text_added: list = field(default_factory=list)
 
 
-def _derive(base: _Derivation) -> DocumentStore:
+def _derive(base: _Derivation) -> MutationResult:
     store = base.store
     delta = len(base.replacement) - (base.cut_end - base.cut_start)
     heap = HeapFile.splice(
@@ -164,56 +196,29 @@ def _derive(base: _Derivation) -> DocumentStore:
     types_by_id = [base.guide_map[t] for t in store.types_by_id]
     id_of_type = {t: i for i, t in enumerate(types_by_id)}
 
-    prefix = base.deleted_prefix
-    cut = len(prefix)
     removed_pairs: list[tuple[Pbn, int]] = []
     touched_type_ids: set[int] = set()
     touched_paths: set[tuple] = set()
+    if base.deleted is not None:
+        for node in base.deleted.iter_subtree():
+            type_id = store.type_id(store.type_of(node))
+            removed_pairs.append((node.pbn, type_id))
+            touched_type_ids.add(type_id)
+            touched_paths.add(types_by_id[type_id].path)
+            types_by_id[type_id].count -= 1
     # Types whose *string values* change although their postings do not:
     # every surviving override/ancestor node stretches or rewrites its
     # value, which invalidates its type's CAS columns even though the
     # structural type index keeps them untouched.
-    cas_touched: set[int] = set()
+    cas_touched = {
+        store.type_id(store.type_of(node))
+        for node in (*base.ancestors, *base.overrides)
+    }
 
-    # One streaming pass over the old value index.
-    entries: list[tuple[Pbn, ValueEntry]] = []
-    for number, entry in store.value_index.subtree_all():
-        comps = number.components
-        if prefix and comps[:cut] == prefix:
-            removed_pairs.append((number, entry.type_id))
-            touched_type_ids.add(entry.type_id)
-            touched_paths.add(types_by_id[entry.type_id].path)
-            types_by_id[entry.type_id].count -= 1
-            continue
-        if comps in base.overrides:
-            s, e, cs, ce = base.overrides[comps]
-            cas_touched.add(entry.type_id)
-            entry = ValueEntry(s, e, entry.type_id, entry.kind, cs, ce)
-        elif comps in base.ancestors:
-            cas_touched.add(entry.type_id)
-            entry = ValueEntry(
-                entry.start,
-                entry.end + delta,
-                entry.type_id,
-                entry.kind,
-                entry.content_start
-                + (delta if base.cut_end < entry.content_start else 0),
-                entry.content_end + delta,
-            )
-        elif entry.start >= base.cut_start:
-            entry = ValueEntry(
-                entry.start + delta,
-                entry.end + delta,
-                entry.type_id,
-                entry.kind,
-                entry.content_start + delta,
-                entry.content_end + delta,
-            )
-        entries.append((number, entry))
-
-    # Fragment entries: typed against the (copied) guide, then merged.
+    # Fragment entries: typed against the (copied) guide.
     minted_numbers: list[Pbn] = []
     inserted_types: dict[Node, object] = {}
+    inserted_items: list[tuple[bytes, ValueEntry]] = []
     for node, s, e, cs, ce in base.inserted:
         guide_type = base.guide.ensure_type(tuple(node.path_names()))
         guide_type.count += 1
@@ -222,17 +227,29 @@ def _derive(base: _Derivation) -> DocumentStore:
             type_id = len(types_by_id)
             types_by_id.append(guide_type)
             id_of_type[guide_type] = type_id
-        entries.append(
-            (node.pbn, ValueEntry(s, e, type_id, node.kind, cs, ce))
+        inserted_items.append(
+            (encode_key(node.pbn), ValueEntry(s, e, type_id, node.kind, cs, ce))
         )
         minted_numbers.append(node.pbn)
         inserted_types[node] = guide_type
         touched_type_ids.add(type_id)
         touched_paths.add(guide_type.path)
-    if base.inserted:
-        entries.sort(key=lambda pair: pair[0].components)
+        base.node_by_key[node.pbn.components] = node
+        base.type_of_node[node] = guide_type
 
-    value_index = ValueIndex.build(entries, store.stats)
+    value_index = store.value_index.derive(
+        base.cut_start,
+        base.cut_end,
+        delta,
+        drop_prefix=(
+            encode_key(base.deleted.pbn) if base.deleted is not None else None
+        ),
+        overrides={
+            encode_key(node.pbn): spans for node, spans in base.overrides.items()
+        },
+        stretch=frozenset(encode_key(node.pbn) for node in base.ancestors),
+        inserted=inserted_items,
+    )
 
     # Copy-on-write: touched posting lists are copied, everything else is
     # shared — including the untouched types' (possibly bit-packed)
@@ -252,18 +269,6 @@ def _derive(base: _Derivation) -> DocumentStore:
             base.text_removed, base.text_added, store.stats
         )
 
-    node_by_key: dict = {}
-    type_of_node: dict = {}
-    for comps, old_node in store._node_by_key.items():
-        if prefix and comps[:cut] == prefix:
-            continue
-        twin = base.node_map[old_node]
-        node_by_key[comps] = twin
-        type_of_node[twin] = base.guide_map[store._type_of_node[old_node]]
-    for node, guide_type in inserted_types.items():
-        node_by_key[node.pbn.components] = node
-        type_of_node[node] = guide_type
-
     derived = DocumentStore.from_parts(
         document=base.document,
         guide=base.guide,
@@ -273,8 +278,8 @@ def _derive(base: _Derivation) -> DocumentStore:
         heap=heap,
         value_index=value_index,
         type_index=type_index,
-        node_by_key=node_by_key,
-        type_of_node=type_of_node,
+        node_by_key=base.node_by_key,
+        type_of_node=base.type_of_node,
         stats=store.stats,
         text_index=text_index,
         version=store.version + 1,
@@ -291,10 +296,13 @@ def _derive(base: _Derivation) -> DocumentStore:
     )
 
 
-def _ancestor_chain(node: Node) -> frozenset:
-    """Component tuples of ``node`` and every ancestor element."""
-    comps = node.pbn.components
-    return frozenset(comps[:length] for length in range(1, len(comps) + 1))
+def _ancestor_chain(node: Node) -> list:
+    """``node`` and every ancestor element."""
+    chain = []
+    while node.kind is not NodeKind.DOCUMENT:
+        chain.append(node)
+        node = node.parent
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +364,22 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
     else:
         if op.before is not None:
             position = store.value_index.lookup(op.before).start
-        elif op.after is not None:
-            position = store.value_index.lookup(op.after).end
-        else:
+        elif op.after is None:
             position = parent_entry.content_end
+        elif sibling.kind is NodeKind.ATTRIBUTE:
+            # After the last attribute: its span ends inside the start
+            # tag; the first content child starts where the content does.
+            position = parent_entry.content_start
+        else:
+            position = store.value_index.lookup(op.after).end
         cut_start = cut_end = position
         replacement = fragment_text
         fragment_base = position
 
     # Mutate a copy of the tree.
-    document, node_map = _copy_tree(store.document)
     guide, guide_map = store.guide.copy()
-    new_parent = node_map[old_parent]
+    document, node_by_key, type_of_node = _copy_tree(store, guide_map)
+    new_parent = node_by_key[op.parent.components]
     new_parent.children.insert(index, fragment_root)
     fragment_root.parent = new_parent
     _number_subtree(fragment_root, Pbn(*op.parent.components, component))
@@ -376,18 +388,19 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
     if self_closing:
         content_start = cut_start + 1
         content_end = content_start + len(fragment_text)
-        overrides[op.parent.components] = (
+        overrides[old_parent] = (
             parent_entry.start,
             content_end + len(tag) + 3,
             content_start,
             content_end,
         )
 
-    result = _derive(
+    return _derive(
         _Derivation(
             store=store,
             document=document,
-            node_map=node_map,
+            node_by_key=node_by_key,
+            type_of_node=type_of_node,
             guide=guide,
             guide_map=guide_map,
             cut_start=cut_start,
@@ -407,7 +420,6 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
             ],
         )
     )
-    return result
 
 
 def _number_subtree(node: Node, number: Pbn) -> None:
@@ -444,7 +456,7 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
             cut_end = parent_entry.end
             replacement = "/>"
             collapsed = cut_start + 2
-            overrides[old_parent.pbn.components] = (
+            overrides[old_parent] = (
                 parent_entry.start,
                 collapsed,
                 collapsed,
@@ -454,16 +466,17 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
             cut_start, cut_end = entry.start, entry.end
             replacement = ""
 
-    document, node_map = _copy_tree(store.document)
     guide, guide_map = store.guide.copy()
-    new_parent = node_map[old_parent]
-    new_parent.children.remove(node_map[old_target])
+    document, node_by_key, type_of_node = _copy_tree(
+        store, guide_map, skip=old_target
+    )
 
     return _derive(
         _Derivation(
             store=store,
             document=document,
-            node_map=node_map,
+            node_by_key=node_by_key,
+            type_of_node=type_of_node,
             guide=guide,
             guide_map=guide_map,
             cut_start=cut_start,
@@ -471,7 +484,7 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
             replacement=replacement,
             ancestors=_ancestor_chain(old_parent),
             overrides=overrides,
-            deleted_prefix=op.target.components,
+            deleted=old_target,
             text_removed=[
                 (node.value, node.pbn.components)
                 for node in old_target.iter_subtree()
@@ -495,7 +508,7 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
         escaped = escape_text(op.text)
         cut_start, cut_end = entry.start, entry.end
         overrides = {
-            comps: (
+            old_target: (
                 entry.start,
                 entry.start + len(escaped),
                 entry.start,
@@ -506,7 +519,7 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
         escaped = escape_attribute(op.text)
         cut_start, cut_end = entry.content_start, entry.content_end
         overrides = {
-            comps: (
+            old_target: (
                 entry.start,
                 entry.content_start + len(escaped) + 1,
                 entry.content_start,
@@ -518,15 +531,16 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
             f"replace target {op.target} is not a text or attribute node"
         )
 
-    document, node_map = _copy_tree(store.document)
     guide, guide_map = store.guide.copy()
-    node_map[old_target].value = op.text  # type: ignore[attr-defined]
+    document, node_by_key, type_of_node = _copy_tree(store, guide_map)
+    node_by_key[comps].value = op.text  # type: ignore[attr-defined]
 
     result = _derive(
         _Derivation(
             store=store,
             document=document,
-            node_map=node_map,
+            node_by_key=node_by_key,
+            type_of_node=type_of_node,
             guide=guide,
             guide_map=guide_map,
             cut_start=cut_start,
@@ -565,16 +579,16 @@ def verify_store(store: DocumentStore) -> None:
     text, records = _serialize_with_spans(store.document)
     if store.heap.read_all() != text:
         raise StorageError("derived heap does not match the document tree")
-    indexed = list(store.value_index.subtree_all())
-    if len(indexed) != len(records):
+    indexed = list(store.value_index.items())
+    if not len(indexed) == len(store.value_index) == len(records):
         raise StorageError("value index entry count does not match the tree")
-    for (number, entry), (node, s, e, cs, ce) in zip(indexed, records):
-        if node.pbn.components != number.components or (
+    for (key, entry), (node, s, e, cs, ce) in zip(indexed, records):
+        if key != encode_key(node.pbn) or (
             entry.start,
             entry.end,
             entry.content_start,
             entry.content_end,
         ) != (s, e, cs, ce):
-            raise StorageError(f"value entry for {number} does not match the tree")
-        if store._node_by_key.get(number.components) is not node:
-            raise StorageError(f"node map entry for {number} is stale")
+            raise StorageError(f"value entry for {node.pbn} does not match the tree")
+        if store._node_by_key.get(node.pbn.components) is not node:
+            raise StorageError(f"node map entry for {node.pbn} is stale")

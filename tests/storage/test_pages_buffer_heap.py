@@ -141,3 +141,46 @@ def test_stats_snapshot_and_delta():
     assert delta.page_reads == 4
     stats.reset()
     assert stats.page_reads == 0
+
+
+def test_pages_are_dropped_with_their_last_heap_version():
+    """A page lives while some heap version lists it; ids are never reused."""
+    import gc
+
+    manager = PageManager(page_size=16)
+    pool = BufferPool(manager, capacity=4)
+    base = HeapFile.store("a" * 16 + "b" * 16 + "c" * 16, manager, pool)
+    assert base._page_ids == [0, 1, 2] and manager.page_count == 3
+    edited = HeapFile.splice(base, 40, 41, "XY")  # shares pages 0 and 1
+    assert edited._page_ids == [0, 1, 3, 4] and manager.page_count == 5
+    del base
+    gc.collect()
+    assert manager.page_count == 4  # page 2 went with the old version
+    with pytest.raises(StorageError):
+        manager.read(2)
+    assert edited.read_all() == "a" * 16 + "b" * 16 + "c" * 8 + "XY" + "c" * 7
+    again = HeapFile.splice(edited, 0, 1, "Z")
+    assert again._page_ids == [5, 6, 7, 8]  # fresh ids, not the freed 2
+    del edited
+    gc.collect()
+    assert manager.page_count == 4
+    assert again.read_all() == "Z" + "a" * 15 + "b" * 16 + "c" * 8 + "XY" + "c" * 7
+
+
+def test_release_during_retain_is_deferred():
+    """A finalizer may fire while the manager is inside ``retain`` (a
+    collection can start at any allocation): ``release`` only queues."""
+    manager = PageManager(page_size=16)
+    first, second = manager.allocate(), manager.allocate()
+    manager.retain([first, second])
+    manager.retain([first])
+
+    class ReleasingIds(list):
+        def __iter__(self):
+            manager.release([first, second])  # re-entrant call
+            return super().__iter__()
+
+    manager.retain(ReleasingIds([second]))
+    assert manager.page_count == 2  # first: 2 - 1, second: 1 + 1 - 1
+    manager.release([first, second])
+    assert manager.page_count == 0

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.errors import ReproError, StorageError, UpdateError
 from repro.pbn.number import Pbn
+from repro.storage.persist import dump_store, parse_store
 from repro.storage.store import DocumentStore
+from repro.updates.durable import DurableStore
 from repro.updates.mutations import apply_op, verify_store
 from repro.updates.ops import DeleteSubtree, InsertSubtree, ReplaceText
 from repro.xmlmodel.parser import parse_document
+from repro.xmlmodel.serializer import serialize
 
 
 def _store(text: str = '<doc><a x="1">hello</a><b/><c>tail</c></doc>') -> DocumentStore:
@@ -89,6 +94,48 @@ def test_insert_rejects_position_before_attributes():
                 parent=Pbn.parse("1.1"), fragment="<k/>", before=Pbn.parse("1.1.1")
             ),
         )
+
+
+@pytest.mark.parametrize(
+    "document, expected",
+    [
+        ('<a x="1"><b/></a>', '<a x="1"><c/><b/></a>'),  # parent with content
+        ('<a x="1"/>', '<a x="1"><c/></a>'),  # self-closing parent
+        ('<a w="0" x="1">t</a>', '<a w="0" x="1"><c/>t</a>'),  # before a text child
+    ],
+)
+def test_insert_after_last_attribute_lands_in_content(tmp_path, document, expected):
+    """``after=<attribute>`` makes the fragment the first content child;
+    its splice point is the parent's content start, not the attribute's
+    end inside the start tag.  Checked on the live version, through a v2
+    image round trip, and through a WAL replay."""
+    store = DocumentStore(parse_document(document, "t.xml"))
+    last_attribute = [c for c in store.node(Pbn(1)).children if c.kind.value == "attribute"][-1]
+    op = InsertSubtree(parent=Pbn(1), fragment="<c/>", after=last_attribute.pbn)
+    derived = _apply(store, op).store
+    assert derived.heap.read_all() == serialize(derived.document) == expected
+
+    image = io.BytesIO()
+    dump_store(derived, image)
+    loaded = parse_store(io.BytesIO(image.getvalue()))
+    verify_store(loaded)
+    assert loaded.heap.read_all() == expected
+
+    durable = DurableStore.create(str(tmp_path / "d"), parse_document(document, "t.xml"))
+    durable.apply(op)
+    durable.close()  # the image stays at seq 0: reopening replays the op
+    reopened = DurableStore.open(str(tmp_path / "d"))
+    assert reopened.recovery.replayed == 1
+    verify_store(reopened.store)
+    assert reopened.store.heap.read_all() == expected
+    reopened.close()
+
+
+def test_insert_after_inner_attribute_is_rejected():
+    store = _store('<a w="0" x="1"><b/></a>')
+    for position in ({"after": Pbn(1, 1)}, {"before": Pbn(1, 2)}):
+        with pytest.raises(UpdateError):
+            apply_op(store, InsertSubtree(parent=Pbn(1), fragment="<c/>", **position))
 
 
 def test_insert_rejects_malformed_fragments():
