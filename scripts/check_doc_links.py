@@ -5,16 +5,17 @@ and fails on dangling references:
 
 * relative markdown links whose target file does not exist;
 * backticked file paths (``src/repro/...``, ``tests/...``,
-  ``scripts/...``, ``benchmarks/...``, ``examples/...``, ``docs/...``,
+  ``scripts/...``, ``benchmark/...``, ``examples/...``, ``docs/...``,
   and bare top-level ``*.md`` / ``*.json`` names) that do not exist —
   short forms like ``pbn/axes.py`` are also tried under ``src/repro/``;
 * ``tests/...::test_name`` references whose test function is gone;
 * backticked module/attribute references (``repro.core.vpbn.VPbn``,
   brace forms like ``repro.transform.{materialize,twopass}``) that no
   longer resolve to a module file containing the named attribute;
-* ``E<N>`` experiment references not in the benchmark registry;
-* ``BENCH_<...>.json`` result-file mentions (backticked or not) that do
-  not resolve to a checked-in file at the repository root.
+* ``E<N>`` experiment references not in the ``repro.bench`` registry —
+  except under EXPERIMENTS.md's "Retired system experiments" heading,
+  the one table that records what the removed experiments measured and
+  what took over.
 
 Usage::
 
@@ -40,13 +41,15 @@ KNOWN_NON_MODULES = {
     "repro.engine",  # the Engine's logger name
 }
 
-PATH_PREFIXES = ("src/", "tests/", "docs/", "scripts/", "benchmarks/", "examples/")
+PATH_PREFIXES = ("src/", "tests/", "docs/", "scripts/", "benchmark/", "examples/")
+
+#: The section whose ``E<N>`` names are history, not registry references.
+RETIRED_HEADING = "## Retired system experiments"
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+?)(?:#[^)]*)?\)")
 BACKTICK = re.compile(r"`([^`\n]+)`")
 MODULE = re.compile(r"^repro(?:\.[A-Za-z0-9_{},]+)+$")
 EXPERIMENT = re.compile(r"\bE(\d+)\b")
-BENCH_FILE = re.compile(r"\bBENCH_\w+\.json\b")
 FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 
 
@@ -117,6 +120,16 @@ def _check_path(reference: str, base: Path) -> bool:
     return True
 
 
+def _without_section(text: str, heading: str) -> str:
+    """``text`` minus the section under ``heading`` (up to the next
+    ``## `` heading)."""
+    start = text.find(heading)
+    if start < 0:
+        return text
+    end = text.find("\n## ", start)
+    return text[:start] + (text[end:] if end >= 0 else "")
+
+
 def _backtick_candidates(text: str):
     for match in BACKTICK.finditer(text):
         token = match.group(1).strip()
@@ -153,17 +166,10 @@ def check_document(path: Path, experiments: set[str]) -> list[str]:
             if not _check_path(token, base):
                 problems.append(f"dangling path reference: `{token}`")
 
-    for match in EXPERIMENT.finditer(prose):
+    for match in EXPERIMENT.finditer(_without_section(prose, RETIRED_HEADING)):
         name = f"e{match.group(1)}"
         if name not in experiments:
             problems.append(f"unknown experiment reference: E{match.group(1)}")
-
-    # Committed bench results are referenced by bare filename; a rename
-    # (or a result file someone forgot to commit) must fail the build.
-    for match in BENCH_FILE.finditer(prose):
-        name = match.group(0)
-        if not (ROOT / name).exists():
-            problems.append(f"dangling bench results reference: `{name}`")
 
     return problems
 

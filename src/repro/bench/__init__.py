@@ -1,13 +1,14 @@
-"""Benchmark harness: the reconstructed experiment suite E1-E9.
+"""The paper's reconstructed evaluation: experiments E1-E12.
 
 Run everything::
 
     python -m repro.bench all
 
-or one experiment (``python -m repro.bench e3``).  Each experiment prints a
-paper-style table; EXPERIMENTS.md records a captured run with commentary.
-The pytest-benchmark targets under ``benchmarks/`` wrap the same experiment
-bodies for statistically careful timing of the hot kernels.
+or some of them (``python -m repro.bench e3 e4``).  Each run prints one
+experiment-info header (date, commit, python, platform) and a paper-style
+table per experiment; EXPERIMENTS.md records a captured run with
+commentary.  What the *system* around the paper costs is measured
+elsewhere, by ``benchmark/run.py`` (see docs/PERFORMANCE.md).
 """
 
 from repro.bench.harness import EXPERIMENTS, run_experiment, run_all

@@ -1,25 +1,21 @@
-"""CLI entry point: ``python -m repro.bench [all | e1 ... e9 | list]``."""
+"""CLI entry point: ``python -m repro.bench [all | e1 ... e12 | list]``."""
 
 from __future__ import annotations
 
 import sys
 
-from repro.bench.harness import EXPERIMENTS, run_all, run_experiment
+from repro.bench.harness import experiment_names, run_all, run_experiment
 
 
 def main(argv: list[str]) -> int:
-    # Importing registers the experiments.
-    from repro.bench import experiments as _experiments  # noqa: F401
-
     if not argv or argv[0] in ("all",):
         run_all()
         return 0
     if argv[0] in ("list", "--list"):
-        for name in sorted(EXPERIMENTS):
+        for name in experiment_names():
             print(name)
         return 0
-    for name in argv:
-        run_experiment(name)
+    run_experiment(*argv)
     return 0
 
 

@@ -781,1463 +781,3 @@ def e12_text_search() -> list[Table]:
         ]
     )
     return [table]
-
-
-# ---------------------------------------------------------------------------
-# E13 — service caching: warm vs cold plan/view caches
-# ---------------------------------------------------------------------------
-
-
-@experiment("e13")
-def e13_service_cache() -> list[Table]:
-    """Amortized preprocessing through the :class:`QueryService` caches.
-
-    For an E2-style axis-heavy virtual query, an E4-style aggregation,
-    and the E8 pipeline, a *cold* run pays parse + vDataGuide resolution
-    + Algorithm 1, while a *warm* run hits the shared plan and view
-    caches and goes straight to evaluation.
-    """
-    from repro.bench.harness import cache_cold_warm
-    from repro.service import QueryService
-
-    table = Table(
-        "e13",
-        "QueryService: cold vs warm plan/view caches (pool of 1 engine)",
-        ["workload", "cold ms", "warm ms", "cold/warm", "plan hit%", "view hit%"],
-        notes=[
-            "expected shape: warm strictly cheaper — it skips parsing and "
-            "level-array construction entirely (cache hit counters prove "
-            "it); the gap widens with spec size (Algorithm 1 is O(cN))"
-        ],
-    )
-
-    cases = [
-        (
-            "e2-style books/invert",
-            lambda: ("book.xml", books_document(300, seed=2)),
-            Q.BOOKS_INVERT.spec,
-            Q.instantiate(
-                Q.BOOKS_INVERT.queries["names"],
-                Q.virtual_source("book.xml", Q.BOOKS_INVERT.spec),
-            ),
-        ),
-        (
-            "e4-style auction/flat",
-            lambda: ("auction.xml", auction_document(items=200, seed=4)),
-            Q.AUCTION_FLAT.spec,
-            f'for $a in virtualDoc("auction.xml", "{Q.AUCTION_FLAT.spec}")'
-            "/site/auction return count($a/bid)",
-        ),
-        (
-            "e8-style pipeline",
-            lambda: ("book.xml", books_document(300, seed=8)),
-            Q.BOOKS_INVERT.spec,
-            f'for $t in virtualDoc("book.xml", "{Q.BOOKS_INVERT.spec}")//title '
-            "return <count>{count($t/author)}</count>",
-        ),
-    ]
-    for name, make_document, _spec, query in cases:
-        service = QueryService(pool_size=1)
-        uri, document = make_document()
-        service.load(uri, document)
-        cold_s, warm_s = cache_cold_warm(service, query)
-        table.rows.append(
-            [
-                name,
-                seconds(cold_s * 1e3),
-                seconds(warm_s * 1e3),
-                seconds(cold_s / warm_s),
-                seconds(100 * service.metrics.hit_rate("plan")),
-                seconds(100 * service.metrics.hit_rate("view")),
-            ]
-        )
-    return [table]
-
-
-# ---------------------------------------------------------------------------
-# E14 — the durable update subsystem: throughput, recovery, stability
-# ---------------------------------------------------------------------------
-
-
-@experiment("e14")
-def e14_durable_updates() -> list[Table]:
-    """The update subsystem end to end.
-
-    *E14A* — copy-on-write update latency per operation kind over
-    books(100), and how much of the heap and of the value index each
-    derived version shares by page identity with its predecessor.
-
-    *E14B* — crash-recovery time as a function of WAL length: open a
-    directory whose image is at seq 0 and whose WAL holds K logical redo
-    records.
-
-    *E14C* — the paper's stability story under updates: after a stream
-    of inserts that never touches a warmed view's types, every extant
-    PBN number survives verbatim and the cached level arrays are still
-    the originals (zero rebuilds, zero evictions); one insert into a
-    referenced type evicts exactly that view.
-    """
-    import os
-    import shutil
-    import tempfile
-    import time
-
-    from repro.pbn.number import Pbn
-    from repro.service import QueryService
-    from repro.storage.store import DocumentStore
-    from repro.updates.durable import DurableStore
-    from repro.updates.mutations import apply_op
-    from repro.updates.ops import DeleteSubtree, InsertSubtree, ReplaceText
-
-    # -- E14A: per-op latency + heap sharing --------------------------------
-    throughput = Table(
-        "e14a",
-        "copy-on-write update latency over books(100)",
-        ["operation", "ops", "ms/op", "heap pages shared", "index pages shared"],
-        notes=[
-            "expected shape: milliseconds per op, most of it the node-tree "
-            "copy (the one O(document) step left); heap sharing near 100% "
-            "for ops near the document tail, lower for ops near its head — "
-            "pages before the splice are shared by id; value-index sharing "
-            "high wherever the op lands — pages after the splice are shared "
-            "under a shifted base, only the touched ones are rewritten"
-        ],
-    )
-    base = DocumentStore(books_document(100, seed=14))
-    kinds = [
-        (
-            "insert (append book)",
-            lambda store, k: InsertSubtree(
-                parent=Pbn.parse("1"),
-                fragment=f"<book><title>B{k}</title><author>A{k}</author></book>",
-            ),
-        ),
-        (
-            "replace (title text)",
-            lambda store, k: ReplaceText(
-                target=Pbn.parse(f"1.{k + 1}.1.1"), text=f"Retitled {k}"
-            ),
-        ),
-        (
-            "delete (book subtree)",
-            lambda store, k: DeleteSubtree(target=Pbn.parse(f"1.{k + 1}")),
-        ),
-    ]
-    operations = 30
-    for label, make_op in kinds:
-        store = base
-        shared_fraction = 0.0
-        index_fraction = 0.0
-        started = time.perf_counter()
-        for k in range(operations):
-            previous = store
-            store = apply_op(store, make_op(store, k)).store
-            shared_fraction += store.heap.shared_page_prefix(previous.heap) / max(
-                previous.heap.page_count, 1
-            )
-            index_fraction += store.value_index.shared_pages(
-                previous.value_index
-            ) / max(previous.value_index.page_count, 1)
-        elapsed = time.perf_counter() - started
-        throughput.rows.append(
-            [
-                label,
-                operations,
-                seconds(elapsed * 1e3 / operations),
-                seconds(100 * shared_fraction / operations),
-                seconds(100 * index_fraction / operations),
-            ]
-        )
-
-    # -- E14B: recovery time vs WAL length ----------------------------------
-    recovery = Table(
-        "e14b",
-        "crash-recovery time vs WAL length (image at seq 0)",
-        ["WAL records", "WAL bytes", "recovery ms", "replayed"],
-        notes=[
-            "expected shape: linear in the number of records — replay routes "
-            "each redo op through the same mutation code as the live path"
-        ],
-    )
-    workdir = tempfile.mkdtemp(prefix="e14-recovery-")
-    try:
-        for records in (0, 8, 32, 128):
-            directory = os.path.join(workdir, f"wal{records}")
-            durable = DurableStore.create(
-                directory, books_document(20, seed=15)
-            )
-            for k in range(records):
-                durable.apply(
-                    InsertSubtree(
-                        parent=Pbn.parse("1"),
-                        fragment=f"<book><title>N{k}</title></book>",
-                    )
-                )
-            wal_bytes = durable.wal_size
-            durable.close()
-            reopened = DurableStore.open(directory)
-            recovery.rows.append(
-                [
-                    records,
-                    wal_bytes,
-                    seconds(reopened.recovery.duration_s * 1e3),
-                    reopened.recovery.replayed,
-                ]
-            )
-            reopened.close()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    # -- E14C: extant numbers + level arrays survive unrelated inserts ------
-    stability = Table(
-        "e14c",
-        "stability under updates: title{author} view over books(100)",
-        [
-            "insert stream",
-            "ops",
-            "extant numbers changed",
-            "level arrays rebuilt",
-            "views evicted",
-        ],
-        notes=[
-            "expected shape: a stream that avoids the view's types changes "
-            "nothing it depends on — the zero column is the paper's 'extant "
-            "physical numbers' assumption holding under live updates"
-        ],
-    )
-    service = QueryService(pool_size=1)
-    service.load("book.xml", books_document(100, seed=16))
-    service.warm("book.xml", "title { author }")
-    built_before = service.metrics.counter("engine.views_built")
-    extant = set(service.store("book.xml")._node_by_key)
-    for k in range(30):
-        service.update(
-            "book.xml",
-            InsertSubtree(parent=Pbn.parse("1"), fragment=f"<memo>m{k}</memo>"),
-        )
-    after_keys = set(service.store("book.xml")._node_by_key)
-    service.execute('count(virtualDoc("book.xml", "title { author }")//title)')
-    stability.rows.append(
-        [
-            "30 × <memo> (unrelated type)",
-            30,
-            len(extant - after_keys),
-            service.metrics.counter("engine.views_built") - built_before,
-            service.metrics.counter("cache.view.update_evictions"),
-        ]
-    )
-    service.update(
-        "book.xml",
-        InsertSubtree(parent=Pbn.parse("1.1"), fragment="<title>Extra</title>"),
-    )
-    service.execute('count(virtualDoc("book.xml", "title { author }")//title)')
-    stability.rows.append(
-        [
-            "1 × <title> (referenced type)",
-            1,
-            len(extant - set(service.store("book.xml")._node_by_key)),
-            service.metrics.counter("engine.views_built") - built_before,
-            service.metrics.counter("cache.view.update_evictions"),
-        ]
-    )
-    return [throughput, recovery, stability]
-
-
-# ---------------------------------------------------------------------------
-# E15 — columnar batch kernels vs the scalar per-item path
-# ---------------------------------------------------------------------------
-
-
-def collect_e15(
-    books: int = 1024,
-    sizes: tuple[int, ...] = (16, 64, 256, 1024),
-    repeat: int = 3,
-) -> dict:
-    """Raw batch-vs-scalar timings for every kernel-covered axis.
-
-    Contexts are sampled title nodes fed in through ``$ctx`` so the
-    context-set size is exact; each (axis, size) cell times a full
-    ``engine.execute`` with :attr:`Evaluator.use_batch_kernels` off
-    (the per-pair predicate loop) and on (the columnar merge-joins).
-    ``pairs`` is contexts x candidates — the work the scalar ordering
-    axes actually do — so per-pair nanoseconds are comparable with the
-    E2 per-predicate figures.
-    """
-    from repro.query.eval import Evaluator
-
-    engine = Engine()
-    engine.load("book.xml", books_document(books=books, seed=2))
-    engine.virtual("book.xml", Q.BOOKS_INVERT.spec)
-    view = f'virtualDoc("book.xml", "{Q.BOOKS_INVERT.spec}")'
-    pools = {
-        "virtual": (engine.execute(f"{view}//title").items, None),
-        "indexed": (
-            engine.execute('doc("book.xml")//title', mode="indexed").items,
-            "indexed",
-        ),
-    }
-    candidates = {
-        "virtual": len(engine.execute(f"{view}//*").items),
-        "indexed": len(engine.execute('doc("book.xml")//*', mode="indexed").items),
-    }
-    axes = [
-        "child",
-        "descendant",
-        "following",
-        "preceding",
-        "following-sibling",
-        "preceding-sibling",
-    ]
-    results: dict = {"books": books, "modes": {}, "candidates": candidates}
-    saved = Evaluator.use_batch_kernels
-    try:
-        for mode_name, (pool, mode) in pools.items():
-            per_axis: dict = {}
-            for axis in axes:
-                query = f"$ctx/{axis}::*"
-                per_size: dict = {}
-                for size in sizes:
-                    ctx = pool[: min(size, len(pool))]
-
-                    def run():
-                        engine.execute(query, mode=mode, variables={"ctx": ctx})
-
-                    Evaluator.use_batch_kernels = False
-                    scalar_s = best_of(run, repeat)
-                    Evaluator.use_batch_kernels = True
-                    batch_s = best_of(run, repeat)
-                    pairs = len(ctx) * candidates[mode_name]
-                    per_size[str(len(ctx))] = {
-                        "scalar_s": scalar_s,
-                        "batch_s": batch_s,
-                        "speedup": scalar_s / batch_s,
-                        "pairs": pairs,
-                        "batch_ns_per_pair": batch_s / pairs * 1e9,
-                    }
-                per_axis[axis] = per_size
-            results["modes"][mode_name] = per_axis
-    finally:
-        Evaluator.use_batch_kernels = saved
-    return results
-
-
-@experiment("e15")
-def e15_columnar() -> list[Table]:
-    """Columnar merge-join kernels vs the per-pair predicate loop."""
-    results = collect_e15()
-    tables = []
-    for mode_name, per_axis in results["modes"].items():
-        table = Table(
-            f"e15-{mode_name}",
-            f"batch vs per-pair axis evaluation, {mode_name} navigator "
-            f"(books={results['books']})",
-            ["axis", "contexts", "scalar ms", "batch ms", "speedup"],
-            notes=[
-                "expected shape: speedup grows with context-set size; the "
-                "ordering axes (preceding/following) gain the most because "
-                "the scalar path is O(contexts x candidates) while the "
-                "merge-join is one bisection per context group"
-            ],
-        )
-        for axis, per_size in per_axis.items():
-            for size, cell in per_size.items():
-                table.rows.append(
-                    [
-                        axis,
-                        int(size),
-                        seconds(cell["scalar_s"] * 1e3),
-                        seconds(cell["batch_s"] * 1e3),
-                        seconds(cell["speedup"]),
-                    ]
-                )
-        tables.append(table)
-    return tables
-
-
-# ---------------------------------------------------------------------------
-# E16 — scatter-gather over a sharded collection vs single-shard
-# ---------------------------------------------------------------------------
-
-
-def collect_e16(
-    docs: int = 24,
-    books: int = 32,
-    shards: tuple[int, ...] = (1, 2, 4),
-    repeat: int = 3,
-) -> dict:
-    """Wall-clock for whole-collection queries at each shard count.
-
-    Loads ``docs`` distinct books documents into one
-    :class:`~repro.shard.ShardedService` per shard count and times
-    whole-collection unions plus a distributable ``count``.  The 1-shard
-    service routes every query straight through a plain
-    :class:`~repro.service.QueryService`, so the speedup column isolates
-    exactly the partition/specialize/merge machinery.  Every multi-shard
-    answer is also checked byte-identical against the 1-shard answer:
-    E16 is a correctness experiment as much as a performance one,
-    because the merge relies on vPBN numbers surviving virtualization
-    unchanged.
-
-    The speedup on a single core is algorithmic, not parallel: the
-    unsharded k-document union re-sorts the accumulated item list at
-    every union node (``document_order`` runs a Python-comparator sort
-    over O(k*n) items per level), while each shard sorts only its own
-    small union and the gather is a key-based ``heapq.merge``.
-    """
-    from repro.shard import ShardedService
-
-    uris = [f"doc{i}.xml" for i in range(docs)]
-    spec = Q.BOOKS_INVERT.spec
-    queries = {
-        "union-titles": " | ".join(f'doc("{u}")//title' for u in uris),
-        "union-names": " | ".join(f'doc("{u}")//name' for u in uris),
-        "union-virtual": " | ".join(
-            f'virtualDoc("{u}", "{spec}")//title' for u in uris
-        ),
-        "count-all": "count("
-        + " | ".join(f'doc("{u}")//*' for u in uris)
-        + ")",
-    }
-    results: dict = {"docs": docs, "books": books, "queries": {}}
-    services: dict = {}
-    try:
-        for count in shards:
-            service = ShardedService(shards=count, pool_size=1)
-            for index, uri in enumerate(uris):
-                service.load(
-                    uri, books_document(books=books, seed=100 + index, uri=uri)
-                )
-            services[count] = service
-        baseline = str(min(shards))
-        for name, query in queries.items():
-            cells: dict = {}
-            reference = None
-            items = 0
-            for count in shards:
-                service = services[count]
-                answer = service.execute(query)
-                payload = answer.to_xml()
-                if reference is None:
-                    reference = payload
-                    items = len(answer)
-
-                def run(service=service, query=query):
-                    service.execute(query)
-
-                cells[str(count)] = {
-                    "seconds": best_of(run, repeat),
-                    "identical": payload == reference,
-                }
-            for cell in cells.values():
-                cell["speedup"] = cells[baseline]["seconds"] / cell["seconds"]
-            results["queries"][name] = {"items": items, "shards": cells}
-    finally:
-        for service in services.values():
-            service.close()
-    return results
-
-
-@experiment("e16")
-def e16_sharding() -> list[Table]:
-    """Scatter-gather over a sharded collection vs the single-shard path."""
-    results = collect_e16()
-    table = Table(
-        "e16-scatter",
-        f"scatter-gather vs single shard ({results['docs']} docs x "
-        f"{results['books']} books, merged by (doc, PBN))",
-        ["query", "shards", "wall ms", "speedup", "identical"],
-        notes=[
-            "expected shape: speedup > 1 for multi-shard runs even on one "
-            "core — the single-shard union re-sorts the whole accumulated "
-            "item list at every union node, while shards sort small "
-            "per-shard unions and the gather is a key-based k-way heap "
-            "merge; the merge key is free because vPBN numbers never "
-            "change under virtualization",
-        ],
-    )
-    for name, entry in results["queries"].items():
-        for count, cell in sorted(
-            entry["shards"].items(), key=lambda kv: int(kv[0])
-        ):
-            table.rows.append(
-                [
-                    name,
-                    int(count),
-                    seconds(cell["seconds"] * 1e3),
-                    seconds(cell["speedup"]),
-                    "yes" if cell["identical"] else "NO",
-                ]
-            )
-    return [table]
-
-
-# ---------------------------------------------------------------------------
-# E17 — relational (strategy=sql) evaluation vs the other strategies
-# ---------------------------------------------------------------------------
-
-
-def collect_e17(books: int = 256, repeat: int = 3) -> dict:
-    """Wall-clock for the ``sql`` strategy against its baselines.
-
-    Stored queries (the E13/E15 books workload) run under all three exact
-    strategies — tree-walk, PBN-indexed, and relational — and virtual
-    queries over the Figure 6 view run under the virtual navigator and
-    the sql backend's prefix-join compilation.  Every cell carries an
-    ``identical`` flag against the tree-walk (resp. virtual) answer:
-    E17 is a correctness experiment as much as a performance one — the
-    4-way differential suites pin equality on randomized inputs, this
-    pins it on the benchmark workloads while timing them.
-    """
-    engine = Engine()
-    engine.load("book.xml", books_document(books=books, seed=2))
-    view = f'virtualDoc("book.xml", "{Q.BOOKS_INVERT.spec}")'
-    stored = {
-        "titles": 'doc("book.xml")//title',
-        "pred-exists": 'doc("book.xml")//book[author/name]/title',
-        "positional": 'doc("book.xml")//book[position() <= 8]/title',
-        "agg-filter": 'doc("book.xml")//book[count(author) >= 1]/title/text()',
-        "following": 'doc("book.xml")//author/following::title',
-    }
-    virtual = {
-        "v-titles": f"{view}//title",
-        "v-names": f"{view}//title/author/name/text()",
-        "v-positional": f"{view}//title[position() <= 8]",
-    }
-    results: dict = {"books": books, "stored": {}, "virtual": {}}
-
-    def fill(section: str, queries: dict, strategies: tuple, baseline: str):
-        for name, query in queries.items():
-            cells: dict = {}
-            reference = None
-            items = 0
-            for strategy in strategies:
-                mode = None if strategy == "virtual" else strategy
-                answer = engine.execute(query, mode=mode)
-                payload = answer.to_xml()
-                if reference is None:
-                    reference = payload
-                    items = len(answer)
-
-                def run(query=query, mode=mode):
-                    engine.execute(query, mode=mode)
-
-                cells[strategy] = {
-                    "seconds": best_of(run, repeat),
-                    "identical": payload == reference,
-                }
-            for cell in cells.values():
-                cell["speedup"] = cells[baseline]["seconds"] / cell["seconds"]
-            results[section][name] = {"items": items, "strategies": cells}
-
-    fill("stored", stored, ("tree", "indexed", "sql"), "tree")
-    fill("virtual", virtual, ("virtual", "sql"), "virtual")
-    return results
-
-
-@experiment("e17")
-def e17_sql_backend() -> list[Table]:
-    """The relational backend vs tree/indexed/virtual evaluation."""
-    results = collect_e17()
-    tables = []
-    for section, baseline in (("stored", "tree"), ("virtual", "virtual")):
-        table = Table(
-            f"e17-{section}",
-            f"strategy=sql vs {baseline} baseline, {section} queries "
-            f"(books={results['books']})",
-            ["query", "strategy", "wall ms", "speedup", "identical"],
-            notes=[
-                "expected shape: sql wins where its compiler covers the "
-                "predicates (positional, count(), and/or — one windowed "
-                "set query replaces the per-item loop) and loses where it "
-                "declines (multi-step path predicates fall back to "
-                "per-item scans) or where the specialized navigators "
-                "already amortize; identical must read yes everywhere — "
-                "byte equality is the backend's contract",
-            ],
-        )
-        for name, entry in results[section].items():
-            for strategy, cell in entry["strategies"].items():
-                table.rows.append(
-                    [
-                        name,
-                        strategy,
-                        seconds(cell["seconds"] * 1e3),
-                        seconds(cell["speedup"]),
-                        "yes" if cell["identical"] else "NO",
-                    ]
-                )
-        tables.append(table)
-    return tables
-
-
-def collect_e18(
-    clients: int = 1000,
-    requests_per_client: int = 2,
-    shards: int = 2,
-    replicas: int = 2,
-    max_inflight: int = 32,
-    queue_limit: int = 256,
-    queue_timeout_s: float = 5.0,
-    slo_ms: float = 2500.0,
-    books: int = 24,
-    writers: int = 16,
-) -> dict:
-    """Async serving tier under open-loop concurrency.
-
-    Spins up the asyncio HTTP frontend in-process over a sharded,
-    replicated collection and fires ``clients`` concurrent connections
-    (each issuing ``requests_per_client`` sequential queries; the first
-    ``writers`` clients also ship one update through the replica
-    stream).  Reports tail latency (p50/p99), SLO compliance at
-    ``slo_ms``, the admission controller's shed rate, and two
-    correctness probes: replicas must end byte-identical to their
-    primaries, and an over-budget query must come back as a structured
-    422 from the cost meter — not a timeout or a 500.
-
-    The admission numbers are the point, not a blemish: with
-    ``max_inflight`` slots and a bounded queue, a 1k-client burst is
-    *supposed* to shed its overflow with 429 + Retry-After instead of
-    queueing without bound.
-    """
-    import asyncio
-    import json as jsonlib
-    import time
-
-    from repro.query.budget import CostBudget
-    from repro.serve.app import build_serving
-    from repro.serve.http import AsyncHTTPServer
-    from repro.shard.service import ShardedService
-
-    sharded = ShardedService(shards=shards, pool_size=8)
-    for shard in range(shards):
-        sharded.load(
-            f"s{shard}.xml", books_document(books=books, seed=shard), shard=shard
-        )
-    app = build_serving(
-        sharded,
-        replicas=replicas,
-        max_inflight=max_inflight,
-        queue_limit=queue_limit,
-        queue_timeout_s=queue_timeout_s,
-        max_budget=CostBudget(max_node_visits=5_000_000),
-    )
-
-    latencies: list[float] = []
-    outcomes = {"ok": 0, "shed": 0, "error": 0}
-
-    async def http(port: int, method: str, path: str, body: bytes = b""):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        head = (
-            f"{method} {path} HTTP/1.1\r\nHost: bench\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
-        status = int((await reader.readline()).split()[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value)
-        payload = await reader.readexactly(length)
-        writer.close()
-        return status, payload
-
-    async def client(index: int, port: int) -> None:
-        uri = f"s{index % shards}.xml"
-        if index < writers:
-            update = jsonlib.dumps(
-                {"op": "insert", "parent": "1", "fragment": f"<note n='{index}'/>"}
-            ).encode("utf-8")
-            await http(port, "POST", f"/update?uri={uri}", update)
-        query = f"count(doc('{uri}')//title)".encode("utf-8")
-        for _ in range(requests_per_client):
-            started = time.perf_counter()
-            status, _ = await http(port, "POST", "/query?values=1", query)
-            elapsed = time.perf_counter() - started
-            if status == 200:
-                outcomes["ok"] += 1
-                latencies.append(elapsed)
-            elif status == 429:
-                outcomes["shed"] += 1
-            else:
-                outcomes["error"] += 1
-
-    results: dict = {
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "shards": shards,
-        "replicas": replicas,
-        "max_inflight": max_inflight,
-        "queue_limit": queue_limit,
-        "slo_ms": slo_ms,
-    }
-
-    async def main() -> None:
-        server = AsyncHTTPServer(app)
-        await server.start()
-        port = server.port
-        started = time.perf_counter()
-        await asyncio.gather(*(client(index, port) for index in range(clients)))
-        results["wall_seconds"] = time.perf_counter() - started
-        # Over-budget probe: the cost meter must reject with a
-        # structured error, not let the query run to a timeout.
-        status, payload = await http(
-            port, "POST", "/query?max_visits=2", b"doc('s0.xml')//title"
-        )
-        results["budget_probe"] = {"status": status}
-        try:
-            report = jsonlib.loads(payload.decode("utf-8"))
-            results["budget_probe"].update(
-                {"code": report.get("code"), "dimension": report.get("dimension")}
-            )
-        except ValueError:  # pragma: no cover - diagnostics only
-            results["budget_probe"]["body"] = payload.decode("latin-1")
-        await server.drain(5.0)
-
-    asyncio.run(main())
-    app.close()
-
-    latencies.sort()
-
-    def percentile(q: float) -> float:
-        if not latencies:
-            return float("nan")
-        return latencies[min(len(latencies) - 1, int(q * (len(latencies) - 1)))]
-
-    attempts = sum(outcomes.values())
-    within = sum(1 for seconds_ in latencies if seconds_ * 1e3 <= slo_ms)
-    replica_sets = sharded.replica_sets or []
-    for replica_set in replica_sets:
-        replica_set.catch_up_all()
-    results.update(
-        {
-            "attempts": attempts,
-            "outcomes": outcomes,
-            "p50_ms": percentile(0.50) * 1e3,
-            "p99_ms": percentile(0.99) * 1e3,
-            "slo_fraction": within / attempts if attempts else 0.0,
-            "served_slo_fraction": (
-                within / outcomes["ok"] if outcomes["ok"] else 0.0
-            ),
-            "shed_rate": outcomes["shed"] / attempts if attempts else 0.0,
-            "throughput_rps": (
-                outcomes["ok"] / results["wall_seconds"]
-                if results.get("wall_seconds")
-                else 0.0
-            ),
-            "shipped_ops": sum(s.snapshot()["shipped"] for s in replica_sets),
-            "replica_identical": all(
-                replica_set.verify_identical(uri)
-                for replica_set in replica_sets
-                for uri in replica_set.primary.uris()
-            ),
-            "admission": app.admission.snapshot(),
-        }
-    )
-    return results
-
-
-@experiment("e18")
-def e18_async_serving() -> list[Table]:
-    """The asyncio serving tier: tail latency, shedding, replica identity."""
-    results = collect_e18()
-    table = Table(
-        "e18-serving",
-        f"async tier, {results['clients']} concurrent clients over "
-        f"{results['shards']} shards x {results['replicas']} replicas "
-        f"(max_inflight={results['max_inflight']}, "
-        f"queue={results['queue_limit']})",
-        ["measure", "value"],
-        notes=[
-            "expected shape: the burst saturates the admission slots, so "
-            "a visible fraction sheds with 429 + Retry-After (bounded "
-            "queue, not unbounded thread growth); served requests stay "
-            "inside the SLO because the queue is bounded; replicas end "
-            "byte-identical because the redo stream is deterministic "
-            "(extant vPBNs never renumber); the over-budget probe reads "
-            "422/budget_exceeded — rejected by the cost meter, never a "
-            "timeout",
-        ],
-    )
-    probe = results["budget_probe"]
-    for measure, value in [
-        ("attempts", results["attempts"]),
-        ("p50 latency ms", seconds(results["p50_ms"])),
-        ("p99 latency ms", seconds(results["p99_ms"])),
-        (f"SLO <= {results['slo_ms']:.0f} ms", seconds(results["slo_fraction"])),
-        ("SLO of served", seconds(results["served_slo_fraction"])),
-        ("shed rate", seconds(results["shed_rate"])),
-        ("throughput ok/s", seconds(results["throughput_rps"])),
-        ("ops shipped to replicas", results["shipped_ops"]),
-        ("replicas byte-identical", "yes" if results["replica_identical"] else "NO"),
-        ("budget probe", f"{probe['status']} {probe.get('code')}"),
-    ]:
-        table.rows.append([measure, value])
-    return [table]
-
-
-# ---------------------------------------------------------------------------
-# E19 — distributed-tracing overhead on the async serving path
-# ---------------------------------------------------------------------------
-
-
-def _e19_stack(trace_sample: float, shards: int, replicas: int, books: int):
-    """The E19 serving stack — a sharded, replicated collection behind
-    the asyncio app — plus the scatter query every burst issues."""
-    from repro.serve.app import build_serving
-    from repro.shard.service import ShardedService
-
-    sharded = ShardedService(shards=shards, pool_size=8, trace_sample=trace_sample)
-    for shard in range(shards):
-        sharded.load(
-            f"s{shard}.xml", books_document(books=books, seed=shard), shard=shard
-        )
-    app = build_serving(
-        sharded,
-        replicas=replicas,
-        max_inflight=16,
-        queue_limit=8192,  # no shedding: both configurations do identical work
-        queue_timeout_s=60.0,
-    )
-    union = " | ".join(f"doc('s{shard}.xml')//title" for shard in range(shards))
-    return sharded, app, f"count({union})".encode("utf-8")
-
-
-def _e19_burst(
-    trace_sample: float,
-    clients: int,
-    requests_per_client: int,
-    shards: int,
-    replicas: int,
-    repeats: int,
-    books: int,
-) -> dict:
-    """One E19 configuration: the in-process asyncio serving stack over a
-    sharded, replicated collection, hit by ``clients`` concurrent
-    connections issuing scatter queries.  ``repeats`` whole bursts run
-    against one warm server and the best wall time wins (same best-of
-    discipline as ``benchmarks/test_obs_overhead.py`` — we are measuring
-    instrumentation cost, not scheduler noise)."""
-    import asyncio
-    import time
-
-    from repro.serve.http import AsyncHTTPServer
-
-    sharded, app, query = _e19_stack(trace_sample, shards, replicas, books)
-    outcomes = {"ok": 0, "other": 0}
-
-    async def http(port: int, body: bytes):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        head = (
-            f"POST /query?values=1 HTTP/1.1\r\nHost: bench\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
-        status = int((await reader.readline()).split()[1])
-        while await reader.readline() not in (b"\r\n", b"\n", b""):
-            pass
-        await reader.read()
-        writer.close()
-        outcomes["ok" if status == 200 else "other"] += 1
-
-    async def client(port: int) -> None:
-        for _ in range(requests_per_client):
-            await http(port, query)
-
-    results = {"best_wall_s": float("inf")}
-
-    async def main() -> None:
-        server = AsyncHTTPServer(app)
-        await server.start()
-        await http(server.port, query)  # warm plan/view caches
-        for _ in range(repeats):
-            started = time.perf_counter()
-            await asyncio.gather(*(client(server.port) for _ in range(clients)))
-            results["best_wall_s"] = min(
-                results["best_wall_s"], time.perf_counter() - started
-            )
-        await server.drain(5.0)
-
-    asyncio.run(main())
-    results["outcomes"] = dict(outcomes)
-    results["counts"] = sharded.tracer.counts()
-    results["recent"] = [trace.to_dict() for trace in sharded.tracer.recent()]
-    app.close()
-    return results
-
-
-def _e19_timed_arms(
-    sample: float,
-    clients: int,
-    requests_per_client: int,
-    shards: int,
-    replicas: int,
-    blocks: int,
-    books: int,
-) -> dict:
-    """Both E19 timing arms measured against ONE warm serving stack.
-
-    Building a separate stack per arm was the dominant noise source:
-    two stacks land with different allocator layouts and page
-    placements, and on a shared box their burst walls drift apart by
-    several percent — swamping the ~1% effect under test.  Here a
-    single stack serves both arms and only ``tracer.sample_rate`` flips
-    between bursts, so every paired wall compares the same bytes, the
-    same pages, the same event loop.  Bursts run in mirrored blocks of
-    four whose polarity alternates — ABBA (baseline, sampled, sampled,
-    baseline) on even blocks, BAAB on odd ones: monotone machine-speed
-    drift inside a block biases both arms equally, the per-block ratio
-    of pair-minimums rejects one-sided hiccups, and the alternating
-    polarity decorrelates any *periodic* background load on the box
-    from the arm schedule."""
-    import asyncio
-    import time
-
-    from repro.serve.http import AsyncHTTPServer
-
-    sharded, app, query = _e19_stack(0.0, shards, replicas, books)
-    baseline_outcomes = {"ok": 0, "other": 0}
-    sampled_outcomes = {"ok": 0, "other": 0}
-
-    async def http(port: int, body: bytes, outcomes: dict) -> None:
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        head = (
-            f"POST /query?values=1 HTTP/1.1\r\nHost: bench\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
-        status = int((await reader.readline()).split()[1])
-        while await reader.readline() not in (b"\r\n", b"\n", b""):
-            pass
-        await reader.read()
-        writer.close()
-        outcomes["ok" if status == 200 else "other"] += 1
-
-    async def client(port: int, outcomes: dict) -> None:
-        for _ in range(requests_per_client):
-            await http(port, query, outcomes)
-
-    async def timed(port: int, rate: float, outcomes: dict) -> float:
-        sharded.tracer.sample_rate = rate
-        started = time.perf_counter()
-        await asyncio.gather(*(client(port, outcomes) for _ in range(clients)))
-        return time.perf_counter() - started
-
-    rounds: list[dict] = []
-
-    async def main() -> None:
-        server = AsyncHTTPServer(app)
-        await server.start()
-        await http(server.port, query, {"ok": 0, "other": 0})  # warm caches
-        for block in range(blocks):
-            walls = {0.0: [], sample: []}
-            if block % 2 == 0:
-                schedule = (0.0, sample, sample, 0.0)
-            else:
-                schedule = (sample, 0.0, 0.0, sample)
-            for rate in schedule:
-                outcomes = baseline_outcomes if rate == 0.0 else sampled_outcomes
-                walls[rate].append(await timed(server.port, rate, outcomes))
-            rounds.append(
-                {
-                    "baseline_wall_s": min(walls[0.0]),
-                    "sampled_wall_s": min(walls[sample]),
-                    "ratio": min(walls[sample]) / min(walls[0.0]),
-                }
-            )
-        await server.drain(5.0)
-
-    asyncio.run(main())
-    counts = sharded.tracer.counts()
-    app.close()
-    return {
-        "rounds": rounds,
-        "baseline_outcomes": baseline_outcomes,
-        "sampled_outcomes": sampled_outcomes,
-        "counts": counts,
-    }
-
-
-def collect_e19(
-    clients: int = 64,
-    requests_per_client: int = 2,
-    shards: int = 4,
-    replicas: int = 2,
-    repeats: int = 6,
-    books: int = 12,
-    sample: float = 0.01,
-) -> dict:
-    """Distributed-tracing overhead and stitching on the E18 burst path.
-
-    Two probes:
-
-    * the **timing arms** — the same asyncio scatter burst with tracing
-      off (``sample_rate=0.0``) and sampled at ``sample`` (1% by
-      default); the overhead ratio between them is the gated number;
-    * the **stitching probe** — ``trace_sample=1.0``, one request: its
-      ring buffer must hold ONE trace whose tree covers every hop
-      (request → admission → worker → scatter → per-shard fan-out →
-      replica read), and that payload ships out for the Chrome-trace
-      artifact.
-
-    Timing methodology, because the gated number is a ~1.0 ratio and
-    burst walls on a shared box are noisy (±10% routinely, with
-    one-sided spikes when a scheduler hiccup lands inside a burst):
-
-    * both arms run against **one warm serving stack** — only the
-      sampler rate flips between bursts (``_e19_timed_arms``), so no
-      stack-to-stack allocator/page-layout drift enters the comparison;
-    * bursts run in ``repeats`` mirrored blocks of alternating polarity
-      (**ABBA** then **BAAB**), cancelling monotone machine-speed drift
-      within each block and decorrelating periodic background load;
-    * ``overhead_ratio`` is the more favorable of two drift-robust
-      estimators of the same quantity — the **ratio of per-arm minimum
-      walls** (the minimum is robust to one-sided noise: hiccups only
-      ever slow a burst down) and the **median of the per-block paired
-      ratios** (each pair runs seconds apart; the median discards
-      hiccup blocks).  A real overhead regression moves both
-      estimators; noise rarely moves both the same way.
-    """
-    import statistics
-
-    arms = _e19_timed_arms(
-        sample, clients, requests_per_client, shards, replicas, repeats, books
-    )
-    rounds = arms["rounds"]
-    baseline_wall = min(r["baseline_wall_s"] for r in rounds)
-    sampled_wall = min(r["sampled_wall_s"] for r in rounds)
-    demo = _e19_burst(1.0, 1, 1, shards, replicas, 1, books)
-
-    def hops(node: dict, into: dict) -> dict:
-        into[node["name"]] = into.get(node["name"], 0) + 1
-        for child in node.get("children", ()):
-            hops(child, into)
-        return into
-
-    stitched: dict = {"traces": len(demo["recent"])}
-    payload = next(
-        (t for t in demo["recent"] if t["root"]["name"] == "serve.request"), None
-    )
-    if payload is not None:
-        stitched["trace_id"] = payload["trace_id"]
-        stitched["spans"] = hops(payload["root"], {})
-    return {
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "shards": shards,
-        "replicas": replicas,
-        "repeats": repeats,
-        "sample": sample,
-        "baseline_wall_s": baseline_wall,
-        "sampled_wall_s": sampled_wall,
-        "overhead_ratio": min(
-            sampled_wall / baseline_wall,
-            statistics.median(r["ratio"] for r in rounds),
-        ),
-        "rounds": rounds,
-        "baseline_outcomes": arms["baseline_outcomes"],
-        "sampled_outcomes": arms["sampled_outcomes"],
-        "sampled_counts": arms["counts"],
-        "stitched": stitched,
-        "trace_payload": payload,  # popped before BENCH_e19.json is written
-    }
-
-
-@experiment("e19")
-def e19_tracing_overhead() -> list[Table]:
-    """Distributed tracing: 1%-sampling overhead and stitched coverage."""
-    results = collect_e19()
-    table = Table(
-        "e19-tracing",
-        f"async scatter burst, {results['clients']} clients x "
-        f"{results['requests_per_client']} requests over {results['shards']} "
-        f"shards x {results['replicas']} replicas; tracing off vs "
-        f"{results['sample']:.0%} sampled",
-        ["measure", "value"],
-        notes=[
-            "expected shape: the contextvars propagation plus carrier "
-            "injection is branch-cheap on the untraced path, so 1% "
-            "sampling stays within 5% of the tracing-off wall time "
-            "(the per-trace cost amortizes across the ~99 untraced "
-            "requests); the fully-sampled probe produces ONE stitched "
-            "tree covering admission wait, worker offload, per-shard "
-            "scatter, and the replica read",
-        ],
-    )
-    spans = results["stitched"].get("spans", {})
-    for measure, value in [
-        ("baseline wall s (best-of)", seconds(results["baseline_wall_s"])),
-        ("1%-sampled wall s (best-of)", seconds(results["sampled_wall_s"])),
-        ("overhead ratio", seconds(results["overhead_ratio"])),
-        ("requests admitted", results["sampled_counts"].get("admitted", 0)),
-        ("traces sampled", results["sampled_counts"].get("sampled", 0)),
-        ("stitched hop kinds", len(spans)),
-        ("stitched scatter spans", spans.get("shard.scatter", 0)),
-        ("stitched replica reads", spans.get("replica.read", 0)),
-    ]:
-        table.rows.append([measure, value])
-    return [table]
-
-
-# ---------------------------------------------------------------------------
-# E20 — the content-and-structure index vs the scalar predicate loop
-# ---------------------------------------------------------------------------
-
-
-def collect_e20(
-    books: int = 1024,
-    sizes: tuple[int, ...] = (16, 64, 256, 1024),
-    repeat: int = 3,
-) -> dict:
-    """Raw CAS-vs-scalar timings for predicate-bearing axis steps.
-
-    The E15 protocol applied to the value side: exact context sets fed
-    through ``$ctx``, each (step, size) cell timed as one full
-    ``engine.execute`` with :attr:`Evaluator.use_batch_kernels` off (the
-    per-candidate predicate loop) and on (the CAS range scan plus the
-    structural merge-join).  Every step carries a single-comparison value
-    predicate — exactly what ``compile_value_predicate`` accepts — over
-    one of the three targets (self, child, attribute is exercised by the
-    differential suites; the books data has no attributes).  Both arms'
-    answers are fingerprinted so the committed JSON records identity,
-    not just speed.
-    """
-    from repro.query.eval import Evaluator
-
-    engine = Engine()
-    engine.load("book.xml", books_document(books=books, seed=2))
-    engine.virtual("book.xml", Q.BOOKS_INVERT.spec)
-    view = f'virtualDoc("book.xml", "{Q.BOOKS_INVERT.spec}")'
-    steps = {
-        "indexed": [
-            ("child::name[self cmp c]", 'doc("book.xml")//author',
-             '$ctx/name[. >= "M"]', "indexed"),
-            ("descendant::name[self cmp c]", 'doc("book.xml")//book',
-             '$ctx/descendant::name[. >= "M"]', "indexed"),
-            ("child::author[child cmp c]", 'doc("book.xml")//book',
-             '$ctx/author[name = "Turing"]', "indexed"),
-        ],
-        "virtual": [
-            ("child::name[self cmp c]", f"{view}//author",
-             '$ctx/name[. >= "M"]', None),
-            ("descendant::name[self cmp c]", f"{view}//title",
-             '$ctx/descendant::name[. >= "M"]', None),
-        ],
-    }
-    results: dict = {"books": books, "modes": {}}
-    saved = Evaluator.use_batch_kernels
-    try:
-        for mode_name, mode_steps in steps.items():
-            per_step: dict = {}
-            for label, pool_query, query, mode in mode_steps:
-                pool = engine.execute(pool_query, mode=mode).items
-                per_size: dict = {}
-                for size in sizes:
-                    ctx = pool[: min(size, len(pool))]
-
-                    def run():
-                        return engine.execute(
-                            query, mode=mode, variables={"ctx": ctx}
-                        )
-
-                    Evaluator.use_batch_kernels = False
-                    scalar_s = best_of(run, repeat)
-                    scalar_answer = run()
-                    Evaluator.use_batch_kernels = True
-                    cas_s = best_of(run, repeat)
-                    cas_answer = run()
-                    per_size[str(len(ctx))] = {
-                        "scalar_s": scalar_s,
-                        "cas_s": cas_s,
-                        "speedup": scalar_s / cas_s,
-                        "rows": len(cas_answer),
-                        "identical": (
-                            scalar_answer.to_xml() == cas_answer.to_xml()
-                            and scalar_answer.values() == cas_answer.values()
-                        ),
-                    }
-                per_step[label] = per_size
-            results["modes"][mode_name] = per_step
-    finally:
-        Evaluator.use_batch_kernels = saved
-    return results
-
-
-@experiment("e20")
-def e20_cas_index() -> list[Table]:
-    """CAS range scans vs the per-candidate value-predicate loop."""
-    results = collect_e20()
-    tables = []
-    for mode_name, per_step in results["modes"].items():
-        table = Table(
-            f"e20-{mode_name}",
-            f"CAS vs scalar value predicates, {mode_name} navigator "
-            f"(books={results['books']})",
-            ["step", "contexts", "scalar ms", "cas ms", "speedup", "identical"],
-            notes=[
-                "expected shape: the scalar arm re-evaluates the comparison "
-                "per candidate (string_value + coercion each time) so its "
-                "cost scales with the candidate count, while the CAS arm "
-                "pays one memoized range scan per (type, predicate) and a "
-                "set probe per candidate; speedup grows with the context "
-                "set and crosses 5x by 256 contexts"
-            ],
-        )
-        for label, per_size in per_step.items():
-            for size, cell in per_size.items():
-                table.rows.append(
-                    [
-                        label,
-                        int(size),
-                        seconds(cell["scalar_s"] * 1e3),
-                        seconds(cell["cas_s"] * 1e3),
-                        seconds(cell["speedup"]),
-                        cell["identical"],
-                    ]
-                )
-        tables.append(table)
-    return tables
-
-
-def collect_e21(
-    books: int = 4096,
-    sizes: tuple[int, ...] = (16, 64, 256, 1024),
-    repeat: int = 3,
-    identity_books: int = 192,
-    shard_docs: int = 4,
-) -> dict:
-    """Space and speed for the bit-packed PBN column codecs (E21).
-
-    Three sections, one committed JSON:
-
-    * **space** — one indexed engine per codec over the same books
-      document; every type column is force-built inside the codec's
-      ``set_default_codec`` window so the choice is bound at build time,
-      then ``stats.column_bytes`` (cumulative bytes of every column
-      built) divided by the node count gives bytes-per-node.  The gate
-      reads ``reduction_vs_raw`` off the succinct cell.
-    * **queries** — the E15 protocol applied to the codec axis: exact
-      ``$ctx`` context sets, each (step, size) cell timed as one full
-      ``engine.execute`` against the raw-column engine and the
-      succinct-column engine.  Both arms run the same batch kernels;
-      the slowdown column is purely the cost of Elias-Fano probes and
-      bucket decodes replacing tuple comparisons.  Answers are
-      fingerprinted so the JSON records identity, not just speed.
-    * **identity** — the same queries answered under raw and succinct
-      defaults across tree/indexed/sql engines plus a virtual view and
-      a 2-shard scatter-gather; every payload must be byte-identical
-      (``to_xml`` and ``values``) to the raw/tree baseline.
-    """
-    from repro.pbn.succinct import default_codec, set_default_codec
-    from repro.shard import ShardedService
-
-    results: dict = {"books": books, "space": {}, "queries": {}, "identity": {}}
-    saved_codec = default_codec()
-    engines: dict = {}
-    try:
-        # -- space probe: force-build every type column under each codec.
-        space: dict = {}
-        nodes = 0
-        for codec in ("raw", "packed", "succinct"):
-            set_default_codec(codec)
-            engine = Engine(mode="indexed")
-            store = engine.load("book.xml", books_document(books=books, seed=2))
-            built: dict = {}
-            for type_id in range(len(store.types_by_id)):
-                column = store.type_index.column(type_id)
-                if column is not None:
-                    kind = type(column).__name__
-                    built[kind] = built.get(kind, 0) + 1
-            nodes = store.size_summary()["nodes"]
-            space[codec] = {
-                "column_bytes": store.stats.column_bytes,
-                "bytes_per_node": store.stats.column_bytes / nodes,
-                "columns": built,
-            }
-            engines[codec] = engine
-        raw_per_node = space["raw"]["bytes_per_node"]
-        for cell in space.values():
-            cell["reduction_vs_raw"] = raw_per_node / cell["bytes_per_node"]
-        results["space"] = {"nodes": nodes, "codecs": space}
-
-        # -- timing: raw vs succinct over the batch kernels.
-        steps = [
-            ("child-chain", 'doc("book.xml")//book', "$ctx/author/name"),
-            ("descendant", 'doc("book.xml")//book', "$ctx/descendant::name"),
-            ("value-filter", 'doc("book.xml")//book', '$ctx/author[name >= "M"]'),
-            ("count-child", 'doc("book.xml")//book', "count($ctx/author)"),
-        ]
-        pools = {
-            codec: {} for codec in ("raw", "succinct")
-        }
-        for label, pool_query, query in steps:
-            per_size: dict = {}
-            for codec in pools:
-                if pool_query not in pools[codec]:
-                    pools[codec][pool_query] = engines[codec].execute(
-                        pool_query
-                    ).items
-            for size in sizes:
-                cell: dict = {}
-                answers = {}
-                runs = {}
-                for codec in ("raw", "succinct"):
-                    pool = pools[codec][pool_query]
-                    ctx = pool[: min(size, len(pool))]
-
-                    def run(engine=engines[codec], ctx=ctx):
-                        return engine.execute(query, variables={"ctx": ctx})
-
-                    runs[codec] = run
-                    answers[codec] = run()  # warm caches before timing
-                # Interleave the arms instead of timing one block per
-                # codec: a machine-speed drift (GC pause, frequency
-                # step) then lands on both arms of a repeat rather
-                # than inflating the ratio the slowdown gate reads.
-                times = dict.fromkeys(runs, float("inf"))
-                for _ in range(repeat):
-                    for codec, run in runs.items():
-                        times[codec] = min(times[codec], best_of(run, 1))
-                cell["raw_s"] = times["raw"]
-                cell["succinct_s"] = times["succinct"]
-                cell["slowdown"] = cell["succinct_s"] / cell["raw_s"]
-                cell["rows"] = len(answers["succinct"])
-                cell["identical"] = (
-                    answers["raw"].to_xml() == answers["succinct"].to_xml()
-                    and answers["raw"].values() == answers["succinct"].values()
-                )
-                per_size[str(min(size, len(pools["raw"][pool_query])))] = cell
-            results["queries"][label] = per_size
-
-        # -- identity: every strategy, both codecs, one baseline payload.
-        spec = Q.BOOKS_INVERT.spec
-        identity_queries = {
-            "structural": 'doc("id.xml")//book[author/name >= "T"]/title',
-            "descendant": 'doc("id.xml")//name',
-            "count": 'count(doc("id.xml")//author)',
-            "sum": "sum(doc('id.xml')//book/title)",
-            "virtual": f'virtualDoc("id.xml", "{spec}")//title',
-        }
-        payloads: dict = {}
-        for codec in ("raw", "succinct"):
-            set_default_codec(codec)
-            for mode in ("tree", "indexed", "sql"):
-                engine = Engine(mode=mode)
-                engine.load(
-                    "id.xml", books_document(books=identity_books, seed=5)
-                )
-                payloads[(codec, mode)] = [
-                    (answer.to_xml(), tuple(answer.values()))
-                    for answer in (
-                        engine.execute(query)
-                        for query in identity_queries.values()
-                    )
-                ]
-        baseline = payloads[("raw", "tree")]
-        strategy_cells = {
-            name: {"identical": True, "arms": 0}
-            for name in identity_queries
-        }
-        for payload in payloads.values():
-            for name, got, want in zip(identity_queries, payload, baseline):
-                strategy_cells[name]["arms"] += 1
-                if got != want:
-                    strategy_cells[name]["identical"] = False
-        results["identity"]["strategies"] = strategy_cells
-
-        # -- identity: 2-shard scatter-gather, raw vs succinct stores.
-        uris = [f"doc{i}.xml" for i in range(shard_docs)]
-        shard_queries = {
-            "union-titles": " | ".join(f'doc("{u}")//title' for u in uris),
-            "count-all": "count("
-            + " | ".join(f'doc("{u}")//*' for u in uris)
-            + ")",
-        }
-        shard_payloads: dict = {}
-        for codec in ("raw", "succinct"):
-            set_default_codec(codec)
-            service = ShardedService(shards=2, pool_size=1)
-            try:
-                for index, uri in enumerate(uris):
-                    service.load(
-                        uri,
-                        books_document(books=64, seed=200 + index, uri=uri),
-                    )
-                shard_payloads[codec] = [
-                    (answer.to_xml(), tuple(answer.values()))
-                    for answer in (
-                        service.execute(query)
-                        for query in shard_queries.values()
-                    )
-                ]
-            finally:
-                service.close()
-        results["identity"]["sharded"] = {
-            name: {
-                "identical": shard_payloads["raw"][i]
-                == shard_payloads["succinct"][i]
-            }
-            for i, name in enumerate(shard_queries)
-        }
-    finally:
-        set_default_codec(saved_codec)
-    return results
-
-
-@experiment("e21")
-def e21_succinct_columns() -> list[Table]:
-    """Bit-packed PBN columns: bytes per node and query-time overhead."""
-    results = collect_e21()
-    space = Table(
-        "e21-space",
-        f"column bytes per node by codec (books={results['books']}, "
-        f"{results['space']['nodes']} nodes)",
-        ["codec", "column KiB", "bytes/node", "reduction vs raw"],
-        notes=[
-            "expected shape: raw columns hold one Python tuple of boxed "
-            "ints per key, so tens of bytes per node; packed columns "
-            "spend ceil(log2 max+1) bits per PBN component in one machine "
-            "word per key; succinct columns Elias-Fano the packed words "
-            "down to ~2 + log2(universe/n) bits per key, crossing the 4x "
-            "reduction floor with room to spare",
-        ],
-    )
-    for codec, cell in results["space"]["codecs"].items():
-        space.rows.append(
-            [
-                codec,
-                seconds(cell["column_bytes"] / 1024),
-                seconds(cell["bytes_per_node"]),
-                seconds(cell["reduction_vs_raw"]),
-            ]
-        )
-    timing = Table(
-        "e21-overhead",
-        "query wall-clock, succinct vs raw columns (batch kernels on)",
-        ["step", "contexts", "raw ms", "succinct ms", "slowdown", "identical"],
-        notes=[
-            "expected shape: flat — the batch kernels bisect a key view "
-            "either way, and succinct probes replace tuple comparisons "
-            "with packed-word comparisons inside one Elias-Fano bucket; "
-            "the slowdown stays under 1.25x at every context size",
-        ],
-    )
-    for label, per_size in results["queries"].items():
-        for size, cell in per_size.items():
-            timing.rows.append(
-                [
-                    label,
-                    int(size),
-                    seconds(cell["raw_s"] * 1e3),
-                    seconds(cell["succinct_s"] * 1e3),
-                    seconds(cell["slowdown"]),
-                    cell["identical"],
-                ]
-            )
-    return [space, timing]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
 import time
+from datetime import datetime, timezone
 from typing import Callable
 
 from repro.bench.report import Table
@@ -38,68 +42,61 @@ def per_op_ns(fn: Callable[[], object], inner_loops: int, repeat: int = 3) -> fl
     return best_of(fn, repeat) / inner_loops * 1e9
 
 
-def require_key(mapping, key, context: str):
-    """``mapping[key]``, but a missing key exits with a message naming the
-    BENCH file/section instead of a bare ``KeyError`` — the CI gates read
-    collected result dicts and must say *which* expected cell is absent
-    (stale BENCH_*.json, or a collect_* shape change)."""
-    try:
-        return mapping[key]
-    except (KeyError, TypeError, IndexError):
-        available = ", ".join(sorted(map(str, mapping))) if isinstance(
-            mapping, dict
-        ) else repr(mapping)
-        raise SystemExit(
-            f"bench results missing key {key!r} in {context}"
-            f" (have: {available}); regenerate the BENCH file with the"
-            f" matching scripts/run_*.py or scripts/check_bench_regression.py"
-        )
-
-
-def cache_cold_warm(
-    service, query: str, repeat: int = 3
-) -> tuple[float, float]:
-    """Best cold and warm execution times of ``query`` on a
-    :class:`~repro.service.service.QueryService`.
-
-    A *cold* run clears the shared plan and view caches first, so it pays
-    parsing and (for virtual sources) vDataGuide resolution + Algorithm 1;
-    a *warm* run repeats the query with hot caches.  The spread is the
-    preprocessing the service amortizes across a query stream.
-    """
-
-    def cold_once():
-        service.plan_cache.clear()
-        service.view_cache.clear()
-        return service.execute(query)
-
-    cold = best_of(cold_once, repeat)
-    service.execute(query)  # prime the caches
-    warm = best_of(lambda: service.execute(query), repeat)
-    return cold, warm
-
-
-def run_experiment(name: str) -> list[Table]:
-    """Run one experiment and print its tables."""
+def experiment_names() -> list[str]:
+    """Registered names in numeric order (``e2`` before ``e10``) — the one
+    ordering ``bench list`` and ``bench all`` share."""
     # Import for the registration side effect.
     from repro.bench import experiments as _experiments  # noqa: F401
 
-    fn = EXPERIMENTS.get(name)
-    if fn is None:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise SystemExit(f"unknown experiment {name!r}; known: {known}, all")
-    tables = fn()
-    for table in tables:
-        print(table.render())
-        print()
+    return sorted(EXPERIMENTS, key=lambda name: int(name[1:]))
+
+
+def experiment_info() -> str:
+    """What a captured run needs to be re-derivable: when, from which
+    commit, on which interpreter and machine (``unknown`` commit outside
+    a git checkout)."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    now = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%S UTC")
+    return "\n".join(
+        [
+            "== Experiment info ==",
+            f"date:     {now}",
+            f"commit:   {commit}",
+            f"python:   {platform.python_version()}",
+            f"platform: {platform.platform()}",
+        ]
+    )
+
+
+def run_experiment(*names: str) -> list[Table]:
+    """Run the named experiments in the order given and print their
+    tables under one experiment-info header."""
+    known = experiment_names()
+    for name in names:
+        if name not in known:
+            raise SystemExit(
+                f"unknown experiment {name!r}; known: {', '.join(known)}, all"
+            )
+    print(experiment_info())
+    print()
+    tables: list[Table] = []
+    for name in names:
+        for table in EXPERIMENTS[name]():
+            print(table.render())
+            print()
+            tables.append(table)
     return tables
 
 
 def run_all() -> list[Table]:
-    """Run every experiment, in numeric order (e1 ... e13)."""
-    from repro.bench import experiments as _experiments  # noqa: F401
-
-    tables: list[Table] = []
-    for name in sorted(EXPERIMENTS, key=lambda n: (len(n), n)):
-        tables.extend(run_experiment(name))
-    return tables
+    """Run every registered experiment, in numeric order."""
+    return run_experiment(*experiment_names())

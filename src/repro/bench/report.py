@@ -12,7 +12,7 @@ Cell = Union[str, int, float]
 class Table:
     """One experiment's result table.
 
-    :ivar name: short id (``e1`` ... ``e9``).
+    :ivar name: short id (``e1`` ... ``e12``, or a part such as ``e1a``).
     :ivar title: heading describing what the table shows.
     :ivar headers: column names.
     :ivar rows: row cells (numbers are formatted on render).

@@ -94,7 +94,8 @@ Commands
         python -m repro traces --trace-id 263f34eaf56040d7
 
 ``bench``
-    Alias for ``python -m repro.bench`` (the experiment suite).
+    Alias for ``python -m repro.bench``: the paper's reconstructed
+    evaluation, ``all | e1 ... e12 | list``.
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="only the trace with this 16-hex id (as printed "
                              "in X-Trace-Id headers and metric exemplars)")
 
-    sub.add_parser("bench", help="run the experiment suite (see repro.bench)")
+    sub.add_parser("bench", help="run the paper's reconstructed evaluation, "
+                                  "E1-E12: all | e1 ... e12 | list")
     return parser
 
 

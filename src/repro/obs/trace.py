@@ -1,6 +1,6 @@
 """End-to-end tracing: context-propagated spans, a sampling tracer, a ring buffer.
 
-The paper argues vPBN's overhead is *modest*; the benchmark tables (E1-E14)
+The paper argues vPBN's overhead is *modest*; the experiment tables (E1-E12)
 show that offline, but a live service needs the same attribution per
 request — which slice of a slow query went to parsing, Algorithm 1
 level-array construction, axis navigation, buffer-pool misses, or the

@@ -49,7 +49,8 @@ Fenwick descent plus at most one block scan.
 
 Every column variant reports :attr:`~repro.pbn.columnar.Column.nbytes`,
 the encoding's heap footprint, which the owning indexes accumulate into
-``StorageStats.column_bytes`` — the bytes-per-node axis E21 gates.
+``StorageStats.column_bytes`` — the benchmark's
+``pbn.column_bytes_per_node`` row.
 """
 
 from __future__ import annotations
@@ -711,7 +712,8 @@ def default_codec() -> str:
 
 def set_default_codec(name: str) -> str:
     """Switch the registry default (``raw`` disables encoding entirely —
-    the A/B arm E21 measures against).  Returns the previous default."""
+    the reference arm of the codec differential tests).  Returns the
+    previous default."""
     global _default_codec
     if name not in CODECS:
         raise ValueError(f"unknown column codec {name!r} (have {sorted(CODECS)})")

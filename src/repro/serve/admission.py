@@ -13,8 +13,9 @@ Shedding raises :class:`ServiceOverloaded`, which the HTTP layer maps to
 ``429 Too Many Requests`` with a ``Retry-After`` hint — the client
 contract for backpressure.  Everything is counted:
 ``serve.admitted`` / ``serve.shed`` (labelled with the reason) and the
-``serve.queue_wait_seconds`` histogram, so the E18 benchmark and the CI
-smoke test can assert the controller actually engaged.
+``serve.queue_wait_seconds`` histogram, so the benchmark's
+``serve.shed_share`` row and ``tests/serve/test_admission.py`` can tell
+that the controller actually engaged.
 """
 
 from __future__ import annotations

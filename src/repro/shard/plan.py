@@ -217,7 +217,8 @@ def specialize(expr: ast.Expr, keep_uris: set[str]):
     to a 3-document union on a shard owning 3 of them, *without* the
     nine leftover union nodes each re-sorting the accumulated result.
     That collapse is what makes the scatter's per-shard sort work scale
-    as (k/s)^2 rather than k^2 — the whole point of E16.
+    as (k/s)^2 rather than k^2 — what the benchmark's
+    ``shard.scatter_speedup`` row measures.
 
     Returns the original object when nothing changed, so identity can be
     used to detect a no-op specialization.

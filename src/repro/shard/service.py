@@ -29,10 +29,11 @@ Even on one core the scatter wins on multi-document unions: the
 unsharded evaluator re-sorts the accumulated union at every ``|`` with
 Python-level comparisons (O(k·n) comparator calls for a k-document
 union), while each shard only folds its own slice and the global merge
-compares precomputed keys (experiment E16).  On multi-core hardware the
-per-shard work also overlaps; ``workers="process"`` (the CLI's
-``--shard-workers process``) moves each shard into its own process for
-read-mostly collections — see :mod:`repro.shard.worker`.
+compares precomputed keys (the benchmark's ``shard.scatter_speedup``
+row).  On multi-core hardware the per-shard work also overlaps;
+``workers="process"`` (the CLI's ``--shard-workers process``) moves each
+shard into its own process for read-mostly collections — see
+:mod:`repro.shard.worker`.
 """
 
 from __future__ import annotations

@@ -87,7 +87,8 @@ class HeapFile:
 
     def shared_page_prefix(self, other: "HeapFile") -> int:
         """How many leading pages this heap shares (by id) with ``other``
-        — E14's measure of copy-on-write effectiveness."""
+        — how much of an update is copy-on-write rather than rewrite
+        (the cost behind the benchmark's ``updates.apply_ms`` row)."""
         count = 0
         for mine, theirs in zip(self._page_ids, other._page_ids):
             if mine != theirs:

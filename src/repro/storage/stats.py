@@ -24,7 +24,8 @@ class StorageStats:
     :ivar comparisons: PBN/vPBN axis comparisons performed by evaluators.
     :ivar column_bytes: bytes of column representations built (cumulative
         over lazy builds; a rebuild after invalidation counts again).
-        Divide by node count for the bytes-per-node axis E21 gates.
+        Divided by node count it is the benchmark's
+        ``pbn.column_bytes_per_node`` row.
     """
 
     page_reads: int = 0

@@ -56,8 +56,8 @@ class TypeIndex:
         the posting list stays the mutable source of truth, and every
         mutation path drops the column before touching the list.  Each
         build adds the representation's footprint to
-        ``stats.column_bytes`` (a cumulative bytes-built counter, the
-        space axis E21 reads)."""
+        ``stats.column_bytes`` (a cumulative bytes-built counter, read
+        by the benchmark's ``pbn.column_bytes_per_node`` row)."""
         column = self._columns.get(type_id)
         if column is None:
             postings = self._postings.get(type_id)

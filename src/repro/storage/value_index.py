@@ -207,7 +207,8 @@ class ValueIndex:
 
     def shared_pages(self, other: "ValueIndex") -> int:
         """How many of this index's pages are ``other``'s page objects —
-        E14's measure of copy-on-write effectiveness, beside the heap's."""
+        the index's share of an update's copy-on-write, beside the heap's
+        :meth:`~repro.storage.heap.HeapFile.shared_page_prefix`."""
         theirs = {id(page) for page in other._pages}
         return sum(id(page) in theirs for page in self._pages)
 

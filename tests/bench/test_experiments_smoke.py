@@ -5,17 +5,30 @@ The registry bodies are executed at their default scales by
 experiments end to end, so the test suite stays fast.
 """
 
-from repro.bench.harness import EXPERIMENTS, best_of, per_op_ns
+import pytest
+
+from repro.bench.__main__ import main as bench_main
+from repro.bench.harness import (
+    EXPERIMENTS,
+    best_of,
+    experiment_names,
+    per_op_ns,
+    run_experiment,
+)
 from repro.bench import experiments as _experiments  # noqa: F401 - registers
 from repro.bench.report import Table
 
 
-def test_registry_complete():
-    assert set(EXPERIMENTS) == {
-        "e1", "e2", "e3", "e4", "e5", "e6",
-        "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16",
-        "e17", "e18", "e19", "e20", "e21",
-    }
+def test_registry_complete(capsys):
+    names = [f"e{n}" for n in range(1, 13)]
+    # Exactly E1-E12, and ``bench list`` prints them in numeric order (e2
+    # before e10), the order ``bench all`` runs them in.
+    assert experiment_names() == names
+    assert bench_main(["list"]) == 0
+    assert capsys.readouterr().out.split() == names
+    with pytest.raises(SystemExit, match="unknown experiment 'e17'"):
+        bench_main(["e5", "e17"])
+    assert capsys.readouterr().out == ""  # rejected before anything ran
 
 
 def test_best_of_returns_positive_time():
@@ -56,72 +69,15 @@ def test_e7_cases_runs_and_matches():
     assert all(row[-1] for row in table.rows)  # all match materialized
 
 
-def test_e9_io_shape():
-    tables = EXPERIMENTS["e9"]()
-    (table,) = tables
+def test_e9_io_shape(capsys):
+    (table,) = run_experiment("e9")
+    # One experiment-info header per invocation, before the first table.
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "== Experiment info =="
+    assert [line.split(":")[0] for line in lines[1:5]] == [
+        "date", "commit", "python", "platform"
+    ]
     virtual_row, materialize_row = table.rows
     assert virtual_row[1] == 0  # virtual writes nothing
     assert materialize_row[1] > 0  # materialization writes a new heap
     assert materialize_row[4] > 0  # and rebuilds indexes
-
-
-def test_e16_sharded_answers_are_identical():
-    from repro.bench.experiments import collect_e16
-
-    # Tiny scale: no timing assertions (1-core CI noise), only the part
-    # of E16 that is a hard invariant — every multi-shard answer must be
-    # byte-identical to the single-shard answer.
-    results = collect_e16(docs=6, books=6, shards=(1, 2), repeat=1)
-    assert set(results["queries"]) == {
-        "union-titles", "union-names", "union-virtual", "count-all"
-    }
-    for entry in results["queries"].values():
-        assert all(cell["identical"] for cell in entry["shards"].values())
-
-
-def test_e17_strategy_answers_are_identical():
-    from repro.bench.experiments import collect_e17
-
-    # Tiny scale, timings ignored: the hard invariant is that every
-    # strategy answers byte-identically to the section's baseline.
-    results = collect_e17(books=8, repeat=1)
-    for section in ("stored", "virtual"):
-        for name, entry in results[section].items():
-            for strategy, cell in entry["strategies"].items():
-                assert cell["identical"], (section, name, strategy)
-
-
-def test_e21_codec_answers_are_identical():
-    from repro.bench.experiments import collect_e21
-
-    # Tiny scale, timings ignored: the hard invariants are that encoded
-    # columns shrink the spine and that every answer — per timing cell,
-    # per strategy arm, and through the 2-shard scatter — stays
-    # byte-identical between the raw and succinct codecs.
-    results = collect_e21(
-        books=256, sizes=(8,), repeat=1, identity_books=24, shard_docs=2
-    )
-    codecs = results["space"]["codecs"]
-    assert codecs["succinct"]["column_bytes"] < codecs["raw"]["column_bytes"]
-    for per_size in results["queries"].values():
-        assert all(cell["identical"] for cell in per_size.values())
-    for cell in results["identity"]["strategies"].values():
-        assert cell["identical"], cell
-    for cell in results["identity"]["sharded"].values():
-        assert cell["identical"], cell
-
-
-def test_e18_serving_contracts_hold_at_small_scale():
-    from repro.bench.experiments import collect_e18
-
-    # Tiny burst, timings ignored: the hard invariants are replica
-    # byte-identity, the structured 422 budget probe, and zero 5xx.
-    results = collect_e18(
-        clients=40, requests_per_client=1, books=4, writers=4,
-        max_inflight=4, queue_limit=64,
-    )
-    assert results["outcomes"]["error"] == 0
-    assert results["replica_identical"] is True
-    assert results["shipped_ops"] == 4
-    probe = results["budget_probe"]
-    assert (probe["status"], probe["code"]) == (422, "budget_exceeded")

@@ -1,6 +1,7 @@
 """Shared fixtures: the paper's running example, small engines, the
-cross-strategy agreement helper the differential suites are built on,
-and the ``served`` helper every HTTP test reaches the server through."""
+cross-strategy agreement helper and the codec arm the differential suites
+are built on, and the ``served`` helper every HTTP test reaches the
+server through."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Callable, Optional, Sequence
 import pytest
 
 from repro.dataguide.build import build_dataguide
+from repro.pbn.succinct import SuccinctColumn, default_codec, set_default_codec
 from repro.query.engine import Engine
 from repro.serve import AsyncHTTPServer, ServingApp
 from repro.workloads.books import books_document, paper_figure2
@@ -65,6 +67,41 @@ def strategies_agree():
     """The :func:`assert_strategies_agree` helper, as a fixture so suites
     outside this package share one implementation."""
     return assert_strategies_agree
+
+
+@pytest.fixture
+def each_codec():
+    """The codec arm of the differential suites: ``for codec in
+    each_codec():`` runs its body once under raw type columns (the
+    reference) and once under succinct ones.  Columns bind their codec
+    when a query first builds them, so build *and* query inside the loop;
+    the registry default is restored at teardown."""
+    previous = default_codec()
+
+    def arms():
+        for codec in ("raw", "succinct"):
+            set_default_codec(codec)
+            yield codec
+
+    try:
+        yield arms
+    finally:
+        set_default_codec(previous)
+
+
+def succinct_columns_queried(store) -> int:
+    """How many of the type columns that queries built on ``store`` are
+    :class:`SuccinctColumn` — a codec arm whose documents are too small
+    to pass ``packable()`` would compare raw with raw.  (The accessor
+    hands back an already built column without adding to
+    ``column_bytes``; a column it has to build now was never queried.)"""
+    count = 0
+    for type_id in range(len(store.types_by_id)):
+        before = store.stats.column_bytes
+        column = store.type_index.column(type_id)
+        if store.stats.column_bytes == before and type(column) is SuccinctColumn:
+            count += 1
+    return count
 
 
 class Served:

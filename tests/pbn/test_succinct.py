@@ -272,7 +272,8 @@ def test_aggregate_fast_path_actually_engages():
 
 def test_raw_and_succinct_engines_answer_identically():
     """Same engine-visible answers whether the type index encodes columns
-    or keeps raw tuples — the E21 identity axis in miniature."""
+    or keeps raw tuples (``packed`` included; the differential suites carry
+    the raw-vs-succinct arm over larger documents)."""
     queries = _AGG_QUERIES + [
         "doc('b.xml')//book[price > 30]/title",
         "doc('b.xml')/data/book[2]/author/name",
@@ -345,3 +346,18 @@ def test_column_bytes_accumulates_in_storage_stats():
     title_type = next(t for t in store.guide.iter_types() if t.name == "title")
     title_column = store.type_index.column(store.type_id(title_type))
     assert store.stats.column_bytes == column.nbytes + title_column.nbytes
+
+
+def test_succinct_columns_are_at_least_4x_smaller_than_raw(each_codec):
+    """The space claim as byte counts, which repeat exactly: every type
+    column of one books document, built under each codec."""
+    from repro.storage.store import DocumentStore
+    from repro.workloads.books import books_document
+
+    column_bytes = {}
+    for codec in each_codec():
+        store = DocumentStore(books_document(256, seed=2))
+        for type_id in range(len(store.types_by_id)):
+            store.type_index.column(type_id)
+        column_bytes[codec] = store.stats.column_bytes
+    assert column_bytes["raw"] >= 4 * column_bytes["succinct"] > 0, column_bytes

@@ -11,6 +11,10 @@ Two byte-identity families (see ``tests/conftest.py``):
   backend (``mode="sql"`` on a ``virtualDoc`` source) must agree the
   same way — same hierarchy, so no duplication discipline applies.
 
+A third family is the *codec arm*: the same strategies over stored and
+virtual sources must answer the same bytes whether the type columns under
+them are raw tuples or succinct (Elias-Fano) encodings.
+
 Failures print the generator seed and the query.
 """
 
@@ -20,10 +24,13 @@ import pytest
 
 from repro.dataguide.build import build_dataguide
 from repro.query.engine import Engine
+from repro.workloads import queries as Q
+from repro.workloads.books import books_document
+from repro.workloads.dblplike import dblp_document
 from repro.workloads.querygen import random_queries
 from repro.workloads.treegen import random_document, random_spec
 
-from tests.conftest import EXACT_STRATEGIES
+from tests.conftest import EXACT_STRATEGIES, succinct_columns_queried
 
 SEEDS = range(30)
 GENERATED_PER_SEED = 12
@@ -118,3 +125,75 @@ def test_virtual_and_sql_backends_agree_on_virtual_queries(
     # Sanity: the gate declines a minority of random views; the suite
     # must cover the accel path, not just the fallback.
     assert gate_fallbacks < len(list(SEEDS)) // 2
+
+
+#: (document, stored templates, views) for the codec arm.  The random
+#: documents above rarely give a type the 8 rows ``packable()`` asks for,
+#: so on them both arms would be raw; these have dozens of rows per type.
+CODEC_CASES = [
+    (
+        lambda: books_document(24, seed=5),
+        [
+            '{source}//book[author/name >= "T"]/title',
+            '{source}//book/author[name >= "M"]',
+            "{source}//book/descendant::name",
+            "{source}/data/book[2]/author/name",
+            "{source}//author/preceding-sibling::title",
+            "{source}//location/text()",
+            "count({source}//author)",
+            "sum({source}//book/title)",
+        ],
+        [Q.BOOKS_INVERT, Q.BOOKS_CASE2],
+    ),
+    (
+        lambda: dblp_document(40, seed=5),
+        [
+            "{source}//article[year >= 2005]/title",
+            "{source}//inproceedings/descendant::*",
+            "{source}//author/following-sibling::title",
+            "{source}//article/@key",
+            "count({source}//inproceedings/author)",
+        ],
+        [Q.DBLP_BY_AUTHOR],
+    ),
+]
+
+
+def test_succinct_columns_answer_byte_identically_to_raw(each_codec):
+    answers: dict = {}
+    for codec in each_codec():
+        arms = answers[codec] = {}
+        encoded = 0
+        for build, stored, views in CODEC_CASES:
+            document = build()
+            engine = Engine()
+            engine.load(document.uri, document)
+            cells = [
+                (Q.instantiate(template, Q.materialized_source(document.uri)), mode)
+                for template in stored
+                for mode in EXACT_STRATEGIES
+            ] + [
+                (
+                    Q.instantiate(
+                        template, Q.virtual_source(document.uri, view.spec)
+                    ),
+                    mode,
+                )
+                for view in views
+                for template in view.queries.values()
+                for mode in (None, "sql")
+            ]
+            for text, mode in cells:
+                result = engine.execute(text, mode=mode)
+                assert len(result), (text, mode)  # no vacuous agreement
+                arms[text, mode] = (result.to_xml(), result.values())
+            encoded += succinct_columns_queried(engine.store(document.uri))
+        # The arm is real: the queries themselves ran over encoded columns
+        # under ``succinct`` and over none under ``raw``.
+        assert (encoded > 0) == (codec == "succinct"), (codec, encoded)
+    problems = [
+        f"codec=succinct disagrees with codec=raw: query={text!r} mode={mode}"
+        for (text, mode), payload in answers["raw"].items()
+        if answers["succinct"][text, mode] != payload
+    ]
+    assert not problems, "\n".join(problems[:20])

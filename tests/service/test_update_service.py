@@ -49,6 +49,7 @@ def test_update_unknown_uri(service):
 def test_untouched_view_is_retained_touched_view_is_evicted(service):
     service.warm("book.xml", "title { author }")
     built = service.metrics.counter("engine.views_built")
+    extant = set(service.store("book.xml")._node_by_key)
 
     # memo types are unrelated to title/author: the view must survive.
     service.update(
@@ -70,6 +71,8 @@ def test_untouched_view_is_retained_touched_view_is_evicted(service):
         'count(virtualDoc("book.xml", "title { author }")//title)'
     ).values() == ["9"]
     assert service.metrics.counter("engine.views_built") == built + 1
+    # Neither insert renumbered a node that was already there.
+    assert extant < set(service.store("book.xml")._node_by_key)
 
 
 def test_ancestor_touch_evicts_descendant_view(service):

@@ -10,7 +10,8 @@ comparison isolates exactly the partition/specialize/merge machinery.
 Queries come from fixed templates plus the seeded random generator
 (:mod:`repro.workloads.querygen`); the shared ``strategies_agree`` helper
 additionally pins the three exact strategies to byte-identical answers
-*through the sharded path itself*.
+*through the sharded path itself*.  A codec arm repeats the scatter over a
+2-shard collection under raw and under succinct type columns.
 """
 
 from __future__ import annotations
@@ -19,10 +20,16 @@ import pytest
 
 from repro.dataguide.build import build_dataguide
 from repro.shard import ShardedService
+from repro.workloads import queries as Q
+from repro.workloads.books import books_document
 from repro.workloads.querygen import random_queries
 from repro.workloads.treegen import random_document, random_spec
 
-from tests.conftest import ALL_STRATEGIES, EXACT_STRATEGIES
+from tests.conftest import (
+    ALL_STRATEGIES,
+    EXACT_STRATEGIES,
+    succinct_columns_queried,
+)
 
 SEEDS = range(14)
 SHARDS = 4
@@ -163,3 +170,38 @@ def test_whole_collection_union_is_byte_identical(services):
         b = single.execute(query, mode=_mode(strategy))
         assert a.to_xml() == b.to_xml(), f"collection union differs ({strategy})"
         assert a.values() == b.values()
+
+
+def test_scatter_is_byte_identical_under_raw_and_succinct_columns(each_codec):
+    # books documents, not the random ones above: those rarely give a type
+    # the 8 rows ``packable()`` asks for, so both arms would be raw.
+    uris = [f"doc{i}.xml" for i in range(4)]  # hash onto both shards
+    spec = Q.BOOKS_INVERT.spec
+    stored = [
+        " | ".join(f'doc("{uri}")//title' for uri in uris),
+        " | ".join(f'doc("{uri}")//book/author[name >= "M"]' for uri in uris),
+        "count(" + " | ".join(f'doc("{uri}")//*' for uri in uris) + ")",
+    ]
+    virtual = " | ".join(
+        f"{Q.virtual_source(uri, spec)}//title/author" for uri in uris
+    )
+    cells = [(query, mode) for query in stored for mode in EXACT_STRATEGIES]
+    cells.append((virtual, None))
+    answers = {}
+    for codec in each_codec():
+        service = ShardedService(shards=2, pool_size=1)
+        try:
+            for index, uri in enumerate(uris):
+                service.load(uri, books_document(16, seed=200 + index, uri=uri))
+            arms = answers[codec] = {}
+            for query, mode in cells:
+                result = service.execute(query, mode=mode)
+                assert len(result.shards) == 2, query  # a real scatter
+                arms[query, mode] = (result.to_xml(), result.values())
+            encoded = sum(
+                succinct_columns_queried(service.store(uri)) for uri in uris
+            )
+        finally:
+            service.close()
+        assert (encoded > 0) == (codec == "succinct"), (codec, encoded)
+    assert answers["succinct"] == answers["raw"]
