@@ -218,7 +218,7 @@ class VirtualDocument:
             with self._memo_lock:
                 entry = self._rows.get(original)
                 if entry is None:
-                    keys = self._type_index.postings(self._type_id(original))
+                    keys = self.postings(original)
                     # A store-less view reaches here only for a type
                     # without instances; its walk filled the rest.
                     nodes = list(map(self.store.node_by_components, keys)) if keys else []
@@ -248,16 +248,44 @@ class VirtualDocument:
         low, high = _prefix_bounds(keys, prefix)
         return nodes[low:high]
 
-    def column(self, original: GuideType) -> Optional[tuple[Column, list[Node]]]:
+    def column(self, original: GuideType) -> Optional[Column]:
         """The type index's key column for the type (lazy there; built
         through the codec registry, so stable integer keys come back
-        bit-packed while careted rational keys stay a raw tuple view)
-        plus the row-aligned node list.  ``None`` for a type with no
-        instances."""
-        column = self._type_index.column(self._type_id(original))
-        if column is None:
-            return None
-        return column, self.rows(original)[1]
+        bit-packed while careted rational keys stay a raw tuple view), or
+        ``None`` for a type with no instances.  Row ``i`` is
+        ``rows(original)[1][i]``; asking for the column resolves no node."""
+        return self._type_index.column(self._type_id(original))
+
+    def postings(self, original: GuideType) -> Sequence[tuple[int, ...]]:
+        """The type's keys in document order — the type index's own
+        posting list, read-only, no node resolved."""
+        return self._type_index.postings(self._type_id(original))
+
+    def nodes_in(self, original: GuideType, column: Column, bounds, keys=None) -> list[Node]:
+        """The type's nodes in the row runs ``bounds`` of its column
+        (``keys``: the runs' keys, when the caller has decoded them).
+        Read off the type's node list once that exists; until then a
+        request for under a quarter of the type resolves just its own
+        rows by key, and a larger one builds the list it would mostly pay
+        for anyway — so a view built after an update resolves the rows it
+        returns, and a warm view slices."""
+        entry = self._rows.get(original)
+        if entry is None:
+            if 4 * sum(high - low for low, high in bounds) < len(column):
+                if keys is None:
+                    keys = column.key_runs(bounds)
+                return self.nodes_of(original, keys)
+            entry = self.rows(original)
+        nodes = entry[1]
+        return [node for low, high in bounds for node in nodes[low:high]]
+
+    def nodes_of(self, original: GuideType, keys: Sequence[tuple[int, ...]]) -> list[Node]:
+        """The type's nodes numbered ``keys`` — what a step that filtered
+        on keys resolves, without building the type's whole node list."""
+        if self.store is not None:
+            return list(map(self.store.node_by_components, keys))
+        all_keys, nodes = self.rows(original)
+        return [nodes[bisect_left(all_keys, key)] for key in keys]
 
     def reachable_column(self, vtype: VType) -> Optional[tuple[Column, list[Node]]]:
         """Like :meth:`column` but over the *reachable* instances of one
@@ -272,7 +300,8 @@ class VirtualDocument:
                 entry = self._reachable_columns.get(vtype)
                 if entry is None:
                     if len(nodes) == len(self.rows(vtype.original)[1]):
-                        entry = self.column(vtype.original)  # nothing orphaned
+                        # nothing orphaned: the type's own column
+                        entry = (self.column(vtype.original), nodes)
                     else:
                         column = build_column(
                             [node.pbn.components for node in nodes]

@@ -61,6 +61,9 @@ class Evaluator:
         self._tree_nav = TreeNavigator()
         self._virtual_nav = VirtualNavigator(engine.stats, metrics=engine.metrics)
         self._last_kernel = "scalar"
+        #: Why the CAS kernel left the last scalar step to the per-item
+        #: loop (``None`` when it was not asked).
+        self._last_decline: Optional[str] = None
         #: Optional :class:`~repro.query.budget.CostMeter`; when set, the
         #: step seam charges context and result items against it and the
         #: query aborts with ``QueryBudgetExceeded`` past the limit.
@@ -198,6 +201,8 @@ class Evaluator:
             step_span.set("kernel", self._last_kernel)
             if step.predicates:
                 step_span.add("predicates", len(step.predicates))
+                if self._last_kernel == "scalar" and self._last_decline:
+                    step_span.set("reason", self._last_decline)
         if meter is not None:
             meter.charge_rows(len(out))
         return out
@@ -214,10 +219,11 @@ class Evaluator:
             if handled is not None:
                 self._last_kernel = self.backend.kernel
                 return handled
+        declined = None
         if self.use_batch_kernels and items:
             if not step.predicates:
                 batched = self._step_many(items, step.axis, step.test)
-                if batched is not None:
+                if not isinstance(batched, str):
                     # Batch kernels return the step's final form directly:
                     # deduplicated, document order.
                     self._last_kernel = "columnar"
@@ -225,13 +231,17 @@ class Evaluator:
             else:
                 batched = self._step_many_cas(items, step)
                 metrics = self.engine.metrics
-                if batched is not None:
+                if not isinstance(batched, str):
                     if metrics is not None:
                         metrics.incr("engine.cas", labels={"result": "hit"})
                     self._last_kernel = "cas"
                     return batched
+                declined = batched
                 if metrics is not None:
-                    metrics.incr("engine.cas", labels={"result": "decline"})
+                    metrics.incr(
+                        "engine.cas",
+                        labels={"result": "decline", "reason": declined},
+                    )
         out: list = []
         for item in items:
             if not is_node(item):
@@ -247,6 +257,7 @@ class Evaluator:
         # Set last (not first): predicate evaluation recurses into nested
         # steps, and those must not leave their kernel tag on this span.
         self._last_kernel = "scalar"
+        self._last_decline = declined
         # ... but the step's result is always document order, deduplicated.
         if len(items) == 1:
             # Navigators return axis-ordered, duplicate-free results for a
@@ -256,105 +267,121 @@ class Evaluator:
             return out
         return self.document_order(out)
 
-    def _step_many(self, items: list, axis: str, test: ast.NodeTest):
-        """Route a whole context set to one navigator's batch kernel, or
-        return ``None`` when the set is heterogeneous (mixed containers,
-        atomics, document items) or no kernel covers the axis."""
+    def _step_many(self, items: list, axis: str, test: ast.NodeTest, keep=None):
+        """Route a whole context set to one navigator's batch kernel.
+        Returns the step's final form, or — a ``str`` — the reason no
+        kernel took it: the set is heterogeneous (mixed containers,
+        atomics, document items), the stored strategy is not ``indexed``,
+        the view's order is not key-linearizable, or no kernel covers the
+        axis.  ``keep`` rides along to the key-filtering kernels."""
         first = items[0]
         if isinstance(first, VNode):
             vdoc = first._vdoc
-            if vdoc is not None and all(
+            if vdoc is None or not all(
                 isinstance(item, VNode) and item._vdoc is vdoc for item in items
             ):
-                return self._virtual_nav.step_many(items, axis, test)
-            return None
-        if (
-            self.mode == "indexed"
-            and isinstance(first, Node)
-            and not isinstance(first, Document)
-        ):
-            store = self.engine.store_of(first)
-            if store is None:
-                return None
-            for item in items:
-                if (
-                    not isinstance(item, Node)
-                    or isinstance(item, Document)
-                    or self.engine.store_of(item) is not store
-                ):
-                    return None
-            return self.engine.indexed_navigator(store).step_many(items, axis, test)
-        return None
+                return "heterogeneous-context"
+            navigator = self._virtual_nav
+            out = navigator.step_many(items, axis, test, keep)
+            if out is not None:
+                return out
+            if navigator._order_key_fn(vdoc) is None:
+                return "non-linearizable-view"
+            return "axis"
+        if not isinstance(first, Node) or isinstance(first, Document):
+            return "heterogeneous-context"
+        if self.mode != "indexed":
+            return "mode"
+        store = self.engine.store_of(first)
+        if store is None:
+            return "heterogeneous-context"
+        for item in items:
+            if (
+                not isinstance(item, Node)
+                or isinstance(item, Document)
+                or self.engine.store_of(item) is not store
+            ):
+                return "heterogeneous-context"
+        out = self.engine.indexed_navigator(store).step_many(items, axis, test, keep)
+        return "axis" if out is None else out
 
     def _step_many_cas(self, items: list, step: ast.Step):
-        """Batch a predicate-bearing step through the CAS index: run the
-        structural kernel for the axis, then filter its candidates with
-        value range scans instead of one predicate evaluation per
-        (candidate, context) pair.
+        """Batch a predicate-bearing step through the CAS index: compile
+        the predicates to a key filter, then run the structural kernel
+        for the axis with the filter riding along, so candidates are
+        dropped by key — before a node or a virtual node exists for them
+        — instead of one predicate evaluation per (candidate, context)
+        pair.  Returns the step's final form or, as a ``str``, the reason
+        for declining (the scalar loop then defines the semantics).
 
         Sound only when *every* predicate compiles to a single value
         comparison (:func:`~repro.query.joins.compile_value_predicate`):
         those are boolean and focus-free, so filtering commutes with the
         kernels' dedup + document ordering and chaining is intersection.
-        Returns ``None`` — scalar defines the semantics — for
-        non-compilable predicates, for contexts the structural kernels
-        themselves decline (heterogeneous sets, non-linearizable recursive
-        views, non-indexed stored modes), and for document candidates
-        (their string values live outside any type's columns).
+        Declines: ``predicate-shape`` (a predicate does not compile),
+        whatever the structural kernels decline (``heterogeneous-context``,
+        ``mode``, ``non-linearizable-view``, ``axis``), and
+        ``document-candidate`` (a document among the candidates: its
+        string value lives outside any type's columns).
         """
-        from repro.query.joins import compile_value_predicate
+        from repro.query.joins import KEYS_FIRST_AXES, compile_value_predicate
+        from repro.storage.cas_index import stored_key_filter, virtual_key_filter
 
-        compiled = []
+        preds = []
         for predicate in step.predicates:
             pred = compile_value_predicate(predicate)
             if pred is None:
-                return None
-            compiled.append(pred)
-        if len(items) == 1 and isinstance(items[0], (Document, VirtualDocItem)):
-            # `//price[. < 10]` shapes: a lone document item context.  The
-            # batch kernels don't cover it, but the per-item step for one
-            # forward-axis context already *is* the step's final form, so
-            # only the per-candidate predicate loop is left to beat.
-            if step.axis not in ("child", "descendant", "descendant-or-self"):
-                return None
-            if isinstance(items[0], Document) and self.mode != "indexed":
-                return None
-            candidates = self._step(items[0], step.axis, step.test)
-        else:
-            candidates = self._step_many(items, step.axis, step.test)
-        if not candidates:  # declined (None) or nothing to filter ([])
-            return candidates
-        first = candidates[0]
-        if isinstance(first, VNode):
-            from repro.storage.cas_index import virtual_value_matcher
-
-            vdoc = first._vdoc
+                return "predicate-shape"
+            preds.append(pred)
+        axis, test = step.axis, step.test
+        first = items[0]
+        if isinstance(first, (VNode, VirtualDocItem)):
+            vdoc = first.vdoc if isinstance(first, VirtualDocItem) else first._vdoc
             if vdoc is None:
-                return None
-            matchers = [
-                virtual_value_matcher(vdoc, pred, self._virtual_nav._vtype_matches)
-                for pred in compiled
-            ]
-        else:
-            # parent/ancestor kernels prepend the document for node()
-            # tests; no CAS column covers the document's string value.
-            if any(isinstance(candidate, Document) for candidate in candidates):
-                return None
-            from repro.storage.cas_index import stored_value_matcher
-
+                return "heterogeneous-context"
+            navigator = self._virtual_nav
+            if (
+                isinstance(first, VirtualDocItem)
+                and navigator._order_key_fn(vdoc) is None
+            ):
+                # Filtering before the sort is sound only where virtual
+                # order is a key order (see VirtualNavigator.step_many).
+                return "non-linearizable-view"
+            keep = virtual_key_filter(vdoc, preds, navigator._vtype_matches)
+            type_of = _vtype_of
+        elif isinstance(first, Node):
+            if self.mode != "indexed":
+                return "mode"
             store = self.engine.store_of(first)
             if store is None:
-                return None
-            type_matches = self.engine.indexed_navigator(store)._type_matches
-            matchers = [
-                stored_value_matcher(store, pred, type_matches)
-                for pred in compiled
-            ]
-        for matcher in matchers:
-            candidates = [c for c in candidates if matcher(c)]
-            if not candidates:
-                break
-        return candidates
+                return "heterogeneous-context"
+            navigator = self.engine.indexed_navigator(store)
+            keep = stored_key_filter(store, preds, navigator._type_matches)
+            type_of = store.type_of
+        else:
+            return "heterogeneous-context"
+        if len(items) == 1 and isinstance(first, (Document, VirtualDocItem)):
+            # `//price[. < 10]` shapes: a lone document item context.  The
+            # batch kernels don't cover it, but the per-item step for one
+            # forward-axis context already *is* the step's final form.
+            if axis not in ("child", "descendant") and (
+                axis != "descendant-or-self" or test.kind == "node"
+            ):
+                return "document-candidate"
+            return navigator.step(first, axis, test, keep)
+        if axis in KEYS_FIRST_AXES:
+            return self._step_many(items, axis, test, keep)
+        candidates = self._step_many(items, axis, test)
+        if isinstance(candidates, str):
+            return candidates
+        # parent/ancestor kernels prepend the document for node() tests.
+        if candidates and isinstance(candidates[0], Document):
+            return "document-candidate"
+        return [
+            candidate
+            for candidate in candidates
+            if keep.accepts(type_of(candidate))(_key_of(candidate))
+        ]
 
     def _apply_aggregate_step(
         self, items: list, step: ast.Step, context: Context, name: str
@@ -760,6 +787,15 @@ def _append_text(element: Element, text: str) -> None:
         children[-1].value = children[-1].value + text  # type: ignore[attr-defined]
     else:
         element.append(Text(text))
+
+
+def _vtype_of(vnode: VNode):
+    return vnode.vtype
+
+
+def _key_of(item) -> tuple:
+    """The PBN components of a stored or virtual node item."""
+    return (item.node if isinstance(item, VNode) else item).pbn.components
 
 
 def _identity(item: Any):

@@ -61,24 +61,27 @@ class IndexedNavigator:
 
     # -- step dispatch ------------------------------------------------------------
 
-    def step(self, node: Node, axis: str, test: NodeTest) -> list[Node]:
-        """Nodes on ``axis`` of ``node`` satisfying ``test``, in axis order."""
+    def step(self, node: Node, axis: str, test: NodeTest, keep=None) -> list[Node]:
+        """Nodes on ``axis`` of ``node`` satisfying ``test``, in axis order.
+        ``keep`` (a :class:`~repro.storage.cas_index.KeyFilter`, document
+        contexts only) drops candidates by key before their nodes are
+        resolved."""
         if self.metrics is not None:
             self.metrics.incr("navigator.indexed.steps")
         span_add("steps.indexed")
         if isinstance(node, Document):
-            return self._document_step(axis, test)
+            return self._document_step(axis, test, keep)
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         return handler(node, test)
 
-    def _document_step(self, axis: str, test: NodeTest) -> list[Node]:
+    def _document_step(self, axis: str, test: NodeTest, keep=None) -> list[Node]:
         guide = self.store.guide
         if axis == "child":
             types = self._matching_types(guide.roots, test, axis)
-            return self._collect_postings(types, prefix=())
+            return self._collect_postings(types, (), keep)
         if axis in ("descendant", "descendant-or-self"):
             types = self._matching_types(guide.iter_types(), test, axis)
-            found = self._collect_postings(types, prefix=())
+            found = self._collect_postings(types, (), keep)
             if axis == "descendant-or-self" and test.kind == "node":
                 return [self.store.document, *found]
             return found
@@ -87,15 +90,15 @@ class IndexedNavigator:
         return []
 
     def _collect_postings(
-        self, types: list[GuideType], prefix: tuple[int, ...]
+        self, types: list[GuideType], prefix: tuple[int, ...], keep=None
     ) -> list[Node]:
-        """Merge the prefix ranges of several types into document order."""
+        """Merge the prefix ranges of several types into document order
+        (rows ``keep`` rejects never reach the merge)."""
         store = self.store
         keys: list[tuple[int, ...]] = []
         for guide_type in types:
-            keys.extend(
-                store.type_index.raw_prefix_range(store.type_id(guide_type), prefix)
-            )
+            run = store.type_index.raw_prefix_range(store.type_id(guide_type), prefix)
+            keys.extend(run if keep is None else filter(keep.accepts(guide_type), run))
         keys.sort()
         return [store.node_by_components(key) for key in keys]
 
@@ -208,18 +211,26 @@ class IndexedNavigator:
 
     # -- batch (columnar) kernels --------------------------------------------------
 
-    def step_many(self, nodes: list[Node], axis: str, test: NodeTest):
+    def step_many(self, nodes: list[Node], axis: str, test: NodeTest, keep=None):
         """Evaluate a predicate-free step over a whole context set (all
         element/attribute/text nodes of this store) in one pass with the
         columnar merge-join kernels over the type index.
 
         Returns the step's *final* result — deduplicated, document order —
         or ``None`` when no kernel covers the axis (the evaluator falls
-        back to the per-item path)."""
+        back to the per-item path).
+
+        ``keep`` (a :class:`~repro.storage.cas_index.KeyFilter`; child,
+        attribute and descendant axes only) is the step's value
+        predicates as a key test: rows it rejects are dropped before a
+        node is resolved for them."""
         handler = self._BATCH_AXES.get(axis)
-        if handler is None:
+        if handler is None or (keep is not None and axis not in joins.KEYS_FIRST_AXES):
             return None
-        out = handler(self, nodes, test, axis)
+        if keep is None:
+            out = handler(self, nodes, test, axis)
+        else:
+            out = handler(self, nodes, test, axis, keep)
         if out is None:
             return None
         if self.metrics is not None:
@@ -242,9 +253,12 @@ class IndexedNavigator:
                 entry[1].append(node.pbn.components)
         return [(guide_type, sorted(keys)) for guide_type, keys in groups.values()]
 
-    def _scan_runs(self, guide_type: GuideType, prefixes: list[tuple]) -> list[tuple]:
+    def _scan_runs(
+        self, guide_type: GuideType, prefixes: list[tuple], keep=None
+    ) -> list[tuple]:
         """Keys of ``guide_type`` under any of the (sorted, equal-width,
-        distinct) prefixes — one moving-cursor pass over the type's column."""
+        distinct) prefixes that pass ``keep`` — one moving-cursor pass
+        over the type's column."""
         stats = self.store.stats
         column = self._column_of(guide_type)
         if column is None:
@@ -256,17 +270,20 @@ class IndexedNavigator:
         span_add("index.range_scans", scans)
         # Bulk-decode all runs in one pass: encoded columns amortize the
         # bucket walk across the batch instead of paying it per tiny slice.
-        return column.key_runs(bounds)
+        keys = column.key_runs(bounds)
+        if keep is None:
+            return keys
+        return list(filter(keep.accepts(guide_type), keys))
 
-    def _batch_child_like(self, nodes, test, axis):
+    def _batch_child_like(self, nodes, test, axis, keep=None):
         keys: list[tuple] = []
         for guide_type, ctx_keys in self._by_guide_type(nodes):
             for child_type in self._matching_types(guide_type.children, test, axis):
-                keys.extend(self._scan_runs(child_type, ctx_keys))
+                keys.extend(self._scan_runs(child_type, ctx_keys, keep))
         keys.sort()  # child ranges of distinct parents are disjoint: no dedup
         return [self.store.node_by_components(key) for key in keys]
 
-    def _batch_descendant(self, nodes, test, axis):
+    def _batch_descendant(self, nodes, test, axis, keep=None):
         # Context subtrees can nest across groups, so collect into a set.
         keys: set[tuple] = set()
         for guide_type, ctx_keys in self._by_guide_type(nodes):
@@ -274,12 +291,16 @@ class IndexedNavigator:
                 t for t in guide_type.iter_subtree() if t is not guide_type
             ]
             for desc_type in self._matching_types(descendant_types, test, "descendant"):
-                keys.update(self._scan_runs(desc_type, ctx_keys))
+                keys.update(self._scan_runs(desc_type, ctx_keys, keep))
         if axis == "descendant-or-self":
             keys.update(
                 node.pbn.components
                 for node in nodes
                 if matches_test(node.kind, node.name, test, axis)
+                and (
+                    keep is None
+                    or keep.accepts(self.store.type_of(node))(node.pbn.components)
+                )
             )
         return [self.store.node_by_components(key) for key in sorted(keys)]
 

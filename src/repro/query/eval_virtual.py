@@ -40,8 +40,6 @@ def _components_of(vnode: VNode) -> tuple:
     return vnode.node.pbn.components
 
 
-
-
 class VirtualNavigator:
     """Axis steps over virtual nodes and virtual document handles.
 
@@ -113,15 +111,10 @@ class VirtualNavigator:
             tree_level = (t.pbn.components[0], t.level - 1)
             if len(by_level[tree_level]) > 1:
                 return None
-            entry = vdoc.column(t.original)
-            if entry is None:
+            column = vdoc.column(t.original)
+            if column is None:
                 continue  # no instances: the token is never built
-            column = entry[0]
-            width = min_cut[id(t)]
-            keys = column.keys[:]  # one bulk decode, not two reads per row
-            if any(
-                a[:width] == b[:width] for a, b in zip(keys, keys[1:])
-            ):
+            if not column.distinct_prefixes(min_cut[id(t)]):
                 return None
             columns[id(t)] = column
 
@@ -185,14 +178,16 @@ class VirtualNavigator:
 
     # -- step dispatch -----------------------------------------------------------
 
-    def step(self, item, axis: str, test: NodeTest) -> list:
+    def step(self, item, axis: str, test: NodeTest, keep=None) -> list:
         """Items on ``axis`` of ``item`` satisfying ``test``, in axis order
-        (virtual document order; reversed for reverse axes)."""
+        (virtual document order; reversed for reverse axes).  ``keep`` (a
+        :class:`~repro.storage.cas_index.KeyFilter`, document items only)
+        drops candidates by key before their nodes are resolved."""
         if self.metrics is not None:
             self.metrics.incr("navigator.virtual.steps")
         span_add("steps.virtual")
         if isinstance(item, VirtualDocItem):
-            return self._document_step(item.vdoc, axis, test)
+            return self._document_step(item.vdoc, axis, test, keep)
         assert isinstance(item, VNode)
         vdoc: VirtualDocument = item._vdoc  # attached by the evaluator
         if axis == "parent" and item.vtype.parent is None:
@@ -202,32 +197,59 @@ class VirtualNavigator:
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         return [attach_vdoc(found, vdoc) for found in handler(vdoc, item, test)]
 
-    def _document_step(self, vdoc: VirtualDocument, axis: str, test: NodeTest) -> list:
+    def _document_step(
+        self, vdoc: VirtualDocument, axis: str, test: NodeTest, keep=None
+    ) -> list:
+        instances = (
+            vdoc.reachable_instances
+            if keep is None
+            else lambda vtype: self._kept_instances(vdoc, vtype, keep)
+        )
         if axis == "child":
             found = [
                 vnode
                 for vtype in vdoc.vguide.roots
                 if self._vtype_matches(vtype, test, axis)
-                for vnode in vdoc.instances(vtype)
+                for vnode in instances(vtype)
             ]
         elif axis in ("descendant", "descendant-or-self"):
-            found = [
-                vnode
+            runs = [
+                instances(vtype)
                 for vtype in vdoc.vguide.iter_vtypes()
                 if self._vtype_matches(vtype, test, axis)
-                for vnode in vdoc.reachable_instances(vtype)
             ]
-            found = self._sort(found)
+            if len(runs) == 1:
+                # One type's instances: distinct, and already in virtual
+                # document order (plain key order within a type).
+                found = runs[0]
+            else:
+                found = self._sort([vnode for run in runs for vnode in run])
             if axis == "descendant-or-self" and test.kind == "node":
-                return [
-                    VirtualDocItem(vdoc),
-                    *(attach_vdoc(vnode, vdoc) for vnode in found),
-                ]
+                return [VirtualDocItem(vdoc), *found]
         elif axis == "self" and test.kind == "node":
             return [VirtualDocItem(vdoc)]
         else:
             return []
-        return [attach_vdoc(vnode, vdoc) for vnode in found]
+        return found  # instances come tagged with their view
+
+    def _kept_instances(self, vdoc: VirtualDocument, vtype: VType, keep) -> list[VNode]:
+        """The reachable instances of ``vtype`` whose keys pass ``keep``,
+        in document order.  Every instance of a root type is reachable,
+        so its posting list is filtered as it stands and only the
+        survivors' nodes are resolved."""
+        accepts = keep.accepts(vtype)
+        if vtype.parent is None:
+            keys = [key for key in vdoc.postings(vtype.original) if accepts(key)]
+            nodes = vdoc.nodes_of(vtype.original, keys)
+        else:
+            entry = vdoc.reachable_column(vtype)
+            if entry is None:
+                return []
+            column, nodes = entry
+            nodes = [
+                node for key, node in zip(column.keys[:], nodes) if accepts(key)
+            ]
+        return [VNode(vtype, node, vdoc) for node in nodes]
 
     def _sort(self, vnodes: list[VNode]) -> list[VNode]:
         """Virtual document order with duplicate elimination."""
@@ -403,7 +425,7 @@ class VirtualNavigator:
 
     # -- batch (columnar) kernels --------------------------------------------------
 
-    def step_many(self, vnodes: list, axis: str, test: NodeTest):
+    def step_many(self, vnodes: list, axis: str, test: NodeTest, keep=None):
         """Evaluate a predicate-free step over a whole context set of
         :class:`VNode` items (same virtual document) in one pass with the
         columnar merge-join kernels.
@@ -412,9 +434,14 @@ class VirtualNavigator:
         document order, exactly what the evaluator's per-item loop plus
         ``document_order`` would produce — or ``None`` when no kernel
         covers the axis (the caller falls back to the scalar path).
+
+        ``keep`` (a :class:`~repro.storage.cas_index.KeyFilter`; child,
+        attribute and descendant axes only) is the step's value
+        predicates as a key test: rows it rejects are dropped before a
+        node is resolved or a :class:`VNode` built for them.
         """
         handler = self._BATCH_AXES.get(axis)
-        if handler is None:
+        if handler is None or (keep is not None and axis not in joins.KEYS_FIRST_AXES):
             return None
         vdoc: VirtualDocument = vnodes[0]._vdoc
         if self._order_key_fn(vdoc) is None:
@@ -424,13 +451,26 @@ class VirtualNavigator:
             # algorithms can pick different linearizations of the same
             # set.  Decline, and let the scalar path define the order.
             return None
-        out = handler(self, vdoc, vnodes, test, axis)
+        if keep is None:
+            out = handler(self, vdoc, vnodes, test, axis)
+        else:
+            out = handler(self, vdoc, vnodes, test, axis, keep)
         if out is None:
             return None
         if self.metrics is not None:
             self.metrics.incr("navigator.virtual.steps", len(vnodes))
         span_add("steps.virtual", len(vnodes))
         return out
+
+    def _run_rows(self, vdoc, vtype: VType, column, bounds, keep):
+        """``(keys, nodes)`` of the rows in ``bounds`` — with a key filter
+        the keys are tested first and only survivors resolve a node."""
+        keys = column.key_runs(bounds)  # one bulk decode
+        if keep is None:
+            return keys, vdoc.nodes_in(vtype.original, column, bounds, keys)
+        accepts = keep.accepts(vtype)
+        keys = [key for key in keys if accepts(key)]
+        return keys, vdoc.nodes_of(vtype.original, keys)
 
     def _grouped(self, vnodes: list) -> list[tuple[VType, list[tuple], list]]:
         """Context nodes grouped by virtual type: ``(vtype, keys, vnodes)``
@@ -449,7 +489,7 @@ class VirtualNavigator:
                 entry[2].append(vnode)
         return list(groups.values())
 
-    def _batch_child_like(self, vdoc, vnodes, test, axis):
+    def _batch_child_like(self, vdoc, vnodes, test, axis, keep=None):
         single = len(vnodes) == 1
         triples: list = []
         found: list[VNode] = []
@@ -457,31 +497,35 @@ class VirtualNavigator:
             for position, child_vtype in enumerate(vtype.children):
                 if not self._vtype_matches(child_vtype, test, axis):
                     continue
-                entry = vdoc.column(child_vtype.original)
-                if entry is None:
+                column = vdoc.column(child_vtype.original)
+                if column is None:
                     self.stats.index_range_scans += 1
                     continue
-                column, nodes = entry
                 lca = child_vtype.lca_length
                 prefixes = sorted({key[:lca] for key in ctx_keys})
                 bounds, scans = joins.prefix_run_bounds(column, prefixes)
                 self.stats.index_range_scans += scans
                 if single:
                     group = 0 if child_vtype.is_attribute else 1
-                    run_keys = column.key_runs(bounds)  # one bulk decode
-                    run_nodes = []
-                    for low, high in bounds:
-                        run_nodes.extend(nodes[low:high])
+                    run_keys, run_nodes = self._run_rows(
+                        vdoc, child_vtype, column, bounds, keep
+                    )
                     triples.extend(
                         (group, key, position, VNode(child_vtype, node, vdoc))
                         for key, node in zip(run_keys, run_nodes)
                     )
                 else:
-                    for low, high in bounds:
-                        found.extend(
-                            VNode(child_vtype, node, vdoc)
-                            for node in nodes[low:high]
+                    if keep is None:  # no key is needed: none is decoded
+                        run_nodes = vdoc.nodes_in(
+                            child_vtype.original, column, bounds
                         )
+                    else:
+                        _, run_nodes = self._run_rows(
+                            vdoc, child_vtype, column, bounds, keep
+                        )
+                    found.extend(
+                        VNode(child_vtype, node, vdoc) for node in run_nodes
+                    )
         if single:
             # One context: virtual *sibling* order (attributes first, then
             # document order, then specification order) — mirrors
@@ -518,13 +562,17 @@ class VirtualNavigator:
         )
         return list(heapq.merge(*runs, key=order))
 
-    def _batch_descendant(self, vdoc, vnodes, test, axis):
+    def _batch_descendant(self, vdoc, vnodes, test, axis, keep=None):
         or_self = axis == "descendant-or-self"
         order_key = self._order_key_fn(vdoc)
         if order_key is not None:
-            found = self._descendant_by_key(vdoc, vnodes, test, or_self, order_key)
+            found = self._descendant_by_key(
+                vdoc, vnodes, test, or_self, order_key, keep
+            )
             if found is not None:
                 return found
+        if keep is not None:
+            return None  # the guard path below keeps no keys to filter on
         # Accumulate per vtype (keyed by components, which also dedups
         # candidates reached through nested contexts) and merge at the end.
         buckets: dict[int, tuple[VType, dict[tuple, VNode]]] = {}
@@ -548,19 +596,17 @@ class VirtualNavigator:
                 for child_vtype in vtype.children:
                     if child_vtype.is_attribute:
                         continue
-                    entry = vdoc.column(child_vtype.original)
-                    if entry is None:
+                    column = vdoc.column(child_vtype.original)
+                    if column is None:
                         self.stats.index_range_scans += 1
                         continue
-                    column, nodes = entry
                     lca = child_vtype.lca_length
                     prefixes = sorted({key[:lca] for key in keys})
                     bounds, scans = joins.prefix_run_bounds(column, prefixes)
                     self.stats.index_range_scans += scans
-                    run_keys = column.key_runs(bounds)  # one bulk decode
-                    run_nodes: list = []
-                    for low, high in bounds:
-                        run_nodes.extend(nodes[low:high])
+                    run_keys, run_nodes = self._run_rows(
+                        vdoc, child_vtype, column, bounds, None
+                    )
                     if not run_keys:
                         continue
                     slot = next_frontier.get(id(child_vtype))
@@ -578,7 +624,7 @@ class VirtualNavigator:
             }
         return self._merge_vtype_runs(buckets)
 
-    def _descendant_by_key(self, vdoc, vnodes, test, or_self, order_key):
+    def _descendant_by_key(self, vdoc, vnodes, test, or_self, order_key, keep):
         """Descendant expansion with *incremental* order keys.
 
         A candidate's order key is its virtual parent's key plus one
@@ -601,7 +647,12 @@ class VirtualNavigator:
         out: dict[tuple, VNode] = {}
         if or_self:
             for vnode in vnodes:
-                if self._vtype_matches(vnode.vtype, test, "descendant-or-self"):
+                if self._vtype_matches(
+                    vnode.vtype, test, "descendant-or-self"
+                ) and (
+                    keep is None
+                    or keep.accepts(vnode.vtype)(vnode.node.pbn.components)
+                ):
                     out[order_key(vnode)] = vnode
         frontier: dict[int, tuple[VType, dict[tuple, tuple]]] = {}
         for vtype, keys, ctx_vnodes in self._grouped(vnodes):
@@ -615,11 +666,10 @@ class VirtualNavigator:
                 for child_vtype in vtype.children:
                     if child_vtype.is_attribute:
                         continue
-                    entry = vdoc.column(child_vtype.original)
-                    if entry is None:
+                    column = vdoc.column(child_vtype.original)
+                    if column is None:
                         self.stats.index_range_scans += 1
                         continue
-                    column, nodes = entry
                     lca = child_vtype.lca_length
                     prefix_map: dict[tuple, tuple] = {}
                     for key, okey in keymap.items():
@@ -630,6 +680,15 @@ class VirtualNavigator:
                         elif existing != okey:
                             return None
                     collect = self._vtype_matches(child_vtype, test, "descendant")
+                    # Collected rows: by position without a key filter,
+                    # by key — survivors only — with one.
+                    accepts = nodes = None
+                    if collect and keep is not None:
+                        accepts = keep.accepts(child_vtype)
+                    elif collect:
+                        nodes = vdoc.rows(child_vtype.original)[1]
+                    kept_okeys: list = []
+                    kept_keys: list = []
                     child_order = child_vtype.pbn.components
                     slot = next_frontier.get(id(child_vtype))
                     if slot is None:
@@ -648,10 +707,17 @@ class VirtualNavigator:
                             pos += 1
                             okey = parent_okey + ((1, comps, child_order),)
                             child_map[comps] = okey
-                            if collect:
+                            if nodes is not None:
                                 out[okey] = VNode(
                                     child_vtype, nodes[low + offset], vdoc
                                 )
+                            elif accepts is not None and accepts(comps):
+                                kept_okeys.append(okey)
+                                kept_keys.append(comps)
+                    for okey, node in zip(
+                        kept_okeys, vdoc.nodes_of(child_vtype.original, kept_keys)
+                    ):
+                        out[okey] = VNode(child_vtype, node, vdoc)
                     self.stats.index_range_scans += scans
             frontier = next_frontier
         return [out[okey] for okey in sorted(out)]
@@ -755,11 +821,11 @@ class VirtualNavigator:
                         cand_vtype, test, "sibling"
                     ):
                         continue
-                    entry = vdoc.column(cand_vtype.original)
+                    column = vdoc.column(cand_vtype.original)
                     self.stats.index_range_scans += 1
-                    if entry is None:
+                    if column is None:
                         continue
-                    column, nodes = entry
+                    nodes = vdoc.rows(cand_vtype.original)[1]
                     stats.comparisons += 1
                     if cand_vtype is vnode.vtype:
                         if preceding:
@@ -792,11 +858,11 @@ class VirtualNavigator:
                         continue
                     if sibling_vtype.is_attribute:
                         continue  # can never satisfy the sibling predicates
-                    entry = vdoc.column(sibling_vtype.original)
+                    column = vdoc.column(sibling_vtype.original)
                     self.stats.index_range_scans += 1
-                    if entry is None:
+                    if column is None:
                         continue
-                    column, nodes = entry
+                    nodes = vdoc.rows(sibling_vtype.original)[1]
                     low, high = column.prefix_bounds(
                         parent_key[: sibling_vtype.lca_length]
                     )
@@ -865,11 +931,10 @@ class VirtualNavigator:
             for child_vtype in vtype.children:
                 if not self._vtype_matches(child_vtype, test, axis):
                     continue
-                entry = vdoc.column(child_vtype.original)
-                if entry is None:
+                column = vdoc.column(child_vtype.original)
+                if column is None:
                     self.stats.index_range_scans += 1
                     continue
-                column, _nodes = entry
                 lca = child_vtype.lca_length
                 prefixes = sorted({key[:lca] for key in ctx_keys})
                 bounds, scans = joins.prefix_run_bounds(column, prefixes)

@@ -175,6 +175,13 @@ def aligned_limit(candidate: VType, reference: VType) -> int:
 # value-predicate compilation (the content half of the CAS kernel)
 # ---------------------------------------------------------------------------
 
+#: Axes whose batch kernels (both navigators') take a key filter: their
+#: candidates are column runs, so value predicates drop rows by key
+#: before any node is resolved.
+KEYS_FIRST_AXES = frozenset(
+    ("child", "attribute", "descendant", "descendant-or-self")
+)
+
 #: Comparison operators a CAS value range scan can answer (each maps to at
 #: most two contiguous runs over a value-sorted projection).
 _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
@@ -187,45 +194,65 @@ _FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 @dataclass(frozen=True)
 class ValuePredicate:
     """A compiled single-comparison value predicate, normalized so the node
-    value sits on the left: ``<target> <op> <constant>``.
+    value sits on the left: ``<path> <op> <constant>``, existential over
+    the nodes the path reaches below the candidate.
 
     :ivar op: one of :data:`_COMPARISONS`.
     :ivar constant: the literal's python value (``str``/``int``/``float``;
         never ``bool`` — :func:`compile_value_predicate` declines those).
-    :ivar axis: where the compared value lives relative to the candidate —
-        ``self`` (``. op c``) or the existential ``child`` / ``attribute``
-        forms (``child::t op c``: true iff *some* matching child compares).
-    :ivar test: the node test for ``child``/``attribute``; ``None`` for
-        ``self``.
+    :ivar axis: the first step below the candidate — ``child`` /
+        ``attribute`` / ``descendant`` — or ``self`` for ``. op c``, the
+        empty path.
+    :ivar test: the first step's node test; ``None`` for ``self``.
+    :ivar rest: the ``(axis, test)`` steps after the first.
     """
 
     op: str
     constant: object
-    axis: str
+    axis: str = "self"
     test: Optional[qast.NodeTest] = None
+    rest: tuple = ()
+
+    @property
+    def path(self) -> tuple:
+        """The whole relative path as ``(axis, test)`` steps, top down;
+        empty when the compared value is the candidate's own."""
+        if self.axis == "self":
+            return ()
+        return ((self.axis, self.test), *self.rest)
 
 
-def _comparison_target(expr: qast.Expr):
-    """The ``(axis, test)`` of the value side of a comparison, or ``None``
-    when it is not a CAS-indexable target.  Indexable targets are the
-    context item itself and single, predicate-free ``child``/``attribute``
-    steps — exactly the shapes whose values one type's CAS columns (or its
-    children's) cover."""
+#: Axes a predicate path may descend by (``descendant`` is what ``//``
+#: fuses to); every one resolves to a chain of types on the (v)DataGuide.
+_PATH_AXES = frozenset(("child", "attribute", "descendant"))
+
+
+def _comparison_path(expr: qast.Expr) -> Optional[tuple]:
+    """The value side of a comparison as ``(axis, test)`` steps below the
+    candidate, or ``None`` when it is not CAS-indexable.  Indexable: the
+    context item itself (the empty path) and downward relative paths of
+    predicate-free ``child`` / ``attribute`` / ``descendant`` steps with
+    name, ``text()`` or ``*`` tests — the shapes whose result is decided
+    by the types on the way down, so the leaf types' CAS columns cover
+    every compared value."""
     if isinstance(expr, qast.ContextItem):
-        return ("self", None)
-    if (
-        isinstance(expr, qast.PathExpr)
-        and expr.start is None
-        and len(expr.steps) == 1
+        return ()
+    if not isinstance(expr, qast.PathExpr) or not (
+        expr.start is None or isinstance(expr.start, qast.ContextItem)
     ):
-        step = expr.steps[0]
+        return None
+    from repro.query.eval import _fuse_descendant_steps
+
+    path = []
+    for step in _fuse_descendant_steps(expr.steps):
         if (
-            step.axis in ("child", "attribute")
-            and not step.predicates
-            and step.test.kind in ("name", "text", "wildcard")
+            step.axis not in _PATH_AXES
+            or step.predicates
+            or step.test.kind not in ("name", "text", "wildcard")
         ):
-            return (step.axis, step.test)
-    return None
+            return None
+        path.append((step.axis, step.test))
+    return tuple(path)
 
 
 def compile_value_predicate(expr: qast.Expr) -> Optional[ValuePredicate]:
@@ -233,24 +260,26 @@ def compile_value_predicate(expr: qast.Expr) -> Optional[ValuePredicate]:
     return ``None`` for anything the CAS kernel cannot answer (the caller
     then declines to the scalar loop, which defines the semantics).
 
-    Compilable: one comparison between an indexable target (see
-    :func:`_comparison_target`) and a string/number literal, either way
+    Compilable: one comparison between an indexable path (see
+    :func:`_comparison_path`) and a string/number literal, either way
     around.  Coercion is *not* decided here — the CAS columns replay
     ``_compare_pair``'s both-sides-numeric rule per value at scan time.
     """
     if not isinstance(expr, qast.BinaryOp) or expr.op not in _COMPARISONS:
         return None
     if isinstance(expr.right, qast.Literal):
-        target = _comparison_target(expr.left)
+        path = _comparison_path(expr.left)
         op, literal = expr.op, expr.right
     elif isinstance(expr.left, qast.Literal):
-        target = _comparison_target(expr.right)
+        path = _comparison_path(expr.right)
         op, literal = _FLIPPED[expr.op], expr.left
     else:
         return None
-    if target is None:
+    if path is None:
         return None
     value = literal.value
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         return None
-    return ValuePredicate(op, value, target[0], target[1])
+    if not path:
+        return ValuePredicate(op, value)
+    return ValuePredicate(op, value, *path[0], path[1:])

@@ -30,15 +30,23 @@ where "touched" for the CAS is strictly wider than for the type index,
 because a text replace changes every ancestor element's string value even
 though no posting list moves (see ``repro.updates.mutations._derive``).
 
-Virtual documents get their own per-``VType`` CAS columns (memoized on
-the vdoc like its other lazy indexes): a virtual element's string value
-is the text of its *virtual* subtree — the view can prune children — so
-the stored type's projections would be wrong for it.
+Virtual documents get per-``VType`` CAS columns: a virtual element's
+string value is the text of its *virtual* subtree — the view can prune
+children — so a vtype the view restructures has columns of its own
+(memoized on the vdoc like its other lazy indexes), while an *intact*
+vtype, whose values are the stored ones, borrows the store's by identity.
+
+The last section turns compiled predicates into *key filters*: a path
+predicate ``[a/b op c]`` is resolved on the (v)DataGuide, each leaf
+type's matched keys are taken once and projected up to the candidate
+type, and the navigators test candidate keys against the projection
+before any node is resolved.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from array import array
 from typing import Callable, Optional
 
@@ -171,7 +179,10 @@ class CasIndex:
     a filtered document does)."""
 
     def __init__(self, store) -> None:
-        self._store = store
+        # The store owns the index; a strong reference back would turn
+        # every retired store version into cyclic garbage that holds its
+        # maps until a full collection instead of dying with its last view.
+        self._store = weakref.proxy(store)
         self._columns: dict[int, Optional[CasColumns]] = {}
         self._lock = threading.Lock()
 
@@ -237,135 +248,212 @@ def virtual_cas_columns(vdoc, vtype) -> Optional[CasColumns]:
     of its instances (the transformed values, paper Section 6 — a pruned
     child's text must not leak into its parent's value).
 
-    The spine is ``vdoc.column(vtype.original)`` — the same shared
-    posting list the structural kernels scan.  Memoized on the vdoc under
-    its memo lock; updates publish fresh vdoc objects through view
-    revalidation, which is exactly the invalidation the other per-vdoc
-    lazy indexes rely on.
+    An *intact* vtype (:func:`repro.core.values.is_intact` — text and
+    attribute leaves included) of a view over a store has the stored
+    values on the store's own posting list, so it borrows the store's
+    :class:`CasColumns` object: nothing is rebuilt when an update evicts
+    the view, and the columns ride :meth:`CasIndex.derived` across
+    versions like any stored type's.  Every other vtype gets columns of
+    its own over the same spine, memoized on the vdoc under its memo
+    lock; updates publish fresh vdoc objects through view revalidation,
+    which is exactly the invalidation the other per-vdoc lazy indexes
+    rely on.
     """
     memo = vdoc._cas_memo
     built = memo.get(id(vtype))
     if built is None:
         if id(vtype) in memo:
             return None  # memoized "no instances"
-        from repro.core.virtual_document import VNode
-        from repro.query.items import _virtual_string_value
+        from repro.core.values import is_intact
 
-        entry = vdoc.column(vtype.original)
-        if entry is None:
-            with vdoc._memo_lock:
-                memo[id(vtype)] = None
-            return None
-        column, nodes = entry
-        built = CasColumns(
-            column.keys,
-            [
-                _virtual_string_value(VNode(vtype, node, vdoc), vdoc)
-                for node in nodes
-            ],
-        )
+        store = vdoc.store
+        if store is not None and is_intact(vdoc, vtype):
+            built = store.cas_index.columns(store.type_id(vtype.original))
+        else:
+            column = vdoc.column(vtype.original)
+            if column is not None:
+                from repro.core.virtual_document import VNode
+                from repro.query.items import _virtual_string_value
+
+                built = CasColumns(
+                    column.keys,
+                    [
+                        _virtual_string_value(VNode(vtype, node, vdoc), vdoc)
+                        for node in vdoc.rows(vtype.original)[1]
+                    ],
+                )
         with vdoc._memo_lock:
             memo[id(vtype)] = built
     return built
 
 
 # ---------------------------------------------------------------------------
-# candidate matchers (the structural-join side of the kernel)
+# key filters (the structural-join side of the kernel)
 # ---------------------------------------------------------------------------
 
 
-def stored_value_matcher(store, pred, type_matches: Callable) -> Callable:
-    """A ``node -> bool`` filter applying one compiled value predicate to
-    stored candidates through the store's CAS index.
+def path_chains(start, path, matches: Callable) -> list[tuple]:
+    """The type chains a predicate path reaches below ``start`` on a
+    DataGuide or vDataGuide: one tuple of types per distinct way down,
+    top first, leaf last (the empty chain for the empty path).  A
+    ``descendant`` step contributes the types it passes through, so every
+    chain is a parent/child walk the projection can climb edge by edge."""
+    chains: dict[tuple, None] = {(): None}
+    for axis, test in path:
+        grown: dict[tuple, None] = {}
+        for chain in chains:
+            top = chain[-1] if chain else start
+            if axis != "descendant":
+                for child in top.children:
+                    if matches(child, test, axis):
+                        grown[chain + (child,)] = None
+                continue
+            stack = [(top, chain)]
+            while stack:
+                current, walked = stack.pop()
+                for child in current.children:
+                    below = walked + (child,)
+                    if matches(child, test, axis):
+                        grown[below] = None
+                    stack.append((child, below))
+        chains = grown
+    return list(chains)
 
-    ``self`` targets test the candidate's own key against the matched key
-    set of its type.  ``child``/``attribute`` targets are existential:
-    the matched keys of each matching child type project to their parent
-    keys (one component shorter — a DataGuide child sits exactly one
-    level below its parent), and a candidate passes when its key is one
-    of those parents.  Per-candidate work is one hash probe; the range
-    scans run once per distinct candidate type.
+
+class _StoredGeometry:
+    """How keys relate on the DataGuide: a child's key is its parent's
+    plus one component — every edge is a truncation, none a join — and a
+    type's CAS columns are the store's."""
+
+    def __init__(self, store, matches: Callable) -> None:
+        self._store = store
+        self.matches = matches
+
+    def columns(self, guide_type) -> Optional[CasColumns]:
+        return self._store.cas_index.columns(self._store.type_id(guide_type))
+
+    @staticmethod
+    def width(guide_type) -> int:
+        return guide_type.length
+
+    @staticmethod
+    def shared(guide_type) -> int:
+        return guide_type.length - 1
+
+
+class _VirtualGeometry:
+    """How keys relate on a vDataGuide: a virtual child shares its first
+    ``lca_length`` components with its virtual parent (Section 5.2's
+    instance relation), which may fall short of the parent's own key."""
+
+    def __init__(self, vdoc, matches: Callable) -> None:
+        self._vdoc = vdoc
+        self.matches = matches
+
+    def columns(self, vtype) -> Optional[CasColumns]:
+        return virtual_cas_columns(self._vdoc, vtype)
+
+    @staticmethod
+    def width(vtype) -> int:
+        return vtype.original.length
+
+    @staticmethod
+    def shared(vtype) -> int:
+        return vtype.lca_length
+
+    def instances(self, vtype, prefixes) -> list:
+        """Keys of the vtype's instances that start with any prefix."""
+        column = self._vdoc.column(vtype.original)
+        if column is None:
+            return []
+        bounds, _ = column.prefix_runs(sorted(prefixes))
+        return column.key_runs(bounds)
+
+
+def _project(pred, candidate, geometry) -> dict:
+    """One predicate's matches projected up to one candidate type, as
+    ``{cut: prefixes}``: a candidate passes iff ``key[:cut]`` is among
+    the prefixes of some entry.
+
+    The rule, for any path length: resolve the path to type chains below
+    the candidate, take each leaf type's matched keys once, and climb the
+    chain.  An edge whose child shares its parent's *whole* key is plain
+    truncation and composes with the next slice; an edge that shares less
+    (an inverted or lca-related virtual edge) joins the shared prefixes
+    against the parent's column to name the parent instances.  The last
+    edge leaves the prefix the candidate itself is probed by — its own
+    key for the empty path (``. op c``), ``key[:width]`` whenever the
+    candidate is a physical ancestor, the lca prefix otherwise.
     """
-    cas = store.cas_index
-    cache: dict = {}
-    if pred.axis == "self":
-
-        def matcher(node) -> bool:
-            guide_type = store.type_of(node)
-            matched = cache.get(id(guide_type))
-            if matched is None:
-                columns = cas.columns(store.type_id(guide_type))
-                matched = (
-                    columns.matching_keys(pred.op, pred.constant)
-                    if columns is not None
-                    else frozenset()
-                )
-                cache[id(guide_type)] = matched
-            return node.pbn.components in matched
-
-        return matcher
-
-    def matcher(node) -> bool:
-        guide_type = store.type_of(node)
-        parents = cache.get(id(guide_type))
-        if parents is None:
-            parents = set()
-            for child_type in guide_type.children:
-                if not type_matches(child_type, pred.test, pred.axis):
-                    continue
-                columns = cas.columns(store.type_id(child_type))
-                if columns is None:
-                    continue
-                for key in columns.matching_keys(pred.op, pred.constant):
-                    parents.add(key[:-1])
-            cache[id(guide_type)] = parents
-        return node.pbn.components in parents
-
-    return matcher
+    probes: dict[int, set] = {}
+    for chain in path_chains(candidate, pred.path, geometry.matches):
+        columns = geometry.columns(chain[-1] if chain else candidate)
+        if columns is None:
+            continue
+        keys = columns.matching_keys(pred.op, pred.constant)
+        if not keys:
+            continue
+        if not chain:
+            probes[geometry.width(candidate)] = keys
+            continue
+        for child, parent in zip(chain[:0:-1], chain[-2::-1]):
+            cut = geometry.shared(child)
+            if cut < geometry.width(parent):
+                keys = geometry.instances(parent, {key[:cut] for key in keys})
+        cut = geometry.shared(chain[0])
+        probes.setdefault(cut, set()).update(key[:cut] for key in keys)
+    return probes
 
 
-def virtual_value_matcher(vdoc, pred, vtype_matches: Callable) -> Callable:
-    """The virtual twin of :func:`stored_value_matcher`, over per-vtype
-    virtual-value columns.  Virtual children share their parent's first
-    ``lca_length`` components (Section 5.2's instance relation), so the
-    existential form projects matched child keys to lca prefixes instead
-    of one-shorter parent keys."""
-    cache: dict = {}
-    if pred.axis == "self":
+class KeyFilter:
+    """A step's compiled value predicates as a test on candidate *keys*,
+    so the navigators drop rows before a node or a :class:`VNode` is
+    built for them.  Projections are made once per candidate type and
+    live as long as the filter — one step application."""
 
-        def matcher(vnode) -> bool:
-            matched = cache.get(id(vnode.vtype))
-            if matched is None:
-                columns = virtual_cas_columns(vdoc, vnode.vtype)
-                matched = (
-                    columns.matching_keys(pred.op, pred.constant)
-                    if columns is not None
-                    else frozenset()
-                )
-                cache[id(vnode.vtype)] = matched
-            return vnode.node.pbn.components in matched
+    def __init__(self, preds, geometry) -> None:
+        self._preds = preds
+        self._geometry = geometry
+        self._tests: dict[int, Callable] = {}
 
-        return matcher
+    def accepts(self, candidate) -> Callable:
+        """``key -> bool`` for candidates of one type: every predicate
+        holds (chained predicates intersect)."""
+        test = self._tests.get(id(candidate))
+        if test is None:
+            probes = [
+                tuple(_project(pred, candidate, self._geometry).items())
+                for pred in self._preds
+            ]
+            test = self._tests[id(candidate)] = _key_test(probes)
+        return test
 
-    def matcher(vnode) -> bool:
-        probes = cache.get(id(vnode.vtype))
-        if probes is None:
-            probes = []
-            for child_vtype in vnode.vtype.children:
-                if not vtype_matches(child_vtype, pred.test, pred.axis):
-                    continue
-                columns = virtual_cas_columns(vdoc, child_vtype)
-                if columns is None:
-                    continue
-                lca = child_vtype.lca_length
-                prefixes = {
-                    key[:lca]
-                    for key in columns.matching_keys(pred.op, pred.constant)
-                }
-                if prefixes:
-                    probes.append((lca, prefixes))
-            cache[id(vnode.vtype)] = probes
-        key = vnode.node.pbn.components
-        return any(key[:lca] in prefixes for lca, prefixes in probes)
 
-    return matcher
+def _key_test(probes: list) -> Callable:
+    if not all(probes):
+        return lambda key: False
+    if len(probes) == 1 and len(probes[0]) == 1:
+        ((cut, members),) = probes[0]
+        return lambda key: key[:cut] in members
+
+    def test(key) -> bool:
+        for alternatives in probes:
+            for cut, members in alternatives:
+                if key[:cut] in members:
+                    break
+            else:
+                return False
+        return True
+
+    return test
+
+
+def stored_key_filter(store, preds, type_matches: Callable) -> KeyFilter:
+    """The filter for stored candidates, over the store's CAS index."""
+    return KeyFilter(preds, _StoredGeometry(store, type_matches))
+
+
+def virtual_key_filter(vdoc, preds, vtype_matches: Callable) -> KeyFilter:
+    """The filter for virtual candidates, over per-vtype virtual-value
+    columns (borrowed from the store where the vtype is intact)."""
+    return KeyFilter(preds, _VirtualGeometry(vdoc, vtype_matches))

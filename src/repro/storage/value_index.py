@@ -223,6 +223,7 @@ class ValueIndex:
         overrides: Optional[dict] = None,
         stretch: frozenset = frozenset(),
         inserted: Iterable[tuple[bytes, ValueEntry]] = (),
+        site: Optional[bytes] = None,
     ) -> "ValueIndex":
         """The next version after the heap splice ``[cut_start, cut_end)``
         -> a replacement ``delta`` characters longer.
@@ -233,6 +234,13 @@ class ValueIndex:
         ancestors of the mutation site) grows by ``delta`` around the cut;
         an entry starting at or after ``cut_start`` shifts by ``delta``.
         ``inserted`` pairs (absolute offsets) merge in.
+
+        An entry starting *exactly* at ``cut_start`` is a follower of the
+        splice or a zero-width span ``[p, p)`` before it (an emptied text
+        node); offsets cannot tell them apart, key order can.  ``site`` is
+        the key the mutation happens at — the inserted root, the deleted
+        root, the replaced leaf: of the entries at ``cut_start``, only
+        those keyed at or after it shift.
 
         Only pages holding a dropped, overridden, stretched or inserted key
         and the *split page* — the first whose last entry starts at or
@@ -255,6 +263,10 @@ class ValueIndex:
         touched = {page_of(key) for key in (*overrides, *stretch)}
         if split < count:
             touched.add(split)
+        if site is not None:
+            # Zero-width entries tied at cut_start sit just before the
+            # site in key order; none may ride a shared page's base + delta.
+            touched.update(range(split, min(page_of(site) + 1, count)))
         if drop_prefix is not None:
             successor = _prefix_successor(drop_prefix)
             stop = count if successor is None else bisect_left(firsts, successor)
@@ -298,7 +310,11 @@ class ValueIndex:
                             content_start += delta
                         content_end += base + delta
                     else:
-                        shift = base + delta if start + base >= cut_start else base
+                        offset = start + base
+                        follows = offset > cut_start or (
+                            offset == cut_start and (site is None or key >= site)
+                        )
+                        shift = base + delta if follows else base
                         start += shift
                         end += shift
                         content_start += shift

@@ -169,6 +169,7 @@ class _Derivation:
     version's structures.  Nodes named here are the *old* version's."""
 
     store: DocumentStore
+    site: Pbn  # where it happens: inserted root, deleted root, replaced leaf
     document: Document  # already-mutated copy
     node_by_key: dict  # the copy's maps; fragment nodes join in _derive
     type_of_node: dict
@@ -249,6 +250,7 @@ def _derive(base: _Derivation) -> MutationResult:
         },
         stretch=frozenset(encode_key(node.pbn) for node in base.ancestors),
         inserted=inserted_items,
+        site=encode_key(base.site),
     )
 
     # Copy-on-write: touched posting lists are copied, everything else is
@@ -398,6 +400,7 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
     return _derive(
         _Derivation(
             store=store,
+            site=fragment_root.pbn,
             document=document,
             node_by_key=node_by_key,
             type_of_node=type_of_node,
@@ -474,6 +477,7 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
     return _derive(
         _Derivation(
             store=store,
+            site=op.target,
             document=document,
             node_by_key=node_by_key,
             type_of_node=type_of_node,
@@ -538,6 +542,7 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
     result = _derive(
         _Derivation(
             store=store,
+            site=op.target,
             document=document,
             node_by_key=node_by_key,
             type_of_node=type_of_node,

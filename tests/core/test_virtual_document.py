@@ -226,7 +226,7 @@ def test_view_borrows_postings_and_columns_by_identity():
     for vtype in (title, author):
         type_id = store.type_id(vtype.original)
         assert vdoc.rows(vtype.original)[0] is store.type_index.postings(type_id)
-        assert vdoc.column(vtype.original)[0] is store.type_index.column(type_id)
+        assert vdoc.column(vtype.original) is store.type_index.column(type_id)
 
     # One title's text changes: the author type is untouched, so the next
     # version's view navigates the *previous* store's posting list.

@@ -128,6 +128,50 @@ def test_compile_flips_a_left_hand_constant():
     assert pred.op == "=" and pred.axis == "child"
 
 
+def test_compile_accepts_downward_paths():
+    # Multi-step and descendant paths compile to one predicate whose path
+    # is the (axis, test) steps below the candidate.
+    two_step = compile_value_predicate(
+        qast.BinaryOp(
+            "=",
+            qast.PathExpr(None, _child("a").steps + _child("b").steps),
+            qast.Literal(1),
+        )
+    )
+    assert [(axis, test.name) for axis, test in two_step.path] == [
+        ("child", "a"),
+        ("child", "b"),
+    ]
+    # `.//x` as the parser writes it: fused to one descendant step.
+    fused = compile_value_predicate(
+        qast.BinaryOp(
+            "=",
+            qast.PathExpr(
+                qast.ContextItem(),
+                (
+                    qast.Step("descendant-or-self", qast.NodeTest("node")),
+                    qast.Step("child", qast.NodeTest("name", "x")),
+                ),
+            ),
+            qast.Literal(1),
+        )
+    )
+    assert [(axis, test.name) for axis, test in fused.path] == [("descendant", "x")]
+    raw = compile_value_predicate(
+        qast.BinaryOp(
+            "=",
+            qast.PathExpr(
+                None, (qast.Step("descendant", qast.NodeTest("name", "x")),)
+            ),
+            qast.Literal(1),
+        )
+    )
+    assert raw == fused
+    assert compile_value_predicate(
+        qast.BinaryOp("<", qast.ContextItem(), qast.Literal(10))
+    ).path == ()
+
+
 def test_compile_declines_everything_else():
     cases = [
         qast.Literal(1),  # not a comparison
@@ -135,17 +179,37 @@ def test_compile_declines_everything_else():
         qast.BinaryOp("=", qast.ContextItem(), qast.ContextItem()),  # no literal
         qast.BinaryOp("=", qast.Literal(1), qast.Literal(2)),  # no target
         qast.BinaryOp("=", qast.ContextItem(), qast.Literal(True)),  # bool
-        # descendant targets and multi-step paths are out of CAS reach
+        # upward steps leave the candidate's subtree
         qast.BinaryOp(
             "=",
             qast.PathExpr(
-                None, (qast.Step("descendant", qast.NodeTest("name", "x")),)
+                None,
+                _child("a").steps
+                + (qast.Step("parent", qast.NodeTest("name", "x")),),
             ),
             qast.Literal(1),
         ),
+        # a function call is not a path; an absolute path is not relative
+        qast.BinaryOp(
+            "=", qast.FuncCall("string", (_child("a"),)), qast.Literal("1")
+        ),
         qast.BinaryOp(
             "=",
-            qast.PathExpr(None, _child("a").steps + _child("b").steps),
+            qast.PathExpr(qast.RootExpr(), _child("a").steps),
+            qast.Literal(1),
+        ),
+        # a positional predicate on a later step of the path
+        qast.BinaryOp(
+            "=",
+            qast.PathExpr(
+                None,
+                _child("a").steps
+                + (
+                    qast.Step(
+                        "child", qast.NodeTest("name", "b"), (qast.Literal(2),)
+                    ),
+                ),
+            ),
             qast.Literal(1),
         ),
         # a predicate inside the target step
@@ -325,15 +389,63 @@ def test_non_linearizable_view_declines_to_scalar(monkeypatch):
         assert batch == scalar, template
 
 
-def test_cas_hit_and_decline_counters():
+#: One query per decline reason (``{book}`` / ``{dblp}`` are sources),
+#: with the strategy it runs under.
+DECLINES = {
+    "predicate-shape": ('doc("book.xml")//book[count(author) > 1]', None),
+    "heterogeneous-context": (
+        '(doc("book.xml")//author | doc("more.xml")//author)/name[. >= "M"]',
+        None,
+    ),
+    "document-candidate": (
+        'doc("book.xml")//name/ancestor::node()[. >= "A"]',
+        None,
+    ),
+    "non-linearizable-view": (
+        'virtualDoc("dblp.xml", "{spec}")//author[article/title >= "M"]',
+        None,
+    ),
+    "mode": ('doc("book.xml")//name[. >= "M"]', "tree"),
+    "axis": ('doc("book.xml")//name/self::name[. >= "M"]', None),
+}
+
+
+def test_cas_hit_and_decline_counters(monkeypatch):
+    from repro.workloads.dblplike import dblp_document
+    from repro.workloads.queries import DBLP_BY_AUTHOR
+
     service = QueryService(pool_size=1)
     service.load("book.xml", books_document(10, seed=5))
+    service.load("more.xml", books_document(4, seed=6))
+    service.load("dblp.xml", dblp_document(12, seed=3))
+
+    def declines(reason):
+        return service.metrics.counter(
+            "engine.cas", labels={"result": "decline", "reason": reason}
+        )
+
     service.execute('doc("book.xml")//name[. >= "M"]')
-    service.execute('doc("book.xml")//book[count(author) > 1]')
     assert service.metrics.counter("engine.cas", labels={"result": "hit"}) == 1
-    assert (
-        service.metrics.counter("engine.cas", labels={"result": "decline"}) == 1
-    )
+    for reason, (template, mode) in DECLINES.items():
+        query = template.replace("{spec}", DBLP_BY_AUTHOR.spec)
+        assert declines(reason) == 0, reason
+        batch = service.execute(query, mode=mode)
+        assert declines(reason) == 1, reason
+        # ... and every decline is sound: the scalar loop's bytes.
+        monkeypatch.setattr(Evaluator, "use_batch_kernels", False)
+        scalar = service.execute(query, mode=mode)
+        monkeypatch.setattr(Evaluator, "use_batch_kernels", True)
+        assert batch.to_xml() == scalar.to_xml(), reason
+        # EXPLAIN ANALYZE prints the reason on the scalar row it explains.
+        rows = [
+            line
+            for line in service.explain(query, mode=mode)["rendered"].splitlines()
+            if "predicates=" in line
+        ]
+        assert rows and all(
+            "kernel=scalar" in row and f"reason={reason}" in row for row in rows
+        ), (reason, rows)
+    assert service.metrics.counter("engine.cas", labels={"result": "hit"}) == 1
 
 
 # -- the generated workload actually exercises the kernel -------------------

@@ -201,3 +201,70 @@ def test_durable_update_and_wal_recovery_keep_cas_fresh(tmp_path):
     ).values() == ["3"]
     assert recovered.execute('doc("d.xml")//v[. >= 10]').values() == ["12"]
     reopened.close()
+
+
+def test_views_borrow_store_columns_for_intact_vtypes_across_updates():
+    """A view evicted by an update comes back holding the *store's*
+    ``CasColumns`` object for every intact vtype the update did not
+    touch; only a touched type, or a vtype the view prunes (its virtual
+    values differ from the stored ones), gets columns built afresh."""
+    from repro.core.values import is_intact
+    from repro.storage.cas_index import virtual_cas_columns
+
+    service = QueryService(pool_size=1)
+    service.load("book.xml", books_document(8, seed=2))
+    spec = "title { author { name } }"
+    query = f'virtualDoc("book.xml", "{spec}")//title[author/name = "Codd"]/text()'
+    by_value = f'virtualDoc("book.xml", "{spec}")//title[author = "Codd"]'
+
+    def columns_of(vdoc):
+        title = vdoc.vguide.roots[0]
+        author = next(v for v in title.children if v.name == "author")
+        name = next(v for v in author.children if v.name == "name")
+        assert is_intact(vdoc, name) and is_intact(vdoc, author)
+        assert not is_intact(vdoc, title)  # it owns authors it never had
+        return {
+            vtype.name: virtual_cas_columns(vdoc, vtype)
+            for vtype in (title, author, name)
+        }
+
+    def stored(store, vtype_name):
+        path = {
+            "title": ("data", "book", "title"),
+            "author": ("data", "book", "author"),
+            "name": ("data", "book", "author", "name"),
+        }[vtype_name]
+        return store.cas_index.columns(store.type_id(store.guide.lookup_path(path)))
+
+    before = service.execute(query).values()
+    service.execute(by_value)
+    store = service.store("book.xml")
+    first = columns_of(service.resolve_view("book.xml", spec))
+    assert first["name"] is stored(store, "name")
+    assert first["author"] is stored(store, "author")
+    assert first["title"] is not stored(store, "title")
+
+    # A title's text changes: names and authors are untouched.
+    target = service.execute('doc("book.xml")//title/text()').items[0]
+    service.update(
+        "book.xml", ReplaceText(target=Pbn.parse(str(target.pbn)), text="Fresh")
+    )
+    new_store = service.store("book.xml")
+    rebuilt_view = service.resolve_view("book.xml", spec)
+    second = columns_of(rebuilt_view)
+    assert second["name"] is first["name"] is stored(new_store, "name")
+    assert second["author"] is first["author"]
+    assert second["title"] is not first["title"]  # pruned vtype: per view
+    assert service.execute(query).values() == [
+        "Fresh" if value == target.value else value for value in before
+    ]
+
+    # A name changes: the touched types rebuild, once, in the store.
+    name_text = service.execute('doc("book.xml")//name/text()').items[0]
+    service.update(
+        "book.xml", ReplaceText(target=Pbn.parse(str(name_text.pbn)), text="Renamed")
+    )
+    third = columns_of(service.resolve_view("book.xml", spec))
+    assert third["name"] is not second["name"]
+    assert third["name"] is stored(service.store("book.xml"), "name")
+    assert len(service.execute(query.replace("Codd", "Renamed"))) == 1

@@ -64,7 +64,9 @@ def test_cas_counters_render_beside_the_query_counters():
     lines = text.splitlines()
     assert lines.count("# TYPE repro_engine_cas counter") == 1
     assert 'repro_engine_cas{result="hit"} 1' in lines
-    assert 'repro_engine_cas{result="decline"} 1' in lines
+    assert (
+        'repro_engine_cas{reason="predicate-shape",result="decline"} 1' in lines
+    )
     # Same exposition carries the plain query counter family.
     assert "# TYPE repro_engine_queries counter" in lines
 

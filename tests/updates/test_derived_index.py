@@ -79,9 +79,9 @@ def random_op(rng: random.Random, store: DocumentStore, big: int):
         return DeleteSubtree(rng.choice(nodes[1:]).pbn)
     values = [n for n in nodes if n.kind is not NodeKind.ELEMENT]
     if kind == "replace" and values:
-        # Never the empty string: a zero-width span at a later splice
-        # point is ambiguous under the shift rule (see ROADMAP).
-        return ReplaceText(rng.choice(values).pbn, " ".join(rng.sample(WORDS, rng.randrange(1, 4))))
+        # One in four is the empty string: it leaves a zero-width span,
+        # which a later splice at the same offset must place by key order.
+        return ReplaceText(rng.choice(values).pbn, " ".join(rng.sample(WORDS, rng.randrange(0, 4))))
     parent = rng.choice([n for n in nodes if n.kind is NodeKind.ELEMENT])  # empty ones too
     children = parent.children
     attributes = sum(c.kind is NodeKind.ATTRIBUTE for c in children)
