@@ -161,6 +161,9 @@ class VirtualDocument:
         # virtual-value CAS columns (repro.storage.cas_index).
         self._value_plans: dict = {}
         self._cas_memo: dict = {}
+        # The virtual navigator's order decisions (repro.query.eval_virtual):
+        # per-tree order keys, and the order class of each step shape.
+        self._order_memo: dict = {}
         # Reentrant: reachability recurses parent-ward under the lock.  A
         # view cached by the service is navigated from several engine
         # threads at once; the lock keeps the lazy memos single-build.

@@ -22,6 +22,7 @@ from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval_tree import TreeNavigator
 from repro.query.eval_virtual import VirtualNavigator
+from repro.query.joins import NO_ORDER
 from repro.query.functions import REGISTRY
 from repro.query.items import (
     VirtualDocItem,
@@ -198,14 +199,19 @@ class Evaluator:
             out = self._apply_step_inner(items, step, context)
             step_span.add("items_in", len(items))
             step_span.add("items_out", len(out))
-            step_span.set("kernel", self._last_kernel)
+            self._tag_kernel(step_span)
             if step.predicates:
                 step_span.add("predicates", len(step.predicates))
-                if self._last_kernel == "scalar" and self._last_decline:
-                    step_span.set("reason", self._last_decline)
         if meter is not None:
             meter.charge_rows(len(out))
         return out
+
+    def _tag_kernel(self, step_span) -> None:
+        """``kernel=`` on a step's span and, on a scalar row, ``reason=``:
+        why no batch kernel took the step."""
+        step_span.set("kernel", self._last_kernel)
+        if self._last_kernel == "scalar" and self._last_decline:
+            step_span.set("reason", self._last_decline)
 
     def _apply_step_inner(
         self, items: list, step: ast.Step, context: Context
@@ -219,8 +225,11 @@ class Evaluator:
             if handled is not None:
                 self._last_kernel = self.backend.kernel
                 return handled
-        declined = None
-        if self.use_batch_kernels and items:
+        declined = (
+            "kernels-off" if not self.use_batch_kernels
+            else None if items else "empty-context"
+        )
+        if declined is None:
             if not step.predicates:
                 batched = self._step_many(items, step.axis, step.test)
                 if not isinstance(batched, str):
@@ -228,6 +237,7 @@ class Evaluator:
                     # deduplicated, document order.
                     self._last_kernel = "columnar"
                     return batched
+                declined = batched
             else:
                 batched = self._step_many_cas(items, step)
                 metrics = self.engine.metrics
@@ -270,10 +280,12 @@ class Evaluator:
     def _step_many(self, items: list, axis: str, test: ast.NodeTest, keep=None):
         """Route a whole context set to one navigator's batch kernel.
         Returns the step's final form, or — a ``str`` — the reason no
-        kernel took it: the set is heterogeneous (mixed containers,
-        atomics, document items), the stored strategy is not ``indexed``,
-        the view's order is not key-linearizable, or no kernel covers the
-        axis.  ``keep`` rides along to the key-filtering kernels."""
+        kernel took it: the context is a lone (virtual) document, the set
+        is heterogeneous (mixed containers, atomics, several documents),
+        the stored strategy is not ``indexed``, or whatever the navigator
+        declined for (no kernel covers the axis; the step needs a
+        cross-type merge no order key can give).  ``keep`` rides along to
+        the key-filtering kernels."""
         first = items[0]
         if isinstance(first, VNode):
             vdoc = first._vdoc
@@ -281,13 +293,10 @@ class Evaluator:
                 isinstance(item, VNode) and item._vdoc is vdoc for item in items
             ):
                 return "heterogeneous-context"
-            navigator = self._virtual_nav
-            out = navigator.step_many(items, axis, test, keep)
-            if out is not None:
-                return out
-            if navigator._order_key_fn(vdoc) is None:
-                return "non-linearizable-view"
-            return "axis"
+            return self._virtual_nav.step_many(items, axis, test, keep)
+        if len(items) == 1 and isinstance(first, (Document, VirtualDocItem)):
+            # One navigator step from the root already is the final form.
+            return "document-context"
         if not isinstance(first, Node) or isinstance(first, Document):
             return "heterogeneous-context"
         if self.mode != "indexed":
@@ -302,8 +311,7 @@ class Evaluator:
                 or self.engine.store_of(item) is not store
             ):
                 return "heterogeneous-context"
-        out = self.engine.indexed_navigator(store).step_many(items, axis, test, keep)
-        return "axis" if out is None else out
+        return self.engine.indexed_navigator(store).step_many(items, axis, test, keep)
 
     def _step_many_cas(self, items: list, step: ast.Step):
         """Batch a predicate-bearing step through the CAS index: compile
@@ -340,13 +348,11 @@ class Evaluator:
             if vdoc is None:
                 return "heterogeneous-context"
             navigator = self._virtual_nav
-            if (
-                isinstance(first, VirtualDocItem)
-                and navigator._order_key_fn(vdoc) is None
-            ):
-                # Filtering before the sort is sound only where virtual
-                # order is a key order (see VirtualNavigator.step_many).
-                return "non-linearizable-view"
+            if isinstance(first, VirtualDocItem):
+                # Filtering before the merge is sound only where this
+                # step's runs order by keys (VirtualNavigator.order_class).
+                if navigator.order_class(vdoc, (), axis, test) == NO_ORDER:
+                    return NO_ORDER
             keep = virtual_key_filter(vdoc, preds, navigator._vtype_matches)
             type_of = _vtype_of
         elif isinstance(first, Node):
@@ -407,7 +413,7 @@ class Evaluator:
             result, rows = self._aggregate_or_apply(items, step, context, name)
             step_span.add("items_in", len(items))
             step_span.add("items_out", rows)
-            step_span.set("kernel", self._last_kernel)
+            self._tag_kernel(step_span)
         if meter is not None:
             meter.charge_rows(rows)
         return result
@@ -424,7 +430,7 @@ class Evaluator:
             if items
             else (0, 0)
         )
-        if outcome is not None:
+        if not isinstance(outcome, str):
             if metrics is not None:
                 metrics.incr("engine.aggregate", labels={"result": "hit"})
             self._last_kernel = "prefix-sum"
@@ -437,45 +443,49 @@ class Evaluator:
                 return [0], 0
             return [float(value)], rows
         if metrics is not None:
-            metrics.incr("engine.aggregate", labels={"result": "decline"})
+            metrics.incr(
+                "engine.aggregate", labels={"result": "decline", "reason": outcome}
+            )
         out = self._apply_step_inner(items, step, context)
         return REGISTRY[name][2](context, out), len(out)
 
     def _aggregate_many(self, items: list, axis: str, test: ast.NodeTest, kind: str):
-        """Route an aggregated step to one navigator's bounds kernel, or
-        return ``None`` for context sets no kernel covers (mirrors
-        :meth:`_step_many`, plus the lone stored-document context that
-        ``count(//x)`` produces)."""
+        """Route an aggregated step to one navigator's bounds kernel:
+        ``(value, rows)`` or — a ``str``, the labels of :meth:`_step_many`
+        — the reason no kernel covers the context set (the lone
+        stored-document context that ``count(//x)`` produces is covered)."""
         if self.mode == "sql":
             # The sql backend claims whole steps; aggregating around it
             # would dilute what strategy=sql measures.  Results are
             # identical either way — this keeps the arms comparable.
-            return None
+            return "mode"
         first = items[0]
         if isinstance(first, VNode):
             vdoc = first._vdoc
-            if vdoc is not None and all(
+            if vdoc is None or not all(
                 isinstance(item, VNode) and item._vdoc is vdoc for item in items
             ):
-                return self._virtual_nav.aggregate_many(items, axis, test, kind)
-            return None
-        if self.mode != "indexed" or not isinstance(first, Node):
-            return None
+                return "heterogeneous-context"
+            return self._virtual_nav.aggregate_many(items, axis, test, kind)
+        if len(items) == 1 and isinstance(first, VirtualDocItem):
+            return "document-context"  # no bounds form from a virtual root
+        if not isinstance(first, Node):
+            return "heterogeneous-context"
+        if self.mode != "indexed":
+            return "mode"
         if isinstance(first, Document):
             if len(items) != 1:
-                return None
-        else:
-            for item in items:
-                if (
-                    not isinstance(item, Node)
-                    or isinstance(item, Document)
-                ):
-                    return None
+                return "heterogeneous-context"
+        elif not all(
+            isinstance(item, Node) and not isinstance(item, Document)
+            for item in items
+        ):
+            return "heterogeneous-context"
         store = self.engine.store_of(first)
-        if store is None:
-            return None
-        if any(self.engine.store_of(item) is not store for item in items[1:]):
-            return None
+        if store is None or any(
+            self.engine.store_of(item) is not store for item in items[1:]
+        ):
+            return "heterogeneous-context"
         return self.engine.indexed_navigator(store).aggregate_many(
             items, axis, test, kind
         )

@@ -217,8 +217,8 @@ class IndexedNavigator:
         columnar merge-join kernels over the type index.
 
         Returns the step's *final* result — deduplicated, document order —
-        or ``None`` when no kernel covers the axis (the evaluator falls
-        back to the per-item path).
+        or the ``str`` :data:`~repro.query.joins.NO_KERNEL` when no kernel
+        covers the axis (the evaluator falls back to the per-item path).
 
         ``keep`` (a :class:`~repro.storage.cas_index.KeyFilter`; child,
         attribute and descendant axes only) is the step's value
@@ -226,13 +226,11 @@ class IndexedNavigator:
         node is resolved for them."""
         handler = self._BATCH_AXES.get(axis)
         if handler is None or (keep is not None and axis not in joins.KEYS_FIRST_AXES):
-            return None
+            return joins.NO_KERNEL
         if keep is None:
             out = handler(self, nodes, test, axis)
         else:
             out = handler(self, nodes, test, axis, keep)
-        if out is None:
-            return None
         if self.metrics is not None:
             self.metrics.incr("navigator.indexed.steps", len(nodes))
         span_add("steps.indexed", len(nodes))
@@ -423,13 +421,15 @@ class IndexedNavigator:
         sums (:meth:`~repro.storage.cas_index.CasColumns.sum_over`).
 
         Returns ``(value, rows)`` — ``rows`` is how many nodes the step
-        would have produced — or ``None`` when the axis has no bounds
-        form or a run's values are not exactly summable (the evaluator
-        then materializes; scalar defines the semantics).
+        would have produced — or, as a ``str``, why it declines: the axis
+        has no bounds form (:data:`~repro.query.joins.NO_KERNEL`) or a
+        run's values are not exactly summable
+        (:data:`~repro.query.joins.INEXACT_SUM`); the evaluator then
+        materializes, and scalar defines the semantics.
         """
         runs = self._aggregate_runs(nodes, axis, test)
         if runs is None:
-            return None
+            return joins.NO_KERNEL
         rows = sum(high - low for _, low, high in runs)
         if kind == "count":
             value: object = rows
@@ -445,7 +445,7 @@ class IndexedNavigator:
                 columns = cas.columns(self.store.type_id(guide_type))
                 part = columns.sum_over(low, high) if columns is not None else None
                 if part is None:
-                    return None
+                    return joins.INEXACT_SUM
                 if part != part:  # a NaN-poisoned run: the whole sum is NaN
                     nan = True
                 else:

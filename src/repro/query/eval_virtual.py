@@ -14,12 +14,16 @@ using vPBN machinery over the untouched original numbering:
   predicates (``vPreceding``, ``vFollowing-sibling``, ...), each test one
   vPBN comparison, counted in ``stats.comparisons``.
 
-Results come back in *virtual* document order.
+Results come back in *virtual* document order.  Level arrays are a
+per-type property, so how a step's result orders is decided per step on
+the vDataGuide (:meth:`VirtualNavigator.order_class`): one result type
+orders by key, types of different trees concatenate, several types of
+one tree merge by that tree's order key — and only a step that needs a
+merge no key can give is left to the Section 5 comparator.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import cmp_to_key
 from typing import Optional
 
@@ -28,11 +32,18 @@ from repro.core import vpbn
 from repro.obs.trace import span_add
 from repro.pbn.columnar import subtree_bound
 from repro.query import joins
+from repro.query.joins import INEXACT_SUM, NO_KERNEL, NO_ORDER
 from repro.query.ast import NodeTest
 from repro.query.items import VirtualDocItem, attach_vdoc
 from repro.storage.stats import StorageStats
 from repro.vdataguide.ast import VType
 from repro.xmlmodel.nodes import TEXT_NAME
+
+
+#: Order classes of a step (:meth:`VirtualNavigator.order_class`) — how
+#: the per-type runs of its result combine into virtual document order.
+KEY, FOREST, KEYED = "key", "forest", "keyed"
+ORDER_CLASSES = frozenset((KEY, FOREST, KEYED))
 
 
 def _components_of(vnode: VNode) -> tuple:
@@ -51,92 +62,155 @@ class VirtualNavigator:
         self.stats = stats if stats is not None else StorageStats()
         self.metrics = metrics
 
-    def _order_key_fn(self, vdoc: VirtualDocument):
-        """A plain sort key equal to :func:`vpbn.compare_virtual_order`,
-        or ``None`` when the view admits no such key.
+    # -- virtual order, decided per step ------------------------------------------
+
+    def order_class(
+        self, vdoc: VirtualDocument, ctx_vtypes, axis: str, test: NodeTest
+    ) -> str:
+        """How the result of a step orders, read off the vDataGuide before
+        a row is touched: the virtual types the step can produce follow
+        from the context types (none: the document), the axis and the
+        test, and level arrays are a per-type property (paper Section 5).
+
+        * :data:`KEY` — one result type.  Same level array, same chain:
+          :func:`vpbn.compare_virtual_order` *is* component order, on any
+          view, recursive ones included.
+        * :data:`FOREST` — result types in pairwise different trees of the
+          vDataGuide.  The comparison orders by tree index first, so the
+          per-type runs concatenate in forest order.
+        * :data:`KEYED` — several types of one tree, and that tree has an
+          order key (:meth:`_order_keys`) to merge their runs by.
+        * :data:`NO_ORDER` — several types of a tree without one; the
+          scalar path's comparator defines the order.
+        * :data:`NO_KERNEL` — no batch kernel covers the axis.
+
+        Memoized with the view.
+        """
+        memo_key = (tuple(sorted(map(id, ctx_vtypes))), axis, test)
+        found = vdoc._order_memo.get(memo_key)
+        if found is None:
+            found = self._classify(vdoc, ctx_vtypes, axis, test)
+            vdoc._order_memo[memo_key] = found
+        return found
+
+    def _classify(self, vdoc, ctx_vtypes, axis, test) -> str:
+        result = self._result_vtypes(vdoc, ctx_vtypes, axis, test)
+        if result is None:
+            return NO_KERNEL
+        if len(result) < 2:
+            return KEY
+        per_tree: dict[int, int] = {}
+        for vtype in result:
+            tree = vtype.pbn.components[0]
+            per_tree[tree] = per_tree.get(tree, 0) + 1
+        crowded = [tree for tree, count in per_tree.items() if count > 1]
+        if not crowded:
+            return FOREST
+        keyed = self._order_keys(vdoc)[1]
+        return KEYED if all(tree in keyed for tree in crowded) else NO_ORDER
+
+    def _result_vtypes(self, vdoc, ctx_vtypes, axis, test) -> Optional[list[VType]]:
+        """The virtual types ``axis::test`` can produce from contexts of
+        ``ctx_vtypes`` (empty: from the virtual document node), or
+        ``None`` for an axis without a batch kernel."""
+        guide = vdoc.vguide
+        if axis in ("child", "attribute"):
+            pool = (
+                [child for vtype in ctx_vtypes for child in vtype.children]
+                if ctx_vtypes
+                else guide.roots
+            )
+        elif axis in ("descendant", "descendant-or-self"):
+            if ctx_vtypes:
+                # Context types can nest: a type is reported once.
+                below = {
+                    id(vtype): vtype
+                    for top in ctx_vtypes
+                    for vtype in top.iter_subtree()
+                    if vtype is not top or axis == "descendant-or-self"
+                }
+                pool = below.values()
+            else:
+                pool = guide.iter_vtypes()
+        elif axis in ("following", "preceding") and ctx_vtypes:
+            pool = guide.iter_vtypes()
+        elif axis in ("following-sibling", "preceding-sibling") and ctx_vtypes:
+            families = {
+                id(vtype.parent): (
+                    guide.roots if vtype.parent is None else vtype.parent.children
+                )
+                for vtype in ctx_vtypes
+                if not vtype.is_attribute
+            }
+            pool = [sibling for family in families.values() for sibling in family]
+            axis = "sibling"
+        else:
+            return None
+        return [vtype for vtype in pool if self._vtype_matches(vtype, test, axis)]
+
+    def _order_keys(self, vdoc: VirtualDocument):
+        """``(order_key, keyed)``: a plain sort key equal to
+        :func:`vpbn.compare_virtual_order` on the nodes of every vDataGuide
+        tree whose index is in ``keyed`` (call it on no other).
 
         The key is one token per virtual level — the ancestor identity the
         stratified comparison inspects: (attributes-first rank, the
         instance's *full* identifying key, vDataGuide type order) — headed
-        by the vDataGuide tree index for cross-tree order.  Tuple-prefix
+        by the tree index.  Full keys at every level make tokens of one
+        level comparable across types in exactly
+        :meth:`VirtualDocument.children`'s sibling order, and tuple-prefix
         order puts ancestors before their descendants, so lexicographic
-        comparison is virtual preorder.
+        comparison is the preorder of the materialized view.
 
         An inverted level identifies its ancestor by an *incomplete*
         prefix (``title { author }``: an author pins its title only up to
-        the shared book).  The token resolves that prefix to the unique
-        full instance key by one bisect in the type's column, which is
-        sound only when (a) each incomplete type is the lone type at its
-        virtual level, so the comparator never weighs an incomplete key
-        against a different type's key, and (b) the incomplete prefix
-        identifies exactly one instance — the comparator's
-        prefix-compatibility then coincides with token equality.  Views
-        failing either check return ``None`` (comparator path).
+        the shared book).  The token resolves that prefix to the full key
+        of its instance by one bisect in the type's column; a tree is
+        keyed when, for each incomplete type, (a) the prefix identifies
+        exactly one instance — the comparator's prefix-compatibility then
+        coincides with token equality; a duplicating view fails here —
+        and (b) no sibling type's key can be prefix-compatible with it,
+        so the comparator's verdict against a sibling never hinges on the
+        components the incomplete key lacks.
 
-        Memoized *on the vdoc* (vdocs are cached per view and outlive any
-        one evaluator), under its reentrant memo lock like the other lazy
-        indexes.
+        Built on first use, memoized *with the view* (views are cached
+        and outlive any one evaluator) under its reentrant memo lock like
+        the other lazy indexes.
         """
-        try:
-            return vdoc._order_key_memo
-        except AttributeError:
-            pass
-        with vdoc._memo_lock:
-            try:
-                return vdoc._order_key_memo
-            except AttributeError:
-                fn = self._build_order_key(vdoc)
-                vdoc._order_key_memo = fn
-                return fn
+        found = vdoc._order_memo.get("keys")
+        if found is None:
+            with vdoc._memo_lock:
+                found = vdoc._order_memo.get("keys")
+                if found is None:
+                    found = vdoc._order_memo["keys"] = self._build_order_keys(vdoc)
+        return found
 
-    def _build_order_key(self, vdoc: VirtualDocument):
-        min_cut: dict[int, int] = {}
-        by_level: dict[tuple, set[int]] = {}
-        chain_types: dict[int, VType] = {}
-        for vtype in vdoc.vguide.iter_vtypes():
-            for level, (t, cut) in enumerate(zip(vtype.chain(), vtype.cuts())):
-                chain_types[id(t)] = t
-                prev = min_cut.get(id(t))
-                if prev is None or cut < prev:
-                    min_cut[id(t)] = cut
-                by_level.setdefault(
-                    (t.pbn.components[0], level), set()
-                ).add(id(t))
-        columns: dict[int, object] = {}
-        for t in chain_types.values():
-            if min_cut[id(t)] >= t.original.length:
-                continue
-            # Incomplete identity: must be alone at its level, resolvable,
-            # and unique per incomplete prefix.
-            tree_level = (t.pbn.components[0], t.level - 1)
-            if len(by_level[tree_level]) > 1:
-                return None
-            column = vdoc.column(t.original)
-            if column is None:
-                continue  # no instances: the token is never built
-            if not column.distinct_prefixes(min_cut[id(t)]):
-                return None
-            columns[id(t)] = column
+    def _order_key_fn(self, vdoc: VirtualDocument):
+        """The order key when it covers the whole view, else ``None`` —
+        for consumers that rank every node of a view at once (the sql
+        accel).  Steps never ask this: see :meth:`order_class`."""
+        order_key, keyed = self._order_keys(vdoc)
+        return order_key if len(keyed) == len(vdoc.vguide.roots) else None
 
+    def _build_order_keys(self, vdoc: VirtualDocument):
         plans: dict[int, tuple] = {}
-        # One resolution memo per incomplete chain type: equal prefixes in
-        # *different* columns may name different instances, so the caches
-        # must not be shared across types.
-        caches: dict[int, dict] = {tid: {} for tid in columns}
-        for vtype in vdoc.vguide.iter_vtypes():
-            plans[id(vtype)] = (
-                vtype.pbn.components[0],
-                tuple(
-                    (
-                        0 if t.is_attribute else 1,
-                        cut,
-                        columns.get(id(t)) if cut < t.original.length else None,
-                        caches.get(id(t)),
-                        t.pbn.components,
+        keyed: set[int] = set()
+        for root in vdoc.vguide.roots:
+            resolvers = self._tree_resolvers(vdoc, root)
+            if resolvers is None:
+                continue
+            tree = root.pbn.components[0]
+            keyed.add(tree)
+            for vtype in root.iter_subtree():
+                tokens = []
+                for t, cut in zip(vtype.chain(), vtype.cuts()):
+                    column = memo = None
+                    if cut < t.original.length and id(t) in resolvers:
+                        column, memo = resolvers[id(t)]
+                    tokens.append(
+                        (0 if t.is_attribute else 1, cut, column, memo, t.pbn.components)
                     )
-                    for t, cut in zip(vtype.chain(), vtype.cuts())
-                ),
-            )
+                plans[id(vtype)] = (tree, tuple(tokens))
 
         def order_key(vnode: VNode) -> tuple:
             tree, tokens = plans[id(vnode.vtype)]
@@ -153,7 +227,41 @@ class VirtualNavigator:
                 key.append((rank, prefix, type_order))
             return tuple(key)
 
-        return order_key
+        return order_key, frozenset(keyed)
+
+    def _tree_resolvers(self, vdoc: VirtualDocument, root: VType):
+        """``{id(type): (column, memo)}`` for the types some chain of the
+        tree under ``root`` identifies by an incomplete prefix, or
+        ``None`` when the tree admits no order key.  One resolution memo
+        per type: equal prefixes in *different* columns may name
+        different instances."""
+        min_cut: dict[int, int] = {}
+        chain_types: dict[int, VType] = {}
+        for vtype in root.iter_subtree():
+            for t, cut in zip(vtype.chain(), vtype.cuts()):
+                chain_types[id(t)] = t
+                if cut < min_cut.get(id(t), cut + 1):
+                    min_cut[id(t)] = cut
+        resolvers: dict[int, tuple] = {}
+        for t in chain_types.values():
+            cut = min_cut[id(t)]
+            if cut >= t.original.length:
+                continue
+            for sibling in t.parent.children if t.parent is not None else ():
+                if sibling is t:
+                    continue
+                # Two keys agreeing on m components name one original
+                # node at depth m, an ancestor-or-self of both instances.
+                shared = t.original.pbn.shared_prefix_length(sibling.original.pbn)
+                if shared >= min(cut, min_cut[id(sibling)]):
+                    return None
+            column = vdoc.column(t.original)
+            if column is None:
+                continue  # no instances: the token is never built
+            if not column.distinct_prefixes(cut):
+                return None
+            resolvers[id(t)] = (column, {})
+        return resolvers
 
     # -- type filtering -----------------------------------------------------------
 
@@ -206,31 +314,26 @@ class VirtualNavigator:
             else lambda vtype: self._kept_instances(vdoc, vtype, keep)
         )
         if axis == "child":
-            found = [
-                vnode
-                for vtype in vdoc.vguide.roots
-                if self._vtype_matches(vtype, test, axis)
-                for vnode in instances(vtype)
-            ]
+            pool = vdoc.vguide.roots
         elif axis in ("descendant", "descendant-or-self"):
-            runs = [
-                instances(vtype)
-                for vtype in vdoc.vguide.iter_vtypes()
-                if self._vtype_matches(vtype, test, axis)
-            ]
-            if len(runs) == 1:
-                # One type's instances: distinct, and already in virtual
-                # document order (plain key order within a type).
-                found = runs[0]
-            else:
-                found = self._sort([vnode for run in runs for vnode in run])
-            if axis == "descendant-or-self" and test.kind == "node":
-                return [VirtualDocItem(vdoc), *found]
+            pool = vdoc.vguide.iter_vtypes()
         elif axis == "self" and test.kind == "node":
             return [VirtualDocItem(vdoc)]
         else:
             return []
-        return found  # instances come tagged with their view
+        # One run per type: distinct, already in key order, tagged with
+        # their view.
+        found = self._merge_runs(
+            vdoc,
+            [
+                instances(vtype)
+                for vtype in pool
+                if self._vtype_matches(vtype, test, axis)
+            ],
+        )
+        if axis == "descendant-or-self" and test.kind == "node":
+            return [VirtualDocItem(vdoc), *found]
+        return found
 
     def _kept_instances(self, vdoc: VirtualDocument, vtype: VType, keep) -> list[VNode]:
         """The reachable instances of ``vtype`` whose keys pass ``keep``,
@@ -251,34 +354,54 @@ class VirtualNavigator:
             ]
         return [VNode(vtype, node, vdoc) for node in nodes]
 
-    def _sort(self, vnodes: list[VNode]) -> list[VNode]:
+    def _sort(self, vdoc: VirtualDocument, vnodes: list[VNode]) -> list[VNode]:
         """Virtual document order with duplicate elimination."""
         unique = {(id(v.vtype), id(v.node)): v for v in vnodes}
-        out = list(unique.values())
-        if len(out) < 2:
-            return out
-        first = out[0].vtype
-        if all(v.vtype is first for v in out):
-            # One virtual type: identical level arrays, so plain component
-            # order *is* virtual document order — no comparator, no VPbn.
-            out.sort(key=_components_of)
-            return out
-        order_key = (
-            self._order_key_fn(out[0]._vdoc)
-            if out[0]._vdoc is not None
-            else None
-        )
-        if order_key is not None:
-            out.sort(key=order_key)
-            return out
-        # Mixed types: build each node's document-order key (its vPBN)
-        # once per candidate list and reuse it across every comparator
-        # call instead of re-deriving it pairwise.
-        decorated = [(v.vpbn, v) for v in out]
-        decorated.sort(
-            key=cmp_to_key(lambda a, b: vpbn.compare_virtual_order(a[0], b[0]))
-        )
-        return [v for _, v in decorated]
+        if len(unique) < 2:
+            return list(unique.values())
+        runs: dict[int, list[VNode]] = {}
+        for vnode in unique.values():
+            runs.setdefault(id(vnode.vtype), []).append(vnode)
+        for run in runs.values():
+            run.sort(key=_components_of)
+        return self._merge_runs(vdoc, list(runs.values()))
+
+    def _merge_runs(self, vdoc: VirtualDocument, runs: list) -> list[VNode]:
+        """Virtual document order from one run per virtual type, each
+        distinct and in key order — which within a type *is* virtual
+        order (identical level arrays: no comparator, no ``VPbn``).  Runs
+        of different vDataGuide trees concatenate in forest order; runs of
+        one tree merge by its order key or, where the tree has none,
+        under the Section 5 comparator (the scalar path only —
+        :meth:`step_many` declines such steps)."""
+        runs = [run for run in runs if run]
+        if len(runs) < 2:
+            return runs[0] if runs else []
+        by_tree: dict[int, list] = {}
+        for run in runs:
+            by_tree.setdefault(run[0].vtype.pbn.components[0], []).append(run)
+        out: list[VNode] = []
+        for tree in sorted(by_tree):
+            tree_runs = by_tree[tree]
+            if len(tree_runs) == 1:
+                out.extend(tree_runs[0])
+                continue
+            merged = [vnode for run in tree_runs for vnode in run]
+            order_key, keyed = self._order_keys(vdoc)
+            if tree in keyed:
+                merged.sort(key=order_key)
+            else:
+                # Build each node's document-order key (its vPBN) once per
+                # candidate list and reuse it across every comparator call.
+                decorated = [(v.vpbn, v) for v in merged]
+                decorated.sort(
+                    key=cmp_to_key(
+                        lambda a, b: vpbn.compare_virtual_order(a[0], b[0])
+                    )
+                )
+                merged = [v for _, v in decorated]
+            out.extend(merged)
+        return out
 
     # -- axes ------------------------------------------------------------------------
 
@@ -323,12 +446,12 @@ class VirtualNavigator:
                     if self._vtype_matches(child.vtype, test, "descendant"):
                         found.append(child)
             frontier = next_frontier
-        return self._sort(found)
+        return self._sort(vdoc, found)
 
     def _axis_descendant_or_self(self, vdoc, vnode, test):
         found = self._axis_descendant(vdoc, vnode, test)
         if self._vtype_matches(vnode.vtype, test, "descendant-or-self"):
-            return self._sort([vnode, *found])
+            return self._sort(vdoc, [vnode, *found])
         return found
 
     def _axis_parent(self, vdoc: VirtualDocument, vnode: VNode, test: NodeTest):
@@ -339,7 +462,7 @@ class VirtualNavigator:
         # A duplicated node has one parent per copy; like every reverse
         # axis the navigator reports them context-node-outward (reverse
         # document order).
-        return list(reversed(self._sort(vdoc.parents(vnode))))
+        return list(reversed(self._sort(vdoc, vdoc.parents(vnode))))
 
     def _axis_ancestor(self, vdoc: VirtualDocument, vnode: VNode, test: NodeTest):
         found: list[VNode] = []
@@ -353,7 +476,7 @@ class VirtualNavigator:
                 next_frontier.extend(vdoc.parents(current))
             frontier = next_frontier
         # Reverse axis order: nearest ancestors first.
-        return list(reversed(self._sort(found)))
+        return list(reversed(self._sort(vdoc, found)))
 
     def _axis_ancestor_or_self(self, vdoc, vnode, test):
         head = (
@@ -389,7 +512,7 @@ class VirtualNavigator:
             self.stats.comparisons += 1
             if vpbn.v_following_sibling(candidate.vpbn, reference):
                 found.append(candidate)
-        return self._sort(found)
+        return self._sort(vdoc, found)
 
     def _axis_preceding_sibling(self, vdoc, vnode, test):
         reference = vnode.vpbn
@@ -398,7 +521,7 @@ class VirtualNavigator:
             self.stats.comparisons += 1
             if vpbn.v_preceding_sibling(candidate.vpbn, reference):
                 found.append(candidate)
-        return list(reversed(self._sort(found)))
+        return list(reversed(self._sort(vdoc, found)))
 
     def _ordering_candidates(self, vdoc: VirtualDocument, test: NodeTest, axis: str):
         for vtype in vdoc.vguide.iter_vtypes():
@@ -412,7 +535,7 @@ class VirtualNavigator:
             self.stats.comparisons += 1
             if vpbn.v_following(candidate.vpbn, reference):
                 found.append(candidate)
-        return self._sort(found)
+        return self._sort(vdoc, found)
 
     def _axis_preceding(self, vdoc, vnode, test):
         reference = vnode.vpbn
@@ -421,7 +544,7 @@ class VirtualNavigator:
             self.stats.comparisons += 1
             if vpbn.v_preceding(candidate.vpbn, reference):
                 found.append(candidate)
-        return list(reversed(self._sort(found)))
+        return list(reversed(self._sort(vdoc, found)))
 
     # -- batch (columnar) kernels --------------------------------------------------
 
@@ -432,8 +555,9 @@ class VirtualNavigator:
 
         Returns the step's *final* result — deduplicated, in virtual
         document order, exactly what the evaluator's per-item loop plus
-        ``document_order`` would produce — or ``None`` when no kernel
-        covers the axis (the caller falls back to the scalar path).
+        ``document_order`` would produce — or, as a ``str``, why the step
+        is handed back to that loop: :data:`NO_KERNEL` or, decided for
+        this step alone by :meth:`order_class`, :data:`NO_ORDER`.
 
         ``keep`` (a :class:`~repro.storage.cas_index.KeyFilter`; child,
         attribute and descendant axes only) is the step's value
@@ -442,21 +566,16 @@ class VirtualNavigator:
         """
         handler = self._BATCH_AXES.get(axis)
         if handler is None or (keep is not None and axis not in joins.KEYS_FIRST_AXES):
-            return None
+            return NO_KERNEL
         vdoc: VirtualDocument = vnodes[0]._vdoc
-        if self._order_key_fn(vdoc) is None:
-            # Virtual order on this view is not key-linearizable — on
-            # recursive or identity-colliding views the stratified
-            # comparator need not even be transitive, so two sorting
-            # algorithms can pick different linearizations of the same
-            # set.  Decline, and let the scalar path define the order.
-            return None
+        groups = self._grouped(vnodes)
+        order = self.order_class(vdoc, [group[0] for group in groups], axis, test)
+        if order not in ORDER_CLASSES:
+            return order
         if keep is None:
-            out = handler(self, vdoc, vnodes, test, axis)
+            out = handler(self, vdoc, groups, test, axis)
         else:
-            out = handler(self, vdoc, vnodes, test, axis, keep)
-        if out is None:
-            return None
+            out = handler(self, vdoc, groups, test, axis, keep)
         if self.metrics is not None:
             self.metrics.incr("navigator.virtual.steps", len(vnodes))
         span_add("steps.virtual", len(vnodes))
@@ -489,12 +608,15 @@ class VirtualNavigator:
                 entry[2].append(vnode)
         return list(groups.values())
 
-    def _batch_child_like(self, vdoc, vnodes, test, axis, keep=None):
-        single = len(vnodes) == 1
-        triples: list = []
-        found: list[VNode] = []
-        for vtype, ctx_keys, _ in self._grouped(vnodes):
-            for position, child_vtype in enumerate(vtype.children):
+    def _child_runs(self, vdoc, groups, test, axis):
+        """``(child vtype, column, bounds)`` per matching child type of
+        the context groups: the rows under the contexts' distinct
+        ``lcaLength`` prefixes (paper Section 5.2).  Sorted, equal-width,
+        distinct prefixes give disjoint ascending runs, and a child type
+        has one parent type — so each entry is its type's whole share of
+        the step's result, distinct and in key order."""
+        for vtype, ctx_keys, _ in groups:
+            for child_vtype in vtype.children:
                 if not self._vtype_matches(child_vtype, test, axis):
                     continue
                 column = vdoc.column(child_vtype.original)
@@ -505,74 +627,29 @@ class VirtualNavigator:
                 prefixes = sorted({key[:lca] for key in ctx_keys})
                 bounds, scans = joins.prefix_run_bounds(column, prefixes)
                 self.stats.index_range_scans += scans
-                if single:
-                    group = 0 if child_vtype.is_attribute else 1
-                    run_keys, run_nodes = self._run_rows(
-                        vdoc, child_vtype, column, bounds, keep
-                    )
-                    triples.extend(
-                        (group, key, position, VNode(child_vtype, node, vdoc))
-                        for key, node in zip(run_keys, run_nodes)
-                    )
-                else:
-                    if keep is None:  # no key is needed: none is decoded
-                        run_nodes = vdoc.nodes_in(
-                            child_vtype.original, column, bounds
-                        )
-                    else:
-                        _, run_nodes = self._run_rows(
-                            vdoc, child_vtype, column, bounds, keep
-                        )
-                    found.extend(
-                        VNode(child_vtype, node, vdoc) for node in run_nodes
-                    )
-        if single:
-            # One context: virtual *sibling* order (attributes first, then
-            # document order, then specification order) — mirrors
-            # _child_like byte for byte.
-            triples.sort(key=lambda item: item[:3])
-            return [item[3] for item in triples]
-        return self._sort(found)
+                yield child_vtype, column, bounds
 
-    def _merge_vtype_runs(
-        self, buckets: "dict[int, tuple[VType, dict[tuple, VNode]]]"
-    ) -> list[VNode]:
-        """Virtual document order from per-vtype candidate buckets.
+    def _batch_child_like(self, vdoc, groups, test, axis, keep=None):
+        runs = []
+        for child_vtype, column, bounds in self._child_runs(vdoc, groups, test, axis):
+            if keep is None:  # no key is needed: none is decoded
+                nodes = vdoc.nodes_in(child_vtype.original, column, bounds)
+            else:
+                _, nodes = self._run_rows(vdoc, child_vtype, column, bounds, keep)
+            runs.append([VNode(child_vtype, node, vdoc) for node in nodes])
+        # One context included: its order key *is* virtual sibling order
+        # (attributes first, document order, specification order).
+        return self._merge_runs(vdoc, runs)
 
-        Within one vtype, plain key order *is* virtual order, so each
-        bucket yields a sorted run and the global order is a k-way merge
-        — O(n log k) comparator calls instead of the O(n log n) a full
-        ``_sort`` pays (k is the handful of matching vtypes).
-        """
-        runs = [
-            [by_key[key] for key in sorted(by_key)]
-            for _, by_key in buckets.values()
-            if by_key
-        ]
-        if not runs:
-            return []
-        if len(runs) == 1:
-            return runs[0]
-        vdoc = runs[0][0]._vdoc
-        order_key = self._order_key_fn(vdoc) if vdoc is not None else None
-        if order_key is not None:
-            return list(heapq.merge(*runs, key=order_key))
-        order = cmp_to_key(
-            lambda a, b: vpbn.compare_virtual_order(a.vpbn, b.vpbn)
-        )
-        return list(heapq.merge(*runs, key=order))
-
-    def _batch_descendant(self, vdoc, vnodes, test, axis, keep=None):
+    def _batch_descendant(self, vdoc, groups, test, axis, keep=None):
         or_self = axis == "descendant-or-self"
-        order_key = self._order_key_fn(vdoc)
-        if order_key is not None:
+        order_key, keyed = self._order_keys(vdoc)
+        if all(group[0].pbn.components[0] in keyed for group in groups):
             found = self._descendant_by_key(
-                vdoc, vnodes, test, or_self, order_key, keep
+                vdoc, groups, test, or_self, order_key, keep
             )
             if found is not None:
                 return found
-        if keep is not None:
-            return None  # the guard path below keeps no keys to filter on
         # Accumulate per vtype (keyed by components, which also dedups
         # candidates reached through nested contexts) and merge at the end.
         buckets: dict[int, tuple[VType, dict[tuple, VNode]]] = {}
@@ -584,12 +661,17 @@ class VirtualNavigator:
             return slot[1]
 
         if or_self:
-            for vnode in vnodes:
-                if self._vtype_matches(vnode.vtype, test, axis):
-                    bucket(vnode.vtype)[vnode.node.pbn.components] = vnode
-        frontier: dict[int, tuple[VType, list[tuple]]] = {}
-        for vtype, ctx_keys, _ in self._grouped(vnodes):
-            frontier[id(vtype)] = (vtype, sorted(set(ctx_keys)))
+            for vtype, ctx_keys, ctx_vnodes in groups:
+                if not self._vtype_matches(vtype, test, axis):
+                    continue
+                accepts = keep.accepts(vtype) if keep is not None else None
+                by_key = bucket(vtype)
+                for key, vnode in zip(ctx_keys, ctx_vnodes):
+                    if accepts is None or accepts(key):
+                        by_key[key] = vnode
+        frontier = {
+            id(vtype): (vtype, sorted(set(ctx_keys))) for vtype, ctx_keys, _ in groups
+        }
         while frontier:
             next_frontier: dict[int, tuple[VType, list[tuple]]] = {}
             for vtype, keys in frontier.values():
@@ -604,27 +686,37 @@ class VirtualNavigator:
                     prefixes = sorted({key[:lca] for key in keys})
                     bounds, scans = joins.prefix_run_bounds(column, prefixes)
                     self.stats.index_range_scans += scans
-                    run_keys, run_nodes = self._run_rows(
-                        vdoc, child_vtype, column, bounds, None
-                    )
+                    run_keys = column.key_runs(bounds)  # one bulk decode
                     if not run_keys:
                         continue
-                    slot = next_frontier.get(id(child_vtype))
-                    if slot is None:
-                        next_frontier[id(child_vtype)] = (child_vtype, run_keys)
+                    # (a child type has one parent type: one visit a level)
+                    next_frontier[id(child_vtype)] = (child_vtype, run_keys)
+                    if not self._vtype_matches(child_vtype, test, "descendant"):
+                        continue
+                    if keep is None:
+                        kept = run_keys
+                        nodes = vdoc.nodes_in(
+                            child_vtype.original, column, bounds, run_keys
+                        )
                     else:
-                        slot[1].extend(run_keys)
-                    if self._vtype_matches(child_vtype, test, "descendant"):
-                        by_key = bucket(child_vtype)
-                        for key, node in zip(run_keys, run_nodes):
-                            by_key[key] = VNode(child_vtype, node, vdoc)
+                        kept = list(filter(keep.accepts(child_vtype), run_keys))
+                        nodes = vdoc.nodes_of(child_vtype.original, kept)
+                    by_key = bucket(child_vtype)
+                    for key, node in zip(kept, nodes):
+                        by_key[key] = VNode(child_vtype, node, vdoc)
             frontier = {
                 key: (vtype, sorted(set(keys)))
                 for key, (vtype, keys) in next_frontier.items()
             }
-        return self._merge_vtype_runs(buckets)
+        return self._merge_runs(
+            vdoc,
+            [
+                [by_key[key] for key in sorted(by_key)]
+                for _, by_key in buckets.values()
+            ],
+        )
 
-    def _descendant_by_key(self, vdoc, vnodes, test, or_self, order_key, keep):
+    def _descendant_by_key(self, vdoc, groups, test, or_self, order_key, keep):
         """Descendant expansion with *incremental* order keys.
 
         A candidate's order key is its virtual parent's key plus one
@@ -634,7 +726,7 @@ class VirtualNavigator:
         (a complete cut slices the child's components down to the
         physical ancestor — which a complete cut makes the virtual
         parent too — and an incomplete cut resolves through the column,
-        whose uniqueness the order-key gate already certified).  So the
+        whose uniqueness :meth:`_order_keys` certified for the tree).  So the
         frontier carries ``components -> order key`` maps, each child
         costs one tuple concatenation instead of an ``order_key`` call,
         and the final order is one plain sort of precomputed tuples —
@@ -642,24 +734,21 @@ class VirtualNavigator:
 
         Returns ``None`` (caller falls back to the bucket-and-merge
         path) if two frontier parents disagree on a shared LCA prefix —
-        unreachable when the gate holds, kept as a cheap guard.
+        unreachable on a keyed tree, kept as a cheap guard.
         """
         out: dict[tuple, VNode] = {}
-        if or_self:
-            for vnode in vnodes:
-                if self._vtype_matches(
-                    vnode.vtype, test, "descendant-or-self"
-                ) and (
-                    keep is None
-                    or keep.accepts(vnode.vtype)(vnode.node.pbn.components)
-                ):
-                    out[order_key(vnode)] = vnode
         frontier: dict[int, tuple[VType, dict[tuple, tuple]]] = {}
-        for vtype, keys, ctx_vnodes in self._grouped(vnodes):
-            keymap = frontier.setdefault(id(vtype), (vtype, {}))[1]
+        for vtype, keys, ctx_vnodes in groups:
+            keymap: dict[tuple, tuple] = {}
             for key, vnode in zip(keys, ctx_vnodes):
                 if key not in keymap:
                     keymap[key] = order_key(vnode)
+            frontier[id(vtype)] = (vtype, keymap)
+            if or_self and self._vtype_matches(vtype, test, "descendant-or-self"):
+                accepts = keep.accepts(vtype) if keep is not None else None
+                for key, vnode in zip(keys, ctx_vnodes):
+                    if accepts is None or accepts(key):
+                        out[keymap[key]] = vnode
         while frontier:
             next_frontier: dict[int, tuple[VType, dict[tuple, tuple]]] = {}
             for vtype, keymap in frontier.values():
@@ -722,9 +811,8 @@ class VirtualNavigator:
             frontier = next_frontier
         return [out[okey] for okey in sorted(out)]
 
-    def _batch_ordering(self, vdoc, vnodes, test, axis):
+    def _batch_ordering(self, vdoc, groups, test, axis):
         preceding = axis == "preceding"
-        groups = self._grouped(vnodes)
         stats = self.stats
         found: list[VNode] = []
         for cand_vtype in vdoc.vguide.iter_vtypes():
@@ -801,13 +889,13 @@ class VirtualNavigator:
             rows = band_rows
             rows.update(range(accept_upto) if preceding else range(accept_from, total))
             found.extend(VNode(cand_vtype, nodes[row], vdoc) for row in rows)
-        return self._sort(found)
+        return self._sort(vdoc, found)
 
-    def _batch_siblings(self, vdoc, vnodes, test, axis):
+    def _batch_siblings(self, vdoc, groups, test, axis):
         preceding = axis == "preceding-sibling"
         stats = self.stats
         found: list[VNode] = []
-        for vnode in vnodes:
+        for vnode in (vnode for group in groups for vnode in group[2]):
             if vnode.vtype.is_attribute:
                 continue  # attributes have no siblings (XPath convention)
             ref_key = vnode.node.pbn.components
@@ -893,7 +981,7 @@ class VirtualNavigator:
                             stats.comparisons += 1
                             if predicate(candidate.vpbn, reference):
                                 found.append(candidate)
-        return self._sort(found)
+        return self._sort(vdoc, found)
 
     _BATCH_AXES = {
         "child": _batch_child_like,
@@ -913,35 +1001,24 @@ class VirtualNavigator:
         step as run bounds over the child types' shared posting lists
         (``lcaLength`` prefixes, paper Section 5.2) — no :class:`VNode`
         is built, and a sum folds each run through the child type's
-        *virtual-value* CAS prefix sums.
+        *virtual-value* CAS prefix sums.  The runs cover the step's
+        result exactly once (:meth:`_child_runs`) and a count or an exact
+        sum orders nothing, so no view is off limits.
 
-        Returns ``(value, rows)`` or ``None`` to decline (other axes,
-        non-linearizable views, values a prefix sum cannot add exactly).
+        Returns ``(value, rows)`` or, as a ``str``, why it declines:
+        :data:`NO_KERNEL` (other axes) or :data:`INEXACT_SUM` (values a
+        prefix sum cannot add exactly).
         """
         if axis not in ("child", "attribute"):
-            return None
+            return NO_KERNEL
         vdoc: VirtualDocument = vnodes[0]._vdoc
-        if self._order_key_fn(vdoc) is None:
-            # Same guard as step_many: on non-linearizable views the
-            # scalar path defines the semantics, so stay off them even
-            # though a count never orders anything.
-            return None
-        runs: list[tuple[VType, int, int]] = []
-        for vtype, ctx_keys, _ in self._grouped(vnodes):
-            for child_vtype in vtype.children:
-                if not self._vtype_matches(child_vtype, test, axis):
-                    continue
-                column = vdoc.column(child_vtype.original)
-                if column is None:
-                    self.stats.index_range_scans += 1
-                    continue
-                lca = child_vtype.lca_length
-                prefixes = sorted({key[:lca] for key in ctx_keys})
-                bounds, scans = joins.prefix_run_bounds(column, prefixes)
-                self.stats.index_range_scans += scans
-                runs.extend(
-                    (child_vtype, low, high) for low, high in bounds
-                )
+        runs = [
+            (child_vtype, low, high)
+            for child_vtype, _, bounds in self._child_runs(
+                vdoc, self._grouped(vnodes), test, axis
+            )
+            for low, high in bounds
+        ]
         rows = sum(high - low for _, low, high in runs)
         if kind == "count":
             value: object = rows
@@ -958,7 +1035,7 @@ class VirtualNavigator:
                 columns = virtual_cas_columns(vdoc, child_vtype)
                 part = columns.sum_over(low, high) if columns is not None else None
                 if part is None:
-                    return None
+                    return INEXACT_SUM
                 if part != part:  # a NaN-poisoned run: the whole sum is NaN
                     nan = True
                 else:

@@ -182,6 +182,15 @@ KEYS_FIRST_AXES = frozenset(
     ("child", "attribute", "descendant", "descendant-or-self")
 )
 
+#: Why a navigator's batch kernel hands a step back to the scalar loop —
+#: ``step_many`` / ``aggregate_many`` return one of these ``str`` in place
+#: of a result: no kernel covers the axis; the step needs a cross-type
+#: merge no order key can give (virtual navigator only); a sum over values
+#: that prefix sums cannot add exactly.
+NO_KERNEL = "axis"
+NO_ORDER = "non-linearizable-view"
+INEXACT_SUM = "inexact-sum"
+
 #: Comparison operators a CAS value range scan can answer (each maps to at
 #: most two contiguous runs over a value-sorted projection).
 _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))

@@ -26,8 +26,9 @@ answers with a seek instead of a full scan of the type's instances;
 ``descendant``/``ancestor`` are recursive CTEs over the same ranges.
 Multi-item contexts batch through one query (:meth:`VirtualAccel.
 step_many`): the context set loads into a scratch ``ctx`` table and a
-single prefix join fans out to every context at once.  Ordering axes use the ``row`` rank: under the same
-linearizability gate the columnar kernels use (``_order_key_fn``), a
+single prefix join fans out to every context at once.  Ordering axes use the ``row`` rank: where the
+virtual navigator's order key covers the whole view (``_order_key_fn`` —
+the columnar kernels ask per step instead), a
 candidate of a type *not* chain-related to the context's type follows
 the context iff its row is larger; only chain-related candidates (guide
 ancestors/descendants, where kinship beats row order) are re-checked
@@ -50,7 +51,7 @@ from repro.query.items import VirtualDocItem
 #: Fixed width (hex chars) of one encoded PBN component.
 _W = 8
 
-#: A private navigator: supplies the memoized order-key gate and the
+#: A private navigator: supplies the view's memoized order key and the
 #: shared vtype test semantics (no stats side effects beyond the memo).
 _NAV = VirtualNavigator()
 

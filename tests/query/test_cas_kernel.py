@@ -401,8 +401,10 @@ DECLINES = {
         'doc("book.xml")//name/ancestor::node()[. >= "A"]',
         None,
     ),
+    # a mixed-type step (the author's text and its articles) on a view
+    # whose prefixes duplicate: no order key can merge the two runs
     "non-linearizable-view": (
-        'virtualDoc("dblp.xml", "{spec}")//author[article/title >= "M"]',
+        'virtualDoc("dblp.xml", "{spec}")//author/node()[. >= "M"]',
         None,
     ),
     "mode": ('doc("book.xml")//name[. >= "M"]', "tree"),

@@ -208,12 +208,14 @@ CHAIN_EXACT = (
     ],
 )
 #: The paper's Case 2.  In ``author``'s chain a ``name`` is identified
-#: by a 3-component prefix only and is not alone at its level, so the
-#: view's order is not a key order: the kernel declines, soundly.
+#: by a 3-component prefix only and shares its level with the title's
+#: text; the prefix resolves to the name's full key, which no text key
+#: can be prefix-compatible with, so the tree has an order key and
+#: every step stays on the kernel.
 INVERTING = (
     "books",
     "title { name { author } }",
-    "non-linearizable-view",
+    None,
     [
         '{s}//title[name/author = ""]',
         '{s}//title[name/author != "x"]/text()',
@@ -303,8 +305,10 @@ def test_a_pruned_child_does_not_leak_into_the_parent_value():
 
 
 def test_non_linearizable_view_declines_with_the_reason(monkeypatch):
-    # dblp-by-author duplicates an article under each of its authors: the
-    # view's order is not a key order, so the kernel must not answer it.
+    # dblp-by-author duplicates an article under each of its authors, so
+    # no order key merges two types of one tree — but order is decided
+    # per step: a step whose result is one type (or one type per tree of
+    # the forest) orders by key and stays on the kernel.
     engine = Engine()
     engine.load("dblp.xml", dblp_document(20, seed=4))
     source = f'virtualDoc("dblp.xml", "{DBLP_BY_AUTHOR.spec}")'
@@ -312,7 +316,17 @@ def test_non_linearizable_view_declines_with_the_reason(monkeypatch):
         '{s}//author[article/title >= "M"]',
         "{s}//author[inproceedings/year = 2013]/inproceedings/title/text()",
         "{s}//author/article[year >= 2000]/title",
+        '{s}//author/*[title >= "M"]/year',  # article | inproceedings: forest
+        '{s}//author/descendant::title[. >= "M"]',  # forest, keys filtered
+        '{s}//author/descendant-or-self::author[article/year >= 2000]',
     ):
+        query = template.replace("{s}", source)
+        assert_arms_agree(engine, query, monkeypatch)
+        for label, (kernel, reason) in kernels(engine, query).items():
+            assert (kernel, reason) == ("cas", None), (query, label)
+    # An author's text and its articles are two types of one tree: the
+    # merge needs the key the view cannot give, and the row says so.
+    for template in ('{s}//author/node()[. >= "M"]', '{s}//article/*[. >= "M"]'):
         query = template.replace("{s}", source)
         assert_arms_agree(engine, query, monkeypatch)
         for label, (kernel, reason) in kernels(engine, query).items():
