@@ -103,8 +103,9 @@ def sibling_rows(entries, components: tuple) -> list:
     in specification order — as ``(tag, node)`` pairs in sibling order:
     original document order, specification order breaking ties (a node
     placed twice).  Each child type costs one prefix-range bisect of its
-    key list; :meth:`VirtualDocument.children` and the value writer both
-    find children here."""
+    key list — :meth:`VirtualDocument.children`'s one-node form of what
+    the value writer does for a whole batch of parents
+    (:mod:`repro.core.values`)."""
     runs = []
     for lca_length, keys, nodes, tag in entries:
         low, high = _prefix_bounds(keys, components[:lca_length])

@@ -121,11 +121,23 @@ def _encode_int(out: bytearray, value: int) -> None:
         out.extend(payload)
 
 
+#: ``encode_key`` of each integer component that fits one byte, terminator
+#: included — the common case, looked up instead of built.
+_SMALL_KEYS = tuple(bytes((value, _TERMINATOR)) for value in range(_SINGLE_MAX))
+
+
 def encode_key(number: Pbn) -> bytes:
     """Encode a (possibly rational) PBN number to an order-preserving,
     ancestor-prefix-preserving byte key."""
-    out = bytearray()
+    parts = []
     for component in number.components:
+        if type(component) is int and 0 <= component < _SINGLE_MAX + 256:
+            if component < _SINGLE_MAX:
+                parts.append(_SMALL_KEYS[component])
+            else:  # a one-byte payload: marker, component - 128, terminator
+                parts.append(bytes((_MARKER_BASE, component - _SINGLE_MAX, _TERMINATOR)))
+            continue
+        out = bytearray()
         if isinstance(component, int):
             _encode_int(out, component + 1)
         else:
@@ -142,7 +154,8 @@ def encode_key(number: Pbn) -> bytes:
             for shift in range(width - 1, -1, -1):
                 out.append(_BIT_BYTES[(remainder >> shift) & 1])
         out.append(_TERMINATOR)
-    return bytes(out)
+        parts.append(out)
+    return b"".join(parts)
 
 
 def decode_key(data: bytes) -> Pbn:

@@ -69,6 +69,13 @@ class Evaluator:
         #: step seam charges context and result items against it and the
         #: query aborts with ``QueryBudgetExceeded`` past the limit.
         self.meter = meter
+        #: The FLWR binding being evaluated: ``id(expr) -> value`` of the
+        #: paths grouped over all bindings (:meth:`_each_binding`).
+        self._slices: Optional[dict] = None
+        #: Why the FLWR path being evaluated per binding was not grouped.
+        self._group_decline: Optional[str] = None
+        #: ``id(body) -> groupable paths`` (:func:`_groupable_paths`).
+        self._groupable: dict[int, list] = {}
 
     # ------------------------------------------------------------------ dispatch
 
@@ -96,6 +103,8 @@ class Evaluator:
         return out
 
     def _eval_func(self, expr: ast.FuncCall, context: Context) -> list:
+        if self._slices is not None and id(expr) in self._slices:
+            return self._slices[id(expr)]
         entry = REGISTRY.get(expr.name)
         if entry is None:
             raise QueryEvaluationError(f"unknown function {expr.name}()")
@@ -161,6 +170,8 @@ class Evaluator:
         raise QueryEvaluationError("'/' requires a node context item")
 
     def _eval_path(self, expr: ast.PathExpr, context: Context) -> list:
+        if self._slices is not None and id(expr) in self._slices:
+            return self._slices[id(expr)]
         if expr.start is None:
             items: list = [context.require_item()]
         else:
@@ -177,41 +188,54 @@ class Evaluator:
     )
 
     def _apply_step(self, items: list, step: ast.Step, context: Context) -> list:
+        def run():
+            out = self._apply_step_inner(items, step, context)
+            return out, (len(out),)
+
+        return self._seam(step, len(items), run)
+
+    def _seam(self, step: ast.Step, items_in: int, run):
+        """Apply one plan step: ``run()`` returns ``(result, rows)`` —
+        ``rows`` the items it produced per context list (one for a plain
+        step, one per binding for a grouped FLWR path)."""
         # Cost-meter seam: every strategy (scalar, columnar, indexed,
         # sql) funnels through this method, so charging context items on
         # the way in and result items on the way out bounds the whole
         # traversal regardless of which kernel evaluated it.  The charge
-        # raises QueryBudgetExceeded mid-plan — rejection, not timeout.
+        # raises QueryBudgetExceeded mid-plan — rejection, not timeout;
+        # the single-step row guard applies to each context list alone.
         meter = self.meter
         if meter is not None:
-            meter.charge_context(len(items))
+            meter.charge_context(items_in)
         # Tracing wrapper: one "step" span per plan-step application, so
         # EXPLAIN ANALYZE can aggregate by operator.  The untraced path
         # pays a thread-local read and a branch.
         if current_span() is None:
-            out = self._apply_step_inner(items, step, context)
-            if meter is not None:
-                meter.charge_rows(len(out))
-            return out
-        from repro.query.plan import step_label
+            result, rows = run()
+        else:
+            from repro.query.plan import step_label
 
-        with span("step", step_label(step)) as step_span:
-            out = self._apply_step_inner(items, step, context)
-            step_span.add("items_in", len(items))
-            step_span.add("items_out", len(out))
-            self._tag_kernel(step_span)
-            if step.predicates:
-                step_span.add("predicates", len(step.predicates))
+            with span("step", step_label(step)) as step_span:
+                result, rows = run()
+                step_span.add("items_in", items_in)
+                step_span.add("items_out", sum(rows))
+                self._tag_kernel(step_span)
+                if step.predicates:
+                    step_span.add("predicates", len(step.predicates))
         if meter is not None:
-            meter.charge_rows(len(out))
-        return out
+            for count in rows:
+                meter.charge_rows(count)
+        return result
 
     def _tag_kernel(self, step_span) -> None:
-        """``kernel=`` on a step's span and, on a scalar row, ``reason=``:
-        why no batch kernel took the step."""
+        """``kernel=`` on a step's span and ``reason=``: on a scalar row,
+        why no batch kernel took the step; on a step of a FLWR path left
+        to the per-binding loop, why the path was not grouped."""
         step_span.set("kernel", self._last_kernel)
         if self._last_kernel == "scalar" and self._last_decline:
             step_span.set("reason", self._last_decline)
+        elif self._group_decline:
+            step_span.set("reason", self._group_decline)
 
     def _apply_step_inner(
         self, items: list, step: ast.Step, context: Context
@@ -280,12 +304,21 @@ class Evaluator:
     def _step_many(self, items: list, axis: str, test: ast.NodeTest, keep=None):
         """Route a whole context set to one navigator's batch kernel.
         Returns the step's final form, or — a ``str`` — the reason no
-        kernel took it: the context is a lone (virtual) document, the set
-        is heterogeneous (mixed containers, atomics, several documents),
-        the stored strategy is not ``indexed``, or whatever the navigator
-        declined for (no kernel covers the axis; the step needs a
-        cross-type merge no order key can give).  ``keep`` rides along to
-        the key-filtering kernels."""
+        kernel took it: :meth:`_batch_navigator`'s, or whatever the
+        navigator declined for (no kernel covers the axis; the step needs
+        a cross-type merge no order key can give).  ``keep`` rides along
+        to the key-filtering kernels."""
+        navigator = self._batch_navigator(items)
+        if isinstance(navigator, str):
+            return navigator
+        return navigator.step_many(items, axis, test, keep)
+
+    def _batch_navigator(self, items: list):
+        """The navigator whose batch kernels take ``items`` as one context
+        set or — a ``str`` — why none does: the context is a lone
+        (virtual) document, the set is heterogeneous (mixed containers,
+        atomics, several documents), or the stored strategy is not
+        ``indexed``."""
         first = items[0]
         if isinstance(first, VNode):
             vdoc = first._vdoc
@@ -293,7 +326,7 @@ class Evaluator:
                 isinstance(item, VNode) and item._vdoc is vdoc for item in items
             ):
                 return "heterogeneous-context"
-            return self._virtual_nav.step_many(items, axis, test, keep)
+            return self._virtual_nav
         if len(items) == 1 and isinstance(first, (Document, VirtualDocItem)):
             # One navigator step from the root already is the final form.
             return "document-context"
@@ -311,7 +344,7 @@ class Evaluator:
                 or self.engine.store_of(item) is not store
             ):
                 return "heterogeneous-context"
-        return self.engine.indexed_navigator(store).step_many(items, axis, test, keep)
+        return self.engine.indexed_navigator(store)
 
     def _step_many_cas(self, items: list, step: ast.Step):
         """Batch a predicate-bearing step through the CAS index: compile
@@ -399,24 +432,12 @@ class Evaluator:
         the step runs through :meth:`_apply_step_inner` *inside the same
         span* — one operator row in the plan either way, and no step is
         ever evaluated twice."""
-        meter = self.meter
-        if meter is not None:
-            meter.charge_context(len(items))
-        if current_span() is None:
-            result, rows = self._aggregate_or_apply(items, step, context, name)
-            if meter is not None:
-                meter.charge_rows(rows)
-            return result
-        from repro.query.plan import step_label
 
-        with span("step", step_label(step)) as step_span:
+        def run():
             result, rows = self._aggregate_or_apply(items, step, context, name)
-            step_span.add("items_in", len(items))
-            step_span.add("items_out", rows)
-            self._tag_kernel(step_span)
-        if meter is not None:
-            meter.charge_rows(rows)
-        return result
+            return result, (rows,)
+
+        return self._seam(step, len(items), run)
 
     def _aggregate_or_apply(
         self, items: list, step: ast.Step, context: Context, name: str
@@ -435,13 +456,7 @@ class Evaluator:
                 metrics.incr("engine.aggregate", labels={"result": "hit"})
             self._last_kernel = "prefix-sum"
             value, rows = outcome
-            if name == "count":
-                return [rows], rows
-            # sum(): the scalar loop folds floats, so a non-empty result
-            # is a float; the empty sequence sums to the int 0.
-            if rows == 0:
-                return [0], 0
-            return [float(value)], rows
+            return _aggregate_result(name, value, rows), rows
         if metrics is not None:
             metrics.incr(
                 "engine.aggregate", labels={"result": "decline", "reason": outcome}
@@ -598,17 +613,143 @@ class Evaluator:
                     for current in bindings
                 ]
         if expr.where is not None:
-            bindings = [
-                current
-                for current in bindings
-                if effective_boolean(self.evaluate(expr.where, current))
-            ]
+            kept: list[bool] = []
+            self._each_binding(
+                expr.where, bindings, lambda value: kept.append(effective_boolean(value))
+            )
+            bindings = [current for current, keep in zip(bindings, kept) if keep]
         if expr.order_by:
             bindings = self._order_bindings(bindings, expr.order_by)
         out: list = []
-        for current in bindings:
-            out.extend(self.evaluate(expr.return_expr, current))
+        self._each_binding(expr.return_expr, bindings, out.extend)
         return out
+
+    # ------------------------------------------------------------------ set-at-a-time FLWR paths
+
+    def _each_binding(self, body: ast.Expr, bindings: list[Context], consume) -> None:
+        """Evaluate ``body`` once per binding, in order, handing each
+        value to ``consume`` — the FLWR loop.  Every groupable path of
+        ``body`` (:func:`_groupable_paths`) is evaluated first, once over
+        the whole binding sequence (:meth:`_grouped_values`), and each
+        iteration reads its own binding's slice of it."""
+        slices = self._group_slices(body, bindings)
+        saved = self._slices
+        try:
+            for index, current in enumerate(bindings):
+                if slices is not None:
+                    self._slices = slices[index]
+                consume(self.evaluate(body, current))
+        finally:
+            self._slices = saved
+
+    def _group_slices(self, body: ast.Expr, bindings: list[Context]):
+        """Per binding, ``{id(path): value}`` for the groupable paths of
+        ``body`` whose variable is bound to one node in every binding;
+        ``None`` when nothing is grouped (the reference arm with batch
+        kernels off always loops)."""
+        if not self.use_batch_kernels or len(bindings) < 2:
+            return None
+        paths = self._groupable.get(id(body))
+        if paths is None:
+            paths = self._groupable[id(body)] = _groupable_paths(body, [])
+        if not paths:
+            return None
+        slices: list[dict] = [{} for _ in bindings]
+        for expr, var in paths:
+            items = []
+            for current in bindings:
+                value = current.variables.get(var)
+                if value is None or len(value) != 1 or not is_node(value[0]):
+                    break  # the loop raises or atomizes: leave it the path
+                items.append(value[0])
+            else:
+                for slot, value in zip(slices, self._grouped_values(expr, items, bindings)):
+                    slot[id(expr)] = value
+        return slices
+
+    def _grouped_values(self, expr: ast.Expr, items: list, bindings: list[Context]) -> list:
+        """The value of a groupable path (or of ``count()`` / ``sum()`` of
+        one) for each binding, ``items`` being the nodes its variable is
+        bound to: each step runs once over all bindings' contexts, the
+        navigators keeping every binding's rows apart
+        (``step_groups`` / ``aggregate_groups``).  Declines exactly where
+        the batch kernels do — sql, a stored strategy other than
+        ``indexed``, bindings of several documents or kinds — and then
+        every binding runs the path the way the loop would, its step rows
+        tagged with the reason."""
+        if isinstance(expr, ast.FuncCall):
+            path, aggregate = expr.args[0], expr.name
+        else:
+            path, aggregate = expr, None
+        steps = _fuse_descendant_steps(path.steps)
+        navigator = "mode" if self.mode == "sql" else self._batch_navigator(items)
+        if isinstance(navigator, str):
+            return self._per_binding_values(items, steps, aggregate, bindings, navigator)
+        segments: list = [[item] for item in items]
+        for index, step in enumerate(steps):
+            name = aggregate if index == len(steps) - 1 else None
+            # The step seam of _apply_step for all bindings at once: one
+            # span with the contexts of every binding as items_in, one
+            # context charge, and each binding's own row charge.
+            segments = self._seam(
+                step,
+                sum(map(len, segments)),
+                lambda: self._grouped_step(navigator, segments, step, name, bindings),
+            )
+        return segments
+
+    def _per_binding_values(
+        self, items: list, steps: list, aggregate, bindings: list[Context], reason: str
+    ) -> list:
+        """A declined groupable path, evaluated per binding exactly as the
+        loop would — one step application per binding and step — with
+        ``reason=`` on every step row."""
+        self._group_decline = reason
+        try:
+            out = []
+            for item, current in zip(items, bindings):
+                values = [item]
+                for step in steps[:-1] if aggregate else steps:
+                    values = self._apply_step(values, step, current)
+                if aggregate:
+                    values = self._apply_aggregate_step(values, steps[-1], current, aggregate)
+                out.append(values)
+            return out
+        finally:
+            self._group_decline = None
+
+    def _grouped_step(self, navigator, segments, step, name, bindings):
+        """``(results, rows)`` of one step of a grouped path over
+        ``segments`` — each binding's context nodes: each binding's result
+        (with ``name``, its ``count()`` / ``sum()``) and row count."""
+        axis, test = step.axis, step.test
+        if name is None:
+            self._last_kernel = "columnar"
+            out = navigator.step_groups(segments, axis, test)
+            return out, [len(found) for found in out]
+        outcome = navigator.aggregate_groups(segments, axis, test, name)
+        metrics = self.engine.metrics
+        if not isinstance(outcome, str):
+            if metrics is not None:
+                metrics.incr("engine.aggregate", labels={"result": "hit"})
+            self._last_kernel = "prefix-sum"
+            return (
+                [_aggregate_result(name, value, rows) for value, rows in outcome],
+                [rows for _, rows in outcome],
+            )
+        if metrics is not None:
+            metrics.incr(
+                "engine.aggregate", labels={"result": "decline", "reason": outcome}
+            )
+        # Values prefix sums cannot add exactly: each binding materializes
+        # and folds in document order, as its own aggregate step would.
+        results, rows = [], []
+        for segment, current in zip(segments, bindings):
+            found = self._apply_step_inner(segment, step, current)
+            results.append(REGISTRY[name][2](current, found))
+            rows.append(len(found))
+        self._last_kernel, self._last_decline = "scalar", outcome
+        return results, rows
 
     def _order_bindings(
         self, bindings: list[Context], specs: tuple[ast.OrderSpec, ...]
@@ -799,6 +940,17 @@ def _append_text(element: Element, text: str) -> None:
         element.append(Text(text))
 
 
+def _aggregate_result(name: str, value, rows: int) -> list:
+    """The ``count()`` / ``sum()`` result a bounds kernel's ``(value,
+    rows)`` stands for.  ``sum()``: the scalar loop folds floats, so a
+    non-empty result is a float; the empty sequence sums to the int 0."""
+    if name == "count":
+        return [rows]
+    if rows == 0:
+        return [0]
+    return [float(value)]
+
+
 def _vtype_of(vnode: VNode):
     return vnode.vtype
 
@@ -817,6 +969,70 @@ def _identity(item: Any):
         return id(item)
     # Atomic values are deduplicated by value+type.
     return (type(item).__name__, item)
+
+
+def _groupable_paths(expr: ast.Expr, found: list) -> list:
+    """``(expression, variable)`` for the sub-expressions of ``expr`` a
+    FLWR evaluates set-at-a-time: downward, predicate-free ``child`` /
+    ``attribute`` paths from a variable (``$v/a/b``, ``$v/@x``,
+    ``$v/text()``, ``$v/*``) and ``count()`` / ``sum()`` of one.  Only
+    positions evaluated exactly once per evaluation of ``expr`` are
+    searched — never under a predicate, a conditional branch, the right
+    operand of ``and`` / ``or``, or a nested FLWR or quantified
+    condition (which may also rebind the variable) — so grouping changes
+    neither what is evaluated nor how often."""
+    if isinstance(expr, ast.PathExpr):
+        var = _variable_path(expr)
+        if var is not None:
+            found.append((expr, var))
+        elif expr.start is not None:
+            _groupable_paths(expr.start, found)
+    elif isinstance(expr, ast.FuncCall):
+        var = (
+            _variable_path(expr.args[0])
+            if expr.name in ("count", "sum") and len(expr.args) == 1
+            else None
+        )
+        if var is not None:
+            found.append((expr, var))
+        else:
+            for arg in expr.args:
+                _groupable_paths(arg, found)
+    elif isinstance(expr, ast.SequenceExpr):
+        for sub in expr.exprs:
+            _groupable_paths(sub, found)
+    elif isinstance(expr, ast.BinaryOp):
+        _groupable_paths(expr.left, found)
+        if expr.op not in ("and", "or"):
+            _groupable_paths(expr.right, found)
+    elif isinstance(expr, ast.UnaryOp):
+        _groupable_paths(expr.operand, found)
+    elif isinstance(expr, ast.FilterExpr):
+        _groupable_paths(expr.base, found)
+    elif isinstance(expr, ast.IfExpr):
+        _groupable_paths(expr.condition, found)
+    elif isinstance(expr, ast.QuantifiedExpr):
+        _groupable_paths(expr.expr, found)
+    elif isinstance(expr, ast.ElementConstructor):
+        parts = [part for template in expr.attributes for part in template.parts]
+        for part in [*parts, *expr.content]:
+            if not isinstance(part, str):
+                _groupable_paths(part, found)
+    return found
+
+
+def _variable_path(expr: ast.Expr) -> Optional[str]:
+    """The variable a groupable path starts from, or ``None``."""
+    if not (
+        isinstance(expr, ast.PathExpr)
+        and isinstance(expr.start, ast.VarRef)
+        and expr.steps
+    ):
+        return None
+    for step in _fuse_descendant_steps(expr.steps):
+        if step.axis not in ("child", "attribute") or step.predicates:
+            return None
+    return expr.start.name
 
 
 def _fuse_descendant_steps(steps: tuple[ast.Step, ...]) -> list[ast.Step]:

@@ -231,10 +231,13 @@ class IndexedNavigator:
             out = handler(self, nodes, test, axis)
         else:
             out = handler(self, nodes, test, axis, keep)
-        if self.metrics is not None:
-            self.metrics.incr("navigator.indexed.steps", len(nodes))
-        span_add("steps.indexed", len(nodes))
+        self._count_steps(len(nodes))
         return out
+
+    def _count_steps(self, contexts: int) -> None:
+        if self.metrics is not None:
+            self.metrics.incr("navigator.indexed.steps", contexts)
+        span_add("steps.indexed", contexts)
 
     def _column_of(self, guide_type: GuideType):
         return self.store.type_index.column(self.store.type_id(guide_type))
@@ -273,11 +276,35 @@ class IndexedNavigator:
             return keys
         return list(filter(keep.accepts(guide_type), keys))
 
+    def _child_runs(self, groups, test: NodeTest, axis: str):
+        """``(child_type, column, prefixes, bounds)`` per matching child
+        type of the context groups (``(guide_type, sorted distinct
+        keys)``): ``bounds[i]`` is the run of children under
+        ``prefixes[i]``, one context's key — one moving-cursor pass over
+        the child type's column.  The one child/attribute kernel:
+        :meth:`step_many` and :meth:`aggregate_many` flatten its runs,
+        :meth:`step_groups` and :meth:`aggregate_groups` keep them apart
+        per context."""
+        stats = self.store.stats
+        for guide_type, ctx_keys in groups:
+            for child_type in self._matching_types(guide_type.children, test, axis):
+                column = self._column_of(child_type)
+                if column is None:
+                    stats.index_range_scans += 1
+                    span_add("index.range_scans")
+                    continue
+                bounds, scans = joins.prefix_run_bounds(column, ctx_keys)
+                stats.index_range_scans += scans
+                span_add("index.range_scans", scans)
+                yield child_type, column, ctx_keys, bounds
+
     def _batch_child_like(self, nodes, test, axis, keep=None):
         keys: list[tuple] = []
-        for guide_type, ctx_keys in self._by_guide_type(nodes):
-            for child_type in self._matching_types(guide_type.children, test, axis):
-                keys.extend(self._scan_runs(child_type, ctx_keys, keep))
+        for child_type, column, _, bounds in self._child_runs(
+            self._by_guide_type(nodes), test, axis
+        ):
+            run = column.key_runs(bounds)  # one bulk decode
+            keys.extend(run if keep is None else filter(keep.accepts(child_type), run))
         keys.sort()  # child ranges of distinct parents are disjoint: no dedup
         return [self.store.node_by_components(key) for key in keys]
 
@@ -430,31 +457,84 @@ class IndexedNavigator:
         runs = self._aggregate_runs(nodes, axis, test)
         if runs is None:
             return joins.NO_KERNEL
-        rows = sum(high - low for _, low, high in runs)
-        if kind == "count":
-            value: object = rows
-        elif rows == 0:
-            value = 0
-        else:
-            total = 0
-            nan = False
-            cas = self.store.cas_index
-            for guide_type, low, high in runs:
-                if low == high:
-                    continue
-                columns = cas.columns(self.store.type_id(guide_type))
-                part = columns.sum_over(low, high) if columns is not None else None
-                if part is None:
-                    return joins.INEXACT_SUM
-                if part != part:  # a NaN-poisoned run: the whole sum is NaN
-                    nan = True
-                else:
-                    total += part
-            value = float("nan") if nan else total
-        if self.metrics is not None:
-            self.metrics.incr("navigator.indexed.steps", len(nodes))
-        span_add("steps.indexed", len(nodes))
-        return value, rows
+        folded = joins.fold_runs(runs, kind, self._cas_columns)
+        if not isinstance(folded, str):
+            self._count_steps(len(nodes))
+        return folded
+
+    def _cas_columns(self, guide_type: GuideType):
+        return self.store.cas_index.columns(self.store.type_id(guide_type))
+
+    # -- grouped kernels: one context set, rows kept apart per segment -------------
+
+    def _segment_runs(self, segments, test: NodeTest, axis: str, decode: bool):
+        """``(context key -> [(child_type, low, high, keys)], several child
+        types?)`` over every segment's contexts: :meth:`_child_runs` for
+        all of them at once, keyed back to the context each run belongs
+        to — with the run's keys when ``decode`` (one bulk decode per
+        child type), else ``None``."""
+        groups = [
+            (guide_type, sorted(set(keys)))  # a node bound twice is one context
+            for guide_type, keys in self._by_guide_type(
+                [node for segment in segments for node in segment]
+            )
+        ]
+        runs: dict[tuple, list] = {}
+        child_types = 0
+        for child_type, column, prefixes, bounds in self._child_runs(groups, test, axis):
+            child_types += 1
+            decoded = column.key_runs(bounds) if decode else None
+            start = 0
+            for prefix, (low, high) in zip(prefixes, bounds):
+                if low < high:
+                    end = start + high - low
+                    keys = decoded[start:end] if decode else None
+                    runs.setdefault(prefix, []).append((child_type, low, high, keys))
+                    start = end
+        return runs, child_types > 1
+
+    def step_groups(self, segments: list, axis: str, test: NodeTest) -> list:
+        """A predicate-free ``child`` / ``attribute`` step for several
+        context lists at once — each FLWR binding's, from the evaluator's
+        grouped paths: the runs of :meth:`step_many` over all contexts,
+        each segment's result assembled from its own contexts' runs
+        (deduplicated, document order — what :meth:`step_many` returns
+        for that segment alone)."""
+        runs, mixed = self._segment_runs(segments, test, axis, decode=True)
+        node_of = self.store.node_by_components
+        out = []
+        for segment in segments:
+            keys: list[tuple] = []
+            for node in segment:
+                for run in runs.get(node.pbn.components, ()):
+                    keys.extend(run[3])
+            if mixed:
+                keys.sort()
+            out.append([node_of(key) for key in keys])
+        self._count_steps(sum(map(len, segments)))
+        return out
+
+    def aggregate_groups(self, segments: list, axis: str, test: NodeTest, kind: str):
+        """``(value, rows)`` of :meth:`aggregate_many` per segment, from the
+        runs of :meth:`step_groups` — or, as a ``str``, why the runs
+        cannot be summed exactly."""
+        runs, _ = self._segment_runs(segments, test, axis, decode=False)
+        out = []
+        for segment in segments:
+            folded = joins.fold_runs(
+                [
+                    run[:3]
+                    for node in segment
+                    for run in runs.get(node.pbn.components, ())
+                ],
+                kind,
+                self._cas_columns,
+            )
+            if isinstance(folded, str):
+                return folded
+            out.append(folded)
+        self._count_steps(sum(map(len, segments)))
+        return out
 
     def _aggregate_runs(self, nodes, axis: str, test: NodeTest):
         """``(guide_type, low, high)`` runs jointly covering the step's
@@ -490,13 +570,13 @@ class IndexedNavigator:
         if any(isinstance(node, Document) for node in nodes):
             return None
         if axis in ("child", "attribute"):
-            runs = []
-            for guide_type, ctx_keys in self._by_guide_type(nodes):
-                for child_type in self._matching_types(
-                    guide_type.children, test, axis
-                ):
-                    runs.extend(self._run_bounds(child_type, ctx_keys))
-            return runs
+            return [
+                (child_type, low, high)
+                for child_type, _, _, bounds in self._child_runs(
+                    self._by_guide_type(nodes), test, axis
+                )
+                for low, high in bounds
+            ]
         if axis != "descendant":
             return None
         # Per descendant type, pool the context keys of every group whose

@@ -25,6 +25,7 @@ merge no key can give is left to the Section 5 comparator.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Optional
 
 from repro.core.virtual_document import VirtualDocument, VNode
@@ -32,7 +33,7 @@ from repro.core import vpbn
 from repro.obs.trace import span_add
 from repro.pbn.columnar import subtree_bound
 from repro.query import joins
-from repro.query.joins import INEXACT_SUM, NO_KERNEL, NO_ORDER
+from repro.query.joins import NO_KERNEL, NO_ORDER
 from repro.query.ast import NodeTest
 from repro.query.items import VirtualDocItem, attach_vdoc
 from repro.storage.stats import StorageStats
@@ -49,6 +50,47 @@ ORDER_CLASSES = frozenset((KEY, FOREST, KEYED))
 def _components_of(vnode: VNode) -> tuple:
     """Sort key for same-vtype candidate lists (plain document order)."""
     return vnode.node.pbn.components
+
+
+def _sibling_order(runs: list) -> list[VNode]:
+    """One context's children from its runs of several child types (in
+    specification order), in virtual sibling order: original document
+    order, specification order breaking ties — :meth:`VirtualDocument.
+    children`'s order, which any order class agrees with."""
+    runs = [run for run in runs if run]
+    if len(runs) < 2:
+        return runs[0] if runs else []
+    found = [
+        (vnode.node.pbn.components, position, vnode)
+        for position, run in enumerate(runs)
+        for vnode in run
+    ]
+    found.sort(key=itemgetter(0, 1))
+    return [vnode for _, _, vnode in found]
+
+
+def _comparator_order(children: list) -> list[VNode]:
+    """Several contexts' children (one sibling-ordered list per context)
+    the way the per-item loop orders a step no order key covers: each
+    node once, where it first occurs, then a sort under the Section 5
+    comparator — over the same input order, so the same answer even where
+    the comparator is not a total order."""
+    unique: dict = {}
+    for found in children:
+        for vnode in found:
+            unique.setdefault((id(vnode.vtype), id(vnode.node)), vnode)
+    return sorted(
+        unique.values(),
+        key=cmp_to_key(lambda a, b: vpbn.compare_virtual_order(a.vpbn, b.vpbn)),
+    )
+
+
+def _cas_columns_of(vdoc: VirtualDocument):
+    """``vtype -> CasColumns`` of the view's virtual values (the sums of
+    :func:`repro.query.joins.fold_runs`)."""
+    from repro.storage.cas_index import virtual_cas_columns
+
+    return lambda vtype: virtual_cas_columns(vdoc, vtype)
 
 
 class VirtualNavigator:
@@ -372,8 +414,8 @@ class VirtualNavigator:
         order (identical level arrays: no comparator, no ``VPbn``).  Runs
         of different vDataGuide trees concatenate in forest order; runs of
         one tree merge by its order key or, where the tree has none,
-        under the Section 5 comparator (the scalar path only —
-        :meth:`step_many` declines such steps)."""
+        under the Section 5 comparator (the scalar path, and one binding
+        of :meth:`step_groups` — :meth:`step_many` declines such steps)."""
         runs = [run for run in runs if run]
         if len(runs) < 2:
             return runs[0] if runs else []
@@ -576,10 +618,13 @@ class VirtualNavigator:
             out = handler(self, vdoc, groups, test, axis)
         else:
             out = handler(self, vdoc, groups, test, axis, keep)
-        if self.metrics is not None:
-            self.metrics.incr("navigator.virtual.steps", len(vnodes))
-        span_add("steps.virtual", len(vnodes))
+        self._count_steps(len(vnodes))
         return out
+
+    def _count_steps(self, contexts: int) -> None:
+        if self.metrics is not None:
+            self.metrics.incr("navigator.virtual.steps", contexts)
+        span_add("steps.virtual", contexts)
 
     def _run_rows(self, vdoc, vtype: VType, column, bounds, keep):
         """``(keys, nodes)`` of the rows in ``bounds`` — with a key filter
@@ -609,12 +654,17 @@ class VirtualNavigator:
         return list(groups.values())
 
     def _child_runs(self, vdoc, groups, test, axis):
-        """``(child vtype, column, bounds)`` per matching child type of
-        the context groups: the rows under the contexts' distinct
-        ``lcaLength`` prefixes (paper Section 5.2).  Sorted, equal-width,
-        distinct prefixes give disjoint ascending runs, and a child type
-        has one parent type — so each entry is its type's whole share of
-        the step's result, distinct and in key order."""
+        """``(child vtype, column, prefixes, bounds)`` per matching child
+        type of the context groups: ``bounds[i]`` is the run of rows
+        under ``prefixes[i]``, one of the contexts' distinct
+        ``lcaLength`` prefixes (paper Section 5.2) — every context with
+        that prefix has exactly that run as its share of the type.
+        Sorted, equal-width, distinct prefixes give disjoint ascending
+        runs, and a child type has one parent type — so the runs together
+        are the type's whole share of the step's result, distinct and in
+        key order.  The one child/attribute kernel: :meth:`step_many` and
+        :meth:`aggregate_many` flatten its runs, :meth:`step_groups` and
+        :meth:`aggregate_groups` keep them apart per context."""
         for vtype, ctx_keys, _ in groups:
             for child_vtype in vtype.children:
                 if not self._vtype_matches(child_vtype, test, axis):
@@ -627,11 +677,11 @@ class VirtualNavigator:
                 prefixes = sorted({key[:lca] for key in ctx_keys})
                 bounds, scans = joins.prefix_run_bounds(column, prefixes)
                 self.stats.index_range_scans += scans
-                yield child_vtype, column, bounds
+                yield child_vtype, column, prefixes, bounds
 
     def _batch_child_like(self, vdoc, groups, test, axis, keep=None):
         runs = []
-        for child_vtype, column, bounds in self._child_runs(vdoc, groups, test, axis):
+        for child_vtype, column, _, bounds in self._child_runs(vdoc, groups, test, axis):
             if keep is None:  # no key is needed: none is decoded
                 nodes = vdoc.nodes_in(child_vtype.original, column, bounds)
             else:
@@ -1014,34 +1064,147 @@ class VirtualNavigator:
         vdoc: VirtualDocument = vnodes[0]._vdoc
         runs = [
             (child_vtype, low, high)
-            for child_vtype, _, bounds in self._child_runs(
+            for child_vtype, _, _, bounds in self._child_runs(
                 vdoc, self._grouped(vnodes), test, axis
             )
             for low, high in bounds
         ]
-        rows = sum(high - low for _, low, high in runs)
-        if kind == "count":
-            value: object = rows
-        elif rows == 0:
-            value = 0
-        else:
-            from repro.storage.cas_index import virtual_cas_columns
+        folded = joins.fold_runs(runs, kind, _cas_columns_of(vdoc))
+        if not isinstance(folded, str):
+            self._count_steps(len(vnodes))
+        return folded
 
-            total = 0
-            nan = False
-            for child_vtype, low, high in runs:
-                if low == high:
-                    continue
-                columns = virtual_cas_columns(vdoc, child_vtype)
-                part = columns.sum_over(low, high) if columns is not None else None
-                if part is None:
-                    return INEXACT_SUM
-                if part != part:  # a NaN-poisoned run: the whole sum is NaN
-                    nan = True
-                else:
-                    total += part
-            value = float("nan") if nan else total
-        if self.metrics is not None:
-            self.metrics.incr("navigator.virtual.steps", len(vnodes))
-        span_add("steps.virtual", len(vnodes))
-        return value, rows
+    # -- grouped kernels: one context set, rows kept apart per segment -------------
+
+    def _segment_runs(self, vdoc, flat: list, test, axis):
+        """``(children, shares)`` for :meth:`_child_runs` over the contexts
+        of all segments at once: ``children[id(context vtype)]`` lists
+        ``(child vtype, {prefix: (low, high, start)})`` — each child
+        type's runs keyed by the ``lcaLength`` prefix a context finds its
+        run under, ``start`` being the run's offset among the type's
+        matched rows — and ``shares`` the ``(child vtype, column,
+        bounds)`` of every child type with runs."""
+        groups = self._grouped(flat)
+        tables: dict[int, dict] = {}
+        shares = []
+        for child_vtype, column, prefixes, bounds in self._child_runs(
+            vdoc, groups, test, axis
+        ):
+            table = tables[id(child_vtype)] = {}
+            start = 0
+            for prefix, (low, high) in zip(prefixes, bounds):
+                table[prefix] = (low, high, start)
+                start += high - low
+            shares.append((child_vtype, column, bounds))
+        children = {
+            id(vtype): [
+                (child_vtype, tables[id(child_vtype)])
+                for child_vtype in vtype.children
+                if id(child_vtype) in tables
+            ]
+            for vtype, _, _ in groups
+        }
+        return children, shares
+
+    @staticmethod
+    def _context_runs(children, segment: list) -> list:
+        """``(child vtype, low, high, start)`` of one segment's contexts,
+        each run once (contexts sharing a prefix share their run): per
+        child type in key order, child types in specification order for
+        a single context."""
+        if len(segment) == 1:
+            vnode = segment[0]
+            key = vnode.node.pbn.components
+            return [
+                (child_vtype, *table[key[: child_vtype.lca_length]])
+                for child_vtype, table in children[id(vnode.vtype)]
+            ]
+        seen: set = set()
+        runs = []
+        for vnode in segment:
+            key = vnode.node.pbn.components
+            for child_vtype, table in children[id(vnode.vtype)]:
+                prefix = key[: child_vtype.lca_length]
+                if (id(child_vtype), prefix) not in seen:
+                    seen.add((id(child_vtype), prefix))
+                    runs.append((child_vtype, *table[prefix]))
+        return runs
+
+    def step_groups(self, segments: list, axis: str, test: NodeTest) -> list:
+        """A predicate-free ``child`` / ``attribute`` step for several
+        context lists at once — each FLWR binding's, from the evaluator's
+        grouped paths: the runs of :meth:`step_many` over all contexts,
+        each segment's result assembled from its own contexts' runs
+        (deduplicated, virtual document order — what the step returns for
+        that segment alone).  A single context's children merge in
+        sibling order, which needs no order key; several contexts' runs of
+        several child types merge by :meth:`_merge_runs` where the
+        segment's :meth:`order_class` allows it, and otherwise exactly as
+        the per-item loop merges them (:func:`_comparator_order`)."""
+        flat = [vnode for segment in segments for vnode in segment]
+        if not flat:
+            return [[] for _ in segments]
+        vdoc: VirtualDocument = flat[0]._vdoc
+        children, shares = self._segment_runs(vdoc, flat, test, axis)
+        matched = {
+            id(child_vtype): [
+                VNode(child_vtype, node, vdoc)
+                for node in vdoc.nodes_in(child_vtype.original, column, bounds)
+            ]
+            for child_vtype, column, bounds in shares
+        }
+
+        def sibling_ordered(vnode: VNode) -> list[VNode]:
+            return _sibling_order(
+                [
+                    matched[id(child_vtype)][start : start + high - low]
+                    for child_vtype, low, high, start in self._context_runs(
+                        children, [vnode]
+                    )
+                ]
+            )
+
+        out = []
+        for segment in segments:
+            if len(segment) == 1:
+                out.append(sibling_ordered(segment[0]))
+                continue
+            by_type: dict[int, list] = {}
+            for child_vtype, low, high, start in self._context_runs(children, segment):
+                if low < high:
+                    by_type.setdefault(id(child_vtype), []).extend(
+                        matched[id(child_vtype)][start : start + high - low]
+                    )
+            runs = list(by_type.values())
+            vtypes = {id(vnode.vtype): vnode.vtype for vnode in segment}
+            if len(runs) > 1 and self.order_class(
+                vdoc, list(vtypes.values()), axis, test
+            ) not in ORDER_CLASSES:
+                out.append(_comparator_order([sibling_ordered(v) for v in segment]))
+            else:
+                out.append(self._merge_runs(vdoc, runs))
+        self._count_steps(len(flat))
+        return out
+
+    def aggregate_groups(self, segments: list, axis: str, test: NodeTest, kind: str):
+        """``(value, rows)`` of :meth:`aggregate_many` per segment, from the
+        runs of :meth:`step_groups` — or, as a ``str``, why the runs
+        cannot be summed exactly."""
+        flat = [vnode for segment in segments for vnode in segment]
+        if not flat:
+            return [(0, 0) for _ in segments]
+        vdoc: VirtualDocument = flat[0]._vdoc
+        children, _ = self._segment_runs(vdoc, flat, test, axis)
+        columns_of = _cas_columns_of(vdoc)
+        out = []
+        for segment in segments:
+            folded = joins.fold_runs(
+                [run[:3] for run in self._context_runs(children, segment)],
+                kind,
+                columns_of,
+            )
+            if isinstance(folded, str):
+                return folded
+            out.append(folded)
+        self._count_steps(len(flat))
+        return out

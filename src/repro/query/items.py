@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Union
 
-from repro.core.values import ValueStats, is_intact, write
+from repro.core.values import ValueStats, is_intact, write, write_batch
 from repro.core.virtual_document import VirtualDocument, VNode
 from repro.errors import QueryEvaluationError
 from repro.obs.trace import span
@@ -125,14 +125,16 @@ def write_item(item: Item, parts: list[str], stats: ValueStats) -> None:
     item becomes XML: stored and constructed nodes through the
     serializer, virtual nodes as their transformed values (a
     ``virtualDoc()`` handle writes its roots in virtual root order, the
-    way ``doc()`` writes its children), atomics via the XPath rules."""
+    way ``doc()`` writes its children: one batch per root type), atomics
+    via the XPath rules."""
     if isinstance(item, Node):
         parts.append(serialize(item))
     elif isinstance(item, VNode):
         write(item, parts, stats)
     elif isinstance(item, VirtualDocItem):
-        for root in item.vdoc.roots():
-            write(root, parts, stats)
+        vdoc = item.vdoc
+        for root_vtype in vdoc.vguide.roots:
+            write_batch(vdoc.instances(root_vtype), parts, stats, vdoc)
     elif isinstance(item, RemoteItem):
         parts.append(item.xml)
     else:
@@ -140,16 +142,35 @@ def write_item(item: Item, parts: list[str], stats: ValueStats) -> None:
 
 
 def items_to_xml(items: Sequence) -> str:
-    """The XML text of a result sequence.  Under an active trace the work
-    shows as a ``result.to_xml`` span carrying the writer's counters."""
+    """The XML text of a result sequence: each maximal run of consecutive
+    virtual nodes of one type and view is one :func:`write_batch`, every
+    other item goes through :func:`write_item`.  Under an active trace
+    the work shows as a ``result.to_xml`` span carrying the writer's
+    counters."""
     parts: list[str] = []
     stats = ValueStats()
     with span("result.to_xml") as to_xml_span:
+        run: list = []
         for item in items:
-            write_item(item, parts, stats)
+            if isinstance(item, VNode):
+                if run and (item.vtype is not run[0].vtype or item._vdoc is not run[0]._vdoc):
+                    write_batch(run, parts, stats)
+                    run = []
+                run.append(item)
+                continue
+            if run:
+                write_batch(run, parts, stats)
+                run = []
+            if isinstance(item, Node):  # a stored answer: write_item's first case, inline
+                parts.append(serialize(item))
+            else:
+                write_item(item, parts, stats)
+        if run:
+            write_batch(run, parts, stats)
         text = "".join(parts)
         to_xml_span.set("spliced_ranges", stats.spliced_ranges)
         to_xml_span.set("constructed_elements", stats.constructed_elements)
+        to_xml_span.set("batches", stats.batches)
         to_xml_span.set("bytes", len(text))
     return text
 

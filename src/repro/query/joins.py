@@ -99,6 +99,33 @@ def prefix_run_bounds(
     return column.prefix_runs(prefixes)
 
 
+def fold_runs(runs, kind: str, cas_columns):
+    """``(value, rows)`` of ``count`` / ``sum`` over ``(owner, low, high)``
+    row runs that cover a step's result exactly once: a count adds up run
+    lengths, a sum folds each run through ``cas_columns(owner)``'s prefix
+    sums (:meth:`~repro.storage.cas_index.CasColumns.sum_over`).  Returns
+    :data:`INEXACT_SUM` when some run's values cannot be added exactly."""
+    rows = sum(high - low for _, low, high in runs)
+    if kind == "count":
+        return rows, rows
+    if rows == 0:
+        return 0, 0
+    total = 0
+    nan = False
+    for owner, low, high in runs:
+        if low == high:
+            continue
+        columns = cas_columns(owner)
+        part = columns.sum_over(low, high) if columns is not None else None
+        if part is None:
+            return INEXACT_SUM
+        if part != part:  # a NaN-poisoned run: the whole sum is NaN
+            nan = True
+        else:
+            total += part
+    return (float("nan") if nan else total), rows
+
+
 def following_start(column: Column, context_keys: Sequence[Key]) -> int:
     """First row of the ``following``-union suffix: a key follows *some*
     context key iff it sorts at or after the smallest context subtree

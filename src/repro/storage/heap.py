@@ -128,6 +128,48 @@ class HeapFile:
         self.manager.stats.bytes_read += len(text)
         return text
 
+    def read_ranges(self, spans) -> list[str]:
+        """:meth:`read_range` of every ``(start, end)`` span, in input
+        order, fetching each page once per call through the buffer pool —
+        the batch writer's read path (same ``bytes_read`` as one call per
+        span, at most one buffer-pool request per distinct page).
+
+        :raises StorageError: if a range is out of bounds.
+        """
+        size = self.manager.page_size
+        length = self._length
+        get, page_ids = self.buffer_pool.get, self._page_ids
+        fetched: dict[int, str] = {}
+        out: list[str] = []
+        total = 0
+        for start, end in spans:
+            if start < 0 or end > length or start > end:
+                raise StorageError(
+                    f"range [{start}, {end}) out of bounds for heap of length {length}"
+                )
+            index = start // size
+            page_start = index * size
+            if start == end:
+                text = ""
+            elif end <= page_start + size:  # the common case: one page
+                page = fetched.get(index)
+                if page is None:
+                    page = fetched[index] = get(page_ids[index])
+                text = page[start - page_start : end - page_start]
+            else:
+                pieces = []
+                for index in range(index, (end - 1) // size + 1):
+                    page = fetched.get(index)
+                    if page is None:
+                        page = fetched[index] = get(page_ids[index])
+                    page_start = index * size
+                    pieces.append(page[max(start - page_start, 0) : end - page_start])
+                text = "".join(pieces)
+            total += len(text)
+            out.append(text)
+        self.manager.stats.bytes_read += total
+        return out
+
     def read_all(self) -> str:
         """The full document text (a whole-heap scan)."""
         return self.read_range(0, self._length)

@@ -181,6 +181,11 @@ class DocumentStore:
         stored document string, fetched through the buffer pool."""
         return self.heap.read_range(*self.value_index.span(number))
 
+    def values_of(self, numbers) -> list[str]:
+        """:meth:`value_of` of every number, in input order: one value
+        index walk and each heap page read once for the whole batch."""
+        return self.heap.read_ranges(self.value_index.spans(numbers))
+
     def content_of(self, number: Pbn) -> str:
         """An element's inner content (between its tags), or the raw text
         of a text/attribute node."""

@@ -168,6 +168,33 @@ class ValueIndex:
             raise StorageError(f"no value entry for PBN {number}")
         return entry[0] + base, entry[1] + base
 
+    def spans(self, numbers) -> list[tuple[int, int]]:
+        """:meth:`span` of every number, in input order, in one page walk:
+        the keys are visited in sorted order, the page cursor only moves
+        forward and each key costs one in-page bisect.  Charges one
+        ``index_probes`` per number, like :meth:`span`.
+
+        :raises StorageError: if a number was never indexed.
+        """
+        keys = [encode_key(number) for number in numbers]
+        self.stats.index_probes += len(keys)
+        out: list = [None] * len(keys)
+        firsts, pages, bases = self._firsts, self._pages, self._bases
+        count = len(pages)
+        page_index, page_keys, entries, base, slot = -1, [], [], 0, 0
+        for position in sorted(range(len(keys)), key=keys.__getitem__):
+            key = keys[position]
+            if page_index + 1 < count and firsts[page_index + 1] <= key:
+                page_index = bisect_right(firsts, key, page_index + 1) - 1
+                page_keys, entries = pages[page_index]
+                base, slot = bases[page_index], 0
+            slot = bisect_left(page_keys, key, slot)
+            if slot == len(page_keys) or page_keys[slot] != key:
+                raise StorageError(f"no value entry for PBN {numbers[position]}")
+            entry = entries[slot]
+            out[position] = (entry[0] + base, entry[1] + base)
+        return out
+
     def items(
         self, low: Optional[bytes] = None, high: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, ValueEntry]]:

@@ -1,10 +1,17 @@
 """A from-scratch parser for the XML subset the paper's workloads use.
 
 Supported: elements, attributes (single or double quoted), character data,
-CDATA sections, comments, processing instructions, the XML declaration, and
-the five predefined entities plus decimal/hex character references.  Not
-supported (not needed by any workload): DTDs and namespaces beyond treating
-``a:b`` as an opaque tag name.
+CDATA sections, comments, processing instructions, the XML declaration, the
+five predefined entities plus decimal/hex character references, and a
+DOCTYPE whose internal subset declares general entities
+(``<!ENTITY uuml "ü">`` … ``H&uuml;tter``, the DBLP shape).  Not supported
+(not needed by any workload): external and parameter entities, any other
+markup declaration, entity values holding markup, and namespaces beyond
+treating ``a:b`` as an opaque tag name — each fails with a structured
+error, as does an entity that refers to itself, nests deeper than
+:data:`ENTITY_NESTING_LIMIT` or expands past
+:data:`ENTITY_EXPANSION_LIMIT` characters in one document.  The external
+DTD a DOCTYPE may name is not read.
 
 The parser is deliberately strict — mismatched or unclosed tags raise
 :class:`~repro.errors.XmlParseError` with line/column information — because
@@ -13,10 +20,18 @@ downstream components (numbering, value indexes) rely on well-formed input.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errors import XmlParseError
 from repro.xmlmodel.nodes import Attribute, Document, Element, Node, Text
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
+
+#: Characters that declared entities may expand to, in total, in one
+#: document (the "billion laughs" guard).
+ENTITY_EXPANSION_LIMIT = 1 << 20
+#: How deep declared entities may refer to one another.
+ENTITY_NESTING_LIMIT = 16
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789-.")
@@ -24,19 +39,25 @@ _WHITESPACE = set(" \t\r\n")
 
 
 class _Cursor:
-    """Tracks a position within the source string and raises rich errors."""
+    """Tracks a position within the source string and raises rich errors.
+    Carries the general entities a DOCTYPE declared (``None`` without
+    one), their expansions so far, and how many characters those made."""
 
-    __slots__ = ("source", "pos")
+    __slots__ = ("source", "pos", "entities", "expanded", "expanded_chars")
 
     def __init__(self, source: str) -> None:
         self.source = source
         self.pos = 0
+        self.entities: Optional[dict[str, str]] = None
+        self.expanded: dict[str, str] = {}
+        self.expanded_chars = 0
 
-    def error(self, message: str) -> XmlParseError:
-        line = self.source.count("\n", 0, self.pos) + 1
-        last_newline = self.source.rfind("\n", 0, self.pos)
-        column = self.pos - last_newline
-        return XmlParseError(message, self.pos, line, column)
+    def error(self, message: str, at: Optional[int] = None) -> XmlParseError:
+        position = self.pos if at is None else at
+        line = self.source.count("\n", 0, position) + 1
+        last_newline = self.source.rfind("\n", 0, position)
+        column = position - last_newline
+        return XmlParseError(message, position, line, column)
 
     def at_end(self) -> bool:
         return self.pos >= len(self.source)
@@ -75,8 +96,13 @@ class _Cursor:
         return chunk
 
 
-def _decode_references(raw: str, cursor: _Cursor) -> str:
-    """Replace entity and character references in ``raw`` with their text."""
+def _decode_references(
+    raw: str, cursor: _Cursor, offset: int, active: tuple = ()
+) -> str:
+    """Replace entity and character references in ``raw`` — the source
+    text from ``offset`` on — with their text.  ``active``: the declared
+    entities whose replacement text ``raw`` is (errors then point at the
+    reference in the source, ``offset``)."""
     if "&" not in raw:
         return raw
     parts: list[str] = []
@@ -87,29 +113,56 @@ def _decode_references(raw: str, cursor: _Cursor) -> str:
             parts.append(raw[index:])
             return "".join(parts)
         parts.append(raw[index:amp])
+        at = offset if active else offset + amp
         semi = raw.find(";", amp + 1)
         if semi < 0:
-            raise cursor.error("unterminated entity reference")
+            raise cursor.error("unterminated entity reference", at)
         entity = raw[amp + 1 : semi]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            try:
-                parts.append(chr(int(entity[2:], 16)))
-            except ValueError as exc:
-                raise cursor.error(f"bad character reference &{entity};") from exc
-        elif entity.startswith("#"):
-            try:
-                parts.append(chr(int(entity[1:])))
-            except ValueError as exc:
-                raise cursor.error(f"bad character reference &{entity};") from exc
+        if entity.startswith("#"):
+            parts.append(_character(entity, cursor, at))
         elif entity in _ENTITIES:
             parts.append(_ENTITIES[entity])
+        elif cursor.entities is not None and entity in cursor.entities:
+            parts.append(_expand(entity, cursor, at, active))
         else:
-            raise cursor.error(f"unknown entity &{entity};")
+            raise cursor.error(f"unknown entity &{entity};", at)
         index = semi + 1
 
 
+def _character(entity: str, cursor: _Cursor, at: int) -> str:
+    """The character a ``#N`` / ``#xH`` reference names."""
+    try:
+        if entity.startswith("#x") or entity.startswith("#X"):
+            return chr(int(entity[2:], 16))
+        return chr(int(entity[1:]))
+    except ValueError as exc:
+        raise cursor.error(f"bad character reference &{entity};", at) from exc
+
+
+def _expand(name: str, cursor: _Cursor, at: int, active: tuple) -> str:
+    """The text a declared entity stands for, its own references expanded
+    (once per document), counted against the expansion limit."""
+    text = cursor.expanded.get(name)
+    if text is None:
+        if name in active:
+            raise cursor.error(f"recursive entity reference &{name};", at)
+        if len(active) >= ENTITY_NESTING_LIMIT:
+            raise cursor.error(
+                f"entity references nest deeper than {ENTITY_NESTING_LIMIT}", at
+            )
+        text = _decode_references(cursor.entities[name], cursor, at, (*active, name))
+        cursor.expanded[name] = text
+    cursor.expanded_chars += len(text)
+    if cursor.expanded_chars > ENTITY_EXPANSION_LIMIT:
+        raise cursor.error(
+            f"entity expansion exceeds {ENTITY_EXPANSION_LIMIT} characters", at
+        )
+    return text
+
+
 def _skip_misc(cursor: _Cursor) -> None:
-    """Skip whitespace, comments, PIs, and the XML declaration."""
+    """Skip whitespace, comments, PIs, and the XML declaration; read a
+    DOCTYPE's entity declarations."""
     while True:
         cursor.skip_whitespace()
         if cursor.startswith("<!--"):
@@ -119,10 +172,109 @@ def _skip_misc(cursor: _Cursor) -> None:
             cursor.pos += 2
             cursor.read_until("?>", "processing instruction")
         elif cursor.startswith("<!DOCTYPE"):
-            # Skip a (non-subset) doctype declaration to its closing '>'.
-            cursor.read_until(">", "doctype declaration")
+            _parse_doctype(cursor)
         else:
             return
+
+
+def _parse_doctype(cursor: _Cursor) -> None:
+    """``<!DOCTYPE name [external id] [[ internal subset ]]>``: the
+    external DTD is not read; the internal subset may hold general
+    entity declarations, comments and processing instructions."""
+    cursor.pos += len("<!DOCTYPE")
+    cursor.skip_whitespace()
+    cursor.read_name()
+    cursor.skip_whitespace()
+    for keyword in ("SYSTEM", "PUBLIC"):
+        if cursor.startswith(keyword):
+            cursor.pos += len(keyword)
+            for _ in range(2 if keyword == "PUBLIC" else 1):
+                cursor.skip_whitespace()
+                _read_literal(cursor, "external identifier")
+            cursor.skip_whitespace()
+    if cursor.peek() == "[":
+        cursor.pos += 1
+        _parse_internal_subset(cursor)
+        cursor.skip_whitespace()
+    cursor.expect(">")
+
+
+def _parse_internal_subset(cursor: _Cursor) -> None:
+    """Declarations up to (and past) the subset's closing ``]``."""
+    if cursor.entities is None:
+        cursor.entities = {}
+    while True:
+        cursor.skip_whitespace()
+        if cursor.at_end():
+            raise cursor.error("unterminated DOCTYPE internal subset")
+        if cursor.peek() == "]":
+            cursor.pos += 1
+            return
+        if cursor.startswith("<!--"):
+            cursor.pos += 4
+            cursor.read_until("-->", "comment")
+        elif cursor.startswith("<?"):
+            cursor.pos += 2
+            cursor.read_until("?>", "processing instruction")
+        elif cursor.startswith("<!ENTITY"):
+            _parse_entity_declaration(cursor)
+        elif cursor.peek() == "%":
+            raise cursor.error("parameter entity references are not supported")
+        else:
+            raise cursor.error(
+                "unsupported markup declaration in the DOCTYPE internal subset"
+            )
+
+
+def _parse_entity_declaration(cursor: _Cursor) -> None:
+    """``<!ENTITY name "value">``: the value's character references are
+    replaced now, its entity references when the entity is used (the
+    first declaration of a name binds, as in XML)."""
+    cursor.pos += len("<!ENTITY")
+    cursor.skip_whitespace()
+    if cursor.peek() == "%":
+        raise cursor.error("parameter entities are not supported")
+    name = cursor.read_name()
+    cursor.skip_whitespace()
+    if cursor.startswith("SYSTEM") or cursor.startswith("PUBLIC"):
+        raise cursor.error(f"external entity {name!r} is not supported")
+    start = cursor.pos + 1
+    literal = _read_literal(cursor, "entity value")
+    if "%" in literal:
+        raise cursor.error("parameter entity references are not supported", start)
+    value = _character_references(literal, cursor, start)
+    if "<" in value:
+        raise cursor.error(f"entity {name!r} holds markup, which is not supported", start)
+    cursor.skip_whitespace()
+    cursor.expect(">")
+    if name not in _ENTITIES:
+        cursor.entities.setdefault(name, value)
+
+
+def _read_literal(cursor: _Cursor, what: str) -> str:
+    quote = cursor.peek()
+    if quote not in ("'", '"'):
+        raise cursor.error(f"{what} must be quoted")
+    cursor.pos += 1
+    return cursor.read_until(quote, what)
+
+
+def _character_references(literal: str, cursor: _Cursor, offset: int) -> str:
+    """``literal`` with its ``&#…;`` references replaced; entity
+    references stay for expansion at use."""
+    parts: list[str] = []
+    index = 0
+    while True:
+        amp = literal.find("&#", index)
+        if amp < 0:
+            parts.append(literal[index:])
+            return "".join(parts)
+        semi = literal.find(";", amp)
+        if semi < 0:
+            raise cursor.error("unterminated character reference", offset + amp)
+        parts.append(literal[index:amp])
+        parts.append(_character(literal[amp + 1 : semi], cursor, offset + amp))
+        index = semi + 1
 
 
 def _parse_attributes(cursor: _Cursor, element: Element) -> None:
@@ -145,8 +297,9 @@ def _parse_attributes(cursor: _Cursor, element: Element) -> None:
         if quote not in ("'", '"'):
             raise cursor.error("attribute value must be quoted")
         cursor.pos += 1
+        start = cursor.pos
         raw = cursor.read_until(quote, "attribute value")
-        element.append(Attribute(name, _decode_references(raw, cursor)))
+        element.append(Attribute(name, _decode_references(raw, cursor, start)))
 
 
 def _parse_element(cursor: _Cursor, keep_whitespace: bool) -> Element:
@@ -206,7 +359,7 @@ def _parse_content(cursor: _Cursor, element: Element, keep_whitespace: bool) -> 
                 next_tag = len(cursor.source)
             raw = cursor.source[start:next_tag]
             cursor.pos = next_tag
-            text_parts.append(_decode_references(raw, cursor))
+            text_parts.append(_decode_references(raw, cursor, start))
 
 
 def parse_document(source: str, uri: str = "", keep_whitespace: bool = False) -> Document:

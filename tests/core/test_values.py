@@ -6,14 +6,18 @@ stitched value equals serializing a materialized copy of the subtree.  It is
 asserted over hand-built cases, every view of the workload suites, generated
 (document, spec) pairs, documents changed by durable updates, and images
 re-opened from disk; ``Result.to_xml``, ``ShardResult.to_xml`` and
-``VirtualDocument.value`` are further arms of the same equality.
+``VirtualDocument.value`` are further arms of the same equality.  A batch
+(``write_batch`` over a run of one type, in any order, with repeats) is
+the same equality item by item, at the same counters but one buffer-pool
+request per page.
 """
 
+import io
 import random
 
 import pytest
 
-from repro.core.values import ValueStats, is_intact, write
+from repro.core.values import ValueStats, is_intact, write, write_batch
 from repro.core.virtual_document import VirtualDocument
 from repro.dataguide.build import build_dataguide
 from repro.query.engine import Engine
@@ -126,6 +130,28 @@ def test_mixed_intact_below_constructed():
     # Authors are intact (their subtree shape survived), so they splice.
     assert stats.spliced_ranges > 0
     assert stats.constructed_elements > 0
+    assert_writer_matches_oracle(vdoc)
+
+
+def test_an_emptied_text_keeps_its_element_open():
+    """``ReplaceText(t, "")`` leaves an empty text child: the title still
+    has content, so it is written ``<title></title>``, not ``<title/>``."""
+    from repro.pbn.number import Pbn
+    from repro.updates.mutations import apply_op
+    from repro.updates.ops import ReplaceText
+
+    store = DocumentStore(
+        parse_document(
+            "<data><book><title>T</title></book>"
+            "<book><title>U</title><author>A</author></book></data>"
+        )
+    )
+    store = apply_op(store, ReplaceText(Pbn(1, 1, 1, 1), "")).store
+    vdoc = _view_over(store, "title { author }")
+    assert write_batch(vdoc.roots(), []) == [
+        "<title></title>",
+        "<title>U<author>A</author></title>",
+    ]
     assert_writer_matches_oracle(vdoc)
 
 
@@ -259,6 +285,156 @@ def test_on_a_store_reopened_from_a_v2_image(tmp_path, workload):
     path = str(tmp_path / "image.vpbn")
     save_store(DocumentStore(_workload_document(workload.name)), path)
     assert_writer_matches_oracle(_view_over(load_store(path), workload.spec))
+
+
+# -- batches: a run of one type written at a time -----------------------------
+
+
+def assert_batches_match_oracle(vdoc, seed: int = 0) -> int:
+    """``write_batch`` over each virtual type's reachable instances — in
+    document order, then shuffled with repeated nodes — appends one part
+    per node, equal to that node's oracle value.  Returns the number of
+    types written."""
+    by_type: dict = {}
+    for vnode in _reachable(vdoc):
+        by_type.setdefault(id(vnode.vtype), []).append(vnode)
+    rng = random.Random(seed)
+    for run in by_type.values():
+        expected = {vnode: serialize(vdoc.copy_subtree(vnode)) for vnode in run}
+        mixed = run + rng.sample(run, min(3, len(run)))
+        rng.shuffle(mixed)
+        for batch in (run, mixed):
+            assert write_batch(batch, []) == [expected[v] for v in batch], (
+                f"{batch[0]!r} of {vdoc.vguide.to_spec()!r}"
+            )
+    return len(by_type)
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_batches_over_every_workload_view(workload):
+    vdoc = _view(_workload_document(workload.name), workload.spec)
+    assert assert_batches_match_oracle(vdoc) > 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_batches_over_generated_pairs(seed):
+    document = random_document(seed, max_depth=4, max_children=3)
+    spec = random_spec(build_dataguide(document), seed + 1000)
+    assert_batches_match_oracle(_view(document, spec), seed)
+    assert_batches_match_oracle(VirtualDocument.from_spec(document, spec), seed)
+
+
+@pytest.mark.parametrize("seed", [2, 19])
+def test_batches_after_updates(tmp_path, seed):
+    """Updated stores: pages re-based by ``ValueIndex.derive``, careted
+    ordinals (raw columns) — then re-opened from their image."""
+    from repro.updates.ops import InsertSubtree
+
+    rng = random.Random(seed)
+    durable = DurableStore.create(str(tmp_path / "d"), books_document(12, seed=seed))
+    try:
+        for _ in range(30):
+            durable.apply(_random_op(rng, durable.store))
+        for book in durable.store.document.root.children[:3]:
+            first_author = next(c for c in book.children if c.name == "author")
+            durable.apply(
+                InsertSubtree(
+                    parent=book.pbn,
+                    fragment="<author><name>Careted</name></author>",
+                    before=first_author.pbn,
+                )
+            )
+        store = durable.store
+        careted = [
+            node
+            for node in store.document.iter_subtree()
+            if node.name == "author" and not isinstance(node.pbn.components[-1], int)
+        ]
+        assert len(careted) == 3
+        for spec in ("title { author { name } }", "data { book { author { ** } title } }"):
+            assert_batches_match_oracle(_view_over(store, spec), seed)
+        path = str(tmp_path / "image.vpbn")
+        save_store(store, path)
+    finally:
+        durable.close()
+    assert_batches_match_oracle(_view_over(load_store(path), "title { author { name } }"))
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS[:3], ids=lambda w: w.name)
+def test_batches_on_reopened_v1_and_v2_images(tmp_path, workload):
+    from repro.storage.persist import parse_store_ex
+    from tests.storage.test_persist import _dump_v1
+
+    store = DocumentStore(_workload_document(workload.name))
+    path = str(tmp_path / "image.vpbn")
+    save_store(store, path)
+    for reopened in (load_store(path), parse_store_ex(io.BytesIO(_dump_v1(store)))[0]):
+        assert_batches_match_oracle(_view_over(reopened, workload.spec))
+
+
+def _delta(stats, before: dict) -> dict:
+    return {key: value - before[key] for key, value in stats.snapshot().items()}
+
+
+def _pages(store, vnodes) -> int:
+    size = store.heap.manager.page_size
+    pages = set()
+    for vnode in vnodes:
+        start, end = store.value_index.span(vnode.node.pbn)
+        pages.update(range(start // size, (end - 1) // size + 1))
+    return len(pages)
+
+
+@pytest.mark.parametrize(
+    "spec, spliced_type",
+    [("title { author { name } }", "author"), ("book { ** }", "book")],
+)
+def test_a_batch_costs_what_its_items_cost_but_the_page_requests(spec, spliced_type):
+    store = DocumentStore(books_document(60, seed=5), page_size=256)
+    vdoc = _view_over(store, spec)
+    roots = vdoc.roots()
+    spliced = [v for v in _reachable(vdoc) if v.vtype.name == spliced_type]
+    stats = store.stats
+    one_by_one = ValueStats()
+    before = stats.snapshot()
+    expected = [_value(root, one_by_one) for root in roots]
+    per_item = _delta(stats, before)
+    batch_stats = ValueStats()
+    before = stats.snapshot()
+    assert write_batch(roots, [], batch_stats) == expected
+    batch = _delta(stats, before)
+    assert (batch_stats.spliced_ranges, batch_stats.constructed_elements) == (
+        one_by_one.spliced_ranges,
+        one_by_one.constructed_elements,
+    )
+    assert (batch_stats.batches, one_by_one.batches) == (1, len(roots))
+    assert batch_stats.spliced_ranges == len(spliced) > 0
+    assert batch["index_probes"] == per_item["index_probes"] == len(spliced)
+    assert batch["bytes_read"] == per_item["bytes_read"] > 0
+    # one buffer-pool request per distinct page of the batch, not per range
+    requests = batch["buffer_hits"] + batch["page_reads"]
+    assert requests <= _pages(store, spliced) < len(spliced)
+
+
+def test_to_xml_writes_each_run_of_one_type_as_a_batch():
+    from repro.obs.trace import Tracer
+
+    engine = Engine()
+    engine.load("b.xml", books_document(6, seed=1))
+    view = 'virtualDoc("b.xml", "title { author { name } }")'
+    for query, batches in (
+        (f"{view}//title", 1),
+        (f"({view}//title, {view}//author)", 2),
+        (f"for $t in {view}//title return ($t, $t/author)", 12),
+        # stored nodes and atomics are no batch; a handle is one per root type
+        (f'({view}//title, doc("b.xml")//title, 1, {view})', 2),
+    ):
+        result = engine.execute(query)
+        handle = Tracer().start("to_xml", force=True)
+        with handle:
+            result.to_xml()
+        [to_xml] = [s for s in handle.trace.root.children if s.name == "result.to_xml"]
+        assert to_xml.attrs["batches"] == batches, query
 
 
 # -- the other arms: Result.to_xml, ShardResult.to_xml ------------------------

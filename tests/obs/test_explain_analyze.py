@@ -71,12 +71,26 @@ def test_operator_set_matches_the_fused_plan():
 
 def test_operator_rows_fold_loop_iterations_with_call_counts():
     engine = _engine()
-    result, trace = engine.explain_analyze(QUERY)
+    # A predicate keeps the path in the per-binding loop.
+    looping = QUERY.replace("$t/text()", "$t/author[1]")
+    result, trace = engine.explain_analyze(looping)
     by_detail = {row.detail: row for row in operators(build_profile(trace))}
-    # One descendant expansion from the document, then one text() step per
+    # One descendant expansion from the document, then one author step per
     # bound $t — three hundred spans would be three hundred rows unfolded.
     assert by_detail["descendant::title"].calls == 1
-    assert by_detail["child::text()"].calls == len(result)
+    assert by_detail["child::author"].calls == len(result)
+
+
+def test_grouped_flwr_path_is_one_operator_row_over_every_binding():
+    engine = _engine()
+    result, trace = engine.explain_analyze(QUERY)
+    by_detail = {row.detail: row for row in operators(build_profile(trace))}
+    # $t/text() runs once over all forty bindings, set-at-a-time.
+    row = by_detail["child::text()"]
+    assert row.calls == 1
+    assert row.attrs["items_in"] == row.attrs["items_out"] == len(result)
+    assert row.attrs["kernel"] == "columnar"
+    assert "reason" not in row.attrs
 
 
 def test_exclusive_costs_sum_to_the_storage_stats_delta():

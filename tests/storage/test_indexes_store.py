@@ -54,6 +54,33 @@ def test_whole_document_value(store):
     assert store.value_of(Pbn(1)) == serialize(store.document)
 
 
+def test_values_of_is_value_of_per_number_in_input_order():
+    # small pages: spans cross page boundaries; numbers unsorted, repeated,
+    # nested (an element and its own text) — and the empty-heap-end span
+    from repro.workloads.books import books_document
+
+    store = DocumentStore(books_document(20, seed=3), page_size=64)
+    numbers = [node.pbn for node in store.document.iter_subtree() if node.pbn is not None]
+    batch = numbers[::-3] + numbers[:5] + numbers[:2]
+    before = store.stats.snapshot()
+    values = store.values_of(batch)
+    delta = {k: v - before[k] for k, v in store.stats.snapshot().items()}
+    assert values == [store.value_of(number) for number in batch]
+    assert delta["index_probes"] == len(batch)
+    assert delta["bytes_read"] == sum(map(len, values))
+    pages = {
+        page
+        for start, end in store.value_index.spans(batch)
+        for page in range(start // 64, (end - 1) // 64 + 1)
+    }
+    assert delta["buffer_hits"] + delta["page_reads"] == len(pages)
+    assert store.heap.read_ranges([(0, 0), (store.heap.length, store.heap.length)]) == ["", ""]
+    with pytest.raises(StorageError):
+        store.values_of([numbers[0], Pbn(9, 9)])
+    with pytest.raises(StorageError):
+        store.heap.read_ranges([(0, store.heap.length + 1)])
+
+
 def test_node_lookup(store):
     node = store.node(Pbn(1, 2, 1))
     assert node.name == "title"

@@ -79,6 +79,116 @@ def test_doctype_skipped():
     assert document.root.tag == "a"
 
 
+#: The DBLP shape (SNIPPETS.md, snippet 1): entities declared in the
+#: DOCTYPE's internal subset, used in text and attribute values.
+DBLP_WITH_ENTITIES = """<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE dblp [
+  <!ENTITY uuml "&#252;">
+  <!ENTITY auml "ä">
+  <!-- a comment inside the subset -->
+  <!ENTITY Hutter "H&uuml;tter">
+  <!ENTITY uuml "ignored: the first declaration binds">
+]>
+<dblp>
+<inproceedings key="conf/sigmod/H&uuml;tterAK0L22" mdate="2022-08-03">
+  <author>Thomas H&uuml;tter</author>
+  <author>Christine Sch&auml;ler</author>
+  <author>Thomas &Hutter;</author>
+  <title>JEDI &amp; friends</title>
+</inproceedings>
+</dblp>"""
+
+
+def test_internal_subset_entities_expand_in_text_and_attributes():
+    document = parse_document(DBLP_WITH_ENTITIES)
+    inproceedings = document.root.children[0]
+    assert inproceedings.get_attribute("key") == "conf/sigmod/HütterAK0L22"
+    authors = [c.text() for c in inproceedings.children if c.name == "author"]
+    assert authors == ["Thomas Hütter", "Christine Schäler", "Thomas Hütter"]
+    assert inproceedings.children[-1].text() == "JEDI & friends"
+
+
+def test_an_entity_bearing_dblp_slice_loads_and_queries():
+    from repro.query.engine import Engine
+
+    engine = Engine()
+    engine.load("dblp.xml", DBLP_WITH_ENTITIES)
+    query = 'count(doc("dblp.xml")//author[. = "Thomas Hütter"])'
+    assert engine.execute(query).values() == ["2"]
+    view = 'virtualDoc("dblp.xml", "dblp.inproceedings.author { inproceedings { title } }")'
+    assert "Sch&auml;ler" not in engine.execute(view + "//author").to_xml()
+    assert "Schäler" in engine.execute(view + "//author").to_xml()
+
+
+def test_doctype_with_an_external_id_is_skipped():
+    document = parse_document('<!DOCTYPE dblp SYSTEM "dblp.dtd"><dblp/>')
+    assert document.root.tag == "dblp"
+    document = parse_document(
+        '<!DOCTYPE a PUBLIC "-//X//Y" "a.dtd" [<!ENTITY e "x">]><a>&e;</a>'
+    )
+    assert document.root.text() == "x"
+
+
+@pytest.mark.parametrize(
+    "subset, body, message",
+    [
+        ('<!ENTITY e SYSTEM "e.xml">', "&e;", "external entity"),
+        ('<!ENTITY e PUBLIC "-//E" "e.xml">', "&e;", "external entity"),
+        ('<!ENTITY % p "x">', "", "parameter entities"),
+        ('<!ENTITY e "%p;">', "&e;", "parameter entity references"),
+        ("%p;", "", "parameter entity references"),
+        ('<!ENTITY a "&b;"><!ENTITY b "&a;">', "&a;", "recursive entity reference"),
+        ('<!ENTITY e "<b/>">', "&e;", "markup"),
+        ('<!ENTITY e "&#60;b/>">', "&e;", "markup"),
+        ("<!ELEMENT a (#PCDATA)>", "", "unsupported markup declaration"),
+        ('<!ATTLIST a x CDATA "1">', "", "unsupported markup declaration"),
+        ('<!ENTITY e "x">', "&f;", "unknown entity &f;"),
+        ('<!ENTITY e x>', "", "must be quoted"),
+    ],
+)
+def test_unsupported_doctype_content_fails_with_a_position(subset, body, message):
+    source = f"<!DOCTYPE a [{subset}]>\n<a>{body}</a>"
+    with pytest.raises(XmlParseError, match=message) as raised:
+        parse_document(source)
+    assert 0 < raised.value.position < len(source)
+    assert raised.value.line in (1, 2)
+
+
+def test_unterminated_internal_subset_fails():
+    with pytest.raises(XmlParseError, match="unterminated DOCTYPE internal subset"):
+        parse_document('<!DOCTYPE a [<!ENTITY e "x">')
+
+
+def test_entity_expansion_is_bounded():
+    from repro.xmlmodel.parser import ENTITY_EXPANSION_LIMIT, ENTITY_NESTING_LIMIT
+
+    # "billion laughs": ten levels of tenfold nesting, 3·10^9 characters
+    laughs = ['<!ENTITY l0 "lol">'] + [
+        f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, 10)
+    ]
+    source = f"<!DOCTYPE a [{''.join(laughs)}]><a>&l9;</a>"
+    with pytest.raises(XmlParseError, match=f"exceeds {ENTITY_EXPANSION_LIMIT}") as raised:
+        parse_document(source)
+    assert raised.value.position == source.index("&l9;")
+    # many small uses add up the same way
+    many = "&e;" * (ENTITY_EXPANSION_LIMIT // 1000 + 1)
+    with pytest.raises(XmlParseError, match="exceeds"):
+        parse_document(f'<!DOCTYPE a [<!ENTITY e "{"x" * 1000}">]><a>{many}</a>')
+    # a chain deeper than the nesting bound, each link one character
+    chain = ['<!ENTITY c0 "x">'] + [
+        f'<!ENTITY c{i} "&c{i - 1};">' for i in range(1, ENTITY_NESTING_LIMIT + 2)
+    ]
+    with pytest.raises(XmlParseError, match="nest deeper"):
+        parse_document(
+            f"<!DOCTYPE a [{''.join(chain)}]><a>&c{ENTITY_NESTING_LIMIT + 1};</a>"
+        )
+    chain = chain[: ENTITY_NESTING_LIMIT]
+    document = parse_document(
+        f"<!DOCTYPE a [{''.join(chain)}]><a>&c{ENTITY_NESTING_LIMIT - 1};</a>"
+    )
+    assert document.root.text() == "x"
+
+
 def test_whitespace_stripped_by_default():
     document = parse_document("<a>\n  <b/>\n</a>")
     assert [c.name for c in document.root.children] == ["b"]
