@@ -14,8 +14,8 @@ evaluator consults at the two navigation seams:
 Declining is always sound: the tree navigator (stored nodes) and the
 virtual navigator (virtual items) define the semantics every backend
 must reproduce byte-for-byte — that contract is what the differential
-suites pin down.  The evaluator tags EXPLAIN ANALYZE step spans with
-:attr:`Backend.kernel` when ``apply_step`` handles a step.
+suites pin down.  ``apply_step`` is the ``sql`` entry of the evaluator's
+kernel table (``Evaluator._route``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class Backend:
     evaluation — the ``tree`` strategy)."""
 
     name = "tree"
-    kernel = "scalar"
 
     def step(self, evaluator, item, axis: str, test) -> Optional[list]:
         return None
@@ -49,7 +48,7 @@ class TreeBackend(Backend):
 
 class IndexedBackend(Backend):
     """PBN-index navigation for stored documents (batch steps ride the
-    columnar kernels through the evaluator's ``_step_many``)."""
+    navigators' kernels through the evaluator's kernel table)."""
 
     name = "indexed"
 
@@ -68,7 +67,6 @@ class SqlBackend(Backend):
     :mod:`repro.query.sqlbackend`)."""
 
     name = "sql"
-    kernel = "sql"
 
     def step(self, evaluator, item, axis: str, test) -> Optional[list]:
         if isinstance(item, Node):
@@ -100,6 +98,7 @@ class SqlBackend(Backend):
 
     def apply_step(self, evaluator, items: list, step, context) -> Optional[list]:
         from repro.core.virtual_document import VNode
+        from repro.query.items import VirtualDocItem
 
         first = items[0]
         if isinstance(first, Node):
@@ -112,10 +111,11 @@ class SqlBackend(Backend):
                 ) is not store:
                     return None
             return evaluator.engine.sql_accel(store).apply_step(items, step)
-        if isinstance(first, VNode) and not step.predicates:
-            vdoc = first._vdoc
-            if vdoc is None or not all(
-                isinstance(item, VNode) and item._vdoc is vdoc for item in items
+        if isinstance(first, (VNode, VirtualDocItem)) and not step.predicates:
+            vdoc = first.vdoc if isinstance(first, VirtualDocItem) else first._vdoc
+            if vdoc is None or not (
+                len(items) == 1
+                or all(isinstance(item, VNode) and item._vdoc is vdoc for item in items)
             ):
                 return None
             accel = evaluator.engine.sql_virtual_accel(vdoc)
@@ -133,11 +133,7 @@ class SqlBackend(Backend):
                 if stepped is None:
                     return None
                 out.extend(stepped)
-            if len(items) == 1:
-                if step.axis in evaluator._REVERSE_AXES:
-                    out.reverse()
-                return out
-            return evaluator.document_order(out)
+            return evaluator.step_result(len(items), step.axis, out)
         return None
 
 

@@ -12,6 +12,7 @@ difference.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.core import vpbn
@@ -22,7 +23,7 @@ from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval_tree import TreeNavigator
 from repro.query.eval_virtual import VirtualNavigator
-from repro.query.joins import NO_ORDER
+from repro.query.joins import KEYS_FIRST_AXES, NO_ORDER, compile_value_predicate
 from repro.query.functions import REGISTRY
 from repro.query.items import (
     VirtualDocItem,
@@ -61,10 +62,6 @@ class Evaluator:
         self.mode = mode
         self._tree_nav = TreeNavigator()
         self._virtual_nav = VirtualNavigator(engine.stats, metrics=engine.metrics)
-        self._last_kernel = "scalar"
-        #: Why the CAS kernel left the last scalar step to the per-item
-        #: loop (``None`` when it was not asked).
-        self._last_decline: Optional[str] = None
         #: Optional :class:`~repro.query.budget.CostMeter`; when set, the
         #: step seam charges context and result items against it and the
         #: query aborts with ``QueryBudgetExceeded`` past the limit.
@@ -72,8 +69,6 @@ class Evaluator:
         #: The FLWR binding being evaluated: ``id(expr) -> value`` of the
         #: paths grouped over all bindings (:meth:`_each_binding`).
         self._slices: Optional[dict] = None
-        #: Why the FLWR path being evaluated per binding was not grouped.
-        self._group_decline: Optional[str] = None
         #: ``id(body) -> groupable paths`` (:func:`_groupable_paths`).
         self._groupable: dict[int, list] = {}
 
@@ -125,29 +120,21 @@ class Evaluator:
         self, name: str, arg: ast.Expr, context: Context
     ) -> Optional[list]:
         """``count()``/``sum()`` over a path argument without materializing
-        the final step: every step but the last runs normally, then the
-        navigators reduce the last predicate-free step's *run bounds* —
-        a count is ``high - low`` per run, a sum is one CAS prefix-sum
-        range per run (the level-array aggregation of paper Section 5).
+        the final step: every step but the last runs normally, the last
+        goes through the aggregate kernel table, prefix sums first.
 
         Returns the function's result list, or ``None`` when the argument
         shape is not aggregable — decided *before* any evaluation, so the
-        generic path never repeats work.  Declines past this point (axis,
-        heterogeneous contexts, unsummable values) are handled inside
-        :meth:`_apply_aggregate_step`, which finishes the step itself.
+        generic path never repeats work.  A decline past this point falls
+        through to the step kernels inside the same step — one operator
+        row either way, and no step is ever evaluated twice.
         """
         if not self.use_batch_kernels or not isinstance(arg, ast.PathExpr):
             return None
         steps = _fuse_descendant_steps(arg.steps)
         if not steps or steps[-1].predicates:
             return None
-        if arg.start is None:
-            items: list = [context.require_item()]
-        else:
-            items = self.evaluate(arg.start, context)
-        for step in steps[:-1]:
-            items = self._apply_step(items, step, context)
-        return self._apply_aggregate_step(items, steps[-1], context, name)
+        return self._run_path(self._path_start(arg, context), steps, context, name)
 
     # ------------------------------------------------------------------ paths
 
@@ -172,13 +159,21 @@ class Evaluator:
     def _eval_path(self, expr: ast.PathExpr, context: Context) -> list:
         if self._slices is not None and id(expr) in self._slices:
             return self._slices[id(expr)]
-        if expr.start is None:
-            items: list = [context.require_item()]
-        else:
-            items = self.evaluate(expr.start, context)
         steps = _fuse_descendant_steps(expr.steps)
-        for step in steps:
-            items = self._apply_step(items, step, context)
+        return self._run_path(self._path_start(expr, context), steps, context)
+
+    def _path_start(self, expr: ast.PathExpr, context: Context) -> list:
+        if expr.start is None:
+            return [context.require_item()]
+        return self.evaluate(expr.start, context)
+
+    def _run_path(self, items, steps, context, aggregate=None, declined=None) -> list:
+        """Apply ``steps`` in turn from ``items`` — with ``aggregate``, the
+        last one reduced to that function's result (:meth:`_apply_step`)."""
+        last = len(steps) - 1
+        for index, step in enumerate(steps):
+            name = aggregate if index == last else None
+            items = self._apply_step(items, step, context, name, declined)
         return items
 
     #: Axes whose navigator output runs from the context node *outward*
@@ -187,17 +182,19 @@ class Evaluator:
         ["parent", "ancestor", "ancestor-or-self", "preceding", "preceding-sibling"]
     )
 
-    def _apply_step(self, items: list, step: ast.Step, context: Context) -> list:
-        def run():
-            out = self._apply_step_inner(items, step, context)
-            return out, (len(out),)
+    def _apply_step(self, items, step, context, aggregate=None, declined=None) -> list:
+        """One plan step over ``items`` through the kernel table — with
+        ``aggregate`` (``"count"`` / ``"sum"``), that function of the
+        step's nodes.  ``declined``: why the FLWR path the step belongs to
+        runs per binding, the row's reason when the step has none."""
+        return self._seam(
+            step, len(items), lambda: self._route(items, step, context, aggregate, declined)
+        )
 
-        return self._seam(step, len(items), run)
-
-    def _seam(self, step: ast.Step, items_in: int, run):
-        """Apply one plan step: ``run()`` returns ``(result, rows)`` —
-        ``rows`` the items it produced per context list (one for a plain
-        step, one per binding for a grouped FLWR path)."""
+    def _seam(self, step: ast.Step, items_in: int, route):
+        """Apply one plan step: ``route()`` returns ``(result, rows,
+        kernel, reason)`` — ``rows`` the items it produced per context list
+        (one for a plain step, one per binding for a grouped FLWR path)."""
         # Cost-meter seam: every strategy (scalar, columnar, indexed,
         # sql) funnels through this method, so charging context items on
         # the way in and result items on the way out bounds the whole
@@ -211,71 +208,165 @@ class Evaluator:
         # EXPLAIN ANALYZE can aggregate by operator.  The untraced path
         # pays a thread-local read and a branch.
         if current_span() is None:
-            result, rows = run()
+            result, rows, kernel, reason = route()
         else:
             from repro.query.plan import step_label
 
             with span("step", step_label(step)) as step_span:
-                result, rows = run()
+                result, rows, kernel, reason = route()
                 step_span.add("items_in", items_in)
                 step_span.add("items_out", sum(rows))
-                self._tag_kernel(step_span)
+                step_span.set("kernel", kernel)
+                if reason is not None:
+                    step_span.set("reason", reason)
                 if step.predicates:
                     step_span.add("predicates", len(step.predicates))
+        metrics = self.engine.metrics
+        if metrics is not None:
+            labels = {"kernel": kernel}
+            if reason is not None:
+                labels["reason"] = reason
+            metrics.incr("engine.kernel", items_in, labels=labels)
         if meter is not None:
             for count in rows:
                 meter.charge_rows(count)
         return result
 
-    def _tag_kernel(self, step_span) -> None:
-        """``kernel=`` on a step's span and ``reason=``: on a scalar row,
-        why no batch kernel took the step; on a step of a FLWR path left
-        to the per-binding loop, why the path was not grouped."""
-        step_span.set("kernel", self._last_kernel)
-        if self._last_kernel == "scalar" and self._last_decline:
-            step_span.set("reason", self._last_decline)
-        elif self._group_decline:
-            step_span.set("reason", self._group_decline)
+    def _route(self, items, step, context, aggregate=None, declined=None) -> tuple:
+        """``(result, rows, kernel, reason)`` from the first entry of the
+        kernel table that takes the step; a scalar row's reason is the
+        decline of the entry tried just before the loop."""
+        reason = declined
+        for entry in self._AGGREGATE_KERNELS if aggregate else self._STEP_KERNELS:
+            outcome = entry(self, items, step, context, aggregate)
+            if isinstance(outcome, str):
+                reason = outcome
+                continue
+            result, rows, kernel = outcome
+            if aggregate and kernel != "prefix-sum":
+                result = REGISTRY[aggregate][2](context, result)
+            return result, rows, kernel, reason if kernel == "scalar" else declined
+        raise AssertionError("the per-item loop never declines")
 
-    def _apply_step_inner(
-        self, items: list, step: ast.Step, context: Context
-    ) -> list:
-        if items:
-            # The backend gets first crack at the whole step (axis, test,
-            # and predicates); its result is already the step's final
-            # form.  Declining (None) falls through to the kernels and
-            # the per-item loop, which define the semantics.
-            handled = self.backend.apply_step(self, items, step, context)
-            if handled is not None:
-                self._last_kernel = self.backend.kernel
-                return handled
-        declined = (
-            "kernels-off" if not self.use_batch_kernels
-            else None if items else "empty-context"
-        )
-        if declined is None:
-            if not step.predicates:
-                batched = self._step_many(items, step.axis, step.test)
-                if not isinstance(batched, str):
-                    # Batch kernels return the step's final form directly:
-                    # deduplicated, document order.
-                    self._last_kernel = "columnar"
-                    return batched
-                declined = batched
+    def _context_set(self, items: list):
+        """``(navigator, owner)`` — the navigator whose kernels take
+        ``items`` as one context set, and the store or virtual document
+        all of them belong to (a lone document or virtual document item
+        included) — or why none does."""
+        if not self.use_batch_kernels:
+            return "kernels-off"  # the reference arm
+        if not items:
+            return "empty-context"
+        first = items[0]
+        if isinstance(first, (VNode, VirtualDocItem)):
+            vdoc = first.vdoc if isinstance(first, VirtualDocItem) else first._vdoc
+            if vdoc is None or not (
+                len(items) == 1
+                or all(isinstance(item, VNode) and item._vdoc is vdoc for item in items)
+            ):
+                return "heterogeneous-context"
+            return self._virtual_nav, vdoc
+        if not isinstance(first, Node) or (isinstance(first, Document) and len(items) > 1):
+            return "heterogeneous-context"  # atomics, documents among nodes
+        if self.mode != "indexed":
+            return "mode"
+        store_of = self.engine.store_of
+        store = store_of(first)
+        if store is None or any(
+            not isinstance(item, Node)
+            or isinstance(item, Document)
+            or store_of(item) is not store
+            for item in items[1:]
+        ):
+            return "heterogeneous-context"
+        return self.engine.indexed_navigator(store), store
+
+    # The kernel table.  An entry is (evaluator, items, step, context,
+    # aggregate) -> (result, rows, kernel) or, a str, why it declines.
+
+    def _kernel_prefix_sum(self, items, step, context, aggregate):
+        """``count()`` / ``sum()`` from run bounds, no node materialized
+        (the level-array aggregation of paper Section 5).  Declines under
+        sql (aggregating around the backend would dilute what
+        ``strategy=sql`` measures), from a virtual root (no bounds form),
+        and where the navigator does (axis; an inexact sum)."""
+        if self.mode == "sql":
+            return "mode"
+        if not items:
+            return _aggregate_result(aggregate, 0, 0), (0,), "prefix-sum"
+        owner = self._context_set(items)
+        if isinstance(owner, str):
+            return owner
+        if isinstance(items[0], VirtualDocItem):
+            return "document-context"
+        outcome = owner[0].aggregate_many(items, step.axis, step.test, aggregate)
+        if isinstance(outcome, str):
+            return outcome
+        return _aggregate_result(aggregate, *outcome), (outcome[1],), "prefix-sum"
+
+    def _kernel_sql(self, items, step, context, aggregate):
+        """The backend's whole step — axis, test and predicates in one
+        statement (only ``SqlBackend`` has one)."""
+        handled = self.backend.apply_step(self, items, step, context) if items else None
+        if handled is None:
+            return "mode"
+        return handled, (len(handled),), "sql"
+
+    def _kernel_navigator(self, items, step, context, aggregate):
+        """The navigator's set-at-a-time kernels — a lone (virtual)
+        document is one whole-column document step: ``columnar`` without
+        predicates, ``cas`` when each compiles to a single value
+        comparison (boolean and focus-free, so filtering commutes with
+        the kernels' dedup and ordering and chaining is intersection):
+        candidates are then dropped by key before a node exists for them.
+        Declines with :meth:`_context_set`'s reasons, ``predicate-shape``,
+        ``document-candidate`` (a document's string value lives outside
+        any type's columns) and the navigator's own."""
+        owner = self._context_set(items)
+        if isinstance(owner, str):
+            return owner
+        navigator, source = owner
+        first, axis, test = items[0], step.axis, step.test
+        keep = None
+        if step.predicates:
+            from repro.storage.cas_index import stored_key_filter, virtual_key_filter
+
+            preds = [compile_value_predicate(pred) for pred in step.predicates]
+            if any(pred is None for pred in preds):
+                return "predicate-shape"
+            if isinstance(first, Node):
+                keep = stored_key_filter(source, preds)
+            elif isinstance(first, VirtualDocItem) and (
+                navigator.order_class(source, (), axis, test) == NO_ORDER
+            ):
+                # Filtering a virtual root's runs before their merge is
+                # sound only where the step orders by keys.
+                return NO_ORDER
             else:
-                batched = self._step_many_cas(items, step)
-                metrics = self.engine.metrics
-                if not isinstance(batched, str):
-                    if metrics is not None:
-                        metrics.incr("engine.cas", labels={"result": "hit"})
-                    self._last_kernel = "cas"
-                    return batched
-                declined = batched
-                if metrics is not None:
-                    metrics.incr(
-                        "engine.cas",
-                        labels={"result": "decline", "reason": declined},
-                    )
+                keep = virtual_key_filter(source, preds)
+        if isinstance(first, (Document, VirtualDocItem)):
+            if keep is not None and axis not in ("child", "descendant") and (
+                axis != "descendant-or-self" or test.kind == "node"
+            ):
+                return "document-candidate"
+            out = navigator.step(first, axis, test, keep)
+        elif keep is None or axis in KEYS_FIRST_AXES:
+            out = navigator.step_many(items, axis, test, keep)
+        else:
+            out = navigator.step_many(items, axis, test)
+            if isinstance(out, str):
+                return out
+            # parent/ancestor kernels prepend the document for node() tests.
+            if out and isinstance(out[0], Document):
+                return "document-candidate"
+            type_of = attrgetter("vtype") if isinstance(first, VNode) else source.type_of
+            out = [node for node in out if keep.accepts(type_of(node))(_key_of(node))]
+        if isinstance(out, str):
+            return out
+        return out, (len(out),), "columnar" if keep is None else "cas"
+
+    def _kernel_scalar(self, items, step, context, aggregate):
+        """The per-item loop, the reference every kernel reproduces."""
         out: list = []
         for item in items:
             if not is_node(item):
@@ -288,222 +379,22 @@ class Evaluator:
             for predicate in step.predicates:
                 candidates = self._filter(candidates, predicate, context)
             out.extend(candidates)
-        # Set last (not first): predicate evaluation recurses into nested
-        # steps, and those must not leave their kernel tag on this span.
-        self._last_kernel = "scalar"
-        self._last_decline = declined
         # ... but the step's result is always document order, deduplicated.
-        if len(items) == 1:
-            # Navigators return axis-ordered, duplicate-free results for a
-            # single context node; document order is a reversal at most.
-            if step.axis in self._REVERSE_AXES:
+        out = self.step_result(len(items), step.axis, out)
+        return out, (len(out),), "scalar"
+
+    _STEP_KERNELS = (_kernel_sql, _kernel_navigator, _kernel_scalar)
+    _AGGREGATE_KERNELS = (_kernel_prefix_sum, *_STEP_KERNELS)
+
+    def step_result(self, contexts: int, axis: str, out: list) -> list:
+        """A step's final form from the concatenated navigator output of
+        ``contexts`` context items: one context's is duplicate-free in axis
+        order, so document order is a reversal at most."""
+        if contexts == 1:
+            if axis in self._REVERSE_AXES:
                 out.reverse()
             return out
         return self.document_order(out)
-
-    def _step_many(self, items: list, axis: str, test: ast.NodeTest, keep=None):
-        """Route a whole context set to one navigator's batch kernel.
-        Returns the step's final form, or — a ``str`` — the reason no
-        kernel took it: :meth:`_batch_navigator`'s, or whatever the
-        navigator declined for (no kernel covers the axis; the step needs
-        a cross-type merge no order key can give).  ``keep`` rides along
-        to the key-filtering kernels."""
-        navigator = self._batch_navigator(items)
-        if isinstance(navigator, str):
-            return navigator
-        return navigator.step_many(items, axis, test, keep)
-
-    def _batch_navigator(self, items: list):
-        """The navigator whose batch kernels take ``items`` as one context
-        set or — a ``str`` — why none does: the context is a lone
-        (virtual) document, the set is heterogeneous (mixed containers,
-        atomics, several documents), or the stored strategy is not
-        ``indexed``."""
-        first = items[0]
-        if isinstance(first, VNode):
-            vdoc = first._vdoc
-            if vdoc is None or not all(
-                isinstance(item, VNode) and item._vdoc is vdoc for item in items
-            ):
-                return "heterogeneous-context"
-            return self._virtual_nav
-        if len(items) == 1 and isinstance(first, (Document, VirtualDocItem)):
-            # One navigator step from the root already is the final form.
-            return "document-context"
-        if not isinstance(first, Node) or isinstance(first, Document):
-            return "heterogeneous-context"
-        if self.mode != "indexed":
-            return "mode"
-        store = self.engine.store_of(first)
-        if store is None:
-            return "heterogeneous-context"
-        for item in items:
-            if (
-                not isinstance(item, Node)
-                or isinstance(item, Document)
-                or self.engine.store_of(item) is not store
-            ):
-                return "heterogeneous-context"
-        return self.engine.indexed_navigator(store)
-
-    def _step_many_cas(self, items: list, step: ast.Step):
-        """Batch a predicate-bearing step through the CAS index: compile
-        the predicates to a key filter, then run the structural kernel
-        for the axis with the filter riding along, so candidates are
-        dropped by key — before a node or a virtual node exists for them
-        — instead of one predicate evaluation per (candidate, context)
-        pair.  Returns the step's final form or, as a ``str``, the reason
-        for declining (the scalar loop then defines the semantics).
-
-        Sound only when *every* predicate compiles to a single value
-        comparison (:func:`~repro.query.joins.compile_value_predicate`):
-        those are boolean and focus-free, so filtering commutes with the
-        kernels' dedup + document ordering and chaining is intersection.
-        Declines: ``predicate-shape`` (a predicate does not compile),
-        whatever the structural kernels decline (``heterogeneous-context``,
-        ``mode``, ``non-linearizable-view``, ``axis``), and
-        ``document-candidate`` (a document among the candidates: its
-        string value lives outside any type's columns).
-        """
-        from repro.query.joins import KEYS_FIRST_AXES, compile_value_predicate
-        from repro.storage.cas_index import stored_key_filter, virtual_key_filter
-
-        preds = []
-        for predicate in step.predicates:
-            pred = compile_value_predicate(predicate)
-            if pred is None:
-                return "predicate-shape"
-            preds.append(pred)
-        axis, test = step.axis, step.test
-        first = items[0]
-        if isinstance(first, (VNode, VirtualDocItem)):
-            vdoc = first.vdoc if isinstance(first, VirtualDocItem) else first._vdoc
-            if vdoc is None:
-                return "heterogeneous-context"
-            navigator = self._virtual_nav
-            if isinstance(first, VirtualDocItem):
-                # Filtering before the merge is sound only where this
-                # step's runs order by keys (VirtualNavigator.order_class).
-                if navigator.order_class(vdoc, (), axis, test) == NO_ORDER:
-                    return NO_ORDER
-            keep = virtual_key_filter(vdoc, preds, navigator._vtype_matches)
-            type_of = _vtype_of
-        elif isinstance(first, Node):
-            if self.mode != "indexed":
-                return "mode"
-            store = self.engine.store_of(first)
-            if store is None:
-                return "heterogeneous-context"
-            navigator = self.engine.indexed_navigator(store)
-            keep = stored_key_filter(store, preds, navigator._type_matches)
-            type_of = store.type_of
-        else:
-            return "heterogeneous-context"
-        if len(items) == 1 and isinstance(first, (Document, VirtualDocItem)):
-            # `//price[. < 10]` shapes: a lone document item context.  The
-            # batch kernels don't cover it, but the per-item step for one
-            # forward-axis context already *is* the step's final form.
-            if axis not in ("child", "descendant") and (
-                axis != "descendant-or-self" or test.kind == "node"
-            ):
-                return "document-candidate"
-            return navigator.step(first, axis, test, keep)
-        if axis in KEYS_FIRST_AXES:
-            return self._step_many(items, axis, test, keep)
-        candidates = self._step_many(items, axis, test)
-        if isinstance(candidates, str):
-            return candidates
-        # parent/ancestor kernels prepend the document for node() tests.
-        if candidates and isinstance(candidates[0], Document):
-            return "document-candidate"
-        return [
-            candidate
-            for candidate in candidates
-            if keep.accepts(type_of(candidate))(_key_of(candidate))
-        ]
-
-    def _apply_aggregate_step(
-        self, items: list, step: ast.Step, context: Context, name: str
-    ) -> list:
-        """Apply the aggregated final step of a ``count()``/``sum()`` path:
-        one "step" span and one meter charge exactly like
-        :meth:`_apply_step`, but the navigators reduce run bounds to a
-        single number instead of materializing nodes.  When they decline,
-        the step runs through :meth:`_apply_step_inner` *inside the same
-        span* — one operator row in the plan either way, and no step is
-        ever evaluated twice."""
-
-        def run():
-            result, rows = self._aggregate_or_apply(items, step, context, name)
-            return result, (rows,)
-
-        return self._seam(step, len(items), run)
-
-    def _aggregate_or_apply(
-        self, items: list, step: ast.Step, context: Context, name: str
-    ) -> tuple[list, int]:
-        """``(result, rows)`` for the aggregated final step — ``rows`` is
-        how many nodes the step covers (what the meter and the span's
-        ``items_out`` should see even when nothing is materialized)."""
-        metrics = self.engine.metrics
-        outcome = (
-            self._aggregate_many(items, step.axis, step.test, name)
-            if items
-            else (0, 0)
-        )
-        if not isinstance(outcome, str):
-            if metrics is not None:
-                metrics.incr("engine.aggregate", labels={"result": "hit"})
-            self._last_kernel = "prefix-sum"
-            value, rows = outcome
-            return _aggregate_result(name, value, rows), rows
-        if metrics is not None:
-            metrics.incr(
-                "engine.aggregate", labels={"result": "decline", "reason": outcome}
-            )
-        out = self._apply_step_inner(items, step, context)
-        return REGISTRY[name][2](context, out), len(out)
-
-    def _aggregate_many(self, items: list, axis: str, test: ast.NodeTest, kind: str):
-        """Route an aggregated step to one navigator's bounds kernel:
-        ``(value, rows)`` or — a ``str``, the labels of :meth:`_step_many`
-        — the reason no kernel covers the context set (the lone
-        stored-document context that ``count(//x)`` produces is covered)."""
-        if self.mode == "sql":
-            # The sql backend claims whole steps; aggregating around it
-            # would dilute what strategy=sql measures.  Results are
-            # identical either way — this keeps the arms comparable.
-            return "mode"
-        first = items[0]
-        if isinstance(first, VNode):
-            vdoc = first._vdoc
-            if vdoc is None or not all(
-                isinstance(item, VNode) and item._vdoc is vdoc for item in items
-            ):
-                return "heterogeneous-context"
-            return self._virtual_nav.aggregate_many(items, axis, test, kind)
-        if len(items) == 1 and isinstance(first, VirtualDocItem):
-            return "document-context"  # no bounds form from a virtual root
-        if not isinstance(first, Node):
-            return "heterogeneous-context"
-        if self.mode != "indexed":
-            return "mode"
-        if isinstance(first, Document):
-            if len(items) != 1:
-                return "heterogeneous-context"
-        elif not all(
-            isinstance(item, Node) and not isinstance(item, Document)
-            for item in items
-        ):
-            return "heterogeneous-context"
-        store = self.engine.store_of(first)
-        if store is None or any(
-            self.engine.store_of(item) is not store for item in items[1:]
-        ):
-            return "heterogeneous-context"
-        return self.engine.indexed_navigator(store).aggregate_many(
-            items, axis, test, kind
-        )
 
     def _step(self, item: Any, axis: str, test: ast.NodeTest) -> list:
         if isinstance(item, (VNode, VirtualDocItem)):
@@ -682,9 +573,13 @@ class Evaluator:
         else:
             path, aggregate = expr, None
         steps = _fuse_descendant_steps(path.steps)
-        navigator = "mode" if self.mode == "sql" else self._batch_navigator(items)
-        if isinstance(navigator, str):
-            return self._per_binding_values(items, steps, aggregate, bindings, navigator)
+        owner = "mode" if self.mode == "sql" else self._context_set(items)
+        if isinstance(owner, str):
+            return [
+                self._run_path([item], steps, current, aggregate, owner)
+                for item, current in zip(items, bindings)
+            ]
+        navigator = owner[0]
         segments: list = [[item] for item in items]
         for index, step in enumerate(steps):
             name = aggregate if index == len(steps) - 1 else None
@@ -698,58 +593,35 @@ class Evaluator:
             )
         return segments
 
-    def _per_binding_values(
-        self, items: list, steps: list, aggregate, bindings: list[Context], reason: str
-    ) -> list:
-        """A declined groupable path, evaluated per binding exactly as the
-        loop would — one step application per binding and step — with
-        ``reason=`` on every step row."""
-        self._group_decline = reason
-        try:
-            out = []
-            for item, current in zip(items, bindings):
-                values = [item]
-                for step in steps[:-1] if aggregate else steps:
-                    values = self._apply_step(values, step, current)
-                if aggregate:
-                    values = self._apply_aggregate_step(values, steps[-1], current, aggregate)
-                out.append(values)
-            return out
-        finally:
-            self._group_decline = None
-
     def _grouped_step(self, navigator, segments, step, name, bindings):
-        """``(results, rows)`` of one step of a grouped path over
-        ``segments`` — each binding's context nodes: each binding's result
-        (with ``name``, its ``count()`` / ``sum()``) and row count."""
+        """``(results, rows, kernel, reason)`` of one step of a grouped
+        path over ``segments`` — each binding's context nodes: each
+        binding's result (with ``name``, its ``count()`` / ``sum()``) and
+        row count."""
         axis, test = step.axis, step.test
         if name is None:
-            self._last_kernel = "columnar"
             out = navigator.step_groups(segments, axis, test)
-            return out, [len(found) for found in out]
+            return out, [len(found) for found in out], "columnar", None
         outcome = navigator.aggregate_groups(segments, axis, test, name)
-        metrics = self.engine.metrics
         if not isinstance(outcome, str):
-            if metrics is not None:
-                metrics.incr("engine.aggregate", labels={"result": "hit"})
-            self._last_kernel = "prefix-sum"
             return (
                 [_aggregate_result(name, value, rows) for value, rows in outcome],
                 [rows for _, rows in outcome],
-            )
-        if metrics is not None:
-            metrics.incr(
-                "engine.aggregate", labels={"result": "decline", "reason": outcome}
+                "prefix-sum",
+                None,
             )
         # Values prefix sums cannot add exactly: each binding materializes
         # and folds in document order, as its own aggregate step would.
-        results, rows = [], []
-        for segment, current in zip(segments, bindings):
-            found = self._apply_step_inner(segment, step, current)
-            results.append(REGISTRY[name][2](current, found))
-            rows.append(len(found))
-        self._last_kernel, self._last_decline = "scalar", outcome
-        return results, rows
+        found = [
+            self._route(segment, step, current)[0]
+            for segment, current in zip(segments, bindings)
+        ]
+        return (
+            [REGISTRY[name][2](current, f) for current, f in zip(bindings, found)],
+            [len(f) for f in found],
+            "scalar",
+            outcome,
+        )
 
     def _order_bindings(
         self, bindings: list[Context], specs: tuple[ast.OrderSpec, ...]
@@ -949,10 +821,6 @@ def _aggregate_result(name: str, value, rows: int) -> list:
     if rows == 0:
         return [0]
     return [float(value)]
-
-
-def _vtype_of(vnode: VNode):
-    return vnode.vtype
 
 
 def _key_of(item) -> tuple:

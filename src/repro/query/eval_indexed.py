@@ -21,7 +21,7 @@ from repro.query import joins
 from repro.query.ast import NodeTest
 from repro.query.eval_tree import matches_test
 from repro.storage.store import DocumentStore
-from repro.xmlmodel.nodes import Document, Node, TEXT_NAME
+from repro.xmlmodel.nodes import Document, Node
 
 
 class IndexedNavigator:
@@ -37,27 +37,8 @@ class IndexedNavigator:
 
     # -- candidate types ------------------------------------------------------------
 
-    def _type_matches(self, guide_type: GuideType, test: NodeTest, axis: str) -> bool:
-        name = guide_type.name
-        if axis == "attribute":
-            if not guide_type.is_attribute:
-                return False
-            return test.kind in ("node", "wildcard") or (
-                test.kind == "name" and name == "@" + test.name
-            )
-        if guide_type.is_attribute:
-            return False
-        if test.kind == "node":
-            return True
-        if test.kind == "text":
-            return name == TEXT_NAME
-        is_element = not guide_type.is_text
-        if test.kind == "wildcard":
-            return is_element
-        return is_element and name == test.name
-
     def _matching_types(self, candidates, test: NodeTest, axis: str):
-        return [t for t in candidates if self._type_matches(t, test, axis)]
+        return [t for t in candidates if joins.type_matches(t, test, axis)]
 
     # -- step dispatch ------------------------------------------------------------
 

@@ -33,12 +33,11 @@ from repro.core import vpbn
 from repro.obs.trace import span_add
 from repro.pbn.columnar import subtree_bound
 from repro.query import joins
-from repro.query.joins import NO_KERNEL, NO_ORDER
+from repro.query.joins import NO_KERNEL, NO_ORDER, type_matches
 from repro.query.ast import NodeTest
 from repro.query.items import VirtualDocItem, attach_vdoc
 from repro.storage.stats import StorageStats
 from repro.vdataguide.ast import VType
-from repro.xmlmodel.nodes import TEXT_NAME
 
 
 #: Order classes of a step (:meth:`VirtualNavigator.order_class`) — how
@@ -188,7 +187,7 @@ class VirtualNavigator:
             axis = "sibling"
         else:
             return None
-        return [vtype for vtype in pool if self._vtype_matches(vtype, test, axis)]
+        return [vtype for vtype in pool if type_matches(vtype, test, axis)]
 
     def _order_keys(self, vdoc: VirtualDocument):
         """``(order_key, keyed)``: a plain sort key equal to
@@ -305,27 +304,6 @@ class VirtualNavigator:
             resolvers[id(t)] = (column, {})
         return resolvers
 
-    # -- type filtering -----------------------------------------------------------
-
-    def _vtype_matches(self, vtype: VType, test: NodeTest, axis: str) -> bool:
-        name = vtype.name
-        if axis == "attribute":
-            if not vtype.is_attribute:
-                return False
-            return test.kind in ("node", "wildcard") or (
-                test.kind == "name" and name == "@" + test.name
-            )
-        if vtype.is_attribute:
-            return False
-        if test.kind == "node":
-            return True
-        if test.kind == "text":
-            return name == TEXT_NAME
-        is_element = not vtype.is_text
-        if test.kind == "wildcard":
-            return is_element
-        return is_element and name == test.name
-
     # -- step dispatch -----------------------------------------------------------
 
     def step(self, item, axis: str, test: NodeTest, keep=None) -> list:
@@ -370,7 +348,7 @@ class VirtualNavigator:
             [
                 instances(vtype)
                 for vtype in pool
-                if self._vtype_matches(vtype, test, axis)
+                if type_matches(vtype, test, axis)
             ],
         )
         if axis == "descendant-or-self" and test.kind == "node":
@@ -448,7 +426,7 @@ class VirtualNavigator:
     # -- axes ------------------------------------------------------------------------
 
     def _axis_self(self, vdoc: VirtualDocument, vnode: VNode, test: NodeTest):
-        if self._vtype_matches(vnode.vtype, test, "self"):
+        if type_matches(vnode.vtype, test, "self"):
             return [vnode]
         return []
 
@@ -458,7 +436,7 @@ class VirtualNavigator:
         # key-tuple sorting avoids per-pair vPBN comparisons.
         found: list = []
         for position, child_vtype in enumerate(vnode.vtype.children):
-            if not self._vtype_matches(child_vtype, test, axis):
+            if not type_matches(child_vtype, test, axis):
                 continue
             prefix = vnode.node.pbn.components[: child_vtype.lca_length]
             group = 0 if child_vtype.is_attribute else 1
@@ -485,21 +463,21 @@ class VirtualNavigator:
                     if child.vtype.is_attribute:
                         continue
                     next_frontier.append(child)
-                    if self._vtype_matches(child.vtype, test, "descendant"):
+                    if type_matches(child.vtype, test, "descendant"):
                         found.append(child)
             frontier = next_frontier
         return self._sort(vdoc, found)
 
     def _axis_descendant_or_self(self, vdoc, vnode, test):
         found = self._axis_descendant(vdoc, vnode, test)
-        if self._vtype_matches(vnode.vtype, test, "descendant-or-self"):
+        if type_matches(vnode.vtype, test, "descendant-or-self"):
             return self._sort(vdoc, [vnode, *found])
         return found
 
     def _axis_parent(self, vdoc: VirtualDocument, vnode: VNode, test: NodeTest):
         if vnode.vtype.parent is None:
             return []
-        if not self._vtype_matches(vnode.vtype.parent, test, "parent"):
+        if not type_matches(vnode.vtype.parent, test, "parent"):
             return []
         # A duplicated node has one parent per copy; like every reverse
         # axis the navigator reports them context-node-outward (reverse
@@ -511,7 +489,7 @@ class VirtualNavigator:
         frontier = vdoc.parents(vnode)
         while frontier:
             found.extend(
-                v for v in frontier if self._vtype_matches(v.vtype, test, "ancestor")
+                v for v in frontier if type_matches(v.vtype, test, "ancestor")
             )
             next_frontier: list[VNode] = []
             for current in frontier:
@@ -523,7 +501,7 @@ class VirtualNavigator:
     def _axis_ancestor_or_self(self, vdoc, vnode, test):
         head = (
             [vnode]
-            if self._vtype_matches(vnode.vtype, test, "ancestor-or-self")
+            if type_matches(vnode.vtype, test, "ancestor-or-self")
             else []
         )
         return head + self._axis_ancestor(vdoc, vnode, test)
@@ -532,13 +510,13 @@ class VirtualNavigator:
         parent_vtype = vnode.vtype.parent
         if parent_vtype is None:
             vtypes = [
-                v for v in vdoc.vguide.roots if self._vtype_matches(v, test, "sibling")
+                v for v in vdoc.vguide.roots if type_matches(v, test, "sibling")
             ]
             return [vnode for v in vtypes for vnode in vdoc.instances(v)]
         found: list[VNode] = []
         for parent in vdoc.parents(vnode):
             for sibling_vtype in parent_vtype.children:
-                if not self._vtype_matches(sibling_vtype, test, "sibling"):
+                if not type_matches(sibling_vtype, test, "sibling"):
                     continue
                 prefix = parent.node.pbn.components[: sibling_vtype.lca_length]
                 found.extend(
@@ -567,7 +545,7 @@ class VirtualNavigator:
 
     def _ordering_candidates(self, vdoc: VirtualDocument, test: NodeTest, axis: str):
         for vtype in vdoc.vguide.iter_vtypes():
-            if self._vtype_matches(vtype, test, axis):
+            if type_matches(vtype, test, axis):
                 yield from vdoc.reachable_instances(vtype)
 
     def _axis_following(self, vdoc, vnode, test):
@@ -667,7 +645,7 @@ class VirtualNavigator:
         :meth:`aggregate_groups` keep them apart per context."""
         for vtype, ctx_keys, _ in groups:
             for child_vtype in vtype.children:
-                if not self._vtype_matches(child_vtype, test, axis):
+                if not type_matches(child_vtype, test, axis):
                     continue
                 column = vdoc.column(child_vtype.original)
                 if column is None:
@@ -712,7 +690,7 @@ class VirtualNavigator:
 
         if or_self:
             for vtype, ctx_keys, ctx_vnodes in groups:
-                if not self._vtype_matches(vtype, test, axis):
+                if not type_matches(vtype, test, axis):
                     continue
                 accepts = keep.accepts(vtype) if keep is not None else None
                 by_key = bucket(vtype)
@@ -741,7 +719,7 @@ class VirtualNavigator:
                         continue
                     # (a child type has one parent type: one visit a level)
                     next_frontier[id(child_vtype)] = (child_vtype, run_keys)
-                    if not self._vtype_matches(child_vtype, test, "descendant"):
+                    if not type_matches(child_vtype, test, "descendant"):
                         continue
                     if keep is None:
                         kept = run_keys
@@ -794,7 +772,7 @@ class VirtualNavigator:
                 if key not in keymap:
                     keymap[key] = order_key(vnode)
             frontier[id(vtype)] = (vtype, keymap)
-            if or_self and self._vtype_matches(vtype, test, "descendant-or-self"):
+            if or_self and type_matches(vtype, test, "descendant-or-self"):
                 accepts = keep.accepts(vtype) if keep is not None else None
                 for key, vnode in zip(keys, ctx_vnodes):
                     if accepts is None or accepts(key):
@@ -818,7 +796,7 @@ class VirtualNavigator:
                             prefix_map[prefix] = okey
                         elif existing != okey:
                             return None
-                    collect = self._vtype_matches(child_vtype, test, "descendant")
+                    collect = type_matches(child_vtype, test, "descendant")
                     # Collected rows: by position without a key filter,
                     # by key — survivors only — with one.
                     accepts = nodes = None
@@ -866,7 +844,7 @@ class VirtualNavigator:
         stats = self.stats
         found: list[VNode] = []
         for cand_vtype in vdoc.vguide.iter_vtypes():
-            if not self._vtype_matches(cand_vtype, test, axis):
+            if not type_matches(cand_vtype, test, axis):
                 continue
             entry = vdoc.reachable_column(cand_vtype)
             if entry is None:
@@ -955,7 +933,7 @@ class VirtualNavigator:
                 # document node; distinct root types order by forest order.
                 ref_root = vnode.vtype.pbn.components[0]
                 for cand_vtype in vdoc.vguide.roots:
-                    if cand_vtype.is_attribute or not self._vtype_matches(
+                    if cand_vtype.is_attribute or not type_matches(
                         cand_vtype, test, "sibling"
                     ):
                         continue
@@ -992,7 +970,7 @@ class VirtualNavigator:
             for parent in vdoc.parents(vnode):
                 parent_key = parent.node.pbn.components
                 for sibling_vtype in parent_vtype.children:
-                    if not self._vtype_matches(sibling_vtype, test, "sibling"):
+                    if not type_matches(sibling_vtype, test, "sibling"):
                         continue
                     if sibling_vtype.is_attribute:
                         continue  # can never satisfy the sibling predicates

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from repro.pbn.columnar import Column, Key, subtree_bound
 from repro.query import ast as qast
 from repro.vdataguide.ast import VType
+from repro.xmlmodel.nodes import TEXT_NAME
 
 
 def staircase(keys: Sequence[Key]) -> list[Key]:
@@ -45,30 +46,6 @@ def staircase(keys: Sequence[Key]) -> list[Key]:
                 continue
         kept.append(key)
     return kept
-
-
-def descendant_rows(
-    column: Column, context_keys: Sequence[Key], or_self: bool = False
-) -> tuple[list[int], int]:
-    """Rows of ``column`` inside the subtree of any context key (proper
-    descendants unless ``or_self``).  Returns ``(rows, range_scans)``;
-    rows come out ascending and duplicate-free because the staircased
-    subtree runs are disjoint."""
-    tops = staircase(sorted(set(context_keys)))
-    keys = column.keys
-    rows: list[int] = []
-    cursor = 0
-    for top in tops:
-        low, high = column.prefix_bounds(top, cursor)
-        cursor = high
-        # Only the run's first key can equal the context itself: the run
-        # is sorted and every proper extension sorts after ``top`` — one
-        # key access per run instead of one per row (which matters when
-        # ``keys`` is a decoding view over an encoded column).
-        if not or_self and low < high and keys[low] == top:
-            low += 1
-        rows.extend(range(low, high))
-    return rows, len(tops)
 
 
 def prefix_run_rows(
@@ -196,6 +173,35 @@ def aligned_limit(candidate: VType, reference: VType) -> int:
             break
         limit += 1
     return limit
+
+
+# ---------------------------------------------------------------------------
+# node tests on types
+# ---------------------------------------------------------------------------
+
+
+def type_matches(node_type, test: qast.NodeTest, axis: str) -> bool:
+    """Whether the nodes of ``node_type`` — a DataGuide type or a virtual
+    type, anything with ``name`` / ``is_attribute`` / ``is_text`` — pass
+    ``test`` on ``axis``: attributes are reached by the ``attribute``
+    axis alone, which reaches nothing else."""
+    name = node_type.name
+    if axis == "attribute":
+        if not node_type.is_attribute:
+            return False
+        return test.kind in ("node", "wildcard") or (
+            test.kind == "name" and name == "@" + test.name
+        )
+    if node_type.is_attribute:
+        return False
+    if test.kind == "node":
+        return True
+    if test.kind == "text":
+        return name == TEXT_NAME
+    is_element = not node_type.is_text
+    if test.kind == "wildcard":
+        return is_element
+    return is_element and name == test.name
 
 
 # ---------------------------------------------------------------------------

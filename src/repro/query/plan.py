@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.query import ast
+from repro.query.joins import type_matches
 
 
 def explain_expr(expr: ast.Expr, indent: int = 0) -> str:
@@ -183,16 +184,12 @@ def _annotate_one(path: ast.PathExpr, engine) -> Optional[list[str]]:
 
 def _annotate_physical(path: ast.PathExpr, store) -> list[str]:
     from repro.query.eval import _fuse_descendant_steps
-    from repro.query.eval_indexed import IndexedNavigator
 
-    navigator = IndexedNavigator(store)
     lines = [f'plan: doc("{store.document.uri}")']
     current = list(store.guide.roots)
     from_document = True
     for step in _fuse_descendant_steps(path.steps):
-        current, note = _propagate(
-            step, current, navigator._type_matches, store.guide.iter_types, from_document
-        )
+        current, note = _propagate(step, current, store.guide.iter_types, from_document)
         estimate = sum(t.count for t in current)
         lines.append(
             f"  step {step.axis}::{_test_text(step.test)}"
@@ -203,9 +200,8 @@ def _annotate_physical(path: ast.PathExpr, store) -> list[str]:
 
 
 def _annotate_virtual(path: ast.PathExpr, vdoc) -> list[str]:
-    from repro.query.eval_virtual import VirtualNavigator
+    from repro.query.eval import _fuse_descendant_steps
 
-    navigator = VirtualNavigator()
     vguide = vdoc.vguide
     lines = [
         f'plan: virtualDoc("{vdoc.document.uri}") '
@@ -213,10 +209,8 @@ def _annotate_virtual(path: ast.PathExpr, vdoc) -> list[str]:
     ]
     current = list(vguide.roots)
     from_document = True
-    for step in _fuse_descendant_steps_for_plan(path.steps):
-        current, note = _propagate(
-            step, current, navigator._vtype_matches, vguide.iter_vtypes, from_document
-        )
+    for step in _fuse_descendant_steps(path.steps):
+        current, note = _propagate(step, current, vguide.iter_vtypes, from_document)
         estimate = sum(t.original.count for t in current)
         lines.append(
             f"  step {step.axis}::{_test_text(step.test)}"
@@ -226,25 +220,19 @@ def _annotate_virtual(path: ast.PathExpr, vdoc) -> list[str]:
     return lines
 
 
-def _fuse_descendant_steps_for_plan(steps):
-    from repro.query.eval import _fuse_descendant_steps
-
-    return _fuse_descendant_steps(steps)
-
-
-def _propagate(step, current, matches, all_types, from_document):
+def _propagate(step, current, all_types, from_document):
     """Candidate-type propagation for one step (shared physical/virtual)."""
     axis = step.axis
     note = " (+predicates)" if step.predicates else ""
     if axis in ("child", "attribute"):
         if from_document:
-            found = [t for t in current if matches(t, step.test, axis)]
+            found = [t for t in current if type_matches(t, step.test, axis)]
         else:
             found = [
                 child
                 for t in current
                 for child in t.children
-                if matches(child, step.test, axis)
+                if type_matches(child, step.test, axis)
             ]
         return found, note
     if axis in ("descendant", "descendant-or-self"):
@@ -257,22 +245,22 @@ def _propagate(step, current, matches, all_types, from_document):
                     if descendant is not t or axis == "descendant-or-self":
                         unique[id(descendant)] = descendant
             pool = list(unique.values())
-        return [t for t in pool if matches(t, step.test, axis)], note
+        return [t for t in pool if type_matches(t, step.test, axis)], note
     if axis == "parent":
         found = [t.parent for t in current if t.parent is not None]
-        unique = {id(t): t for t in found if matches(t, step.test, axis)}
+        unique = {id(t): t for t in found if type_matches(t, step.test, axis)}
         return list(unique.values()), note
     if axis in ("ancestor", "ancestor-or-self"):
         found = {}
         for t in current:
             walker = t if axis == "ancestor-or-self" else t.parent
             while walker is not None:
-                if matches(walker, step.test, "ancestor"):
+                if type_matches(walker, step.test, "ancestor"):
                     found[id(walker)] = walker
                 walker = walker.parent
         return list(found.values()), note
     if axis == "self":
-        return [t for t in current if matches(t, step.test, axis)], note
+        return [t for t in current if type_matches(t, step.test, axis)], note
     # Ordering/sibling axes: estimate with every type in scope.
-    pool = [t for t in all_types() if matches(t, step.test, axis)]
+    pool = [t for t in all_types() if type_matches(t, step.test, axis)]
     return pool, note + " (order axis: whole-scope estimate)"

@@ -47,6 +47,7 @@ from repro.core.virtual_document import VirtualDocument, VNode
 from repro.query.ast import NodeTest
 from repro.query.eval_virtual import VirtualNavigator
 from repro.query.items import VirtualDocItem
+from repro.query.joins import type_matches
 
 #: Fixed width (hex chars) of one encoded PBN component.
 _W = 8
@@ -66,7 +67,7 @@ def _prefix_range(key_col: str, prefix_expr: str) -> str:
 
 def _test_sql(test: NodeTest, axis: str) -> tuple[str, list]:
     """WHERE fragment over the vtypes alias ``t`` mirroring
-    ``VirtualNavigator._vtype_matches``."""
+    ``joins.type_matches``."""
     if axis == "attribute":
         if test.kind in ("node", "wildcard"):
             return "t.kind = 'attribute'", []
@@ -303,7 +304,7 @@ class VirtualAccel:
     # -- axes --------------------------------------------------------------------
 
     def _axis_self(self, item: VNode, vid: int, test: NodeTest) -> list:
-        if _NAV._vtype_matches(item.vtype, test, "self"):
+        if type_matches(item.vtype, test, "self"):
             return [item]
         return []
 
@@ -329,7 +330,7 @@ class VirtualAccel:
         parent_vtype = item.vtype.parent
         if parent_vtype is None:
             return []  # the virtual-root case is handled by the backend
-        if not _NAV._vtype_matches(parent_vtype, test, "parent"):
+        if not type_matches(parent_vtype, test, "parent"):
             return []
         clca = item.vtype.lca_length * _W
         band = _prefix_range("v.key", "substr(?, 1, ?)")
@@ -371,7 +372,7 @@ class VirtualAccel:
 
     def _axis_ancestor_or_self(self, item: VNode, vid: int, test: NodeTest) -> list:
         head = (
-            [item] if _NAV._vtype_matches(item.vtype, test, "ancestor-or-self") else []
+            [item] if type_matches(item.vtype, test, "ancestor-or-self") else []
         )
         return head + self._axis_ancestor(item, vid, test)
 
@@ -405,7 +406,7 @@ class VirtualAccel:
 
     def _axis_descendant_or_self(self, item: VNode, vid: int, test: NodeTest) -> list:
         found = self._axis_descendant(item, vid, test)
-        if _NAV._vtype_matches(item.vtype, test, "descendant-or-self"):
+        if type_matches(item.vtype, test, "descendant-or-self"):
             return [item, *found]
         return found
 

@@ -292,12 +292,14 @@ def virtual_cas_columns(vdoc, vtype) -> Optional[CasColumns]:
 # ---------------------------------------------------------------------------
 
 
-def path_chains(start, path, matches: Callable) -> list[tuple]:
+def path_chains(start, path) -> list[tuple]:
     """The type chains a predicate path reaches below ``start`` on a
     DataGuide or vDataGuide: one tuple of types per distinct way down,
     top first, leaf last (the empty chain for the empty path).  A
     ``descendant`` step contributes the types it passes through, so every
     chain is a parent/child walk the projection can climb edge by edge."""
+    from repro.query.joins import type_matches
+
     chains: dict[tuple, None] = {(): None}
     for axis, test in path:
         grown: dict[tuple, None] = {}
@@ -305,7 +307,7 @@ def path_chains(start, path, matches: Callable) -> list[tuple]:
             top = chain[-1] if chain else start
             if axis != "descendant":
                 for child in top.children:
-                    if matches(child, test, axis):
+                    if type_matches(child, test, axis):
                         grown[chain + (child,)] = None
                 continue
             stack = [(top, chain)]
@@ -313,7 +315,7 @@ def path_chains(start, path, matches: Callable) -> list[tuple]:
                 current, walked = stack.pop()
                 for child in current.children:
                     below = walked + (child,)
-                    if matches(child, test, axis):
+                    if type_matches(child, test, axis):
                         grown[below] = None
                     stack.append((child, below))
         chains = grown
@@ -325,9 +327,8 @@ class _StoredGeometry:
     plus one component — every edge is a truncation, none a join — and a
     type's CAS columns are the store's."""
 
-    def __init__(self, store, matches: Callable) -> None:
+    def __init__(self, store) -> None:
         self._store = store
-        self.matches = matches
 
     def columns(self, guide_type) -> Optional[CasColumns]:
         return self._store.cas_index.columns(self._store.type_id(guide_type))
@@ -346,9 +347,8 @@ class _VirtualGeometry:
     ``lca_length`` components with its virtual parent (Section 5.2's
     instance relation), which may fall short of the parent's own key."""
 
-    def __init__(self, vdoc, matches: Callable) -> None:
+    def __init__(self, vdoc) -> None:
         self._vdoc = vdoc
-        self.matches = matches
 
     def columns(self, vtype) -> Optional[CasColumns]:
         return virtual_cas_columns(self._vdoc, vtype)
@@ -386,7 +386,7 @@ def _project(pred, candidate, geometry) -> dict:
     candidate is a physical ancestor, the lca prefix otherwise.
     """
     probes: dict[int, set] = {}
-    for chain in path_chains(candidate, pred.path, geometry.matches):
+    for chain in path_chains(candidate, pred.path):
         columns = geometry.columns(chain[-1] if chain else candidate)
         if columns is None:
             continue
@@ -448,12 +448,12 @@ def _key_test(probes: list) -> Callable:
     return test
 
 
-def stored_key_filter(store, preds, type_matches: Callable) -> KeyFilter:
+def stored_key_filter(store, preds) -> KeyFilter:
     """The filter for stored candidates, over the store's CAS index."""
-    return KeyFilter(preds, _StoredGeometry(store, type_matches))
+    return KeyFilter(preds, _StoredGeometry(store))
 
 
-def virtual_key_filter(vdoc, preds, vtype_matches: Callable) -> KeyFilter:
+def virtual_key_filter(vdoc, preds) -> KeyFilter:
     """The filter for virtual candidates, over per-vtype virtual-value
     columns (borrowed from the store where the vtype is intact)."""
-    return KeyFilter(preds, _VirtualGeometry(vdoc, vtype_matches))
+    return KeyFilter(preds, _VirtualGeometry(vdoc))

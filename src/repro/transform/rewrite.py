@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from repro.errors import ReproError
 from repro.query import ast
+from repro.query.joins import type_matches
 from repro.vdataguide.ast import VGuide, VType
 
 
@@ -229,12 +230,6 @@ def rewrite_path(
     return ast.PathExpr(physical_start, tuple(steps))
 
 
-def _matches(vtype: VType, test: ast.NodeTest, axis: str) -> bool:
-    from repro.query.eval_virtual import VirtualNavigator
-
-    return VirtualNavigator()._vtype_matches(vtype, test, axis)
-
-
 def _single_label(matched: list[VType]) -> str:
     labels = {vtype.original.name for vtype in matched}
     if len(labels) != 1:
@@ -260,7 +255,7 @@ def _rewrite_child(
     step: ast.Step, current: list[VType], from_document: bool
 ) -> tuple[list[VType], list[ast.Step]]:
     if from_document:
-        matched = [v for v in current if _matches(v, step.test, step.axis)]
+        matched = [v for v in current if type_matches(v, step.test, step.axis)]
         if not matched:
             return [], []
         return matched, [_down_step(matched, step.test, step.axis)]
@@ -268,7 +263,7 @@ def _rewrite_child(
         child
         for vtype in current
         for child in vtype.children
-        if _matches(child, step.test, step.axis)
+        if type_matches(child, step.test, step.axis)
     ]
     if not matched:
         return [], []
@@ -300,7 +295,7 @@ def _rewrite_descendant(
             for descendant in vtype.iter_subtree()
             if descendant is not vtype
         ]
-    matched = [v for v in pool if _matches(v, step.test, step.axis)]
+    matched = [v for v in pool if type_matches(v, step.test, step.axis)]
     if not matched:
         return [], []
     if from_document:

@@ -250,13 +250,14 @@ def test_aggregate_fast_path_matches_scalar(strategies_agree):
 
 def test_aggregate_fast_path_actually_engages():
     """The indexed strategy must answer plain count()/sum() paths from run
-    bounds (metrics: engine.aggregate hit), not by materializing."""
-    outcomes = {"hit": 0, "decline": 0}
+    bounds (metrics: engine.kernel{kernel="prefix-sum"}), not by
+    materializing."""
+    outcomes = {"prefix-sum": 0}
 
     class _Metrics:
         def incr(self, name, value=1, labels=None):
-            if name == "engine.aggregate" and labels:
-                outcomes[labels["result"]] += 1
+            if name == "engine.kernel" and labels["kernel"] == "prefix-sum":
+                outcomes["prefix-sum"] += 1
 
         def observe(self, *args, **kwargs):
             pass
@@ -267,7 +268,7 @@ def test_aggregate_fast_path_actually_engages():
     assert engine.execute("count(doc('b.xml')//book)").values() == ["10"]
     assert engine.execute("sum(doc('b.xml')//book/price)").values() == ["357"]
     assert engine.execute("sum(doc('b.xml')//price)").values() == ["NaN"]
-    assert outcomes["hit"] == 3
+    assert outcomes["prefix-sum"] == 3
 
 
 def test_raw_and_succinct_engines_answer_identically():

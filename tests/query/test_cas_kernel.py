@@ -8,12 +8,14 @@ flipping :attr:`Evaluator.use_batch_kernels` must not change a single
 item or its position, for every strategy and for every coercion edge
 ``_compare_pair`` defines.  These tests pin that down, plus the
 observable plumbing the kernel adds (EXPLAIN ANALYZE ``kernel=cas``
-rows, ``engine.cas{hit|decline}`` counters) and its decline gates
+rows, ``engine.kernel{kernel=,reason=}`` counters) and its decline gates
 (non-compilable predicates, document candidates, non-linearizable
 recursive views).
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -421,33 +423,34 @@ def test_cas_hit_and_decline_counters(monkeypatch):
     service.load("more.xml", books_document(4, seed=6))
     service.load("dblp.xml", dblp_document(12, seed=3))
 
-    def declines(reason):
-        return service.metrics.counter(
-            "engine.cas", labels={"result": "decline", "reason": reason}
-        )
+    def items(**labels):
+        return service.metrics.counter("engine.kernel", labels=labels)
 
     service.execute('doc("book.xml")//name[. >= "M"]')
-    assert service.metrics.counter("engine.cas", labels={"result": "hit"}) == 1
+    assert items(kernel="cas") == 1  # the one context: the document
     for reason, (template, mode) in DECLINES.items():
         query = template.replace("{spec}", DBLP_BY_AUTHOR.spec)
-        assert declines(reason) == 0, reason
+        assert items(kernel="scalar", reason=reason) == 0, reason
         batch = service.execute(query, mode=mode)
-        assert declines(reason) == 1, reason
+        declined = items(kernel="scalar", reason=reason)
         # ... and every decline is sound: the scalar loop's bytes.
         monkeypatch.setattr(Evaluator, "use_batch_kernels", False)
         scalar = service.execute(query, mode=mode)
         monkeypatch.setattr(Evaluator, "use_batch_kernels", True)
         assert batch.to_xml() == scalar.to_xml(), reason
         # EXPLAIN ANALYZE prints the reason on the scalar row it explains.
-        rows = [
-            line
-            for line in service.explain(query, mode=mode)["rendered"].splitlines()
-            if "predicates=" in line
-        ]
+        lines = service.explain(query, mode=mode)["rendered"].splitlines()
+        rows = [line for line in lines if "predicates=" in line]
         assert rows and all(
             "kernel=scalar" in row and f"reason={reason}" in row for row in rows
         ), (reason, rows)
-    assert service.metrics.counter("engine.cas", labels={"result": "hit"}) == 1
+        # ... and the counter holds the context items of those rows.
+        assert declined == sum(
+            int(re.search(r"items_in=(\d+)", line).group(1))
+            for line in lines
+            if f"reason={reason}" in line
+        ) > 0, reason
+    assert items(kernel="cas") == 1
 
 
 # -- the generated workload actually exercises the kernel -------------------

@@ -280,7 +280,7 @@ def test_mixed_type_steps_decline_per_step_with_the_reason():
     # ... and a step with no virtual kernel is `axis`, whatever the view
     # (the parent's label was guessed from the view: non-linearizable-view).
     rows = _step_rows(engine, f"{source}//author/parent::node()")
-    assert rows["descendant::author"]["reason"] == "document-context"
+    assert rows["descendant::author"]["kernel"] == "columnar"  # the document step
     assert rows["parent::node()"]["kernel"] == "scalar"
     assert rows["parent::node()"]["reason"] == NO_KERNEL
 
@@ -298,7 +298,7 @@ def test_aggregate_declines_carry_the_reason():
 
     class _Metrics:
         def incr(self, name, value=1, labels=None):
-            if name == "engine.aggregate":
+            if name == "engine.kernel":
                 seen.append(dict(labels))
 
         def observe(self, *args, **kwargs):
@@ -309,10 +309,10 @@ def test_aggregate_declines_carry_the_reason():
     source = f'virtualDoc("d.xml", "{Q.DBLP_BY_AUTHOR.spec}")'
     # a count orders nothing: the duplicating view aggregates by bounds
     engine.execute(f"count({source}//author/node())")
-    assert seen == [{"result": "hit"}]
+    assert seen == [{"kernel": "columnar"}, {"kernel": "prefix-sum"}]
     del seen[:]
     rows = _step_rows(engine, f"count({source}//author/parent::node())")
-    assert seen == [{"result": "decline", "reason": NO_KERNEL}]
+    assert seen == [{"kernel": "columnar"}, {"kernel": "scalar", "reason": NO_KERNEL}]
     assert rows["parent::node()"]["kernel"] == "scalar"
     assert rows["parent::node()"]["reason"] == NO_KERNEL
 

@@ -54,18 +54,19 @@ def test_counters_render_with_type_lines_and_labels():
 
 
 def test_cas_counters_render_beside_the_query_counters():
-    # The CAS kernel's hit/decline tallies expose as one labeled counter
-    # family, escaped and typed like engine.queries next to it.
+    # The context items each kernel took, and why the scalar loop got the
+    # rest, expose as one labeled counter family, escaped and typed like
+    # engine.queries next to it.
     service = QueryService(pool_size=1)
     service.load("book.xml", books_document(6, seed=9))
     service.execute('doc("book.xml")//name[. >= "M"]')  # compilable: hit
     service.execute('doc("book.xml")//book[count(author) >= 1]')  # decline
     text = render_prometheus(service.metrics)
     lines = text.splitlines()
-    assert lines.count("# TYPE repro_engine_cas counter") == 1
-    assert 'repro_engine_cas{result="hit"} 1' in lines
+    assert lines.count("# TYPE repro_engine_kernel counter") == 1
+    assert 'repro_engine_kernel{kernel="cas"} 1' in lines
     assert (
-        'repro_engine_cas{reason="predicate-shape",result="decline"} 1' in lines
+        'repro_engine_kernel{kernel="scalar",reason="predicate-shape"} 1' in lines
     )
     # Same exposition carries the plain query counter family.
     assert "# TYPE repro_engine_queries counter" in lines
