@@ -103,6 +103,18 @@ def _mirrors_original(vtype: VType) -> bool:
     return len(matched) == len(original.children)  # no duplicated placement
 
 
+def mirrored_subtrees(vguide) -> frozenset:
+    """``id`` of every virtual type whose subtree mirrors its original one
+    (:func:`_mirrors_original` all the way down) — what :func:`is_intact`
+    decides per type with the writer's plans, read off the vDataGuide
+    alone, no row touched."""
+    intact: set[int] = set()
+    for vtype in reversed(list(vguide.iter_vtypes())):  # children first
+        if _mirrors_original(vtype) and all(id(c) in intact for c in vtype.children):
+            intact.add(id(vtype))
+    return frozenset(intact)
+
+
 def is_intact(vdoc: VirtualDocument, vtype: VType) -> bool:
     """True iff the virtual subtree below ``vtype`` mirrors the original
     subtree below its original type, so original values can be reused."""

@@ -97,6 +97,14 @@ def _prefix_bounds(keys, prefix: tuple) -> tuple[int, int]:
     return low, bisect_left(keys, subtree_bound(prefix), low)
 
 
+def complete_chain(vtype: VType) -> bool:
+    """True iff every cut below the root of ``vtype``'s chain is complete
+    (:meth:`VType.complete_cut`): each virtual ancestor is the instance's
+    own physical ancestor, its key a prefix of the instance's — so every
+    instance of the type occurs in the virtual document."""
+    return all(t.complete_cut() for t in vtype.chain()[1:])
+
+
 def sibling_rows(entries, components: tuple) -> list:
     """The virtual children of the node numbered ``components`` among
     ``entries`` — one ``(lca_length, keys, nodes, tag)`` per child type,
@@ -145,6 +153,9 @@ class VirtualDocument:
         self.document = document
         self.vguide = vguide
         self.store = store
+        #: True for a store's own identity view (``DocumentStore.view``):
+        #: its answers are the stored document's nodes.
+        self.is_store_view = False
         self.stats = stats if stats is not None else StorageStats()
         # Per original type: (document-ordered keys, row-aligned nodes).
         # Over a store the key list *is* the type index's posting list and
@@ -171,7 +182,9 @@ class VirtualDocument:
         self._memo_lock = threading.RLock()
         if store is not None:
             self._type_index = store.type_index
-            self._type_id = store.type_id
+            # Not the bound method: through a weak proxy it would hold the
+            # store itself strongly.
+            self._type_id = lambda guide_type: store.type_id(guide_type)
         else:
             self._index_nodes()
 
@@ -296,8 +309,7 @@ class VirtualDocument:
         virtual type — the candidate set of the ordering axes."""
         entry = self._reachable_columns.get(vtype)
         if entry is None:
-            self.reachable_instances(vtype)  # populate self._reachable
-            nodes = self._reachable[vtype]
+            nodes = self.reachable_nodes(vtype)
             if not nodes:
                 return None
             with self._memo_lock:
@@ -358,8 +370,7 @@ class VirtualDocument:
         with self._memo_lock:
             ids = self._reachable_id_sets.get(vtype)
             if ids is None:
-                self.reachable_instances(vtype)  # populate self._reachable
-                ids = frozenset(id(node) for node in self._reachable[vtype])
+                ids = frozenset(map(id, self.reachable_nodes(vtype)))
                 self._reachable_id_sets[vtype] = ids
             return ids
 
@@ -374,19 +385,24 @@ class VirtualDocument:
         per type with a structural semi-join against the parent type's
         reachable prefixes (memoized on the virtual document).
         """
+        return [VNode(vtype, node, self) for node in self.reachable_nodes(vtype)]
+
+    def reachable_nodes(self, vtype: VType) -> list[Node]:
+        """The nodes of :meth:`reachable_instances`, in document order (the
+        memo itself: do not mutate it)."""
         cached = self._reachable.get(vtype)
         if cached is None:
             with self._memo_lock:
                 cached = self._reachable.get(vtype)
                 if cached is None:
                     nodes = self.rows(vtype.original)[1]
-                    if vtype.parent is None:
+                    if complete_chain(vtype):
                         cached = nodes
                     else:
                         k = vtype.lca_length
                         parent_prefixes = {
-                            parent.node.pbn.components[:k]
-                            for parent in self.reachable_instances(vtype.parent)
+                            node.pbn.components[:k]
+                            for node in self.reachable_nodes(vtype.parent)
                         }
                         cached = [
                             node
@@ -394,7 +410,7 @@ class VirtualDocument:
                             if node.pbn.components[:k] in parent_prefixes
                         ]
                     self._reachable[vtype] = cached
-        return [VNode(vtype, node, self) for node in cached]
+        return cached
 
     def sibling_ordinal(self, vnode: VNode) -> int:
         """The node's 1-based position among its virtual siblings.

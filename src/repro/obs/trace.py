@@ -631,7 +631,9 @@ class Tracer:
         an unsampled carrier *suppresses* tracing for the whole request
         (downstream samplers inside it record nothing either).  After
         the ``with`` block the handle's ``trace`` attribute holds the
-        finished :class:`Trace` (root starts only).
+        finished :class:`Trace` (root starts only).  A forced start roots
+        a trace of its own inside a request sampled out (an explicit
+        profile request is answered whatever the request's sampling).
 
         Sampling is parent-based all the way down: a root start that
         fails its own dice roll *also* suppresses the request rather
@@ -644,7 +646,8 @@ class Tracer:
         shared no-op: with ``sample_rate == 0`` there is no downstream
         dice to pre-empt, and that path stays allocation-free.)
         """
-        if _ACTIVE.get() is not None:
+        active = _ACTIVE.get()
+        if active is not None and (active.trace is not None or not force):
             return span(name, detail)
         if parent is not None:
             if not parent.sampled:

@@ -27,10 +27,13 @@ from repro.xmlmodel.nodes import Node
 
 
 class Backend:
-    """Default backend behavior: decline everything (pure navigator
-    evaluation — the ``tree`` strategy)."""
+    """Default backend behavior: decline everything.  The ``tree`` and
+    ``indexed`` strategies are this backend — their steps are the
+    navigators' (``indexed`` lifts stored items into their store's
+    identity view, see ``Evaluator._context_set``)."""
 
-    name = "tree"
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def step(self, evaluator, item, axis: str, test) -> Optional[list]:
         return None
@@ -42,31 +45,9 @@ class Backend:
         return None
 
 
-class TreeBackend(Backend):
-    name = "tree"
-
-
-class IndexedBackend(Backend):
-    """PBN-index navigation for stored documents (batch steps ride the
-    navigators' kernels through the evaluator's kernel table)."""
-
-    name = "indexed"
-
-    def step(self, evaluator, item, axis: str, test) -> Optional[list]:
-        if isinstance(item, Node):
-            store = evaluator.engine.store_of(item)
-            if store is not None:
-                return evaluator.engine.indexed_navigator(store).step(
-                    item, axis, test
-                )
-        return None
-
-
 class SqlBackend(Backend):
     """Relational evaluation over the engine's SQLite accel tables (see
     :mod:`repro.query.sqlbackend`)."""
-
-    name = "sql"
 
     def step(self, evaluator, item, axis: str, test) -> Optional[list]:
         if isinstance(item, Node):
@@ -138,9 +119,9 @@ class SqlBackend(Backend):
 
 
 _BACKENDS = {
-    "tree": TreeBackend(),
-    "indexed": IndexedBackend(),
-    "sql": SqlBackend(),
+    "tree": Backend("tree"),
+    "indexed": Backend("indexed"),
+    "sql": SqlBackend("sql"),
 }
 
 #: The registered evaluation modes, in documentation order.

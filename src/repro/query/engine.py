@@ -28,7 +28,6 @@ from repro.pbn.assign import assign_numbers
 from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval import Evaluator
-from repro.query.eval_indexed import IndexedNavigator
 from repro.query.items import items_to_xml, string_value
 from repro.query.parser import parse_query
 from repro.storage.stats import StorageStats
@@ -82,7 +81,8 @@ class Engine:
     """Query engine over a set of loaded documents.
 
     :param mode: default navigation for stored documents — ``"indexed"``
-        (PBN indexes; the realistic XML DBMS configuration), ``"tree"``
+        (the PBN indexes, navigated as the store's identity view; the
+        realistic XML DBMS configuration), ``"tree"``
         (pointer navigation baseline), or ``"sql"`` (relational
         evaluation over SQLite accel tables).  Per-query override via
         ``execute(..., mode=...)``.
@@ -126,7 +126,6 @@ class Engine:
         self._stores: dict[str, DocumentStore] = {}
         self._store_by_document: dict[int, DocumentStore] = {}
         self._virtuals: dict[tuple[str, str], VirtualDocument] = {}
-        self._navigators: dict[int, IndexedNavigator] = {}
         # strategy=sql accel tables, built lazily and cached like the
         # level arrays.  Keyed by object id; each entry keeps a reference
         # to its key object so a recycled id can never alias a new store
@@ -180,7 +179,6 @@ class Engine:
         previous = self._stores.get(uri)
         if previous is not None and previous is not store:
             self._store_by_document.pop(id(previous.document), None)
-            self._navigators.pop(id(previous), None)
             # Copy-on-write invalidation for strategy=sql: a durable
             # update publishes a *new* store object, so dropping the
             # previous store's accel here is the entire story — the next
@@ -253,13 +251,6 @@ class Engine:
         while top.parent is not None:
             top = top.parent
         return self._store_by_document.get(id(top))
-
-    def indexed_navigator(self, store: DocumentStore) -> IndexedNavigator:
-        navigator = self._navigators.get(id(store))
-        if navigator is None:
-            navigator = IndexedNavigator(store, metrics=self.metrics)
-            self._navigators[id(store)] = navigator
-        return navigator
 
     #: Accel tables cached per engine before the oldest is evicted (and
     #: its sqlite connection closed) — a small bound; rebuilding is one
@@ -446,10 +437,12 @@ class Engine:
         ``(result, trace)`` — the trace feeds
         :func:`repro.obs.profile.build_profile` for the per-operator
         EXPLAIN ANALYZE rendering.  Uses the engine's tracer when one is
-        attached, a throwaway otherwise.  Accepts an already-parsed
+        attached, a throwaway otherwise.  Inside a traced request the
+        query runs as a child span of the request's trace, and the trace
+        returned is that span's own subtree.  Accepts an already-parsed
         expression (the sharded scatter path profiles its per-shard plan
         specializations); pass ``detail`` to label the trace then."""
-        from repro.obs.trace import Tracer
+        from repro.obs.trace import Trace, Tracer, current_context
 
         if detail is None:
             detail = _preview(query) if isinstance(query, str) else ""
@@ -457,8 +450,10 @@ class Engine:
         handle = tracer.start(
             "query", detail=detail, stats=self.stats, force=True
         )
-        with handle:
+        with handle as root:
             result = self.execute(query, mode=mode, variables=variables)
+        if handle.trace is None:
+            return result, Trace(root, parent=current_context())
         return result, handle.trace
 
     def explain(self, query: str) -> str:

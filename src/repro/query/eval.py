@@ -1,18 +1,19 @@
 """The expression evaluator.
 
 One evaluator serves all three navigation strategies: axis steps dispatch on
-the *item* — virtual nodes navigate through the vPBN machinery, stored tree
-nodes through the PBN indexes (or tree pointers in ``tree`` mode), and
-constructed nodes always through tree pointers.  Everything above the axis
-level (FLWR, predicates, functions, constructors, operators) is shared, so
-benchmark comparisons between strategies measure exactly the navigation
-difference.
+the *item* — virtual nodes navigate through the vPBN machinery, and so do
+stored tree nodes, lifted into their store's identity view (PBN is vPBN
+under the identity vDataGuide) and lowered back to stored nodes where a
+path ends; ``tree`` mode walks tree pointers instead, and constructed
+nodes always do.  Everything above the axis level (FLWR, predicates, functions,
+constructors, operators) is shared, so benchmark comparisons between
+strategies measure exactly the navigation difference.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from operator import attrgetter
+from itertools import repeat
 from typing import Any, Optional
 
 from repro.core import vpbn
@@ -42,8 +43,9 @@ class Evaluator:
     """Evaluates parsed expressions against an engine.
 
     :param engine: document registry, stores, stats.
-    :param mode: ``"indexed"`` (PBN indexes for stored documents),
-        ``"tree"`` (pointer navigation everywhere), or ``"sql"``
+    :param mode: ``"indexed"`` (stored documents navigate their identity
+        view over the PBN indexes), ``"tree"`` (pointer navigation
+        everywhere), or ``"sql"``
         (relational evaluation over SQLite accel tables).  Virtual
         navigation is selected by the item kind, not the mode — though
         the ``sql`` backend compiles virtual axes too.
@@ -169,12 +171,14 @@ class Evaluator:
 
     def _run_path(self, items, steps, context, aggregate=None, declined=None) -> list:
         """Apply ``steps`` in turn from ``items`` — with ``aggregate``, the
-        last one reduced to that function's result (:meth:`_apply_step`)."""
+        last one reduced to that function's result (:meth:`_apply_step`).
+        Stored nodes lifted into their store's view by the first step stay
+        lifted from step to step and are lowered once, here."""
         last = len(steps) - 1
         for index, step in enumerate(steps):
             name = aggregate if index == last else None
             items = self._apply_step(items, step, context, name, declined)
-        return items
+        return _stored(items)
 
     #: Axes whose navigator output runs from the context node *outward*
     #: (reverse document order), per XPath.
@@ -249,10 +253,11 @@ class Evaluator:
         raise AssertionError("the per-item loop never declines")
 
     def _context_set(self, items: list):
-        """``(navigator, owner)`` — the navigator whose kernels take
-        ``items`` as one context set, and the store or virtual document
-        all of them belong to (a lone document or virtual document item
-        included) — or why none does."""
+        """``(view, items)`` — the virtual document whose navigator kernels
+        take ``items`` as one context set (a lone document or virtual
+        document item included), and the items as that view's: stored
+        nodes are lifted into their store's identity view
+        (``DocumentStore.view``) — or why no view takes them."""
         if not self.use_batch_kernels:
             return "kernels-off"  # the reference arm
         if not items:
@@ -265,21 +270,16 @@ class Evaluator:
                 or all(isinstance(item, VNode) and item._vdoc is vdoc for item in items)
             ):
                 return "heterogeneous-context"
-            return self._virtual_nav, vdoc
+            return vdoc, items
         if not isinstance(first, Node) or (isinstance(first, Document) and len(items) > 1):
             return "heterogeneous-context"  # atomics, documents among nodes
         if self.mode != "indexed":
             return "mode"
-        store_of = self.engine.store_of
-        store = store_of(first)
-        if store is None or any(
-            not isinstance(item, Node)
-            or isinstance(item, Document)
-            or store_of(item) is not store
-            for item in items[1:]
-        ):
+        store = self.engine.store_of(first)
+        lifted = None if store is None else _lift(store.view, items)
+        if lifted is None:
             return "heterogeneous-context"
-        return self.engine.indexed_navigator(store), store
+        return store.view, lifted
 
     # The kernel table.  An entry is (evaluator, items, step, context,
     # aggregate) -> (result, rows, kernel) or, a str, why it declines.
@@ -288,8 +288,8 @@ class Evaluator:
         """``count()`` / ``sum()`` from run bounds, no node materialized
         (the level-array aggregation of paper Section 5).  Declines under
         sql (aggregating around the backend would dilute what
-        ``strategy=sql`` measures), from a virtual root (no bounds form),
-        and where the navigator does (axis; an inexact sum)."""
+        ``strategy=sql`` measures) and where the navigator does (axis; a
+        virtual root without whole-column bounds; an inexact sum)."""
         if self.mode == "sql":
             return "mode"
         if not items:
@@ -297,9 +297,7 @@ class Evaluator:
         owner = self._context_set(items)
         if isinstance(owner, str):
             return owner
-        if isinstance(items[0], VirtualDocItem):
-            return "document-context"
-        outcome = owner[0].aggregate_many(items, step.axis, step.test, aggregate)
+        outcome = self._virtual_nav.aggregate_many(owner[1], step.axis, step.test, aggregate)
         if isinstance(outcome, str):
             return outcome
         return _aggregate_result(aggregate, *outcome), (outcome[1],), "prefix-sum"
@@ -325,26 +323,24 @@ class Evaluator:
         owner = self._context_set(items)
         if isinstance(owner, str):
             return owner
-        navigator, source = owner
+        view, items = owner
+        navigator = self._virtual_nav
         first, axis, test = items[0], step.axis, step.test
         keep = None
         if step.predicates:
-            from repro.storage.cas_index import stored_key_filter, virtual_key_filter
+            from repro.storage.cas_index import virtual_key_filter
 
             preds = [compile_value_predicate(pred) for pred in step.predicates]
             if any(pred is None for pred in preds):
                 return "predicate-shape"
-            if isinstance(first, Node):
-                keep = stored_key_filter(source, preds)
-            elif isinstance(first, VirtualDocItem) and (
-                navigator.order_class(source, (), axis, test) == NO_ORDER
+            if isinstance(first, VirtualDocItem) and (
+                navigator.order_class(view, (), axis, test) == NO_ORDER
             ):
                 # Filtering a virtual root's runs before their merge is
                 # sound only where the step orders by keys.
                 return NO_ORDER
-            else:
-                keep = virtual_key_filter(source, preds)
-        if isinstance(first, (Document, VirtualDocItem)):
+            keep = virtual_key_filter(view, preds)
+        if isinstance(first, VirtualDocItem):
             if keep is not None and axis not in ("child", "descendant") and (
                 axis != "descendant-or-self" or test.kind == "node"
             ):
@@ -356,19 +352,19 @@ class Evaluator:
             out = navigator.step_many(items, axis, test)
             if isinstance(out, str):
                 return out
-            # parent/ancestor kernels prepend the document for node() tests.
-            if out and isinstance(out[0], Document):
+            # parent/ancestor kernels put the document first for node() tests.
+            if out and isinstance(out[0], VirtualDocItem):
                 return "document-candidate"
-            type_of = attrgetter("vtype") if isinstance(first, VNode) else source.type_of
-            out = [node for node in out if keep.accepts(type_of(node))(_key_of(node))]
+            out = [v for v in out if keep.accepts(v.vtype)(v.node.pbn.components)]
         if isinstance(out, str):
             return out
         return out, (len(out),), "columnar" if keep is None else "cas"
 
     def _kernel_scalar(self, items, step, context, aggregate):
-        """The per-item loop, the reference every kernel reproduces."""
+        """The per-item loop, the reference every kernel reproduces —
+        over stored nodes as they are (predicates see what a query sees)."""
         out: list = []
-        for item in items:
+        for item in _stored(items):
             if not is_node(item):
                 raise QueryEvaluationError(
                     f"cannot apply a path step to the atomic value {item!r}"
@@ -405,7 +401,10 @@ class Evaluator:
         stepped = self.backend.step(self, item, axis, test)
         if stepped is not None:
             return stepped
-        return self._tree_nav.step(item, axis, test)
+        store = self.engine.store_of(item) if self.mode == "indexed" else None
+        if store is None:
+            return self._tree_nav.step(item, axis, test)
+        return _stored(self._virtual_nav.step(_lift(store.view, [item])[0], axis, test))
 
     def _filter(self, items: list, predicate: ast.Expr, context: Context) -> list:
         size = len(items)
@@ -579,7 +578,7 @@ class Evaluator:
                 self._run_path([item], steps, current, aggregate, owner)
                 for item, current in zip(items, bindings)
             ]
-        navigator = owner[0]
+        view, items = owner
         segments: list = [[item] for item in items]
         for index, step in enumerate(steps):
             name = aggregate if index == len(steps) - 1 else None
@@ -589,15 +588,18 @@ class Evaluator:
             segments = self._seam(
                 step,
                 sum(map(len, segments)),
-                lambda: self._grouped_step(navigator, segments, step, name, bindings),
+                lambda: self._grouped_step(view, segments, step, name, bindings),
             )
+        if aggregate is None:
+            segments = list(map(_stored, segments))
         return segments
 
-    def _grouped_step(self, navigator, segments, step, name, bindings):
+    def _grouped_step(self, view, segments, step, name, bindings):
         """``(results, rows, kernel, reason)`` of one step of a grouped
-        path over ``segments`` — each binding's context nodes: each
-        binding's result (with ``name``, its ``count()`` / ``sum()``) and
-        row count."""
+        path over ``segments`` — each binding's context nodes in ``view``:
+        each binding's result (with ``name``, its ``count()`` / ``sum()``)
+        and row count."""
+        navigator = self._virtual_nav
         axis, test = step.axis, step.test
         if name is None:
             out = navigator.step_groups(segments, axis, test)
@@ -823,9 +825,41 @@ def _aggregate_result(name: str, value, rows: int) -> list:
     return [float(value)]
 
 
-def _key_of(item) -> tuple:
-    """The PBN components of a stored or virtual node item."""
-    return (item.node if isinstance(item, VNode) else item).pbn.components
+def _lift(view, items: list) -> Optional[list]:
+    """Stored items as their store's identity view's: a node under the
+    one virtual type of its DataGuide type, the (lone) document as the
+    view's handle — or ``None`` when some item is no node of the view's
+    store (a document among nodes included)."""
+    if isinstance(items[0], Document):
+        return [VirtualDocItem(view)] if len(items) == 1 else None
+    types = view.store.types_of(items)
+    if types is None:
+        return None
+    vtypes_of = view.vguide.vtypes_of
+    vtype_of = {guide_type: vtypes_of(guide_type)[0] for guide_type in set(types)}
+    return list(map(VNode, map(vtype_of.__getitem__, types), items, repeat(view)))
+
+
+def _stored(items: list) -> list:
+    """``items`` lowered out of a store's own view, if that is whose they
+    are: the stored nodes themselves (the document node for the view's
+    handle), so stored answers stay stored nodes and the serializer
+    writes them.  A step's items share one view (or are not a view's)."""
+    if items:
+        first = items[0]
+        if isinstance(first, VNode):
+            view = first._vdoc
+        elif isinstance(first, VirtualDocItem):
+            view = first.vdoc
+        else:
+            return items
+        if view.is_store_view:
+            document = view.document
+            return [
+                document if isinstance(item, VirtualDocItem) else item.node
+                for item in items
+            ]
+    return items
 
 
 def _identity(item: Any):

@@ -1,41 +1,53 @@
-"""Virtual axis evaluation: the paper's contribution applied to queries.
+"""Axis evaluation over a virtual hierarchy: the paper's contribution
+applied to queries — and, since PBN is vPBN under the identity vDataGuide,
+the navigator of stored documents too.
 
 Steps over a ``virtualDoc(...)`` source navigate the *virtual* hierarchy
-using vPBN machinery over the untouched original numbering:
+using vPBN machinery over the untouched original numbering; a stored
+document navigates as its store's identity view (``DocumentStore.view``,
+``root { ** }``), whose answers the evaluator hands back as the stored
+nodes they are:
 
 * ``child``/``attribute`` steps are prefix-range scans on the per-type
   posting lists — the prefix is the ``lcaLength`` components shared with
   the virtual parent (Section 5.2's instance relation);
 * ``descendant`` steps expand child ranges level by level through the
   vDataGuide (each hop one range scan), touching only data below the
-  context node;
-* ``parent``/``ancestor`` steps run the inverse range scans;
+  context node — one prefix run per type below a context whose subtree
+  mirrors the original;
+* ``parent``/``ancestor`` steps cut each context key where every cut is
+  complete (:meth:`~repro.vdataguide.ast.VType.complete_cut`) and run the
+  inverse range scans elsewhere;
 * sibling and ordering axes filter candidate instances with the Section 5
   predicates (``vPreceding``, ``vFollowing-sibling``, ...), each test one
-  vPBN comparison, counted in ``stats.comparisons``.
+  vPBN comparison, counted in ``stats.comparisons`` — and decide a whole
+  column with one bisect in a tree that mirrors the original.
 
 Results come back in *virtual* document order.  Level arrays are a
 per-type property, so how a step's result orders is decided per step on
 the vDataGuide (:meth:`VirtualNavigator.order_class`): one result type
-orders by key, types of different trees concatenate, several types of
-one tree merge by that tree's order key — and only a step that needs a
-merge no key can give is left to the Section 5 comparator.
+orders by key, and so do several types of an *intact* tree (one that
+mirrors its original subtree — every tree of an identity view); types of
+different trees concatenate, several types of any other tree merge by
+that tree's order key — and only a step that needs a merge no key can
+give is left to the Section 5 comparator.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
-from repro.core.virtual_document import VirtualDocument, VNode
 from repro.core import vpbn
+from repro.core.values import mirrored_subtrees
+from repro.core.virtual_document import VirtualDocument, VNode, complete_chain
 from repro.obs.trace import span_add
 from repro.pbn.columnar import subtree_bound
 from repro.query import joins
-from repro.query.joins import NO_KERNEL, NO_ORDER, type_matches
+from repro.query.joins import NO_BOUNDS, NO_KERNEL, NO_ORDER, type_matches
 from repro.query.ast import NodeTest
-from repro.query.items import VirtualDocItem, attach_vdoc
+from repro.query.items import VirtualDocItem
 from repro.storage.stats import StorageStats
 from repro.vdataguide.ast import VType
 
@@ -46,9 +58,10 @@ KEY, FOREST, KEYED = "key", "forest", "keyed"
 ORDER_CLASSES = frozenset((KEY, FOREST, KEYED))
 
 
-def _components_of(vnode: VNode) -> tuple:
-    """Sort key for same-vtype candidate lists (plain document order)."""
-    return vnode.node.pbn.components
+#: Sort key for same-vtype candidate lists and the runs of an intact tree
+#: (plain document order).
+_components_of = attrgetter("node.pbn.components")
+_pbn_components = attrgetter("pbn.components")
 
 
 def _sibling_order(runs: list) -> list[VNode]:
@@ -93,10 +106,12 @@ def _cas_columns_of(vdoc: VirtualDocument):
 
 
 class VirtualNavigator:
-    """Axis steps over virtual nodes and virtual document handles.
+    """Axis steps over virtual nodes and virtual document handles — a
+    store's own identity view's included.
 
     :param metrics: optional service metrics block; every :meth:`step`
-        counts one ``navigator.virtual.steps``.
+        counts one ``navigator.virtual.steps`` (``navigator.indexed.steps``
+        over a store's own view).
     """
 
     def __init__(self, stats: Optional[StorageStats] = None, metrics=None) -> None:
@@ -115,7 +130,9 @@ class VirtualNavigator:
 
         * :data:`KEY` — one result type.  Same level array, same chain:
           :func:`vpbn.compare_virtual_order` *is* component order, on any
-          view, recursive ones included.
+          view, recursive ones included.  Likewise several types of an
+          *intact* tree (:meth:`_intact`): it mirrors its original
+          subtree, so virtual order is document order.
         * :data:`FOREST` — result types in pairwise different trees of the
           vDataGuide.  The comparison orders by tree index first, so the
           per-type runs concatenate in forest order.
@@ -147,15 +164,53 @@ class VirtualNavigator:
         crowded = [tree for tree, count in per_tree.items() if count > 1]
         if not crowded:
             return FOREST
+        intact = self._intact(vdoc)[1]
+        crowded = [tree for tree in crowded if tree not in intact]
+        if not crowded:
+            return KEY
         keyed = self._order_keys(vdoc)[1]
         return KEYED if all(tree in keyed for tree in crowded) else NO_ORDER
+
+    def _intact(self, vdoc: VirtualDocument):
+        """``(vtypes, trees)``: the ids of the virtual types whose subtree
+        mirrors its original one (:func:`repro.core.values.
+        mirrored_subtrees`) and the indexes of the vDataGuide trees whose
+        root is one of them — the *intact* trees, where virtual order is
+        component order (an identity view has nothing else).  Memoized
+        with the view."""
+        found = vdoc._order_memo.get("intact")
+        if found is None:
+            vtypes = mirrored_subtrees(vdoc.vguide)
+            roots = [root for root in vdoc.vguide.roots if id(root) in vtypes]
+            trees = frozenset(root.pbn.components[0] for root in roots)
+            found = vdoc._order_memo["intact"] = (vtypes, trees)
+        return found
 
     def _result_vtypes(self, vdoc, ctx_vtypes, axis, test) -> Optional[list[VType]]:
         """The virtual types ``axis::test`` can produce from contexts of
         ``ctx_vtypes`` (empty: from the virtual document node), or
-        ``None`` for an axis without a batch kernel."""
+        ``None`` for an axis without a batch kernel — ``parent`` needs
+        every context type's cut complete, ``ancestor`` every cut of its
+        chain below the root (:meth:`~repro.vdataguide.ast.VType.
+        complete_cut`)."""
         guide = vdoc.vguide
-        if axis in ("child", "attribute"):
+        if axis == "parent" and ctx_vtypes:
+            if not all(vtype.complete_cut() for vtype in ctx_vtypes):
+                return None
+            pool = {
+                id(vtype.parent): vtype.parent
+                for vtype in ctx_vtypes
+                if vtype.parent is not None
+            }.values()
+        elif axis in ("ancestor", "ancestor-or-self") and ctx_vtypes:
+            if not all(complete_chain(vtype) for vtype in ctx_vtypes):
+                return None
+            pool = {
+                id(t): t
+                for vtype in ctx_vtypes
+                for t in (vtype.chain() if axis == "ancestor-or-self" else vtype.chain()[:-1])
+            }.values()
+        elif axis in ("child", "attribute"):
             pool = (
                 [child for vtype in ctx_vtypes for child in vtype.children]
                 if ctx_vtypes
@@ -311,68 +366,79 @@ class VirtualNavigator:
         (virtual document order; reversed for reverse axes).  ``keep`` (a
         :class:`~repro.storage.cas_index.KeyFilter`, document items only)
         drops candidates by key before their nodes are resolved."""
-        if self.metrics is not None:
-            self.metrics.incr("navigator.virtual.steps")
-        span_add("steps.virtual")
         if isinstance(item, VirtualDocItem):
+            self._count_steps(item.vdoc, 1)
             return self._document_step(item.vdoc, axis, test, keep)
         assert isinstance(item, VNode)
         vdoc: VirtualDocument = item._vdoc  # attached by the evaluator
+        self._count_steps(vdoc, 1)
         if axis == "parent" and item.vtype.parent is None:
             # The parent of a virtual root is the virtual document node,
             # mirroring the document node a materialized tree would have.
             return [VirtualDocItem(vdoc)] if test.kind == "node" else []
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
-        return [attach_vdoc(found, vdoc) for found in handler(vdoc, item, test)]
+        return handler(vdoc, item, test)
+
+    def _count_steps(self, vdoc: VirtualDocument, contexts: int) -> None:
+        """``navigator.indexed.steps`` / ``steps.indexed`` for a store's own
+        view, ``navigator.virtual.steps`` / ``steps.virtual`` otherwise."""
+        kind = "indexed" if vdoc.is_store_view else "virtual"
+        if self.metrics is not None:
+            self.metrics.incr(f"navigator.{kind}.steps", contexts)
+        span_add(f"steps.{kind}", contexts)
 
     def _document_step(
         self, vdoc: VirtualDocument, axis: str, test: NodeTest, keep=None
     ) -> list:
-        instances = (
-            vdoc.reachable_instances
-            if keep is None
-            else lambda vtype: self._kept_instances(vdoc, vtype, keep)
-        )
-        if axis == "child":
-            pool = vdoc.vguide.roots
-        elif axis in ("descendant", "descendant-or-self"):
-            pool = vdoc.vguide.iter_vtypes()
-        elif axis == "self" and test.kind == "node":
-            return [VirtualDocItem(vdoc)]
-        else:
+        """A step from the document handle: whole columns, one per result
+        type.  A store's own view answers in stored terms — the stored
+        nodes, and the document node for the handle — since the evaluator
+        would only unwrap each virtual node of a whole column again; and
+        there, as on :meth:`_axis_ancestor`, the document node is on the
+        ancestor axes too."""
+        stored = vdoc.is_store_view
+        document = vdoc.document if stored else VirtualDocItem(vdoc)
+        if axis == "self" or stored and axis == "ancestor-or-self":
+            return [document] if test.kind == "node" else []
+        if axis not in ("child", "descendant", "descendant-or-self"):
             return []
-        # One run per type: distinct, already in key order, tagged with
-        # their view.
-        found = self._merge_runs(
-            vdoc,
-            [
-                instances(vtype)
-                for vtype in pool
-                if type_matches(vtype, test, axis)
-            ],
-        )
+        # One run per type — a range scan of its whole column: distinct,
+        # already in key order.
+        vtypes = self._result_vtypes(vdoc, (), axis, test)
+        self.stats.index_range_scans += len(vtypes)
+        runs = [
+            (vtype, vdoc.reachable_nodes(vtype) if keep is None else self._kept(vdoc, vtype, keep))
+            for vtype in vtypes
+        ]
+        if stored:
+            # An identity view's trees are intact, its roots physical:
+            # document order is key order.
+            found = [node for _, nodes in runs for node in nodes]
+            if len(runs) > 1:
+                found.sort(key=_pbn_components)
+        else:
+            found = self._merge_runs(
+                vdoc, [[VNode(vtype, node, vdoc) for node in nodes] for vtype, nodes in runs]
+            )
         if axis == "descendant-or-self" and test.kind == "node":
-            return [VirtualDocItem(vdoc), *found]
+            return [document, *found]
         return found
 
-    def _kept_instances(self, vdoc: VirtualDocument, vtype: VType, keep) -> list[VNode]:
-        """The reachable instances of ``vtype`` whose keys pass ``keep``,
-        in document order.  Every instance of a root type is reachable,
-        so its posting list is filtered as it stands and only the
-        survivors' nodes are resolved."""
+    def _kept(self, vdoc: VirtualDocument, vtype: VType, keep) -> list:
+        """The nodes of the reachable instances of ``vtype`` whose keys
+        pass ``keep``, in document order.  Every instance of a type with a
+        complete chain is reachable (a root's included), so its posting
+        list is filtered as it stands and only the survivors' nodes are
+        resolved."""
         accepts = keep.accepts(vtype)
-        if vtype.parent is None:
+        if complete_chain(vtype):
             keys = [key for key in vdoc.postings(vtype.original) if accepts(key)]
-            nodes = vdoc.nodes_of(vtype.original, keys)
-        else:
-            entry = vdoc.reachable_column(vtype)
-            if entry is None:
-                return []
-            column, nodes = entry
-            nodes = [
-                node for key, node in zip(column.keys[:], nodes) if accepts(key)
-            ]
-        return [VNode(vtype, node, vdoc) for node in nodes]
+            return vdoc.nodes_of(vtype.original, keys)
+        entry = vdoc.reachable_column(vtype)
+        if entry is None:
+            return []
+        column, nodes = entry
+        return [node for key, node in zip(column.keys[:], nodes) if accepts(key)]
 
     def _sort(self, vdoc: VirtualDocument, vnodes: list[VNode]) -> list[VNode]:
         """Virtual document order with duplicate elimination."""
@@ -391,9 +457,10 @@ class VirtualNavigator:
         distinct and in key order — which within a type *is* virtual
         order (identical level arrays: no comparator, no ``VPbn``).  Runs
         of different vDataGuide trees concatenate in forest order; runs of
-        one tree merge by its order key or, where the tree has none,
-        under the Section 5 comparator (the scalar path, and one binding
-        of :meth:`step_groups` — :meth:`step_many` declines such steps)."""
+        an intact tree merge by key, runs of another tree by its order key
+        or, where it has none, under the Section 5 comparator (the scalar
+        path, and one binding of :meth:`step_groups` — :meth:`step_many`
+        declines such steps)."""
         runs = [run for run in runs if run]
         if len(runs) < 2:
             return runs[0] if runs else []
@@ -407,9 +474,10 @@ class VirtualNavigator:
                 out.extend(tree_runs[0])
                 continue
             merged = [vnode for run in tree_runs for vnode in run]
-            order_key, keyed = self._order_keys(vdoc)
-            if tree in keyed:
-                merged.sort(key=order_key)
+            if tree in self._intact(vdoc)[1]:
+                merged.sort(key=_components_of)
+            elif tree in self._order_keys(vdoc)[1]:
+                merged.sort(key=self._order_keys(vdoc)[0])
             else:
                 # Build each node's document-order key (its vPBN) once per
                 # candidate list and reuse it across every comparator call.
@@ -495,8 +563,12 @@ class VirtualNavigator:
             for current in frontier:
                 next_frontier.extend(vdoc.parents(current))
             frontier = next_frontier
-        # Reverse axis order: nearest ancestors first.
-        return list(reversed(self._sort(vdoc, found)))
+        # Reverse axis order: nearest ancestors first — and, in a store's
+        # own view, the document node last, as in the stored document.
+        found = list(reversed(self._sort(vdoc, found)))
+        if vdoc.is_store_view and test.kind == "node":
+            found.append(VirtualDocItem(vdoc))
+        return found
 
     def _axis_ancestor_or_self(self, vdoc, vnode, test):
         head = (
@@ -526,22 +598,12 @@ class VirtualNavigator:
         return found
 
     def _axis_following_sibling(self, vdoc, vnode, test):
-        reference = vnode.vpbn
-        found = []
-        for candidate in self._sibling_candidates(vdoc, vnode, test):
-            self.stats.comparisons += 1
-            if vpbn.v_following_sibling(candidate.vpbn, reference):
-                found.append(candidate)
-        return self._sort(vdoc, found)
+        candidates = self._sibling_candidates(vdoc, vnode, test)
+        return self._passing(vdoc, candidates, vpbn.v_following_sibling, vnode)
 
     def _axis_preceding_sibling(self, vdoc, vnode, test):
-        reference = vnode.vpbn
-        found = []
-        for candidate in self._sibling_candidates(vdoc, vnode, test):
-            self.stats.comparisons += 1
-            if vpbn.v_preceding_sibling(candidate.vpbn, reference):
-                found.append(candidate)
-        return list(reversed(self._sort(vdoc, found)))
+        candidates = self._sibling_candidates(vdoc, vnode, test)
+        return self._passing(vdoc, candidates, vpbn.v_preceding_sibling, vnode)[::-1]
 
     def _ordering_candidates(self, vdoc: VirtualDocument, test: NodeTest, axis: str):
         for vtype in vdoc.vguide.iter_vtypes():
@@ -549,22 +611,23 @@ class VirtualNavigator:
                 yield from vdoc.reachable_instances(vtype)
 
     def _axis_following(self, vdoc, vnode, test):
-        reference = vnode.vpbn
-        found = []
-        for candidate in self._ordering_candidates(vdoc, test, "following"):
-            self.stats.comparisons += 1
-            if vpbn.v_following(candidate.vpbn, reference):
-                found.append(candidate)
-        return self._sort(vdoc, found)
+        candidates = self._ordering_candidates(vdoc, test, "following")
+        return self._passing(vdoc, candidates, vpbn.v_following, vnode)
 
     def _axis_preceding(self, vdoc, vnode, test):
+        candidates = self._ordering_candidates(vdoc, test, "preceding")
+        return self._passing(vdoc, candidates, vpbn.v_preceding, vnode)[::-1]
+
+    def _passing(self, vdoc, candidates, predicate, vnode: VNode) -> list[VNode]:
+        """The candidates ``predicate`` relates to ``vnode`` — one Section 5
+        vPBN comparison each — in virtual document order."""
         reference = vnode.vpbn
         found = []
-        for candidate in self._ordering_candidates(vdoc, test, "preceding"):
+        for candidate in candidates:
             self.stats.comparisons += 1
-            if vpbn.v_preceding(candidate.vpbn, reference):
+            if predicate(candidate.vpbn, reference):
                 found.append(candidate)
-        return list(reversed(self._sort(vdoc, found)))
+        return self._sort(vdoc, found)
 
     # -- batch (columnar) kernels --------------------------------------------------
 
@@ -596,13 +659,8 @@ class VirtualNavigator:
             out = handler(self, vdoc, groups, test, axis)
         else:
             out = handler(self, vdoc, groups, test, axis, keep)
-        self._count_steps(len(vnodes))
+        self._count_steps(vdoc, len(vnodes))
         return out
-
-    def _count_steps(self, contexts: int) -> None:
-        if self.metrics is not None:
-            self.metrics.incr("navigator.virtual.steps", contexts)
-        span_add("steps.virtual", contexts)
 
     def _run_rows(self, vdoc, vtype: VType, column, bounds, keep):
         """``(keys, nodes)`` of the rows in ``bounds`` — with a key filter
@@ -617,6 +675,9 @@ class VirtualNavigator:
     def _grouped(self, vnodes: list) -> list[tuple[VType, list[tuple], list]]:
         """Context nodes grouped by virtual type: ``(vtype, keys, vnodes)``
         with keys and vnodes row-aligned."""
+        vtype = vnodes[0].vtype
+        if all(vnode.vtype is vtype for vnode in vnodes):  # the common case
+            return [(vtype, list(map(_components_of, vnodes)), vnodes)]
         groups: dict[int, tuple[VType, list[tuple], list]] = {}
         for vnode in vnodes:
             entry = groups.get(id(vnode.vtype))
@@ -647,15 +708,24 @@ class VirtualNavigator:
             for child_vtype in vtype.children:
                 if not type_matches(child_vtype, test, axis):
                     continue
-                column = vdoc.column(child_vtype.original)
-                if column is None:
-                    self.stats.index_range_scans += 1
-                    continue
                 lca = child_vtype.lca_length
                 prefixes = sorted({key[:lca] for key in ctx_keys})
-                bounds, scans = joins.prefix_run_bounds(column, prefixes)
-                self.stats.index_range_scans += scans
-                yield child_vtype, column, prefixes, bounds
+                found = self._runs(vdoc, child_vtype, prefixes)
+                if found is not None:
+                    yield child_vtype, found[0], prefixes, found[1]
+
+    def _runs(self, vdoc, vtype: VType, prefixes: list):
+        """``(column, bounds)``: the run of rows under each of the sorted,
+        distinct ``prefixes`` in the column of ``vtype``'s original type
+        (one range scan apiece) — or ``None`` for a type without
+        instances (one scan)."""
+        column = vdoc.column(vtype.original)
+        if column is None:
+            self.stats.index_range_scans += 1
+            return None
+        bounds, scans = column.prefix_runs(prefixes)
+        self.stats.index_range_scans += scans
+        return column, bounds
 
     def _batch_child_like(self, vdoc, groups, test, axis, keep=None):
         runs = []
@@ -671,6 +741,9 @@ class VirtualNavigator:
 
     def _batch_descendant(self, vdoc, groups, test, axis, keep=None):
         or_self = axis == "descendant-or-self"
+        intact = self._intact(vdoc)[0]
+        if all(id(group[0]) in intact for group in groups):
+            return self._descendant_runs(vdoc, groups, test, or_self, keep)
         order_key, keyed = self._order_keys(vdoc)
         if all(group[0].pbn.components[0] in keyed for group in groups):
             found = self._descendant_by_key(
@@ -706,14 +779,11 @@ class VirtualNavigator:
                 for child_vtype in vtype.children:
                     if child_vtype.is_attribute:
                         continue
-                    column = vdoc.column(child_vtype.original)
-                    if column is None:
-                        self.stats.index_range_scans += 1
-                        continue
                     lca = child_vtype.lca_length
-                    prefixes = sorted({key[:lca] for key in keys})
-                    bounds, scans = joins.prefix_run_bounds(column, prefixes)
-                    self.stats.index_range_scans += scans
+                    found = self._runs(vdoc, child_vtype, sorted({key[:lca] for key in keys}))
+                    if found is None:
+                        continue
+                    column, bounds = found
                     run_keys = column.key_runs(bounds)  # one bulk decode
                     if not run_keys:
                         continue
@@ -742,6 +812,37 @@ class VirtualNavigator:
                 [by_key[key] for key in sorted(by_key)]
                 for _, by_key in buckets.values()
             ],
+        )
+
+    def _descendant_runs(self, vdoc, groups, test, or_self, keep):
+        """Descendants of contexts whose subtrees mirror their originals:
+        the descendants of one type below a context are the prefix run of
+        its key in the type's column — one moving-cursor pass per type
+        for every context of a group, no level-by-level expansion.
+        Nested contexts reach a row twice, so rows are kept per type by
+        key."""
+        by_type: dict[int, tuple[VType, dict[tuple, VNode]]] = {}
+        for vtype, ctx_keys, ctx_vnodes in groups:
+            if or_self and type_matches(vtype, test, "descendant-or-self"):
+                accepts = keep.accepts(vtype) if keep is not None else None
+                by_key = by_type.setdefault(id(vtype), (vtype, {}))[1]
+                for key, vnode in zip(ctx_keys, ctx_vnodes):
+                    if accepts is None or accepts(key):
+                        by_key[key] = vnode
+            prefixes = sorted(set(ctx_keys))
+            for desc_vtype in vtype.iter_subtree():
+                if desc_vtype is vtype or not type_matches(desc_vtype, test, "descendant"):
+                    continue
+                found = self._runs(vdoc, desc_vtype, prefixes)
+                if found is None:
+                    continue
+                keys, nodes = self._run_rows(vdoc, desc_vtype, *found, keep)
+                by_key = by_type.setdefault(id(desc_vtype), (desc_vtype, {}))[1]
+                for key, node in zip(keys, nodes):
+                    if key not in by_key:
+                        by_key[key] = VNode(desc_vtype, node, vdoc)
+        return self._merge_runs(
+            vdoc, [[by_key[key] for key in sorted(by_key)] for _, by_key in by_type.values()]
         )
 
     def _descendant_by_key(self, vdoc, groups, test, or_self, order_key, keep):
@@ -783,10 +884,6 @@ class VirtualNavigator:
                 for child_vtype in vtype.children:
                     if child_vtype.is_attribute:
                         continue
-                    column = vdoc.column(child_vtype.original)
-                    if column is None:
-                        self.stats.index_range_scans += 1
-                        continue
                     lca = child_vtype.lca_length
                     prefix_map: dict[tuple, tuple] = {}
                     for key, okey in keymap.items():
@@ -796,6 +893,11 @@ class VirtualNavigator:
                             prefix_map[prefix] = okey
                         elif existing != okey:
                             return None
+                    sorted_prefixes = sorted(prefix_map)
+                    found = self._runs(vdoc, child_vtype, sorted_prefixes)
+                    if found is None:
+                        continue
+                    column, bounds = found
                     collect = type_matches(child_vtype, test, "descendant")
                     # Collected rows: by position without a key filter,
                     # by key — survivors only — with one.
@@ -811,10 +913,6 @@ class VirtualNavigator:
                     if slot is None:
                         slot = next_frontier[id(child_vtype)] = (child_vtype, {})
                     child_map = slot[1]
-                    sorted_prefixes = sorted(prefix_map)
-                    bounds, scans = joins.prefix_run_bounds(
-                        column, sorted_prefixes
-                    )
                     run_keys = column.key_runs(bounds)  # one bulk decode
                     pos = 0
                     for prefix, (low, high) in zip(sorted_prefixes, bounds):
@@ -835,13 +933,63 @@ class VirtualNavigator:
                         kept_okeys, vdoc.nodes_of(child_vtype.original, kept_keys)
                     ):
                         out[okey] = VNode(child_vtype, node, vdoc)
-                    self.stats.index_range_scans += scans
             frontier = next_frontier
         return [out[okey] for okey in sorted(out)]
+
+    def _batch_parent(self, vdoc, groups, test, axis):
+        """Complete cuts: each context's one virtual parent is its key cut
+        to ``lca_length``.  A physical root's parent is the document node,
+        first in order."""
+        document = False
+        cuts: dict[int, tuple[VType, set]] = {}
+        for vtype, ctx_keys, _ in groups:
+            parent = vtype.parent
+            if parent is None:
+                document = document or test.kind == "node"
+            elif type_matches(parent, test, axis):
+                lca = vtype.lca_length
+                cuts.setdefault(id(parent), (parent, set()))[1].update(
+                    key[:lca] for key in ctx_keys
+                )
+        found = self._truncated(vdoc, cuts)
+        return [VirtualDocItem(vdoc), *found] if document else found
+
+    def _batch_ancestor(self, vdoc, groups, test, axis):
+        """Complete chains: a context's ancestor at each level is its key
+        cut to that ancestor type's original length.  In a store's own
+        view the document node comes first, as in the stored document."""
+        cuts: dict[int, tuple[VType, set]] = {}
+        for vtype, ctx_keys, _ in groups:
+            chain = vtype.chain()
+            for ancestor in chain if axis == "ancestor-or-self" else chain[:-1]:
+                if type_matches(ancestor, test, axis):
+                    cut = ancestor.original.length
+                    cuts.setdefault(id(ancestor), (ancestor, set()))[1].update(
+                        key[:cut] for key in ctx_keys
+                    )
+        found = self._truncated(vdoc, cuts)
+        if vdoc.is_store_view and test.kind == "node":
+            return [VirtualDocItem(vdoc), *found]
+        return found
+
+    def _truncated(self, vdoc, cuts: dict) -> list[VNode]:
+        """The instances the truncated keys of ``cuts`` (``id(vtype) ->
+        (vtype, keys)``, one truncation per context and level, so each
+        instance once) name, in virtual document order — kept if reachable
+        (always, below a complete chain)."""
+        runs = []
+        for vtype, keys in cuts.values():
+            nodes = vdoc.nodes_of(vtype.original, sorted(keys))
+            if not complete_chain(vtype):
+                reachable = vdoc._reachable_ids(vtype)
+                nodes = [node for node in nodes if id(node) in reachable]
+            runs.append([VNode(vtype, node, vdoc) for node in nodes])
+        return self._merge_runs(vdoc, runs)
 
     def _batch_ordering(self, vdoc, groups, test, axis):
         preceding = axis == "preceding"
         stats = self.stats
+        intact = self._intact(vdoc)[1]
         found: list[VNode] = []
         for cand_vtype in vdoc.vguide.iter_vtypes():
             if not type_matches(cand_vtype, test, axis):
@@ -852,6 +1000,10 @@ class VirtualNavigator:
             column, nodes = entry
             total = len(column.keys)
             cand_root = cand_vtype.pbn.components[0]
+            if cand_root in intact:
+                rows = self._ordering_rows(column, groups, cand_root, preceding)
+                found.extend(VNode(cand_vtype, nodes[row], vdoc) for row in rows)
+                continue
             accept_upto = 0      # preceding: the qualifying prefix [0, upto)
             accept_from = total  # following: the qualifying suffix [from, total)
             band_rows: set[int] = set()
@@ -919,9 +1071,34 @@ class VirtualNavigator:
             found.extend(VNode(cand_vtype, nodes[row], vdoc) for row in rows)
         return self._sort(vdoc, found)
 
+    def _ordering_rows(self, column, groups, tree: int, preceding: bool):
+        """Rows of an intact tree's column on the ``preceding`` /
+        ``following`` axis of the context groups.  Key order is virtual
+        order there, so the union over the contexts of that tree is one
+        bisect (:func:`joins.preceding_bounds` — at most one ancestor row
+        excluded — or :func:`joins.following_start`); a context of another
+        tree takes the whole column or none of it (forest order)."""
+        self.stats.index_range_scans += 1
+        self.stats.comparisons += 1  # one bisect decides the whole column
+        total = len(column)
+        keys: list[tuple] = []
+        for vtype, ctx_keys, _ in groups:
+            ctx_tree = vtype.pbn.components[0]
+            if ctx_tree == tree:
+                keys.extend(ctx_keys)
+            elif (tree < ctx_tree) == preceding:
+                return range(total)
+        if not keys:
+            return ()
+        if preceding:
+            upto, exclude = joins.preceding_bounds(column, keys)
+            return [row for row in range(upto) if row != exclude]
+        return range(joins.following_start(column, keys), total)
+
     def _batch_siblings(self, vdoc, groups, test, axis):
         preceding = axis == "preceding-sibling"
         stats = self.stats
+        intact = self._intact(vdoc)[1]
         found: list[VNode] = []
         for vnode in (vnode for group in groups for vnode in group[2]):
             if vnode.vtype.is_attribute:
@@ -963,12 +1140,18 @@ class VirtualNavigator:
                                 VNode(cand_vtype, node, vdoc) for node in nodes
                             )
                 continue
-            reference = vnode.vpbn
             predicate = (
                 vpbn.v_preceding_sibling if preceding else vpbn.v_following_sibling
             )
-            for parent in vdoc.parents(vnode):
-                parent_key = parent.node.pbn.components
+            by_key = vnode.vtype.pbn.components[0] in intact
+            if by_key:
+                # An intact tree: key order is sibling order, the one
+                # parent is the key cut to lca_length, and every sibling
+                # type's run splits at the context key.
+                parent_keys = [ref_key[: vnode.vtype.lca_length]]
+            else:
+                parent_keys = [parent.node.pbn.components for parent in vdoc.parents(vnode)]
+            for parent_key in parent_keys:
                 for sibling_vtype in parent_vtype.children:
                     if not type_matches(sibling_vtype, test, "sibling"):
                         continue
@@ -982,13 +1165,12 @@ class VirtualNavigator:
                     low, high = column.prefix_bounds(
                         parent_key[: sibling_vtype.lca_length]
                     )
-                    if sibling_vtype is vnode.vtype:
-                        # Same type: the sibling run is the cut-prefix run,
-                        # split at the context key — three bisects total.
+                    if by_key or sibling_vtype is vnode.vtype:
+                        # Same type (or an intact tree): the sibling run is
+                        # the cut-prefix run, split at the context key —
+                        # three bisects total.
                         cut = vnode.vtype.cuts()[parent_vtype.level - 1]
-                        run_lo, run_hi = joins.sibling_run(
-                            column, ref_key[:cut], low, high
-                        )
+                        run_lo, run_hi = column.prefix_bounds(ref_key[:cut], low, high)
                         stats.comparisons += 1
                         if preceding:
                             start, end = run_lo, column.lower(ref_key, run_lo, run_hi)
@@ -1007,7 +1189,7 @@ class VirtualNavigator:
                         for row in range(low, high):
                             candidate = VNode(sibling_vtype, nodes[row], vdoc)
                             stats.comparisons += 1
-                            if predicate(candidate.vpbn, reference):
+                            if predicate(candidate.vpbn, vnode.vpbn):
                                 found.append(candidate)
         return self._sort(vdoc, found)
 
@@ -1016,6 +1198,9 @@ class VirtualNavigator:
         "attribute": _batch_child_like,
         "descendant": _batch_descendant,
         "descendant-or-self": _batch_descendant,
+        "parent": _batch_parent,
+        "ancestor": _batch_ancestor,
+        "ancestor-or-self": _batch_ancestor,
         "following": _batch_ordering,
         "preceding": _batch_ordering,
         "following-sibling": _batch_siblings,
@@ -1024,33 +1209,83 @@ class VirtualNavigator:
 
     # -- aggregation (bounds) kernels ------------------------------------------------
 
-    def aggregate_many(self, vnodes: list, axis: str, test: NodeTest, kind: str):
-        """``count``/``sum`` of a predicate-free ``child``/``attribute``
-        step as run bounds over the child types' shared posting lists
-        (``lcaLength`` prefixes, paper Section 5.2) — no :class:`VNode`
-        is built, and a sum folds each run through the child type's
-        *virtual-value* CAS prefix sums.  The runs cover the step's
-        result exactly once (:meth:`_child_runs`) and a count or an exact
-        sum orders nothing, so no view is off limits.
+    def aggregate_many(self, items: list, axis: str, test: NodeTest, kind: str):
+        """``count``/``sum`` of a predicate-free step as run bounds over the
+        result types' shared posting lists — no :class:`VNode` is built,
+        and a sum folds each run through the type's *virtual-value* CAS
+        prefix sums.  The runs cover the step's result exactly once and a
+        count or an exact sum orders nothing:
+
+        * ``child`` / ``attribute`` — the ``lcaLength`` prefix runs of
+          :meth:`_child_runs` (paper Section 5.2), on any view;
+        * ``descendant`` from contexts whose subtrees mirror their
+          originals — staircased prefix runs per type;
+        * ``child`` / ``descendant`` from a lone document handle — whole
+          columns, where every root is physical and every result type's
+          chain complete (each instance in the view: a store's own view).
 
         Returns ``(value, rows)`` or, as a ``str``, why it declines:
-        :data:`NO_KERNEL` (other axes) or :data:`INEXACT_SUM` (values a
-        prefix sum cannot add exactly).
+        :data:`NO_KERNEL` (other axes), :data:`NO_BOUNDS` (a document
+        step without whole-column bounds) or :data:`INEXACT_SUM` (values
+        a prefix sum cannot add exactly).
         """
-        if axis not in ("child", "attribute"):
-            return NO_KERNEL
-        vdoc: VirtualDocument = vnodes[0]._vdoc
-        runs = [
-            (child_vtype, low, high)
-            for child_vtype, _, _, bounds in self._child_runs(
-                vdoc, self._grouped(vnodes), test, axis
-            )
-            for low, high in bounds
-        ]
+        first = items[0]
+        if isinstance(first, VirtualDocItem):
+            vdoc = first.vdoc
+            runs = self._document_runs(vdoc, axis, test)
+        else:
+            vdoc = first._vdoc
+            runs = self._aggregate_runs(vdoc, self._grouped(items), axis, test)
+        if isinstance(runs, str):
+            return runs
         folded = joins.fold_runs(runs, kind, _cas_columns_of(vdoc))
         if not isinstance(folded, str):
-            self._count_steps(len(vnodes))
+            self._count_steps(vdoc, len(items))
         return folded
+
+    def _document_runs(self, vdoc: VirtualDocument, axis: str, test: NodeTest):
+        """``(vtype, 0, rows)`` per result type of a lone document's
+        ``child`` / ``descendant`` step (see :meth:`aggregate_many`)."""
+        if not all(root.complete_cut() for root in vdoc.vguide.roots):
+            return NO_BOUNDS
+        if axis not in ("child", "descendant"):
+            return NO_KERNEL
+        runs = []
+        for vtype in self._result_vtypes(vdoc, (), axis, test):
+            if not complete_chain(vtype):
+                return NO_BOUNDS
+            self.stats.index_range_scans += 1
+            column = vdoc.column(vtype.original)
+            if column is not None:
+                runs.append((vtype, 0, len(column)))
+        return runs
+
+    def _aggregate_runs(self, vdoc: VirtualDocument, groups, axis: str, test: NodeTest):
+        """``(vtype, low, high)`` runs of a context set's step (see
+        :meth:`aggregate_many`).  Descendant runs never overlap: per type,
+        the context keys of every group whose subtree reaches it are
+        pooled and staircased, so the surviving tops' subtrees are
+        disjoint even where contexts nest across groups."""
+        if axis in ("child", "attribute"):
+            return [
+                (child_vtype, low, high)
+                for child_vtype, _, _, bounds in self._child_runs(vdoc, groups, test, axis)
+                for low, high in bounds
+            ]
+        intact = self._intact(vdoc)[0]
+        if axis != "descendant" or not all(id(group[0]) in intact for group in groups):
+            return NO_KERNEL
+        pooled: dict[int, tuple[VType, set]] = {}
+        for vtype, ctx_keys, _ in groups:
+            for desc_vtype in vtype.iter_subtree():
+                if desc_vtype is not vtype and type_matches(desc_vtype, test, axis):
+                    pooled.setdefault(id(desc_vtype), (desc_vtype, set()))[1].update(ctx_keys)
+        runs = []
+        for desc_vtype, keys in pooled.values():
+            found = self._runs(vdoc, desc_vtype, joins.staircase(sorted(keys)))
+            if found is not None:
+                runs.extend((desc_vtype, low, high) for low, high in found[1])
+        return runs
 
     # -- grouped kernels: one context set, rows kept apart per segment -------------
 
@@ -1161,7 +1396,7 @@ class VirtualNavigator:
                 out.append(_comparator_order([sibling_ordered(v) for v in segment]))
             else:
                 out.append(self._merge_runs(vdoc, runs))
-        self._count_steps(len(flat))
+        self._count_steps(vdoc, len(flat))
         return out
 
     def aggregate_groups(self, segments: list, axis: str, test: NodeTest, kind: str):
@@ -1184,5 +1419,5 @@ class VirtualNavigator:
             if isinstance(folded, str):
                 return folded
             out.append(folded)
-        self._count_steps(len(flat))
+        self._count_steps(vdoc, len(flat))
         return out

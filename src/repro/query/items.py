@@ -250,10 +250,3 @@ def _require_vdoc(vnode: VNode) -> VirtualDocument:
             "virtual node is not attached to a virtual document"
         )
     return vdoc
-
-
-def attach_vdoc(vnode: VNode, vdoc: VirtualDocument) -> VNode:
-    """Tag a VNode with its owning virtual document so later operations
-    (string value, further steps) can navigate from it."""
-    vnode._vdoc = vdoc  # type: ignore[attr-defined]
-    return vnode

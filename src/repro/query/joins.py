@@ -13,8 +13,10 @@ facts about sorted Dewey keys:
 * the union of ``following`` sets is a suffix of the column and the union
   of ``preceding`` sets is a prefix of it minus at most one ancestor row.
 
-The kernels are pure (no stats, no node materialization); the navigators
-translate rows to nodes and do the counting.  Everything here is
+The kernels are pure (no stats, no node materialization); the navigator
+translates rows to nodes and does the counting.  A batch of prefix runs
+is :meth:`~repro.pbn.columnar.Column.prefix_runs` itself (one
+packed-domain sweep on an encoded column).  Everything here is
 fraction-safe: bounds come from :func:`~repro.pbn.columnar.subtree_bound`,
 never from ``last component + 1``.
 """
@@ -46,34 +48,6 @@ def staircase(keys: Sequence[Key]) -> list[Key]:
                 continue
         kept.append(key)
     return kept
-
-
-def prefix_run_rows(
-    column: Column, prefixes: Sequence[Key]
-) -> tuple[list[int], int]:
-    """Rows whose key starts with any of ``prefixes`` (sorted, equal
-    length, distinct — e.g. the child ranges below a set of parents).
-    The runs are disjoint, so rows come out ascending, duplicate-free."""
-    rows: list[int] = []
-    cursor = 0
-    for prefix in prefixes:
-        low, high = column.prefix_bounds(prefix, cursor)
-        cursor = high
-        rows.extend(range(low, high))
-    return rows, len(prefixes)
-
-
-def prefix_run_bounds(
-    column: Column, prefixes: Sequence[Key]
-) -> tuple[list[tuple[int, int]], int]:
-    """Like :func:`prefix_run_rows` but returning the half-open ``(low,
-    high)`` run per prefix instead of materializing row indexes — the
-    shape aggregation wants (a count is ``high - low``, a sum is one
-    prefix-sum range per run) and the one encoded columns answer without
-    decoding a single key.  Dispatches to
-    :meth:`~repro.pbn.columnar.Column.prefix_runs` so encoded columns
-    answer the whole batch in one packed-domain sweep."""
-    return column.prefix_runs(prefixes)
 
 
 def fold_runs(runs, kind: str, cas_columns):
@@ -134,14 +108,6 @@ def preceding_bounds(
         if exclude >= upto:
             exclude = -1
     return upto, exclude
-
-
-def sibling_run(
-    column: Column, run_prefix: Key, lo: int = 0, hi: Optional[int] = None
-) -> tuple[int, int]:
-    """Row range of the sibling run identified by ``run_prefix`` (the
-    shared parent-identifying components), clamped to ``[lo, hi)``."""
-    return column.prefix_bounds(run_prefix, lo, hi)
 
 
 def aligned_limit(candidate: VType, reference: VType) -> int:
@@ -208,21 +174,23 @@ def type_matches(node_type, test: qast.NodeTest, axis: str) -> bool:
 # value-predicate compilation (the content half of the CAS kernel)
 # ---------------------------------------------------------------------------
 
-#: Axes whose batch kernels (both navigators') take a key filter: their
+#: Axes whose batch kernels take a key filter: their
 #: candidates are column runs, so value predicates drop rows by key
 #: before any node is resolved.
 KEYS_FIRST_AXES = frozenset(
     ("child", "attribute", "descendant", "descendant-or-self")
 )
 
-#: Why a navigator's batch kernel hands a step back to the scalar loop —
+#: Why the navigator's batch kernel hands a step back to the scalar loop —
 #: ``step_many`` / ``aggregate_many`` return one of these ``str`` in place
 #: of a result: no kernel covers the axis; the step needs a cross-type
-#: merge no order key can give (virtual navigator only); a sum over values
-#: that prefix sums cannot add exactly.
+#: merge no order key can give; a sum over values that prefix sums cannot
+#: add exactly; a lone document's aggregate whose result types have
+#: instances outside the virtual document (no whole-column bounds).
 NO_KERNEL = "axis"
 NO_ORDER = "non-linearizable-view"
 INEXACT_SUM = "inexact-sum"
+NO_BOUNDS = "document-context"
 
 #: Comparison operators a CAS value range scan can answer (each maps to at
 #: most two contiguous runs over a value-sorted projection).

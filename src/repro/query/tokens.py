@@ -45,37 +45,6 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CHARS = _NAME_START | set("0123456789-.")
 _WHITESPACE = set(" \t\r\n")
 
-#: Keywords are contextual in XQuery; the parser decides when a NAME acts
-#: as one.  Listed here for reference and for the parser's checks.
-KEYWORDS = frozenset(
-    [
-        "for",
-        "let",
-        "in",
-        "where",
-        "return",
-        "if",
-        "then",
-        "else",
-        "and",
-        "or",
-        "div",
-        "mod",
-        "except",
-        "intersect",
-        "union",
-        "to",
-        "order",
-        "by",
-        "ascending",
-        "descending",
-        "some",
-        "every",
-        "satisfies",
-    ]
-)
-
-
 @dataclass(frozen=True)
 class Token:
     """One lexical token.

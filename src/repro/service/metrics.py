@@ -29,8 +29,8 @@ Metric names are dotted strings; the conventional namespace is:
 ``cache.plan.evictions``       entries dropped at capacity (same for view)
 ``cache.view.update_evictions`` views evicted by an update's touched types
 ``buffer.hits/misses``         buffer-pool outcomes (per page request)
-``navigator.indexed.steps``    axis steps taken by the indexed navigator
-``navigator.virtual.steps``    axis steps taken by the virtual navigator
+``navigator.indexed.steps``    axis steps over a store's own identity view
+``navigator.virtual.steps``    axis steps over a ``virtualDoc()`` view
 =============================  ==============================================
 
 Counters can additionally carry **labels** (``incr(name, labels={...})``);

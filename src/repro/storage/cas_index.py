@@ -37,10 +37,10 @@ children — so a vtype the view restructures has columns of its own
 vtype, whose values are the stored ones, borrows the store's by identity.
 
 The last section turns compiled predicates into *key filters*: a path
-predicate ``[a/b op c]`` is resolved on the (v)DataGuide, each leaf
-type's matched keys are taken once and projected up to the candidate
-type, and the navigators test candidate keys against the projection
-before any node is resolved.
+predicate ``[a/b op c]`` is resolved on the vDataGuide (a stored
+document's is its identity view's), each leaf type's matched keys are
+taken once and projected up to the candidate type, and the navigator
+tests candidate keys against the projection before any node is resolved.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def virtual_cas_columns(vdoc, vtype) -> Optional[CasColumns]:
 
 def path_chains(start, path) -> list[tuple]:
     """The type chains a predicate path reaches below ``start`` on a
-    DataGuide or vDataGuide: one tuple of types per distinct way down,
+    vDataGuide: one tuple of types per distinct way down,
     top first, leaf last (the empty chain for the empty path).  A
     ``descendant`` step contributes the types it passes through, so every
     chain is a parent/child walk the projection can climb edge by edge."""
@@ -322,85 +322,49 @@ def path_chains(start, path) -> list[tuple]:
     return list(chains)
 
 
-class _StoredGeometry:
-    """How keys relate on the DataGuide: a child's key is its parent's
-    plus one component — every edge is a truncation, none a join — and a
-    type's CAS columns are the store's."""
-
-    def __init__(self, store) -> None:
-        self._store = store
-
-    def columns(self, guide_type) -> Optional[CasColumns]:
-        return self._store.cas_index.columns(self._store.type_id(guide_type))
-
-    @staticmethod
-    def width(guide_type) -> int:
-        return guide_type.length
-
-    @staticmethod
-    def shared(guide_type) -> int:
-        return guide_type.length - 1
+def _instances(vdoc, vtype, prefixes) -> list:
+    """Keys of the vtype's instances that start with any prefix."""
+    column = vdoc.column(vtype.original)
+    if column is None:
+        return []
+    bounds, _ = column.prefix_runs(sorted(prefixes))
+    return column.key_runs(bounds)
 
 
-class _VirtualGeometry:
-    """How keys relate on a vDataGuide: a virtual child shares its first
-    ``lca_length`` components with its virtual parent (Section 5.2's
-    instance relation), which may fall short of the parent's own key."""
-
-    def __init__(self, vdoc) -> None:
-        self._vdoc = vdoc
-
-    def columns(self, vtype) -> Optional[CasColumns]:
-        return virtual_cas_columns(self._vdoc, vtype)
-
-    @staticmethod
-    def width(vtype) -> int:
-        return vtype.original.length
-
-    @staticmethod
-    def shared(vtype) -> int:
-        return vtype.lca_length
-
-    def instances(self, vtype, prefixes) -> list:
-        """Keys of the vtype's instances that start with any prefix."""
-        column = self._vdoc.column(vtype.original)
-        if column is None:
-            return []
-        bounds, _ = column.prefix_runs(sorted(prefixes))
-        return column.key_runs(bounds)
-
-
-def _project(pred, candidate, geometry) -> dict:
+def _project(pred, candidate, vdoc) -> dict:
     """One predicate's matches projected up to one candidate type, as
     ``{cut: prefixes}``: a candidate passes iff ``key[:cut]`` is among
     the prefixes of some entry.
 
     The rule, for any path length: resolve the path to type chains below
     the candidate, take each leaf type's matched keys once, and climb the
-    chain.  An edge whose child shares its parent's *whole* key is plain
-    truncation and composes with the next slice; an edge that shares less
-    (an inverted or lca-related virtual edge) joins the shared prefixes
-    against the parent's column to name the parent instances.  The last
-    edge leaves the prefix the candidate itself is probed by — its own
-    key for the empty path (``. op c``), ``key[:width]`` whenever the
-    candidate is a physical ancestor, the lca prefix otherwise.
+    chain.  A virtual child shares its first ``lca_length`` components
+    with its virtual parent (Section 5.2's instance relation).  An edge
+    whose child shares its parent's *whole* key is plain truncation and
+    composes with the next slice (every edge of a store's identity view
+    is); an edge that shares less (an inverted or lca-related virtual
+    edge) joins the shared prefixes against the parent's column to name
+    the parent instances.  The last edge leaves the prefix the candidate
+    itself is probed by — its own key for the empty path (``. op c``),
+    ``key[:width]`` whenever the candidate is a physical ancestor, the
+    lca prefix otherwise.
     """
     probes: dict[int, set] = {}
     for chain in path_chains(candidate, pred.path):
-        columns = geometry.columns(chain[-1] if chain else candidate)
+        columns = virtual_cas_columns(vdoc, chain[-1] if chain else candidate)
         if columns is None:
             continue
         keys = columns.matching_keys(pred.op, pred.constant)
         if not keys:
             continue
         if not chain:
-            probes[geometry.width(candidate)] = keys
+            probes[candidate.original.length] = keys
             continue
         for child, parent in zip(chain[:0:-1], chain[-2::-1]):
-            cut = geometry.shared(child)
-            if cut < geometry.width(parent):
-                keys = geometry.instances(parent, {key[:cut] for key in keys})
-        cut = geometry.shared(chain[0])
+            cut = child.lca_length
+            if cut < parent.original.length:
+                keys = _instances(vdoc, parent, {key[:cut] for key in keys})
+        cut = chain[0].lca_length
         probes.setdefault(cut, set()).update(key[:cut] for key in keys)
     return probes
 
@@ -411,9 +375,9 @@ class KeyFilter:
     built for them.  Projections are made once per candidate type and
     live as long as the filter — one step application."""
 
-    def __init__(self, preds, geometry) -> None:
+    def __init__(self, preds, vdoc) -> None:
         self._preds = preds
-        self._geometry = geometry
+        self._vdoc = vdoc
         self._tests: dict[int, Callable] = {}
 
     def accepts(self, candidate) -> Callable:
@@ -422,7 +386,7 @@ class KeyFilter:
         test = self._tests.get(id(candidate))
         if test is None:
             probes = [
-                tuple(_project(pred, candidate, self._geometry).items())
+                tuple(_project(pred, candidate, self._vdoc).items())
                 for pred in self._preds
             ]
             test = self._tests[id(candidate)] = _key_test(probes)
@@ -448,12 +412,9 @@ def _key_test(probes: list) -> Callable:
     return test
 
 
-def stored_key_filter(store, preds) -> KeyFilter:
-    """The filter for stored candidates, over the store's CAS index."""
-    return KeyFilter(preds, _StoredGeometry(store))
-
-
 def virtual_key_filter(vdoc, preds) -> KeyFilter:
-    """The filter for virtual candidates, over per-vtype virtual-value
-    columns (borrowed from the store where the vtype is intact)."""
-    return KeyFilter(preds, _VirtualGeometry(vdoc))
+    """The filter for a view's candidates, over per-vtype virtual-value
+    columns (borrowed from the store where the vtype is intact — every
+    vtype of a store's own identity view, where each edge is plain
+    truncation)."""
+    return KeyFilter(preds, vdoc)

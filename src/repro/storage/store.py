@@ -17,6 +17,7 @@ so the stats block sees every logical I/O.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Optional
 
 from repro.dataguide.build import build_dataguide
@@ -91,6 +92,8 @@ class DocumentStore:
         self._text_index_lock = threading.Lock()
         self._cas_index = None
         self._cas_lock = threading.Lock()
+        self._view = None
+        self._view_lock = threading.Lock()
         #: Update-subsystem version counter: 0 for a freshly loaded store,
         #: bumped on every copy-on-write derivation (see repro.updates).
         self.version = 0
@@ -138,6 +141,8 @@ class DocumentStore:
         store._text_index_lock = threading.Lock()
         store._cas_index = None
         store._cas_lock = threading.Lock()
+        store._view = None
+        store._view_lock = threading.Lock()
         store.version = version
         return store
 
@@ -170,6 +175,12 @@ class DocumentStore:
         if guide_type is None:
             raise StorageError("node does not belong to this store")
         return guide_type
+
+    def types_of(self, nodes) -> Optional[list[GuideType]]:
+        """:meth:`type_of` of each of ``nodes`` (one dict probe apiece), or
+        ``None`` when some item is not a node of this store."""
+        types = list(map(self._type_of_node.get, nodes))
+        return None if None in types else types
 
     def type_id(self, guide_type: GuideType) -> int:
         return self._id_of_type[guide_type]
@@ -218,6 +229,33 @@ class DocumentStore:
                 if self._cas_index is None:
                     self._cas_index = CasIndex(self)
         return self._cas_index
+
+    @property
+    def view(self):
+        """The document as a virtual hierarchy: a
+        :class:`~repro.core.virtual_document.VirtualDocument` over the
+        identity vDataGuide of :attr:`guide` — vPBN with every level
+        array the identity, which is PBN (paper Section 4.2).  Stored
+        documents navigate through it.  Built on first navigation, never
+        at load or open; a store is immutable, so an update's new version
+        starts without one.  The view holds the store weakly (the store
+        owns it, and a cycle would keep retired versions alive until a
+        full collection)."""
+        if self._view is None:
+            from repro.core.virtual_document import VirtualDocument
+            from repro.vdataguide.resolve import identity_vguide
+
+            with self._view_lock:
+                if self._view is None:
+                    view = VirtualDocument(
+                        self.document,
+                        identity_vguide(self.guide),
+                        stats=self.stats,
+                        store=weakref.proxy(self),
+                    )
+                    view.is_store_view = True
+                    self._view = view
+        return self._view
 
     # -- reporting -------------------------------------------------------------------
 

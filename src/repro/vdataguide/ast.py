@@ -140,6 +140,16 @@ class VType:
                 self._chain = self.parent.chain() + (self,)
         return self._chain
 
+    def complete_cut(self) -> bool:
+        """True iff an instance's key cut to ``lca_length`` names its one
+        virtual parent: the parent's original type is a DataGuide ancestor
+        of this type's original, so ``lca_length`` is the parent's whole
+        key.  A virtual root's cut is complete when it is a physical root
+        — its parent, the document node, is then the stored one's image."""
+        if self.parent is None:
+            return self.original.parent is None
+        return self.parent.original.is_ancestor_of(self.original)
+
     def iter_subtree(self) -> Iterator["VType"]:
         stack = [self]
         while stack:
@@ -170,14 +180,18 @@ class VGuide:
         self.roots: list[VType] = []
         self._by_original: dict[GuideType, list[VType]] = {}
 
-    def register(self, vtype: VType) -> VType:
-        """Attach ``vtype`` to its parent (or the root list) and number it."""
+    def register(self, vtype: VType, pbn: Optional[Pbn] = None) -> VType:
+        """Attach ``vtype`` to its parent (or the root list) and number it
+        (``pbn``: the number, when the caller has it already)."""
         if vtype.parent is None:
             self.roots.append(vtype)
-            vtype.pbn = Pbn(len(self.roots))
+            if pbn is None:
+                pbn = Pbn(len(self.roots))
         else:
             vtype.parent.children.append(vtype)
-            vtype.pbn = vtype.parent.pbn.child(len(vtype.parent.children))  # type: ignore[union-attr]
+            if pbn is None:
+                pbn = vtype.parent.pbn.child(len(vtype.parent.children))  # type: ignore[union-attr]
+        vtype.pbn = pbn
         self._by_original.setdefault(vtype.original, []).append(vtype)
         return vtype
 

@@ -47,6 +47,27 @@ def resolve_spec(entries: list[SpecNode], guide: DataGuide) -> VGuide:
     return vguide
 
 
+def identity_vguide(guide: DataGuide) -> VGuide:
+    """``root { ** }`` for every root of ``guide``: the virtual hierarchy
+    that *is* the stored one — every virtual type mirrors its original,
+    every edge a real parent/child edge.  Built from the types themselves
+    in the guide's own child order, so the vDataGuide numbers its types as
+    the DataGuide does, and Algorithm 1 is closed-form on it: a type at
+    level ``n`` (its original's depth) has the level array ``(1, ..., n)``
+    and shares its parent's whole key, ``n - 1`` components.  No label is
+    resolved and no number computed — a store builds this per version."""
+    vguide = VGuide(guide)
+    stack: list = [(root, None) for root in reversed(guide.roots)]
+    while stack:
+        original, parent = stack.pop()
+        vtype = vguide.register(VType(original, parent), original.pbn)
+        vtype.level_array = tuple(range(1, vtype.level + 1))
+        if parent is not None:
+            vtype.lca_length = parent.original.length
+        stack.extend((child, vtype) for child in reversed(original.children))
+    return vguide
+
+
 def _resolve_labels(
     entries: list[SpecNode], guide: DataGuide
 ) -> dict[int, GuideType]:

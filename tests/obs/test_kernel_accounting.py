@@ -145,9 +145,6 @@ def test_explain_rows_trace_spans_and_metrics_reconcile():
         _post(srv.url("/query"), QUERY)
         delta = _kernel_series(srv) - before
         traces = json.loads(_get(srv.url("/debug/traces")))
-        # EXPLAIN ANALYZE forces a trace of its own, which roots only in a
-        # request the server does not trace already.
-        service.tracer.sample_rate = 0.0
         explained = json.loads(_post(srv.url("/explain"), QUERY))
 
     [trace] = [
@@ -184,3 +181,23 @@ def test_explain_rows_trace_spans_and_metrics_reconcile():
     assert kernels["descendant::title"] == {("prefix-sum", None)}
     assert kernels["self::author"] == {("scalar", NO_KERNEL)}
     assert from_spans["step child::author"][2] == 1  # grouped: once, not per book
+
+
+@pytest.mark.parametrize("sample_rate", [1.0, 0.5])
+def test_explain_answers_whatever_the_request_sampling(sample_rate):
+    # A traced request runs EXPLAIN ANALYZE as a child span of its own
+    # trace, and the profile is that span's subtree; a request sampled
+    # out (every other one at 0.5) still gets a forced trace of its own.
+    # Either used to leave the engine without a trace to profile (500).
+    untraced = QueryService(pool_size=1)
+    untraced.load("book.xml", books_document(10, seed=5))
+    expected = untraced.explain(QUERY)["operators"]
+    assert expected
+    service = QueryService(pool_size=1, trace_sample=sample_rate)
+    service.load("book.xml", books_document(10, seed=5))
+    with served(service) as srv:
+        for _ in range(2):
+            explained = json.loads(_post(srv.url("/explain"), QUERY))
+            assert explained["operators"] == expected
+    with service.tracer.start("http"):
+        assert service.explain(QUERY)["operators"] == expected

@@ -6,6 +6,12 @@ This subsumes the predicate-level Theorem 1 tests at the level users
 actually touch: the query engine's virtual navigator (range scans, BFS
 chain expansion, vPBN sibling/ordering filters) against the tree navigator
 on the materialized document, linked through the provenance map.
+
+The stored arm: a stored document navigates as its store's identity view
+(``DocumentStore.view``), lifted into it and lowered back by the
+evaluator, and must answer every step exactly as the tree navigator does
+on the document itself — from any node and from the document node, with
+the batch kernels on and off.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.virtual_document import VirtualDocument, VNode
 from repro.dataguide.build import build_dataguide
-from repro.query.ast import NodeTest
+from repro.query.ast import NodeTest, Step
+from repro.query.context import Context
+from repro.query.engine import Engine
+from repro.query.eval import Evaluator
 from repro.query.eval_tree import TreeNavigator
 from repro.query.eval_virtual import VirtualNavigator
 from repro.vdataguide.grammar import parse_vdataguide
@@ -100,3 +109,39 @@ def test_virtual_steps_match_materialized_steps(seed):
                     f"virtual-only={virtual_keys - expected_keys}\n"
                     f"materialized-only={expected_keys - virtual_keys}"
                 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 4_000))
+def test_stored_steps_match_tree_steps(seed):
+    document = random_document(seed, max_depth=4, max_children=3)
+    engine = Engine()
+    engine.load("d.xml", document)
+    tree_nav = TreeNavigator()
+    nodes = list(document.root.iter_subtree())
+    rng = random.Random(seed)
+    sample = [document, *(nodes if len(nodes) <= 10 else rng.sample(nodes, 10))]
+    context = Context(engine, {})
+    for use_batch_kernels in (True, False):
+        evaluator = Evaluator(engine)
+        evaluator.use_batch_kernels = use_batch_kernels
+        for node in sample:
+            for axis in _AXES:
+                for test in _TESTS:
+                    # The tree navigator answers in axis order; a step's
+                    # result is document order.
+                    expected = evaluator.step_result(1, axis, tree_nav.step(node, axis, test))
+                    found = evaluator._run_path([node], [Step(axis, test)], context)
+                    assert [id(item) for item in found] == [id(item) for item in expected], (
+                        f"seed={seed} kernels={use_batch_kernels} axis={axis} "
+                        f"test={test} node={node!r}\nstored={found}\ntree={expected}"
+                    )
+    # Named: the root's parent is the document node, which heads its
+    # ancestors (in document order) and is its own self and first
+    # descendant-or-self.
+    node, root, evaluator = NodeTest("node"), document.root, Evaluator(engine)
+    assert evaluator._run_path([root], [Step("parent", node)], context) == [document]
+    assert evaluator._run_path([root], [Step("ancestor", node)], context)[0] is document
+    assert evaluator._run_path([document], [Step("self", node)], context) == [document]
+    found = evaluator._run_path([document], [Step("descendant-or-self", node)], context)
+    assert found[:2] == [document, root]

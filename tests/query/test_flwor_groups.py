@@ -28,7 +28,6 @@ from repro.obs.profile import build_profile, operators
 from repro.query.budget import CostBudget
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator
-from repro.query.eval_indexed import IndexedNavigator
 from repro.query.eval_virtual import VirtualNavigator
 from repro.workloads import queries as Q
 from repro.workloads.books import books_document
@@ -146,14 +145,15 @@ def _payload(result):
 
 
 class _Calls:
-    """Records the navigators' kernel calls by name (``names``: the
+    """Records the navigator's kernel calls by name (``names``: the
     grouped kernels unless given)."""
 
     def __init__(self, monkeypatch, names=("step_groups", "aggregate_groups")) -> None:
         self.names: list[str] = []
-        for cls in (IndexedNavigator, VirtualNavigator):
-            for name in names:
-                monkeypatch.setattr(cls, name, self._wrap(name, getattr(cls, name)))
+        for name in names:
+            monkeypatch.setattr(
+                VirtualNavigator, name, self._wrap(name, getattr(VirtualNavigator, name))
+            )
 
     def _wrap(self, name, method):
         def counted(navigator, *args):

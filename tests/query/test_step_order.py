@@ -54,6 +54,10 @@ AXES = (
 INVERTING = "title { name { author } }"
 #: Two trees over the same data.
 FOREST_SPEC = "title { author { name } } name { author }"
+#: Every cut complete: each virtual parent is a physical ancestor, so
+#: ``parent`` / ``ancestor`` cut the context key (no physical root, so the
+#: document node stays out of them).
+COMPLETE = "book { title author { name } }"
 #: ``born`` is a sibling of the inverted ``name`` *and* lives under the
 #: same author: an incomplete name key (the author's) is a prefix of a
 #: born key, the comparator weighs them on the components the name key
@@ -69,6 +73,7 @@ def _random_view(seed: int, spec_seed: int, **shape):
 #: ``id -> (document, spec, whole view keyed? — None: whatever the gate says)``
 VIEWS = {
     "inverting": (books_document(6, seed=3), INVERTING, True),
+    "complete": (books_document(6, seed=8), COMPLETE, True),
     "duplicating": (dblp_document(6, seed=4), Q.DBLP_BY_AUTHOR.spec, False),
     "forest": (books_document(5, seed=5), FOREST_SPEC, True),
     "colliding": (library(5, shelves=2, books=3), COLLIDING, False),
@@ -291,6 +296,28 @@ def test_mixed_type_steps_decline_per_step_with_the_reason():
     assert rows["child::*"]["reason"] == NO_ORDER
     rows = _step_rows(engine, f"{source}//*/child::d")  # one type: by key
     assert rows["child::d"]["kernel"] == "columnar"
+
+
+def test_complete_cuts_run_parent_and_ancestor_by_key_truncation():
+    engine, materialized, _ = _open("complete")
+    source = f'virtualDoc("d.xml", "{COMPLETE}")'
+    for path, step in (
+        ("//name/parent::*", "parent::*"),
+        ("//title/parent::*", "parent::*"),
+        ("//name/ancestor::*", "ancestor::*"),
+        ("//*/ancestor-or-self::author", "ancestor-or-self::author"),
+        ("//name/ancestor-or-self::*", "ancestor-or-self::*"),
+    ):
+        assert _step_rows(engine, source + path)[step]["kernel"] == "columnar", path
+        virtual = _payload(engine.execute(source + path))
+        assert virtual[1], path  # not vacuous
+        tree = _payload(materialized.execute('doc("m.xml")' + path, mode="tree"))
+        assert virtual == tree, path
+    # ``title { author }``: an author's virtual parent is no physical
+    # ancestor of it (an incomplete cut), so the step still declines.
+    engine, _, _ = _open("inverting")
+    rows = _step_rows(engine, 'virtualDoc("d.xml", "title { author }")//author/parent::*')
+    assert (rows["parent::*"]["kernel"], rows["parent::*"]["reason"]) == ("scalar", NO_KERNEL)
 
 
 def test_aggregate_declines_carry_the_reason():
