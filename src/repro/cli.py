@@ -635,12 +635,16 @@ def _run_batch(args: argparse.Namespace) -> int:
                 print(f"error: {text!r}: {item}", file=sys.stderr)
             elif round_number == 0:
                 # Print each query's answer once; later rounds only warm
-                # the caches (and the metrics tell that story).
-                if args.values:
-                    for value in item.values():
-                        print(value)
-                else:
-                    print(item.to_xml())
+                # the caches (and the metrics tell that story).  A
+                # constructed answer is checked as it is written.
+                try:
+                    answer = item.values() if args.values else [item.to_xml()]
+                except ReproError as error:
+                    failures += 1
+                    print(f"error: {text!r}: {error}", file=sys.stderr)
+                    continue
+                for line in answer:
+                    print(line)
     if args.metrics:
         print(json.dumps(service.snapshot(), indent=2), file=sys.stderr)
     return 1 if failures else 0

@@ -48,11 +48,14 @@ class ValueStats:
     :ivar spliced_ranges: whole subtrees copied by a single range read.
     :ivar constructed_elements: elements whose tags were re-synthesized.
     :ivar batches: :func:`write_batch` calls (runs of same-type nodes).
+    :ivar constructed_items: element constructor answers written without
+        being built (:class:`repro.query.items.Constructed`).
     """
 
     spliced_ranges: int = 0
     constructed_elements: int = 0
     batches: int = 0
+    constructed_items: int = 0
 
 
 class _Plan(NamedTuple):

@@ -24,11 +24,10 @@ from typing import Optional, Union
 from repro.core.virtual_document import VirtualDocument
 from repro.errors import QueryBudgetExceeded, QueryEvaluationError
 from repro.obs.trace import current_span, current_trace_id, span
-from repro.pbn.assign import assign_numbers
 from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval import Evaluator
-from repro.query.items import items_to_xml, string_value
+from repro.query.items import Constructed, items_to_xml, string_value
 from repro.query.parser import parse_query
 from repro.storage.stats import StorageStats
 from repro.storage.store import DocumentStore
@@ -47,34 +46,56 @@ def _preview(text: str, limit: int = 120) -> str:
 class Result:
     """A query result: a sequence of items with convenience accessors.
 
+    Element constructors answer lazy :class:`~repro.query.items.Constructed`
+    items: :meth:`to_xml` and :meth:`values` read them as they are, while
+    :attr:`items`, iteration and indexing hand out their elements, built
+    on first access.
+
     :ivar elapsed_seconds: wall-clock evaluation time of the query that
         produced this result (parse + evaluate).
     """
 
     def __init__(self, items: list, elapsed_seconds: float = 0.0) -> None:
-        self.items = items
+        self._items = items
         self.elapsed_seconds = elapsed_seconds
+
+    @property
+    def items(self) -> list:
+        """The items, constructed elements settled."""
+        items = self._items
+        if any(type(item) is Constructed for item in items):
+            items = self._items = [
+                item.settle() if type(item) is Constructed else item for item in items
+            ]
+        return items
+
+    @property
+    def unsettled(self) -> list:
+        """The items as evaluated, constructed ones not built — for
+        writers (:func:`~repro.query.items.write_item`)."""
+        return self._items
 
     def __iter__(self):
         return iter(self.items)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._items)
 
     def __getitem__(self, index: int):
         return self.items[index]
 
     def values(self) -> list[str]:
         """String values of all items."""
-        return [string_value(item) for item in self.items]
+        return [string_value(item) for item in self._items]
 
     def to_xml(self) -> str:
         """Serialize the result sequence: nodes as XML (virtual nodes as
-        their transformed values), atomics via the XPath rules."""
-        return items_to_xml(self.items)
+        their transformed values, constructed items without building
+        them), atomics via the XPath rules."""
+        return items_to_xml(self._items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Result({len(self.items)} items)"
+        return f"Result({len(self._items)} items)"
 
 
 class Engine:
@@ -379,6 +400,7 @@ class Engine:
                 raise
             if eval_span is not None:
                 eval_span.set("items", len(items))
+                eval_span.set("settled", evaluator.settled)
                 if meter is not None:
                     eval_span.set("metered_visits", meter.node_visits)
         elapsed = time.perf_counter() - started
@@ -439,7 +461,8 @@ class Engine:
         EXPLAIN ANALYZE rendering.  Uses the engine's tracer when one is
         attached, a throwaway otherwise.  Inside a traced request the
         query runs as a child span of the request's trace, and the trace
-        returned is that span's own subtree.  Accepts an already-parsed
+        returned is that span's own subtree, and the answer is written
+        inside it (a ``result.to_xml`` row).  Accepts an already-parsed
         expression (the sharded scatter path profiles its per-shard plan
         specializations); pass ``detail`` to label the trace then."""
         from repro.obs.trace import Trace, Tracer, current_context
@@ -452,6 +475,7 @@ class Engine:
         )
         with handle as root:
             result = self.execute(query, mode=mode, variables=variables)
+            result.to_xml()  # the answer's writing is part of the profile
         if handle.trace is None:
             return result, Trace(root, parent=current_context())
         return result, handle.trace
@@ -473,12 +497,13 @@ class Engine:
     # -- constructed nodes ---------------------------------------------------------
 
     def register_constructed(self, element: Element) -> Element:
-        """Wrap a constructor result in its own document container and
-        number it, so constructed trees participate in document order."""
+        """Wrap a settled constructor result in its own document
+        container, so constructed trees participate in document order
+        (numbered by the first order comparison that needs it,
+        ``Evaluator._order_path``)."""
         self._constructed += 1
         container = Document(f"#constructed-{self._constructed}")
         container.append(element)
-        assign_numbers(container)
         return element
 
     def container_index(self, container) -> int:

@@ -27,6 +27,8 @@ from repro.query.eval_virtual import VirtualNavigator
 from repro.query.joins import KEYS_FIRST_AXES, NO_ORDER, compile_value_predicate
 from repro.query.functions import REGISTRY
 from repro.query.items import (
+    NODE_ITEMS,
+    Constructed,
     VirtualDocItem,
     atomize,
     effective_boolean,
@@ -35,8 +37,7 @@ from repro.query.items import (
     string_value,
     to_number,
 )
-from repro.xmlmodel.builder import clone_subtree
-from repro.xmlmodel.nodes import Document, Element, Node, NodeKind, Text
+from repro.xmlmodel.nodes import Document, Node
 
 
 class Evaluator:
@@ -73,6 +74,8 @@ class Evaluator:
         self._slices: Optional[dict] = None
         #: ``id(body) -> groupable paths`` (:func:`_groupable_paths`).
         self._groupable: dict[int, list] = {}
+        #: Constructed items settled into elements during evaluation.
+        self.settled = 0
 
     # ------------------------------------------------------------------ dispatch
 
@@ -115,7 +118,7 @@ class Evaluator:
             fast = self._eval_aggregate(expr.name, expr.args[0], context)
             if fast is not None:
                 return fast
-        evaluated = [self.evaluate(arg, context) for arg in expr.args]
+        evaluated = [self._evaluate_settled(arg, context) for arg in expr.args]
         return impl(context, *evaluated)
 
     def _eval_aggregate(
@@ -141,7 +144,7 @@ class Evaluator:
     # ------------------------------------------------------------------ paths
 
     def _eval_root(self, expr: ast.RootExpr, context: Context) -> list:
-        return [self._root_of(context.require_item())]
+        return [self._root_of(self._focus_node(context))]
 
     def _root_of(self, item: Any):
         if isinstance(item, VirtualDocItem):
@@ -166,8 +169,8 @@ class Evaluator:
 
     def _path_start(self, expr: ast.PathExpr, context: Context) -> list:
         if expr.start is None:
-            return [context.require_item()]
-        return self.evaluate(expr.start, context)
+            return [self._focus_node(context)]
+        return self._evaluate_settled(expr.start, context)
 
     def _run_path(self, items, steps, context, aggregate=None, declined=None) -> list:
         """Apply ``steps`` in turn from ``items`` — with ``aggregate``, the
@@ -452,6 +455,12 @@ class Evaluator:
                 effective_boolean(self.evaluate(expr.left, context))
                 and effective_boolean(self.evaluate(expr.right, context))
             ]
+        if op in ("|", "except", "intersect"):
+            return self._node_set_op(
+                op,
+                self._evaluate_settled(expr.left, context),
+                self._evaluate_settled(expr.right, context),
+            )
         left = self.evaluate(expr.left, context)
         right = self.evaluate(expr.right, context)
         if op in ("=", "!=", "<", "<=", ">", ">="):
@@ -460,8 +469,6 @@ class Evaluator:
             return _arithmetic(op, left, right)
         if op == "to":
             return _range_sequence(left, right)
-        if op in ("|", "except", "intersect"):
-            return self._node_set_op(op, left, right)
         raise QueryEvaluationError(f"unknown operator {op!r}")
 
     def _node_set_op(self, op: str, left: list, right: list) -> list:
@@ -490,7 +497,7 @@ class Evaluator:
                 expanded: list[Context] = []
                 for current in bindings:
                     for position, item in enumerate(
-                        self.evaluate(clause.expr, current), start=1
+                        self._evaluate_settled(clause.expr, current), start=1
                     ):
                         bound = current.bind(clause.var, [item])
                         if clause.position_var is not None:
@@ -499,7 +506,7 @@ class Evaluator:
                 bindings = expanded
             else:
                 bindings = [
-                    current.bind(clause.var, self.evaluate(clause.expr, current))
+                    current.bind(clause.var, self._evaluate_settled(clause.expr, current))
                     for current in bindings
                 ]
         if expr.where is not None:
@@ -658,7 +665,7 @@ class Evaluator:
         return self.evaluate(expr.else_expr, context)
 
     def _eval_quantified(self, expr: ast.QuantifiedExpr, context: Context) -> list:
-        items = self.evaluate(expr.expr, context)
+        items = self._evaluate_settled(expr.expr, context)
         results = (
             effective_boolean(
                 self.evaluate(expr.condition, context.bind(expr.var, [item]))
@@ -672,62 +679,76 @@ class Evaluator:
     # ------------------------------------------------------------------ constructors
 
     def _eval_constructor(self, expr: ast.ElementConstructor, context: Context) -> list:
-        element = self._build_element(expr, context)
-        self.engine.register_constructed(element)
-        return [element]
+        return [self._construct(expr, context)]
 
-    def _build_element(self, expr: ast.ElementConstructor, context: Context) -> Element:
-        element = Element(expr.tag)
-        for template in expr.attributes:
-            parts = []
-            for part in template.parts:
-                if isinstance(part, str):
-                    parts.append(part)
-                else:
-                    values = self.evaluate(part, context)
-                    parts.append(" ".join(string_value(v) for v in values))
-            from repro.xmlmodel.nodes import Attribute
-
-            element.append(Attribute(template.name, "".join(parts)))
+    def _construct(self, expr: ast.ElementConstructor, context: Context) -> Constructed:
+        """The lazy item a constructor evaluates to: attribute templates
+        evaluated to strings, literal text and atomics merged into text
+        parts (adjacent atomics of one enclosed expression joined by a
+        space), node items kept as the lists their expressions produced."""
+        attributes = ()
+        if expr.attributes:
+            attributes = tuple(
+                (template.name, self._attribute_value(template, context))
+                for template in expr.attributes
+            )
+        content: list = []
+        text = ""
         for part in expr.content:
+            kind = type(part)
+            if kind is str:
+                text += part
+                continue
+            if kind is ast.ElementConstructor:
+                pieces = (self._construct(part, context),)
+            else:
+                pieces = _content_pieces(self.evaluate(part, context))
+            for piece in pieces:
+                if type(piece) is str:
+                    text += piece
+                    continue
+                if text:
+                    content.append(text)
+                    text = ""
+                content.append(piece)
+        if text:
+            content.append(text)
+        return Constructed(expr.tag, attributes, content, self.engine)
+
+    def _attribute_value(self, template: ast.AttributeTemplate, context: Context) -> str:
+        parts = []
+        for part in template.parts:
             if isinstance(part, str):
-                _append_text(element, part)
-            elif isinstance(part, ast.ElementConstructor):
-                element.append(self._build_element(part, context))
+                parts.append(part)
             else:
-                self._append_items(element, self.evaluate(part, context))
-        return element
+                values = self.evaluate(part, context)
+                parts.append(" ".join(string_value(v) for v in values))
+        return "".join(parts)
 
-    def _append_items(self, element: Element, items: list) -> None:
-        previous_atomic = False
+    def _evaluate_settled(self, expr: ast.Expr, context: Context) -> list:
+        """``expr``'s value at a boundary that needs nodes, not lazy
+        constructed items (a variable binding, a path start, a function
+        argument, a set operand) — settled only where ``expr`` can yield
+        one (:func:`_constructs`), so no other value is scanned."""
+        values = self.evaluate(expr, context)
+        return self._settle(values) if _constructs(expr) else values
+
+    def _focus_node(self, context: Context):
+        """The context item, a constructed one settled (a filter's focus
+        may be one)."""
+        item = context.require_item()
+        return self._settle([item])[0] if type(item) is Constructed else item
+
+    def _settle(self, items: list) -> list:
+        """``items`` with each constructed item replaced by its element."""
+        out = []
         for item in items:
-            if is_node(item):
-                for copy in self._copies(item):
-                    element.append(copy)
-                previous_atomic = False
-            else:
-                text = format_atomic(item)
-                if previous_atomic:
-                    text = " " + text
-                _append_text(element, text)
-                previous_atomic = True
-
-    def _copies(self, item: Any) -> list[Node]:
-        """Free-standing copies of a node item for a constructor to embed
-        (a ``virtualDoc()`` handle contributes one per virtual root)."""
-        if isinstance(item, VNode):
-            vdoc = item._vdoc
-            if vdoc is None:
-                raise QueryEvaluationError("virtual node without a document")
-            return [vdoc.copy_subtree(item)]
-        if isinstance(item, VirtualDocItem):
-            return [item.vdoc.copy_subtree(root) for root in item.vdoc.roots()]
-        if isinstance(item, Document):
-            root = item.root
-            if root is None:
-                raise QueryEvaluationError("cannot embed an empty document")
-            return [clone_subtree(root)]
-        return [clone_subtree(item)]
+            if type(item) is Constructed:
+                if item.element is None:
+                    self.settled += 1
+                item = item.settle()
+            out.append(item)
+        return out
 
     # ------------------------------------------------------------------ ordering
 
@@ -802,16 +823,53 @@ class Evaluator:
     _DISPATCH = {}
 
 
-def _append_text(element: Element, text: str) -> None:
-    """Append text, merging with an adjacent text node (XQuery content
-    merging)."""
-    if not text:
-        return
-    children = element.children
-    if children and children[-1].kind is NodeKind.TEXT:
-        children[-1].value = children[-1].value + text  # type: ignore[attr-defined]
+def _content_pieces(values: list):
+    """One enclosed expression's value as constructor content: the list
+    itself when it holds only nodes, else runs of nodes between the text
+    of its atomics (adjacent atomics joined by a space)."""
+    if len(values) == 1:  # the common case, decided without a loop
+        item = values[0]
+        return (values,) if isinstance(item, NODE_ITEMS) else (format_atomic(item),)
+    for item in values:
+        if not isinstance(item, NODE_ITEMS):
+            break
     else:
-        element.append(Text(text))
+        return (values,) if values else ()
+    pieces: list = []
+    nodes: list = []
+    atomic = False
+    for item in values:
+        if isinstance(item, NODE_ITEMS):
+            nodes.append(item)
+            atomic = False
+            continue
+        if nodes:
+            pieces.append(nodes)
+            nodes = []
+        pieces.append(" " + format_atomic(item) if atomic else format_atomic(item))
+        atomic = True
+    if nodes:
+        pieces.append(nodes)
+    return pieces
+
+
+def _constructs(expr: ast.Expr) -> bool:
+    """Can ``expr`` evaluate to lazy constructed items?  Only a
+    constructor makes one; sequences, FLWR returns, conditionals, filters
+    and the context item (a filter's focus) pass them on unsettled —
+    every other expression settles or atomizes what it consumes."""
+    kind = type(expr)
+    if kind is ast.ElementConstructor or kind is ast.ContextItem:
+        return True
+    if kind is ast.SequenceExpr:
+        return any(map(_constructs, expr.exprs))
+    if kind is ast.FLWRExpr:
+        return _constructs(expr.return_expr)
+    if kind is ast.IfExpr:
+        return _constructs(expr.then_expr) or _constructs(expr.else_expr)
+    if kind is ast.FilterExpr:
+        return _constructs(expr.base)
+    return False
 
 
 def _aggregate_result(name: str, value, rows: int) -> list:

@@ -556,6 +556,8 @@ class _ConstructorScanner:
             if self.text[self.pos] in ">/":
                 return attributes
             name = self._scan_name()
+            if any(attribute.name == name for attribute in attributes):
+                raise self.error(f"XQST0040: duplicate attribute {name!r} in constructor")
             self._skip_space()
             self._expect("=")
             self._skip_space()

@@ -103,7 +103,7 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
                         text, mode=mode_override, variables=variables
                     )
                     stats = ValueStats()
-                    payloads = [_payload(item, stats) for item in result.items]
+                    payloads = [_payload(item, stats) for item in result.unsettled]
                 remote = _worker_fragment(handle)
                 conn.send(("ok", (payloads, result.elapsed_seconds, remote)))
             elif command == "plan":

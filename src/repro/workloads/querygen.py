@@ -13,7 +13,7 @@ in for the same reason on the CAS side: they are exactly what the
 content-and-structure kernel compiles, while the same comparisons inside
 ``and``/``or`` chains force its decline path.
 
-Each query is wrapped in a :class:`GeneratedQuery` carrying the two flags
+Each query is wrapped in a :class:`GeneratedQuery` carrying the flags
 the comparison discipline needs (see ``tests/conftest.py``):
 
 * ``order_sensitive`` — the answer depends on global document order
@@ -24,6 +24,14 @@ the comparison discipline needs (see ``tests/conftest.py``):
 * ``counting`` — the query is a ``count()`` wrapper, whose virtual and
   materialized answers legitimately differ on duplicating views (copies
   versus entities, see DESIGN.md).
+
+With ``constructors=True`` some draws wrap the path's elements in one of
+the element-constructor shapes of :data:`CONSTRUCTOR_SHAPES` (flagged
+``constructing``): embedded nodes and attributes, atomics joined by a
+space, nested constructors, navigation into constructed answers, and
+unions of constructed items.  Like ``count()``, they embed and count
+entities where a materialized view holds copies, so virtual and
+materialized answers compare only on duplication-free views.
 """
 
 from __future__ import annotations
@@ -34,6 +42,26 @@ from typing import Sequence, Union
 
 _WORDS = ["red", "green", "blue", "ochre", "teal", "plum"]
 
+#: Element-constructor wrappers over ``{path}`` (its elements only) —
+#: ``{name}`` is an element name of the document.
+CONSTRUCTOR_SHAPES = (
+    # attribute template, text, embedded element, a nested constructor
+    'for $x in ({path})[self::*] return <r n="{{ count($x/*) }}">{{ $x/text() }}<c>{{ $x }}</c></r>',
+    # the whole answer as the content of one element
+    "<r>{{ ({path})[self::*] }}</r>",
+    # embedded attribute nodes, then atomics joined by a space
+    "for $x in ({path})[self::*] return <r>{{ $x/@* }}{{ count($x/*), name($x) }}</r>",
+    # navigation into constructed answers
+    "(for $x in ({path})[self::*] return <e>{{ $x }}</e>)//{name}",
+    # constructed items inside constructor content
+    '<r>{{ for $x in ({path})[self::*] return <e k="{{ name($x) }}">{{ $x/* }}</e> }}</r>',
+    # a union across constructed items (document order is creation order)
+    "for $x in ({path})[self::*] return (<a>{{ $x/text() }}</a> | <b>{{ $x/@* }}</b>)",
+)
+
+#: Constructor shapes whose one answer item depends on the path's order.
+_ORDERED_SHAPES = frozenset([1, 4])
+
 
 @dataclass(frozen=True)
 class GeneratedQuery:
@@ -42,6 +70,7 @@ class GeneratedQuery:
     template: str
     order_sensitive: bool = False
     counting: bool = False
+    constructing: bool = False
 
     def text(self, source: str) -> str:
         """Fill the ``{source}`` hole."""
@@ -52,9 +81,11 @@ def random_query(
     rng_or_seed: Union[random.Random, int],
     names: Sequence[str],
     max_steps: int = 2,
+    constructors: bool = False,
 ) -> GeneratedQuery:
     """One random query over element ``names`` (tags known to occur in the
-    target document — or not; missing names make legal empty steps)."""
+    target document — or not; missing names make legal empty steps).
+    With ``constructors``, a third of the draws are constructor shapes."""
     rng = (
         rng_or_seed
         if isinstance(rng_or_seed, random.Random)
@@ -160,6 +191,11 @@ def random_query(
     path = "{source}" + "".join(parts)
 
     counting = rng.random() < 0.2
+    if constructors and rng.random() < 1 / 3:
+        shape = rng.randrange(len(CONSTRUCTOR_SHAPES))
+        template = CONSTRUCTOR_SHAPES[shape].format(path=path, name=name())
+        ordered = order_sensitive or shape in _ORDERED_SHAPES
+        return GeneratedQuery(template, ordered, constructing=True)
     template = f"count({path})" if counting else path
     return GeneratedQuery(template, order_sensitive, counting)
 
@@ -169,6 +205,7 @@ def random_queries(
     names: Sequence[str],
     count: int,
     max_steps: int = 2,
+    constructors: bool = False,
 ) -> list[GeneratedQuery]:
     """``count`` random queries from one reproducible stream."""
     rng = (
@@ -176,4 +213,4 @@ def random_queries(
         if isinstance(rng_or_seed, random.Random)
         else random.Random(rng_or_seed)
     )
-    return [random_query(rng, names, max_steps) for _ in range(count)]
+    return [random_query(rng, names, max_steps, constructors) for _ in range(count)]

@@ -6,7 +6,8 @@ Two byte-identity families (see ``tests/conftest.py``):
 * ``tree`` / ``indexed`` / ``sql`` over the same stored document must
   agree on ``to_xml`` and ``values`` for every query the randomized
   generator emits — positional predicates, nested ``and``/``or``,
-  ``count()``/``sum()`` filters, ordering axes;
+  ``count()``/``sum()`` filters, ordering axes, and element constructors
+  over them (written lazily);
 * plain virtual evaluation and virtual evaluation through the sql
   backend (``mode="sql"`` on a ``virtualDoc`` source) must agree the
   same way — same hierarchy, so no duplication discipline applies.
@@ -63,7 +64,7 @@ def test_exact_strategies_are_byte_identical(engines, strategies_agree):
     problems: list[str] = []
     pairs = 0
     for seed, engine, names in engines:
-        for query in random_queries(seed, names, GENERATED_PER_SEED):
+        for query in random_queries(seed, names, GENERATED_PER_SEED, constructors=True):
             text = query.text(f'doc("doc{seed}.xml")')
             strategies_agree(
                 lambda strategy: (
@@ -105,7 +106,7 @@ def test_virtual_and_sql_backends_agree_on_virtual_queries(
             }
         )
         source = f'virtualDoc("doc{seed}.xml", "{spec}")'
-        for query in random_queries(seed + 1000, vnames, 6):
+        for query in random_queries(seed + 1000, vnames, 6, constructors=True):
             text = query.text(source)
             strategies_agree(
                 lambda strategy: (

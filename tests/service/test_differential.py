@@ -19,6 +19,10 @@ randomized (document, vDataGuide, query) case:
   comparable;
 * the warm (cache-hit) virtual run must reproduce the cold one.
 
+Generated queries include element-constructor shapes, so every family
+above also compares constructed answers; like counts, they cross families
+only on duplication-free views.
+
 Queries come from the fixed templates below plus the seeded random
 generator (:mod:`repro.workloads.querygen`), whose positional, nested
 ``and``/``or``, and ``count()``/``sum()`` predicates exercise both the
@@ -77,7 +81,9 @@ class Case:
             }
         )
         self.names = names[:3]
-        self.generated = random_queries(seed, names, GENERATED_PER_CASE)
+        self.generated = random_queries(
+            seed, names, GENERATED_PER_CASE, constructors=True
+        )
 
 
 @pytest.fixture(scope="module")
@@ -118,15 +124,15 @@ def test_four_strategies_agree_on_randomized_cases(harness, strategies_agree):
     for case in cases:
         templated = [
             (template.format(source="{source}", name=name),
-             template.startswith("count("), False)
+             template.startswith("count("), False, False)
             for name in case.names
             for template in TEMPLATES
         ]
         generated = [
-            (query.template, query.counting, query.order_sensitive)
+            (query.template, query.counting, query.order_sensitive, query.constructing)
             for query in case.generated
         ]
-        for template, counting, order_sensitive in templated + generated:
+        for template, counting, order_sensitive, constructing in templated + generated:
             context = f"seed={case.seed} spec={case.spec!r} query={template!r}"
             virtual_query = template.replace(
                 "{source}", f'virtualDoc("{case.uri}", "{case.spec}")'
@@ -154,7 +160,7 @@ def test_four_strategies_agree_on_randomized_cases(harness, strategies_agree):
             )
 
             # 3. Virtual versus materialized, where the discipline allows.
-            skip_cross = (counting and case.duplicating) or (
+            skip_cross = ((counting or constructing) and case.duplicating) or (
                 order_sensitive and not case.order_comparable
             )
             if not skip_cross:
