@@ -53,11 +53,18 @@ class Result:
 
     :ivar elapsed_seconds: wall-clock evaluation time of the query that
         produced this result (parse + evaluate).
+    :ivar sources: ``(kind, uri, spec) -> container`` — the document or
+        virtual document each ``doc()`` / ``virtualDoc()`` call of the
+        query resolved to (``spec`` is ``None`` for ``doc()``), so a
+        scatter attributes items to the very containers it navigated.
     """
 
-    def __init__(self, items: list, elapsed_seconds: float = 0.0) -> None:
+    def __init__(
+        self, items: list, elapsed_seconds: float = 0.0, sources: Optional[dict] = None
+    ) -> None:
         self._items = items
         self.elapsed_seconds = elapsed_seconds
+        self.sources = sources if sources is not None else {}
 
     @property
     def items(self) -> list:
@@ -155,6 +162,10 @@ class Engine:
         self._sql_virtual_accels: dict[int, tuple] = {}
         self._containers: dict[int, int] = {}
         self._container_refs: list = []  # keeps ids stable/alive
+        #: ``(kind, uri, spec) -> container`` of the ``doc()`` /
+        #: ``virtualDoc()`` calls the running query resolved (a fresh dict
+        #: per query, handed to its :class:`Result` when it ends).
+        self.sources: dict[tuple, object] = {}
         self._constructed = 0
 
     # -- documents ---------------------------------------------------------------
@@ -357,6 +368,7 @@ class Engine:
         # pooled engines and could never be reproduced by a sharded merge.
         self._containers.clear()
         self._container_refs.clear()
+        self.sources = sources = {}
         strategy = None
         if isinstance(query, str):
             effective = mode or self.mode
@@ -398,6 +410,10 @@ class Engine:
                 if self.metrics is not None:
                     self.metrics.incr("engine.budget_rejections")
                 raise
+            finally:
+                # The result carries them: an idle engine keeps no
+                # version of a document or view alive.
+                self.sources = {}
             if eval_span is not None:
                 eval_span.set("items", len(items))
                 eval_span.set("settled", evaluator.settled)
@@ -439,7 +455,7 @@ class Engine:
                 "query returned %d item(s) in %.3f ms [%s]: %s",
                 len(items), elapsed * 1e3, mode or self.mode, preview,
             )
-        return Result(items, elapsed)
+        return Result(items, elapsed, sources)
 
     def _resolve_plan(self, query: str):
         if self.plan_cache is not None:

@@ -23,7 +23,7 @@ from repro.obs.trace import current_span, span
 from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval_tree import TreeNavigator
-from repro.query.eval_virtual import VirtualNavigator
+from repro.query.eval_virtual import VirtualNavigator, _components_of
 from repro.query.joins import KEYS_FIRST_AXES, NO_ORDER, compile_value_predicate
 from repro.query.functions import REGISTRY
 from repro.query.items import (
@@ -456,11 +456,7 @@ class Evaluator:
                 and effective_boolean(self.evaluate(expr.right, context))
             ]
         if op in ("|", "except", "intersect"):
-            return self._node_set_op(
-                op,
-                self._evaluate_settled(expr.left, context),
-                self._evaluate_settled(expr.right, context),
-            )
+            return self._node_set_op(expr, context)
         left = self.evaluate(expr.left, context)
         right = self.evaluate(expr.right, context)
         if op in ("=", "!=", "<", "<=", ">", ">="):
@@ -471,22 +467,54 @@ class Evaluator:
             return _range_sequence(left, right)
         raise QueryEvaluationError(f"unknown operator {op!r}")
 
-    def _node_set_op(self, op: str, left: list, right: list) -> list:
-        for item in [*left, *right]:
-            if not is_node(item):
-                raise QueryEvaluationError(
-                    f"operator {op!r} requires node sequences"
-                )
-        right_keys = {_identity(item) for item in right}
-        if op == "|":
-            return self.document_order([*left, *right])
-        if op == "except":
-            return self.document_order(
-                [item for item in left if _identity(item) not in right_keys]
-            )
-        return self.document_order(
-            [item for item in left if _identity(item) in right_keys]
-        )
+    def _node_set_op(self, expr: ast.BinaryOp, context: Context) -> list:
+        """``|`` / ``except`` / ``intersect``.  A left-deep ``|`` chain is
+        one n-ary union: one :meth:`_ordered` over all its operands, fed
+        in the pairwise operators' order of work — each operand evaluated
+        settled and in order, checked for nodes once its right neighbour
+        is in, its containers pinned before the next one is evaluated."""
+        op = expr.op
+        operands = [expr.right]
+        left = expr.left
+        while op == "|" and type(left) is ast.BinaryOp and left.op == "|":
+            operands.append(left.right)
+            left = left.left
+        operands.append(left)
+        operands.reverse()
+
+        def groups():
+            values: list = []
+            for operand in operands:
+                values.append(self._evaluate_settled(operand, context))
+                if len(values) < 2:
+                    continue
+                fresh = values if len(values) == 2 else values[-1:]
+                for value in fresh:
+                    for item in value:
+                        if not is_node(item):
+                            raise QueryEvaluationError(
+                                f"operator {op!r} requires node sequences"
+                            )
+                if op == "|":
+                    yield [item for value in fresh for item in value]
+            if op != "|":
+                left_items, right_items = values
+                right_keys = set(map(_identity, right_items))
+                keep = op == "intersect"
+                yield [item for item in left_items if (_identity(item) in right_keys) is keep]
+
+        if current_span() is None:
+            return self._ordered(groups())[0]
+        with span("setop", op) as setop_span:
+            ordered, reason, items_in = self._ordered(groups())
+            setop_span.set("op", op)
+            setop_span.set("operands", len(operands))
+            setop_span.add("items_in", items_in)
+            setop_span.add("items_out", len(ordered))
+            setop_span.set("order", "key" if reason is None else "comparator")
+            if reason is not None:
+                setop_span.set("reason", reason)
+        return ordered
 
     # ------------------------------------------------------------------ FLWR & friends
 
@@ -753,28 +781,146 @@ class Evaluator:
     # ------------------------------------------------------------------ ordering
 
     def document_order(self, items: list) -> list:
-        """Distinct items sorted into (virtual) document order.
+        """Distinct items sorted into (virtual) document order."""
+        return self._ordered((items,))[0]
+
+    def _ordered(self, groups) -> tuple[list, Optional[str], int]:
+        """``(items, reason, items_in)``: the distinct items of ``groups``
+        (item lists, consumed one at a time) in (virtual) document order,
+        why no key ordered them (``None``: keys did), and how many items
+        came in.
 
         Items from different containers (documents, virtual documents,
-        constructed trees) sort by the engine's stable container index.
+        constructed trees) order by the engine's stable container index;
+        inside one the (v)PBN number *is* the order, so each container's
+        items sort by a plain key (:meth:`_key_order`).  Where some
+        container has none, the comparator (:meth:`_order_cmp`) sorts
+        instead — one sort per group over the sorted earlier ones, as
+        pairwise set operators would, so an unkeyed view's order (which
+        the comparator alone defines) is the pairwise one.  Charges
+        ``engine.order`` once, with ``items_in``.
         """
         unique: dict[Any, Any] = {}
-        for item in items:
-            if _identity(item) not in unique:
-                unique[_identity(item)] = item
-                # Pin first-sight container indexes to appearance order:
-                # sorted() invokes the comparator in timsort's order, so
-                # without this pass the *relative order of containers*
-                # would depend on which comparison runs first — an
-                # artifact no distributed merge could reproduce.
-                self._container_key(item)
-        return sorted(unique.values(), key=cmp_to_key(self._order_cmp))
+        buckets: dict[int, tuple] = {}  # id(container) -> (container, items)
+        marks: list[int] = []
+        items_in = 0
+        index = None
+        for items in groups:
+            items_in += len(items)
+            for item in items:
+                identity = _identity(item)
+                if identity in unique:
+                    continue
+                unique[identity] = item
+                container = _container_of(item)
+                bucket = buckets.get(id(container))
+                if bucket is not None:
+                    bucket[1].append(item)
+                    continue
+                # A call that meets several containers pins their indexes
+                # in order of first sight, as they arrive — not in a sort's
+                # order of comparisons, and not by an earlier call that met
+                # one container alone (a step's): the order of containers
+                # is their order of appearance in the query's set
+                # operands, the order a distributed merge reproduces.
+                if buckets and index is None:
+                    index = self.engine.container_index
+                    for first, _ in buckets.values():
+                        index(first)
+                if index is not None:
+                    index(container)
+                buckets[id(container)] = (container, [item])
+            marks.append(len(unique))
+        ordered = self._key_order(buckets)
+        reason = None
+        if isinstance(ordered, str):
+            compare = cmp_to_key(
+                self._order_cmp if index is not None else self._node_order_cmp
+            )
+            reason, ordered, start = ordered, [], 0
+            found = list(unique.values())
+            for mark in marks:
+                ordered = sorted([*ordered, *found[start:mark]], key=compare)
+                start = mark
+        metrics = self.engine.metrics
+        if metrics is not None:
+            labels = {"order": "key"} if reason is None else {
+                "order": "comparator", "reason": reason
+            }
+            metrics.incr("engine.order", items_in, labels=labels)
+        return ordered, reason, items_in
+
+    def _key_order(self, buckets: dict[int, tuple]):
+        """The containers' items in container-index order, each container
+        sorted by key — or, as a ``str``, why one has no key."""
+        containers = list(buckets.values())
+        if len(containers) > 1:
+            index = self.engine.container_index
+            containers.sort(key=lambda bucket: index(bucket[0]))
+        out: list = []
+        for _, group in containers:
+            if isinstance(group[0], Node):
+                if len(group) > 1:
+                    group.sort(key=self._order_path)
+                out.extend(group)
+                continue
+            ordered = self._virtual_key_order(group)
+            if isinstance(ordered, str):
+                return ordered
+            out.extend(ordered)
+        return out
+
+    def _virtual_key_order(self, group: list):
+        """One virtual document's items in virtual order: its handle
+        first, then one run per virtual type — distinct and in key order,
+        which within a type *is* virtual order — merged by the navigator
+        (:meth:`VirtualNavigator._merge_runs`).  Declines where a
+        vDataGuide tree holds several of the runs' types and is neither
+        intact nor keyed (the merge would need the comparator)."""
+        head: list = []
+        runs: dict[int, list] = {}
+        vdoc = None
+        for item in group:
+            if type(item) is VNode:
+                vdoc = item._vdoc
+                run = runs.get(id(item.vtype))
+                if run is None:
+                    runs[id(item.vtype)] = [item]
+                else:
+                    run.append(item)
+            else:
+                head.append(item)  # the view's handle: one, deduplicated
+        if not runs:
+            return head
+        navigator = self._virtual_nav
+        if len(runs) > 1:
+            trees: dict[int, int] = {}
+            for run in runs.values():
+                tree = run[0].vtype.pbn.components[0]
+                trees[tree] = trees.get(tree, 0) + 1
+            crowded = [tree for tree, count in trees.items() if count > 1]
+            if crowded:
+                intact = navigator._intact(vdoc)[1]
+                crowded = [tree for tree in crowded if tree not in intact]
+            if crowded:
+                keyed = navigator._order_keys(vdoc)[1]
+                if not all(tree in keyed for tree in crowded):
+                    return NO_ORDER
+        for run in runs.values():
+            if len(run) > 1:
+                run.sort(key=_components_of)
+        return head + navigator._merge_runs(vdoc, list(runs.values()))
 
     def _order_cmp(self, a: Any, b: Any) -> int:
+        """The Section 5 comparator: container index first."""
         ka = self._container_key(a)
         kb = self._container_key(b)
         if ka != kb:
             return -1 if ka < kb else 1
+        return self._node_order_cmp(a, b)
+
+    def _node_order_cmp(self, a: Any, b: Any) -> int:
+        """The comparator inside one container."""
         if isinstance(a, VirtualDocItem) or isinstance(b, VirtualDocItem):
             if isinstance(a, VirtualDocItem) and isinstance(b, VirtualDocItem):
                 return 0
@@ -788,15 +934,7 @@ class Evaluator:
         return -1 if pa < pb else 1
 
     def _container_key(self, item: Any) -> int:
-        if isinstance(item, VirtualDocItem):
-            return self.engine.container_index(item.vdoc)
-        if isinstance(item, VNode):
-            vdoc = item._vdoc
-            return self.engine.container_index(vdoc if vdoc is not None else item)
-        node = item
-        while node.parent is not None:
-            node = node.parent
-        return self.engine.container_index(node)
+        return self.engine.container_index(_container_of(item))
 
     def _order_path(self, node: Node) -> tuple[int, ...]:
         if isinstance(node, Document):
@@ -918,6 +1056,18 @@ def _stored(items: list) -> list:
                 for item in items
             ]
     return items
+
+
+def _container_of(item: Any):
+    """The document, virtual document or constructed tree ``item`` is
+    in (a virtual node without its view is a container of its own)."""
+    if isinstance(item, VNode):
+        return item if item._vdoc is None else item._vdoc
+    if isinstance(item, VirtualDocItem):
+        return item.vdoc
+    while item.parent is not None:
+        item = item.parent
+    return item
 
 
 def _identity(item: Any):

@@ -59,8 +59,10 @@ def _optional_atomic(args: Sequence, what: str):
 @_register("doc", 1, 1)
 def _fn_doc(context, uri_args: Sequence) -> Sequence:
     """``doc(uri)``: the document node of a loaded document."""
-    uri = _single_atomic(uri_args, "doc()")
-    return [context.engine.document(str(uri))]
+    uri = str(_single_atomic(uri_args, "doc()"))
+    document = context.engine.document(uri)
+    context.engine.sources.setdefault(("doc", uri, None), document)
+    return [document]
 
 
 @_register("virtualDoc", 2, 2)
@@ -71,9 +73,11 @@ def _fn_virtual_doc(context, uri_args: Sequence, spec_args: Sequence) -> Sequenc
     in the transformed space."""
     from repro.query.items import VirtualDocItem
 
-    uri = _single_atomic(uri_args, "virtualDoc()")
-    spec = _single_atomic(spec_args, "virtualDoc()")
-    return [VirtualDocItem(context.engine.virtual(str(uri), str(spec)))]
+    uri = str(_single_atomic(uri_args, "virtualDoc()"))
+    spec = str(_single_atomic(spec_args, "virtualDoc()"))
+    vdoc = context.engine.virtual(uri, spec)
+    context.engine.sources.setdefault(("virtualDoc", uri, spec), vdoc)
+    return [VirtualDocItem(vdoc)]
 
 
 # -- cardinality / aggregation -------------------------------------------------------

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.core.virtual_document import VNode
 from repro.obs.trace import Tracer, current_context, fork
@@ -402,7 +402,7 @@ class ShardedService:
                 outcome = self._gather_process(plans, analysis, involved, mode, combine)
             else:
                 outcome = self._gather_threads(
-                    plans, analysis, involved, mode, variables, combine, query, budget
+                    plans, analysis, mode, variables, combine, query, budget
                 )
             elapsed = time.perf_counter() - started
             outcome.elapsed_seconds = elapsed
@@ -416,12 +416,10 @@ class ShardedService:
         return outcome
 
     def _gather_threads(
-        self, plans, analysis, involved, mode, variables, combine, query, budget=None
+        self, plans, analysis, mode, variables, combine, query, budget=None
     ) -> ShardResult:
         detail = _preview(query)
-        # Pin each shard's read target once per query so merge attribution
-        # (container ordinals) resolves against the very service — primary
-        # or replica — that evaluated the specialization.
+        # Pin each shard's read target (primary or replica) once per query.
         executors = {shard: self._read_service(shard) for shard in plans}
         # Each shard task carries a forked span: parentage is decided
         # here at fan-out (under the ``scatter`` span), and the fragment
@@ -447,35 +445,20 @@ class ShardedService:
                 results[shard].items[0] for shard in shard_ids
             )
             return ShardResult([combined], 0.0, shard_ids)
+        sources = [
+            ((source.kind, source.uri, source.spec), ordinal)
+            for ordinal, source in enumerate(analysis.sources)
+        ]
         streams = []
         for shard in shard_ids:
-            ordinal_by_container = self._container_ordinals(
-                executors[shard], analysis, involved, shard
-            )
+            result = results[shard]
             streams.append(
                 keyed_stream(
-                    results[shard].items,
-                    lambda item, _m=ordinal_by_container: _m.get(_container_id(item)),
-                    _pbn_components,
+                    result.items, ordinal_of(result.sources, sources), _pbn_components
                 )
             )
         merged = merge_streams(streams)
         return ShardResult(merged, 0.0, shard_ids)
-
-    def _container_ordinals(self, service, analysis, involved, shard) -> dict[int, int]:
-        """``id(container) -> plan-source ordinal`` for the sources this
-        shard owns (resolved through the shared view cache, so the map
-        hits the very instances the query navigated)."""
-        ordinals: dict[int, int] = {}
-        for ordinal, source in enumerate(analysis.sources):
-            if involved.get(source.uri) != shard:
-                continue
-            if source.kind == "doc":
-                ordinals[id(service.store(source.uri).document)] = ordinal
-            else:
-                vdoc = service.resolve_view(source.uri, source.spec)
-                ordinals[id(vdoc)] = ordinal
-        return ordinals
 
     def _process_shard_task(self, fragment, shard, plan, mode, owned, combine):
         """One process-mode scatter task on a pool thread: enter the
@@ -613,6 +596,36 @@ def _run_forked(fragment, fn, *args):
     """Run a scatter task inside its forked span (on the pool thread)."""
     with fragment:
         return fn(*args)
+
+
+def ordinal_of(resolved: dict, sources) -> Callable[[object], Optional[int]]:
+    """The source-ordinal attribution of one shard's result stream.
+
+    :param resolved: the shard's :attr:`Result.sources` — the containers
+        its own evaluation resolved, so an update landing after it
+        evaluated cannot make its items unattributable.
+    :param sources: ``((kind, uri, spec), ordinal)`` for the plan's sources.
+
+    A run of consecutive items under one view, or one parent, is
+    attributed once: only its first item looks its container up.
+    """
+    ordinals = {
+        id(resolved[key]): ordinal for key, ordinal in sources if key in resolved
+    }
+    last_handle = last_ordinal = None
+
+    def attribute(item) -> Optional[int]:
+        nonlocal last_handle, last_ordinal
+        # the view, or the parent, the item shares with its run
+        handle = (
+            item._vdoc if isinstance(item, VNode)
+            else item.parent if isinstance(item, Node) else None
+        )
+        if handle is None or handle is not last_handle:
+            last_handle, last_ordinal = handle, ordinals.get(_container_id(item))
+        return last_ordinal
+
+    return attribute
 
 
 def _container_id(item) -> Optional[int]:

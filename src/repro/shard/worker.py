@@ -114,18 +114,13 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
                     if combine:
                         shipped = [(None, ("atomic", result.items[0]))]
                     else:
-                        ordinals: dict[int, int] = {}
-                        for ordinal, kind, uri, spec in owned:
-                            if kind == "doc":
-                                ordinals[id(service.store(uri).document)] = ordinal
-                            else:
-                                ordinals[id(service.resolve_view(uri, spec))] = ordinal
-                        from repro.shard.service import _container_id, _pbn_components
+                        from repro.shard.service import _pbn_components, ordinal_of
 
+                        sources = [
+                            ((kind, uri, spec), ordinal) for ordinal, kind, uri, spec in owned
+                        ]
                         entries = keyed_stream(
-                            result.items,
-                            lambda item: ordinals.get(_container_id(item)),
-                            _pbn_components,
+                            result.items, ordinal_of(result.sources, sources), _pbn_components
                         )
                         stats = ValueStats()
                         shipped = [

@@ -32,13 +32,22 @@ space, nested constructors, navigation into constructed answers, and
 unions of constructed items.  Like ``count()``, they embed and count
 entities where a materialized view holds copies, so virtual and
 materialized answers compare only on duplication-free views.
+
+With ``set_operators=True`` some draws combine two generated paths with
+one of the :data:`SET_OPERATOR_SHAPES` (flagged ``set_operating``):
+``|`` / ``except`` / ``intersect``, operands that are not in document
+order, attribute operands and constructed operands.  The second path
+reads the ``{second}`` hole — another document or view, or the same
+source again when :meth:`GeneratedQuery.text` gets none.  Identity of
+entities versus copies decides ``except`` / ``intersect`` too, so they
+cross the virtual / materialized line only on duplication-free views.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 _WORDS = ["red", "green", "blue", "ochre", "teal", "plum"]
 
@@ -62,6 +71,29 @@ CONSTRUCTOR_SHAPES = (
 #: Constructor shapes whose one answer item depends on the path's order.
 _ORDERED_SHAPES = frozenset([1, 4])
 
+#: Set-operator wrappers over ``{path}`` (on ``{source}``) and ``{other}``
+#: (on ``{second}``) — ``{name}`` is an element name of the document.
+SET_OPERATOR_SHAPES = (
+    "{path} | {other}",
+    "({path}) except ({other})",
+    "({path}) intersect ({other})",
+    # a chain of three: one n-ary union
+    "{path} | {other} | {source}//{name}",
+    # operands not in document order
+    "({path})[2] | ({path})[1]",
+    # attribute operands beside elements
+    "{source}//@* | {other}",
+    "({path}) except {source}//@*",
+    # a constructed operand: its own container, first seen first
+    "<u>{{ ({path})[self::*] }}</u> | {other}",
+)
+
+#: Set-operator shapes whose answer depends on the paths' order.
+_ORDERED_SET_SHAPES = frozenset([4])
+
+#: Set-operator shapes with a constructed operand.
+_CONSTRUCTED_SET_SHAPES = frozenset([7])
+
 
 @dataclass(frozen=True)
 class GeneratedQuery:
@@ -71,10 +103,14 @@ class GeneratedQuery:
     order_sensitive: bool = False
     counting: bool = False
     constructing: bool = False
+    set_operating: bool = False
 
-    def text(self, source: str) -> str:
-        """Fill the ``{source}`` hole."""
-        return self.template.replace("{source}", source)
+    def text(self, source: str, second: Optional[str] = None) -> str:
+        """Fill the ``{source}`` hole, and the ``{second}`` one with
+        ``second`` (``source`` when omitted)."""
+        return self.template.replace("{source}", source).replace(
+            "{second}", source if second is None else second
+        )
 
 
 def random_query(
@@ -82,10 +118,12 @@ def random_query(
     names: Sequence[str],
     max_steps: int = 2,
     constructors: bool = False,
+    set_operators: bool = False,
 ) -> GeneratedQuery:
     """One random query over element ``names`` (tags known to occur in the
     target document — or not; missing names make legal empty steps).
-    With ``constructors``, a third of the draws are constructor shapes."""
+    With ``constructors``, a third of the draws are constructor shapes;
+    with ``set_operators``, a quarter are set-operator shapes."""
     rng = (
         rng_or_seed
         if isinstance(rng_or_seed, random.Random)
@@ -181,22 +219,36 @@ def random_query(
             ["/following-sibling::*", "/preceding-sibling::*", "/following::*"]
         )
 
-    parts = []
-    for index in range(rng.randrange(1, max_steps + 1)):
-        parts.append(step(index == 0))
-        if rng.random() < 0.6:
-            parts.append(predicate())
-    if rng.random() < 0.25:
-        parts.append(rng.choice(["/text()", "/@id", "/@*"]))
-    path = "{source}" + "".join(parts)
+    def path(hole: str) -> str:
+        parts = []
+        for index in range(rng.randrange(1, max_steps + 1)):
+            parts.append(step(index == 0))
+            if rng.random() < 0.6:
+                parts.append(predicate())
+        if rng.random() < 0.25:
+            parts.append(rng.choice(["/text()", "/@id", "/@*"]))
+        return hole + "".join(parts)
+
+    first = path("{source}")
+    if set_operators and rng.random() < 1 / 4:
+        shape = rng.randrange(len(SET_OPERATOR_SHAPES))
+        template = SET_OPERATOR_SHAPES[shape].format(
+            path=first, other=path("{second}"), name=name(), source="{source}"
+        )
+        return GeneratedQuery(
+            template,
+            order_sensitive or shape in _ORDERED_SET_SHAPES,
+            constructing=shape in _CONSTRUCTED_SET_SHAPES,
+            set_operating=True,
+        )
 
     counting = rng.random() < 0.2
     if constructors and rng.random() < 1 / 3:
         shape = rng.randrange(len(CONSTRUCTOR_SHAPES))
-        template = CONSTRUCTOR_SHAPES[shape].format(path=path, name=name())
+        template = CONSTRUCTOR_SHAPES[shape].format(path=first, name=name())
         ordered = order_sensitive or shape in _ORDERED_SHAPES
         return GeneratedQuery(template, ordered, constructing=True)
-    template = f"count({path})" if counting else path
+    template = f"count({first})" if counting else first
     return GeneratedQuery(template, order_sensitive, counting)
 
 
@@ -206,6 +258,7 @@ def random_queries(
     count: int,
     max_steps: int = 2,
     constructors: bool = False,
+    set_operators: bool = False,
 ) -> list[GeneratedQuery]:
     """``count`` random queries from one reproducible stream."""
     rng = (
@@ -213,4 +266,7 @@ def random_queries(
         if isinstance(rng_or_seed, random.Random)
         else random.Random(rng_or_seed)
     )
-    return [random_query(rng, names, max_steps, constructors) for _ in range(count)]
+    return [
+        random_query(rng, names, max_steps, constructors, set_operators)
+        for _ in range(count)
+    ]

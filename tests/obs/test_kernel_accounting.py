@@ -11,7 +11,10 @@ Every step application leaves the evaluator's kernel table
   the item counts the per-item loop reports for the same call;
 * one traced query served over HTTP tells one story three ways: the
   EXPLAIN ANALYZE operator rows, the trace's ``step`` spans and the
-  ``/metrics`` delta agree on kernel, reason and ``items_in``.
+  ``/metrics`` delta agree on kernel, reason and ``items_in``;
+* set operators the same way: each ``setop`` span's ``order`` /
+  ``reason`` / ``items_in`` is what ``engine.order{order=,reason=}``
+  counted for it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ import pytest
 from repro.obs.profile import build_profile, operators
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator
-from repro.query.joins import NO_KERNEL
+from repro.query.joins import NO_KERNEL, NO_ORDER
 from repro.service import QueryService
+from repro.workloads import queries as Q
 from repro.workloads.books import books_document
+from repro.workloads.dblplike import dblp_document
 from tests.conftest import served
 from tests.service.test_obs_smoke import parse_prometheus
 
@@ -201,3 +206,66 @@ def test_explain_answers_whatever_the_request_sampling(sample_rate):
             assert explained["operators"] == expected
     with service.tracer.start("http"):
         assert service.explain(QUERY)["operators"] == expected
+
+
+def _order_series(srv) -> Counter:
+    samples = parse_prometheus(_get(srv.url("/metrics?format=prometheus")))
+    return Counter(
+        {
+            (labels["order"], labels.get("reason")): value
+            for labels, value in samples.get("repro_engine_order", ())
+        }
+    )
+
+
+def _spans_named(span: dict, name: str):
+    for child in span.get("children", ()):
+        if child.get("name") == name:
+            yield child
+        yield from _spans_named(child, name)
+
+
+#: A three-operand stored union (one n-ary operation, by key), a virtual
+#: ``except`` (by key) and a union of two types of one unkeyed tree of the
+#: duplicating view (the comparator, and why).  No step of it runs the
+#: per-item loop over several contexts, so only the set operators order.
+SETOP_QUERY = (
+    'doc("book.xml")//title | doc("book.xml")//name | doc("book.xml")//book, '
+    'virtualDoc("book.xml", "title { author { name } }")//title except '
+    'virtualDoc("book.xml", "title { author { name } }")//title[author/name >= "M"], '
+    f'virtualDoc("dblp.xml", "{Q.DBLP_BY_AUTHOR.spec}")//article/title | '
+    f'virtualDoc("dblp.xml", "{Q.DBLP_BY_AUTHOR.spec}")//article/year'
+)
+
+
+def test_setop_spans_and_the_order_counter_reconcile():
+    service = QueryService(pool_size=1, trace_sample=1.0)
+    service.load("book.xml", books_document(10, seed=5))
+    service.load("dblp.xml", dblp_document(8, seed=5))
+    with served(service) as srv:
+        before = _order_series(srv)
+        _post(srv.url("/query"), SETOP_QUERY)
+        delta = _order_series(srv) - before
+        traces = json.loads(_get(srv.url("/debug/traces")))
+    [trace] = [
+        entry
+        for entry in traces["recent"]
+        if any(True for _ in _spans_named(entry["root"], "setop"))
+    ]
+    setops = list(_spans_named(trace["root"], "setop"))
+    assert [(s["attrs"]["op"], s["attrs"]["operands"]) for s in setops] == [
+        ("|", 3), ("except", 2), ("|", 2)
+    ]
+    assert [(s["attrs"]["order"], s["attrs"].get("reason")) for s in setops] == [
+        ("key", None), ("key", None), ("comparator", NO_ORDER)
+    ]
+    assert all(s["attrs"]["items_out"] <= s["attrs"]["items_in"] for s in setops)
+    from_spans: Counter = Counter()
+    for setop in setops:
+        attrs = setop["attrs"]
+        from_spans[(attrs["order"], attrs.get("reason"))] += attrs["items_in"]
+    assert not any(
+        step["attrs"]["kernel"] == "scalar" and step["attrs"]["items_in"] > 1
+        for step in _spans_named(trace["root"], "step")
+    )
+    assert from_spans == delta

@@ -16,6 +16,11 @@ A third family is the *codec arm*: the same strategies over stored and
 virtual sources must answer the same bytes whether the type columns under
 them are raw tuples or succinct (Elias-Fano) encodings.
 
+Both byte-identity families also run the generator's set-operator shapes
+(``|`` / ``except`` / ``intersect``, operands out of document order,
+attribute and constructed operands) over one source and over two — a
+second document, or a view beside its stored document.
+
 Failures print the generator seed and the query.
 """
 
@@ -50,14 +55,61 @@ def _element_names(document) -> list[str]:
 
 @pytest.fixture(scope="module")
 def engines():
-    """One engine per seed, document loaded as ``doc<seed>.xml``."""
+    """One engine per seed, document loaded as ``doc<seed>.xml`` (and a
+    second one as ``other.xml``, for set operators over two documents)."""
     built = []
     for seed in SEEDS:
         document = random_document(seed, max_depth=4, max_children=3)
         engine = Engine()
         engine.load(f"doc{seed}.xml", document)
+        engine.load("other.xml", random_document(seed + 500, max_depth=4, max_children=3))
         built.append((seed, engine, _element_names(document)))
     return built
+
+
+def _set_operator_queries(seed: int, names: list[str]) -> list:
+    return [
+        query
+        for query in random_queries(seed + 2000, names, 24, set_operators=True)
+        if query.set_operating
+    ]
+
+
+def test_set_operators_are_byte_identical_across_strategies(engines, strategies_agree):
+    problems: list[str] = []
+    pairs = 0
+    for seed, engine, names in engines:
+        stored = f'doc("doc{seed}.xml")'
+        spec = random_spec(
+            build_dataguide(engine.document(f"doc{seed}.xml")),
+            seed,
+            max_roots=2,
+            max_children=2,
+            max_depth=3,
+        )
+        view = f'virtualDoc("doc{seed}.xml", "{spec}")'
+        for index, query in enumerate(_set_operator_queries(seed, names)):
+            text = query.text(stored, 'doc("other.xml")' if index % 2 else None)
+            strategies_agree(
+                lambda strategy: (
+                    lambda result: (result.to_xml(), result.values())
+                )(engine.execute(text, mode=strategy)),
+                EXACT_STRATEGIES,
+                context=f"seed={seed} query={text!r}",
+                problems=problems,
+            )
+            text = query.text(view, stored if index % 2 else None)
+            strategies_agree(
+                lambda strategy: (
+                    lambda result: (result.to_xml(), result.values())
+                )(engine.execute(text, mode="sql" if strategy == "sql" else None)),
+                ("virtual", "sql"),
+                context=f"seed={seed} spec={spec!r} query={text!r}",
+                problems=problems,
+            )
+            pairs += 1
+    assert not problems, "\n".join(problems[:20])
+    assert pairs >= 120, f"only {pairs} set-operator queries exercised"
 
 
 def test_exact_strategies_are_byte_identical(engines, strategies_agree):

@@ -21,7 +21,10 @@ randomized (document, vDataGuide, query) case:
 
 Generated queries include element-constructor shapes, so every family
 above also compares constructed answers; like counts, they cross families
-only on duplication-free views.
+only on duplication-free views.  So do the generator's set-operator
+shapes (``|`` / ``except`` / ``intersect`` over one source, operands out
+of document order, attribute and constructed operands), since identity of
+entities versus copies decides them.
 
 Queries come from the fixed templates below plus the seeded random
 generator (:mod:`repro.workloads.querygen`), whose positional, nested
@@ -83,7 +86,11 @@ class Case:
         self.names = names[:3]
         self.generated = random_queries(
             seed, names, GENERATED_PER_CASE, constructors=True
-        )
+        ) + [
+            query
+            for query in random_queries(seed + 3000, names, 8, set_operators=True)
+            if query.set_operating
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +136,15 @@ def test_four_strategies_agree_on_randomized_cases(harness, strategies_agree):
             for template in TEMPLATES
         ]
         generated = [
-            (query.template, query.counting, query.order_sensitive, query.constructing)
+            (
+                query.text("{source}"),
+                query.counting,
+                query.order_sensitive,
+                query.constructing or query.set_operating,
+            )
             for query in case.generated
         ]
-        for template, counting, order_sensitive, constructing in templated + generated:
+        for template, counting, order_sensitive, by_identity in templated + generated:
             context = f"seed={case.seed} spec={case.spec!r} query={template!r}"
             virtual_query = template.replace(
                 "{source}", f'virtualDoc("{case.uri}", "{case.spec}")'
@@ -160,7 +172,7 @@ def test_four_strategies_agree_on_randomized_cases(harness, strategies_agree):
             )
 
             # 3. Virtual versus materialized, where the discipline allows.
-            skip_cross = ((counting or constructing) and case.duplicating) or (
+            skip_cross = ((counting or by_identity) and case.duplicating) or (
                 order_sensitive and not case.order_comparable
             )
             if not skip_cross:

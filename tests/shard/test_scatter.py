@@ -9,7 +9,7 @@ from repro.pbn.number import Pbn
 from repro.query.engine import Result
 from repro.shard import ShardedService, ShardError, ShardResult
 from repro.shard.merge import ShardMergeError
-from repro.updates.ops import InsertSubtree
+from repro.updates.ops import InsertSubtree, ReplaceText
 
 DOCS = 8
 SPEC = "title { chapter }"
@@ -180,6 +180,42 @@ def test_batch_mixes_routed_and_scattered(pair):
     assert [o.values() for o in outcome.outcomes] == [
         e.values() for e in expected
     ]
+
+
+@pytest.mark.parametrize("source", ["doc", "virtualDoc"])
+def test_scatter_racing_an_update_answers_its_snapshot(source):
+    """A shard that evaluated on version n while an update publishes n + 1
+    before the gather: the merge attributes the shard's items to the
+    containers its own evaluation resolved, so the answer is the snapshot
+    each shard read — the racing update neither fails the scatter nor
+    leaks into it."""
+    service = ShardedService(shards=2, placement={"a.xml": 0, "b.xml": 1})
+    try:
+        service.load("a.xml", _xml(0))
+        service.load("b.xml", _xml(1))
+        title = service.execute('doc("a.xml")/book/title/text()').items[0]
+        shard = service.services[0]
+        evaluate = shard.execute_plan
+
+        def evaluate_then_update(*args, **kwargs):
+            result = evaluate(*args, **kwargs)
+            service.update("a.xml", ReplaceText(target=title.pbn, text="NEW"))
+            return result
+
+        shard.execute_plan = evaluate_then_update
+        if source == "doc":
+            query = _union(["a.xml", "b.xml"], "//title/text()")
+        else:
+            query = " | ".join(
+                f'virtualDoc("{uri}", "{SPEC}")//title/text()' for uri in ("a.xml", "b.xml")
+            )
+        result = service.execute(query)
+        assert isinstance(result, ShardResult)
+        assert result.values() == ["T0", "T1"]
+        del shard.execute_plan
+        assert service.execute(query).values() == ["NEW", "T1"]
+    finally:
+        service.close()
 
 
 def test_explicit_placement_and_load_override():

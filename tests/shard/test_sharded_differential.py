@@ -12,6 +12,11 @@ Queries come from fixed templates plus the seeded random generator
 additionally pins the three exact strategies to byte-identical answers
 *through the sharded path itself*.  A codec arm repeats the scatter over a
 2-shard collection under raw and under succinct type columns.
+
+The generator's set-operator shapes run per document and, over two
+documents on different shards, through the scatter — in thread and in
+process workers — except those with a constructed operand, which cannot
+merge across shards.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ class Case:
         )
         self.name = names[len(names) // 2] if names else "missing"
         self.generated = random_queries(seed, names, GENERATED_PER_CASE)
+        self.set_operators = [
+            query
+            for query in random_queries(seed + 4000, names, 12, set_operators=True)
+            if query.set_operating
+        ]
 
     def source(self, strategy: str) -> str:
         if strategy == "virtual":
@@ -79,7 +89,8 @@ class Case:
             template.format(source=source, name=self.name)
             for template in PER_DOC_TEMPLATES
         ]
-        return fixed + [query.text(source) for query in self.generated]
+        generated = self.generated + self.set_operators
+        return fixed + [query.text(source) for query in generated]
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +169,54 @@ def test_cross_document_scatter_is_byte_identical(services, strategy):
                 problems.append(f"seeds={left.seed},{right.seed} {strategy} {query!r}")
     assert not problems, "\n".join(problems[:10])
     assert checked >= 6, f"only {checked} cross-shard pairs exercised"
+
+
+def _cross_shard_set_operators(sharded, cases, strategy) -> list[str]:
+    """Generated set-operator queries over two documents on different
+    shards (no constructed operand: those cannot merge across shards)."""
+    queries = []
+    for left, right in zip(cases, cases[1:]):
+        if sharded.catalog.shard_of(left.uri) == sharded.catalog.shard_of(right.uri):
+            continue
+        queries.extend(
+            query.text(left.source(strategy), right.source(strategy))
+            for query in left.set_operators
+            if not query.constructing
+        )
+    return queries
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cross_document_set_operators_are_byte_identical(services, strategy):
+    sharded, single, cases = services
+    problems = []
+    queries = _cross_shard_set_operators(sharded, cases, strategy)
+    for query in queries:
+        a = sharded.execute(query, mode=_mode(strategy))
+        b = single.execute(query, mode=_mode(strategy))
+        if a.to_xml() != b.to_xml() or a.values() != b.values():
+            problems.append(f"{strategy} {query!r}")
+    assert not problems, "\n".join(problems[:10])
+    assert len(queries) >= 8, f"only {len(queries)} cross-shard set operators"
+
+
+def test_cross_document_set_operators_through_process_workers(services):
+    _, single, cases = services
+    procs = ShardedService(shards=SHARDS, pool_size=1, workers="process")
+    try:
+        for case in cases:
+            procs.load(case.uri, random_document(case.seed, max_depth=4, max_children=3))
+        queries = _cross_shard_set_operators(procs, cases, "virtual")[:12]
+        queries += _cross_shard_set_operators(procs, cases, "indexed")[:12]
+        problems = [
+            query
+            for query in queries
+            if procs.execute(query).to_xml() != single.execute(query).to_xml()
+        ]
+    finally:
+        procs.close()
+    assert not problems, "\n".join(problems[:10])
+    assert len(queries) >= 8
 
 
 def test_whole_collection_union_is_byte_identical(services):
