@@ -205,8 +205,7 @@ def e3_selectivity() -> list[Table]:
         def materialize_path():
             store, _ = materialize_to_store(vdoc, "mat.xml")
             mat_engine = Engine()
-            mat_engine._stores["mat.xml"] = store
-            mat_engine._store_by_document[id(store.document)] = store
+            mat_engine.attach("mat.xml", store)
             return mat_engine.execute(
                 f'doc("mat.xml")/site/item[price > {threshold}]/name/text()'
             )
@@ -278,8 +277,7 @@ def e4_scaling() -> list[Table]:
         def materialize_path():
             store, _ = materialize_to_store(vdoc, "mat.xml")
             mat_engine = Engine()
-            mat_engine._stores["mat.xml"] = store
-            mat_engine._store_by_document[id(store.document)] = store
+            mat_engine.attach("mat.xml", store)
             return mat_engine.execute(
                 'for $a in doc("mat.xml")/site/auction return count($a/bid)'
             )
@@ -446,8 +444,7 @@ def e7_cases() -> list[Table]:
         vdoc = engine.virtual("book.xml", spec)
         mat_engine = Engine()
         store, _ = materialize_to_store(vdoc, "mat.xml")
-        mat_engine._stores["mat.xml"] = store
-        mat_engine._store_by_document[id(store.document)] = store
+        mat_engine.attach("mat.xml", store)
         expected = mat_engine.execute(f'doc("mat.xml"){path}')
         matches = sorted(set(result.values())) == sorted(set(expected.values()))
         table.rows.append(
@@ -565,8 +562,7 @@ def e9_io() -> list[Table]:
     mat_store, _ = materialize_to_store(vdoc, "mat.xml", stats=mat_stats, buffer_capacity=8)
     mat_store.buffer_pool.clear()
     mat_engine = Engine()
-    mat_engine._stores["mat.xml"] = mat_store
-    mat_engine._store_by_document[id(mat_store.document)] = mat_store
+    mat_engine.attach("mat.xml", mat_store)
     titles = mat_engine.execute('(doc("mat.xml")//title)[position() <= 10]')
     for node in titles:
         mat_store.value_of(node.pbn)
@@ -747,8 +743,7 @@ def e12_text_search() -> list[Table]:
     def materialize_and_search():
         mat_store, _ = materialize_to_store(vdoc, "mat.xml")
         mat_engine = Engine()
-        mat_engine._stores["mat.xml"] = mat_store
-        mat_engine._store_by_document[id(mat_store.document)] = mat_store
+        mat_engine.attach("mat.xml", mat_store)
         # First search triggers the index rebuild over the new numbers.
         return mat_engine.execute(
             f'doc("mat.xml")//title[contains-text(., "{term}")]'

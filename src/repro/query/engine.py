@@ -22,7 +22,7 @@ import time
 from typing import Optional, Union
 
 from repro.core.virtual_document import VirtualDocument
-from repro.errors import QueryBudgetExceeded, QueryEvaluationError
+from repro.errors import LineageError, QueryBudgetExceeded, QueryEvaluationError
 from repro.obs.trace import current_span, current_trace_id, span
 from repro.query import ast
 from repro.query.context import Context
@@ -32,7 +32,7 @@ from repro.query.parser import parse_query
 from repro.storage.stats import StorageStats
 from repro.storage.store import DocumentStore
 from repro.vdataguide.grammar import parse_vdataguide
-from repro.xmlmodel.nodes import Document, Element, Node
+from repro.xmlmodel.nodes import Document, Element, Node, NodeKind
 from repro.xmlmodel.parser import parse_document
 
 logger = logging.getLogger("repro.engine")
@@ -152,7 +152,8 @@ class Engine:
         self.view_cache = view_cache
         self.tracer = tracer
         self._stores: dict[str, DocumentStore] = {}
-        self._store_by_document: dict[int, DocumentStore] = {}
+        #: ``Document.lineage`` -> the one version of it this engine holds.
+        self._store_by_lineage: dict[object, DocumentStore] = {}
         self._virtuals: dict[tuple[str, str], VirtualDocument] = {}
         # strategy=sql accel tables, built lazily and cached like the
         # level arrays.  Keyed by object id; each entry keeps a reference
@@ -205,12 +206,25 @@ class Engine:
         a blanket eviction here would throw away views the update never
         touched.
 
+        An engine holds one version of a document: attaching a version
+        whose lineage (:attr:`~repro.xmlmodel.nodes.Document.lineage`) is
+        held under another uri raises :class:`~repro.errors.LineageError`
+        — the versions share nodes, and answers over both would dedupe
+        them.  Attaching the next version under the same uri replaces
+        the previous one.
+
         Only call while no query is in flight on this engine: the maps
         for the uri's previous store are dropped.
         """
+        lineage = store.document.lineage
+        held = self._store_by_lineage.get(lineage)
+        if held is not None and self._stores.get(uri) is not held:
+            raise LineageError(
+                uri, next(u for u, s in self._stores.items() if s is held)
+            )
         previous = self._stores.get(uri)
         if previous is not None and previous is not store:
-            self._store_by_document.pop(id(previous.document), None)
+            self._store_by_lineage.pop(previous.document.lineage, None)
             # Copy-on-write invalidation for strategy=sql: a durable
             # update publishes a *new* store object, so dropping the
             # previous store's accel here is the entire story — the next
@@ -221,7 +235,7 @@ class Engine:
             if stale is not None:
                 stale[1].close()
         self._stores[uri] = store
-        self._store_by_document[id(store.document)] = store
+        self._store_by_lineage[lineage] = store
         # Invalidate cached virtual views of a replaced uri.
         for key in [k for k in self._virtuals if k[0] == uri]:
             del self._virtuals[key]
@@ -277,12 +291,27 @@ class Engine:
         return vdoc
 
     def store_of(self, node: Node) -> Optional[DocumentStore]:
-        """The store owning ``node``'s document, or ``None`` for
-        constructed / unregistered nodes."""
+        """The version of ``node``'s document this engine holds, or
+        ``None`` for constructed / unregistered nodes.  The ``parent``
+        walk may end at another version's document (versions share
+        nodes); every version answers the same lineage."""
         top = node
         while top.parent is not None:
             top = top.parent
-        return self._store_by_document.get(id(top))
+        if top.kind is NodeKind.DOCUMENT:
+            return self._store_by_lineage.get(top.lineage)
+        return None
+
+    def root_of(self, node: Node) -> Node:
+        """The root of ``node``'s tree: the document of the version this
+        engine holds for a stored node, else the top of its own tree (a
+        constructed element, or its ``#constructed-N`` document)."""
+        store = self.store_of(node)
+        if store is not None:
+            return store.document
+        while node.parent is not None:
+            node = node.parent
+        return node
 
     #: Accel tables cached per engine before the oldest is evicted (and
     #: its sqlite connection closed) — a small bound; rebuilding is one

@@ -76,6 +76,9 @@ class Evaluator:
         self._groupable: dict[int, list] = {}
         #: Constructed items settled into elements during evaluation.
         self.settled = 0
+        #: parent node -> the stored document its children are in
+        #: (:meth:`_container_of`).
+        self._stored_containers: dict = {}
 
     # ------------------------------------------------------------------ dispatch
 
@@ -155,10 +158,7 @@ class Evaluator:
                 raise QueryEvaluationError("virtual node without a document")
             return VirtualDocItem(vdoc)
         if isinstance(item, Node):
-            node = item
-            while node.parent is not None:
-                node = node.parent
-            return node
+            return self.engine.root_of(item)
         raise QueryEvaluationError("'/' requires a node context item")
 
     def _eval_path(self, expr: ast.PathExpr, context: Context) -> list:
@@ -404,9 +404,9 @@ class Evaluator:
         stepped = self.backend.step(self, item, axis, test)
         if stepped is not None:
             return stepped
-        store = self.engine.store_of(item) if self.mode == "indexed" else None
-        if store is None:
-            return self._tree_nav.step(item, axis, test)
+        store = self.engine.store_of(item)
+        if store is None or self.mode != "indexed":
+            return self._tree_nav.step(item, axis, test, store)
         return _stored(self._virtual_nav.step(_lift(store.view, [item])[0], axis, test))
 
     def _filter(self, items: list, predicate: ast.Expr, context: Context) -> list:
@@ -812,7 +812,7 @@ class Evaluator:
                 if identity in unique:
                     continue
                 unique[identity] = item
-                container = _container_of(item)
+                container = self._container_of(item)
                 bucket = buckets.get(id(container))
                 if bucket is not None:
                     bucket[1].append(item)
@@ -934,7 +934,28 @@ class Evaluator:
         return -1 if pa < pb else 1
 
     def _container_key(self, item: Any) -> int:
-        return self.engine.container_index(_container_of(item))
+        return self.engine.container_index(self._container_of(item))
+
+    def _container_of(self, item: Any):
+        """The document (the version this engine holds), virtual
+        document or constructed tree ``item`` is in (a virtual node
+        without its view is a container of its own).  A stored node's is
+        remembered by its parent for the query: a run of siblings
+        resolves once."""
+        if isinstance(item, VNode):
+            return item if item._vdoc is None else item._vdoc
+        if isinstance(item, VirtualDocItem):
+            return item.vdoc
+        parent = item.parent
+        container = self._stored_containers.get(parent)
+        if container is None:
+            store = self.engine.store_of(item)
+            if store is None:
+                return self.engine.root_of(item)
+            container = store.document
+            if parent is not None:
+                self._stored_containers[parent] = container
+        return container
 
     def _order_path(self, node: Node) -> tuple[int, ...]:
         if isinstance(node, Document):
@@ -1028,12 +1049,13 @@ def _lift(view, items: list) -> Optional[list]:
     store (a document among nodes included)."""
     if isinstance(items[0], Document):
         return [VirtualDocItem(view)] if len(items) == 1 else None
-    types = view.store.types_of(items)
-    if types is None:
+    store = view.store
+    ids = store.type_ids_of(items)
+    if ids is None:
         return None
-    vtypes_of = view.vguide.vtypes_of
-    vtype_of = {guide_type: vtypes_of(guide_type)[0] for guide_type in set(types)}
-    return list(map(VNode, map(vtype_of.__getitem__, types), items, repeat(view)))
+    vtypes_of, types_by_id = view.vguide.vtypes_of, store.types_by_id
+    vtype_of = {type_id: vtypes_of(types_by_id[type_id])[0] for type_id in set(ids)}
+    return list(map(VNode, map(vtype_of.__getitem__, ids), items, repeat(view)))
 
 
 def _stored(items: list) -> list:
@@ -1056,18 +1078,6 @@ def _stored(items: list) -> list:
                 for item in items
             ]
     return items
-
-
-def _container_of(item: Any):
-    """The document, virtual document or constructed tree ``item`` is
-    in (a virtual node without its view is a container of its own)."""
-    if isinstance(item, VNode):
-        return item if item._vdoc is None else item._vdoc
-    if isinstance(item, VirtualDocItem):
-        return item.vdoc
-    while item.parent is not None:
-        item = item.parent
-    return item
 
 
 def _identity(item: Any):

@@ -41,52 +41,64 @@ def matches_test(kind: NodeKind, name: str, test: NodeTest, axis: str) -> bool:
     return kind is NodeKind.ELEMENT and name == test.name
 
 
-class TreeNavigator:
-    """Axis steps by walking parent/child pointers."""
+def _pointer_parent(node: Node):
+    return node.parent
 
-    def step(self, node: Node, axis: str, test: NodeTest) -> list[Node]:
+
+class TreeNavigator:
+    """Axis steps by walking child pointers — and parents by number for a
+    stored node (its ``parent`` pointer may lead into another version of
+    its document), by pointer for a node of no store."""
+
+    def step(self, node: Node, axis: str, test: NodeTest, store=None) -> list[Node]:
         """Nodes on ``axis`` of ``node`` that satisfy ``test``, in axis
-        order (document order; reversed for the reverse axes)."""
+        order (document order; reversed for the reverse axes).
+        ``store``: the version ``node`` is read in, ``None`` for a node
+        that belongs to no store (constructed, parser output)."""
         span_add("steps.tree")
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
+        parent_of = _pointer_parent if store is None else store.parent_of
         return [
             candidate
-            for candidate in handler(node)
+            for candidate in handler(node, parent_of)
             if matches_test(candidate.kind, candidate.name, test, axis)
         ]
 
     # -- axis generators, in axis order ------------------------------------------
 
-    def _axis_self(self, node: Node):
+    def _axis_self(self, node: Node, parent_of):
         yield node
 
-    def _axis_child(self, node: Node):
+    def _axis_child(self, node: Node, parent_of):
         for child in node.children:
             if child.kind is not NodeKind.ATTRIBUTE:
                 yield child
 
-    def _axis_attribute(self, node: Node):
+    def _axis_attribute(self, node: Node, parent_of):
         for child in node.children:
             if child.kind is NodeKind.ATTRIBUTE:
                 yield child
 
-    def _axis_parent(self, node: Node):
-        if node.parent is not None:
-            yield node.parent
+    def _axis_parent(self, node: Node, parent_of):
+        parent = parent_of(node)
+        if parent is not None:
+            yield parent
 
-    def _axis_ancestor(self, node: Node):
+    def _axis_ancestor(self, node: Node, parent_of):
         # Reverse axis: nearest ancestor first.
-        yield from node.iter_ancestors()
+        node = parent_of(node)
+        while node is not None:
+            yield node
+            node = parent_of(node)
 
-    def _axis_ancestor_or_self(self, node: Node):
+    def _axis_ancestor_or_self(self, node: Node, parent_of):
         yield node
-        yield from node.iter_ancestors()
+        yield from self._axis_ancestor(node, parent_of)
 
-    def _axis_descendant(self, node: Node):
-        for candidate in self._descend(node):
-            yield candidate
+    def _axis_descendant(self, node: Node, parent_of):
+        yield from self._descend(node)
 
-    def _axis_descendant_or_self(self, node: Node):
+    def _axis_descendant_or_self(self, node: Node, parent_of):
         yield node
         yield from self._descend(node)
 
@@ -105,45 +117,49 @@ class TreeNavigator:
                 if child.kind is not NodeKind.ATTRIBUTE
             )
 
-    def _siblings(self, node: Node):
-        if node.parent is None or node.kind is NodeKind.ATTRIBUTE:
+    def _siblings(self, node: Node, parent_of):
+        parent = parent_of(node)
+        if parent is None or node.kind is NodeKind.ATTRIBUTE:
             return [], -1
         siblings = [
             child
-            for child in node.parent.children
+            for child in parent.children
             if child.kind is not NodeKind.ATTRIBUTE
         ]
         return siblings, siblings.index(node)
 
-    def _axis_following_sibling(self, node: Node):
-        siblings, index = self._siblings(node)
+    def _axis_following_sibling(self, node: Node, parent_of):
+        siblings, index = self._siblings(node, parent_of)
         yield from siblings[index + 1 :]
 
-    def _axis_preceding_sibling(self, node: Node):
+    def _axis_preceding_sibling(self, node: Node, parent_of):
         # Reverse axis: nearest sibling first.
-        siblings, index = self._siblings(node)
+        siblings, index = self._siblings(node, parent_of)
         if index > 0:
             yield from reversed(siblings[:index])
 
-    def _axis_following(self, node: Node):
+    def _axis_following(self, node: Node, parent_of):
         current = node
-        if node.kind is NodeKind.ATTRIBUTE and node.parent is not None:
+        parent = parent_of(node)
+        if node.kind is NodeKind.ATTRIBUTE and parent is not None:
             # Document order places an attribute after its element's start
             # but before the element's content, so the owner's subtree
             # follows the attribute (the owner itself is an ancestor).
-            current = node.parent
+            current = parent
             yield from self._descend(current)
-        while current.parent is not None:
-            for sibling in self._axis_following_sibling(current):
+            parent = parent_of(current)
+        while parent is not None:
+            for sibling in self._axis_following_sibling(current, parent_of):
                 yield sibling
                 yield from self._descend(sibling)
-            current = current.parent
+            current, parent = parent, parent_of(parent)
 
-    def _axis_preceding(self, node: Node):
+    def _axis_preceding(self, node: Node, parent_of):
         # Reverse axis: nearest preceding node first.
         current = node
-        while current.parent is not None:
-            for sibling in self._axis_preceding_sibling(current):
+        parent = parent_of(node)
+        while parent is not None:
+            for sibling in self._axis_preceding_sibling(current, parent_of):
                 subtree = [sibling, *self._descend(sibling)]
                 yield from reversed(subtree)
-            current = current.parent
+            current, parent = parent, parent_of(parent)

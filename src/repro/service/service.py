@@ -340,6 +340,10 @@ class QueryService:
             if id(engine) not in idle_ids:
                 self._pending[id(engine)][uri] = store
         for engine in idle:
+            # An engine checked in since an earlier publish still holds
+            # that version as pending; its next checkout would attach it
+            # over this one.
+            self._pending[id(engine)].pop(uri, None)
             engine.attach(uri, store, invalidate_views=invalidate_views)
             self._idle.put(engine)
 

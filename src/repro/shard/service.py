@@ -610,7 +610,7 @@ def ordinal_of(resolved: dict, sources) -> Callable[[object], Optional[int]]:
     attributed once: only its first item looks its container up.
     """
     ordinals = {
-        id(resolved[key]): ordinal for key, ordinal in sources if key in resolved
+        _source_id(resolved[key]): ordinal for key, ordinal in sources if key in resolved
     }
     last_handle = last_ordinal = None
 
@@ -630,7 +630,9 @@ def ordinal_of(resolved: dict, sources) -> Callable[[object], Optional[int]]:
 
 def _container_id(item) -> Optional[int]:
     """Identity of the container an item belongs to, or ``None`` for
-    constructed / atomic items (which cannot merge across shards)."""
+    constructed / atomic items (which cannot merge across shards).  A
+    stored node's is its document's lineage: the ``parent`` walk may end
+    at another version's document (versions share nodes)."""
     if isinstance(item, VNode):
         vdoc = item._vdoc
         return id(vdoc) if vdoc is not None else None
@@ -640,8 +642,13 @@ def _container_id(item) -> Optional[int]:
         node = item
         while node.parent is not None:
             node = node.parent
-        return id(node) if isinstance(node, Document) else None
+        return _source_id(node) if isinstance(node, Document) else None
     return None
+
+
+def _source_id(container) -> int:
+    """:func:`_container_id`'s key for a resolved source container."""
+    return id(container.lineage) if isinstance(container, Document) else id(container)
 
 
 def _pbn_components(item) -> Optional[tuple]:

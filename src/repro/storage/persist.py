@@ -382,7 +382,7 @@ def _assemble_v2(
         )
         type_index.append(type_id, node.pbn)
         node_by_key[node.pbn.components] = node
-        type_of_node[node] = guide_type
+        type_of_node[node] = type_id
 
     return DocumentStore.from_parts(
         document=document,

@@ -72,7 +72,9 @@ class DocumentStore:
         self.heap = HeapFile.store(text, self.page_manager, self.buffer_pool)
 
         self._node_by_key: dict[tuple[int, ...], Node] = {}
-        self._type_of_node: dict[Node, GuideType] = {}
+        #: node -> its Type ID (ids, not types: ``DataGuide.copy`` keeps
+        #: ids stable, so an update copies this map as it is).
+        self._type_of_node: dict[Node, int] = {}
         self.type_index = TypeIndex(self.stats)
         entries: list[tuple[Pbn, ValueEntry]] = []
         for node, start, end, content_start, content_end in records:
@@ -86,7 +88,7 @@ class DocumentStore:
             )
             self.type_index.append(type_id, node.pbn)
             self._node_by_key[node.pbn.components] = node
-            self._type_of_node[node] = guide_type
+            self._type_of_node[node] = type_id
         self.value_index = ValueIndex.build(entries, self.stats)
         self._text_index = None
         self._text_index_lock = threading.Lock()
@@ -169,18 +171,32 @@ class DocumentStore:
         """True iff ``node`` belongs to this store's document."""
         return node in self._type_of_node
 
+    def parent_of(self, node: Node) -> Optional[Node]:
+        """``node``'s parent in this version, by number: the node under
+        its number truncated, the document for a root element, ``None``
+        for the document.  Versions of one document share every node an
+        update did not touch, so a stored node's ``parent`` pointer may
+        lead into another version; its number never does."""
+        number = node.pbn
+        if number is None:
+            return None
+        components = number.components
+        if len(components) == 1:
+            return self.document
+        return self._node_by_key[components[:-1]]
+
     def type_of(self, node: Node) -> GuideType:
         """The stored node's DataGuide type (O(1))."""
-        guide_type = self._type_of_node.get(node)
-        if guide_type is None:
+        type_id = self._type_of_node.get(node)
+        if type_id is None:
             raise StorageError("node does not belong to this store")
-        return guide_type
+        return self.types_by_id[type_id]
 
-    def types_of(self, nodes) -> Optional[list[GuideType]]:
-        """:meth:`type_of` of each of ``nodes`` (one dict probe apiece), or
+    def type_ids_of(self, nodes) -> Optional[list[int]]:
+        """The Type ID of each of ``nodes`` (one dict probe apiece), or
         ``None`` when some item is not a node of this store."""
-        types = list(map(self._type_of_node.get, nodes))
-        return None if None in types else types
+        ids = list(map(self._type_of_node.get, nodes))
+        return None if None in ids else ids
 
     def type_id(self, guide_type: GuideType) -> int:
         return self._id_of_type[guide_type]

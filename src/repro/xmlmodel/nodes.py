@@ -122,9 +122,14 @@ class Document(Node):
     """A document: a named container for a forest of root elements.
 
     :param uri: the document's identifier, used by ``doc()``/``virtualDoc()``.
+    :ivar lineage: a token every version derived from this document by an
+        update shares (:mod:`repro.updates.mutations`).  Versions share
+        the nodes an update did not touch, so a ``parent`` walk from a
+        stored node ends at *some* version's document; an engine maps the
+        lineage to the one version it holds.
     """
 
-    __slots__ = ("uri", "_children")
+    __slots__ = ("uri", "_children", "lineage")
 
     kind = NodeKind.DOCUMENT
 
@@ -132,6 +137,7 @@ class Document(Node):
         super().__init__()
         self.uri = uri
         self._children: list[Node] = []
+        self.lineage = object()
 
     @property
     def children(self) -> list[Node]:

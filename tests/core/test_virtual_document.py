@@ -229,7 +229,9 @@ def test_view_borrows_postings_and_columns_by_identity():
         assert vdoc.column(vtype.original) is store.type_index.column(type_id)
 
     # One title's text changes: the author type is untouched, so the next
-    # version's view navigates the *previous* store's posting list.
+    # version's view navigates the *previous* store's posting list.  Its
+    # row-aligned node list is its own, over the very author nodes the
+    # previous version holds (an update shares every node off its path).
     first_title = engine.execute('(doc("book.xml")//title/text())[1]')[0]
     new_store = apply_op(store, ReplaceText(first_title.pbn, "changed")).store
     engine.attach("book.xml", new_store)
@@ -238,7 +240,8 @@ def test_view_borrows_postings_and_columns_by_identity():
     author_id = store.type_id(author.original)
     assert new_vdoc.document is new_store.document
     assert new_vdoc.rows(new_author.original)[0] is store.type_index.postings(author_id)
-    assert new_vdoc.rows(new_author.original)[1][0] is not vdoc.rows(author.original)[1][0]
+    assert new_vdoc.rows(new_author.original)[1] is not vdoc.rows(author.original)[1]
+    assert new_vdoc.rows(new_author.original)[1][0] is vdoc.rows(author.original)[1][0]
 
 
 def test_build_virtual_allocates_nothing_for_untouched_types():

@@ -82,8 +82,7 @@ def test_virtual_queries_match_materialized(seed):
     mat_engine = Engine()
     materialized_doc, provenance = vdoc.materialize_with_provenance("m.xml")
     store, _ = materialize_to_store(vdoc, "m.xml")
-    mat_engine._stores["m.xml"] = store
-    mat_engine._store_by_document[id(store.document)] = store
+    mat_engine.attach("m.xml", store)
 
     # count() agrees only without duplication: virtual evaluation counts
     # distinct virtual positions, materialization counts physical copies.

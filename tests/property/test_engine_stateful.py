@@ -74,8 +74,7 @@ class EngineMachine(RuleBasedStateMachine):
         buffer.seek(0)
         reloaded = parse_store(buffer)
         fresh = Engine()
-        fresh._stores[uri] = reloaded
-        fresh._store_by_document[id(reloaded.document)] = reloaded
+        fresh.attach(uri, reloaded)
         original = self.engine.execute(f'count(doc("{uri}")//node())')
         again = fresh.execute(f'count(doc("{uri}")//node())')
         assert original.items == again.items

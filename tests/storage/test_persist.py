@@ -53,8 +53,7 @@ def test_roundtrip_store_is_queryable():
     store = DocumentStore(books_document(10, seed=4))
     loaded = _roundtrip(store)
     engine = Engine()
-    engine._stores["book.xml"] = loaded
-    engine._store_by_document[id(loaded.document)] = loaded
+    engine.attach("book.xml", loaded)
     result = engine.execute('count(doc("book.xml")//book)')
     assert result.items == [10]
 

@@ -15,8 +15,7 @@ def _vdoc(spec="title { author { name } }"):
 def test_materialize_to_store_is_queryable():
     store, cost = materialize_to_store(_vdoc(), "m.xml")
     engine = Engine()
-    engine._stores["m.xml"] = store
-    engine._store_by_document[id(store.document)] = store
+    engine.attach("m.xml", store)
     result = engine.execute('doc("m.xml")//author/name/text()')
     assert result.values() == ["C", "D"]
 

@@ -244,3 +244,61 @@ def test_heap_pages_before_splice_are_shared():
     result = _apply(store, InsertSubtree(parent=Pbn.parse("1"), fragment="<q/>"))
     shared = result.store.heap.shared_page_prefix(store.heap)
     assert shared > 0.9 * store.heap.page_count
+
+
+def _copied(old: DocumentStore, new: DocumentStore) -> int:
+    """Nodes of ``new`` that are not ``old``'s object under the same number."""
+    previous = old._node_by_key
+    return sum(previous.get(key) is not node for key, node in new._node_by_key.items())
+
+
+def test_an_update_copies_the_path_not_the_document():
+    """On books(3000) (≈ 36k nodes) every op kind allocates at most the
+    site's depth + 1 + the fragment's nodes; the rest of the new version
+    is the previous version's nodes.  The ``update.derive`` span reports
+    the same count as ``copied``, and the previous version reads and
+    verifies exactly as before."""
+    from repro.obs.trace import Tracer
+    from repro.workloads.books import books_document
+
+    fragment = '<note k="v">text<e/></note>'  # 4 nodes
+    store = DocumentStore(books_document(3000, seed=2))
+    book = store.node(Pbn(1, 1500))
+    steps = [
+        ("append", lambda s: InsertSubtree(parent=book.pbn, fragment=fragment), 4),
+        ("before", lambda s: InsertSubtree(Pbn(1), fragment, before=Pbn(1, 1501)), 4),
+        # into the self-closing <e/> of the first note
+        ("self-closing", lambda s: InsertSubtree(
+            s.node(Pbn(1, 1500, len(book.children) + 1)).children[-1].pbn, "<x/>"), 1),
+        ("replace-text", lambda s: ReplaceText(Pbn(1, 1200, 1, 1), "changed"), 0),
+        ("replace-attribute", lambda s: ReplaceText(
+            s.node(Pbn(1, 1500, len(book.children) + 1, 1)).pbn, "w"), 0),
+        ("delete-attribute", lambda s: DeleteSubtree(
+            Pbn(1, 1500, len(book.children) + 1, 1)), 0),
+        ("delete", lambda s: DeleteSubtree(Pbn(1, 2000, 2)), 0),
+        ("delete-last-content", lambda s: DeleteSubtree(
+            s.node(Pbn(1, 10)).children[-1].children[0].children[0].pbn), 0),
+    ]
+    tracer = Tracer()
+    for kind, make, fragment_nodes in steps:
+        op = make(store)
+        image, nodes = store.heap.read_all(), dict(store._node_by_key)
+        handle = tracer.start("update", force=True)
+        with handle:
+            result = apply_op(store, op)
+        copied = _copied(store, result.store)
+        site = result.minted[0] if result.minted else op.target
+        assert copied <= len(site.components) + 1 + fragment_nodes, (kind, copied)
+        assert result.copied == copied, kind
+        (derive,) = handle.trace.root.children
+        assert derive.name == "update.derive"
+        assert derive.attrs["copied"] == copied, kind
+        assert derive.attrs["shared"] == len(result.store._node_by_key) - copied, kind
+        assert derive.attrs["shared"] > 35_000, kind
+        # the previous version is exactly what it was
+        assert store.heap.read_all() == image
+        assert store._node_by_key == nodes
+        assert all(store._node_by_key[key] is node for key, node in nodes.items())
+        verify_store(store)
+        store = result.store
+    verify_store(store)

@@ -36,8 +36,7 @@ def test_virtual_matches_materialized(workload, query_name):
 
     mat_engine = Engine()
     store, _ = materialize_to_store(vdoc, "mat.xml")
-    mat_engine._stores["mat.xml"] = store
-    mat_engine._store_by_document[id(store.document)] = store
+    mat_engine.attach("mat.xml", store)
 
     template = workload.queries[query_name]
     virtual = engine.execute(

@@ -64,8 +64,7 @@ def test_queries_match_materialized_on_treebank():
     vdoc = engine.virtual("treebank.xml", spec)
     mat_engine = Engine()
     store, _ = materialize_to_store(vdoc, "m.xml")
-    mat_engine._stores["m.xml"] = store
-    mat_engine._store_by_document[id(store.document)] = store
+    mat_engine.attach("m.xml", store)
     virtual = engine.execute(f'virtualDoc("treebank.xml", "{spec}")//s/w')
     materialized = mat_engine.execute('doc("m.xml")//s/w')
     assert sorted(set(virtual.values())) == sorted(set(materialized.values()))
