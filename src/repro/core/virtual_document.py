@@ -174,7 +174,7 @@ class VirtualDocument:
         self._value_plans: dict = {}
         self._cas_memo: dict = {}
         # The virtual navigator's order decisions (repro.query.eval_virtual):
-        # per-tree order keys, and the order class of each step shape.
+        # first-copy order key, and the order class of each step shape.
         self._order_memo: dict = {}
         # Reentrant: reachability recurses parent-ward under the lock.  A
         # view cached by the service is navigated from several engine

@@ -63,7 +63,7 @@ class Column:
         column is alive; owners drop the column instead).
     """
 
-    __slots__ = ("keys", "width", "_packed", "_nbytes", "_distinct")
+    __slots__ = ("keys", "width", "_packed", "_nbytes")
 
     def __init__(self, keys: Sequence[Key]) -> None:
         self.keys = keys
@@ -104,23 +104,6 @@ class Column:
         if row < len(keys) and keys[row] == key:
             return row
         return -1
-
-    def distinct_prefixes(self, width: int) -> bool:
-        """True iff no two keys share their first ``width`` components —
-        each such prefix names one row.  A property of the (immutable)
-        column, so it is answered once per column, not once per view
-        built over it."""
-        try:
-            memo = self._distinct
-        except AttributeError:
-            memo = self._distinct = {}
-        distinct = memo.get(width)
-        if distinct is None:
-            keys = self.keys[:]  # one bulk decode, not two reads per row
-            distinct = memo[width] = not any(
-                a[:width] == b[:width] for a, b in zip(keys, keys[1:])
-            )
-        return distinct
 
     def bounds(self, low_key: Key, high_key: Key) -> tuple[int, int]:
         """Half-open row range of keys in ``[low_key, high_key)`` — the

@@ -72,10 +72,7 @@ class SqlBackend(Backend):
                 return [VirtualDocItem(vdoc)] if test.kind == "node" else []
         else:
             return None
-        accel = evaluator.engine.sql_virtual_accel(vdoc)
-        if accel is None:
-            return None
-        return accel.step(item, axis, test)
+        return evaluator.engine.sql_virtual_accel(vdoc).step(item, axis, test)
 
     def apply_step(self, evaluator, items: list, step, context) -> Optional[list]:
         from repro.core.virtual_document import VNode
@@ -100,8 +97,6 @@ class SqlBackend(Backend):
             ):
                 return None
             accel = evaluator.engine.sql_virtual_accel(vdoc)
-            if accel is None:
-                return None
             if len(items) > 1:
                 # Batched context loading: one prefix join over a scratch
                 # context table answers the whole step in document order.

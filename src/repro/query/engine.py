@@ -338,16 +338,14 @@ class Engine:
         return accel
 
     def sql_virtual_accel(self, vdoc: VirtualDocument):
-        """The ``strategy=sql`` accel for a virtual document, or ``None``
-        when the view fails the linearizability gate (the evaluator then
-        falls back to the virtual navigator).  The miss is cached too."""
+        """The ``strategy=sql`` accel for a virtual document."""
         from repro.query.sqlbackend import VirtualAccel
 
         cached = self._sql_virtual_accels.get(id(vdoc))
         if cached is not None and cached[0] is vdoc:
             return cached[1]
         self._evict_accels(self._sql_virtual_accels)
-        accel = VirtualAccel.build(vdoc, metrics=self.metrics)
+        accel = VirtualAccel(vdoc, metrics=self.metrics)
         self._sql_virtual_accels[id(vdoc)] = (vdoc, accel)
         return accel
 

@@ -520,6 +520,10 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
 
 def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
     old_target = store.node(op.target)
+    if old_target.kind is NodeKind.TEXT and not op.text:
+        # A parse of the bytes has no zero-length text node (``<n></n>``
+        # reads back as ``<n/>``): emptying a text deletes it.
+        return _apply_delete(store, DeleteSubtree(target=op.target))
     entry = store.value_index.lookup(op.target)
     comps = op.target.components
 

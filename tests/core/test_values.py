@@ -134,19 +134,16 @@ def test_mixed_intact_below_constructed():
 
 
 def test_an_emptied_text_keeps_its_element_open():
-    """``ReplaceText(t, "")`` leaves an empty text child: the title still
-    has content, so it is written ``<title></title>``, not ``<title/>``."""
-    from repro.pbn.number import Pbn
-    from repro.updates.mutations import apply_op
-    from repro.updates.ops import ReplaceText
-
-    store = DocumentStore(
-        parse_document(
-            "<data><book><title>T</title></book>"
-            "<book><title>U</title><author>A</author></book></data>"
-        )
+    """An empty text child — a document built in memory can hold one
+    (``ReplaceText(t, "")`` deletes the text instead) — still gives the
+    title content, so it is written ``<title></title>``, not
+    ``<title/>``."""
+    document = parse_document(
+        "<data><book><title>T</title></book>"
+        "<book><title>U</title><author>A</author></book></data>"
     )
-    store = apply_op(store, ReplaceText(Pbn(1, 1, 1, 1), "")).store
+    document.root.children[0].children[0].children[0].value = ""
+    store = DocumentStore(document)
     vdoc = _view_over(store, "title { author }")
     assert write_batch(vdoc.roots(), []) == [
         "<title></title>",

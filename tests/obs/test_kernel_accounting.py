@@ -12,9 +12,9 @@ Every step application leaves the evaluator's kernel table
 * one traced query served over HTTP tells one story three ways: the
   EXPLAIN ANALYZE operator rows, the trace's ``step`` spans and the
   ``/metrics`` delta agree on kernel, reason and ``items_in``;
-* set operators the same way: each ``setop`` span's ``order`` /
-  ``reason`` / ``items_in`` is what ``engine.order{order=,reason=}``
-  counted for it.
+* set operators the same way: each ``setop`` span's ``items_in`` is
+  what ``engine.order`` counted for it — one key pass per operator,
+  over any view.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 from repro.obs.profile import build_profile, operators
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator
-from repro.query.joins import NO_KERNEL, NO_ORDER
+from repro.query.joins import NO_KERNEL
 from repro.service import QueryService
 from repro.workloads import queries as Q
 from repro.workloads.books import books_document
@@ -208,14 +208,11 @@ def test_explain_answers_whatever_the_request_sampling(sample_rate):
         assert service.explain(QUERY)["operators"] == expected
 
 
-def _order_series(srv) -> Counter:
+def _order_count(srv) -> float:
     samples = parse_prometheus(_get(srv.url("/metrics?format=prometheus")))
-    return Counter(
-        {
-            (labels["order"], labels.get("reason")): value
-            for labels, value in samples.get("repro_engine_order", ())
-        }
-    )
+    [(labels, value)] = samples.get("repro_engine_order", [({}, 0)])
+    assert labels == {}  # no order / reason labels: every pass is by key
+    return value
 
 
 def _spans_named(span: dict, name: str):
@@ -225,9 +222,9 @@ def _spans_named(span: dict, name: str):
         yield from _spans_named(child, name)
 
 
-#: A three-operand stored union (one n-ary operation, by key), a virtual
-#: ``except`` (by key) and a union of two types of one unkeyed tree of the
-#: duplicating view (the comparator, and why).  No step of it runs the
+#: A three-operand stored union (one n-ary operation), a virtual
+#: ``except`` and a union of two types of one tree of the duplicating view
+#: (the first-copy order key) — each one key pass.  No step of it runs the
 #: per-item loop over several contexts, so only the set operators order.
 SETOP_QUERY = (
     'doc("book.xml")//title | doc("book.xml")//name | doc("book.xml")//book, '
@@ -243,9 +240,9 @@ def test_setop_spans_and_the_order_counter_reconcile():
     service.load("book.xml", books_document(10, seed=5))
     service.load("dblp.xml", dblp_document(8, seed=5))
     with served(service) as srv:
-        before = _order_series(srv)
+        before = _order_count(srv)
         _post(srv.url("/query"), SETOP_QUERY)
-        delta = _order_series(srv) - before
+        delta = _order_count(srv) - before
         traces = json.loads(_get(srv.url("/debug/traces")))
     [trace] = [
         entry
@@ -256,16 +253,11 @@ def test_setop_spans_and_the_order_counter_reconcile():
     assert [(s["attrs"]["op"], s["attrs"]["operands"]) for s in setops] == [
         ("|", 3), ("except", 2), ("|", 2)
     ]
-    assert [(s["attrs"]["order"], s["attrs"].get("reason")) for s in setops] == [
-        ("key", None), ("key", None), ("comparator", NO_ORDER)
-    ]
+    assert not any("order" in s["attrs"] or "reason" in s["attrs"] for s in setops)
     assert all(s["attrs"]["items_out"] <= s["attrs"]["items_in"] for s in setops)
-    from_spans: Counter = Counter()
-    for setop in setops:
-        attrs = setop["attrs"]
-        from_spans[(attrs["order"], attrs.get("reason"))] += attrs["items_in"]
+    from_spans = sum(setop["attrs"]["items_in"] for setop in setops)
     assert not any(
         step["attrs"]["kernel"] == "scalar" and step["attrs"]["items_in"] > 1
         for step in _spans_named(trace["root"], "step")
     )
-    assert from_spans == delta
+    assert from_spans == delta > 0

@@ -9,8 +9,7 @@ item or its position, for every strategy and for every coercion edge
 ``_compare_pair`` defines.  These tests pin that down, plus the
 observable plumbing the kernel adds (EXPLAIN ANALYZE ``kernel=cas``
 rows, ``engine.kernel{kernel=,reason=}`` counters) and its decline gates
-(non-compilable predicates, document candidates, non-linearizable
-recursive views).
+(non-compilable predicates, document candidates, modes, axes).
 """
 
 from __future__ import annotations
@@ -377,22 +376,34 @@ def test_document_candidates_decline(monkeypatch):
     assert kernels["ancestor::node()"] == "scalar"
 
 
-def test_non_linearizable_view_declines_to_scalar(monkeypatch):
-    # Same cyclic view as the columnar gate test (seed 31 / spec 1031):
-    # the structural kernels decline it, so the CAS must too.
+def test_non_linearizable_view_filters_by_key(monkeypatch):
+    # Same cyclic view as the columnar order test (seed 31 / spec 1031):
+    # the Section 5 comparator is no order on it, the first-copy key is —
+    # so the CAS filters before the merge, and the loop agrees.
     document = random_document(31, max_depth=5, max_children=4)
     guide = build_dataguide(document)
     spec = random_spec(guide, 1031)
     engine = Engine()
     engine.load("cyclic.xml", document)
     source = f'virtualDoc("cyclic.xml", "{spec}")'
-    for template in ('//*[. = "red"]', '//*/descendant::*[. != "blue"]'):
+    scalar, batch = _both_ways(engine, f'{source}//*/descendant::*[. != "blue"]', monkeypatch)
+    assert batch == scalar
+    for template, step in (
+        ('//*[. = "red"]', "descendant::*"),
+        ('//*/child::*[. != "blue"]', "child::*"),
+    ):
         scalar, batch = _both_ways(engine, f"{source}{template}", monkeypatch)
         assert batch == scalar, template
+        _, trace = engine.explain_analyze(f"{source}{template}")
+        kernels = {
+            row.detail: row.attrs.get("kernel")
+            for row in operators(build_profile(trace))
+            if row.attrs.get("predicates")
+        }
+        assert kernels == {step: "cas"}, template
 
 
-#: One query per decline reason (``{book}`` / ``{dblp}`` are sources),
-#: with the strategy it runs under.
+#: One query per decline reason, with the strategy it runs under.
 DECLINES = {
     "predicate-shape": ('doc("book.xml")//book[count(author) > 1]', None),
     "heterogeneous-context": (
@@ -403,33 +414,22 @@ DECLINES = {
         'doc("book.xml")//name/ancestor::node()[. >= "A"]',
         None,
     ),
-    # a mixed-type step (the author's text and its articles) on a view
-    # whose prefixes duplicate: no order key can merge the two runs
-    "non-linearizable-view": (
-        'virtualDoc("dblp.xml", "{spec}")//author/node()[. >= "M"]',
-        None,
-    ),
     "mode": ('doc("book.xml")//name[. >= "M"]', "tree"),
     "axis": ('doc("book.xml")//name/self::name[. >= "M"]', None),
 }
 
 
 def test_cas_hit_and_decline_counters(monkeypatch):
-    from repro.workloads.dblplike import dblp_document
-    from repro.workloads.queries import DBLP_BY_AUTHOR
-
     service = QueryService(pool_size=1)
     service.load("book.xml", books_document(10, seed=5))
     service.load("more.xml", books_document(4, seed=6))
-    service.load("dblp.xml", dblp_document(12, seed=3))
 
     def items(**labels):
         return service.metrics.counter("engine.kernel", labels=labels)
 
     service.execute('doc("book.xml")//name[. >= "M"]')
     assert items(kernel="cas") == 1  # the one context: the document
-    for reason, (template, mode) in DECLINES.items():
-        query = template.replace("{spec}", DBLP_BY_AUTHOR.spec)
+    for reason, (query, mode) in DECLINES.items():
         assert items(kernel="scalar", reason=reason) == 0, reason
         batch = service.execute(query, mode=mode)
         declined = items(kernel="scalar", reason=reason)

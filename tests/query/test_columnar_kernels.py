@@ -223,9 +223,9 @@ def test_service_update_invalidates_only_touched_type_columns(monkeypatch):
 
 
 def test_order_key_gate_on_books_inversion():
-    """The canonical inverted view admits a plain virtual-order sort key:
-    the incomplete title identity in the author/name chains resolves
-    through the title column (one title per book)."""
+    """The canonical inverted view's order key: the incomplete title
+    identity in the author/name chains resolves through the title column
+    (one title per book), and ``//*`` comes out in key order."""
     from repro.query.eval_virtual import VirtualNavigator
 
     engine = Engine()
@@ -234,20 +234,22 @@ def test_order_key_gate_on_books_inversion():
         'virtualDoc("book.xml", "title { author { name } }")//*'
     )
     vnodes = [item for item in result.items if isinstance(item, VNode)]
-    fn = VirtualNavigator()._order_key_fn(vnodes[0]._vdoc)
-    assert fn is not None
+    fn = VirtualNavigator()._order_keys(vnodes[0]._vdoc)[0]
     keys = [fn(vnode) for vnode in vnodes]
     assert keys == sorted(keys)  # //* already comes out in virtual order
 
 
-def test_non_linearizable_view_falls_back_to_scalar(monkeypatch):
+def _first_copies(vdoc) -> list:
+    """The materialized preorder, each virtual position once."""
+    return list(dict.fromkeys(vnode for vnode, _ in vdoc.iter_preorder()))
+
+
+def test_non_linearizable_view_orders_by_first_copy(monkeypatch):
     """A recursive self-inverting view can make the stratified virtual
-    comparator cyclic — there is no total order to merge by.  The order
-    key gate must reject such views and the batch kernels must decline,
-    so both paths agree byte for byte (the scalar sort defines the
-    order)."""
+    comparator cyclic — it is no order to merge by.  The first-copy
+    order key is: batch and scalar agree byte for byte, and the answer
+    is the first copies of the materialized preorder, in order."""
     from repro.core import vpbn
-    from repro.query.eval_virtual import VirtualNavigator
 
     # random seed 31 reproduces the cycle: the view nests `root` inside
     # its own descendant chain (root { root.a.c { root.a.c.d root } ... }).
@@ -273,7 +275,8 @@ def test_non_linearizable_view_falls_back_to_scalar(monkeypatch):
         if len({i, j, k}) == 3
     )
 
-    assert VirtualNavigator()._order_key_fn(vnodes[0]._vdoc) is None
+    answer = set(vnodes)
+    assert vnodes == [vnode for vnode in _first_copies(vnodes[0]._vdoc) if vnode in answer]
     for axis in ("descendant", "preceding", "following", "child"):
         scalar, batch = _both_ways(engine, f"{source}//*/{axis}::*", monkeypatch)
         assert batch == scalar, axis

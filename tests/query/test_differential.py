@@ -136,7 +136,6 @@ def test_virtual_and_sql_backends_agree_on_virtual_queries(
 ):
     problems: list[str] = []
     pairs = 0
-    gate_fallbacks = 0
     for seed, engine, names in engines:
         spec = random_spec(
             build_dataguide(engine.document(f"doc{seed}.xml")),
@@ -146,10 +145,6 @@ def test_virtual_and_sql_backends_agree_on_virtual_queries(
             max_depth=3,
         )
         vdoc = engine.virtual(f"doc{seed}.xml", str(spec))
-        if engine.sql_virtual_accel(vdoc) is None:
-            # The view fails the linearizability gate; mode="sql" then
-            # answers through the virtual navigator — still compared.
-            gate_fallbacks += 1
         vnames = sorted(
             {
                 vtype.name
@@ -175,9 +170,6 @@ def test_virtual_and_sql_backends_agree_on_virtual_queries(
             pairs += 1
     assert not problems, "\n".join(problems[:20])
     assert pairs >= 150, f"only {pairs} view/query pairs exercised"
-    # Sanity: the gate declines a minority of random views; the suite
-    # must cover the accel path, not just the fallback.
-    assert gate_fallbacks < len(list(SEEDS)) // 2
 
 
 #: (document, stored templates, views) for the codec arm.  The random

@@ -13,7 +13,8 @@ visible in an answer: every query here must come back byte-identical from
 * ``mode="sql"`` — the independent oracle,
 
 over stored documents and over views that are chain-exact, inverting,
-pruning and non-linearizable (the last must *decline*, visibly), under
+pruning and duplicating (where the Section 5 comparator is no total
+order, and the first-copy order key still is), under
 raw and succinct type columns, and after careted inserts and deletes on
 a :class:`~repro.updates.durable.DurableStore` — reopened image included.
 
@@ -304,11 +305,11 @@ def test_a_pruned_child_does_not_leak_into_the_parent_value():
     assert len(engine.execute(f"{source}//shelf[book/author/born >= 0]")) == 0
 
 
-def test_non_linearizable_view_declines_with_the_reason(monkeypatch):
+def test_non_linearizable_view_stays_on_the_cas_kernel(monkeypatch):
     # dblp-by-author duplicates an article under each of its authors, so
-    # no order key merges two types of one tree — but order is decided
-    # per step: a step whose result is one type (or one type per tree of
-    # the forest) orders by key and stays on the kernel.
+    # the Section 5 comparator is no total order on it — but the
+    # first-copy order key is: every step, one type or several of a
+    # tree, stays on the kernel.
     engine = Engine()
     engine.load("dblp.xml", dblp_document(20, seed=4))
     source = f'virtualDoc("dblp.xml", "{DBLP_BY_AUTHOR.spec}")'
@@ -324,13 +325,13 @@ def test_non_linearizable_view_declines_with_the_reason(monkeypatch):
         assert_arms_agree(engine, query, monkeypatch)
         for label, (kernel, reason) in kernels(engine, query).items():
             assert (kernel, reason) == ("cas", None), (query, label)
-    # An author's text and its articles are two types of one tree: the
-    # merge needs the key the view cannot give, and the row says so.
+    # An author's text and its articles are two types of one tree: they
+    # merge by the first-copy key, filtered by key first.
     for template in ('{s}//author/node()[. >= "M"]', '{s}//article/*[. >= "M"]'):
         query = template.replace("{s}", source)
         assert_arms_agree(engine, query, monkeypatch)
         for label, (kernel, reason) in kernels(engine, query).items():
-            assert (kernel, reason) == ("scalar", "non-linearizable-view"), (query, label)
+            assert (kernel, reason) == ("cas", None), (query, label)
 
 
 # -- generated cases: the sql oracle must agree on every one ----------------

@@ -1,21 +1,22 @@
-"""Set-operator order by key = order by comparator.
+"""Set-operator order: one key, whatever the view.
 
 ``Evaluator.document_order`` (and with it ``|`` / ``except`` /
 ``intersect`` and the per-item loop's multi-context steps) orders each
 container by a plain key: stored and constructed nodes by their PBN
 components, a virtual document's nodes one run per virtual type merged by
-the navigator.  The Section 5 comparator (``Evaluator._order_cmp``) stays
-as the reference and as the fallback where no key decides.
+the navigator's first-copy order key.  No pairwise comparator is left on
+the path.
 
-Pinned here over generated documents and views — keyed, intact, forest,
-duplicating and the unkeyed generated views 63 / 118 — plus constructed
-trees, one to three containers per draw, items drawn from path results,
-shuffled and repeated:
+Pinned here over generated documents and views — keyed, forest,
+duplicating, recursive and the generated views 63 / 118 — plus
+constructed trees, one to three containers per draw, items drawn from
+path results, shuffled and repeated:
 
-* wherever the key path is taken, its answer is the comparator sort the
-  parent produced (first-sight container pinning, then the sort);
-* it declines exactly where some vDataGuide tree holds several of the
-  drawn virtual types and is neither intact nor keyed.
+* the answer is the oracle's: containers in first-sight order, inside a
+  view each node where its first copy stands in the materialized
+  preorder;
+* wherever the Section 5 comparator (``vpbn.compare_virtual_order``) is a
+  total order on the drawn items, that is also its sort.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from functools import cmp_to_key
 
 import pytest
 
+from repro.core import vpbn
 from repro.core.virtual_document import VNode
 from repro.dataguide.build import build_dataguide
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator, _identity
-from repro.query.eval_virtual import VirtualNavigator
-from repro.query.joins import NO_ORDER
+from repro.query.items import VirtualDocItem
 from repro.workloads import queries as Q
 from repro.workloads.books import books_document
 from repro.workloads.dblplike import dblp_document
@@ -45,7 +46,8 @@ def _treegen(seed: int):
 
 
 #: ``uri -> (document text, view specs)``.  Generated views 63 and 118
-#: mix types of a tree without an order key; 31 is recursive.
+#: mix types of a tree on which the Section 5 comparator is not a total
+#: order; 31 is recursive.
 DOCUMENTS = {
     "g31.xml": (_treegen(31)[0], [_treegen(31)[1]]),
     "g63.xml": (_treegen(63)[0], [_treegen(63)[1]]),
@@ -57,6 +59,12 @@ DOCUMENTS = {
         [Q.BOOKS_INVERT.spec, Q.BOOKS_CASE2.spec, "title { author { name } } name { author }"],
     ),
 }
+
+#: Documents each of whose views the Section 5 comparator orders totally:
+#: every incomplete prefix names one instance and no sibling type can
+#: collide with it.  On the others it is total only on draws that take
+#: at most one type per vDataGuide tree.
+TOTAL = {"book.xml", "g7.xml"}
 
 #: Paths whose results make the item pools (several types per pool).
 PATHS = ("//*", "//node()", "//@*", "//*/*", "//*/text()", "/*/*")
@@ -90,38 +98,78 @@ def pools():
     return engine, found
 
 
-def _comparator_order(evaluator: Evaluator, items: list) -> list:
-    """The comparator sort: distinct items, containers pinned in first-
-    sight order, then ``sorted`` under ``_order_cmp``."""
+def _distinct(engine: Engine, items: list) -> tuple[Evaluator, list]:
+    """A fresh evaluator and the distinct items, their containers pinned
+    in first-sight order."""
+    evaluator = _fresh(engine)
     unique: dict = {}
     for item in items:
         if _identity(item) not in unique:
             unique[_identity(item)] = item
-            evaluator._container_key(item)
-    return sorted(unique.values(), key=cmp_to_key(evaluator._order_cmp))
+            engine.container_index(evaluator._container_of(item))
+    return evaluator, list(unique.values())
 
 
-def _expected_reason(items: list):
-    """``NO_ORDER`` when some view tree holds several of the items' types
-    and is neither intact nor keyed, else ``None``."""
-    navigator = VirtualNavigator()
+def _first_copy_order(engine: Engine, items: list) -> list:
+    """The oracle: containers in first-sight order; inside a view the
+    position of each node's first copy in the materialized preorder."""
+    evaluator, unique = _distinct(engine, items)
+    ranks: dict = {}
+
+    def rank(vnode: VNode) -> int:
+        vdoc = vnode._vdoc
+        if vdoc is None:
+            return 0  # a container of its own
+        if id(vdoc) not in ranks:
+            table = ranks[id(vdoc)] = {}
+            for copy, _ in vdoc.iter_preorder():
+                table.setdefault((id(copy.vtype), id(copy.node)), len(table))
+        return ranks[id(vdoc)][id(vnode.vtype), id(vnode.node)]
+
+    def key(item):
+        index = engine.container_index(evaluator._container_of(item))
+        if isinstance(item, VirtualDocItem):
+            return index, -1
+        if isinstance(item, VNode):
+            return index, rank(item)
+        return index, evaluator._order_path(item)
+
+    return sorted(unique, key=key)
+
+
+def _comparator_order(engine: Engine, items: list) -> list:
+    """The Section 5 comparator sort: containers in first-sight order,
+    then ``vpbn.compare_virtual_order`` inside a view."""
+    evaluator, unique = _distinct(engine, items)
+
+    def compare(a, b) -> int:
+        ka = engine.container_index(evaluator._container_of(a))
+        kb = engine.container_index(evaluator._container_of(b))
+        if ka != kb:
+            return -1 if ka < kb else 1
+        if isinstance(a, VirtualDocItem) or isinstance(b, VirtualDocItem):
+            return isinstance(b, VirtualDocItem) - isinstance(a, VirtualDocItem)
+        if isinstance(a, VNode):
+            return vpbn.compare_virtual_order(a.vpbn, b.vpbn)
+        pa, pb = evaluator._order_path(a), evaluator._order_path(b)
+        return (pa > pb) - (pa < pb)
+
+    return sorted(unique, key=cmp_to_key(compare))
+
+
+def _comparator_is_total(items: list) -> bool:
+    """True when every view either is one of :data:`TOTAL` or gives the
+    draw at most one type per vDataGuide tree (one type: component
+    order; one per tree: forest order)."""
     by_view: dict = {}
     for item in items:
-        if isinstance(item, VNode):
-            by_view.setdefault(id(item._vdoc), (item._vdoc, {}))[1][id(item.vtype)] = item.vtype
+        if isinstance(item, VNode) and item._vdoc is not None:
+            by_view.setdefault(id(item._vdoc), (item._vdoc, set()))[1].add(item.vtype)
     for vdoc, vtypes in by_view.values():
-        per_tree: dict = {}
-        for vtype in vtypes.values():
-            tree = vtype.pbn.components[0]
-            per_tree[tree] = per_tree.get(tree, 0) + 1
-        intact = navigator._intact(vdoc)[1]
-        keyed = navigator._order_keys(vdoc)[1]
-        if any(
-            count > 1 and tree not in intact and tree not in keyed
-            for tree, count in per_tree.items()
-        ):
-            return NO_ORDER
-    return None
+        trees = [vtype.pbn.components[0] for vtype in vtypes]
+        if vdoc.document.uri not in TOTAL and len(trees) != len(set(trees)):
+            return False
+    return True
 
 
 def _draw(rng: random.Random, found: dict) -> list:
@@ -145,36 +193,39 @@ def _fresh(engine: Engine) -> Evaluator:
 def test_key_order_is_the_comparator_order(pools, seed):
     engine, found = pools
     rng = random.Random(seed)
-    taken = declined = 0
+    total = partial = 0
     for _ in range(40):
         items = _draw(rng, found)
-        ordered, reason, items_in = _fresh(engine)._ordered((items,))
+        ordered, items_in = _fresh(engine)._ordered((items,))
         assert items_in == len(items)
-        assert reason == _expected_reason(items)
-        assert ordered == _comparator_order(_fresh(engine), items)
-        if reason is None:
-            taken += 1
+        assert ordered == _first_copy_order(engine, items)
+        if _comparator_is_total(items):
+            assert ordered == _comparator_order(engine, items)
+            total += 1
         else:
-            declined += 1
-    assert taken > 0 and declined > 0
+            partial += 1
+    assert total > 0 and partial > 0
 
 
-def test_every_source_orders_by_key_alone_unless_its_view_is_unkeyed(pools):
+def test_every_source_orders_by_key_alone_unless_its_view_is_unkeyed(pools, monkeypatch):
+    # No view is unkeyed: the first-copy key covers every tree of every
+    # view, and no source calls the comparator.
     engine, found = pools
-    declined = set()
+
+    def refused(*args):
+        raise AssertionError("the comparator is not on the ordering path")
+
+    monkeypatch.setattr(vpbn, "compare_virtual_order", refused)
     for source, lists in found.items():
         items = [item for pool in lists for item in pool]
-        reason = _fresh(engine)._ordered((items,))[1]
-        assert reason == _expected_reason(items), source
-        if reason is not None:
-            declined.add(source.split('"')[1])
-        assert _fresh(engine).document_order(items) == _comparator_order(
-            _fresh(engine), items
-        )
-    # the duplicating view and generated views 63 / 118 have trees with
-    # several types and no order key; the rest order by key
-    assert {"dblp.xml", "g63.xml", "g118.xml"} <= declined
-    assert "book.xml" not in declined
+        rng = random.Random(source)
+        ordered = _fresh(engine).document_order(items)
+        assert ordered == _first_copy_order(engine, items), source
+        # one container: whatever order its items come in (several
+        # containers order by first sight, as they come)
+        for _ in range(3 if source.startswith("virtualDoc") else 0):
+            rng.shuffle(items)
+            assert _fresh(engine).document_order(items) == ordered, source
 
 
 def test_a_union_chain_is_one_order(pools, monkeypatch):
@@ -184,7 +235,7 @@ def test_a_union_chain_is_one_order(pools, monkeypatch):
 
     def counted(self, groups):
         out = original(self, groups)
-        calls.append(out[2])
+        calls.append(out[1])
         return out
 
     monkeypatch.setattr(Evaluator, "_ordered", counted)
@@ -205,9 +256,8 @@ def test_a_virtual_node_without_its_view_is_a_container_of_its_own(pools):
     ]
     detached = VNode(vnodes[0].vtype, vnodes[0].node)
     items = [vnodes[-1], detached, vnodes[1]]
-    ordered, reason, _ = _fresh(engine)._ordered((items,))
-    assert reason is None
-    assert ordered == _comparator_order(_fresh(engine), items)
+    ordered, _ = _fresh(engine)._ordered((items,))
+    assert ordered == _comparator_order(engine, items) == _first_copy_order(engine, items)
     assert ordered == [*_fresh(engine).document_order([vnodes[-1], vnodes[1]]), detached]
 
 

@@ -202,6 +202,26 @@ def test_replace_attribute_escapes_quotes():
     )
 
 
+def test_replacing_a_text_with_nothing_deletes_it():
+    store = _store('<doc><a x="1">hello</a><b/><c>tail<d/>end</c></doc>')
+    result = _apply(store, ReplaceText(target=Pbn.parse("1.1.2"), text=""))
+    # the last content child: the parent collapses, as a parse would read it
+    assert result.store.heap.read_all() == '<doc><a x="1"/><b/><c>tail<d/>end</c></doc>'
+    assert [str(n) for n in result.removed] == ["1.1.2"]
+    with pytest.raises(StorageError):
+        result.store.node(Pbn.parse("1.1.2"))
+    result = _apply(result.store, ReplaceText(target=Pbn.parse("1.3.1"), text=""))
+    assert result.store.heap.read_all() == '<doc><a x="1"/><b/><c><d/>end</c></doc>'
+    reread = DocumentStore(parse_document(result.store.heap.read_all(), "t.xml"))
+    assert serialize(result.store.document) == serialize(reread.document)
+    assert [n.kind for n in result.store.node(Pbn.parse("1.3")).children] == [
+        n.kind for n in reread.node(Pbn.parse("1.3")).children
+    ]
+    # an attribute keeps its empty value: a parse reads it back as it is
+    result = _apply(result.store, ReplaceText(target=Pbn.parse("1.1.1"), text=""))
+    assert result.store.heap.read_all() == '<doc><a x=""/><b/><c><d/>end</c></doc>'
+
+
 def test_replace_rejects_elements():
     store = _store()
     with pytest.raises(UpdateError):

@@ -134,11 +134,9 @@ def _op(rng: random.Random, store: DocumentStore, kind: str):
     targets = [n for n in nodes if n.kind is wanted]
     if not targets:
         return None
-    # No empty text: ReplaceText(t, "") keeps a zero-length text node that
-    # a parse of the same bytes does not have (``<n></n>`` reads back as
-    # ``<n/>``) — a data-model gap of its own, not one of sharing.  An
-    # empty attribute value reads back as it is.
-    values = ["pine", "a<b & c", '"q"'] + ([""] if wanted is NodeKind.ATTRIBUTE else [])
+    # "" too: an emptied text is deleted, an empty attribute value reads
+    # back as it is.
+    values = ["pine", "a<b & c", '"q"', ""]
     return ReplaceText(rng.choice(targets).pbn, rng.choice(values))
 
 

@@ -1,14 +1,13 @@
-"""No comparator on the served union shapes.
+"""No comparator on any union.
 
 The ``served_mix`` workload's unions — ``doc(u)//title`` and
 ``virtualDoc(u, "title { author { name } }")//title`` over four books
 documents, ``|``-chained — order by key: stored nodes by their PBN
 components, virtual ones by one run per virtual type.  Evaluated and
 written on one ``Engine`` and through a 2-shard ``ShardedService``, they
-must not call the Section 5 comparator (``Evaluator._order_cmp``, its
-within-container half ``_node_order_cmp``, ``vpbn.compare_virtual_order``)
-once.  A union of two types of an
-unkeyed view does, and the same counters show it.
+must not call the Section 5 comparator (``vpbn.compare_virtual_order``)
+once — and neither does a union of two types of one tree of the
+duplicating view, which merges by the first-copy order key.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 
 from repro.core import vpbn
 from repro.query.engine import Engine
-from repro.query.eval import Evaluator
 from repro.shard import ShardedService
 from repro.workloads import queries as Q
 from repro.workloads.books import books_document
@@ -37,21 +35,15 @@ UNIONS = {
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of the two comparators, patched wherever a module
-    bound them by name."""
-    counts = {"_order_cmp": 0, "_node_order_cmp": 0, "compare_virtual_order": 0}
-
-    def counting(name, function):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return function(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("_order_cmp", "_node_order_cmp"):
-        monkeypatch.setattr(Evaluator, name, counting(name, getattr(Evaluator, name)))
+    """Call count of the comparator, patched wherever a module bound it
+    by name."""
+    counts = {"compare_virtual_order": 0}
     function = vpbn.compare_virtual_order
-    wrapped = counting("compare_virtual_order", function)
+
+    def wrapped(*args, **kwargs):
+        counts["compare_virtual_order"] += 1
+        return function(*args, **kwargs)
+
     for module in list(sys.modules.values()):
         if getattr(module, "compare_virtual_order", None) is function:
             monkeypatch.setattr(module, "compare_virtual_order", wrapped)
@@ -82,12 +74,14 @@ def test_served_unions_call_no_comparator(shape, calls):
         assert sharded.execute(UNIONS[shape]).to_xml() == answer
     finally:
         sharded.close()
-    assert calls == {"_order_cmp": 0, "_node_order_cmp": 0, "compare_virtual_order": 0}
+    assert calls == {"compare_virtual_order": 0}
 
 
 def test_an_unkeyed_union_still_counts(calls):
     engine = Engine()
     engine.load("dblp.xml", dblp_document(8, seed=5))
     view = f'virtualDoc("dblp.xml", "{Q.DBLP_BY_AUTHOR.spec}")'
-    assert engine.execute(f"{view}//article/title | {view}//article/year")
-    assert calls["_node_order_cmp"] > 0 and calls["compare_virtual_order"] > 0
+    title, year = engine.execute(f"{view}//article/title | {view}//article/year").items[:2]
+    assert calls == {"compare_virtual_order": 0}
+    vpbn.compare_virtual_order(title.vpbn, year.vpbn)
+    assert calls == {"compare_virtual_order": 1}  # the counter is live
