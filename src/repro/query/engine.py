@@ -112,7 +112,8 @@ class Engine:
         (the PBN indexes, navigated as the store's identity view; the
         realistic XML DBMS configuration), ``"tree"``
         (pointer navigation baseline), or ``"sql"`` (relational
-        evaluation over SQLite accel tables).  Per-query override via
+        evaluation over a view's SQLite accel, a stored document's
+        through its identity view).  Per-query override via
         ``execute(..., mode=...)``.
     :param page_size: heap page size for loaded documents.
     :param buffer_capacity: buffer pool pages per document.
@@ -155,12 +156,11 @@ class Engine:
         #: ``Document.lineage`` -> the one version of it this engine holds.
         self._store_by_lineage: dict[object, DocumentStore] = {}
         self._virtuals: dict[tuple[str, str], VirtualDocument] = {}
-        # strategy=sql accel tables, built lazily and cached like the
-        # level arrays.  Keyed by object id; each entry keeps a reference
-        # to its key object so a recycled id can never alias a new store
-        # or view to a stale accel.
+        # strategy=sql accel tables, one per view (a store's identity
+        # view included), built lazily and cached like the level arrays.
+        # Keyed by object id; each entry keeps a reference to its view so
+        # a recycled id can never alias a new view to a stale accel.
         self._sql_accels: dict[int, tuple] = {}
-        self._sql_virtual_accels: dict[int, tuple] = {}
         self._containers: dict[int, int] = {}
         self._container_refs: list = []  # keeps ids stable/alive
         #: ``(kind, uri, spec) -> container`` of the ``doc()`` /
@@ -226,12 +226,13 @@ class Engine:
         if previous is not None and previous is not store:
             self._store_by_lineage.pop(previous.document.lineage, None)
             # Copy-on-write invalidation for strategy=sql: a durable
-            # update publishes a *new* store object, so dropping the
-            # previous store's accel here is the entire story — the next
-            # sql query over the uri builds a fresh table.  (Touched
-            # views get new vdoc objects from revalidation and miss the
-            # virtual-accel cache the same way.)
-            stale = self._sql_accels.pop(id(previous), None)
+            # update publishes a *new* store object with a view of its
+            # own, so closing the accel of the previous store's identity
+            # view — if that view was ever built — is the entire story.
+            # (Touched views get new vdoc objects from revalidation and
+            # miss the cache the same way.)
+            view = previous._view
+            stale = None if view is None else self._sql_accels.pop(id(view), None)
             if stale is not None:
                 stale[1].close()
         self._stores[uri] = store
@@ -318,35 +319,20 @@ class Engine:
     #: linear pass.
     SQL_ACCEL_CAPACITY = 16
 
-    def _evict_accels(self, cache: dict) -> None:
-        while len(cache) >= self.SQL_ACCEL_CAPACITY:
-            _, entry = cache.pop(next(iter(cache)))
-            if entry is not None:
-                entry.close()
-
-    def sql_accel(self, store: DocumentStore):
-        """The ``strategy=sql`` accel table for ``store``'s document
-        (lazy; cached until the store is replaced or evicted)."""
-        from repro.query.sqlbackend import DocumentAccel
-
-        cached = self._sql_accels.get(id(store))
-        if cached is not None and cached[0] is store:
-            return cached[1]
-        self._evict_accels(self._sql_accels)
-        accel = DocumentAccel(store.document, metrics=self.metrics)
-        self._sql_accels[id(store)] = (store, accel)
-        return accel
-
-    def sql_virtual_accel(self, vdoc: VirtualDocument):
-        """The ``strategy=sql`` accel for a virtual document."""
+    def sql_accel(self, view: VirtualDocument):
+        """The ``strategy=sql`` accel for ``view`` — a virtual document or
+        a store's identity view (lazy; cached until its store is replaced
+        or it is evicted)."""
         from repro.query.sqlbackend import VirtualAccel
 
-        cached = self._sql_virtual_accels.get(id(vdoc))
-        if cached is not None and cached[0] is vdoc:
+        cache = self._sql_accels
+        cached = cache.get(id(view))
+        if cached is not None and cached[0] is view:
             return cached[1]
-        self._evict_accels(self._sql_virtual_accels)
-        accel = VirtualAccel(vdoc, metrics=self.metrics)
-        self._sql_virtual_accels[id(vdoc)] = (vdoc, accel)
+        while len(cache) >= self.SQL_ACCEL_CAPACITY:
+            cache.pop(next(iter(cache)))[1].close()
+        accel = VirtualAccel(view, metrics=self.metrics)
+        cache[id(view)] = (view, accel)
         return accel
 
     # -- execution ---------------------------------------------------------------
@@ -400,7 +386,7 @@ class Engine:
         if isinstance(query, str):
             effective = mode or self.mode
             # strategy=sql owns the label even for virtualDoc queries:
-            # the sql backend compiles virtual axes itself.
+            # the sql accel steps virtual axes itself.
             if effective == "sql":
                 strategy = "sql"
             else:

@@ -44,11 +44,14 @@ class Evaluator:
     :param engine: document registry, stores, stats.
     :param mode: ``"indexed"`` (stored documents navigate their identity
         view over the PBN indexes), ``"tree"`` (pointer navigation
-        everywhere), or ``"sql"``
-        (relational evaluation over SQLite accel tables).  Virtual
+        everywhere), or ``"sql"`` (stored and virtual axes through a
+        view's SQLite accel, :mod:`repro.query.sqlbackend`).  Virtual
         navigation is selected by the item kind, not the mode — though
-        the ``sql`` backend compiles virtual axes too.
+        ``sql`` steps virtual items through the accel too.
     """
+
+    #: The evaluation modes, in documentation order.
+    MODES = ("indexed", "tree", "sql")
 
     #: Columnar batch kernels evaluate predicate-free steps over whole
     #: context sets (class-level switch so tests and benchmarks can force
@@ -56,9 +59,8 @@ class Evaluator:
     use_batch_kernels = True
 
     def __init__(self, engine, mode: str = "indexed", meter=None) -> None:
-        from repro.query.backends import resolve_backend
-
-        self.backend = resolve_backend(mode)  # raises on unknown modes
+        if mode not in self.MODES:
+            raise QueryEvaluationError(f"unknown evaluation mode {mode!r}")
         self.engine = engine
         self.mode = mode
         self._tree_nav = TreeNavigator()
@@ -263,6 +265,12 @@ class Evaluator:
             return "kernels-off"  # the reference arm
         if not items:
             return "empty-context"
+        return self._view_of(items, self.mode == "indexed")
+
+    def _view_of(self, items: list, lifts: bool = True):
+        """``(view, items)`` of :meth:`_context_set` for a non-empty
+        ``items`` — stored nodes lifted only where ``lifts`` (else
+        ``"mode"``) — or why no one view takes them."""
         first = items[0]
         if isinstance(first, (VNode, VirtualDocItem)):
             vdoc = first.vdoc if isinstance(first, VirtualDocItem) else first._vdoc
@@ -274,7 +282,7 @@ class Evaluator:
             return vdoc, items
         if not isinstance(first, Node) or (isinstance(first, Document) and len(items) > 1):
             return "heterogeneous-context"  # atomics, documents among nodes
-        if self.mode != "indexed":
+        if not lifts:
             return "mode"
         store = self.engine.store_of(first)
         lifted = None if store is None else _lift(store.view, items)
@@ -304,12 +312,28 @@ class Evaluator:
         return _aggregate_result(aggregate, *outcome), (outcome[1],), "prefix-sum"
 
     def _kernel_sql(self, items, step, context, aggregate):
-        """The backend's whole step — axis, test and predicates in one
-        statement (only ``SqlBackend`` has one)."""
-        handled = self.backend.apply_step(self, items, step, context) if items else None
-        if handled is None:
+        """Under sql, a predicate-free step over one view's context set
+        (a stored document's: its identity view's) through the view's
+        accel — one batched query where the accel has one for the axis,
+        else its per-item steps.  Predicated steps run the per-item loop
+        over the accel's axis steps (:meth:`_step`)."""
+        if self.mode != "sql" or step.predicates or not items:
             return "mode"
-        return handled, (len(handled),), "sql"
+        owner = self._view_of(items)
+        if isinstance(owner, str):
+            return owner
+        view, items = owner
+        accel = self.engine.sql_accel(view)
+        out = accel.step_many(items, step.axis, step.test) if len(items) > 1 else None
+        if out is None:
+            out = []
+            for item in items:
+                stepped = accel.step(item, step.axis, step.test)
+                if stepped is None:
+                    return "mode"
+                out.extend(stepped)
+            out = self.step_result(len(items), step.axis, out)
+        return out, (len(out),), "sql"
 
     def _kernel_navigator(self, items, step, context, aggregate):
         """The navigator's set-at-a-time kernels — a lone (virtual)
@@ -392,18 +416,24 @@ class Evaluator:
         return self.document_order(out)
 
     def _step(self, item: Any, axis: str, test: ast.NodeTest) -> list:
-        if isinstance(item, (VNode, VirtualDocItem)):
-            stepped = self.backend.virtual_step(self, item, axis, test)
+        if isinstance(item, VirtualDocItem):
+            return self._view_step(item.vdoc, item, axis, test)
+        if isinstance(item, VNode):
+            return self._view_step(item._vdoc, item, axis, test)
+        store = self.engine.store_of(item)
+        if store is None or self.mode == "tree":
+            return self._tree_nav.step(item, axis, test, store)
+        view = store.view
+        return _stored(self._view_step(view, _lift(view, [item])[0], axis, test))
+
+    def _view_step(self, view, item, axis: str, test: ast.NodeTest) -> list:
+        """One item's axis step in its view, through the view's accel
+        under sql (the navigator answers what the accel cannot)."""
+        if self.mode == "sql" and view is not None:
+            stepped = self.engine.sql_accel(view).step(item, axis, test)
             if stepped is not None:
                 return stepped
-            return self._virtual_nav.step(item, axis, test)
-        stepped = self.backend.step(self, item, axis, test)
-        if stepped is not None:
-            return stepped
-        store = self.engine.store_of(item)
-        if store is None or self.mode != "indexed":
-            return self._tree_nav.step(item, axis, test, store)
-        return _stored(self._virtual_nav.step(_lift(store.view, [item])[0], axis, test))
+        return self._virtual_nav.step(item, axis, test)
 
     def _filter(self, items: list, predicate: ast.Expr, context: Context) -> list:
         size = len(items)

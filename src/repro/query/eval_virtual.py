@@ -315,12 +315,10 @@ class VirtualNavigator:
         """A step from the document handle: whole columns, one per result
         type.  A store's own view answers in stored terms — the stored
         nodes, and the document node for the handle — since the evaluator
-        would only unwrap each virtual node of a whole column again; and
-        there, as on :meth:`_axis_ancestor`, the document node is on the
-        ancestor axes too."""
+        would only unwrap each virtual node of a whole column again."""
         stored = vdoc.is_store_view
         document = vdoc.document if stored else VirtualDocItem(vdoc)
-        if axis == "self" or stored and axis == "ancestor-or-self":
+        if axis in ("self", "ancestor-or-self"):
             return [document] if test.kind == "node" else []
         if axis not in ("child", "descendant", "descendant-or-self"):
             return []
@@ -475,10 +473,10 @@ class VirtualNavigator:
             for current in frontier:
                 next_frontier.extend(vdoc.parents(current))
             frontier = next_frontier
-        # Reverse axis order: nearest ancestors first — and, in a store's
-        # own view, the document node last, as in the stored document.
+        # Reverse axis order: nearest ancestors first, the document node
+        # last — the handle a root's parent step reaches.
         found = list(reversed(self._sort(vdoc, found)))
-        if vdoc.is_store_view and test.kind == "node":
+        if test.kind == "node":
             found.append(VirtualDocItem(vdoc))
         return found
 
@@ -800,8 +798,8 @@ class VirtualNavigator:
 
     def _batch_ancestor(self, vdoc, groups, test, axis):
         """Complete chains: a context's ancestor at each level is its key
-        cut to that ancestor type's original length.  In a store's own
-        view the document node comes first, as in the stored document."""
+        cut to that ancestor type's original length.  The document node
+        comes first, as a root's parent."""
         cuts: dict[int, tuple[VType, set]] = {}
         for vtype, ctx_keys, _ in groups:
             chain = vtype.chain()
@@ -812,7 +810,7 @@ class VirtualNavigator:
                         key[:cut] for key in ctx_keys
                     )
         found = self._truncated(vdoc, cuts)
-        if vdoc.is_store_view and test.kind == "node":
+        if test.kind == "node":
             return [VirtualDocItem(vdoc), *found]
         return found
 

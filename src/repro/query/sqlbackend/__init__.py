@@ -1,20 +1,19 @@
 """The ``strategy=sql`` execution backend.
 
-Axis steps over stored documents become range predicates on a per-store
-SQLite accel table (preorder/postorder intervals, the relational dual of
-the PBN indexes); predicate-bearing steps compile to WHERE clauses with
-``ROW_NUMBER()`` window functions for positional semantics.  Virtual
-axes compile to prefix joins against a tiny per-type table — the
-per-*type* level-array property is what keeps the vPBN comparators
-expressible relationally (see docs/SQL_BACKEND.md).
+One SQLite accel per view: virtual axes compile to prefix joins against
+a tiny per-type table — the per-*type* level-array property is what
+keeps the vPBN comparators expressible relationally — and the ordering
+axes to ranges over a pre/post numbering of virtual order (see
+docs/SQL_BACKEND.md).  A stored document is its store's identity view
+here too (PBN is vPBN under identity level arrays), lifted into it and
+lowered back by the evaluator as ``indexed`` does.
 
-Accel tables are built lazily and cached on the engine like level
-arrays; copy-on-write updates publish new store objects, so
-``Engine.attach`` dropping the previous store's accel is the whole
-invalidation story.
+Accels are built lazily and cached on the engine like level arrays;
+copy-on-write updates publish new store objects with views of their
+own, so ``Engine.attach`` dropping the previous identity view's accel is
+the whole invalidation story.
 """
 
-from repro.query.sqlbackend.doc_accel import DocumentAccel
 from repro.query.sqlbackend.virtual_accel import VirtualAccel
 
-__all__ = ["DocumentAccel", "VirtualAccel"]
+__all__ = ["VirtualAccel"]

@@ -1,4 +1,5 @@
-"""Relational accel for one virtual document.
+"""Relational accel for one virtual document — a store's identity view
+included, which is how ``strategy=sql`` steps a stored document.
 
 The paper's per-*type* level arrays are what make this possible: every
 instance of a virtual type shares one level array, so "x is a virtual
@@ -32,7 +33,9 @@ key (``VirtualNavigator._order_keys``: first-copy preorder, total on every
 view), so every answer orders by ``row``, and ``row`` / ``last`` are a
 pre/post numbering of that order: ``following`` is ``v.row > c.last``,
 ``preceding`` is ``v.last < c.row``.  The sibling axes keep the
-candidates the exact Section 5 predicate relates to the context.
+candidates the exact Section 5 predicate relates to the context.  The
+document handle is no row: it is a root's ``parent`` and ends every
+``ancestor::node()``, as in the navigator.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ class VirtualAccel:
         cur.executemany("INSERT INTO vnodes VALUES (?, ?, ?, ?, ?)", vnode_rows)
         self.conn.commit()
         if metrics is not None:
-            metrics.incr("sql.accel.virtual_builds")
+            metrics.incr("sql.accel.builds")
 
     def close(self) -> None:
         self.conn.close()
@@ -267,7 +270,7 @@ class VirtualAccel:
             if axis == "descendant-or-self" and test.kind == "node":
                 return [VirtualDocItem(self.vdoc), *found]
             return found
-        if axis == "self" and test.kind == "node":
+        if axis in ("self", "ancestor-or-self") and test.kind == "node":
             return [VirtualDocItem(self.vdoc)]
         return []
 
@@ -313,7 +316,8 @@ class VirtualAccel:
     def _axis_parent(self, item: VNode, vid: int, test: NodeTest) -> list:
         parent_vtype = item.vtype.parent
         if parent_vtype is None:
-            return []  # the virtual-root case is handled by the backend
+            # A root's parent is the document handle, as in the navigator.
+            return [VirtualDocItem(self.vdoc)] if test.kind == "node" else []
         if not type_matches(parent_vtype, test, "parent"):
             return []
         clca = item.vtype.lca_length * _W
@@ -344,15 +348,19 @@ class VirtualAccel:
         return sql, [ptid, key, clca, key, clca]
 
     def _axis_ancestor(self, item: VNode, vid: int, test: NodeTest) -> list:
-        if item.vtype.parent is None:
-            return []
-        head, params = self._ancestors_sql(item, vid)
-        test_sql, test_params = _test_sql(test, "ancestor")
-        sql = head + (
-            "SELECT v.id FROM anc a JOIN vnodes v ON v.id = a.id "
-            f"JOIN vtypes t ON t.id = v.vt WHERE ({test_sql}) ORDER BY v.row DESC"
-        )
-        return self._fetch(sql, [*params, *test_params])
+        # Nearest first, and the document handle last on node() tests.
+        found = []
+        if item.vtype.parent is not None:
+            head, params = self._ancestors_sql(item, vid)
+            test_sql, test_params = _test_sql(test, "ancestor")
+            sql = head + (
+                "SELECT v.id FROM anc a JOIN vnodes v ON v.id = a.id "
+                f"JOIN vtypes t ON t.id = v.vt WHERE ({test_sql}) ORDER BY v.row DESC"
+            )
+            found = self._fetch(sql, [*params, *test_params])
+        if test.kind == "node":
+            found.append(VirtualDocItem(self.vdoc))
+        return found
 
     def _axis_ancestor_or_self(self, item: VNode, vid: int, test: NodeTest) -> list:
         head = (

@@ -2,12 +2,13 @@
 
 :func:`random_query` is a pure function of its ``random.Random`` (or
 seed), so any failing query is reproducible from the printed seed.  The
-generator deliberately emits both the constructs the ``strategy=sql``
-backend compiles to SQL — positional predicates (``[2]``, ``[last()]``,
-``[position() <= k]``), nested ``and``/``or`` predicates, ``count()`` in
-filters — and the ones every backend must fall back to Python for
-(``sum()`` in filters), so the differential suites exercise the compiled
-and declined paths alike.  Single-comparison value predicates (``. op c``,
+generator deliberately emits predicates whose answers depend on the
+order and the grouping of a step's candidates — positional predicates
+(``[2]``, ``[last()]``, ``[position() <= k]``), nested ``and``/``or``
+predicates, ``count()`` and ``sum()`` in filters — which every strategy
+evaluates per item over its own axis steps (under ``strategy=sql``, the
+accel's), so the differential suites pin each strategy's axis order.
+Single-comparison value predicates (``. op c``,
 ``@attr op c``, ``child op c`` — numeric and string constants) are weighted
 in for the same reason on the CAS side: they are exactly what the
 content-and-structure kernel compiles, while the same comparisons inside

@@ -12,7 +12,9 @@ The stored arm: a stored document navigates as its store's identity view
 (``DocumentStore.view``), lifted into it and lowered back by the
 evaluator, and must answer every step exactly as the tree navigator does
 on the document itself — from any node and from the document node, with
-the batch kernels on and off.
+the batch kernels on and off, and under ``sql``, where the view's accel
+steps it.  Each item's step is pinned in axis order too: positional
+predicates count in it.
 """
 
 from __future__ import annotations
@@ -125,19 +127,27 @@ def test_stored_steps_match_tree_steps(seed):
     rng = random.Random(seed)
     sample = [document, *(nodes if len(nodes) <= 10 else rng.sample(nodes, 10))]
     context = Context(engine, {})
-    for use_batch_kernels in (True, False):
-        evaluator = Evaluator(engine)
+    for mode, use_batch_kernels in (("indexed", True), ("indexed", False), ("sql", True)):
+        evaluator = Evaluator(engine, mode)
         evaluator.use_batch_kernels = use_batch_kernels
         for node in sample:
             for axis in _AXES:
                 for test in _TESTS:
+                    where = (
+                        f"seed={seed} mode={mode} kernels={use_batch_kernels} "
+                        f"axis={axis} test={test} node={node!r}"
+                    )
                     # The tree navigator answers in axis order; a step's
                     # result is document order.
-                    expected = evaluator.step_result(1, axis, tree_nav.step(node, axis, test))
+                    in_axis_order = tree_nav.step(node, axis, test)
+                    stepped = evaluator._step(node, axis, test)
+                    assert list(map(id, stepped)) == list(map(id, in_axis_order)), (
+                        f"{where}\nstored={stepped}\ntree={in_axis_order}"
+                    )
+                    expected = evaluator.step_result(1, axis, in_axis_order)
                     found = evaluator._run_path([node], [Step(axis, test)], context)
-                    assert [id(item) for item in found] == [id(item) for item in expected], (
-                        f"seed={seed} kernels={use_batch_kernels} axis={axis} "
-                        f"test={test} node={node!r}\nstored={found}\ntree={expected}"
+                    assert list(map(id, found)) == list(map(id, expected)), (
+                        f"{where}\nstored={found}\ntree={expected}"
                     )
     # Named: the root's parent is the document node, which heads its
     # ancestors (in document order) and is its own self and first

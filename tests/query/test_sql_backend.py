@@ -12,8 +12,8 @@ import pytest
 
 from repro.errors import QueryEvaluationError
 from repro.obs.profile import build_profile, operators
-from repro.query.backends import MODES, resolve_backend
 from repro.query.engine import Engine
+from repro.query.eval import Evaluator
 from repro.service.metrics import ServiceMetrics
 from repro.workloads.books import books_document
 from repro.workloads.treegen import random_document, random_spec
@@ -26,12 +26,13 @@ def _engine() -> Engine:
     return engine
 
 
-def test_backend_registry_covers_all_modes():
-    assert set(MODES) == {"tree", "indexed", "sql"}
-    for mode in MODES:
-        assert resolve_backend(mode).name == mode
+def test_unknown_modes_are_refused():
+    assert set(Evaluator.MODES) == {"tree", "indexed", "sql"}
+    engine = _engine()
+    for mode in Evaluator.MODES:
+        assert engine.execute('count(doc("book.xml")//title)', mode=mode).values() == ["12"]
     with pytest.raises(QueryEvaluationError):
-        resolve_backend("bogus")
+        engine.execute('doc("book.xml")//title', mode="bogus")
 
 
 def test_accel_is_built_lazily_and_cached():
@@ -40,7 +41,7 @@ def test_accel_is_built_lazily_and_cached():
     first = engine.execute('doc("book.xml")//title', mode="sql").values()
     second = engine.execute('doc("book.xml")//author/name', mode="sql").values()
     assert first and second
-    # Two queries, one table: the accel is cached per store.
+    # Two queries, one table: the accel is cached per (identity) view.
     assert engine.metrics.counter("sql.accel.builds") == 1
     assert engine.metrics.counter("navigator.sql.steps") > 0
 
@@ -48,7 +49,7 @@ def test_accel_is_built_lazily_and_cached():
 def test_reload_invalidates_the_accel():
     engine = _engine()
     engine.execute('doc("book.xml")//title', mode="sql")
-    stale = engine.sql_accel(engine.store("book.xml"))
+    stale = engine.sql_accel(engine.store("book.xml").view)
     engine.load("book.xml", "<data><book><title>Fresh</title></book></data>")
     values = engine.execute(
         'doc("book.xml")//title/text()', mode="sql"
@@ -68,7 +69,7 @@ def test_eviction_bounds_the_cache_and_closes_connections(monkeypatch):
         uri = f"doc{index}.xml"
         engine.load(uri, books_document(3, seed=index))
         engine.execute(f'doc("{uri}")//title', mode="sql")
-        accels.append(engine.sql_accel(engine.store(uri)))
+        accels.append(engine.sql_accel(engine.store(uri).view))
     assert len(engine._sql_accels) <= 2
     with pytest.raises(sqlite3.ProgrammingError):
         accels[0].conn.execute("SELECT 1")
@@ -78,16 +79,20 @@ def test_eviction_bounds_the_cache_and_closes_connections(monkeypatch):
 
 def test_explain_analyze_rows_carry_sql_kernel():
     engine = _engine()
+    before = engine.metrics.counter("navigator.sql.steps")
     _, trace = engine.explain_analyze(
         'doc("book.xml")//book/author[name]/name', mode="sql"
     )
     rows = operators(build_profile(trace))
     kernels = {row.detail: row.attrs.get("kernel") for row in rows}
     assert kernels, "expected step operators in the profile"
-    # Both predicated and predicate-free steps compile: the whole-step
-    # hook runs before the columnar kernels.
+    # Predicate-free steps run through the accel before the columnar
+    # kernels; a predicated step runs the per-item loop, each item's
+    # axis step through the accel.
     assert kernels["child::name"] == "sql"
-    assert kernels["child::author"] == "sql"
+    assert kernels["child::author"] == "scalar"
+    books = int(engine.execute('count(doc("book.xml")//book)').values()[0])
+    assert engine.metrics.counter("navigator.sql.steps") - before >= books
 
 
 def test_strategy_label_is_sql_even_for_virtual_queries():
@@ -113,9 +118,9 @@ def test_strategy_label_is_sql_even_for_virtual_queries():
 def test_virtual_accel_misses_are_cached():
     engine = _engine()
     vdoc = engine.virtual("book.xml", "title { author { name } }")
-    accel = engine.sql_virtual_accel(vdoc)
-    assert engine.sql_virtual_accel(vdoc) is accel
-    assert engine.metrics.counter("sql.accel.virtual_builds") == 1
+    accel = engine.sql_accel(vdoc)
+    assert engine.sql_accel(vdoc) is accel
+    assert engine.metrics.counter("sql.accel.builds") == 1
 
 
 def test_every_view_answers_through_the_accel():
@@ -137,7 +142,7 @@ def test_every_view_answers_through_the_accel():
             assert (plain.to_xml(), plain.values()) == (
                 relational.to_xml(), relational.values()
             ), f"seed={seed} query={query!r}"
-        assert engine.metrics.counter("sql.accel.virtual_builds") == 1, seed
+        assert engine.metrics.counter("sql.accel.builds") == 1, seed
 
 
 def test_non_compilable_predicates_fall_back_and_agree():

@@ -60,8 +60,7 @@ INVERTING = "title { name { author } }"
 #: Two trees over the same data.
 FOREST_SPEC = "title { author { name } } name { author }"
 #: Every cut complete: each virtual parent is a physical ancestor, so
-#: ``parent`` / ``ancestor`` cut the context key (no physical root, so the
-#: document node stays out of them).
+#: ``parent`` / ``ancestor`` cut the context key.
 COMPLETE = "book { title author { name } }"
 #: ``born`` is a sibling of the inverted ``name`` *and* lives under the
 #: same author: an incomplete name key (the author's) is a prefix of a
@@ -164,10 +163,6 @@ def test_every_axis_agrees_on_every_arm(view, monkeypatch, each_codec):
                     sql = _payload(engine.execute(source + path, mode="sql"))
                     assert sql == scalar, f"sql != scalar: {where}"
                     answered += bool(batch[1])
-                    if axis.startswith("ancestor") and test == "node()":
-                        # The virtual ancestor axis stops at the roots; the
-                        # stored one goes on to the document node.
-                        continue
                     found = [
                         _identity(item) if isinstance(item, VNode) else "document"
                         for item in result.items
@@ -193,6 +188,34 @@ def test_every_axis_agrees_on_every_arm(view, monkeypatch, each_codec):
                         # No copies among the answers: byte for byte too.
                         assert batch == _payload(tree), f"virtual != materialized: {where}"
         assert answered > 20, view  # the suite is not vacuous
+
+
+@pytest.mark.parametrize(
+    "path, count",
+    [
+        ("/title[1]/parent::node()", 1),
+        ("/title[1]/ancestor::node()", 1),
+        ("//name/ancestor::node()", 8),
+        ("/ancestor-or-self::node()", 1),
+        ("/title[1]/ancestor-or-self::node()", 2),
+    ],
+)
+def test_virtual_ancestor_axes_reach_the_document_node(path, count, monkeypatch):
+    """The virtual document node a root's ``parent`` reaches is on its
+    ``ancestor`` axes too, as the materialized document node is — on
+    every arm."""
+    spec = "title { author { name } }"
+    engine = Engine()
+    engine.load("d.xml", books_document(2, seed=1))
+    built = engine.virtual("d.xml", spec).materialize("m.xml")
+    engine.attach("m.xml", DocumentStore(built))
+    query = f'count(virtualDoc("d.xml", "{spec}"){path})'
+    materialized = engine.execute(f'count(doc("m.xml"){path})').values()
+    assert materialized == [str(count)]
+    assert engine.execute(query).values() == materialized
+    assert engine.execute(query, mode="sql").values() == materialized
+    monkeypatch.setattr(Evaluator, "use_batch_kernels", False)
+    assert engine.execute(query).values() == materialized
 
 
 @pytest.mark.parametrize("view", ["recursive", "generated-63", "generated-118"])
