@@ -131,31 +131,39 @@ def encode_key(number: Pbn) -> bytes:
     ancestor-prefix-preserving byte key."""
     parts = []
     for component in number.components:
-        if type(component) is int and 0 <= component < _SINGLE_MAX + 256:
-            if component < _SINGLE_MAX:
-                parts.append(_SMALL_KEYS[component])
-            else:  # a one-byte payload: marker, component - 128, terminator
-                parts.append(bytes((_MARKER_BASE, component - _SINGLE_MAX, _TERMINATOR)))
-            continue
-        out = bytearray()
-        if isinstance(component, int):
-            _encode_int(out, component + 1)
+        if type(component) is int and 0 <= component < _SINGLE_MAX:
+            parts.append(_SMALL_KEYS[component])
         else:
-            numerator, denominator = component.numerator, component.denominator
-            if denominator & (denominator - 1):
-                raise NumberingError(
-                    f"component {component} is not dyadic and cannot be a key"
-                )
-            integer = numerator // denominator
-            _encode_int(out, integer + 1)
-            # Binary expansion of the fraction part, most significant first.
-            remainder = numerator - integer * denominator
-            width = denominator.bit_length() - 1
-            for shift in range(width - 1, -1, -1):
-                out.append(_BIT_BYTES[(remainder >> shift) & 1])
-        out.append(_TERMINATOR)
-        parts.append(out)
+            parts.append(component_key(component))
     return b"".join(parts)
+
+
+def component_key(component) -> bytes:
+    """The key encoding of one component: a number's key is its parent's
+    key followed by this."""
+    if type(component) is int and 0 <= component < _SINGLE_MAX + 256:
+        if component < _SINGLE_MAX:
+            return _SMALL_KEYS[component]
+        # A one-byte payload: marker, component - 128, terminator.
+        return bytes((_MARKER_BASE, component - _SINGLE_MAX, _TERMINATOR))
+    out = bytearray()
+    if isinstance(component, int):
+        _encode_int(out, component + 1)
+    else:
+        numerator, denominator = component.numerator, component.denominator
+        if denominator & (denominator - 1):
+            raise NumberingError(
+                f"component {component} is not dyadic and cannot be a key"
+            )
+        integer = numerator // denominator
+        _encode_int(out, integer + 1)
+        # Binary expansion of the fraction part, most significant first.
+        remainder = numerator - integer * denominator
+        width = denominator.bit_length() - 1
+        for shift in range(width - 1, -1, -1):
+            out.append(_BIT_BYTES[(remainder >> shift) & 1])
+    out.append(_TERMINATOR)
+    return bytes(out)
 
 
 def decode_key(data: bytes) -> Pbn:

@@ -107,6 +107,18 @@ class Pbn:
         except (ValueError, ZeroDivisionError) as exc:
             raise NumberingError(f"malformed PBN number {text!r}") from exc
 
+    @classmethod
+    def extended(cls, components: tuple, ordinal) -> "Pbn":
+        """The number ``components`` + ``(ordinal,)``, unchecked: the
+        caller has ``components`` from a valid number and ``ordinal`` is
+        a positive component in normal form (a sibling position, or a
+        rational minted by :mod:`repro.updates.careting`)."""
+        number = object.__new__(cls)
+        object.__setattr__(
+            number, "components", intern_components((*components, ordinal))
+        )
+        return number
+
     # -- structure -----------------------------------------------------------
 
     @property

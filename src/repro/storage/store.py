@@ -1,14 +1,19 @@
 """The document store: everything a loaded document owns.
 
-Loading a document performs what a PBN-based XML DBMS does at ingest:
+Loading a document performs what a PBN-based XML DBMS does at ingest, in
+one preorder walk over the tree (:func:`index_tree`): per node it
 
-1. assign PBN numbers (if absent),
-2. build the DataGuide and give every type a dense Type ID,
-3. serialize the document to its canonical string, tracking each node's
-   character spans,
-4. write the string to the paged heap,
-5. bulk-load the value index (PBN -> spans + header) and the type index
-   (Type ID -> posting list of numbers).
+1. assigns the PBN number (if the document is unnumbered),
+2. finds the DataGuide type from its parent's type, making the type on
+   its first instance (a dense Type ID each),
+3. writes the node to the canonical string, tracking its character spans,
+4. builds its value-index key (the parent's key plus its own component)
+   and entry, and adds it to its type's posting list.
+
+The string then goes to the paged heap and the entries and postings
+become the value index (PBN -> spans + header) and the type index (Type
+ID -> posting list of numbers).  The image loader and the update path run
+the same walk.
 
 All subsequent value retrieval goes ``number -> value index -> heap range``
 so the stats block sees every logical I/O.
@@ -18,12 +23,11 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from repro.dataguide.build import build_dataguide
 from repro.dataguide.guide import DataGuide, GuideType
 from repro.errors import StorageError
-from repro.pbn.assign import assign_numbers
+from repro.pbn.codec import component_key
 from repro.pbn.number import Pbn
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
@@ -31,7 +35,15 @@ from repro.storage.pages import DEFAULT_PAGE_SIZE, PageManager
 from repro.storage.stats import StorageStats
 from repro.storage.type_index import TypeIndex
 from repro.storage.value_index import ValueEntry, ValueIndex
-from repro.xmlmodel.nodes import Document, Node, NodeKind
+from repro.xmlmodel.nodes import (
+    TEXT_NAME,
+    Attribute,
+    Document,
+    Element,
+    Node,
+    NodeKind,
+    Text,
+)
 from repro.xmlmodel.serializer import escape_attribute, escape_text
 
 
@@ -55,41 +67,38 @@ class DocumentStore:
         metrics=None,
     ) -> None:
         self.stats = stats if stats is not None else StorageStats()
-        root = document.root
-        if root is not None and root.pbn is None:
-            assign_numbers(document)
         self.document = document
-        self.guide = build_dataguide(document)
-
-        self.types_by_id: list[GuideType] = list(self.guide.iter_types())
-        self._id_of_type: dict[GuideType, int] = {
-            guide_type: type_id for type_id, guide_type in enumerate(self.types_by_id)
-        }
-
-        text, records = _serialize_with_spans(document)
-        self.page_manager = PageManager(page_size, self.stats)
-        self.buffer_pool = BufferPool(self.page_manager, buffer_capacity, metrics)
-        self.heap = HeapFile.store(text, self.page_manager, self.buffer_pool)
-
+        self.guide = DataGuide()
+        self.types_by_id: list[GuideType] = []
         self._node_by_key: dict[tuple[int, ...], Node] = {}
         #: node -> its Type ID (ids, not types: ``DataGuide.copy`` keeps
         #: ids stable, so an update copies this map as it is).
         self._type_of_node: dict[Node, int] = {}
-        self.type_index = TypeIndex(self.stats)
-        entries: list[tuple[Pbn, ValueEntry]] = []
-        for node, start, end, content_start, content_end in records:
-            guide_type = self.guide.type_of(node)
-            type_id = self._id_of_type[guide_type]
-            entries.append(
-                (
-                    node.pbn,
-                    ValueEntry(start, end, type_id, node.kind, content_start, content_end),
-                )
-            )
-            self.type_index.append(type_id, node.pbn)
-            self._node_by_key[node.pbn.components] = node
-            self._type_of_node[node] = type_id
-        self.value_index = ValueIndex.build(entries, self.stats)
+        root = document.root
+        indexed = _in_preorder(
+            index_tree(
+                document.children,
+                self.guide,
+                self.types_by_id,
+                self._node_by_key,
+                self._type_of_node,
+                first=1 if root is not None and root.pbn is None else None,
+            ),
+            self.guide,
+            self.types_by_id,
+            self._type_of_node,
+        )
+        self._id_of_type: dict[GuideType, int] = {
+            guide_type: type_id for type_id, guide_type in enumerate(self.types_by_id)
+        }
+
+        self.page_manager = PageManager(page_size, self.stats)
+        self.buffer_pool = BufferPool(self.page_manager, buffer_capacity, metrics)
+        self.heap = HeapFile.store(indexed.text, self.page_manager, self.buffer_pool)
+        self.type_index = TypeIndex.from_postings(indexed.postings, self.stats)
+        self.value_index = ValueIndex.from_columns(
+            indexed.keys, indexed.entries, self.stats
+        )
         self._text_index = None
         self._text_index_lock = threading.Lock()
         self._cas_index = None
@@ -286,58 +295,194 @@ class DocumentStore:
         }
 
 
-def _serialize_with_spans(
-    document: Document,
-) -> tuple[str, list[tuple[Node, int, int, int, int]]]:
-    """Serialize ``document`` (whitespace-free canonical form) recording
-    ``(node, start, end, content_start, content_end)`` for every node, in
-    document order.  The text is identical to
-    :func:`repro.xmlmodel.serializer.serialize` output."""
+class Indexed(NamedTuple):
+    """What :func:`index_tree` writes for a forest: the canonical text, and
+    per node in document order its value-index key and entry; plus each
+    type's postings (Type ID -> component tuples, document order)."""
+
+    text: str
+    keys: list
+    entries: list
+    postings: dict
+
+
+def _in_preorder(
+    indexed: Indexed, guide: DataGuide, types_by_id: list, type_of_node: dict
+) -> Indexed:
+    """Renumber the Type IDs a fresh walk made, in order of each type's
+    first instance, to the guide's preorder (what a loaded document's
+    Type IDs are).  The two orders differ only when a type's first
+    instance comes after that of a later sibling type's descendant."""
+    preorder = list(guide.iter_types())
+    if preorder == types_by_id:
+        return indexed
+    position = {guide_type: type_id for type_id, guide_type in enumerate(preorder)}
+    renumbered = [position[guide_type] for guide_type in types_by_id]
+    types_by_id[:] = preorder
+    for node, type_id in type_of_node.items():
+        type_of_node[node] = renumbered[type_id]
+    return indexed._replace(
+        entries=[
+            entry._replace(type_id=renumbered[entry.type_id])
+            for entry in indexed.entries
+        ],
+        postings={
+            renumbered[type_id]: numbers
+            for type_id, numbers in indexed.postings.items()
+        },
+    )
+
+
+def index_tree(
+    roots,
+    guide: DataGuide,
+    types_by_id: list,
+    node_by_key: dict,
+    type_of_node: dict,
+    *,
+    parent: tuple = ((), b"", -1),
+    first=None,
+    offset: int = 0,
+) -> Indexed:
+    """Index a forest in one iterative preorder walk: number, type, write
+    and key every node of ``roots`` and their subtrees.
+
+    Each node is typed from its parent's type and label (a guide type is
+    made, and its count raised, for the first node of its path); a type
+    not yet in ``types_by_id`` is appended to it, so its Type ID is its
+    position there.  Each key is the parent's key plus the node's
+    component encoding.  The text is the whitespace-free canonical form
+    (:func:`repro.xmlmodel.serializer.serialize`), starting at character
+    ``offset``; entries' spans count from there.  ``node_by_key`` and
+    ``type_of_node`` receive every node.
+
+    :param parent: the roots' parent — its components, key and Type ID
+        (-1 for the document).
+    :param first: number the roots ``first``, ``first + 1``, ... and
+        every node below them densely from 1 (overwriting any number);
+        ``None`` keeps the numbers the nodes carry.
+    """
+    id_of_type = {guide_type: i for i, guide_type in enumerate(types_by_id)}
+    child_types: dict = {}
+    postings: list = [[] for _ in types_by_id]
+
+    def type_of(parent_id: int, label: str) -> int:
+        path = (types_by_id[parent_id].path if parent_id >= 0 else ()) + (label,)
+        guide_type = guide.ensure_type(path)
+        type_id = id_of_type.get(guide_type)
+        if type_id is None:
+            type_id = id_of_type[guide_type] = len(types_by_id)
+            types_by_id.append(guide_type)
+            postings.append([])
+        child_types[parent_id, label] = type_id
+        return type_id
+
     parts: list[str] = []
-    records: list[tuple[Node, int, int, int, int]] = []
-    offset = 0
-
-    def emit(text: str) -> None:
-        nonlocal offset
-        parts.append(text)
-        offset += len(text)
-
-    def write(node: Node) -> None:
-        start = offset
-        if node.kind is NodeKind.TEXT:
-            emit(escape_text(node.value))  # type: ignore[attr-defined]
-            records.append((node, start, offset, start, offset))
-            return
-        if node.kind is NodeKind.ATTRIBUTE:
-            emit(node.attr_name + '="')  # type: ignore[attr-defined]
-            content_start = offset
-            emit(escape_attribute(node.value))  # type: ignore[attr-defined]
-            content_end = offset
-            emit('"')
-            records.append((node, start, offset, content_start, content_end))
-            return
-        # Element: record is appended first (document order), spans are
-        # patched once the subtree is written.
-        record_index = len(records)
-        records.append((node, start, -1, -1, -1))
-        emit(f"<{node.name}")
-        attributes = [c for c in node.children if c.kind is NodeKind.ATTRIBUTE]
-        content = [c for c in node.children if c.kind is not NodeKind.ATTRIBUTE]
-        for attribute in attributes:
-            emit(" ")
-            write(attribute)
-        if not content:
-            emit("/>")
-            records[record_index] = (node, start, offset, offset, offset)
-            return
-        emit(">")
-        content_start = offset
-        for child in content:
-            write(child)
-        content_end = offset
-        emit(f"</{node.name}>")
-        records[record_index] = (node, start, offset, content_start, content_end)
-
-    for root in document.children:
-        write(root)
-    return "".join(parts), records
+    emit = parts.append
+    keys: list[bytes] = []
+    entries: list = []
+    add_key = keys.append
+    add_entry = entries.append
+    entry = tuple.__new__
+    extended = Pbn.extended
+    ELEMENT, ATTRIBUTE, TEXT = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
+    renumber = first is not None
+    at = offset
+    stack: list = []
+    # The open element: its node, entry slot, start, Type ID, whether its
+    # start tag is still open (attributes only so far) and content start.
+    element, slot, start, element_type, open_tag, content_start = (
+        None, 0, 0, -1, False, 0,
+    )
+    siblings, index, base = roots, 0, (first - 1 if renumber else 0)
+    components, key, parent_type = parent
+    while True:
+        if index == len(siblings):
+            if not stack:
+                break
+            if open_tag:
+                emit("/>")
+                at += 2
+                content_start = content_end = at
+            else:
+                content_end = at
+                close = f"</{element.tag}>"
+                emit(close)
+                at += len(close)
+            entries[slot] = entry(
+                ValueEntry,
+                (start, at, element_type, ELEMENT, content_start, content_end),
+            )
+            (
+                siblings, index, base, components, key, parent_type,
+                element, slot, start, element_type, open_tag, content_start,
+            ) = stack.pop()
+            continue
+        node = siblings[index]
+        index += 1
+        cls = type(node)
+        if cls is Attribute:
+            if not open_tag:
+                raise StorageError(f"attribute {node.attr_name!r} follows content")
+            label = "@" + node.attr_name
+        else:
+            if open_tag:
+                emit(">")
+                at += 1
+                content_start = at
+                open_tag = False
+            label = node.tag if cls is Element else TEXT_NAME
+        if renumber:
+            number = node.pbn = extended(components, base + index)
+            node_components = number.components
+        else:
+            node_components = node.pbn.components
+        node_key = key + component_key(node_components[-1])
+        type_id = child_types.get((parent_type, label))
+        if type_id is None:
+            type_id = type_of(parent_type, label)
+        postings[type_id].append(node_components)
+        node_by_key[node_components] = node
+        type_of_node[node] = type_id
+        add_key(node_key)
+        if cls is Text:
+            value = escape_text(node.value)
+            emit(value)
+            end = at + len(value)
+            add_entry(entry(ValueEntry, (at, end, type_id, TEXT, at, end)))
+            at = end
+        elif cls is Attribute:
+            value = escape_attribute(node.value)
+            written = f' {node.attr_name}="{value}"'
+            emit(written)
+            end = at + len(written)
+            add_entry(
+                entry(
+                    ValueEntry,
+                    (at + 1, end, type_id, ATTRIBUTE, end - 1 - len(value), end - 1),
+                )
+            )
+            at = end
+        else:
+            stack.append(
+                (
+                    siblings, index, base, components, key, parent_type,
+                    element, slot, start, element_type, open_tag, content_start,
+                )
+            )
+            element, slot, start, element_type, open_tag = (
+                node, len(entries), at, type_id, True,
+            )
+            add_entry(None)
+            emit("<" + node.tag)
+            at += len(node.tag) + 1
+            siblings, index, base = node._children, 0, 0
+            components, key, parent_type = node_components, node_key, type_id
+    for type_id, numbers in enumerate(postings):
+        types_by_id[type_id].count += len(numbers)
+    return Indexed(
+        "".join(parts),
+        keys,
+        entries,
+        {type_id: numbers for type_id, numbers in enumerate(postings) if numbers},
+    )

@@ -35,6 +35,16 @@ class TypeIndex:
         # per type: a mutation drops only the touched type's column.
         self._columns: dict[int, Column] = {}
 
+    @classmethod
+    def from_postings(
+        cls, postings: dict, stats: StorageStats | None = None
+    ) -> "TypeIndex":
+        """An index over ``postings`` (Type ID -> component tuples in
+        document order), taken as they are."""
+        index = cls(stats)
+        index._postings = postings
+        return index
+
     def append(self, type_id: int, number: Pbn) -> None:
         """Add a number to a type's posting list.  Numbers must arrive in
         document order (they do when loading a document front to back)."""

@@ -108,23 +108,36 @@ class ValueIndex:
 
         :raises StorageError: if the keys are not strictly increasing.
         """
-        index = cls(stats)
         pairs = list(items)
-        keys = [key for key, _ in pairs]
+        return cls.from_columns(
+            [key for key, _ in pairs], [entry for _, entry in pairs], stats
+        )
+
+    @classmethod
+    def from_columns(
+        cls, keys: list, entries: list, stats: StorageStats | None = None
+    ) -> "ValueIndex":
+        """Bulk-load from parallel lists of encoded keys and their entries.
+
+        :raises StorageError: if the keys are not strictly increasing.
+        """
         if any(left >= right for left, right in zip(keys, keys[1:])):
             raise StorageError("value index keys must be strictly increasing")
-        index._append_pages(pairs)
-        index._size = len(pairs)
+        index = cls(stats)
+        index._append_pages(keys, entries)
+        index._size = len(keys)
         return index
 
-    def _append_pages(self, pairs: list) -> None:
-        """Append ``pairs`` (sorted, absolute offsets) as base-0 pages: one
-        page up to twice the build size, else split at the build size."""
-        size = len(pairs) if len(pairs) <= 2 * PAGE_ENTRIES else PAGE_ENTRIES
-        for start in range(0, len(pairs), size or 1):  # no pairs, no page
-            chunk = pairs[start : start + size]
-            self._firsts.append(chunk[0][0])
-            self._pages.append(_Page([k for k, _ in chunk], [e for _, e in chunk]))
+    def _append_pages(self, keys: list, entries: list) -> None:
+        """Append sorted ``keys`` and their ``entries`` (absolute offsets)
+        as base-0 pages: one page up to twice the build size, else split
+        at the build size."""
+        size = len(keys) if len(keys) <= 2 * PAGE_ENTRIES else PAGE_ENTRIES
+        for start in range(0, len(keys), size or 1):  # no keys, no page
+            self._firsts.append(keys[start])
+            self._pages.append(
+                _Page(keys[start : start + size], entries[start : start + size])
+            )
             self._bases.append(0)
 
     # -- reads -------------------------------------------------------------------
@@ -353,7 +366,9 @@ class ValueIndex:
                 pairs.sort(key=itemgetter(0))
                 if any(left[0] == right[0] for left, right in zip(pairs, pairs[1:])):
                     raise StorageError("inserted value index key already exists")
-            derived._append_pages(pairs)
+            derived._append_pages(
+                [key for key, _ in pairs], [entry for _, entry in pairs]
+            )
         share(done, count)
         return derived
 

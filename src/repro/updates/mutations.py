@@ -55,9 +55,9 @@ from typing import Optional
 
 from repro.errors import StorageError, UpdateError
 from repro.obs.trace import span
-from repro.pbn.codec import encode_key
+from repro.pbn.codec import decode_key, encode_key
 from repro.pbn.number import Pbn
-from repro.storage.store import DocumentStore, _serialize_with_spans
+from repro.storage.store import DocumentStore, Indexed, index_tree
 from repro.storage.heap import HeapFile
 from repro.storage.value_index import ValueEntry
 from repro.updates.careting import (
@@ -189,16 +189,17 @@ class _Derivation:
 
     store: DocumentStore
     site: Pbn  # where it happens: inserted root, deleted root, replaced leaf
-    path: _Path  # already-mutated; fragment nodes join its maps in _derive
+    path: _Path  # already-mutated; an inserted fragment is in its maps
     guide: object
-    guide_map: dict
+    types_by_id: list  # the new version's, in the copied guide
     cut_start: int
     cut_end: int
     replacement: str
     ancestors: list  # nodes whose spans stretch around the cut
     overrides: dict = field(default_factory=dict)  # node -> (s, e, cs, ce)
     deleted: Optional[Node] = None  # root of the dropped subtree
-    inserted: list = field(default_factory=list)  # (node, s, e, cs, ce)
+    inserted: Optional[Indexed] = None  # the indexed fragment
+    minted: list = field(default_factory=list)  # its nodes, document order
     text_removed: list = field(default_factory=list)  # (value, comps)
     text_added: list = field(default_factory=list)
     leaf: int = 0  # 1 when a replaced leaf was allocated
@@ -211,9 +212,9 @@ def _derive(base: _Derivation) -> MutationResult:
         store.heap, base.cut_start, base.cut_end, base.replacement
     )
 
-    # Type table: identical ids for surviving types, new types appended.
-    types_by_id = [base.guide_map[t] for t in store.types_by_id]
-    id_of_type = {t: i for i, t in enumerate(types_by_id)}
+    # Type table: identical ids for surviving types, a fragment's new
+    # types appended (by the walk that indexed it).
+    types_by_id = base.types_by_id
 
     node_by_key, type_of_node = base.path.node_by_key, base.path.type_of_node
     removed_pairs: list[tuple[Pbn, int]] = []
@@ -234,27 +235,12 @@ def _derive(base: _Derivation) -> MutationResult:
     old_types = store._type_of_node
     cas_touched = {old_types[node] for node in (*base.ancestors, *base.overrides)}
 
-    # Fragment entries: typed against the (copied) guide.
-    minted_numbers: list[Pbn] = []
-    inserted_types: dict[Node, object] = {}
     inserted_items: list[tuple[bytes, ValueEntry]] = []
-    for node, s, e, cs, ce in base.inserted:
-        guide_type = base.guide.ensure_type(tuple(node.path_names()))
-        guide_type.count += 1
-        type_id = id_of_type.get(guide_type)
-        if type_id is None:
-            type_id = len(types_by_id)
-            types_by_id.append(guide_type)
-            id_of_type[guide_type] = type_id
-        inserted_items.append(
-            (encode_key(node.pbn), ValueEntry(s, e, type_id, node.kind, cs, ce))
-        )
-        minted_numbers.append(node.pbn)
-        inserted_types[node] = guide_type
-        touched_type_ids.add(type_id)
-        touched_paths.add(guide_type.path)
-        node_by_key[node.pbn.components] = node
-        type_of_node[node] = type_id
+    if base.inserted is not None:
+        inserted_items = list(zip(base.inserted.keys, base.inserted.entries))
+        for type_id in base.inserted.postings:
+            touched_type_ids.add(type_id)
+            touched_paths.add(types_by_id[type_id].path)
 
     value_index = store.value_index.derive(
         base.cut_start,
@@ -280,8 +266,8 @@ def _derive(base: _Derivation) -> MutationResult:
     type_index = store.type_index.derived(touched_type_ids, store.stats)
     for number, type_id in removed_pairs:
         type_index.remove(type_id, number)
-    for node, guide_type in inserted_types.items():
-        type_index.insert(id_of_type[guide_type], node.pbn)
+    for node in base.minted:
+        type_index.insert(type_of_node[node], node.pbn)
 
     text_index = store._text_index
     if text_index is not None and (base.text_removed or base.text_added):
@@ -311,10 +297,17 @@ def _derive(base: _Derivation) -> MutationResult:
     return MutationResult(
         store=derived,
         touched_paths=frozenset(touched_paths),
-        minted=tuple(minted_numbers),
+        minted=tuple(node.pbn for node in base.minted),
         removed=tuple(number for number, _ in removed_pairs),
-        copied=len(base.path.chain) - 1 + base.leaf + len(base.inserted),
+        copied=len(base.path.chain) - 1 + base.leaf + len(base.minted),
     )
+
+
+def _copy_guide(store: DocumentStore) -> tuple:
+    """A copy of ``store``'s guide for the next version, and that
+    version's types by Type ID (the ids stay; the copy's types)."""
+    guide, mapping = store.guide.copy()
+    return guide, [mapping[guide_type] for guide_type in store.types_by_id]
 
 
 def _ancestor_chain(store: DocumentStore, node: Node) -> list:
@@ -342,7 +335,6 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
     if len(roots) != 1 or roots[0].kind is not NodeKind.ELEMENT:
         raise UpdateError("insert fragment must be exactly one element")
     fragment_root = roots[0]
-    fragment_text, fragment_records = _serialize_with_spans(fragment_doc)
 
     # Position among the (old) children; minting uses sibling components.
     children = old_parent.children
@@ -381,7 +373,6 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
     tag = old_parent.name
     if self_closing:
         cut_start, cut_end = parent_entry.end - 2, parent_entry.end
-        replacement = ">" + fragment_text + f"</{tag}>"
         fragment_base = cut_start + 1
     else:
         if op.before is not None:
@@ -395,26 +386,43 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
         else:
             position = store.value_index.lookup(op.after).end
         cut_start = cut_end = position
-        replacement = fragment_text
         fragment_base = position
 
-    # Mutate a copy of the path down to the parent.
-    guide, guide_map = store.guide.copy()
+    # Mutate a copy of the path down to the parent; the walk numbers,
+    # types, writes and keys the fragment into the new version's maps.
+    guide, types_by_id = _copy_guide(store)
     path = _copy_path(store, op.parent.components)
     path.node.children.insert(index, fragment_root)
     _adopt(path)
-    _number_subtree(fragment_root, Pbn(*op.parent.components, component))
+    fragment = index_tree(
+        [fragment_root],
+        guide,
+        types_by_id,
+        path.node_by_key,
+        path.type_of_node,
+        parent=(
+            op.parent.components,
+            encode_key(op.parent),
+            store._type_of_node[old_parent],
+        ),
+        first=component,
+        offset=fragment_base,
+    )
+    minted = list(fragment_root.iter_subtree())
 
     overrides = {}
     if self_closing:
+        replacement = ">" + fragment.text + f"</{tag}>"
         content_start = cut_start + 1
-        content_end = content_start + len(fragment_text)
+        content_end = content_start + len(fragment.text)
         overrides[old_parent] = (
             parent_entry.start,
             content_end + len(tag) + 3,
             content_start,
             content_end,
         )
+    else:
+        replacement = fragment.text
 
     return _derive(
         _Derivation(
@@ -422,30 +430,21 @@ def _apply_insert(store: DocumentStore, op: InsertSubtree) -> MutationResult:
             site=fragment_root.pbn,
             path=path,
             guide=guide,
-            guide_map=guide_map,
+            types_by_id=types_by_id,
             cut_start=cut_start,
             cut_end=cut_end,
             replacement=replacement,
             ancestors=_ancestor_chain(store, old_parent),
             overrides=overrides,
-            inserted=[
-                (node, s + fragment_base, e + fragment_base,
-                 cs + fragment_base, ce + fragment_base)
-                for node, s, e, cs, ce in fragment_records
-            ],
+            inserted=fragment,
+            minted=minted,
             text_added=[
                 (node.value, node.pbn.components)
-                for node, *_ in fragment_records
+                for node in minted
                 if node.kind in (NodeKind.TEXT, NodeKind.ATTRIBUTE)
             ],
         )
     )
-
-
-def _number_subtree(node: Node, number: Pbn) -> None:
-    node.pbn = number
-    for ordinal, child in enumerate(node.children, start=1):
-        _number_subtree(child, number.child(ordinal))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +485,7 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
             cut_start, cut_end = entry.start, entry.end
             replacement = ""
 
-    guide, guide_map = store.guide.copy()
+    guide, types_by_id = _copy_guide(store)
     path = _copy_path(store, op.target.components[:-1])
     path.node.children.remove(old_target)
     _adopt(path)
@@ -497,7 +496,7 @@ def _apply_delete(store: DocumentStore, op: DeleteSubtree) -> MutationResult:
             site=op.target,
             path=path,
             guide=guide,
-            guide_map=guide_map,
+            types_by_id=types_by_id,
             cut_start=cut_start,
             cut_end=cut_end,
             replacement=replacement,
@@ -554,7 +553,7 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
             f"replace target {op.target} is not a text or attribute node"
         )
 
-    guide, guide_map = store.guide.copy()
+    guide, types_by_id = _copy_guide(store)
     path = _copy_path(store, comps[:-1])
     leaf = object.__new__(type(old_target))
     if old_target.kind is NodeKind.ATTRIBUTE:
@@ -572,7 +571,7 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
             site=op.target,
             path=path,
             guide=guide,
-            guide_map=guide_map,
+            types_by_id=types_by_id,
             cut_start=cut_start,
             cut_end=cut_end,
             replacement=escaped,
@@ -602,32 +601,45 @@ def _apply_replace(store: DocumentStore, op: ReplaceText) -> MutationResult:
 def verify_store(store: DocumentStore) -> None:
     """Cross-check a derived store's invariants (O(document)).
 
-    Asserts the heap equals the tree's canonical serialization, every
-    value-index span matches, the node map holds every node of the tree,
-    and the parent relation by number is the tree's: every node is a
-    child of :meth:`~DocumentStore.parent_of` it (the document, for a
-    root element).  Used by the fault-injection tests and available to
-    callers who want paranoia after recovery.
+    Indexes the store's tree afresh (:func:`index_tree`, against a copy
+    of its guide with the counts cleared) and asserts the heap equals the
+    walk's text, the value index holds the walk's keys and spans, the
+    node map and the node -> Type ID map are the walk's, every guide
+    count is right, and the parent relation by number is the tree's:
+    every node is a child of :meth:`~DocumentStore.parent_of` it (the
+    document, for a root element).  Used by the fault-injection tests and
+    available to callers who want paranoia after recovery.
 
     :raises StorageError: on any mismatch.
     """
-    text, records = _serialize_with_spans(store.document)
-    if store.heap.read_all() != text:
+    guide, types_by_id = _copy_guide(store)
+    for guide_type in guide.iter_types():
+        guide_type.count = 0
+    node_by_key: dict = {}
+    type_of_node: dict = {}
+    fresh = index_tree(
+        store.document.children, guide, types_by_id, node_by_key, type_of_node
+    )
+    if store.heap.read_all() != fresh.text:
         raise StorageError("derived heap does not match the document tree")
     indexed = list(store.value_index.items())
-    if not len(indexed) == len(store.value_index) == len(records):
+    if not len(indexed) == len(store.value_index) == len(fresh.keys):
         raise StorageError("value index entry count does not match the tree")
-    for (key, entry), (node, s, e, cs, ce) in zip(indexed, records):
-        if key != encode_key(node.pbn) or (
-            entry.start,
-            entry.end,
-            entry.content_start,
-            entry.content_end,
-        ) != (s, e, cs, ce):
-            raise StorageError(f"value entry for {node.pbn} does not match the tree")
-        if store._node_by_key.get(node.pbn.components) is not node:
-            raise StorageError(f"node map entry for {node.pbn} is stale")
-    for parent in (store.document, *(node for node, *_ in records)):
+    for (key, entry), fresh_key, fresh_entry in zip(indexed, fresh.keys, fresh.entries):
+        if key != fresh_key or entry != fresh_entry:
+            raise StorageError(
+                f"value entry for {decode_key(fresh_key)} does not match the tree"
+            )
+    if node_by_key != store._node_by_key:
+        raise StorageError("node map does not match the tree")
+    if type_of_node != store._type_of_node or len(types_by_id) != len(
+        store.types_by_id
+    ):
+        raise StorageError("node types do not match the tree")
+    for guide_type, fresh_type in zip(store.types_by_id, types_by_id):
+        if guide_type.count != fresh_type.count:
+            raise StorageError(f"guide count of {guide_type.dotted()} is stale")
+    for parent in (store.document, *node_by_key.values()):
         for child in parent.children:
             if store.parent_of(child) is not parent:
                 raise StorageError(f"the parent of {child.pbn} by number does not hold it")

@@ -20,6 +20,7 @@ downstream components (numbering, value indexes) rely on well-formed input.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from repro.errors import XmlParseError
@@ -36,6 +37,19 @@ ENTITY_NESTING_LIMIT = 16
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789-.")
 _WHITESPACE = set(" \t\r\n")
+
+# The patterns of the element loop; names and whitespace as above.
+_NAME = r"[A-Za-z_:][-.0-9A-Za-z_:]*"
+#: A start tag's name (after its ``<``) and, with no attributes, its close.
+_START_TAG = re.compile(rf"({_NAME})(?:[ \t\r\n]*(/?>))?")
+#: The close of a start tag, after its attributes.
+_TAG_CLOSE = re.compile(r"[ \t\r\n]*(/?>)")
+#: One attribute: its name and its double- or single-quoted value.
+_ATTRIBUTE = re.compile(
+    rf"""[ \t\r\n]*({_NAME})[ \t\r\n]*=[ \t\r\n]*(?:"([^"]*)"|'([^']*)')"""
+)
+#: An end tag's name (after its ``</``) and its ``>``.
+_END_TAG = re.compile(rf"({_NAME})[ \t\r\n]*>")
 
 
 class _Cursor:
@@ -277,89 +291,156 @@ def _character_references(literal: str, cursor: _Cursor, offset: int) -> str:
         index = semi + 1
 
 
-def _parse_attributes(cursor: _Cursor, element: Element) -> None:
-    """Parse ``name="value"`` pairs until ``>`` or ``/>``."""
-    seen: set[str] = set()
-    while True:
-        cursor.skip_whitespace()
-        if cursor.at_end():
-            raise cursor.error("unterminated start tag")
-        if cursor.peek() in ">/":
-            return
-        name = cursor.read_name()
-        if name in seen:
-            raise cursor.error(f"duplicate attribute {name!r}")
-        seen.add(name)
-        cursor.skip_whitespace()
-        cursor.expect("=")
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise cursor.error("attribute value must be quoted")
-        cursor.pos += 1
-        start = cursor.pos
-        raw = cursor.read_until(quote, "attribute value")
-        element.append(Attribute(name, _decode_references(raw, cursor, start)))
-
-
 def _parse_element(cursor: _Cursor, keep_whitespace: bool) -> Element:
-    """Parse one element starting at ``<`` and return it."""
+    """Parse the element at the cursor (its ``<``) with everything inside
+    it and leave the cursor past its end tag.
+
+    One loop over the markup, with the open elements on a stack, so nesting
+    depth costs no recursion: each turn reads one start tag with its
+    attributes (:data:`_START_TAG`, :data:`_ATTRIBUTE`), then the content up
+    to the next start tag — text by ``str.find``, comments, CDATA, PIs and
+    end tags (:data:`_END_TAG`).  A pattern that fails to match hands the
+    spot to an ``_*_error`` helper, which reads it with the cursor and
+    reports what is wrong where.
+    """
+    source = cursor.source
+    find = source.find
+    starts = source.startswith
+    size = len(source)
     cursor.expect("<")
-    tag = cursor.read_name()
-    element = Element(tag)
-    _parse_attributes(cursor, element)
-    if cursor.startswith("/>"):
-        cursor.pos += 2
-        return element
-    cursor.expect(">")
-    _parse_content(cursor, element, keep_whitespace)
-    cursor.expect("</")
+    at = cursor.pos - 1
+    open_elements: list[Element] = []
+    texts: list[str] = []
+    while True:
+        # A start tag at ``at``.
+        match = _START_TAG.match(source, at + 1)
+        if match is None:
+            raise cursor.error("expected a name", at + 1)
+        tag, close = match.group(1, 2)
+        element = Element(tag)
+        if close is None:
+            close, at = _attributes(cursor, element, match.end(1))
+        else:
+            at = match.end()
+        if open_elements:
+            parent = open_elements[-1]
+            element.parent = parent
+            parent._children.append(element)
+        if close == ">":
+            open_elements.append(element)
+        elif not open_elements:
+            cursor.pos = at
+            return element
+        # Content up to the next start tag.
+        while True:
+            lt = find("<", at)
+            if lt != at:
+                if lt < 0:
+                    lt = size
+                raw = source[at:lt]
+                texts.append(_decode_references(raw, cursor, at) if "&" in raw else raw)
+                at = lt
+                if at == size:
+                    raise cursor.error(f"unclosed element <{open_elements[-1].tag}>", at)
+            marker = source[at + 1 : at + 2]
+            if marker == "/":
+                element = open_elements.pop()
+                if texts:
+                    _add_text(element, texts, keep_whitespace)
+                match = _END_TAG.match(source, at + 2)
+                if match is None or match.group(1) != element.tag:
+                    raise _end_tag_error(cursor, at + 2, element.tag)
+                at = match.end()
+                if not open_elements:
+                    cursor.pos = at
+                    return element
+            elif marker == "!" and starts("<!--", at):
+                end = find("-->", at + 4)
+                if end < 0:
+                    raise cursor.error("unterminated comment", at + 4)
+                at = end + 3
+            elif marker == "!" and starts("<![CDATA[", at):
+                end = find("]]>", at + 9)
+                if end < 0:
+                    raise cursor.error("unterminated CDATA section", at + 9)
+                texts.append(source[at + 9 : end])
+                at = end + 3
+            elif marker == "?":
+                end = find("?>", at + 2)
+                if end < 0:
+                    raise cursor.error("unterminated processing instruction", at + 2)
+                at = end + 2
+            else:
+                if texts:
+                    _add_text(open_elements[-1], texts, keep_whitespace)
+                break
+
+
+def _attributes(cursor: _Cursor, element: Element, at: int) -> tuple[str, int]:
+    """Read ``element``'s attributes from ``at`` (just past its tag name)
+    to the end of its start tag; return the closing ``>`` or ``/>`` and
+    the position past it."""
+    source = cursor.source
+    children = element._children
+    names: set[str] = set()
+    while True:
+        match = _TAG_CLOSE.match(source, at)
+        if match is not None:
+            return match.group(1), match.end()
+        match = _ATTRIBUTE.match(source, at)
+        if match is None:
+            raise _attribute_error(cursor, at, names)
+        name = match.group(1)
+        if name in names:
+            raise cursor.error(f"duplicate attribute {name!r}", match.end(1))
+        names.add(name)
+        quoted = match.lastindex
+        value = _decode_references(match.group(quoted), cursor, match.start(quoted))
+        attribute = Attribute(name, value)
+        attribute.parent = element
+        children.append(attribute)
+        at = match.end()
+
+
+def _add_text(element: Element, texts: list[str], keep_whitespace: bool) -> None:
+    """Append the pending character data as one text node (unless it is
+    whitespace only and whitespace is stripped)."""
+    value = "".join(texts)
+    texts.clear()
+    if keep_whitespace or value.strip():
+        text = Text(value)
+        text.parent = element
+        element._children.append(text)
+
+
+def _attribute_error(cursor: _Cursor, at: int, names: set[str]) -> XmlParseError:
+    """The error at ``at``, where neither the end of a start tag nor a
+    well-formed attribute begins."""
+    cursor.pos = at
+    cursor.skip_whitespace()
+    if cursor.at_end():
+        return cursor.error("unterminated start tag")
+    if cursor.peek() == "/":
+        return cursor.error("expected '>'")
+    name = cursor.read_name()
+    if name in names:
+        return cursor.error(f"duplicate attribute {name!r}")
+    cursor.skip_whitespace()
+    cursor.expect("=")
+    cursor.skip_whitespace()
+    if cursor.peek() not in ("'", '"'):
+        return cursor.error("attribute value must be quoted")
+    return cursor.error("unterminated attribute value", cursor.pos + 1)
+
+
+def _end_tag_error(cursor: _Cursor, at: int, tag: str) -> XmlParseError:
+    """The error in the end tag whose name should start at ``at``."""
+    cursor.pos = at
     closing = cursor.read_name()
     if closing != tag:
-        raise cursor.error(f"mismatched end tag </{closing}> for <{tag}>")
+        return cursor.error(f"mismatched end tag </{closing}> for <{tag}>")
     cursor.skip_whitespace()
-    cursor.expect(">")
-    return element
-
-
-def _parse_content(cursor: _Cursor, element: Element, keep_whitespace: bool) -> None:
-    """Parse child content of ``element`` up to (excluding) its end tag."""
-    text_parts: list[str] = []
-
-    def flush_text() -> None:
-        if not text_parts:
-            return
-        value = "".join(text_parts)
-        text_parts.clear()
-        if keep_whitespace or value.strip():
-            element.append(Text(value))
-
-    while True:
-        if cursor.at_end():
-            raise cursor.error(f"unclosed element <{element.tag}>")
-        if cursor.startswith("</"):
-            flush_text()
-            return
-        if cursor.startswith("<!--"):
-            cursor.pos += 4
-            cursor.read_until("-->", "comment")
-        elif cursor.startswith("<![CDATA["):
-            cursor.pos += 9
-            text_parts.append(cursor.read_until("]]>", "CDATA section"))
-        elif cursor.startswith("<?"):
-            cursor.pos += 2
-            cursor.read_until("?>", "processing instruction")
-        elif cursor.peek() == "<":
-            flush_text()
-            element.append(_parse_element(cursor, keep_whitespace))
-        else:
-            start = cursor.pos
-            next_tag = cursor.source.find("<", start)
-            if next_tag < 0:
-                next_tag = len(cursor.source)
-            raw = cursor.source[start:next_tag]
-            cursor.pos = next_tag
-            text_parts.append(_decode_references(raw, cursor, start))
+    return cursor.error("expected '>'")
 
 
 def parse_document(source: str, uri: str = "", keep_whitespace: bool = False) -> Document:

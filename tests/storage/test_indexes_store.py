@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import StorageError
 from repro.pbn.number import Pbn
-from repro.storage.store import DocumentStore, _serialize_with_spans
+from repro.dataguide.guide import DataGuide
+from repro.storage.store import DocumentStore, index_tree
 from repro.storage.type_index import TypeIndex
 from repro.workloads.books import paper_figure2
 from repro.xmlmodel.nodes import NodeKind
@@ -19,10 +20,10 @@ def store():
 
 def test_spans_match_serialization():
     document = paper_figure2()
-    text, records = _serialize_with_spans(document)
-    assert text == serialize(document)
-    for node, start, end, content_start, content_end in records:
-        assert 0 <= start <= content_start <= content_end <= end <= len(text)
+    indexed = index_tree(document.children, DataGuide(), [], {}, {})
+    assert indexed.text == serialize(document)
+    for start, end, _, _, content_start, content_end in indexed.entries:
+        assert 0 <= start <= content_start <= content_end <= end <= len(indexed.text)
 
 
 def test_value_of_element(store):

@@ -17,8 +17,8 @@ import pytest
 from repro.pbn import codec
 from repro.pbn.number import Pbn
 from repro.storage import value_index as value_index_module
-from repro.storage.store import DocumentStore, _serialize_with_spans
-from repro.storage.value_index import PAGE_ENTRIES, ValueEntry, ValueIndex
+from repro.storage.store import DocumentStore, index_tree
+from repro.storage.value_index import PAGE_ENTRIES, ValueIndex
 from repro.updates import mutations
 from repro.updates.mutations import apply_op, verify_store
 from repro.updates.ops import DeleteSubtree, InsertSubtree, ReplaceText
@@ -31,18 +31,10 @@ WORDS = ["ash", "b&b", "c<d", 'q"t', "elm", "fir > oak", "yew"]
 
 def rebuilt_items(store: DocumentStore) -> list:
     """What a bulk build over ``store``'s document would hold."""
-    _, records = _serialize_with_spans(store.document)
-    return list(
-        ValueIndex.build(
-            [
-                (
-                    node.pbn,
-                    ValueEntry(s, e, store.type_id(store.type_of(node)), node.kind, cs, ce),
-                )
-                for node, s, e, cs, ce in records
-            ]
-        ).items()
-    )
+    guide, mapping = store.guide.copy()
+    types_by_id = [mapping[guide_type] for guide_type in store.types_by_id]
+    indexed = index_tree(store.document.children, guide, types_by_id, {}, {})
+    return list(ValueIndex.from_columns(indexed.keys, indexed.entries).items())
 
 
 def _fragment(rng: random.Random, nodes: int) -> str:

@@ -261,3 +261,49 @@ def test_unquoted_attribute_rejected():
 def test_names_with_punctuation():
     document = parse_document("<ns:a-b.c_d/>")
     assert document.root.tag == "ns:a-b.c_d"
+
+
+def test_deep_nesting_parses():
+    depth = 600
+    document = parse_document("<a>" * depth + "x" + "</a>" * depth)
+    node, levels = document.root, 1
+    while node.children[0].kind is NodeKind.ELEMENT:
+        node, levels = node.children[0], levels + 1
+    assert levels == depth
+    assert node.text() == "x"
+
+
+def test_deep_unclosed_elements_raise_a_structured_error():
+    with pytest.raises(XmlParseError, match="unclosed element <a>") as raised:
+        parse_document("<a>" * 5000)
+    assert raised.value.position == 15000
+    assert (raised.value.line, raised.value.column) == (1, 15001)
+
+
+@pytest.mark.parametrize(
+    "source, message, position",
+    [
+        ("<a><b></a>", "mismatched end tag </a> for <b>", 9),
+        ("<a></ a>", "expected a name", 5),
+        ("<a></a", "expected '>'", 6),
+        ("<a x='1' x='2'/>", "duplicate attribute 'x'", 10),
+        ("<a x/>", "expected '='", 4),
+        ("<a x=1/>", "attribute value must be quoted", 5),
+        ('<a x="1/>', "unterminated attribute value", 6),
+        ("<a x='1'", "unterminated start tag", 8),
+        ("<a / >", "expected '>'", 3),
+        ("<a><1/></a>", "expected a name", 4),
+        ("<a><!-- x</a>", "unterminated comment", 7),
+        ("<a><![CDATA[x</a>", "unterminated CDATA section", 12),
+        ("<a><?pi</a>", "unterminated processing instruction", 5),
+        ("<a>&nope;</a>", "unknown entity &nope;", 3),
+        ("<a>\n<b>x", "unclosed element <b>", 8),
+        ("<a/><b/>", "content after the root element", 4),
+        ("x<a/>", "expected '<'", 0),
+    ],
+)
+def test_error_messages_and_positions(source, message, position):
+    with pytest.raises(XmlParseError) as raised:
+        parse_document(source)
+    assert str(raised.value).startswith(message + " (")
+    assert raised.value.position == position
