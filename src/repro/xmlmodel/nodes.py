@@ -32,7 +32,9 @@ class Node:
 
     :ivar parent: the parent node, or ``None`` for a document root.
     :ivar pbn: the node's prefix-based number, assigned by
-        :func:`repro.pbn.assign.assign_numbers`; ``None`` until assigned.
+        :func:`repro.pbn.assign.assign_numbers` or by a store's indexing
+        walk (:func:`repro.storage.store.index_tree`); ``None`` until
+        assigned.
     """
 
     __slots__ = ("parent", "pbn")
