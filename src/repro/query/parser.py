@@ -46,13 +46,25 @@ _AXES = frozenset(
 
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
+#: Deepest nesting a query may have: each parenthesized expression,
+#: predicate, function argument, FLWR / if / quantifier operand, element
+#: constructor and enclosed ``{ }`` expression is one level.  The parser
+#: recurses about sixteen frames a level, so this keeps a parse (and the
+#: evaluation of what it builds) well inside the interpreter's recursion
+#: limit on any thread; deeper input is a :class:`QueryParseError`.
+MAX_DEPTH = 32
+
 
 def parse_query(text: str) -> ast.Expr:
     """Parse ``text`` into an expression tree.
 
-    :raises QueryParseError: on any syntax error.
+    :raises QueryParseError: on any syntax error, and on nesting deeper
+        than :data:`MAX_DEPTH`.
     """
-    parser = _Parser(text)
+    return _parse_all(_Parser(text))
+
+
+def _parse_all(parser: "_Parser") -> ast.Expr:
     expr = parser.parse_expr()
     token = parser.peek()
     if token.kind != "EOF":
@@ -63,9 +75,22 @@ def parse_query(text: str) -> ast.Expr:
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, depth: int = 0) -> None:
         self.lexer = Lexer(text)
         self._buffer: list[Token] = []
+        #: nesting levels open around the current position
+        self.depth = depth
+
+    def enter(self, position: Optional[int] = None) -> None:
+        """Open one nesting level (``depth -= 1`` closes it); input nested
+        past :data:`MAX_DEPTH` is a :class:`QueryParseError` at
+        ``position`` (default: the next token)."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise QueryParseError(
+                f"query nested deeper than {MAX_DEPTH} levels",
+                self.peek().start if position is None else position,
+            )
 
     # -- token plumbing ------------------------------------------------------
 
@@ -157,6 +182,7 @@ class _Parser:
         return ast.SequenceExpr(tuple(exprs))
 
     def _parse_flwr(self) -> ast.Expr:
+        self.enter()
         clauses: list[Union[ast.ForClause, ast.LetClause]] = []
         while True:
             if self.accept_keyword("for"):
@@ -199,9 +225,11 @@ class _Parser:
                     break
         self.expect_keyword("return")
         return_expr = self.parse_expr()
+        self.depth -= 1
         return ast.FLWRExpr(tuple(clauses), where, tuple(order_by), return_expr)
 
     def _parse_if(self) -> ast.Expr:
+        self.enter()
         self.expect_keyword("if")
         self.expect_symbol("(")
         condition = self.parse_expr()
@@ -210,21 +238,28 @@ class _Parser:
         then_expr = self.parse_expr()
         self.expect_keyword("else")
         else_expr = self.parse_expr()
+        self.depth -= 1
         return ast.IfExpr(condition, then_expr, else_expr)
 
     def _parse_quantified(self) -> ast.Expr:
+        self.enter()
         quantifier = self.take().value
         var = self.expect_variable()
         self.expect_keyword("in")
         expr = self._parse_or()
         self.expect_keyword("satisfies")
         condition = self.parse_expr()
+        self.depth -= 1
         return ast.QuantifiedExpr(quantifier, var, expr, condition)
 
     def _parse_or(self) -> ast.Expr:
+        # Every nested expression (parenthesized, predicate, argument,
+        # operand) enters the grammar here: one nesting level.
+        self.enter()
         left = self._parse_and()
         while self.accept_keyword("or"):
             left = ast.BinaryOp("or", left, self._parse_and())
+        self.depth -= 1
         return left
 
     def _parse_and(self) -> ast.Expr:
@@ -293,10 +328,13 @@ class _Parser:
                 return left
 
     def _parse_unary(self) -> ast.Expr:
-        if self.peek().kind == "SYMBOL" and self.peek().value in ("-", "+"):
-            op = self.take().value
-            return ast.UnaryOp(op, self._parse_unary())
-        return self._parse_path()
+        signs = []
+        while self.peek().kind == "SYMBOL" and self.peek().value in ("-", "+"):
+            signs.append(self.take().value)
+        expr = self._parse_path()
+        for op in reversed(signs):
+            expr = ast.UnaryOp(op, expr)
+        return expr
 
     # -- paths ---------------------------------------------------------------
 
@@ -520,14 +558,17 @@ class _ConstructorScanner:
 
     def scan(self) -> ast.ElementConstructor:
         """Scan from just after the opening ``<``."""
+        self.parser.enter(self.pos)
         tag = self._scan_name()
         attributes = self._scan_attributes()
         if self.text.startswith("/>", self.pos):
             self.pos += 2
-            return ast.ElementConstructor(tag, tuple(attributes), ())
-        self._expect(">")
-        content = self._scan_content(tag)
-        return ast.ElementConstructor(tag, tuple(attributes), tuple(content))
+            content = ()
+        else:
+            self._expect(">")
+            content = tuple(self._scan_content(tag))
+        self.parser.depth -= 1
+        return ast.ElementConstructor(tag, tuple(attributes), content)
 
     def _scan_name(self) -> str:
         start = self.pos
@@ -654,6 +695,6 @@ class _ConstructorScanner:
                 if depth == 0:
                     inner = text[start:position]
                     self.pos = position + 1
-                    return parse_query(inner)
+                    return _parse_all(_Parser(inner, self.parser.depth))
             position += 1
         raise self.error("unterminated { } in constructor")

@@ -99,7 +99,10 @@ class AdmissionController:
         self.waiting += 1
         started = time.perf_counter()
         try:
-            await asyncio.wait_for(self._slots.acquire(), self.queue_timeout_s)
+            if self._slots.locked():
+                await asyncio.wait_for(self._slots.acquire(), self.queue_timeout_s)
+            else:  # a free slot: take it without a timeout task
+                await self._slots.acquire()
         except (asyncio.TimeoutError, TimeoutError):
             raise self._shed("queue_timeout") from None
         finally:

@@ -4,7 +4,19 @@
 server (:mod:`repro.serve.http`) and the query service: admission
 control, the worker pool that runs blocking engine work off the event
 loop, per-query cost budgets, and read/write splitting across the
-replica tier.  It is protocol-independent — ``await app.handle(method,
+replica tier.
+
+Where a read runs is one decision, made on the loop after admission.  A
+read whose plan routes to one shard (thread workers), whose engine and
+replica read target are free without waiting, is evaluated *inline* on
+the loop under :data:`INLINE_BUDGET`; its answer is written there when
+it is atomic values or text / attribute nodes.  Everything else keeps
+the worker pool: scatters, ``/update``, ``/explain``, process-worker
+reads, the write of an element or document answer, and a read that
+trips the inline budget (re-run under the request's own budget).
+``serve.reads{path=inline|pool, reason=}`` counts each decision, and the
+request span carries the same ``path`` / ``reason``.  It is
+protocol-independent — ``await app.handle(method,
 path, params, headers, body)`` answers a :class:`Response` — and holds
 the only error mapping (``400`` :class:`~repro.errors.ReproError`,
 ``422`` budget, ``429`` shed, ``500`` otherwise).  Endpoints:
@@ -67,14 +79,31 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
+from repro.core.virtual_document import VNode
 from repro.errors import QueryBudgetExceeded, ReproError
-from repro.obs.trace import NOOP, SpanContext, span, wrap
+from repro.obs.trace import NOOP, SpanContext, current_span, span, wrap
 from repro.query.budget import CostBudget
 from repro.serve.admission import AdmissionController, NullAdmission, ServiceOverloaded
 from repro.serve.replica import ReplicaSet
+from repro.shard.plan import referenced_sources
+from repro.xmlmodel.nodes import Node, NodeKind
 
 #: Routes that carry query work (and therefore a request trace).
 _WORK_ROUTES = ("/query", "/update", "/explain")
+
+#: What a read may spend on the event loop.  A read whose plan routes to
+#: one shard is evaluated inline under this budget (clamped by the
+#: request's own); one that trips it is re-run on the worker pool under
+#: the request's budget alone.  A query text the plan cache does not
+#: hold is parsed on the loop only when it is at most this many
+#: characters long.  Sized to about a millisecond on a 2-core host: a
+#: point read is 251 visits, ``count(doc()//*)`` on books(250) 1,996
+#: (docs/SERVING.md "Architecture").
+INLINE_BUDGET = CostBudget(max_node_visits=2000)
+
+#: Node kinds whose answers are written on the loop: their text is one
+#: value, not a subtree.
+_VALUE_KINDS = (NodeKind.TEXT, NodeKind.ATTRIBUTE)
 
 
 class Response:
@@ -113,8 +142,48 @@ def _query_text(body: bytes) -> str:
     return text
 
 
+def _written_inline(result) -> bool:
+    """Whether an answer is cheap to write on the loop: atomic values and
+    text / attribute nodes only (an element or document is a subtree)."""
+    for item in result.unsettled:
+        if isinstance(item, VNode):
+            item = item.node
+        if isinstance(item, Node):
+            if item.kind not in _VALUE_KINDS:
+                return False
+        elif not isinstance(item, (str, int, float, bool)):
+            return False
+    return True
+
+
+def _own_limit(budget: Optional[CostBudget], dimension: str) -> Optional[int]:
+    if budget is None:
+        return None
+    return budget.max_node_visits if dimension == "node_visits" else budget.max_step_rows
+
+
+class _Admitted:
+    """``async with``: one admission slot for a request's work, its wait
+    recorded as a ``serve.admission`` span (contextvars survive the
+    ``await`` natively)."""
+
+    __slots__ = ("_slot",)
+
+    def __init__(self, admission) -> None:
+        self._slot = admission.slot()
+
+    async def __aenter__(self) -> None:
+        with span("serve.admission") as wait_span:
+            wait_span.set("queue_depth", getattr(self._slot, "waiting", 0))
+            await self._slot.__aenter__()
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self._slot.__aexit__(None, None, None)
+
+
 class ServingApp:
-    """Routes requests onto a service through admission + worker pool.
+    """Routes requests onto a service through admission, then inline on
+    the loop or on the worker pool (see the module doc).
 
     :param service: a :class:`~repro.service.service.QueryService` or
         :class:`~repro.shard.service.ShardedService`.
@@ -224,27 +293,31 @@ class ServingApp:
         return _json_response(404, {"error": f"unknown path {path!r}"})
 
     async def _offload(self, fn, *args):
-        """Run blocking engine work on the worker pool, one admission
-        slot per request.
+        """Run blocking engine work on the worker pool under one
+        admission slot (``/update`` and ``/explain``)."""
+        async with _Admitted(self.admission):
+            self._count_read("pool", "route")
+            return await self._in_pool(fn, *args)
 
-        Two explicit trace hand-offs live here: the admission wait
-        records as a ``serve.admission`` span (contextvars survive the
-        ``await`` natively), and the pool execution runs under
-        :func:`repro.obs.trace.wrap` because ``run_in_executor`` does
-        *not* propagate context to pool threads — the captured context
-        is restored there, inside a ``serve.worker`` span, and released
-        again when the call returns, traced or shed alike."""
+    async def _in_pool(self, fn, *args):
+        """Run ``fn`` on the worker pool.  ``run_in_executor`` does *not*
+        propagate context to pool threads, so the call runs under
+        :func:`repro.obs.trace.wrap`: the captured context is restored
+        there, inside a ``serve.worker`` span, and released again when
+        the call returns."""
         loop = asyncio.get_running_loop()
-        slot = self.admission.slot()
-        with span("serve.admission") as wait_span:
-            wait_span.set("queue_depth", getattr(self.admission, "waiting", 0))
-            await slot.__aenter__()
-        try:
-            return await loop.run_in_executor(
-                self._executor, wrap(fn, "serve.worker"), *args
-            )
-        finally:
-            await slot.__aexit__(None, None, None)
+        return await loop.run_in_executor(
+            self._executor, wrap(fn, "serve.worker"), *args
+        )
+
+    def _count_read(self, path: str, reason: str) -> None:
+        """Where a work request ran (``inline`` or ``pool``) and why:
+        ``serve.reads{path=,reason=}`` and the request span's attributes."""
+        self.metrics.incr("serve.reads", labels={"path": path, "reason": reason})
+        request_span = current_span()
+        if request_span is not None:
+            request_span.set("path", path)
+            request_span.set("reason", reason)
 
     # -- read path ---------------------------------------------------------------
 
@@ -254,6 +327,64 @@ class ServingApp:
         if self.replica_set is not None:
             return self.replica_set.read_service()
         return self.service
+
+    def _read_target(self, text: str):
+        """Where a read runs, decided on the loop without waiting:
+        ``(target, route, reason)``.  ``reason`` is ``None`` when the read
+        may be evaluated inline on ``target`` (a :class:`QueryService`);
+        otherwise it names why the pool takes it, and ``target`` /
+        ``route`` pin what was already decided (or are ``None``)."""
+        service = self.service
+        if getattr(service, "workers", "thread") == "process":
+            return None, None, "process"
+        if len(text) > INLINE_BUDGET.max_node_visits and text not in service.plan_cache:
+            return None, None, "budget"
+        route = None
+        if hasattr(service, "route"):
+            route = service.route(text)
+            if route.shard is None:
+                return None, route, "scatter"
+            analysis = route.analysis
+        else:
+            analysis = referenced_sources(service.plan_cache.get_or_parse(text))
+        if analysis.ranges:
+            return None, route, "budget"
+        if route is not None:
+            target = service.read_service(route.shard, wait=False)
+        elif self.replica_set is not None:
+            target = self.replica_set.read_service(wait=False)
+        else:
+            target = service
+        return target, route, None if target is not None else "catchup"
+
+    def _evaluate_inline(self, target, text, mode, budget):
+        """Evaluate a read on the loop: ``(result, None)``, or ``(None,
+        reason)`` when the pool must run it — ``busy`` (no idle engine)
+        or ``budget`` (it tripped :data:`INLINE_BUDGET`).  A trip of the
+        request's own budget raises the error the pool would have."""
+        own = budget if budget is not None else target.default_budget
+        with span("serve.inline"):
+            try:
+                result = target.execute(
+                    text, mode=mode, budget=INLINE_BUDGET.clamped(own), wait=False
+                )
+            except QueryBudgetExceeded as error:
+                limit = _own_limit(own, error.dimension)
+                if limit is not None and error.spent > limit:
+                    raise QueryBudgetExceeded(
+                        error.dimension, limit, error.spent, own
+                    ) from None
+                return None, "budget"
+        return result, None if result is not None else "busy"
+
+    def _pool_read(self, text, mode, budget, target, route):
+        """Evaluate a read on a worker: on the pinned ``target``, through
+        the sharded service with its ``route``, or from scratch."""
+        if target is not None:
+            return target.execute(text, mode=mode, budget=budget)
+        if route is not None:
+            return self.service.execute(text, mode=mode, budget=budget, route=route)
+        return self._read_service().execute(text, mode=mode, budget=budget)
 
     def _parse_budget(self, params: dict) -> Optional[CostBudget]:
         max_visits = params.get("max_visits")
@@ -277,14 +408,34 @@ class ServingApp:
         as_values = params.get("values") in ("1", "true", "yes")
         budget = self._parse_budget(params)
 
-        def run() -> str:
-            # Serialize in the worker too: writing a large answer on the
-            # loop thread would stall every other connection and escape
-            # the ``serve.worker`` span and the admission slot.
-            result = self._read_service().execute(text, mode=mode, budget=budget)
+        def write(result) -> str:
             return "\n".join(result.values()) if as_values else result.to_xml()
 
-        body_text = await self._offload(run)
+        async with _Admitted(self.admission):
+            path, reason = "inline", "point"
+            target = route = None
+            try:
+                try:
+                    target, route, why = self._read_target(text)
+                    if why is None:
+                        result, why = self._evaluate_inline(target, text, mode, budget)
+                except RecursionError:  # the loop's stack is deeper than a worker's
+                    why = "budget"
+                if why is None and _written_inline(result):
+                    body_text = write(result)
+                elif why is None:
+                    # Evaluated inline; an element or document answer is
+                    # a subtree to write, which would stall every
+                    # connection on the loop.
+                    path, reason = "pool", "write"
+                    body_text = await self._in_pool(write, result)
+                else:
+                    path, reason = "pool", why
+                    body_text = await self._in_pool(
+                        lambda: write(self._pool_read(text, mode, budget, target, route))
+                    )
+            finally:
+                self._count_read(path, reason)
         return Response(200, body_text, "text/plain" if as_values else "application/xml")
 
     async def _do_explain(self, params: dict, body: bytes) -> Response:

@@ -1,8 +1,9 @@
 """The asyncio HTTP/1.1 front end for :class:`~repro.serve.app.ServingApp`.
 
-One event loop accepts connections and parses requests; blocking engine
-work never runs on the loop — the app offloads it to its worker pool —
-so thousands of idle keep-alive connections cost one task each, not one
+One event loop accepts connections and parses requests; the app answers
+budget-bounded point reads on the loop and offloads every other piece of
+engine work to its worker pool (see :mod:`repro.serve.app`), so
+thousands of idle keep-alive connections cost one task each, not one
 thread each.  Connections are HTTP/1.1 keep-alive by default;
 ``Connection: close`` ends the connection after the response, and
 malformed framing is answered with a structured JSON ``400``/``413``
@@ -126,26 +127,31 @@ class AsyncHTTPServer:
 
     async def _read_request(self, reader):
         """Parse one request; ``None`` on clean EOF, :class:`_BadFraming`
-        on a request line, header or ``Content-Length`` it cannot frame."""
-        headers: dict[str, str] = {}
+        on a request line, header or ``Content-Length`` it cannot frame.
+
+        The head (request line and headers, CRLF-terminated as HTTP/1.1
+        requires) is read with one ``readuntil``; a head longer than the
+        stream's limit is the same ``400`` as a malformed one."""
         try:
-            line = await reader.readline()
-            if not line:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if not error.partial:
                 return None
-            parts = line.decode("latin-1").strip().split()
-            if len(parts) != 3:
-                raise _BadFraming(400, "malformed request line")
-            method, target, _version = parts
-            while True:
-                line = await reader.readline()
-                if not line or line in (b"\r\n", b"\n"):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+            head = error.partial  # the peer closed mid-head: frame what came
+        except asyncio.LimitOverrunError:
+            raise _BadFraming(400, "request line or header too long") from None
         except ConnectionResetError:
             return None
-        except ValueError:  # StreamReader.readline past its buffer limit
-            raise _BadFraming(400, "request line or header too long") from None
+        request_line, *lines = head.decode("latin-1").split("\r\n")
+        parts = request_line.strip().split()
+        if len(parts) != 3:
+            raise _BadFraming(400, "malformed request line")
+        method, target, _version = parts
+        headers: dict[str, str] = {}
+        for line in lines:
+            if line:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length") or "0"
         # isdigit, not int(): int() also takes "+5", "1_0" and " 5 ".
         if not (declared.isascii() and declared.isdigit()):
@@ -168,8 +174,8 @@ class AsyncHTTPServer:
         ]
         for name, value in response.headers.items():
             head.append(f"{name}: {value}")
-        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n")
-        writer.write(response.body)
+        head.append("\r\n")
+        writer.write("\r\n".join(head).encode("latin-1") + response.body)
         await writer.drain()
 
 

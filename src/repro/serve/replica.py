@@ -199,18 +199,28 @@ class ReplicaSet:
 
     # -- read path ---------------------------------------------------------------
 
-    def read_service(self) -> QueryService:
+    def read_service(self, wait: bool = True) -> Optional[QueryService]:
         """Where the next read executes: the next replica round-robin,
         after catching it up to within ``max_lag`` of the log head —
         or the primary when the replica cannot be served fresh enough
         under the ``catchup_batch`` bound.
 
+        ``wait=False`` is the event loop's variant: it never waits on
+        the set's lock and never replays shipped records.  It answers
+        the next replica when that one has nothing to replay, and
+        ``None`` otherwise (the caller reads on a worker instead, where
+        the blocking variant catches the same replica up).
+
         The routing decision (including the redo-tail catch-up it may
         pay for) records as a ``replica.read`` span on the active trace;
         the read itself follows as the sibling ``query`` span."""
-        with span("replica.read", self.label) as read_span:
-            with self._lock:
-                replica = self.replicas[self._next_read % len(self.replicas)]
+        if not self._lock.acquire(blocking=wait):
+            return None
+        try:
+            replica = self.replicas[self._next_read % len(self.replicas)]
+            if not wait and replica.lag(self.ship_log):
+                return None
+            with span("replica.read", self.label) as read_span:
                 self._next_read += 1
                 applied = replica.catch_up(self.ship_log, self.catchup_batch)
                 lag = replica.lag(self.ship_log)
@@ -224,6 +234,8 @@ class ReplicaSet:
                 read_span.set("target", "primary")
                 self.metrics.incr("serve.replica.fallbacks")
                 return self.primary
+        finally:
+            self._lock.release()
 
     # -- introspection -----------------------------------------------------------
 

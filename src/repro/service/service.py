@@ -13,7 +13,8 @@ of their own.
 Thread-safety contract:
 
 * ``execute`` / ``batch`` are safe from any number of threads; callers
-  block while all pooled engines are busy.
+  block while all pooled engines are busy (``execute(..., wait=False)``
+  answers ``None`` instead).
 * ``load`` / ``open_image`` / ``update`` take the topology lock and are
   safe to call concurrently with queries.  Topology changes reach an
   engine only while it is *idle* — a replacement store is attached
@@ -426,16 +427,33 @@ class QueryService:
 
     # -- execution ---------------------------------------------------------------
 
-    def _checkout(self) -> Engine:
+    def _checkout(self, wait: bool = True) -> Optional[Engine]:
+        """The next idle engine with its pending stores attached.  With
+        ``wait=False``, ``None`` instead of blocking: no engine is idle,
+        or a writer holds the topology lock (it is publishing)."""
         started = time.perf_counter()
-        with span("checkout"):
-            engine = self._idle.get()
-            with self._topology_lock:
+        with span("checkout") as checkout_span:
+            if wait:
+                engine = self._idle.get()
+                self._topology_lock.acquire()
+            else:
+                try:
+                    engine = self._idle.get_nowait()
+                except queue.Empty:
+                    checkout_span.set("busy", True)
+                    return None
+                if not self._topology_lock.acquire(blocking=False):
+                    self._idle.put(engine)
+                    checkout_span.set("busy", True)
+                    return None
+            try:
                 pending = self._pending[id(engine)]
                 if pending:
                     for uri, store in pending.items():
                         engine.attach(uri, store, invalidate_views=False)
                     pending.clear()
+            finally:
+                self._topology_lock.release()
         self.metrics.observe(
             "service.checkout_seconds", time.perf_counter() - started
         )
@@ -462,7 +480,8 @@ class QueryService:
         mode: Optional[str] = None,
         variables: Optional[dict[str, list]] = None,
         budget=None,
-    ) -> Result:
+        wait: bool = True,
+    ) -> Optional[Result]:
         """Evaluate ``query`` on the next idle engine (blocking while the
         whole pool is busy).  Plan and view caches are consulted inside
         the engine; see the metric names in :mod:`repro.service.metrics`.
@@ -471,19 +490,28 @@ class QueryService:
         this query (pass one built with ``clamped`` to let callers
         tighten but not loosen the default).
 
+        ``wait=False`` answers ``None`` instead of blocking when no
+        engine can be checked out at once — the serving tier's inline
+        reads (:mod:`repro.serve.app`) must never wait on the event loop.
+
         When the request is sampled (:attr:`tracer`), the trace opens
         here at admission — pool checkout, parsing, view resolution, and
         every axis step below land in one span tree."""
-        self.metrics.incr("service.queries")
         handle = self.tracer.start("query", detail=_preview(query), stats=self.stats)
         with handle as root:
-            with self._engine() as engine:
+            engine = self._checkout(wait)
+            if engine is None:
+                return None
+            self.metrics.incr("service.queries")
+            try:
                 result = engine.execute(
                     query,
                     mode=mode,
                     variables=variables,
                     budget=budget if budget is not None else self.default_budget,
                 )
+            finally:
+                self._checkin(engine)
             root.set("items", len(result))
             return result
 

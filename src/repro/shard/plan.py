@@ -65,11 +65,15 @@ class PlanSources:
         condition / where clause.
     :ivar dynamic: ``True`` when a ``doc``/``virtualDoc`` call has a
         non-literal argument, so routing cannot be decided statically.
+    :ivar ranges: ``True`` when the plan builds a range (``a to b``):
+        its length comes from the query, not from metered steps, so no
+        cost budget bounds it.
     """
 
     sources: list[Source]
     guarded: set[Source]
     dynamic: bool
+    ranges: bool = False
 
     @property
     def uris(self) -> list[str]:
@@ -148,6 +152,8 @@ def referenced_sources(expr: ast.Expr) -> PlanSources:
             visit(node.expr, guarded)
             visit(node.condition, True)
             return
+        if isinstance(node, ast.BinaryOp) and node.op == "to":
+            analysis.ranges = True
         _visit_children(node, guarded, visit)
 
     visit(expr, False)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from repro.core.virtual_document import VNode
 from repro.obs.trace import Tracer, current_context, fork
@@ -92,6 +92,17 @@ class ShardResult(Result):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardResult({len(self.items)} items over shards {self.shards})"
+
+
+class Route(NamedTuple):
+    """Where one query runs (:meth:`ShardedService.route`): its parsed
+    plan, the plan's source analysis, the placement of the documents it
+    names, and the one shard it routes to — ``None`` when it scatters."""
+
+    expr: object
+    analysis: object
+    involved: dict
+    shard: Optional[int]
 
 
 class ShardedService:
@@ -217,11 +228,13 @@ class ShardedService:
                 )
         self.replica_sets = list(replica_sets)
 
-    def _read_service(self, shard: int) -> QueryService:
+    def read_service(self, shard: int, wait: bool = True) -> Optional[QueryService]:
         """Where shard ``shard``'s next read executes: a caught-up replica
-        when a replica set is attached, the primary otherwise."""
+        when a replica set is attached, the primary otherwise.  With
+        ``wait=False``, ``None`` where the replica set would have to wait
+        or replay (:meth:`ReplicaSet.read_service`)."""
         if self.replica_sets is not None:
-            return self.replica_sets[shard].read_service()
+            return self.replica_sets[shard].read_service(wait)
         return self.services[shard]
 
     # -- documents ---------------------------------------------------------------
@@ -321,12 +334,37 @@ class ShardedService:
 
     # -- execution ---------------------------------------------------------------
 
+    def route(self, query: str) -> Route:
+        """Parse ``query`` once (through the shared plan cache) and decide
+        where it runs: :attr:`Route.shard` is the one shard its sources
+        live on, or ``None`` when the plan scatters.  Raises the routing
+        errors :meth:`execute` would (a computed uri across shards, an
+        unscatterable plan)."""
+        expr = self.plan_cache.get_or_parse(query)
+        analysis = referenced_sources(expr)
+        if self.catalog.shards == 1:
+            self.metrics.incr("shard.routed_single")
+            return Route(expr, analysis, {}, 0)
+        if analysis.dynamic:
+            raise ShardError(
+                "cannot route a doc()/virtualDoc() call with a computed uri "
+                "across shards; use literal uris (or a 1-shard collection)"
+            )
+        involved = {uri: self.catalog.place(uri) for uri in analysis.uris}
+        shard_set = sorted(set(involved.values()))
+        if len(shard_set) <= 1:
+            self.metrics.incr("shard.routed_single")
+            return Route(expr, analysis, involved, shard_set[0] if shard_set else 0)
+        check_scatterable(analysis, involved)
+        return Route(expr, analysis, involved, None)
+
     def execute(
         self,
         query: str,
         mode: Optional[str] = None,
         variables: Optional[dict[str, list]] = None,
         budget=None,
+        route: Optional[Route] = None,
     ):
         """Evaluate ``query`` against the collection.
 
@@ -337,33 +375,25 @@ class ShardedService:
 
         ``budget`` caps this query's metered cost *per shard* (each
         specialization gets its own meter over the shared limit).
+        ``route`` is :meth:`route`'s decision for ``query`` when the
+        caller has made it already.
         """
         if budget is not None:
             self._require_thread_workers("per-query budgets")
-        expr = self.plan_cache.get_or_parse(query)
-        analysis = referenced_sources(expr)
-        if self.catalog.shards == 1:
-            return self._routed(0, query, mode, variables, budget)
-        if analysis.dynamic:
-            raise ShardError(
-                "cannot route a doc()/virtualDoc() call with a computed uri "
-                "across shards; use literal uris (or a 1-shard collection)"
-            )
-        involved = {uri: self.catalog.place(uri) for uri in analysis.uris}
-        shard_set = sorted(set(involved.values()))
-        if len(shard_set) <= 1:
-            owner = shard_set[0] if shard_set else 0
-            return self._routed(owner, query, mode, variables, budget)
-        check_scatterable(analysis, involved)
+        if route is None:
+            route = self.route(query)
+        if route.shard is not None:
+            return self._routed(route.shard, query, mode, variables, budget)
         self._check_variables(variables)
-        return self._scatter(expr, analysis, involved, query, mode, variables, budget)
+        return self._scatter(
+            route.expr, route.analysis, route.involved, query, mode, variables, budget
+        )
 
     def _routed(self, shard: int, query: str, mode, variables, budget=None):
-        self.metrics.incr("shard.routed_single")
         if self._process_pool is not None:
             self._check_variables(variables)  # nodes cannot cross the pipe
             return self._process_pool.execute_routed(shard, query, mode, variables)
-        return self._read_service(shard).execute(
+        return self.read_service(shard).execute(
             query, mode=mode, variables=variables, budget=budget
         )
 
@@ -420,7 +450,7 @@ class ShardedService:
     ) -> ShardResult:
         detail = _preview(query)
         # Pin each shard's read target (primary or replica) once per query.
-        executors = {shard: self._read_service(shard) for shard in plans}
+        executors = {shard: self.read_service(shard) for shard in plans}
         # Each shard task carries a forked span: parentage is decided
         # here at fan-out (under the ``scatter`` span), and the fragment
         # becomes the active span on whichever pool thread runs the task

@@ -277,3 +277,46 @@ def test_flwr_in_sequence():
 def test_for_at_parses():
     expr = parse_query("for $x at $i in a return $i")
     assert expr.clauses[0].position_var == "i"
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(QueryParseError, match="nested deeper than"):
+        parse_query("(" * 200 + "1" + ")" * 200)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "(" * n + "1" + ")" * n,
+        lambda n: "a" + "[b" * n + "]" * n,
+        lambda n: "count(" * n + "1" + ")" * n,
+        lambda n: "<a>" * n + "</a>" * n,
+        lambda n: "<a>{" * n + "1" + "}</a>" * n,
+        lambda n: "if (" * n + "1" + ") then 1 else 2" * n,
+    ],
+    ids=["parentheses", "predicates", "calls", "constructors", "enclosed", "if"],
+)
+def test_nesting_is_refused_at_the_depth_limit_and_not_before(make):
+    from repro.query.parser import MAX_DEPTH
+
+    deepest = 0
+    for depth in range(1, MAX_DEPTH + 2):
+        try:
+            parse_query(make(depth))
+        except QueryParseError as error:
+            assert "nested deeper than" in str(error)
+            break
+        deepest = depth
+    # A constructor with an enclosed expression nests two levels per step.
+    assert (MAX_DEPTH - 1) // 2 <= deepest < MAX_DEPTH
+    with pytest.raises(QueryParseError, match="nested deeper than"):
+        parse_query(make(MAX_DEPTH + 1))
+
+
+def test_a_sign_chain_parses_without_recursion():
+    expr = parse_query("-" * 2000 + "1")
+    depth = 0
+    while isinstance(expr, ast.UnaryOp):
+        expr = expr.operand
+        depth += 1
+    assert depth == 2000 and expr == ast.Literal(1)

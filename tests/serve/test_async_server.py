@@ -25,13 +25,18 @@ DOC = "<a><b x='1'>t1</b><b x='2'>t2</b><c>z</c></a>"
 
 
 class GatedService(QueryService):
-    """Queries block on ``gate`` — deterministic slow requests."""
+    """Queries block on ``gate`` — deterministic slow requests.  No engine
+    is ever free for an inline read (``wait=False`` answers ``None``), so
+    every read takes the ``busy`` route to the worker pool and waits on
+    the gate there, never on the event loop."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.gate = threading.Event()
 
-    def execute(self, *args, **kwargs):
+    def execute(self, *args, wait=True, **kwargs):
+        if not wait:
+            return None
         assert self.gate.wait(10), "test gate never opened"
         return super().execute(*args, **kwargs)
 
@@ -381,3 +386,14 @@ def test_invalid_utf8_body_is_400(raw_server, path):
     )
     assert status == 400
     assert "UTF-8" in report["error"]
+
+
+def test_deeply_nested_query_is_400_not_500(raw_server):
+    body = b"(" * 200 + b"1" + b")" * 200
+    status, _, report = _raw(
+        raw_server.port,
+        b"POST /query HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+        % (len(body), body),
+    )
+    assert status == 400
+    assert "nested deeper than" in report["error"]

@@ -262,14 +262,17 @@ def test_routed_process_query_adopts_the_worker_fragment():
 
 
 def test_answers_are_serialized_on_a_worker_thread():
-    """``to_xml`` / ``values`` of a large answer must not run on the event
-    loop (where it would stall every other connection): the worker hands
-    back text."""
+    """``to_xml`` / ``values`` of an element answer must not run on the
+    event loop (where it would stall every other connection): the read
+    is evaluated inline, and the worker hands back text."""
     import threading
+
+    from repro.xmlmodel.nodes import Element
 
     class StubResult:
         def __init__(self) -> None:
             self.threads: list = []
+            self.unsettled = [Element("x")]  # an element answer
 
         def to_xml(self) -> str:
             self.threads.append(threading.current_thread())

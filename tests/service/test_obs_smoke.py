@@ -126,9 +126,11 @@ def _post(url: str, body: str) -> str:
 
 
 def test_serve_query_update_and_scrape(served):
-    # One query and one update through the real HTTP front end.
+    # Two queries and one update through the real HTTP front end.
     body = _post(f"{served}/query?values=1", 'count(doc("book.xml")//book)')
     assert body == "20"
+    body = _post(f"{served}/query", 'doc("book.xml")//book[1]/title')
+    assert body.startswith("<title>") and body.endswith("</title>")
     update = json.dumps(
         {"op": "insert", "parent": "1", "fragment": "<book><title>Smoke</title></book>"}
     )
@@ -161,14 +163,27 @@ def test_serve_query_update_and_scrape(served):
     # The tracer sampled the traffic.
     body, _ = _get(f"{served}/debug/traces")
     traces = json.loads(body)
-    assert traces["counts"]["sampled"] >= 2
-    # One tree per served request: serve.request > serve.worker > the work.
+    assert traces["counts"]["sampled"] >= 3
+    # One tree per served request: serve.request > the hop > the work.
+    # The update runs on a worker; both reads are evaluated inline, and
+    # the element answer is written on a worker (where the work offloads).
     roots = [entry["root"] for entry in traces["recent"]]
     assert {root["name"] for root in roots} == {"serve.request"}
-    work = {
-        hop["name"]
-        for root in roots
-        for worker in root["children"] if worker["name"] == "serve.worker"
-        for hop in worker["children"]
-    }
-    assert {"query", "update"} <= work
+
+    def work(root, hop):
+        return {
+            child["name"]
+            for span in root["children"] if span["name"] == hop
+            for child in span["children"]
+        }
+
+    by_detail = {}
+    for root in roots:
+        by_detail.setdefault(root["detail"], []).append(root)
+    [update] = by_detail["POST /update"]
+    assert "update" in work(update, "serve.worker")
+    count, element = by_detail["POST /query"]
+    assert "query" in work(count, "serve.inline")
+    assert not work(count, "serve.worker")
+    assert "query" in work(element, "serve.inline")
+    assert "result.to_xml" in work(element, "serve.worker")
