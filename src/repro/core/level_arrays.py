@@ -57,11 +57,16 @@ def build_level_arrays(vguide: VGuide) -> dict[VType, tuple[int, ...]]:
     return arrays
 
 
-def _descend(vguide: VGuide, parent: VType, arrays: dict[VType, tuple[int, ...]]) -> None:
+def _descend(vguide: VGuide, root: VType, arrays: dict[VType, tuple[int, ...]]) -> None:
+    """Every type below ``root``, in preorder off an explicit stack (a
+    ``**`` subtree is as deep as the document): each from its parent's."""
     guide = vguide.source
-    parent_array = parent.level_array
-    assert parent_array is not None
-    for child in parent.children:
+    stack = list(reversed(root.children))
+    while stack:
+        child = stack.pop()
+        parent = child.parent
+        assert parent is not None and parent.level_array is not None
+        parent_array = parent.level_array
         lca = guide.lca_type_of(parent.original, child.original)
         if lca is None:
             raise SpecResolutionError(
@@ -82,4 +87,4 @@ def _descend(vguide: VGuide, parent: VType, arrays: dict[VType, tuple[int, ...]]
             child.level_array = parent_array[:s] + (n,)
             child.lca_length = s
         arrays[child] = child.level_array
-        _descend(vguide, child, arrays)
+        stack.extend(reversed(child.children))

@@ -20,13 +20,14 @@ def build_dataguide(document: Document) -> DataGuide:
     tie-break and ``**`` expansion preserves.
     """
     guide = DataGuide()
-    for root in document.children:
-        _collect(guide, root, ())
+    # Preorder off an explicit stack: a document may be deeper than the
+    # interpreter's recursion limit.
+    stack: list[tuple[Node, tuple[str, ...]]] = [
+        (root, ()) for root in reversed(document.children)
+    ]
+    while stack:
+        node, parent_path = stack.pop()
+        path = parent_path + (node.name,)
+        guide.ensure_type(path).count += 1
+        stack.extend((child, path) for child in reversed(node.children))
     return guide
-
-
-def _collect(guide: DataGuide, node: Node, parent_path: tuple[str, ...]) -> None:
-    path = parent_path + (node.name,)
-    guide.ensure_type(path).count += 1
-    for child in node.children:
-        _collect(guide, child, path)

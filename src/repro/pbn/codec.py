@@ -129,8 +129,13 @@ _SMALL_KEYS = tuple(bytes((value, _TERMINATOR)) for value in range(_SINGLE_MAX))
 def encode_key(number: Pbn) -> bytes:
     """Encode a (possibly rational) PBN number to an order-preserving,
     ancestor-prefix-preserving byte key."""
+    return encode_components(number.components)
+
+
+def encode_components(components) -> bytes:
+    """:func:`encode_key` of the number with these components."""
     parts = []
-    for component in number.components:
+    for component in components:
         if type(component) is int and 0 <= component < _SINGLE_MAX:
             parts.append(_SMALL_KEYS[component])
         else:

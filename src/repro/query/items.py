@@ -225,6 +225,7 @@ def items_to_xml(items: Sequence) -> str:
         to_xml_span.set("constructed_elements", stats.constructed_elements)
         to_xml_span.set("constructed_items", stats.constructed_items)
         to_xml_span.set("batches", stats.batches)
+        to_xml_span.set("merged_parents", stats.merged_parents)
         to_xml_span.set("bytes", len(text))
     return text
 

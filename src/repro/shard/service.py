@@ -41,12 +41,11 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from repro.core.virtual_document import VNode
 from repro.obs.trace import Tracer, current_context, fork
 from repro.query.engine import Result, _preview
-from repro.query.items import VirtualDocItem, is_node
+from repro.query.items import is_node
 from repro.service.cache import PlanCache, ViewCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import (
@@ -56,11 +55,10 @@ from repro.service.service import (
     service_snapshot,
 )
 from repro.storage.stats import StorageStats
-from repro.xmlmodel.nodes import Document, Node
 from repro.xmlmodel.serializer import serialize
 
 from repro.shard.catalog import ShardCatalog, ShardError
-from repro.shard.merge import keyed_stream, merge_streams
+from repro.shard.merge import merge_runs, source_ordinals, stream_runs
 from repro.shard.plan import (
     COMBINERS,
     check_scatterable,
@@ -479,15 +477,10 @@ class ShardedService:
             ((source.kind, source.uri, source.spec), ordinal)
             for ordinal, source in enumerate(analysis.sources)
         ]
-        streams = []
-        for shard in shard_ids:
-            result = results[shard]
-            streams.append(
-                keyed_stream(
-                    result.items, ordinal_of(result.sources, sources), _pbn_components
-                )
-            )
-        merged = merge_streams(streams)
+        merged = merge_runs([
+            stream_runs(results[shard].items, source_ordinals(results[shard].sources, sources))
+            for shard in shard_ids
+        ])
         return ShardResult(merged, 0.0, shard_ids)
 
     def _process_shard_task(self, fragment, shard, plan, mode, owned, combine):
@@ -524,10 +517,10 @@ class ShardedService:
         streams = {shard: future.result() for shard, future in futures.items()}
         if combine:
             combined = COMBINERS[combine](
-                streams[shard][0][1] for shard in shard_ids
+                streams[shard][0][1][0] for shard in shard_ids
             )
             return ShardResult([combined], 0.0, shard_ids)
-        merged = merge_streams([streams[shard] for shard in shard_ids])
+        merged = merge_runs([streams[shard] for shard in shard_ids])
         return ShardResult(merged, 0.0, shard_ids)
 
     def batch(
@@ -626,65 +619,3 @@ def _run_forked(fragment, fn, *args):
     """Run a scatter task inside its forked span (on the pool thread)."""
     with fragment:
         return fn(*args)
-
-
-def ordinal_of(resolved: dict, sources) -> Callable[[object], Optional[int]]:
-    """The source-ordinal attribution of one shard's result stream.
-
-    :param resolved: the shard's :attr:`Result.sources` — the containers
-        its own evaluation resolved, so an update landing after it
-        evaluated cannot make its items unattributable.
-    :param sources: ``((kind, uri, spec), ordinal)`` for the plan's sources.
-
-    A run of consecutive items under one view, or one parent, is
-    attributed once: only its first item looks its container up.
-    """
-    ordinals = {
-        _source_id(resolved[key]): ordinal for key, ordinal in sources if key in resolved
-    }
-    last_handle = last_ordinal = None
-
-    def attribute(item) -> Optional[int]:
-        nonlocal last_handle, last_ordinal
-        # the view, or the parent, the item shares with its run
-        handle = (
-            item._vdoc if isinstance(item, VNode)
-            else item.parent if isinstance(item, Node) else None
-        )
-        if handle is None or handle is not last_handle:
-            last_handle, last_ordinal = handle, ordinals.get(_container_id(item))
-        return last_ordinal
-
-    return attribute
-
-
-def _container_id(item) -> Optional[int]:
-    """Identity of the container an item belongs to, or ``None`` for
-    constructed / atomic items (which cannot merge across shards).  A
-    stored node's is its document's lineage: the ``parent`` walk may end
-    at another version's document (versions share nodes)."""
-    if isinstance(item, VNode):
-        vdoc = item._vdoc
-        return id(vdoc) if vdoc is not None else None
-    if isinstance(item, VirtualDocItem):
-        return id(item.vdoc)
-    if isinstance(item, Node):
-        node = item
-        while node.parent is not None:
-            node = node.parent
-        return _source_id(node) if isinstance(node, Document) else None
-    return None
-
-
-def _source_id(container) -> int:
-    """:func:`_container_id`'s key for a resolved source container."""
-    return id(container.lineage) if isinstance(container, Document) else id(container)
-
-
-def _pbn_components(item) -> Optional[tuple]:
-    """The extant PBN component tuple of a stored item, for the merge's
-    document-order verification; ``None`` when the item has no number or
-    its container uses a virtual order."""
-    if isinstance(item, Node) and item.pbn is not None:
-        return item.pbn.components
-    return None

@@ -20,10 +20,10 @@ price of a narrower contract:
   finished fragment ships home as a plain dict that the coordinator
   stitches under its ``shard.scatter`` span.
 
-The merge contract is unchanged: workers key their streams with the same
-``(source ordinal, position)`` keys (verified against extant PBNs by
-:func:`repro.shard.merge.keyed_stream`), so the coordinator heap-merges
-pipe payloads exactly as it merges live streams.
+The merge contract is unchanged: workers cut their streams into the same
+attributed, verified runs (:func:`repro.shard.merge.stream_runs`) and
+write each run of same-type virtual nodes with one batch, so the
+coordinator orders pipe payloads exactly as it orders live streams.
 
 The protocol is one request / one reply per pipe, requests are tuples
 (picklable plans — the AST is frozen dataclasses — ship directly), and
@@ -36,21 +36,45 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
-from repro.core.values import ValueStats
+from repro.core.values import ValueStats, write_batch
+from repro.core.virtual_document import VNode
 from repro.obs.trace import SpanContext, current_context, span
 from repro.query.engine import Result
 from repro.query.items import RemoteItem, is_node, string_value, write_item
 from repro.shard.catalog import ShardError
 
 
-def _payload(item, stats: ValueStats):
-    """One item as a pipe payload: ``("node", xml, value)`` or
-    ``("atomic", value)``."""
-    if not is_node(item):
-        return ("atomic", item)
-    parts: list[str] = []
-    write_item(item, parts, stats)
-    return ("node", "".join(parts), string_value(item))
+def _payloads(items: list, stats: ValueStats) -> list:
+    """Each item as a pipe payload: ``("node", xml, value)`` or
+    ``("atomic", value)``.  A run of consecutive virtual nodes of one
+    type and view is written with one :func:`write_batch`, as
+    ``to_xml`` writes it."""
+    payloads: list = []
+    index, count = 0, len(items)
+    while index < count:
+        item = items[index]
+        end = index + 1
+        if type(item) is VNode:
+            while (
+                end < count
+                and type(items[end]) is VNode
+                and items[end].vtype is item.vtype
+                and items[end]._vdoc is item._vdoc
+            ):
+                end += 1
+            run = items[index:end]
+            payloads.extend(
+                ("node", xml, string_value(vnode))
+                for xml, vnode in zip(write_batch(run, [], stats), run)
+            )
+        elif is_node(item):
+            parts: list[str] = []
+            write_item(item, parts, stats)
+            payloads.append(("node", "".join(parts), string_value(item)))
+        else:
+            payloads.append(("atomic", item))
+        index = end
+    return payloads
 
 
 def _revive(payload):
@@ -78,7 +102,7 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
     """The worker process loop: one :class:`QueryService` per shard,
     commands in, picklable payloads out.  Runs until ``close`` or EOF."""
     from repro.service.service import QueryService
-    from repro.shard.merge import keyed_stream
+    from repro.shard.merge import source_ordinals, stream_runs
 
     service = QueryService(pool_size=pool_size, mode=mode)
     while True:
@@ -102,8 +126,7 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
                     result = service.execute(
                         text, mode=mode_override, variables=variables
                     )
-                    stats = ValueStats()
-                    payloads = [_payload(item, stats) for item in result.unsettled]
+                    payloads = _payloads(result.unsettled, ValueStats())
                 remote = _worker_fragment(handle)
                 conn.send(("ok", (payloads, result.elapsed_seconds, remote)))
             elif command == "plan":
@@ -112,20 +135,16 @@ def worker_main(conn, mode: str, pool_size: int) -> None:
                 with handle:
                     result = service.execute_plan(expr, mode_override, None)
                     if combine:
-                        shipped = [(None, ("atomic", result.items[0]))]
+                        shipped = [(None, [("atomic", result.items[0])])]
                     else:
-                        from repro.shard.service import _pbn_components, ordinal_of
-
                         sources = [
                             ((kind, uri, spec), ordinal) for ordinal, kind, uri, spec in owned
                         ]
-                        entries = keyed_stream(
-                            result.items, ordinal_of(result.sources, sources), _pbn_components
+                        runs = stream_runs(
+                            result.items, source_ordinals(result.sources, sources)
                         )
                         stats = ValueStats()
-                        shipped = [
-                            (key, _payload(item, stats)) for key, item in entries
-                        ]
+                        shipped = [(ordinal, _payloads(run, stats)) for ordinal, run in runs]
                 remote = _worker_fragment(handle)
                 conn.send(("ok", (shipped, remote)))
             else:
@@ -191,13 +210,17 @@ class ProcessShardPool:
         combine: Optional[str] = None,
         carrier: Optional[SpanContext] = None,
     ):
-        """Keyed, materialized entries for the global merge (one keyless
-        entry holding the per-shard aggregate under ``combine``), plus
-        the worker's span fragment (``None`` untraced) for stitching."""
+        """The stream's runs, materialized, for the global merge (one
+        ordinal-less run holding the per-shard aggregate under
+        ``combine``), plus the worker's span fragment (``None``
+        untraced) for stitching."""
         shipped, remote = self._call(
             shard, ("plan", expr, mode, owned, combine, carrier)
         )
-        return [(key, _revive(payload)) for key, payload in shipped], remote
+        return [
+            (ordinal, [_revive(payload) for payload in payloads])
+            for ordinal, payloads in shipped
+        ], remote
 
     def close(self) -> None:
         for shard, (process, conn) in self._workers.items():

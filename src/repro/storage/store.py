@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from array import array
 from typing import NamedTuple, Optional
 
 from repro.dataguide.guide import DataGuide, GuideType
@@ -105,6 +106,8 @@ class DocumentStore:
         self._cas_lock = threading.Lock()
         self._view = None
         self._view_lock = threading.Lock()
+        self._span_columns: dict[int, tuple] = {}
+        self._span_lock = threading.Lock()
         #: Update-subsystem version counter: 0 for a freshly loaded store,
         #: bumped on every copy-on-write derivation (see repro.updates).
         self.version = 0
@@ -154,6 +157,8 @@ class DocumentStore:
         store._cas_lock = threading.Lock()
         store._view = None
         store._view_lock = threading.Lock()
+        store._span_columns = {}
+        store._span_lock = threading.Lock()
         store.version = version
         return store
 
@@ -221,6 +226,34 @@ class DocumentStore:
         """:meth:`value_of` of every number, in input order: one value
         index walk and each heap page read once for the whole batch."""
         return self.heap.read_ranges(self.value_index.spans(numbers))
+
+    def row_values(self, guide_type: GuideType, rows) -> list[str]:
+        """The values of the type's nodes at ``rows`` (a list or a range)
+        of its posting list, in input order — :meth:`values_of` for a
+        writer that already knows the rows.  Each row's span is read off
+        the type's *span column* (start and end offsets, two machine-word
+        arrays row-aligned with the posting list), built on first use with
+        one value-index walk per type and version: a store never changes,
+        and an update's new version starts without columns.  Like
+        :meth:`values_of` it charges one ``index_probes`` per row and
+        reads each heap page once per call."""
+        type_id = self._id_of_type[guide_type]
+        column = self._span_columns.get(type_id)
+        if column is None:
+            with self._span_lock:
+                column = self._span_columns.get(type_id)
+                if column is None:
+                    spans = self.value_index.posting_spans(self.type_index.postings(type_id))
+                    column = self._span_columns[type_id] = (
+                        array("q", [start for start, _ in spans]),
+                        array("q", [end for _, end in spans]),
+                    )
+        starts, ends = column
+        self.stats.index_probes += len(rows)
+        if type(rows) is range:
+            low, high = rows.start, rows.stop
+            return self.heap.read_ranges(zip(starts[low:high], ends[low:high]))
+        return self.heap.read_ranges(zip(map(starts.__getitem__, rows), map(ends.__getitem__, rows)))
 
     def content_of(self, number: Pbn) -> str:
         """An element's inner content (between its tags), or the raw text

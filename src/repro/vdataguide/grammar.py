@@ -22,6 +22,13 @@ _LABEL_CHARS = set(
 )
 _WHITESPACE = set(" \t\r\n")
 
+#: Deepest brace nesting a specification may have.  The parser and the
+#: resolver's label walk recurse once a level, so this keeps both well
+#: inside the interpreter's recursion limit on any thread; deeper input is
+#: a :class:`SpecParseError`.  A deep *virtual* hierarchy needs no deep
+#: spec: ``**`` mirrors a subtree of any depth.
+MAX_DEPTH = 128
+
 
 class _Tokens:
     """Token stream over a specification string."""
@@ -69,7 +76,8 @@ def parse_spec(text: str) -> list[SpecNode]:
     """Parse a specification into a forest of :class:`SpecNode` entries.
 
     :raises SpecParseError: on syntax errors, including wildcards at the
-        top level (a virtual hierarchy needs named roots).
+        top level (a virtual hierarchy needs named roots), and on nesting
+        deeper than :data:`MAX_DEPTH`.
     """
     tokens = _Tokens(text)
     entries: list[SpecNode] = []
@@ -81,16 +89,20 @@ def parse_spec(text: str) -> list[SpecNode]:
             raise SpecParseError(
                 f"expected a label at the top level, got {token!r}", tokens.pos
             )
-        entries.append(_parse_entry(tokens))
+        entries.append(_parse_entry(tokens, 1))
     if not entries:
         raise SpecParseError("empty specification", 0)
     return entries
 
 
-def _parse_entry(tokens: _Tokens) -> SpecNode:
+def _parse_entry(tokens: _Tokens, depth: int) -> SpecNode:
     label = tokens.take()
     node = SpecNode(label)
     if tokens.peek() == "{":
+        if depth > MAX_DEPTH:
+            raise SpecParseError(
+                f"specification nested deeper than {MAX_DEPTH} levels", tokens.pos
+            )
         tokens.expect("{")
         while True:
             token = tokens.peek()
@@ -108,7 +120,7 @@ def _parse_entry(tokens: _Tokens) -> SpecNode:
             elif token == "{":
                 raise SpecParseError("a block must follow a label", tokens.pos)
             else:
-                node.children.append(_parse_entry(tokens))
+                node.children.append(_parse_entry(tokens, depth + 1))
     return node
 
 

@@ -168,12 +168,20 @@ def _expand_star(
 
 
 def _mirror_subtree(vtype: VType, vguide: VGuide, mentioned: set[GuideType]) -> None:
-    """Reproduce the original subtree shape below ``vtype`` (for ``**``)."""
-    for child in vtype.original.children:
-        if child.is_text or child.is_attribute:
-            continue
-        if child in mentioned:
-            continue
-        child_vtype = vguide.register(VType(child, vtype))
+    """Reproduce the original subtree shape below ``vtype`` (for ``**``),
+    registering in preorder off an explicit stack: the subtree is as deep
+    as the document."""
+
+    def unmentioned(parent: VType) -> list:
+        return [
+            (child, parent)
+            for child in reversed(parent.original.children)
+            if not (child.is_text or child.is_attribute) and child not in mentioned
+        ]
+
+    stack = unmentioned(vtype)
+    while stack:
+        original, parent = stack.pop()
+        child_vtype = vguide.register(VType(original, parent))
         _attach_implicit_leaves(child_vtype, vguide)
-        _mirror_subtree(child_vtype, vguide, mentioned)
+        stack.extend(unmentioned(child_vtype))

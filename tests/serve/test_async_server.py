@@ -397,3 +397,15 @@ def test_deeply_nested_query_is_400_not_500(raw_server):
     )
     assert status == 400
     assert "nested deeper than" in report["error"]
+
+
+def test_deeply_nested_spec_is_400_not_500(raw_server):
+    spec = "a { " * 1000 + "}" * 1000
+    body = f'virtualDoc("doc.xml", "{spec}")//a'.encode()
+    status, _, report = _raw(
+        raw_server.port,
+        b"POST /query HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+        % (len(body), body),
+    )
+    assert status == 400
+    assert "nested deeper than" in report["error"]

@@ -251,6 +251,25 @@ class TestProcessWorkers:
         assert sharded.execute(query).to_xml() == single.execute(query).to_xml()
         assert sharded.execute(query).values() == [f"T{i}" for i in range(DOCS)]
 
+    def test_virtual_union_matches_thread_mode(self, procs):
+        """Process workers write each run of same-type virtual nodes with
+        one batch: the bytes are thread mode's."""
+        sharded, single, uris = procs
+        threads = ShardedService(shards=4, pool_size=1)
+        try:
+            _load(threads)
+            query = " | ".join(
+                f'virtualDoc("{u}", "title {{ chapter {{ ** }} }}")/{suffix}'
+                for u in uris
+                for suffix in ("/title", "/chapter")
+            )
+            expected = threads.execute(query).to_xml()
+            assert expected == single.execute(query).to_xml()
+            assert sharded.execute(query).to_xml() == expected
+            assert "<title>T0<chapter><p>body 0</p></chapter></title>" in expected
+        finally:
+            threads.close()
+
     def test_routed_and_combined(self, procs):
         sharded, single, uris = procs
         routed = sharded.execute(f'doc("{uris[0]}")//p/text()')
@@ -271,3 +290,49 @@ class TestProcessWorkers:
         # the failure crosses the pipe and re-raises as a ShardError.
         with pytest.raises(ShardError, match="worker"):
             sharded.execute('doc("never-loaded.xml")//p')
+
+
+# -- the run-wise gather --------------------------------------------------------
+
+
+def test_stream_runs_attribute_each_container_once_and_merge_by_ordinal():
+    from repro.query.engine import Engine
+    from repro.shard.merge import merge_runs, source_ordinals, stream_runs
+
+    engine = Engine()
+    for i in range(4):
+        engine.load(f"doc{i}.xml", _xml(i))
+    view = f'virtualDoc("doc1.xml", "{SPEC}")//title'
+    left = engine.execute(f'doc("doc0.xml")//p | {view}')
+    right = engine.execute('doc("doc2.xml")//* | doc("doc3.xml")//title')
+    keys = [("doc", "doc0.xml", None), ("virtualDoc", "doc1.xml", SPEC),
+            ("doc", "doc2.xml", None), ("doc", "doc3.xml", None)]
+    sources = [(key, ordinal) for ordinal, key in enumerate(keys)]
+    left_runs = stream_runs(left.items, source_ordinals(left.sources, sources))
+    right_runs = stream_runs(right.items, source_ordinals(right.sources, sources))
+    assert [(ordinal, len(run)) for ordinal, run in left_runs] == [(0, 1), (1, 1)]
+    assert [(ordinal, len(run)) for ordinal, run in right_runs] == [(2, 4), (3, 1)]
+    assert merge_runs([right_runs, left_runs]) == left.items + right.items
+
+
+def test_stream_runs_keep_every_check():
+    from repro.query.engine import Engine
+    from repro.shard.merge import source_ordinals, stream_runs
+
+    engine = Engine()
+    for i in range(2):
+        engine.load(f"doc{i}.xml", _xml(i))
+    keys = [("doc", "doc0.xml", None), ("doc", "doc1.xml", None)]
+    sources = [(key, ordinal) for ordinal, key in enumerate(keys)]
+    result = engine.execute('doc("doc0.xml")//* | doc("doc1.xml")//*')
+    ordinals = source_ordinals(result.sources, sources)
+    items = result.items
+    first = [item for item in items if item.pbn is not None][: len(items) // 2]
+    second = items[len(first):]
+    assert len(stream_runs(items, ordinals)) == 2
+    with pytest.raises(ShardMergeError, match="attributed"):
+        stream_runs(items + [1], ordinals)
+    with pytest.raises(ShardMergeError, match="re-enters"):
+        stream_runs(second + first, ordinals)
+    with pytest.raises(ShardMergeError, match="PBN"):
+        stream_runs(first[::-1], ordinals)

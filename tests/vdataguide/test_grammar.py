@@ -93,3 +93,13 @@ def test_block_without_label_rejected():
 def test_unexpected_character_rejected():
     with pytest.raises(SpecParseError):
         parse_spec("a { b, c }")
+
+
+def test_deep_nesting_is_a_parse_error():
+    from repro.vdataguide.grammar import MAX_DEPTH
+
+    nested = "a { " * MAX_DEPTH + "a" + " }" * MAX_DEPTH
+    assert parse_spec(nested)[0].label == "a"
+    for text in ("a { " * (MAX_DEPTH + 1) + "a" + " }" * (MAX_DEPTH + 1), "a { " * 1000):
+        with pytest.raises(SpecParseError, match="nested deeper than"):
+            parse_spec(text)

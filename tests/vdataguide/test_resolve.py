@@ -214,3 +214,45 @@ def test_to_spec_qualifies_ambiguous_labels():
     assert "article.year" in rendered or "r.article.year" in rendered
     again = parse_vdataguide(rendered, ambiguous_guide)
     assert len(again) == len(vguide)
+
+
+def _recursive_mirror_order(guide) -> list:
+    """``r { ** }``'s registration order, recursively: every
+    unmentioned element child, its implicit leaves, then its subtree."""
+    from repro.vdataguide.ast import VGuide, VType
+    from repro.vdataguide.resolve import _attach_implicit_leaves
+
+    vguide = VGuide(guide)
+    root = vguide.register(VType(guide.roots[0], None))
+    _attach_implicit_leaves(root, vguide)
+
+    def mirror(vtype):
+        for child in vtype.original.children:
+            if not (child.is_text or child.is_attribute):
+                child_vtype = vguide.register(VType(child, vtype))
+                _attach_implicit_leaves(child_vtype, vguide)
+                mirror(child_vtype)
+
+    mirror(root)
+    return [(v.original, str(v.pbn)) for v in vguide.iter_vtypes()]
+
+
+def test_mirrored_subtree_registers_in_preorder():
+    guide = build_dataguide(
+        parse_document(
+            '<r><a x="1"><b>t<c/></b><d/></a>u<e><f><g/></f></e><a><h/></a></r>'
+        )
+    )
+    vguide = resolve_spec(parse_spec("r { ** }"), guide)
+    assert [(v.original, str(v.pbn)) for v in vguide.iter_vtypes()] == (
+        _recursive_mirror_order(guide)
+    )
+
+
+def test_mirror_of_a_deep_guide_needs_no_recursion():
+    depth = 1500
+    guide = build_dataguide(parse_document("<a>" * depth + "x" + "</a>" * depth))
+    vguide = parse_vdataguide("a { ** }", guide)
+    assert len(vguide) == depth + 1  # every a and the innermost text
+    deepest = max(vguide.iter_vtypes(), key=lambda v: v.level)
+    assert deepest.level == depth + 1 and deepest.level_array[-1] == depth + 1
