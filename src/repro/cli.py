@@ -69,10 +69,11 @@ Commands
     configure end-to-end tracing (``GET /debug/traces``; slow requests
     are logged with their span tree).
 
-    ``--shards N`` partitions the loaded documents across N shards
-    (:mod:`repro.shard`) and scatter-gathers multi-document queries;
-    ``--shard-workers process`` gives every shard its own worker
-    process (read-only serving)::
+    The service is always a :class:`~repro.shard.service.ShardedService`
+    (:mod:`repro.shard`): ``--shards N`` (default 1) partitions the
+    loaded documents across N shards and scatter-gathers multi-document
+    queries; ``--shard-workers process`` gives every shard, a lone one
+    too, its own worker process (read-only serving)::
 
         python -m repro serve --shards 4 -d a.xml=a.xml -d b.xml=b.xml
 
@@ -364,27 +365,20 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         from repro.query.budget import CostBudget
         from repro.serve import build_serving, serve_async
-        from repro.service import QueryService
+        from repro.shard import ShardedService
 
-        options = dict(
+        service = ShardedService(
+            shards=args.shards,
+            pool_size=max(1, args.threads // max(1, args.shards)),
+            workers=args.shard_workers,
             mode=args.mode,
             trace_sample=args.trace_sample,
             trace_buffer=args.trace_buffer,
             slow_query_s=args.slow_query_ms / 1e3 if args.slow_query_ms > 0 else None,
         )
         if args.shards > 1:
-            from repro.shard import ShardedService
-
-            service = ShardedService(
-                shards=args.shards,
-                pool_size=max(1, args.threads // args.shards),
-                workers=args.shard_workers,
-                **options,
-            )
             print(f"sharding across {args.shards} shards "
                   f"({args.shard_workers} workers)", file=sys.stderr)
-        else:
-            service = QueryService(pool_size=args.threads, **options)
         uris = _load_documents(service, args)
         for spec in args.durable:
             if "=" in spec:

@@ -186,3 +186,47 @@ class ElementConstructor(Expr):
     tag: str
     attributes: tuple[AttributeTemplate, ...] = ()
     content: tuple[Union[str, Expr, "ElementConstructor"], ...] = field(default=())
+
+
+def subexpressions(node) -> list:
+    """The expressions and steps directly under ``node``, left to right,
+    looking through the clause, order-spec and attribute-template records
+    that hold them.  The walks over a plan (source analysis, planner
+    annotations) iterate with it on an explicit stack, so no operator
+    chain is too long for them."""
+    found: list = []
+    for name in _CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is tuple:
+            for item in value:
+                if isinstance(item, (Expr, Step)):
+                    found.append(item)
+                elif type(item) is not str:
+                    found.extend(subexpressions(item))
+        elif value is not None:
+            found.append(value)
+    return found
+
+
+#: node class -> the fields that hold its subexpressions, in source order.
+_CHILD_FIELDS = {
+    Literal: (),
+    VarRef: (),
+    ContextItem: (),
+    RootExpr: (),
+    SequenceExpr: ("exprs",),
+    FuncCall: ("args",),
+    Step: ("predicates",),
+    PathExpr: ("start", "steps"),
+    FilterExpr: ("base", "predicates"),
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    ForClause: ("expr",),
+    LetClause: ("expr",),
+    OrderSpec: ("expr",),
+    FLWRExpr: ("clauses", "where", "order_by", "return_expr"),
+    IfExpr: ("condition", "then_expr", "else_expr"),
+    QuantifiedExpr: ("expr", "condition"),
+    AttributeTemplate: ("parts",),
+    ElementConstructor: ("attributes", "content"),
+}

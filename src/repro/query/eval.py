@@ -37,6 +37,19 @@ from repro.query.items import (
 )
 from repro.xmlmodel.nodes import Document, Node
 
+#: Operators whose left-deep chains fold in one loop
+#: (:meth:`Evaluator._eval_chain`), by family: a chain runs down the left
+#: operands while their operator is of the same family.
+_CHAIN_FAMILY = {
+    "or": "or",
+    "and": "and",
+    "+": "arithmetic",
+    "-": "arithmetic",
+    "*": "arithmetic",
+    "div": "arithmetic",
+    "mod": "arithmetic",
+}
+
 
 class Evaluator:
     """Evaluates parsed expressions against an engine.
@@ -461,16 +474,28 @@ class Evaluator:
     # ------------------------------------------------------------------ operators
 
     def _eval_unary(self, expr: ast.UnaryOp, context: Context) -> list:
-        values = atomize(self.evaluate(expr.operand, context))
-        if not values:
-            return []
-        if len(values) > 1:
-            raise QueryEvaluationError("unary arithmetic on a multi-item sequence")
-        number = to_number(values[0])
-        return [-number if expr.op == "-" else number]
+        # A sign chain (``- - - 1``) folds in one loop, innermost sign first.
+        signs = []
+        while type(expr) is ast.UnaryOp:
+            signs.append(expr.op)
+            expr = expr.operand
+        values = self.evaluate(expr, context)
+        for op in reversed(signs):
+            values = atomize(values)
+            if not values:
+                return []
+            if len(values) > 1:
+                raise QueryEvaluationError("unary arithmetic on a multi-item sequence")
+            number = to_number(values[0])
+            values = [-number if op == "-" else number]
+        return values
 
     def _eval_binary(self, expr: ast.BinaryOp, context: Context) -> list:
         op = expr.op
+        if type(expr.left) is ast.BinaryOp:
+            family = _CHAIN_FAMILY.get(op)
+            if family is not None and _CHAIN_FAMILY.get(expr.left.op) == family:
+                return self._eval_chain(expr, family, context)
         if op == "or":
             return [
                 effective_boolean(self.evaluate(expr.left, context))
@@ -492,6 +517,29 @@ class Evaluator:
         if op == "to":
             return _range_sequence(left, right)
         raise QueryEvaluationError(f"unknown operator {op!r}")
+
+    def _eval_chain(self, expr: ast.BinaryOp, family: str, context: Context) -> list:
+        """A left-deep ``or``, ``and`` or arithmetic chain, folded in one
+        loop instead of two stack frames per operand: operands evaluate
+        left to right as the pairwise recursion would, and an ``or`` /
+        ``and`` chain stops at the first operand that decides it."""
+        spine = []
+        while type(expr) is ast.BinaryOp and _CHAIN_FAMILY.get(expr.op) == family:
+            spine.append(expr)
+            expr = expr.left
+        spine.reverse()
+        if family == "arithmetic":
+            value = self.evaluate(expr, context)
+            for node in spine:
+                value = _arithmetic(node.op, value, self.evaluate(node.right, context))
+            return value
+        decides = family == "or"
+        if effective_boolean(self.evaluate(expr, context)) is decides:
+            return [decides]
+        for node in spine:
+            if effective_boolean(self.evaluate(node.right, context)) is decides:
+                return [decides]
+        return [not decides]
 
     def _node_set_op(self, expr: ast.BinaryOp, context: Context) -> list:
         """``|`` / ``except`` / ``intersect``.  A left-deep ``|`` chain is
@@ -1059,44 +1107,49 @@ def _groupable_paths(expr: ast.Expr, found: list) -> list:
     searched — never under a predicate, a conditional branch, the right
     operand of ``and`` / ``or``, or a nested FLWR or quantified
     condition (which may also rebind the variable) — so grouping changes
-    neither what is evaluated nor how often."""
-    if isinstance(expr, ast.PathExpr):
-        var = _variable_path(expr)
-        if var is not None:
-            found.append((expr, var))
-        elif expr.start is not None:
-            _groupable_paths(expr.start, found)
-    elif isinstance(expr, ast.FuncCall):
-        var = (
-            _variable_path(expr.args[0])
-            if expr.name in ("count", "sum") and len(expr.args) == 1
-            else None
-        )
-        if var is not None:
-            found.append((expr, var))
-        else:
-            for arg in expr.args:
-                _groupable_paths(arg, found)
-    elif isinstance(expr, ast.SequenceExpr):
-        for sub in expr.exprs:
-            _groupable_paths(sub, found)
-    elif isinstance(expr, ast.BinaryOp):
-        _groupable_paths(expr.left, found)
-        if expr.op not in ("and", "or"):
-            _groupable_paths(expr.right, found)
-    elif isinstance(expr, ast.UnaryOp):
-        _groupable_paths(expr.operand, found)
-    elif isinstance(expr, ast.FilterExpr):
-        _groupable_paths(expr.base, found)
-    elif isinstance(expr, ast.IfExpr):
-        _groupable_paths(expr.condition, found)
-    elif isinstance(expr, ast.QuantifiedExpr):
-        _groupable_paths(expr.expr, found)
-    elif isinstance(expr, ast.ElementConstructor):
-        parts = [part for template in expr.attributes for part in template.parts]
-        for part in [*parts, *expr.content]:
-            if not isinstance(part, str):
-                _groupable_paths(part, found)
+    neither what is evaluated nor how often.  The walk keeps an explicit
+    stack (no operator chain is too long for it) and finds them left to
+    right."""
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        children: list = []
+        if isinstance(expr, ast.PathExpr):
+            var = _variable_path(expr)
+            if var is not None:
+                found.append((expr, var))
+            elif expr.start is not None:
+                children.append(expr.start)
+        elif isinstance(expr, ast.FuncCall):
+            var = (
+                _variable_path(expr.args[0])
+                if expr.name in ("count", "sum") and len(expr.args) == 1
+                else None
+            )
+            if var is not None:
+                found.append((expr, var))
+            else:
+                children.extend(expr.args)
+        elif isinstance(expr, ast.SequenceExpr):
+            children.extend(expr.exprs)
+        elif isinstance(expr, ast.BinaryOp):
+            children.append(expr.left)
+            if expr.op not in ("and", "or"):
+                children.append(expr.right)
+        elif isinstance(expr, ast.UnaryOp):
+            children.append(expr.operand)
+        elif isinstance(expr, ast.FilterExpr):
+            children.append(expr.base)
+        elif isinstance(expr, ast.IfExpr):
+            children.append(expr.condition)
+        elif isinstance(expr, ast.QuantifiedExpr):
+            children.append(expr.expr)
+        elif isinstance(expr, ast.ElementConstructor):
+            parts = [part for template in expr.attributes for part in template.parts]
+            children.extend(
+                part for part in [*parts, *expr.content] if not isinstance(part, str)
+            )
+        stack.extend(reversed(children))
     return found
 
 
@@ -1199,25 +1252,27 @@ def _uses_focus_position(expr: ast.Expr) -> bool:
     """Does the expression read position()/last() of the *enclosing*
     focus?  Step and filter predicates establish their own focus, so the
     walk does not descend into them."""
-    if isinstance(expr, ast.FuncCall):
-        if expr.name in ("position", "last"):
-            return True
-        return any(_uses_focus_position(arg) for arg in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _uses_focus_position(expr.left) or _uses_focus_position(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _uses_focus_position(expr.operand)
-    if isinstance(expr, ast.SequenceExpr):
-        return any(_uses_focus_position(sub) for sub in expr.exprs)
-    if isinstance(expr, ast.IfExpr):
-        return any(
-            _uses_focus_position(sub)
-            for sub in (expr.condition, expr.then_expr, expr.else_expr)
-        )
-    if isinstance(expr, ast.FilterExpr):
-        return _uses_focus_position(expr.base)
-    if isinstance(expr, ast.PathExpr):
-        return expr.start is not None and _uses_focus_position(expr.start)
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        kind = type(expr)
+        if kind is ast.BinaryOp:
+            stack += (expr.left, expr.right)
+        elif kind is ast.FuncCall:
+            if expr.name in ("position", "last"):
+                return True
+            stack += expr.args
+        elif kind is ast.PathExpr:
+            if expr.start is not None:
+                stack.append(expr.start)
+        elif kind is ast.UnaryOp:
+            stack.append(expr.operand)
+        elif kind is ast.SequenceExpr:
+            stack += expr.exprs
+        elif kind is ast.IfExpr:
+            stack += (expr.condition, expr.then_expr, expr.else_expr)
+        elif kind is ast.FilterExpr:
+            stack.append(expr.base)
     return False
 
 

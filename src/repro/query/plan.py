@@ -16,101 +16,125 @@ from repro.query.joins import type_matches
 
 
 def explain_expr(expr: ast.Expr, indent: int = 0) -> str:
-    """Render an expression tree one node per line, children indented."""
-    pad = "  " * indent
+    """Render an expression tree one node per line, children indented.
+
+    A left-deep chain of one operator renders as one ``op`` node over its
+    operands in order (the evaluator folds it in one loop too), and a
+    sign chain as one ``unary`` line.  The walk keeps an explicit stack,
+    so no chain is too long to render."""
     lines: list[str] = []
+    stack: list = [(expr, indent)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+        else:
+            stack.extend(reversed(_render(*entry)))
+    return "\n".join(lines)
 
-    def walk(node, depth: int) -> None:
-        prefix = "  " * depth
-        if isinstance(node, ast.Literal):
-            lines.append(f"{prefix}literal {node.value!r}")
-        elif isinstance(node, ast.VarRef):
-            lines.append(f"{prefix}${node.name}")
-        elif isinstance(node, ast.ContextItem):
-            lines.append(f"{prefix}context-item")
-        elif isinstance(node, ast.RootExpr):
-            lines.append(f"{prefix}root")
-        elif isinstance(node, ast.SequenceExpr):
-            lines.append(f"{prefix}sequence")
-            for sub in node.exprs:
-                walk(sub, depth + 1)
-        elif isinstance(node, ast.FuncCall):
-            lines.append(f"{prefix}call {node.name}()")
-            for arg in node.args:
-                walk(arg, depth + 1)
-        elif isinstance(node, ast.PathExpr):
-            lines.append(f"{prefix}path")
-            if node.start is not None:
-                walk(node.start, depth + 1)
-            for step in node.steps:
-                test = _test_text(step.test)
-                lines.append(f"{prefix}  step {step.axis}::{test}")
-                for predicate in step.predicates:
-                    lines.append(f"{prefix}    predicate")
-                    walk(predicate, depth + 3)
-        elif isinstance(node, ast.FilterExpr):
-            lines.append(f"{prefix}filter")
-            walk(node.base, depth + 1)
-            for predicate in node.predicates:
-                lines.append(f"{prefix}  predicate")
-                walk(predicate, depth + 2)
-        elif isinstance(node, ast.BinaryOp):
-            lines.append(f"{prefix}op {node.op!r}")
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-        elif isinstance(node, ast.UnaryOp):
-            lines.append(f"{prefix}unary {node.op!r}")
-            walk(node.operand, depth + 1)
-        elif isinstance(node, ast.FLWRExpr):
-            lines.append(f"{prefix}flwr")
-            for clause in node.clauses:
-                if isinstance(clause, ast.ForClause):
-                    at = f" at ${clause.position_var}" if clause.position_var else ""
-                    lines.append(f"{prefix}  for ${clause.var}{at}")
-                    walk(clause.expr, depth + 2)
-                else:
-                    lines.append(f"{prefix}  let ${clause.var}")
-                    walk(clause.expr, depth + 2)
-            if node.where is not None:
-                lines.append(f"{prefix}  where")
-                walk(node.where, depth + 2)
-            for spec in node.order_by:
-                direction = "descending" if spec.descending else "ascending"
-                lines.append(f"{prefix}  order-by {direction}")
-                walk(spec.expr, depth + 2)
-            lines.append(f"{prefix}  return")
-            walk(node.return_expr, depth + 2)
-        elif isinstance(node, ast.IfExpr):
-            lines.append(f"{prefix}if")
-            walk(node.condition, depth + 1)
-            lines.append(f"{prefix}then")
-            walk(node.then_expr, depth + 1)
-            lines.append(f"{prefix}else")
-            walk(node.else_expr, depth + 1)
-        elif isinstance(node, ast.QuantifiedExpr):
-            lines.append(f"{prefix}{node.quantifier} ${node.var}")
-            walk(node.expr, depth + 1)
-            lines.append(f"{prefix}satisfies")
-            walk(node.condition, depth + 1)
-        elif isinstance(node, ast.ElementConstructor):
-            lines.append(f"{prefix}construct <{node.tag}>")
-            for template in node.attributes:
-                lines.append(f"{prefix}  attribute {template.name}")
-                for part in template.parts:
-                    if isinstance(part, str):
-                        lines.append(f"{prefix}    text {part!r}")
-                    else:
-                        walk(part, depth + 2)
-            for part in node.content:
+
+def _render(node, depth: int) -> list:
+    """One node's line, then its children as ``(node, depth)`` entries
+    interleaved with their label lines, in output order."""
+    prefix = "  " * depth
+    entries: list = []
+    if isinstance(node, ast.Literal):
+        entries.append(f"{prefix}literal {node.value!r}")
+    elif isinstance(node, ast.VarRef):
+        entries.append(f"{prefix}${node.name}")
+    elif isinstance(node, ast.ContextItem):
+        entries.append(f"{prefix}context-item")
+    elif isinstance(node, ast.RootExpr):
+        entries.append(f"{prefix}root")
+    elif isinstance(node, ast.SequenceExpr):
+        entries.append(f"{prefix}sequence")
+        for sub in node.exprs:
+            entries.append((sub, depth + 1))
+    elif isinstance(node, ast.FuncCall):
+        entries.append(f"{prefix}call {node.name}()")
+        for arg in node.args:
+            entries.append((arg, depth + 1))
+    elif isinstance(node, ast.PathExpr):
+        entries.append(f"{prefix}path")
+        if node.start is not None:
+            entries.append((node.start, depth + 1))
+        for step in node.steps:
+            test = _test_text(step.test)
+            entries.append(f"{prefix}  step {step.axis}::{test}")
+            for predicate in step.predicates:
+                entries.append(f"{prefix}    predicate")
+                entries.append((predicate, depth + 3))
+    elif isinstance(node, ast.FilterExpr):
+        entries.append(f"{prefix}filter")
+        entries.append((node.base, depth + 1))
+        for predicate in node.predicates:
+            entries.append(f"{prefix}  predicate")
+            entries.append((predicate, depth + 2))
+    elif isinstance(node, ast.BinaryOp):
+        entries.append(f"{prefix}op {node.op!r}")
+        operands = [node.right]
+        left = node.left
+        while type(left) is ast.BinaryOp and left.op == node.op:
+            operands.append(left.right)
+            left = left.left
+        operands.append(left)
+        for operand in reversed(operands):
+            entries.append((operand, depth + 1))
+    elif isinstance(node, ast.UnaryOp):
+        signs = ""
+        while isinstance(node, ast.UnaryOp):
+            signs += node.op
+            node = node.operand
+        entries.append(f"{prefix}unary {signs!r}")
+        entries.append((node, depth + 1))
+    elif isinstance(node, ast.FLWRExpr):
+        entries.append(f"{prefix}flwr")
+        for clause in node.clauses:
+            if isinstance(clause, ast.ForClause):
+                at = f" at ${clause.position_var}" if clause.position_var else ""
+                entries.append(f"{prefix}  for ${clause.var}{at}")
+                entries.append((clause.expr, depth + 2))
+            else:
+                entries.append(f"{prefix}  let ${clause.var}")
+                entries.append((clause.expr, depth + 2))
+        if node.where is not None:
+            entries.append(f"{prefix}  where")
+            entries.append((node.where, depth + 2))
+        for spec in node.order_by:
+            direction = "descending" if spec.descending else "ascending"
+            entries.append(f"{prefix}  order-by {direction}")
+            entries.append((spec.expr, depth + 2))
+        entries.append(f"{prefix}  return")
+        entries.append((node.return_expr, depth + 2))
+    elif isinstance(node, ast.IfExpr):
+        entries.append(f"{prefix}if")
+        entries.append((node.condition, depth + 1))
+        entries.append(f"{prefix}then")
+        entries.append((node.then_expr, depth + 1))
+        entries.append(f"{prefix}else")
+        entries.append((node.else_expr, depth + 1))
+    elif isinstance(node, ast.QuantifiedExpr):
+        entries.append(f"{prefix}{node.quantifier} ${node.var}")
+        entries.append((node.expr, depth + 1))
+        entries.append(f"{prefix}satisfies")
+        entries.append((node.condition, depth + 1))
+    elif isinstance(node, ast.ElementConstructor):
+        entries.append(f"{prefix}construct <{node.tag}>")
+        for template in node.attributes:
+            entries.append(f"{prefix}  attribute {template.name}")
+            for part in template.parts:
                 if isinstance(part, str):
-                    lines.append(f"{prefix}  text {part!r}")
+                    entries.append(f"{prefix}    text {part!r}")
                 else:
-                    walk(part, depth + 1)
-        else:  # pragma: no cover - exhaustive over the AST
-            lines.append(f"{prefix}{type(node).__name__}")
-
-    walk(expr, indent)
-    return "\n".join(pad + line if False else line for line in lines)
+                    entries.append((part, depth + 2))
+        for part in node.content:
+            if isinstance(part, str):
+                entries.append(f"{prefix}  text {part!r}")
+            else:
+                entries.append((part, depth + 1))
+    else:  # pragma: no cover - exhaustive over the AST
+        entries.append(f"{prefix}{type(node).__name__}")
+    return entries
 
 
 def _test_text(test: ast.NodeTest) -> str:
@@ -139,27 +163,14 @@ def annotate_paths(expr: ast.Expr, engine) -> list[str]:
     (sum of DataGuide instance counts; an upper bound for virtual types,
     whose orphaned instances reachability filters out at run time)."""
     lines: list[str] = []
-
-    def walk(node) -> None:
-        import dataclasses
-
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
         if isinstance(node, ast.PathExpr) and isinstance(node.start, ast.FuncCall):
             annotated = _annotate_one(node, engine)
             if annotated:
                 lines.extend(annotated)
-        if dataclasses.is_dataclass(node):
-            for field in dataclasses.fields(node):
-                value = getattr(node, field.name)
-                if isinstance(value, (ast.Expr, ast.Step)):
-                    walk(value)
-                elif isinstance(value, tuple):
-                    for item in value:
-                        if isinstance(item, (ast.Expr, ast.Step, ast.ForClause,
-                                             ast.LetClause, ast.OrderSpec,
-                                             ast.AttributeTemplate)):
-                            walk(item)
-
-    walk(expr)
+        stack.extend(reversed(ast.subexpressions(node)))
     return lines
 
 

@@ -67,8 +67,8 @@ the only error mapping (``400`` :class:`~repro.errors.ReproError`,
     [...], "counts": {...}}`` — each entry one full span tree.
 
 ``GET /healthz``
-    JSON: ``{"status": "ok", "documents": [...]}``, plus ``shards`` for
-    a sharded service and ``replicas`` when a replica tier is attached.
+    JSON: ``{"status": "ok", "documents": [...], "shards": {...}}``, plus
+    ``replicas`` when a replica tier is attached.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from repro.obs.trace import NOOP, SpanContext, current_span, span, wrap
 from repro.query.budget import CostBudget
 from repro.serve.admission import AdmissionController, NullAdmission, ServiceOverloaded
 from repro.serve.replica import ReplicaSet
-from repro.shard.plan import referenced_sources
 from repro.xmlmodel.nodes import Node, NodeKind
 
 #: Routes that carry query work (and therefore a request trace).
@@ -185,13 +184,12 @@ class ServingApp:
     """Routes requests onto a service through admission, then inline on
     the loop or on the worker pool (see the module doc).
 
-    :param service: a :class:`~repro.service.service.QueryService` or
-        :class:`~repro.shard.service.ShardedService`.
+    :param service: the :class:`~repro.shard.service.ShardedService` it
+        serves (one shard serves an unpartitioned collection); its replica
+        sets, if any, are attached to it (:func:`build_serving`).
     :param admission: the :class:`AdmissionController` guarding the
         work-bearing routes (``/query``, ``/update``, ``/explain``);
         ``None`` disables admission.
-    :param replica_set: the unsharded replica tier (a sharded service
-        carries its replica sets itself via ``attach_replicas``).
     :param max_budget: ceiling for per-request budgets; also the default
         budget when a request names none.
     :param workers: worker-pool threads for blocking engine work
@@ -202,13 +200,11 @@ class ServingApp:
         self,
         service,
         admission: Optional[AdmissionController] = None,
-        replica_set: Optional[ReplicaSet] = None,
         max_budget: Optional[CostBudget] = None,
         workers: Optional[int] = None,
     ) -> None:
         self.service = service
         self.admission = admission if admission is not None else NullAdmission()
-        self.replica_set = replica_set
         self.max_budget = max_budget
         pool = workers or getattr(self.admission, "max_inflight", None) or 8
         self._executor = ThreadPoolExecutor(
@@ -321,13 +317,6 @@ class ServingApp:
 
     # -- read path ---------------------------------------------------------------
 
-    def _read_service(self):
-        """Read target: a caught-up replica when the unsharded replica
-        tier is attached (a sharded service splits internally)."""
-        if self.replica_set is not None:
-            return self.replica_set.read_service()
-        return self.service
-
     def _read_target(self, text: str):
         """Where a read runs, decided on the loop without waiting:
         ``(target, route, reason)``.  ``reason`` is ``None`` when the read
@@ -335,26 +324,16 @@ class ServingApp:
         otherwise it names why the pool takes it, and ``target`` /
         ``route`` pin what was already decided (or are ``None``)."""
         service = self.service
-        if getattr(service, "workers", "thread") == "process":
+        if service.workers == "process":
             return None, None, "process"
         if len(text) > INLINE_BUDGET.max_node_visits and text not in service.plan_cache:
             return None, None, "budget"
-        route = None
-        if hasattr(service, "route"):
-            route = service.route(text)
-            if route.shard is None:
-                return None, route, "scatter"
-            analysis = route.analysis
-        else:
-            analysis = referenced_sources(service.plan_cache.get_or_parse(text))
-        if analysis.ranges:
+        route = service.route(text)
+        if route.shard is None:
+            return None, route, "scatter"
+        if route.analysis.ranges:
             return None, route, "budget"
-        if route is not None:
-            target = service.read_service(route.shard, wait=False)
-        elif self.replica_set is not None:
-            target = self.replica_set.read_service(wait=False)
-        else:
-            target = service
+        target = service.read_service(route.shard, wait=False)
         return target, route, None if target is not None else "catchup"
 
     def _evaluate_inline(self, target, text, mode, budget):
@@ -378,13 +357,12 @@ class ServingApp:
         return result, None if result is not None else "busy"
 
     def _pool_read(self, text, mode, budget, target, route):
-        """Evaluate a read on a worker: on the pinned ``target``, through
-        the sharded service with its ``route``, or from scratch."""
+        """Evaluate a read on a worker: on the pinned ``target``, or
+        through the service with its ``route`` (routed afresh when
+        ``None``)."""
         if target is not None:
             return target.execute(text, mode=mode, budget=budget)
-        if route is not None:
-            return self.service.execute(text, mode=mode, budget=budget, route=route)
-        return self._read_service().execute(text, mode=mode, budget=budget)
+        return self.service.execute(text, mode=mode, budget=budget, route=route)
 
     def _parse_budget(self, params: dict) -> Optional[CostBudget]:
         max_visits = params.get("max_visits")
@@ -464,13 +442,9 @@ class ServingApp:
         except ValueError as error:
             return _json_response(400, {"error": f"invalid JSON body: {error}"})
 
-        def run():
-            op = op_from_json(payload)
-            if self.replica_set is not None:
-                return self.replica_set.update(uri, op)
-            return self.service.update(uri, op)
-
-        result = await self._offload(run)
+        result = await self._offload(
+            lambda: self.service.update(uri, op_from_json(payload))
+        )
         return _json_response(
             200,
             {
@@ -487,9 +461,7 @@ class ServingApp:
     # -- introspection -----------------------------------------------------------
 
     def _replica_sets(self) -> list[ReplicaSet]:
-        if self.replica_set is not None:
-            return [self.replica_set]
-        return list(getattr(self.service, "replica_sets", None) or [])
+        return self.service.replica_sets or []
 
     def _do_replication(self) -> Response:
         sets = self._replica_sets()
@@ -503,10 +475,11 @@ class ServingApp:
         return _json_response(200, report)
 
     def _do_healthz(self) -> Response:
-        report = {"status": "ok", "documents": self.service.uris()}
-        catalog = getattr(self.service, "catalog", None)
-        if catalog is not None:
-            report["shards"] = catalog.summary()
+        report = {
+            "status": "ok",
+            "documents": self.service.uris(),
+            "shards": self.service.catalog.summary(),
+        }
         sets = self._replica_sets()
         if sets:
             report["replicas"] = sum(len(replica_set.replicas) for replica_set in sets)
@@ -569,30 +542,20 @@ def build_serving(
     max_budget: Optional[CostBudget] = None,
     workers: Optional[int] = None,
 ) -> ServingApp:
-    """Assemble the serving tier around ``service``: replica sets (one
-    per shard for a sharded service), an admission controller, and the
-    app that routes through them."""
-    replica_set = None
+    """Assemble the serving tier around the sharded ``service``: one
+    replica set per shard, an admission controller, and the app that
+    routes through them."""
     if replicas > 0:
-        if hasattr(service, "attach_replicas"):  # sharded
-            sets = [
-                ReplicaSet(
-                    shard_service,
-                    count=replicas,
-                    max_lag=max_lag,
-                    catchup_batch=catchup_batch,
-                    label=f"shard{index}",
-                )
-                for index, shard_service in enumerate(service.services)
-            ]
-            service.attach_replicas(sets)
-        else:
-            replica_set = ReplicaSet(
-                service,
+        service.attach_replicas([
+            ReplicaSet(
+                shard_service,
                 count=replicas,
                 max_lag=max_lag,
                 catchup_batch=catchup_batch,
+                label=f"shard{index}",
             )
+            for index, shard_service in enumerate(service.services)
+        ])
     admission = AdmissionController(
         max_inflight=max_inflight,
         queue_limit=queue_limit,
@@ -602,7 +565,6 @@ def build_serving(
     return ServingApp(
         service,
         admission=admission,
-        replica_set=replica_set,
         max_budget=max_budget,
         workers=workers,
     )

@@ -108,78 +108,52 @@ def _is_source_call(node: ast.FuncCall) -> bool:
 
 
 def referenced_sources(expr: ast.Expr) -> PlanSources:
-    """Walk ``expr`` left to right and collect its document sources."""
+    """Walk ``expr`` left to right and collect its document sources (an
+    explicit stack: no operator chain is too long to walk)."""
     analysis = PlanSources(sources=[], guarded=set(), dynamic=False)
-
-    def visit(node, guarded: bool) -> None:
-        if isinstance(node, ast.FuncCall):
-            if _is_source_call(node):
-                source = _as_source(node)
-                if source is None:
-                    analysis.dynamic = True
-                else:
-                    if source not in analysis.sources:
-                        analysis.sources.append(source)
-                    if guarded:
-                        analysis.guarded.add(source)
-            for arg in node.args:
-                visit(arg, guarded)
-            return
-        if isinstance(node, ast.Step):
-            for predicate in node.predicates:
-                visit(predicate, True)
-            return
-        if isinstance(node, ast.FilterExpr):
-            visit(node.base, guarded)
-            for predicate in node.predicates:
-                visit(predicate, True)
-            return
-        if isinstance(node, ast.FLWRExpr):
-            for clause in node.clauses:
-                visit(clause.expr, guarded)
-            if node.where is not None:
-                visit(node.where, True)
-            for spec in node.order_by:
-                visit(spec.expr, True)
-            visit(node.return_expr, guarded)
-            return
-        if isinstance(node, ast.IfExpr):
-            visit(node.condition, True)
-            visit(node.then_expr, guarded)
-            visit(node.else_expr, guarded)
-            return
-        if isinstance(node, ast.QuantifiedExpr):
-            visit(node.expr, guarded)
-            visit(node.condition, True)
-            return
-        if isinstance(node, ast.BinaryOp) and node.op == "to":
+    stack = [(expr, False)]
+    while stack:
+        node, guarded = stack.pop()
+        kind = type(node)
+        if kind is ast.FuncCall and node.name in _SOURCE_FUNCTIONS:
+            source = _as_source(node)
+            if source is None:
+                analysis.dynamic = True
+            else:
+                if source not in analysis.sources:
+                    analysis.sources.append(source)
+                if guarded:
+                    analysis.guarded.add(source)
+        elif kind is ast.BinaryOp and node.op == "to":
             analysis.ranges = True
-        _visit_children(node, guarded, visit)
-
-    visit(expr, False)
+        stack.extend(reversed(_children(node, kind, guarded)))
     return analysis
 
 
-def _visit_children(node, guarded: bool, visit) -> None:
-    """Generic descent over a frozen-dataclass AST node (or tuple)."""
-    if isinstance(node, tuple):
-        for item in node:
-            _visit_children(item, guarded, visit)
-        return
-    if not dataclasses.is_dataclass(node):
-        return
-    for field_ in dataclasses.fields(node):
-        value = getattr(node, field_.name)
-        if isinstance(value, (ast.Expr, ast.Step)):
-            visit(value, guarded)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, (ast.Expr, ast.Step)):
-                    visit(item, guarded)
-                elif dataclasses.is_dataclass(item):
-                    _visit_children(item, guarded, visit)
-        elif dataclasses.is_dataclass(value) and not isinstance(value, str):
-            _visit_children(value, guarded, visit)
+def _children(node, kind: type, guarded: bool) -> list:
+    """``node``'s subexpressions, left to right, each paired with whether
+    it sits in a guarded position (a predicate, ``where``, ``order by``,
+    ``if`` condition or quantifier condition)."""
+    if kind is ast.Step:
+        return [(predicate, True) for predicate in node.predicates]
+    if kind is ast.FilterExpr:
+        return [(node.base, guarded), *((p, True) for p in node.predicates)]
+    if kind is ast.FLWRExpr:
+        children = [(clause.expr, guarded) for clause in node.clauses]
+        if node.where is not None:
+            children.append((node.where, True))
+        children.extend((spec.expr, True) for spec in node.order_by)
+        children.append((node.return_expr, guarded))
+        return children
+    if kind is ast.IfExpr:
+        return [
+            (node.condition, True),
+            (node.then_expr, guarded),
+            (node.else_expr, guarded),
+        ]
+    if kind is ast.QuantifiedExpr:
+        return [(node.expr, guarded), (node.condition, True)]
+    return [(child, guarded) for child in ast.subexpressions(node)]
 
 
 _EMPTY = ast.SequenceExpr(())
@@ -236,18 +210,28 @@ def specialize(expr: ast.Expr, keep_uris: set[str]):
             if source is not None and source.uri not in keep_uris:
                 return _EMPTY
             return node
-        if isinstance(node, ast.BinaryOp) and node.op == "|":
-            left = rebuild(node.left)
-            right = rebuild(node.right)
-            if _is_empty(left) and _is_empty(right):
-                return _EMPTY
-            if _is_empty(left) and _merge_safe(right):
-                return right
-            if _is_empty(right) and _merge_safe(left):
-                return left
-            if left is node.left and right is node.right:
-                return node
-            return dataclasses.replace(node, left=left, right=right)
+        if isinstance(node, ast.BinaryOp):
+            # A left-deep operator chain rebuilds in one loop, innermost
+            # operator first, so no chain is too long to specialize.
+            spine = []
+            while isinstance(node, ast.BinaryOp):
+                spine.append(node)
+                node = node.left
+            left = rebuild(node)
+            for op_node in reversed(spine):
+                left = _rejoin(op_node, left, rebuild(op_node.right))
+            return left
+        if isinstance(node, ast.UnaryOp):
+            signs = []
+            while isinstance(node, ast.UnaryOp):
+                signs.append(node)
+                node = node.operand
+            operand = rebuild(node)
+            for sign in reversed(signs):
+                if operand is not sign.operand:
+                    sign = dataclasses.replace(sign, operand=operand)
+                operand = sign
+            return operand
         if isinstance(node, ast.PathExpr) and node.start is not None:
             start = rebuild(node.start)
             if _is_empty(start):
@@ -286,6 +270,22 @@ def specialize(expr: ast.Expr, keep_uris: set[str]):
         return dataclasses.replace(node, **changes)
 
     return rebuild(expr)
+
+
+def _rejoin(node: ast.BinaryOp, left, right):
+    """``node`` over its rebuilt operands.  A union over a pruned operand
+    collapses: ``() | () -> ()``, and ``X | () -> X`` when ``X`` is
+    statically known to be normalized."""
+    if node.op == "|":
+        if _is_empty(left) and _is_empty(right):
+            return _EMPTY
+        if _is_empty(left) and _merge_safe(right):
+            return right
+        if _is_empty(right) and _merge_safe(left):
+            return left
+    if left is node.left and right is node.right:
+        return node
+    return dataclasses.replace(node, left=left, right=right)
 
 
 def combiner_of(expr: ast.Expr) -> Optional[str]:

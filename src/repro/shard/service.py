@@ -408,9 +408,7 @@ class ShardedService:
         started = time.perf_counter()
         self.metrics.incr("shard.scatter_queries")
         combine = combiner_of(expr)
-        shard_uris: dict[int, set[str]] = {}
-        for uri, shard in involved.items():
-            shard_uris.setdefault(shard, set()).add(uri)
+        shard_uris = _by_shard(involved)
         handle = self.tracer.start(
             "scatter", detail=_preview(query), stats=self.stats
         )
@@ -536,42 +534,29 @@ class ShardedService:
     # -- explain -----------------------------------------------------------------
 
     def explain(self, query: str, mode: Optional[str] = None) -> dict:
-        """Sharded EXPLAIN ANALYZE: each involved shard profiles its plan
-        specialization under a forced trace; every operator row carries a
-        ``shard`` attribute, and the per-shard renderings concatenate
-        into one report."""
+        """EXPLAIN ANALYZE.  A routed plan answers its shard's report,
+        byte for byte what :meth:`QueryService.explain` answers.  A
+        scatter profiles each involved shard's plan specialization under
+        a forced trace; every operator row carries a ``shard`` attribute,
+        and the per-shard renderings concatenate into one report.  Raises
+        the routing errors :meth:`execute` would."""
         from repro.obs.profile import build_profile, operators, render_profile
 
         self._require_thread_workers("explain")
+        route = self.route(query)
+        if route.shard is not None:
+            return self.services[route.shard].explain(query, mode)
         self.metrics.incr("service.explains")
-        expr = self.plan_cache.get_or_parse(query)
-        analysis = referenced_sources(expr)
-        if analysis.dynamic and self.catalog.shards > 1:
-            raise ShardError(
-                "cannot route a doc()/virtualDoc() call with a computed uri "
-                "across shards; use literal uris (or a 1-shard collection)"
-            )
-        involved = {uri: self.catalog.place(uri) for uri in analysis.uris}
-        shard_set = sorted(set(involved.values())) or [0]
-        if len(shard_set) > 1:
-            check_scatterable(analysis, involved)
-        shard_uris = {
-            shard: {u for u, s in involved.items() if s == shard}
-            for shard in shard_set
-        }
-        plan_text = self.services[shard_set[0]].explain_text(query)
+        shard_uris = _by_shard(route.involved)
         shards_report: dict[str, dict] = {}
         rendered_parts: list[str] = []
         total_items = 0
         total_ms = 0.0
-        for shard in shard_set:
-            plan = (
-                specialize(expr, shard_uris[shard])
-                if len(shard_set) > 1
-                else expr
-            )
+        for shard, uris in sorted(shard_uris.items()):
             result, trace = self.services[shard].explain_plan(
-                plan, mode=mode, detail=f"shard={shard} {_preview(query)}"
+                specialize(route.expr, uris),
+                mode=mode,
+                detail=f"shard={shard} {_preview(query)}",
             )
             profile = build_profile(trace)
             for node in profile.walk():
@@ -585,13 +570,13 @@ class ShardedService:
             total_ms += result.elapsed_seconds * 1e3
             rendered_parts.append(render_profile(profile))
         return {
-            "plan": plan_text,
+            "plan": self.services[min(shard_uris)].explain_text(query),
             "shards": shards_report,
             "rendered": "\n\n".join(rendered_parts),
             "summary": {
                 "items": total_items,
                 "elapsed_ms": round(total_ms, 4),
-                "fanout": len(shard_set),
+                "fanout": len(shard_uris),
             },
         }
 
@@ -613,6 +598,14 @@ class ShardedService:
         self._pool.shutdown(wait=False)
         if self._process_pool is not None:
             self._process_pool.close()
+
+
+def _by_shard(involved: dict[str, int]) -> dict[int, set[str]]:
+    """A scatter's ``uri -> shard`` placement grouped by shard."""
+    shard_uris: dict[int, set[str]] = {}
+    for uri, shard in involved.items():
+        shard_uris.setdefault(shard, set()).add(uri)
+    return shard_uris
 
 
 def _run_forked(fragment, fn, *args):

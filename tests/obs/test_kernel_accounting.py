@@ -30,6 +30,7 @@ from repro.query.engine import Engine
 from repro.query.eval import Evaluator
 from repro.query.joins import NO_KERNEL
 from repro.service import QueryService
+from repro.shard import ShardedService
 from repro.workloads import queries as Q
 from repro.workloads.books import books_document
 from repro.workloads.dblplike import dblp_document
@@ -143,7 +144,7 @@ QUERY = (
 
 
 def test_explain_rows_trace_spans_and_metrics_reconcile():
-    service = QueryService(pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
     service.load("book.xml", books_document(10, seed=5))
     with served(service) as srv:
         before = _kernel_series(srv)
@@ -198,7 +199,7 @@ def test_explain_answers_whatever_the_request_sampling(sample_rate):
     untraced.load("book.xml", books_document(10, seed=5))
     expected = untraced.explain(QUERY)["operators"]
     assert expected
-    service = QueryService(pool_size=1, trace_sample=sample_rate)
+    service = ShardedService(shards=1, pool_size=1, trace_sample=sample_rate)
     service.load("book.xml", books_document(10, seed=5))
     with served(service) as srv:
         for _ in range(2):
@@ -236,7 +237,7 @@ SETOP_QUERY = (
 
 
 def test_setop_spans_and_the_order_counter_reconcile():
-    service = QueryService(pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
     service.load("book.xml", books_document(10, seed=5))
     service.load("dblp.xml", dblp_document(8, seed=5))
     with served(service) as srv:

@@ -318,9 +318,9 @@ def test_the_served_answer_to_a_budget_the_loop_exceeds_is_the_same_422(monkeypa
     import json
 
     from repro.serve.app import ServingApp
-    from repro.service import QueryService
+    from repro.shard import ShardedService
 
-    service = QueryService(pool_size=1)
+    service = ShardedService(shards=1, pool_size=1)
     service.load("d.xml", books_document(30, seed=4))
     app = ServingApp(service)
     query = b'for $b in doc("d.xml")//book return <e>{ count($b/author) }</e>'

@@ -186,7 +186,9 @@ def test_run_time_duplicate_attributes_are_refused_lazily_and_settled(attributed
 
 
 def test_duplicate_attributes_answer_http_400():
-    service = QueryService(pool_size=1)
+    from repro.shard import ShardedService
+
+    service = ShardedService(shards=1, pool_size=1)
     service.load("a.xml", '<r><i x="1">t</i></r>')
     with served(service) as handle:
         for query in ['<a x="1" x="2"/>', *DUPLICATES]:

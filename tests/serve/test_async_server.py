@@ -18,27 +18,32 @@ from repro.query.budget import CostBudget
 from repro.serve.admission import AdmissionController
 from repro.serve.app import ServingApp, build_serving
 from repro.serve.http import _MAX_BODY, AsyncHTTPServer
-from repro.service.service import QueryService
+from repro.shard import ShardedService
 from tests.conftest import served
 
 DOC = "<a><b x='1'>t1</b><b x='2'>t2</b><c>z</c></a>"
 
 
-class GatedService(QueryService):
-    """Queries block on ``gate`` — deterministic slow requests.  No engine
-    is ever free for an inline read (``wait=False`` answers ``None``), so
-    every read takes the ``busy`` route to the worker pool and waits on
-    the gate there, never on the event loop."""
+class GatedService(ShardedService):
+    """A one-shard collection whose shard's queries block on ``gate`` —
+    deterministic slow requests.  No engine is ever free for an inline
+    read (``wait=False`` answers ``None``), so every read takes the
+    ``busy`` route to the worker pool and waits on the gate there, never
+    on the event loop."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, pool_size: int) -> None:
+        super().__init__(shards=1, pool_size=pool_size)
         self.gate = threading.Event()
+        shard = self.services[0]
+        execute = shard.execute
 
-    def execute(self, *args, wait=True, **kwargs):
-        if not wait:
-            return None
-        assert self.gate.wait(10), "test gate never opened"
-        return super().execute(*args, **kwargs)
+        def gated(*args, wait=True, **kwargs):
+            if not wait:
+                return None
+            assert self.gate.wait(10), "test gate never opened"
+            return execute(*args, **kwargs)
+
+        shard.execute = gated
 
 
 async def request(port, method, path, body=b"", keep_alive=False, reader_writer=None):
@@ -76,7 +81,7 @@ def _serve(app):
 
 
 def test_query_update_and_replication_roundtrip():
-    service = QueryService(pool_size=2)
+    service = ShardedService(shards=1, pool_size=2)
     service.load("doc.xml", DOC)
     app = build_serving(service, replicas=2, max_inflight=4)
 
@@ -113,13 +118,13 @@ def test_query_update_and_replication_roundtrip():
         status, _, body = await request(port, "GET", "/healthz")
         assert json.loads(body)["replicas"] == 2
         await server.drain(2.0)
-        assert app.replica_set.verify_identical("doc.xml")
+        assert service.replica_sets[0].verify_identical("doc.xml")
 
     asyncio.run(main())
 
 
 def test_keep_alive_reuses_connection():
-    service = QueryService(pool_size=2)
+    service = ShardedService(shards=1, pool_size=2)
     service.load("doc.xml", DOC)
     app = ServingApp(service)
 
@@ -182,7 +187,7 @@ def test_overload_sheds_429_with_retry_after():
 
 
 def test_budget_exceeded_is_structured_422():
-    service = QueryService(pool_size=2)
+    service = ShardedService(shards=1, pool_size=2)
     service.load("doc.xml", DOC)
     app = ServingApp(service, max_budget=CostBudget(max_node_visits=100))
 
@@ -241,7 +246,7 @@ def test_drain_finishes_inflight_and_refuses_new():
 
 
 def test_drain_is_idempotent():
-    service = QueryService(pool_size=1)
+    service = ShardedService(shards=1, pool_size=1)
     service.load("doc.xml", DOC)
 
     async def main():
@@ -283,7 +288,7 @@ def test_deadline_bounds_the_drain():
 
 
 def test_metrics_prometheus_exposes_serving_counters():
-    service = QueryService(pool_size=1)
+    service = ShardedService(shards=1, pool_size=1)
     service.load("doc.xml", DOC)
     app = build_serving(service, replicas=1, max_inflight=2)
 
@@ -330,9 +335,9 @@ def _raw(port: int, payload: bytes) -> tuple[int, dict, dict]:
 
 @pytest.fixture
 def raw_server(caplog):
-    """A served QueryService; afterwards, nothing may have escaped a
+    """A served one-shard collection; afterwards, nothing may have escaped a
     connection task (asyncio reports those on its logger)."""
-    service = QueryService(pool_size=1)
+    service = ShardedService(shards=1, pool_size=1)
     service.load("doc.xml", DOC)
     with caplog.at_level(logging.ERROR, logger="asyncio"):
         with served(service) as handle:

@@ -50,7 +50,7 @@ def _find(span, name: str) -> list:
 
 @pytest.fixture
 def books300():
-    service = QueryService(pool_size=2, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=2, trace_sample=1.0)
     service.load("d", serialize(books_document(300, seed=3)))
     app = build_serving(service, max_inflight=4)
     yield app, service
@@ -102,7 +102,8 @@ def test_the_422_body_is_the_one_the_pool_answers(books300):
     params = {"max_visits": "50", "max_rows": "40"}
     inline = _handle(app, "/query", "doc('d')//book/title", params)
     assert _reads(service) == {("inline", "point"): 1}
-    service.execute = _never_inline(service.execute)
+    shard = service.services[0]
+    shard.execute = _never_inline(shard.execute)
     pooled = _handle(app, "/query", "doc('d')//book/title", params)
     assert _reads(service)[("pool", "busy")] == 1
     assert (inline.status, inline.body) == (pooled.status, pooled.body)
@@ -152,7 +153,8 @@ def test_a_recursion_on_the_loop_is_answered_by_the_pool(books300):
     chain = "1" + "+1" * 3000
     inline = _handle(app, "/query", chain, {"values": "1"})
     assert _reads(service) == {("pool", "budget"): 1}
-    service.execute = _never_inline(service.execute)
+    shard = service.services[0]
+    shard.execute = _never_inline(shard.execute)
     pooled = _handle(app, "/query", chain, {"values": "1"})
     assert inline.status == pooled.status
 
@@ -168,9 +170,9 @@ def _never_inline(execute):
 
 
 def test_a_read_finding_the_engine_busy_goes_to_the_pool():
-    service = QueryService(pool_size=1)
+    service = ShardedService(shards=1, pool_size=1)
     service.load("d", serialize(books_document(300, seed=3)))
-    [engine] = service._engines
+    [engine] = service.services[0]._engines
     gate, holding = threading.Event(), threading.Event()
     execute = engine.execute
 
@@ -214,7 +216,7 @@ def test_a_read_finding_the_engine_busy_goes_to_the_pool():
 
 
 def test_a_replica_with_records_to_replay_is_read_on_the_pool():
-    service = QueryService(pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
     service.load("d", "<a><b>1</b></a>")
     app = build_serving(service, replicas=1)
     try:

@@ -1,5 +1,5 @@
 """The route contract — what every endpoint answers over real HTTP — held
-against both service classes behind the one transport."""
+over a 1-shard and a 2-shard collection behind the one transport."""
 
 from __future__ import annotations
 
@@ -10,23 +10,19 @@ import urllib.request
 
 import pytest
 
-from repro.service import QueryService
 from repro.shard import ShardedService
 from repro.workloads.books import books_document
 from tests.conftest import Served, served
 
 
-@pytest.fixture(params=[QueryService, ShardedService], ids=["unsharded", "2-shard"])
+# One shard is an unpartitioned collection: its arm keeps the id "unsharded".
+@pytest.fixture(params=[1, 2], ids=["unsharded", "2-shard"])
 def server(request):
-    sharded = request.param is ShardedService
-    service = (
-        ShardedService(shards=2, pool_size=2) if sharded else QueryService(pool_size=2)
-    )
+    service = ShardedService(shards=request.param, pool_size=2)
     service.load("book.xml", books_document(10, seed=5))
     with served(service) as handle:
         yield handle
-    if sharded:
-        service.close()
+    service.close()
 
 
 def _get(server: Served, path: str, accept: str | None = None):
@@ -112,6 +108,16 @@ def test_concurrent_http_queries(server):
         thread.join(timeout=30)
     assert not errors
     assert answers == ["10"] * 8
+
+
+def test_explain_answers_the_routed_shards_report(server):
+    with _post(server, "/explain", 'doc("book.xml")//title') as response:
+        assert response.status == 200
+        report = json.loads(response.read().decode("utf-8"))
+    assert sorted(report) == ["operators", "plan", "profile", "rendered", "summary"]
+    assert report["operators"] == ["step descendant::title"]
+    assert report["summary"]["items"] == 10
+    assert report["summary"]["trace_id"]
 
 
 # -- /update ------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.obs.trace import (
     mint_id,
 )
 from repro.serve.app import build_serving
-from repro.service.service import QueryService
 from repro.shard.service import ShardedService
 from repro.workloads.books import books_document
 
@@ -192,7 +191,7 @@ def test_served_exclusive_costs_still_sum_to_the_unit():
     # costs must sum exactly to the engine's stats delta for the run.
     from repro.obs.profile import build_profile, totals
 
-    service = QueryService(pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
     service.load("book.xml", books_document(20, seed=7))
     app = build_serving(service, max_inflight=1, queue_limit=1)
     try:
@@ -282,12 +281,10 @@ def test_answers_are_serialized_on_a_worker_thread():
             self.threads.append(threading.current_thread())
             return ["x"]
 
-    class StubService(QueryService):
-        def execute(self, *args, **kwargs):
-            return result
-
     result = StubResult()
-    app = build_serving(StubService(pool_size=1), max_inflight=2, queue_limit=2)
+    stub = ShardedService(shards=1, pool_size=1)
+    stub.services[0].execute = lambda *args, **kwargs: result
+    app = build_serving(stub, max_inflight=2, queue_limit=2)
     try:
 
         async def both():

@@ -14,6 +14,7 @@ from repro.obs.prometheus import (
 )
 from repro.service import QueryService
 from repro.service.metrics import ServiceMetrics
+from repro.shard import ShardedService
 from repro.workloads.books import books_document
 
 
@@ -162,7 +163,7 @@ def test_unsampled_histograms_render_no_exemplar():
 def test_serving_gauges_and_exemplars_reach_the_exposition():
     from repro.serve.app import build_serving
 
-    service = QueryService(pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
     service.load("book.xml", books_document(10, seed=11))
     app = build_serving(service, replicas=2, max_inflight=4, queue_limit=8)
     try:

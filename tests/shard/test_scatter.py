@@ -7,6 +7,7 @@ import pytest
 
 from repro.pbn.number import Pbn
 from repro.query.engine import Result
+from repro.service import QueryService
 from repro.shard import ShardedService, ShardError, ShardResult
 from repro.shard.merge import ShardMergeError
 from repro.updates.ops import InsertSubtree, ReplaceText
@@ -150,6 +151,44 @@ def test_explain_carries_shard_attribute(pair):
     for shard, entry in report["shards"].items():
         assert f"shard={shard}" in report["rendered"]
         assert entry["profile"]["attrs"]["shard"] == int(shard)
+
+
+def test_a_routed_explain_is_its_shards_report(pair):
+    """A plan on one shard explains exactly as that shard does: the
+    unsharded report's keys and operator rows, on one shard and routed
+    across four."""
+    sharded, single, uris = pair
+    query = f'doc("{uris[3]}")//chapter/p'
+    reference = QueryService(pool_size=1)
+    reference.load(uris[3], _xml(3))
+    expected = reference.explain(query)
+    assert sorted(expected) == ["operators", "plan", "profile", "rendered", "summary"]
+    for service in (single, sharded):
+        report = service.explain(query)
+        assert sorted(report) == sorted(expected)
+        assert sorted(report["summary"]) == sorted(expected["summary"])
+        assert report["operators"] == expected["operators"]
+        assert report["plan"] == expected["plan"]
+
+
+def test_explain_counts_once_per_call(pair):
+    sharded, _, uris = pair
+    for query in (f'doc("{uris[0]}")//title', _union(uris)):
+        before = sharded.metrics.counter("service.explains")
+        sharded.explain(query)
+        assert sharded.metrics.counter("service.explains") == before + 1
+
+
+def test_a_computed_uri_explains_with_the_error_execute_raises(pair):
+    sharded, single, _ = pair
+    query = 'doc(concat("doc", "0.xml"))//title'
+    with pytest.raises(ShardError) as executed:
+        sharded.execute(query)
+    with pytest.raises(ShardError) as explained:
+        sharded.explain(query)
+    assert str(explained.value) == str(executed.value)
+    # One shard routes it anyway, and explains what it executes.
+    assert single.explain(query)["summary"]["items"] == len(single.execute(query))
 
 
 def test_update_routes_to_owning_shard(pair):
