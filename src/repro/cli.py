@@ -72,8 +72,7 @@ Commands
     The service is always a :class:`~repro.shard.service.ShardedService`
     (:mod:`repro.shard`): ``--shards N`` (default 1) partitions the
     loaded documents across N shards and scatter-gathers multi-document
-    queries; ``--shard-workers process`` gives every shard, a lone one
-    too, its own worker process (read-only serving)::
+    queries on one scatter thread per shard::
 
         python -m repro serve --shards 4 -d a.xml=a.xml -d b.xml=b.xml
 
@@ -220,11 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the documents across N shards and "
                             "scatter-gather multi-document queries")
-    serve.add_argument("--shard-workers", choices=["thread", "process"],
-                       default="thread",
-                       help="evaluate shards on a thread pool (default) or "
-                            "in one worker process per shard (read-only: "
-                            "no durable stores, images, or updates)")
     serve.add_argument("--trace-sample", type=float, default=0.01,
                        metavar="RATE",
                        help="fraction of requests traced end to end "
@@ -370,15 +364,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         service = ShardedService(
             shards=args.shards,
             pool_size=max(1, args.threads // max(1, args.shards)),
-            workers=args.shard_workers,
             mode=args.mode,
             trace_sample=args.trace_sample,
             trace_buffer=args.trace_buffer,
             slow_query_s=args.slow_query_ms / 1e3 if args.slow_query_ms > 0 else None,
         )
         if args.shards > 1:
-            print(f"sharding across {args.shards} shards "
-                  f"({args.shard_workers} workers)", file=sys.stderr)
+            print(f"sharding across {args.shards} shards", file=sys.stderr)
         uris = _load_documents(service, args)
         for spec in args.durable:
             if "=" in spec:

@@ -5,8 +5,7 @@ Four zero-dependency modules the whole stack reports into:
 * :mod:`repro.obs.trace` — context-propagated spans, a sampling
   :class:`~repro.obs.trace.Tracer` with a ring buffer of recent traces
   and a slow-query log, and the :class:`~repro.obs.trace.SpanContext`
-  carrier that stitches traces across executor, shard, replica, and
-  process hops;
+  carrier that continues an upstream trace over HTTP;
 * :mod:`repro.obs.profile` — aggregates one query's trace into a
   plan-shaped profile (``repro query --explain-analyze``,
   ``QueryService.explain``, ``POST /explain``);

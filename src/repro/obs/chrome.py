@@ -5,19 +5,15 @@ eyeballing concurrency.  This module flattens a stitched trace into the
 Chrome trace-event format (the ``{"traceEvents": [...]}`` JSON that
 ``chrome://tracing`` and https://ui.perfetto.dev load directly), so the
 fan-out a served query actually exercised — admission wait on the event
-loop, the worker-pool offload, per-shard scatter threads, shard worker
-processes, replica reads — renders as parallel tracks:
+loop, the worker-pool offload, per-shard scatter threads, replica reads
+— renders as parallel tracks:
 
 * every span becomes a complete event (``ph: "X"``, microsecond
   ``ts``/``dur``), laid out by the ``start_ms`` offsets the span tree
   carries;
-* scatter fragments (:func:`repro.obs.trace.fork`) and adopted remote
-  fragments each get their own ``tid`` so concurrent shard work shows as
-  separate rows instead of nesting nonsense;
-* remote fragments keep the worker's real ``pid`` (named via a
-  ``process_name`` metadata event) and are rebased to the adopting
-  span's start — cross-process clocks are not comparable, and the
-  adopting span brackets the remote work by construction;
+* scatter fragments (:func:`repro.obs.trace.fork`) each get their own
+  ``tid`` so concurrent shard work shows as separate rows instead of
+  nesting nonsense;
 * span attributes, storage deltas, and the trace id ride along in
   ``args`` for the Perfetto detail pane.
 
@@ -34,36 +30,24 @@ import json
 def chrome_trace_events(payload: dict, pid: int = 0, tid_start: int = 0) -> list[dict]:
     """Flatten one ``Trace.to_dict()`` payload into trace events.
 
-    ``pid`` labels the coordinator process (remote fragments override it
-    with their own recorded pid); ``tid_start`` is the first thread id
-    to allocate, so several traces can share one export without their
-    rows colliding.
+    ``pid`` labels the coordinator process; ``tid_start`` is the first
+    thread id to allocate, so several traces can share one export without
+    their rows colliding.
     """
-    events: list[dict] = []
-    named_pids: set[int] = set()
+    events: list[dict] = [{
+        "ph": "M", "name": "process_name",
+        "pid": pid, "tid": tid_start, "args": {"name": "coordinator"},
+    }]
     next_tid = [tid_start]
     trace_hex = payload.get("trace_id", "")
     base_us = float(payload.get("started_at", 0.0)) * 1e6
 
-    def name_process(process: int, name: str) -> None:
-        if process not in named_pids:
-            named_pids.add(process)
-            events.append({
-                "ph": "M", "name": "process_name",
-                "pid": process, "tid": tid_start, "args": {"name": name},
-            })
-
-    def walk(node: dict, node_base_us: float, process: int, tid: int) -> None:
+    def walk(node: dict, tid: int) -> None:
         attrs = node.get("attrs") or {}
-        if node.get("remote"):
-            process = int(node.get("pid", process))
-            name_process(process, f"shard worker pid={process}")
+        if attrs.get("fork"):
             next_tid[0] += 1
             tid = next_tid[0]
-        elif attrs.get("fork"):
-            next_tid[0] += 1
-            tid = next_tid[0]
-        start_us = node_base_us + float(node.get("start_ms", 0.0)) * 1e3
+        start_us = base_us + float(node.get("start_ms", 0.0)) * 1e3
         args: dict = {}
         if node.get("detail"):
             args["detail"] = node["detail"]
@@ -79,18 +63,14 @@ def chrome_trace_events(payload: dict, pid: int = 0, tid_start: int = 0) -> list
             "ph": "X",
             "ts": round(start_us, 3),
             "dur": round(float(node.get("duration_ms", 0.0)) * 1e3, 3),
-            "pid": process,
+            "pid": pid,
             "tid": tid,
             "args": args,
         })
         for child in node.get("children", ()):
-            # A remote fragment's internal start_ms offsets are relative
-            # to its own root; rebase the subtree at this span's start.
-            child_base = start_us if child.get("remote") else node_base_us
-            walk(child, child_base, process, tid)
+            walk(child, tid)
 
-    name_process(pid, "coordinator")
-    walk(payload["root"], base_us, pid, tid_start)
+    walk(payload["root"], tid_start)
     return events
 
 

@@ -24,9 +24,7 @@ stack reports into:
   ``loop.run_in_executor`` offload, :func:`fork` mints a child span now
   and activates it later on a scatter-gather pool thread, and
   :class:`SpanContext` is the serializable carrier (64-bit random ids, a
-  ``traceparent``-style header) that crosses process and HTTP
-  boundaries; :meth:`Span.adopt` stitches the remote fragment a worker
-  ships back into the live tree.
+  ``traceparent``-style header) that crosses HTTP boundaries.
 * A :class:`Tracer` decides *which* requests trace (``sample_rate``,
   deterministic every-Nth so tests can pin it), keeps the last traces in
   a ring buffer, and appends any trace slower than ``slow_threshold_s``
@@ -65,9 +63,10 @@ MAX_SPANS = 512
 def mint_id() -> int:
     """A non-zero 64-bit random id.
 
-    Trace and span ids are random, not counters: shard worker processes
-    and replica engines mint ids independently, and random 64-bit values
-    cannot collide the way a per-process ``itertools.count`` does.
+    Trace and span ids are random, not counters: a trace continued from
+    an upstream carrier mixes ids minted by different processes, and
+    random 64-bit values cannot collide the way a per-process
+    ``itertools.count`` does.
     """
     value = 0
     while value == 0:
@@ -86,8 +85,7 @@ class SpanContext(NamedTuple):
     Exactly the tuple a remote hop needs to continue the trace: which
     trace, which span to parent under, and whether the trace was sampled
     (an unsampled carrier tells the remote side to record nothing).  It
-    crosses HTTP boundaries as a ``traceparent``-style header and process
-    boundaries as a plain tuple on the shard-worker pipe.
+    crosses HTTP boundaries as a ``traceparent``-style header.
     """
 
     trace_id: int
@@ -136,7 +134,7 @@ class Span:
         self.started_s = time.perf_counter()
         self.ended_s: Optional[float] = None
         self.attrs: dict = {}
-        self.children: list = []  # Span objects, or adopted fragment dicts
+        self.children: list[Span] = []
         self.stats_enter: Optional[dict] = None
         self.stats_exit: Optional[dict] = None
 
@@ -159,12 +157,6 @@ class Span:
         """Set a (non-accumulating) attribute, same bound as :meth:`add`."""
         if key in self.attrs or len(self.attrs) < MAX_ATTRS:
             self.attrs[key] = value
-
-    def adopt(self, fragment: dict) -> None:
-        """Stitch a remote span fragment — a :meth:`Trace.fragment`
-        payload shipped back from a worker process — under this span.
-        Fragments stay dicts; :meth:`to_dict` passes them through."""
-        self.children.append(fragment)
 
     def storage_delta(self) -> dict[str, int]:
         """Inclusive stats-counter deltas over this span (empty when the
@@ -199,10 +191,7 @@ class Span:
         if delta:
             payload["storage"] = delta
         if self.children:
-            payload["children"] = [
-                child.to_dict(base) if isinstance(child, Span) else child
-                for child in self.children
-            ]
+            payload["children"] = [child.to_dict(base) for child in self.children]
         return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -213,8 +202,7 @@ class Trace:
     """A finished (or in-flight) request trace: one span tree.
 
     :ivar trace_id: 64-bit random id (:func:`mint_id`), or the parent
-        carrier's id when this trace continues a remote one — stable
-        through stitching.
+        carrier's id when this trace continues a remote one.
     :ivar parent_span_id: the remote parent span when started from a
         :class:`SpanContext` carrier, else ``0``.
     :ivar started_at: wall-clock start (``time.time``), for log lines.
@@ -254,20 +242,6 @@ class Trace:
             "duration_ms": round(self.root.duration_s * 1e3, 4),
             "root": self.root.to_dict(base=self.root.started_s),
         }
-        if self.parent_span_id:
-            payload["parent_span_id"] = format_id(self.parent_span_id)
-        if self.dropped_spans:
-            payload["dropped_spans"] = self.dropped_spans
-        return payload
-
-    def fragment(self) -> dict:
-        """The shippable stitched-tracing payload: this trace's span tree
-        as a plain dict tagged with the producing process, ready for
-        :meth:`Span.adopt` on the coordinator side."""
-        payload = self.root.to_dict(base=self.root.started_s)
-        payload["remote"] = True
-        payload["pid"] = os.getpid()
-        payload["trace_id"] = self.hex_id
         if self.parent_span_id:
             payload["parent_span_id"] = format_id(self.parent_span_id)
         if self.dropped_spans:
@@ -341,7 +315,7 @@ def span_add(key: str, amount: int = 1) -> None:
 
 class _NoopSpan:
     """Shared attribute sink for untraced paths — instrumented code can
-    call ``add``/``set``/``adopt`` on whatever a ``with span(...)``
+    call ``add``/``set`` on whatever a ``with span(...)``
     yielded without checking whether tracing is live."""
 
     __slots__ = ()
@@ -350,9 +324,6 @@ class _NoopSpan:
         pass
 
     def set(self, key: str, value) -> None:
-        pass
-
-    def adopt(self, fragment: dict) -> None:
         pass
 
 
@@ -626,8 +597,8 @@ class Tracer:
         when a trace is already active; yields the shared no-op span
         (and records nothing) when not sampled.  With a ``parent``
         carrier the upstream sampling decision is honored verbatim: a
-        sampled carrier roots a trace that adopts the carrier's trace id
-        (stable through stitching) and records the remote parent span,
+        sampled carrier roots a trace that takes the carrier's trace id
+        and records the remote parent span,
         an unsampled carrier *suppresses* tracing for the whole request
         (downstream samplers inside it record nothing either).  After
         the ``with`` block the handle's ``trace`` attribute holds the

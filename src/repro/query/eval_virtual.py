@@ -257,13 +257,46 @@ class VirtualNavigator:
                 vtype.pbn.components,
             )
 
-        def key_of(vtype: VType, comps: tuple) -> tuple:
-            parent, lca, _, rank, type_order = plans[id(vtype)]
-            if parent is None:
-                head = (type_order[0],)  # the tree index
+        def first_copy(parent: VType, prefix: tuple) -> tuple:
+            """The components of ``parent``'s first reachable instance
+            under ``prefix`` (every instance below a complete chain is
+            reachable)."""
+            if complete_chain(parent):
+                column = vdoc.column(parent.original)
             else:
-                head = parent_key(vtype, comps[:lca])
-            return head + ((rank, comps, type_order),)
+                column = vdoc.reachable_column(parent)[0]
+            return column.keys[column.lower(prefix)]
+
+        def key_of(vtype: VType, comps: tuple) -> tuple:
+            # Climb to the first head already known — the tree index at a
+            # root, or a memoized first-copy parent's key — collecting one
+            # token per level, then build the key top-down in one tuple
+            # and fill the memo entries the climb passed (each is a prefix
+            # of the key).  A loop, not a recursion: views are as deep as
+            # their documents.
+            tokens: list = []
+            fills: list = []  # (tokens below the entry, memo, prefix)
+            while True:
+                parent, lca, memo, rank, type_order = plans[id(vtype)]
+                tokens.append((rank, comps, type_order))
+                if parent is None:
+                    head = (type_order[0],)  # the tree index
+                    break
+                prefix = comps[:lca]
+                if memo is None:  # a complete cut: the prefix numbers the parent
+                    comps = prefix
+                else:
+                    head = memo.get(prefix)
+                    if head is not None:
+                        break
+                    fills.append((len(tokens), memo, prefix))
+                    comps = first_copy(parent, prefix)
+                vtype = parent
+            tokens.reverse()
+            key = head + tuple(tokens)
+            for below, memo, prefix in fills:
+                memo[prefix] = key[: len(key) - below]
+            return key
 
         def parent_key(vtype: VType, prefix: tuple) -> tuple:
             parent, _, memo, _, _ = plans[id(vtype)]
@@ -271,12 +304,7 @@ class VirtualNavigator:
                 return key_of(parent, prefix)
             head = memo.get(prefix)
             if head is None:
-                # Every instance below a complete chain is reachable.
-                if complete_chain(parent):
-                    column = vdoc.column(parent.original)
-                else:
-                    column = vdoc.reachable_column(parent)[0]
-                head = memo[prefix] = key_of(parent, column.keys[column.lower(prefix)])
+                head = memo[prefix] = key_of(parent, first_copy(parent, prefix))
             return head
 
         return (lambda vnode: key_of(vnode.vtype, vnode.node.pbn.components)), parent_key

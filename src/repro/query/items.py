@@ -12,9 +12,7 @@ A query value is a Python list (*sequence*) of items.  An item is one of:
 * a constructed element not built yet — :class:`Constructed`, what an
   element constructor evaluates to: written as it stands, settled into
   an :class:`~repro.xmlmodel.nodes.Element` only where something
-  navigates into it;
-* a node that crossed a process boundary as text — :class:`RemoteItem`
-  (only in results merged from process shard workers).
+  navigates into it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.xmlmodel.nodes import Attribute, Element, Node, NodeKind, Text
 from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
 
 Atomic = Union[str, int, float, bool]
-Item = Any  # Atomic | Node | VNode | VirtualDocItem | Constructed | RemoteItem
+Item = Any  # Atomic | Node | VNode | VirtualDocItem | Constructed
 Sequence = list
 
 
@@ -44,20 +42,6 @@ class VirtualDocItem:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualDocItem({self.vdoc.document.uri})"
-
-
-class RemoteItem:
-    """A node materialized in a shard worker process, shipped as its
-    serialized XML plus its XPath string value."""
-
-    __slots__ = ("xml", "value")
-
-    def __init__(self, xml: str, value: str) -> None:
-        self.xml = xml
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemoteItem({self.xml[:40]!r})"
 
 
 class Constructed:
@@ -150,8 +134,6 @@ def string_value(item: Item) -> str:
         )
     if isinstance(item, Constructed):
         return _constructed_string_value(item)
-    if isinstance(item, RemoteItem):
-        return item.value
     raise QueryEvaluationError(f"cannot take the string value of {item!r}")
 
 
@@ -186,8 +168,6 @@ def write_item(item: Item, parts: list[str], stats: ValueStats) -> None:
         vdoc = item.vdoc
         for root_vtype in vdoc.vguide.roots:
             write_batch(vdoc.instances(root_vtype), parts, stats, vdoc)
-    elif isinstance(item, RemoteItem):
-        parts.append(item.xml)
     else:
         parts.append(format_atomic(item))
 

@@ -7,13 +7,13 @@ loop, per-query cost budgets, and read/write splitting across the
 replica tier.
 
 Where a read runs is one decision, made on the loop after admission.  A
-read whose plan routes to one shard (thread workers), whose engine and
-replica read target are free without waiting, is evaluated *inline* on
-the loop under :data:`INLINE_BUDGET`; its answer is written there when
-it is atomic values or text / attribute nodes.  Everything else keeps
-the worker pool: scatters, ``/update``, ``/explain``, process-worker
-reads, the write of an element or document answer, and a read that
-trips the inline budget (re-run under the request's own budget).
+read whose plan routes to one shard, whose engine and replica read
+target are free without waiting, is evaluated *inline* on the loop under
+:data:`INLINE_BUDGET`; its answer is written there when it is atomic
+values or text / attribute nodes.  Everything else keeps the worker
+pool: scatters, ``/update``, ``/explain``, the write of an element or
+document answer, and a read that trips the inline budget (re-run under
+the request's own budget).
 ``serve.reads{path=inline|pool, reason=}`` counts each decision, and the
 request span carries the same ``path`` / ``reason``.  It is
 protocol-independent — ``await app.handle(method,
@@ -324,8 +324,6 @@ class ServingApp:
         otherwise it names why the pool takes it, and ``target`` /
         ``route`` pin what was already decided (or are ``None``)."""
         service = self.service
-        if service.workers == "process":
-            return None, None, "process"
         if len(text) > INLINE_BUDGET.max_node_visits and text not in service.plan_cache:
             return None, None, "budget"
         route = service.route(text)

@@ -7,18 +7,21 @@ tracer, one plan cache, and one view cache are shared across shards —
 uris are disjoint, so cache entries never collide — and a query flows:
 
 1. **Parse once** through the shared plan cache, then analyse the plan's
-   ``doc``/``virtualDoc`` sources (:mod:`repro.shard.plan`).
+   ``doc``/``virtualDoc`` sources (:mod:`repro.shard.plan`) — once per
+   query text: the analysis is kept with the text's specializations.
 2. **Route.** A plan whose sources live on one shard executes there
    directly — the result object is exactly what the unsharded service
    would return.  This is the common case for per-document traffic.
 3. **Scatter.** A plan spanning shards is *specialized* per shard (each
    shard sees its own documents; foreign sources become the empty
-   sequence) and fanned out on a thread pool, one task per shard; each
-   shard evaluates with the existing virtual / indexed / columnar paths.
+   sequence) and fanned out on a pool of one thread per shard, one task
+   per involved shard; each shard evaluates with the existing virtual /
+   indexed / columnar paths.
 4. **Gather.** Per-shard streams — each already in document order —
-   merge into global document order by ``(source ordinal, PBN)`` keys
-   with a k-way heap merge (:mod:`repro.shard.merge`), or recombine
-   through a distributive aggregate (``count``/``sum``/``exists``).
+   are cut into runs of one container and merged into global document
+   order by source ordinal, the runs' extant PBNs verified
+   (:mod:`repro.shard.merge`), or recombine through a distributive
+   aggregate (``count``/``sum``/``exists``).
 
 This is cheap *because of the paper*: every node keeps its extant PBN
 and level arrays per type, so shards never renumber and the gather is a
@@ -30,20 +33,19 @@ unsharded evaluator re-sorts the accumulated union at every ``|`` with
 Python-level comparisons (O(k·n) comparator calls for a k-document
 union), while each shard only folds its own slice and the global merge
 compares precomputed keys (the benchmark's ``shard.scatter_speedup``
-row).  On multi-core hardware the per-shard work also overlaps;
-``workers="process"`` (the CLI's ``--shard-workers process``) moves each
-shard into its own process for read-mostly collections — see
-:mod:`repro.shard.worker`.
+row).  Shards hand back live items — nothing is serialized between
+scatter and gather — so the coordinator writes the merged answer once.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from repro.obs.trace import Tracer, current_context, fork
+from repro.obs.trace import Tracer, fork
 from repro.query.engine import Result, _preview
 from repro.query.items import is_node
 from repro.service.cache import PlanCache, ViewCache
@@ -55,7 +57,6 @@ from repro.service.service import (
     service_snapshot,
 )
 from repro.storage.stats import StorageStats
-from repro.xmlmodel.serializer import serialize
 
 from repro.shard.catalog import ShardCatalog, ShardError
 from repro.shard.merge import merge_runs, source_ordinals, stream_runs
@@ -78,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 class ShardResult(Result):
     """A gathered scatter result: the merged items in global document
     order (or the single combined aggregate value), serialized like any
-    engine ``Result`` — process-mode items arrive pre-serialized.
+    engine ``Result``.
 
     :ivar elapsed_seconds: scatter wall-clock (fan-out to last gather).
     :ivar shards: shard ids that evaluated a specialization.
@@ -103,6 +104,18 @@ class Route(NamedTuple):
     shard: Optional[int]
 
 
+class _Planned:
+    """One query text's plan work: its source analysis and, once it has
+    scattered, its specialization per shard with the ``uri -> shard``
+    placement they were built for."""
+
+    __slots__ = ("analysis", "plans")
+
+    def __init__(self, analysis) -> None:
+        self.analysis = analysis
+        self.plans: Optional[tuple[dict[str, int], dict[int, object]]] = None
+
+
 class ShardedService:
     """A collection-level facade over per-shard :class:`QueryService`\\ s.
 
@@ -110,16 +123,12 @@ class ShardedService:
     :param pool_size: engines *per shard*.
     :param placement: explicit ``uri -> shard`` placement overrides
         (hash placement otherwise; see :class:`ShardCatalog`).
-    :param workers: ``"thread"`` (scatter on a thread pool, the default)
-        or ``"process"`` (each shard in its own worker process; query
-        and load only — see :mod:`repro.shard.worker`).
-    :param scatter_workers: max concurrent shard fan-out tasks
-        (default: one per shard).
 
-    The remaining knobs mirror :class:`QueryService` and apply to every
-    shard; metrics, storage stats, tracer, plan cache, and view cache
-    are shared across the whole collection, so ``/metrics`` aggregates
-    all shards in one scrape.
+    A scatter runs one task per involved shard on a pool of one thread
+    per shard.  The remaining knobs mirror :class:`QueryService` and
+    apply to every shard; metrics, storage stats, tracer, plan cache,
+    and view cache are shared across the whole collection, so
+    ``/metrics`` aggregates all shards in one scrape.
     """
 
     def __init__(
@@ -128,8 +137,6 @@ class ShardedService:
         pool_size: int = 2,
         mode: str = "indexed",
         placement: Optional[dict[str, int]] = None,
-        workers: str = "thread",
-        scatter_workers: Optional[int] = None,
         plan_cache_capacity: int = 256,
         view_cache_capacity: int = 64,
         page_size: int = 4096,
@@ -141,9 +148,6 @@ class ShardedService:
         tracer: Optional[Tracer] = None,
         default_budget=None,
     ) -> None:
-        if workers not in ("thread", "process"):
-            raise ShardError(f"workers must be 'thread' or 'process', got {workers!r}")
-        self.workers = workers
         self.mode = mode
         self.default_budget = default_budget
         self.catalog = ShardCatalog(shards, placement)
@@ -176,31 +180,20 @@ class ShardedService:
         #: every read to the shard primaries.
         self.replica_sets = None
         self._pool = ThreadPoolExecutor(
-            max_workers=scatter_workers or max(shards, 1),
+            max_workers=max(shards, 1),
             thread_name_prefix="shard-scatter",
         )
-        # query text -> {shard: specialized plan}.  Specialization is pure
-        # AST work but costs O(plan size) per shard per query; repeated
-        # scatters of the same text (the common case behind the service
-        # layer) reuse it.  Safe to key by text alone: a document's shard
-        # never changes once registered (re-register keeps the shard).
-        self._specialized: OrderedDict[str, dict[int, object]] = OrderedDict()
-        self._process_pool = None
-        if workers == "process":
-            from repro.shard.worker import ProcessShardPool
-
-            self._process_pool = ProcessShardPool(
-                shards, mode=mode, pool_size=pool_size
-            )
+        # query text -> its _Planned entry.  Source analysis and
+        # specialization are pure AST work but cost O(plan size) per
+        # request (per shard, for a scatter); repeated texts (the common
+        # case behind the service layer) reuse them.  The analysis depends
+        # on the text alone; the specializations also on the placement of
+        # its documents, which changes when a uri named before it was
+        # loaded is then loaded onto another shard than its hash's.
+        self._planned: OrderedDict[str, _Planned] = OrderedDict()
+        self._planned_lock = threading.Lock()
 
     # -- topology ----------------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return self.catalog.shards
-
-    def shard_service(self, shard: int) -> QueryService:
-        return self.services[shard]
 
     def service_for(self, uri: str) -> QueryService:
         """The :class:`QueryService` owning ``uri``."""
@@ -213,7 +206,6 @@ class ShardedService:
         replica, or the primary as fallback) and writes route through the
         set so every applied op is shipped to the replicas.
         """
-        self._require_thread_workers("attach_replicas")
         if len(replica_sets) != self.catalog.shards:
             raise ShardError(
                 f"need one replica set per shard: got {len(replica_sets)} "
@@ -244,10 +236,6 @@ class ShardedService:
         hash placement for this uri)."""
         owner = self.catalog.register(uri, shard)
         self.metrics.incr("shard.documents", labels={"shard": str(owner)})
-        if self._process_pool is not None:
-            text = source if isinstance(source, str) else serialize(source)
-            self._process_pool.load(owner, uri, text)
-            return None  # the store lives in the worker process
         store = self.services[owner].load(uri, source)
         if self.replica_sets is not None:
             self.replica_sets[owner].seed(uri, store)
@@ -257,7 +245,6 @@ class ShardedService:
         self, path: str, uri: Optional[str] = None, shard: Optional[int] = None
     ) -> "DocumentStore":
         """Load a persisted store image onto the owning shard."""
-        self._require_thread_workers("open_image")
         if uri is None:
             from repro.storage.persist import peek_uri
 
@@ -269,14 +256,11 @@ class ShardedService:
             self.replica_sets[owner].seed(uri, store)
         return store
 
-    open = open_image
-
     def open_durable(
         self, directory: str, uri: Optional[str] = None, shard: Optional[int] = None
     ) -> "DurableStore":
         """Open a durable store directory and attach it to the owning
         shard; ``update`` calls for its uri go through that shard's WAL."""
-        self._require_thread_workers("open_durable")
         from repro.updates.durable import DurableStore
 
         knobs = self.services[0]
@@ -297,29 +281,19 @@ class ShardedService:
         return adopted
 
     def store(self, uri: str) -> "DocumentStore":
-        self._require_thread_workers("store")
         return self.service_for(uri).store(uri)
 
     def uris(self) -> list[str]:
         return self.catalog.uris()
 
     def warm(self, uri: str, spec: str) -> None:
-        self._require_thread_workers("warm")
         self.service_for(uri).warm(uri, spec)
-
-    def _require_thread_workers(self, what: str) -> None:
-        if self._process_pool is not None:
-            raise ShardError(
-                f"{what} is not available with process workers; process "
-                "shards support load and query only"
-            )
 
     # -- updates -----------------------------------------------------------------
 
     def update(self, uri: str, op: "UpdateOp") -> "MutationResult":
         """Route one update to the shard owning ``uri``; the shard's own
         write path (WAL, snapshot publish, view revalidation) applies."""
-        self._require_thread_workers("update")
         shard = self.catalog.shard_of(uri)
         self.metrics.incr("shard.updates", labels={"shard": str(shard)})
         if self.replica_sets is not None:
@@ -327,7 +301,6 @@ class ShardedService:
         return self.service_for(uri).update(uri, op)
 
     def checkpoint(self, uri: str) -> int:
-        self._require_thread_workers("checkpoint")
         return self.service_for(uri).checkpoint(uri)
 
     # -- execution ---------------------------------------------------------------
@@ -339,7 +312,7 @@ class ShardedService:
         errors :meth:`execute` would (a computed uri across shards, an
         unscatterable plan)."""
         expr = self.plan_cache.get_or_parse(query)
-        analysis = referenced_sources(expr)
+        analysis = self._plan_work(query, expr).analysis
         if self.catalog.shards == 1:
             self.metrics.incr("shard.routed_single")
             return Route(expr, analysis, {}, 0)
@@ -355,6 +328,19 @@ class ShardedService:
             return Route(expr, analysis, involved, shard_set[0] if shard_set else 0)
         check_scatterable(analysis, involved)
         return Route(expr, analysis, involved, None)
+
+    def _plan_work(self, query: str, expr) -> "_Planned":
+        """``query``'s entry in the per-text LRU (``expr`` is its parsed
+        plan), analysed on first use."""
+        with self._planned_lock:
+            entry = self._planned.get(query)
+            if entry is None:
+                entry = self._planned[query] = _Planned(referenced_sources(expr))
+                if len(self._planned) > 128:
+                    self._planned.popitem(last=False)
+            else:
+                self._planned.move_to_end(query)
+        return entry
 
     def execute(
         self,
@@ -376,24 +362,14 @@ class ShardedService:
         ``route`` is :meth:`route`'s decision for ``query`` when the
         caller has made it already.
         """
-        if budget is not None:
-            self._require_thread_workers("per-query budgets")
         if route is None:
             route = self.route(query)
         if route.shard is not None:
-            return self._routed(route.shard, query, mode, variables, budget)
+            return self.read_service(route.shard).execute(
+                query, mode=mode, variables=variables, budget=budget
+            )
         self._check_variables(variables)
-        return self._scatter(
-            route.expr, route.analysis, route.involved, query, mode, variables, budget
-        )
-
-    def _routed(self, shard: int, query: str, mode, variables, budget=None):
-        if self._process_pool is not None:
-            self._check_variables(variables)  # nodes cannot cross the pipe
-            return self._process_pool.execute_routed(shard, query, mode, variables)
-        return self.read_service(shard).execute(
-            query, mode=mode, variables=variables, budget=budget
-        )
+        return self._scatter(route, query, mode, variables, budget)
 
     def _check_variables(self, variables) -> None:
         for value in (variables or {}).values():
@@ -404,32 +380,25 @@ class ShardedService:
                     "shards; route the query to the shard owning the nodes"
                 )
 
-    def _scatter(self, expr, analysis, involved, query, mode, variables, budget=None):
+    def _scatter(self, route: Route, query, mode, variables, budget=None):
         started = time.perf_counter()
         self.metrics.incr("shard.scatter_queries")
-        combine = combiner_of(expr)
-        shard_uris = _by_shard(involved)
+        combine = combiner_of(route.expr)
         handle = self.tracer.start(
             "scatter", detail=_preview(query), stats=self.stats
         )
         with handle as root:
-            plans = self._specialized.get(query)
-            if plans is None:
-                plans = {
-                    shard: specialize(expr, uris)
-                    for shard, uris in shard_uris.items()
-                }
-                self._specialized[query] = plans
-                if len(self._specialized) > 128:
-                    self._specialized.popitem(last=False)
-            else:
-                self._specialized.move_to_end(query)
-            if self._process_pool is not None:
-                outcome = self._gather_process(plans, analysis, involved, mode, combine)
-            else:
-                outcome = self._gather_threads(
-                    plans, analysis, mode, variables, combine, query, budget
-                )
+            entry = self._plan_work(query, route.expr)
+            placed = entry.plans
+            if placed is None or placed[0] != route.involved:
+                placed = entry.plans = (route.involved, {
+                    shard: specialize(route.expr, uris)
+                    for shard, uris in _by_shard(route.involved).items()
+                })
+            plans = placed[1]
+            outcome = self._gather(
+                plans, route.analysis, mode, variables, combine, query, budget
+            )
             elapsed = time.perf_counter() - started
             outcome.elapsed_seconds = elapsed
             if root is not None:
@@ -441,7 +410,7 @@ class ShardedService:
         self.metrics.incr("shard.scatter_fanout", len(plans))
         return outcome
 
-    def _gather_threads(
+    def _gather(
         self, plans, analysis, mode, variables, combine, query, budget=None
     ) -> ShardResult:
         detail = _preview(query)
@@ -481,46 +450,6 @@ class ShardedService:
         ])
         return ShardResult(merged, 0.0, shard_ids)
 
-    def _process_shard_task(self, fragment, shard, plan, mode, owned, combine):
-        """One process-mode scatter task on a pool thread: enter the
-        forked span, pass the trace carrier over the pipe, and stitch
-        the span fragment the worker ships back under the fork."""
-        with fragment as scatter_span:
-            shipped, remote = self._process_pool.execute_plan(
-                shard, plan, mode, owned, combine, carrier=current_context()
-            )
-            if remote is not None:
-                scatter_span.adopt(remote)
-            return shipped
-
-    def _gather_process(self, plans, analysis, involved, mode, combine) -> ShardResult:
-        shard_ids = sorted(plans)
-        owned: dict[int, list] = {shard: [] for shard in shard_ids}
-        for ordinal, source in enumerate(analysis.sources):
-            owner = involved.get(source.uri)
-            if owner in owned:
-                owned[owner].append((ordinal, source.kind, source.uri, source.spec))
-        futures = {
-            shard: self._pool.submit(
-                self._process_shard_task,
-                fork("shard.scatter", f"shard={shard}"),
-                shard,
-                plans[shard],
-                mode,
-                owned[shard],
-                combine,
-            )
-            for shard in shard_ids
-        }
-        streams = {shard: future.result() for shard, future in futures.items()}
-        if combine:
-            combined = COMBINERS[combine](
-                streams[shard][0][1][0] for shard in shard_ids
-            )
-            return ShardResult([combined], 0.0, shard_ids)
-        merged = merge_runs([streams[shard] for shard in shard_ids])
-        return ShardResult(merged, 0.0, shard_ids)
-
     def batch(
         self,
         queries: list[str],
@@ -542,7 +471,6 @@ class ShardedService:
         the routing errors :meth:`execute` would."""
         from repro.obs.profile import build_profile, operators, render_profile
 
-        self._require_thread_workers("explain")
         route = self.route(query)
         if route.shard is not None:
             return self.services[route.shard].explain(query, mode)
@@ -594,10 +522,8 @@ class ShardedService:
         self.metrics.reset()
 
     def close(self) -> None:
-        """Shut down the scatter pool (and worker processes, if any)."""
+        """Shut down the scatter pool."""
         self._pool.shutdown(wait=False)
-        if self._process_pool is not None:
-            self._process_pool.close()
 
 
 def _by_shard(involved: dict[str, int]) -> dict[int, set[str]]:

@@ -450,8 +450,7 @@ def test_result_to_xml(workload):
     assert result.to_xml() == _oracle_xml(result.items)
 
 
-@pytest.mark.parametrize("workers", ["thread", "process"])
-def test_shard_result_to_xml(workers):
+def test_shard_result_to_xml():
     spec = "title { author { name } }"
     uris = [f"b{i}.xml" for i in range(3)]
     union = " | ".join(f'virtualDoc("{uri}", "{spec}")//title' for uri in uris)
@@ -459,7 +458,6 @@ def test_shard_result_to_xml(workers):
     sharded = ShardedService(
         shards=2,
         pool_size=1,
-        workers=workers,
         placement={uri: index % 2 for index, uri in enumerate(uris)},
     )
     try:

@@ -1,32 +1,24 @@
-"""The Chrome trace-event exporter: layout, lanes, rebasing, metadata."""
+"""The Chrome trace-event exporter: layout, lanes, metadata."""
 
 from __future__ import annotations
 
 import json
 
 from repro.obs.chrome import chrome_trace_events, render_chrome
-from repro.obs.trace import SpanContext, Tracer, fork, mint_id, span
+from repro.obs.trace import Tracer, fork, span
 
 
 def _payload() -> dict:
-    """A realistic stitched payload: root → child, a forked lane, and an
-    adopted remote fragment, built through the real tracing substrate."""
-    remote = Tracer(sample_rate=0.0)
-    carrier = SpanContext(trace_id=mint_id(), span_id=mint_id(), sampled=True)
-    handle = remote.start("shard.worker", parent=carrier)
-    with handle:
-        with span("eval"):
-            pass
-    fragment = handle.trace.fragment()
-
+    """A realistic stitched payload: root → child, and a forked lane with
+    a span of its own, built through the real tracing substrate."""
     tracer = Tracer(sample_rate=1.0)
     with tracer.start("serve.request", detail="POST /query") as root:
         root.set("status", 200)
         with span("serve.admission"):
             pass
-        forked = fork("shard.scatter", "shard=0")
-        with forked as scatter_span:
-            scatter_span.adopt(fragment)
+        with fork("shard.scatter", "shard=0"):
+            with span("eval"):
+                pass
     return tracer.recent()[0].to_dict()
 
 
@@ -35,10 +27,7 @@ def test_every_span_becomes_a_complete_event():
     events = chrome_trace_events(payload)
     complete = [event for event in events if event["ph"] == "X"]
     names = [event["name"] for event in complete]
-    assert names == [
-        "serve.request", "serve.admission", "shard.scatter",
-        "shard.worker", "eval",
-    ]
+    assert names == ["serve.request", "serve.admission", "shard.scatter", "eval"]
     for event in complete:
         assert event["cat"] == "repro"
         assert event["dur"] >= 0
@@ -48,44 +37,26 @@ def test_every_span_becomes_a_complete_event():
     assert root["args"]["status"] == 200
 
 
-def test_forks_and_remote_fragments_get_their_own_lanes():
+def test_forks_get_their_own_lanes():
     payload = _payload()
     events = chrome_trace_events(payload, pid=7, tid_start=3)
     by_name = {e["name"]: e for e in events if e["ph"] == "X"}
-    # In-task spans share the root's lane; the fork opens a new one.
+    # In-task spans share the root's lane; the fork opens a new one and
+    # its children stay on it.
     assert by_name["serve.request"]["tid"] == 3
     assert by_name["serve.admission"]["tid"] == 3
     assert by_name["shard.scatter"]["tid"] == 4
-    # The remote fragment keeps its worker pid and opens another lane;
-    # its children stay on that lane.
-    assert by_name["shard.worker"]["pid"] == payload["root"]["children"][1][
-        "children"][0]["pid"]
-    assert by_name["shard.worker"]["tid"] == 5
-    assert by_name["eval"]["tid"] == 5
-    assert by_name["serve.request"]["pid"] == 7
-
-
-def test_remote_fragments_are_rebased_to_the_adopting_span():
-    payload = _payload()
-    by_name = {
-        e["name"]: e for e in chrome_trace_events(payload) if e["ph"] == "X"
-    }
-    scatter = by_name["shard.scatter"]
-    worker = by_name["shard.worker"]
-    # Cross-process clocks are not comparable: the worker's own offsets
-    # are kept, but rebased so the fragment starts at the adopting span.
-    assert worker["ts"] == scatter["ts"]
-    assert by_name["eval"]["ts"] >= worker["ts"]
+    assert by_name["eval"]["tid"] == 4
+    assert by_name["eval"]["ts"] >= by_name["shard.scatter"]["ts"]
+    assert {event["pid"] for event in events} == {7}
 
 
 def test_process_metadata_events_name_each_pid_once():
     payload = _payload()
     events = chrome_trace_events(payload)
     meta = [event for event in events if event["ph"] == "M"]
-    assert [event["name"] for event in meta] == ["process_name", "process_name"]
-    names = {event["args"]["name"] for event in meta}
-    assert "coordinator" in names
-    assert any(name.startswith("shard worker pid=") for name in names)
+    assert [event["name"] for event in meta] == ["process_name"]
+    assert meta[0]["args"]["name"] == "coordinator"
 
 
 def test_render_chrome_is_loadable_json_with_disjoint_lanes():

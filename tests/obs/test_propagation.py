@@ -3,9 +3,8 @@
 ``contextvars`` carries the active span across ``await`` for free; every
 other boundary needs an explicit hand-off, and each one has a test here:
 ``wrap`` for ``loop.run_in_executor`` offloads, ``fork`` for concurrent
-scatter threads, the :class:`SpanContext` carrier for HTTP/process hops,
-``Tracer.start(parent=...)`` for the remote side of a carrier, and
-``Span.adopt`` for stitching a worker's fragment back into the tree.
+scatter threads, the :class:`SpanContext` carrier for HTTP hops, and
+``Tracer.start(parent=...)`` for the remote side of a carrier.
 Each hand-off must also *not leak*: after the task — success or
 exception — no active span may remain on the borrowed thread.
 """
@@ -128,27 +127,6 @@ def test_unsampled_parent_carrier_suppresses_the_whole_request():
             assert current_span() is None
     assert tracer.recent() == []
     assert current_span() is None  # token-paired reset on exit
-
-
-def test_fragment_ships_the_tree_and_adopt_stitches_it():
-    remote = Tracer(sample_rate=0.0)
-    carrier = SpanContext(trace_id=mint_id(), span_id=mint_id(), sampled=True)
-    handle = remote.start("shard.worker", parent=carrier)
-    with handle:
-        with span("eval"):
-            pass
-    fragment = handle.trace.fragment()
-    assert fragment["remote"] is True
-    assert fragment["trace_id"] == format_id(carrier.trace_id)
-    assert fragment["parent_span_id"] == format_id(carrier.span_id)
-    assert fragment["children"][0]["name"] == "eval"
-
-    local = Tracer(sample_rate=1.0)
-    with local.start("scatter") as root:
-        root.adopt(fragment)
-    payload = local.recent()[0].to_dict()
-    # The adopted fragment passes through to_dict verbatim — one tree.
-    assert payload["root"]["children"] == [fragment]
 
 
 # -- wrap: loop.run_in_executor offloads ------------------------------------

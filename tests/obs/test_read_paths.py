@@ -5,7 +5,7 @@
 span, and the hop spans under it (``serve.inline`` for a read evaluated
 on the event loop, ``serve.worker`` for work on the pool) describe the
 same decisions.  A mix over a sharded, replicated collection drives
-every reason but ``process``, and the three views reconcile to the unit.
+every reason, and the three views reconcile to the unit.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def test_read_counters_spans_and_hops_reconcile():
             assert hops["serve.worker"] == 1
             if reason == "write":
                 assert hops["serve.inline"] == 1
-            elif reason in ("scatter", "catchup", "route", "process"):
+            elif reason in ("scatter", "catchup", "route"):
                 assert hops["serve.inline"] == 0
     assert inline == counted["inline", "point"]
     assert workers == sum(value for (path, _), value in counted.items() if path == "pool")

@@ -14,9 +14,7 @@ navigates into the answer.  Pinned here:
   name — at parse time for literal ones, at run time on both the lazy
   and the settle path, and as HTTP 400 when served;
 * the counters that say whether a query stayed lazy (``settled`` on the
-  ``eval`` span, ``constructed_items`` on ``result.to_xml``);
-* process shard workers write constructed answers unsettled, byte-equal
-  to the in-process engine.
+  ``eval`` span, ``constructed_items`` on ``result.to_xml``).
 """
 
 from __future__ import annotations
@@ -219,23 +217,3 @@ def test_spans_say_whether_an_answer_stayed_lazy(books):
     assert _span_attrs(trace, "eval")["settled"] == 6
     assert _span_attrs(trace, "result.to_xml")["constructed_items"] == 0
 
-
-def test_process_workers_write_constructed_answers_unsettled():
-    from repro.shard import ShardedService
-
-    sharded = ShardedService(shards=2, pool_size=1, workers="process")
-    single = QueryService(pool_size=1)
-    try:
-        for service in (sharded, single):
-            service.load("book.xml", books_document(5, seed=3))
-        for query in [
-            'for $b in doc("book.xml")//book return <e k="{ $b/title }">{ $b/author }</e>',
-            '<r>{ doc("book.xml")//title/text(), 1, 2 }</r>',
-            'for $t in virtualDoc("book.xml", "title { author { name } }")//title '
-            "return <t>{ $t/@*, $t/author }</t>",
-        ]:
-            remote, local = sharded.execute(query), single.execute(query)
-            assert remote.to_xml() == local.to_xml(), query
-            assert remote.values() == local.values(), query
-    finally:
-        sharded.close()

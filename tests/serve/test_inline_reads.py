@@ -159,6 +159,31 @@ def test_a_recursion_on_the_loop_is_answered_by_the_pool(books300):
     assert inline.status == pooled.status
 
 
+def test_a_recursion_error_inline_falls_back_to_the_pool(books300):
+    """An inline evaluation that raises ``RecursionError`` (stubbed: every
+    engine raises it off the worker threads) is re-run on the pool: the
+    answer is the service's, and the engine the attempt checked out is
+    back in the pool."""
+    app, service = books300
+    query = "count(doc('d')//title)"
+    expected = service.execute(query).to_xml().encode()
+    shard = service.services[0]
+    raised = []
+    for engine in shard._engines:
+        def off_the_pool(*args, _execute=engine.execute, **kwargs):
+            if not threading.current_thread().name.startswith("serve-worker"):
+                raised.append(threading.current_thread().name)
+                raise RecursionError("maximum recursion depth exceeded")
+            return _execute(*args, **kwargs)
+
+        engine.execute = off_the_pool
+    response = _handle(app, "/query", query)
+    assert (response.status, response.body) == (200, expected)
+    assert len(raised) == 1
+    assert _reads(service) == {("pool", "budget"): 1}
+    assert shard._idle.qsize() == shard.pool_size
+
+
 def _never_inline(execute):
     def execute_on_pool(*args, wait=True, **kwargs):
         return execute(*args, wait=wait, **kwargs) if wait else None
@@ -269,23 +294,6 @@ def test_scatter_update_and_explain_run_on_worker_threads():
     assert [name for name, _ in threads] == ["execute", "update", "explain"]
     assert all(thread.startswith("serve-worker") for _, thread in threads)
     assert _reads(sharded) == {("pool", "scatter"): 1, ("pool", "route"): 2}
-
-
-def test_process_worker_reads_run_on_worker_threads():
-    sharded = ShardedService(shards=2, pool_size=1, workers="process")
-    try:
-        sharded.load("d0", "<a><b>x</b></a>", shard=0)
-        app = ServingApp(sharded)
-        threads: list = []
-        _record_threads(sharded, "execute", threads)
-        response = _handle(app, "/query", "doc('d0')//b/text()")
-        app.close()
-    finally:
-        sharded.close()
-    assert (response.status, response.body) == (200, b"x")
-    [(_, thread)] = threads
-    assert thread.startswith("serve-worker")
-    assert _reads(sharded) == {("pool", "process"): 1}
 
 
 # -- (d) element answers are written on the pool ------------------------------

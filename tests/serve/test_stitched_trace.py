@@ -8,15 +8,12 @@ decided at each hand-off, not at whichever thread ran first.  The
 sampling decision verbatim), a shed request must leave no active span
 behind on the event loop or any worker thread, exclusive storage costs
 on a served trace must still sum to the unit (the EXPLAIN ANALYZE
-acceptance bar, now through the whole async stack), and process-mode
-shard workers must ship span fragments home that stitch under their
-``shard.scatter`` parents with the same trace id.
+acceptance bar, now through the whole async stack).
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 
@@ -66,13 +63,9 @@ def _post(app, body: str, headers: dict | None = None):
 
 
 def _spans(node, name: str) -> list:
-    """Every span (or adopted fragment dict) named ``name`` in the tree."""
-    label = node["name"] if isinstance(node, dict) else node.name
-    found = [node] if label == name else []
-    children = (
-        node.get("children", ()) if isinstance(node, dict) else node.children
-    )
-    for child in children:
+    """Every span named ``name`` in the tree."""
+    found = [node] if node.name == name else []
+    for child in node.children:
         found.extend(_spans(child, name))
     return found
 
@@ -209,55 +202,6 @@ def test_served_exclusive_costs_still_sum_to_the_unit():
         assert totals(build_profile(trace)) == delta  # additive, to the unit
     finally:
         app.close()
-
-
-def test_process_workers_ship_fragments_that_stitch_into_one_tree():
-    sharded = ShardedService(
-        shards=2, pool_size=1, workers="process", trace_sample=1.0
-    )
-    try:
-        for i in range(4):
-            sharded.load(f"doc{i}.xml", _xml(i), shard=i % 2)
-        union = " | ".join(f'doc("doc{i}.xml")//title' for i in range(4))
-        result = sharded.execute(f"count({union})")
-        assert result.items == [4]
-
-        [trace] = sharded.tracer.recent()
-        shard_spans = _spans(trace.root, "shard.scatter")
-        assert len(shard_spans) == 2
-        fragments = [
-            child
-            for span in shard_spans
-            for child in span.children
-            if isinstance(child, dict)
-        ]
-        assert len(fragments) == 2
-        for fragment in fragments:
-            assert fragment["remote"] is True
-            assert fragment["name"] == "shard.worker"
-            assert fragment["pid"] != os.getpid()  # really another process
-            assert fragment["trace_id"] == trace.hex_id  # same trace, stitched
-            assert _spans(fragment, "query"), "worker evaluation ships home"
-    finally:
-        sharded.close()
-
-
-def test_routed_process_query_adopts_the_worker_fragment():
-    sharded = ShardedService(
-        shards=2, pool_size=1, workers="process", trace_sample=1.0
-    )
-    try:
-        sharded.load("doc0.xml", _xml(0), shard=0)
-        with sharded.tracer.start("query", force=True):
-            result = sharded.execute('doc("doc0.xml")//title')
-        assert result.values() == ["T0"]
-        trace = sharded.tracer.recent()[-1]
-        [route] = _spans(trace.root, "shard.route")
-        [fragment] = [c for c in route.children if isinstance(c, dict)]
-        assert fragment["remote"] is True
-        assert fragment["trace_id"] == trace.hex_id
-    finally:
-        sharded.close()
 
 
 def test_answers_are_serialized_on_a_worker_thread():

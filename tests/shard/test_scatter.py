@@ -1,15 +1,16 @@
 """Scatter-gather behaviour: routing, merging, combiners, guards,
-sharded EXPLAIN ANALYZE, update routing, and process workers."""
+sharded EXPLAIN ANALYZE, and update routing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.pbn.number import Pbn
+from repro.errors import QueryEvaluationError
 from repro.query.engine import Result
 from repro.service import QueryService
 from repro.shard import ShardedService, ShardError, ShardResult
 from repro.shard.merge import ShardMergeError
+from repro.shard.plan import referenced_sources
 from repro.updates.ops import InsertSubtree, ReplaceText
 
 DOCS = 8
@@ -60,6 +61,89 @@ def test_single_document_query_routes_without_scatter(pair):
     before = sharded.metrics.counter("shard.scatter_queries")
     sharded.execute(f'doc("{uris[3]}")//title')
     assert sharded.metrics.counter("shard.scatter_queries") == before
+
+
+def test_a_query_text_is_analysed_once(monkeypatch):
+    import repro.shard.service as shard_service
+
+    analysed = []
+
+    def counting(expr):
+        analysed.append(expr)
+        return referenced_sources(expr)
+
+    monkeypatch.setattr(shard_service, "referenced_sources", counting)
+    service = ShardedService(shards=4, pool_size=1)
+    try:
+        uris = _load(service)
+        point = f'count(doc("{uris[0]}")//p)'
+        for _ in range(5):
+            assert service.execute(point).values() == ["1"]
+        assert len(analysed) == 1
+        # Each routed execution still counts as one routed read.
+        assert service.metrics.counter("shard.routed_single") == 5
+        for _ in range(3):
+            assert service.execute(_union(uris)).values() == [f"T{i}" for i in range(DOCS)]
+        assert len(analysed) == 2
+    finally:
+        service.close()
+
+
+def test_the_per_text_cache_holds_under_concurrent_evictions():
+    """More texts than the per-text LRU holds, routed and scattered from
+    more threads than cores with a short switch interval: every answer
+    stays right and the LRU stays bounded."""
+    import sys
+    import threading
+
+    service = ShardedService(shards=4, pool_size=2)
+    uris = _load(service)
+    # Padding makes distinct texts (cache keys) of one plan.
+    texts = [
+        (f'count(doc("{uris[i % DOCS]}")//p){" " * i}', ["1"])
+        if i % 2
+        else (f"count({_union(uris)}){' ' * i}", [str(DOCS)])
+        for i in range(160)
+    ]
+    failures: list = []
+
+    def run(offset: int) -> None:
+        for text, expected in texts[offset:] + texts[:offset]:
+            try:
+                if service.execute(text).values() != expected:
+                    failures.append(text)
+            except Exception as error:  # noqa: BLE001 - recorded for the assert
+                failures.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(40 * n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert failures == []
+    assert len(service._planned) <= 128
+
+
+def test_a_text_respecializes_when_a_document_lands_off_its_hash_shard():
+    service = ShardedService(shards=2, pool_size=1)
+    try:
+        service.load("a.xml", "<r><b>a</b></r>", shard=0)
+        service.load("c.xml", "<r><b>c</b></r>", shard=1)
+        late = next(f"x{i}.xml" for i in range(64) if service.catalog.place(f"x{i}.xml") == 1)
+        query = f'doc("a.xml")//b | doc("c.xml")//b | doc("{late}")//b'
+        with pytest.raises(QueryEvaluationError, match="no document loaded"):
+            service.execute(query)  # specialized for the hash placement
+        service.load(late, "<r><b>x</b></r>", shard=0)
+        assert service.execute(query).values() == ["a", "c", "x"]
+    finally:
+        service.close()
 
 
 def test_scatter_merges_in_document_order(pair):
@@ -266,69 +350,6 @@ def test_explicit_placement_and_load_override():
         assert service.catalog.shard_of("b.xml") == 0
     finally:
         service.close()
-
-
-def test_workers_argument_is_validated():
-    with pytest.raises(ShardError, match="workers"):
-        ShardedService(shards=2, workers="fibers")
-
-
-class TestProcessWorkers:
-    @pytest.fixture(scope="class")
-    def procs(self):
-        sharded = ShardedService(shards=4, pool_size=1, workers="process")
-        single = ShardedService(shards=1, pool_size=1)
-        uris = _load(sharded)
-        _load(single)
-        yield sharded, single, uris
-        sharded.close()
-        single.close()
-
-    def test_scatter_matches_thread_mode(self, procs):
-        sharded, single, uris = procs
-        query = _union(uris)
-        assert sharded.execute(query).to_xml() == single.execute(query).to_xml()
-        assert sharded.execute(query).values() == [f"T{i}" for i in range(DOCS)]
-
-    def test_virtual_union_matches_thread_mode(self, procs):
-        """Process workers write each run of same-type virtual nodes with
-        one batch: the bytes are thread mode's."""
-        sharded, single, uris = procs
-        threads = ShardedService(shards=4, pool_size=1)
-        try:
-            _load(threads)
-            query = " | ".join(
-                f'virtualDoc("{u}", "title {{ chapter {{ ** }} }}")/{suffix}'
-                for u in uris
-                for suffix in ("/title", "/chapter")
-            )
-            expected = threads.execute(query).to_xml()
-            assert expected == single.execute(query).to_xml()
-            assert sharded.execute(query).to_xml() == expected
-            assert "<title>T0<chapter><p>body 0</p></chapter></title>" in expected
-        finally:
-            threads.close()
-
-    def test_routed_and_combined(self, procs):
-        sharded, single, uris = procs
-        routed = sharded.execute(f'doc("{uris[0]}")//p/text()')
-        assert routed.values() == ["body 0"]
-        agg = f"count({_union(uris, '//*')})"
-        assert sharded.execute(agg).items == single.execute(agg).items
-
-    def test_writes_are_refused(self, procs):
-        sharded, _, uris = procs
-        with pytest.raises(ShardError, match="process workers"):
-            sharded.update(uris[0], InsertSubtree(parent=Pbn(1), fragment="<x/>"))
-        with pytest.raises(ShardError, match="process workers"):
-            sharded.store(uris[0])
-
-    def test_worker_errors_surface(self, procs):
-        sharded, _, uris = procs
-        # Parses fine, fails at evaluation inside the worker process:
-        # the failure crosses the pipe and re-raises as a ShardError.
-        with pytest.raises(ShardError, match="worker"):
-            sharded.execute('doc("never-loaded.xml")//p')
 
 
 # -- the run-wise gather --------------------------------------------------------

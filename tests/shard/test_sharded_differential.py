@@ -14,9 +14,8 @@ additionally pins the three exact strategies to byte-identical answers
 2-shard collection under raw and under succinct type columns.
 
 The generator's set-operator shapes run per document and, over two
-documents on different shards, through the scatter — in thread and in
-process workers — except those with a constructed operand, which cannot
-merge across shards.
+documents on different shards, through the scatter — except those with
+a constructed operand, which cannot merge across shards.
 """
 
 from __future__ import annotations
@@ -198,25 +197,6 @@ def test_cross_document_set_operators_are_byte_identical(services, strategy):
             problems.append(f"{strategy} {query!r}")
     assert not problems, "\n".join(problems[:10])
     assert len(queries) >= 8, f"only {len(queries)} cross-shard set operators"
-
-
-def test_cross_document_set_operators_through_process_workers(services):
-    _, single, cases = services
-    procs = ShardedService(shards=SHARDS, pool_size=1, workers="process")
-    try:
-        for case in cases:
-            procs.load(case.uri, random_document(case.seed, max_depth=4, max_children=3))
-        queries = _cross_shard_set_operators(procs, cases, "virtual")[:12]
-        queries += _cross_shard_set_operators(procs, cases, "indexed")[:12]
-        problems = [
-            query
-            for query in queries
-            if procs.execute(query).to_xml() != single.execute(query).to_xml()
-        ]
-    finally:
-        procs.close()
-    assert not problems, "\n".join(problems[:10])
-    assert len(queries) >= 8
 
 
 def test_whole_collection_union_is_byte_identical(services):
