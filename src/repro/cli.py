@@ -30,9 +30,10 @@ Commands
     level array and lca length (Algorithm 1's output).
 
 ``batch``
-    Evaluate many queries through the concurrent
-    :class:`~repro.service.service.QueryService` (shared plan/view caches,
-    an engine pool) and optionally print cache/latency metrics::
+    Evaluate many queries through a one-shard
+    :class:`~repro.shard.service.ShardedService` — the service ``serve``
+    builds — (shared plan/view caches, an engine pool) and optionally
+    print cache/latency metrics::
 
         python -m repro batch --books 100 --queries queries.txt \\
             --threads 4 --repeat 3 --metrics
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_documents(engine, args: argparse.Namespace) -> list[str]:
     """Load the requested documents into an :class:`Engine` or a
-    :class:`~repro.service.service.QueryService` (same load/open surface)."""
+    :class:`~repro.shard.service.ShardedService` (same load/open surface)."""
     uris: list[str] = []
     for spec in args.document:
         if "=" not in spec:
@@ -357,6 +358,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "serve":
         import asyncio
 
+        from repro.obs.trace import Tracer
         from repro.query.budget import CostBudget
         from repro.serve import build_serving, serve_async
         from repro.shard import ShardedService
@@ -365,9 +367,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             shards=args.shards,
             pool_size=max(1, args.threads // max(1, args.shards)),
             mode=args.mode,
-            trace_sample=args.trace_sample,
-            trace_buffer=args.trace_buffer,
-            slow_query_s=args.slow_query_ms / 1e3 if args.slow_query_ms > 0 else None,
+            tracer=Tracer(
+                capacity=args.trace_buffer,
+                sample_rate=args.trace_sample,
+                slow_threshold_s=args.slow_query_ms / 1e3 if args.slow_query_ms > 0 else None,
+            ),
         )
         if args.shards > 1:
             print(f"sharding across {args.shards} shards", file=sys.stderr)
@@ -602,9 +606,9 @@ def _run_traces(args: argparse.Namespace) -> int:
 def _run_batch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import QueryService
+    from repro.shard import ShardedService
 
-    service = QueryService(pool_size=args.threads, mode=args.mode)
+    service = ShardedService(shards=1, pool_size=args.threads, mode=args.mode)
     uris = _load_documents(service, args)
     if not uris:
         print("note: no documents loaded; doc()/virtualDoc() will fail",

@@ -97,14 +97,6 @@ def _prefix_bounds(keys, prefix: tuple) -> tuple[int, int]:
     return low, bisect_left(keys, subtree_bound(prefix), low)
 
 
-def complete_chain(vtype: VType) -> bool:
-    """True iff every cut below the root of ``vtype``'s chain is complete
-    (:meth:`VType.complete_cut`): each virtual ancestor is the instance's
-    own physical ancestor, its key a prefix of the instance's — so every
-    instance of the type occurs in the virtual document."""
-    return all(t.complete_cut() for t in vtype.chain()[1:])
-
-
 def sibling_rows(entries, components: tuple) -> list:
     """The virtual children of the node numbered ``components`` among
     ``entries`` — one ``(lca_length, keys, nodes, tag)`` per child type,
@@ -396,7 +388,7 @@ class VirtualDocument:
                 cached = self._reachable.get(vtype)
                 if cached is None:
                     nodes = self.rows(vtype.original)[1]
-                    if complete_chain(vtype):
+                    if vtype.complete_chain():
                         cached = nodes
                     else:
                         k = vtype.lca_length

@@ -1,4 +1,4 @@
-"""Succinct PBN column codecs and dynamic prefix sums.
+"""Succinct PBN column codecs.
 
 Columns today hold python tuples of component tuples; at the ROADMAP's
 "millions of documents" scale memory is the wall before CPU is.  This
@@ -40,13 +40,6 @@ runs unchanged over either representation):
     the candidate codec for *those* columns; until it lands, rational or
     ragged columns simply stay tuples.)
 
-:class:`PrefixSums` is the dynamic prefix-sum structure backing
-level-array ``count()`` / ``sum()`` aggregation: a two-level blocked
-Fenwick design after Pibiri & Venturini, "Practical Trade-Offs for the
-Prefix-Sum Problem" (arXiv 2006.14552) — point updates touch one flat
-block value plus ``log(n / block)`` tree nodes, and a prefix query is a
-Fenwick descent plus at most one block scan.
-
 Every column variant reports :attr:`~repro.pbn.columnar.Column.nbytes`,
 the encoding's heap footprint, which the owning indexes accumulate into
 ``StorageStats.column_bytes`` — the benchmark's
@@ -64,101 +57,6 @@ from repro.pbn.columnar import Column, Key
 #: Columns shorter than this stay raw: the encodings' fixed overhead
 #: (directories, per-position arrays) would exceed the tuples they replace.
 MIN_ENCODED_ROWS = 8
-
-
-# ---------------------------------------------------------------------------
-# dynamic prefix sums (blocked Fenwick, Pibiri & Venturini 2006.14552)
-# ---------------------------------------------------------------------------
-
-
-class PrefixSums:
-    """Dynamic prefix sums over a mutable sequence of numbers.
-
-    Values live in one flat list, grouped into ``2**block_bits`` blocks; a
-    Fenwick tree indexes the *block totals*.  ``add`` is O(log(blocks)),
-    ``prefix`` is O(log(blocks) + block), and both constants are tiny
-    because the tree is 64x smaller than the sequence — the "blocked"
-    point on Pibiri & Venturini's trade-off curve.
-    """
-
-    __slots__ = ("_block_bits", "_values", "_tree")
-
-    def __init__(self, values: Sequence = (), block_bits: int = 6) -> None:
-        self._block_bits = block_bits
-        self._values = list(values)
-        self._rebuild()
-
-    def _rebuild(self, capacity_blocks: int = 0) -> None:
-        bits = self._block_bits
-        values = self._values
-        size = max((len(values) >> bits) + 1, capacity_blocks)
-        tree = [0] * (size + 1)
-        for block in range(size):
-            lo = block << bits
-            tree[block + 1] = sum(values[lo : lo + (1 << bits)])
-        for i in range(1, size + 1):
-            parent = i + (i & -i)
-            if parent <= size:
-                tree[parent] += tree[i]
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def get(self, i: int):
-        return self._values[i]
-
-    def add(self, i: int, delta) -> None:
-        """Point update: ``values[i] += delta``."""
-        self._values[i] += delta
-        block = (i >> self._block_bits) + 1
-        tree = self._tree
-        while block < len(tree):
-            tree[block] += delta
-            block += block & -block
-
-    def append(self, value) -> None:
-        """Extend the sequence by one value (amortized O(log blocks):
-        the Fenwick tree doubles when the new value opens a block past
-        its capacity)."""
-        self._values.append(value)
-        block = (len(self._values) - 1) >> self._block_bits
-        if block + 1 < len(self._tree):
-            position = block + 1
-            tree = self._tree
-            while position < len(tree):
-                tree[position] += value
-                position += position & -position
-        else:
-            self._rebuild(capacity_blocks=2 * (len(self._tree) - 1))
-
-    def prefix(self, i: int):
-        """Sum of ``values[:i]``."""
-        block = i >> self._block_bits
-        total = 0
-        tree = self._tree
-        j = min(block, len(tree) - 1)
-        while j > 0:
-            total += tree[j]
-            j -= j & -j
-        lo = block << self._block_bits
-        for value in self._values[lo:i]:
-            total += value
-        return total
-
-    def range_sum(self, lo: int, hi: int):
-        """Sum of ``values[lo:hi]``."""
-        if hi <= lo:
-            return 0
-        return self.prefix(hi) - self.prefix(lo)
-
-    def total(self):
-        return self.prefix(len(self._values))
-
-    @property
-    def nbytes(self) -> int:
-        """Heap footprint estimate: one slot per value + one per tree node."""
-        return 8 * (len(self._values) + len(self._tree)) + 112
 
 
 # ---------------------------------------------------------------------------

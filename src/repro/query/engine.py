@@ -563,15 +563,7 @@ class Engine:
         store = load_store(
             path, page_size=self.page_size, buffer_capacity=self.buffer_capacity
         )
-        # Re-home the store's counters onto this engine's stats block.
-        store.stats = self.stats
-        store.page_manager.stats = self.stats
-        store.type_index.stats = self.stats
-        store.value_index.stats = self.stats
-        store.buffer_pool.metrics = self.metrics
-        key = uri if uri is not None else store.document.uri
-        store.document.uri = key
-        self.attach(key, store)
+        self.attach(store.rehome(self.stats, self.metrics, uri), store)
         return store
 
     # -- maintenance ---------------------------------------------------------------

@@ -45,7 +45,7 @@ from typing import Optional
 
 from repro.core import vpbn
 from repro.core.values import mirrored_subtrees
-from repro.core.virtual_document import VirtualDocument, VNode, complete_chain
+from repro.core.virtual_document import VirtualDocument, VNode
 from repro.obs.trace import span_add
 from repro.pbn.columnar import subtree_bound
 from repro.query import joins
@@ -167,7 +167,7 @@ class VirtualNavigator:
                 if vtype.parent is not None
             }.values()
         elif axis in ("ancestor", "ancestor-or-self") and ctx_vtypes:
-            if not all(complete_chain(vtype) for vtype in ctx_vtypes):
+            if not all(vtype.complete_chain() for vtype in ctx_vtypes):
                 return None
             pool = {
                 id(t): t
@@ -261,7 +261,7 @@ class VirtualNavigator:
             """The components of ``parent``'s first reachable instance
             under ``prefix`` (every instance below a complete chain is
             reachable)."""
-            if complete_chain(parent):
+            if parent.complete_chain():
                 column = vdoc.column(parent.original)
             else:
                 column = vdoc.reachable_column(parent)[0]
@@ -379,7 +379,7 @@ class VirtualNavigator:
         list is filtered as it stands and only the survivors' nodes are
         resolved."""
         accepts = keep.accepts(vtype)
-        if complete_chain(vtype):
+        if vtype.complete_chain():
             keys = [key for key in vdoc.postings(vtype.original) if accepts(key)]
             return vdoc.nodes_of(vtype.original, keys)
         entry = vdoc.reachable_column(vtype)
@@ -850,7 +850,7 @@ class VirtualNavigator:
         runs = []
         for vtype, keys in cuts.values():
             nodes = vdoc.nodes_of(vtype.original, sorted(keys))
-            if not complete_chain(vtype):
+            if not vtype.complete_chain():
                 reachable = vdoc._reachable_ids(vtype)
                 nodes = [node for node in nodes if id(node) in reachable]
             runs.append([VNode(vtype, node, vdoc) for node in nodes])
@@ -1106,7 +1106,7 @@ class VirtualNavigator:
             return NO_KERNEL
         runs = []
         for vtype in self._result_vtypes(vdoc, (), axis, test):
-            if not complete_chain(vtype):
+            if not vtype.complete_chain():
                 return NO_BOUNDS
             self.stats.index_range_scans += 1
             column = vdoc.column(vtype.original)

@@ -339,17 +339,16 @@ class ServingApp:
         reason)`` when the pool must run it — ``busy`` (no idle engine)
         or ``budget`` (it tripped :data:`INLINE_BUDGET`).  A trip of the
         request's own budget raises the error the pool would have."""
-        own = budget if budget is not None else target.default_budget
         with span("serve.inline"):
             try:
                 result = target.execute(
-                    text, mode=mode, budget=INLINE_BUDGET.clamped(own), wait=False
+                    text, mode=mode, budget=INLINE_BUDGET.clamped(budget), wait=False
                 )
             except QueryBudgetExceeded as error:
-                limit = _own_limit(own, error.dimension)
+                limit = _own_limit(budget, error.dimension)
                 if limit is not None and error.spent > limit:
                     raise QueryBudgetExceeded(
-                        error.dimension, limit, error.spent, own
+                        error.dimension, limit, error.spent, budget
                     ) from None
                 return None, "budget"
         return result, None if result is not None else "busy"

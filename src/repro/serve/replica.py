@@ -119,7 +119,6 @@ class ReplicaSet:
     :param catchup_batch: max ops a replica applies per read attempt
         (``None`` = catch all the way up); bounding it forces the
         primary-fallback path, which tests and benchmarks exercise.
-    :param pool_size: engines per replica (default: the primary's).
     :param label: name for this set in span details and gauge labels
         (``build_serving`` labels per-shard sets ``shard0``, ``shard1``…).
     """
@@ -130,7 +129,6 @@ class ReplicaSet:
         count: int = 1,
         max_lag: int = 0,
         catchup_batch: Optional[int] = None,
-        pool_size: Optional[int] = None,
         label: str = "",
     ) -> None:
         if count < 1:
@@ -149,10 +147,8 @@ class ReplicaSet:
             Replica(
                 index,
                 QueryService(
-                    pool_size=pool_size if pool_size is not None else primary.pool_size,
+                    pool_size=primary.pool_size,
                     mode=primary.mode,
-                    page_size=primary.page_size,
-                    buffer_capacity=primary.buffer_capacity,
                     metrics=primary.metrics,
                     tracer=primary.tracer,
                     stats=primary.stats,
@@ -163,7 +159,6 @@ class ReplicaSet:
                     view_cache=ViewCache(
                         primary.view_cache.capacity, primary.metrics
                     ),
-                    default_budget=primary.default_budget,
                 ),
             )
             for index in range(count)

@@ -20,10 +20,9 @@ See ``docs/SERVICE.md`` for the architecture and the metric names.
 
 from repro.service.cache import LRUCache, PlanCache, ViewCache
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
-from repro.service.service import BatchResult, QueryService
+from repro.service.service import QueryService
 
 __all__ = [
-    "BatchResult",
     "LRUCache",
     "LatencyHistogram",
     "PlanCache",

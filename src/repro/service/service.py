@@ -12,10 +12,10 @@ of their own.
 
 Thread-safety contract:
 
-* ``execute`` / ``batch`` are safe from any number of threads; callers
-  block while all pooled engines are busy (``execute(..., wait=False)``
-  answers ``None`` instead).
-* ``load`` / ``open_image`` / ``update`` take the topology lock and are
+* ``execute`` is safe from any number of threads; callers block while
+  all pooled engines are busy (``execute(..., wait=False)`` answers
+  ``None`` instead).
+* ``load`` / ``open`` / ``update`` take the topology lock and are
   safe to call concurrently with queries.  Topology changes reach an
   engine only while it is *idle* — a replacement store is attached
   immediately to engines waiting in the pool and queued as *pending*
@@ -39,7 +39,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -58,53 +57,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.updates.ops import UpdateOp
 
 
-class BatchResult:
-    """The outcome of :meth:`QueryService.batch`, in submission order.
+#: Heap page size and buffer-pool pages of every document a service
+#: loads, opens or recovers.
+PAGE_SIZE = 4096
+BUFFER_CAPACITY = 256
 
-    :ivar outcomes: one entry per query — a :class:`Result` on success or
-        the raised exception on failure.
-    :ivar elapsed_seconds: wall-clock time of the whole batch.
-    """
-
-    def __init__(self, outcomes: list, elapsed_seconds: float) -> None:
-        self.outcomes = outcomes
-        self.elapsed_seconds = elapsed_seconds
-
-    @property
-    def results(self) -> list[Result]:
-        return [item for item in self.outcomes if isinstance(item, Result)]
-
-    @property
-    def errors(self) -> list[Exception]:
-        return [item for item in self.outcomes if isinstance(item, Exception)]
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
+#: LRU sizes of a service's own parsed-plan and virtual-view caches.
+PLAN_CACHE_CAPACITY = 256
+VIEW_CACHE_CAPACITY = 64
 
 
-def run_batch(service, queries: list[str], mode: Optional[str], workers: int) -> BatchResult:
-    """``service.execute`` over ``queries`` on at most ``workers``
-    threads, outcomes in submission order; failures are captured per
-    query, not raised.  The one ``batch`` of both service classes."""
-    service.metrics.incr("service.batches")
-    started = time.perf_counter()
-    worker_count = min(workers, max(len(queries), 1))
+def recover(directory: str, tracer: Tracer, stats: StorageStats) -> "DurableStore":
+    """Open (recovering if needed) a durable store directory under a
+    forced ``recovery`` trace."""
+    from repro.updates.durable import DurableStore
 
-    def run(text: str):
-        try:
-            return service.execute(text, mode=mode)
-        except Exception as error:  # per-query fault isolation
-            return error
-
-    if worker_count <= 1 or len(queries) <= 1:
-        outcomes = [run(text) for text in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as executor:
-            outcomes = list(executor.map(run, queries))
-    return BatchResult(outcomes, time.perf_counter() - started)
+    with tracer.start("recovery", detail=directory, stats=stats, force=True):
+        return DurableStore.open(
+            directory, page_size=PAGE_SIZE, buffer_capacity=BUFFER_CAPACITY
+        )
 
 
 def service_snapshot(service, primaries: list["QueryService"]) -> dict:
@@ -136,79 +107,64 @@ class QueryService:
 
     :param pool_size: number of engines (max queries in flight).
     :param mode: default navigation mode, as for :class:`Engine`.
-    :param plan_cache_capacity: LRU size of the shared parsed-plan cache.
-    :param view_cache_capacity: LRU size of the shared virtual-view cache.
-    :param page_size / buffer_capacity: storage knobs
-        forwarded to document loading.
     :param metrics: share an external metrics block; fresh when omitted.
     :param stats: share an external :class:`StorageStats` block (the
         sharded service hands every shard the same one); fresh when
         omitted.
+    :param tracer: share an external :class:`Tracer` (the CLI builds one
+        from its sampling flags); an unsampled one when omitted.
     :param plan_cache / view_cache: share externally owned caches — the
         sharded service parses once through one :class:`PlanCache` and
         shares one :class:`ViewCache` across shards (uris are disjoint,
         so entries never collide); fresh per-service caches when omitted.
-    :param default_budget: optional
-        :class:`~repro.query.budget.CostBudget` applied to every query
-        that does not carry its own; queries whose metered work exceeds
-        it abort with :class:`~repro.errors.QueryBudgetExceeded`.
-    :param trace_sample: fraction of requests traced end to end
-        (deterministic every-Nth; ``0`` disables tracing entirely).
-    :param trace_buffer: ring-buffer capacity for recent / slow traces.
-    :param slow_query_s: requests at least this slow land in the slow
-        log with their full span tree; ``None`` disables the log.
-    :param tracer: share an external :class:`Tracer`; built from the
-        three knobs above when omitted.
+
+    Queries carry their own cost budget (``execute(..., budget=)``); the
+    serving tier hands every read its ``--query-budget`` ceiling.
     """
 
     def __init__(
         self,
         pool_size: int = 4,
         mode: str = "indexed",
-        plan_cache_capacity: int = 256,
-        view_cache_capacity: int = 64,
-        page_size: int = 4096,
-        buffer_capacity: int = 256,
         metrics: Optional[ServiceMetrics] = None,
-        trace_sample: float = 0.0,
-        trace_buffer: int = 64,
-        slow_query_s: Optional[float] = None,
-        tracer: Optional[Tracer] = None,
         stats: Optional[StorageStats] = None,
+        tracer: Optional[Tracer] = None,
         plan_cache: Optional[PlanCache] = None,
         view_cache: Optional[ViewCache] = None,
-        default_budget=None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("service needs pool_size >= 1")
         self.pool_size = pool_size
         self.mode = mode
-        self.default_budget = default_budget
-        self.page_size = page_size
-        self.buffer_capacity = buffer_capacity
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.tracer = tracer if tracer is not None else Tracer(
-            capacity=trace_buffer,
-            sample_rate=trace_sample,
-            slow_threshold_s=slow_query_s,
-        )
         self.stats = stats if stats is not None else StorageStats()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.plan_cache = (
             plan_cache
             if plan_cache is not None
-            else PlanCache(plan_cache_capacity, self.metrics)
+            else PlanCache(PLAN_CACHE_CAPACITY, self.metrics)
         )
         self.view_cache = (
             view_cache
             if view_cache is not None
-            else ViewCache(view_cache_capacity, self.metrics)
+            else ViewCache(VIEW_CACHE_CAPACITY, self.metrics)
         )
         self._stores: dict[str, DocumentStore] = {}
         self._durables: dict[str, "DurableStore"] = {}
         self._topology_lock = threading.Lock()
         self._write_lock = threading.Lock()
         self._engines: list[Engine] = [
-            self._make_engine() for _ in range(pool_size)
+            Engine(
+                mode=mode,
+                page_size=PAGE_SIZE,
+                buffer_capacity=BUFFER_CAPACITY,
+                stats=self.stats,
+                metrics=self.metrics,
+                plan_cache=self.plan_cache,
+                view_cache=self.view_cache,
+                tracer=self.tracer,
+            )
+            for _ in range(pool_size)
         ]
         #: per-engine stores attached while the engine was busy; drained
         #: (newest version per uri) at its next checkout.
@@ -218,18 +174,6 @@ class QueryService:
         self._idle: queue.LifoQueue = queue.LifoQueue()
         for engine in self._engines:
             self._idle.put(engine)
-
-    def _make_engine(self) -> Engine:
-        return Engine(
-            mode=self.mode,
-            page_size=self.page_size,
-            buffer_capacity=self.buffer_capacity,
-            stats=self.stats,
-            metrics=self.metrics,
-            plan_cache=self.plan_cache,
-            view_cache=self.view_cache,
-            tracer=self.tracer,
-        )
 
     # -- documents ---------------------------------------------------------------
 
@@ -243,63 +187,39 @@ class QueryService:
             document.uri = uri
         store = DocumentStore(
             document,
-            page_size=self.page_size,
-            buffer_capacity=self.buffer_capacity,
+            page_size=PAGE_SIZE,
+            buffer_capacity=BUFFER_CAPACITY,
             stats=self.stats,
             metrics=self.metrics,
         )
         self._attach(uri, store)
         return store
 
-    def open_image(self, path: str, uri: Optional[str] = None) -> DocumentStore:
-        """Load a persisted store image and attach it pool-wide."""
+    def open(self, path: str, uri: Optional[str] = None) -> DocumentStore:
+        """Load a persisted store image (under its saved uri, or ``uri``)
+        and attach it pool-wide, as :meth:`Engine.open` does."""
         from repro.storage.persist import load_store
 
-        store = load_store(
-            path, page_size=self.page_size, buffer_capacity=self.buffer_capacity
-        )
-        store.stats = self.stats
-        store.page_manager.stats = self.stats
-        store.type_index.stats = self.stats
-        store.value_index.stats = self.stats
-        store.buffer_pool.metrics = self.metrics
-        key = uri if uri is not None else store.document.uri
-        store.document.uri = key
-        self._attach(key, store)
+        store = load_store(path, page_size=PAGE_SIZE, buffer_capacity=BUFFER_CAPACITY)
+        self._attach(store.rehome(self.stats, self.metrics, uri), store)
         return store
-
-    #: CLI-facing alias mirroring :meth:`Engine.open`.
-    open = open_image
 
     def open_durable(self, directory: str, uri: Optional[str] = None) -> "DurableStore":
         """Open (recovering if needed) a durable store directory and attach
         its current version pool-wide; subsequent :meth:`update` calls for
         its uri go through the WAL."""
-        from repro.updates.durable import DurableStore
-
-        with self.tracer.start("recovery", detail=directory, stats=self.stats, force=True):
-            durable = DurableStore.open(
-                directory, page_size=self.page_size, buffer_capacity=self.buffer_capacity
-            )
-        return self.adopt_durable(durable, uri=uri)
+        return self.adopt_durable(recover(directory, self.tracer, self.stats), uri=uri)
 
     def adopt_durable(self, durable: "DurableStore", uri: Optional[str] = None) -> "DurableStore":
         """Attach an already-opened :class:`DurableStore` pool-wide (the
         sharded service opens first, then routes to the owning shard)."""
-        store = durable.store
-        store.stats = self.stats
-        store.page_manager.stats = self.stats
-        store.type_index.stats = self.stats
-        store.value_index.stats = self.stats
-        store.buffer_pool.metrics = self.metrics
-        key = uri if uri is not None else store.document.uri
-        store.document.uri = key
+        key = durable.store.rehome(self.stats, self.metrics, uri)
         self.metrics.observe("service.recovery_seconds", durable.recovery.duration_s)
         if durable.recovery.replayed:
             self.metrics.incr("service.recovery_replayed", durable.recovery.replayed)
         with self._write_lock:
             self._durables[key] = durable
-            self._attach(key, store)
+            self._attach(key, durable.store)
         return durable
 
     def adopt_store(self, uri: str, store: DocumentStore) -> DocumentStore:
@@ -412,16 +332,10 @@ class QueryService:
         with self._topology_lock:
             return list(self._stores)
 
-    def warm(self, uri: str, spec: str) -> None:
-        """Pre-resolve a virtual view so the first query finds it hot."""
-        with self._engine() as engine:
-            engine.virtual(uri, spec)
-
-    def resolve_view(self, uri: str, spec: str):
-        """The resolved :class:`~repro.core.virtual_document.VirtualDocument`
-        for ``(uri, spec)`` — the instance queries navigate, so the
-        scatter-gather merge can attribute result items to their source
-        container by identity."""
+    def warm(self, uri: str, spec: str):
+        """Resolve a virtual view so the first query finds it hot; returns
+        the :class:`~repro.core.virtual_document.VirtualDocument` queries
+        navigate."""
         with self._engine() as engine:
             return engine.virtual(uri, spec)
 
@@ -476,28 +390,33 @@ class QueryService:
 
     def execute(
         self,
-        query: str,
+        query,
         mode: Optional[str] = None,
         variables: Optional[dict[str, list]] = None,
         budget=None,
         wait: bool = True,
+        detail: Optional[str] = None,
     ) -> Optional[Result]:
-        """Evaluate ``query`` on the next idle engine (blocking while the
-        whole pool is busy).  Plan and view caches are consulted inside
-        the engine; see the metric names in :mod:`repro.service.metrics`.
+        """Evaluate ``query`` — text, or a parsed plan as
+        :meth:`Engine.execute` takes — on the next idle engine (blocking
+        while the whole pool is busy).  Plan and view caches are
+        consulted inside the engine; see the metric names in
+        :mod:`repro.service.metrics`.
 
-        ``budget`` overrides the service's :attr:`default_budget` for
-        this query (pass one built with ``clamped`` to let callers
-        tighten but not loosen the default).
-
-        ``wait=False`` answers ``None`` instead of blocking when no
-        engine can be checked out at once — the serving tier's inline
-        reads (:mod:`repro.serve.app`) must never wait on the event loop.
+        ``budget`` caps this query's metered work
+        (:class:`~repro.query.budget.CostBudget`).  ``wait=False``
+        answers ``None`` instead of blocking when no engine can be
+        checked out at once — the serving tier's inline reads
+        (:mod:`repro.serve.app`) must never wait on the event loop.
 
         When the request is sampled (:attr:`tracer`), the trace opens
         here at admission — pool checkout, parsing, view resolution, and
-        every axis step below land in one span tree."""
-        handle = self.tracer.start("query", detail=_preview(query), stats=self.stats)
+        every axis step below land in one span tree, labelled ``detail``
+        (the query text's preview by default; the scatter names the
+        shard, whose specialized plan has no text)."""
+        if detail is None:
+            detail = _preview(query) if isinstance(query, str) else ""
+        handle = self.tracer.start("query", detail=detail, stats=self.stats)
         with handle as root:
             engine = self._checkout(wait)
             if engine is None:
@@ -505,54 +424,12 @@ class QueryService:
             self.metrics.incr("service.queries")
             try:
                 result = engine.execute(
-                    query,
-                    mode=mode,
-                    variables=variables,
-                    budget=budget if budget is not None else self.default_budget,
+                    query, mode=mode, variables=variables, budget=budget
                 )
             finally:
                 self._checkin(engine)
             root.set("items", len(result))
             return result
-
-    def execute_plan(
-        self,
-        expr,
-        mode: Optional[str] = None,
-        variables: Optional[dict[str, list]] = None,
-        detail: str = "",
-        budget=None,
-    ) -> Result:
-        """Evaluate an already-parsed expression on the next idle engine.
-
-        The scatter-gather executor parses once through the shared
-        :attr:`plan_cache`, *specializes* the plan per shard, and hands
-        each shard its expression here — re-parsing (or cache-keying) the
-        specialized plans would defeat the single parse.
-        """
-        self.metrics.incr("service.queries")
-        handle = self.tracer.start("query", detail=detail, stats=self.stats)
-        with handle as root:
-            with self._engine() as engine:
-                result = engine.execute(
-                    expr,
-                    mode=mode,
-                    variables=variables,
-                    budget=budget if budget is not None else self.default_budget,
-                )
-            root.set("items", len(result))
-            return result
-
-    def batch(
-        self,
-        queries: list[str],
-        mode: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> BatchResult:
-        """Evaluate ``queries`` concurrently (at most ``workers`` at once,
-        default the pool size), returning outcomes in submission order.
-        Failures are captured per query, not raised."""
-        return run_batch(self, queries, mode, workers or self.pool_size)
 
     def explain_plan(self, expr, mode: Optional[str] = None, detail: str = ""):
         """Run an already-parsed plan under a forced trace on a pooled
@@ -599,7 +476,3 @@ class QueryService:
     def snapshot(self) -> dict:
         """Operational metrics plus the shared logical-cost counters."""
         return service_snapshot(self, [self])
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
-        self.metrics.reset()

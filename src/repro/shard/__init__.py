@@ -20,9 +20,10 @@ from repro.shard.plan import (
     referenced_sources,
     specialize,
 )
-from repro.shard.service import ShardedService, ShardResult
+from repro.shard.service import BatchResult, ShardedService, ShardResult
 
 __all__ = [
+    "BatchResult",
     "COMBINERS",
     "PlanSources",
     "ShardCatalog",

@@ -26,15 +26,13 @@ uris are disjoint, so cache entries never collide — and a query flows:
 This is cheap *because of the paper*: every node keeps its extant PBN
 and level arrays per type, so shards never renumber and the gather is a
 pure comparison merge — the "don't renumber" argument of Section 5
-applied across a collection instead of across a transformation.
-
-Even on one core the scatter wins on multi-document unions: the
-unsharded evaluator re-sorts the accumulated union at every ``|`` with
-Python-level comparisons (O(k·n) comparator calls for a k-document
-union), while each shard only folds its own slice and the global merge
-compares precomputed keys (the benchmark's ``shard.scatter_speedup``
-row).  Shards hand back live items — nothing is serialized between
-scatter and gather — so the coordinator writes the merged answer once.
+applied across a collection instead of across a transformation.  The
+unsharded evaluator answers a union in one key-ordered pass as well, so
+a scatter is not cheaper than the same union on one shard: the
+benchmark's ``shard.scatter_speedup`` row (the one-shard time over the
+scatter's) reads just under 1.  Shards hand back live items — nothing
+is serialized between scatter and gather — so the coordinator writes
+the merged answer once.
 """
 
 from __future__ import annotations
@@ -51,9 +49,10 @@ from repro.query.items import is_node
 from repro.service.cache import PlanCache, ViewCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import (
-    BatchResult,
+    PLAN_CACHE_CAPACITY,
+    VIEW_CACHE_CAPACITY,
     QueryService,
-    run_batch,
+    recover,
     service_snapshot,
 )
 from repro.storage.stats import StorageStats
@@ -74,6 +73,33 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.updates.mutations import MutationResult
     from repro.updates.ops import UpdateOp
     from repro.xmlmodel.nodes import Document as DocumentNode
+
+
+class BatchResult:
+    """The outcome of :meth:`ShardedService.batch`, in submission order.
+
+    :ivar outcomes: one entry per query — a :class:`Result` on success or
+        the raised exception on failure.
+    :ivar elapsed_seconds: wall-clock time of the whole batch.
+    """
+
+    def __init__(self, outcomes: list, elapsed_seconds: float) -> None:
+        self.outcomes = outcomes
+        self.elapsed_seconds = elapsed_seconds
+
+    @property
+    def results(self) -> list[Result]:
+        return [item for item in self.outcomes if isinstance(item, Result)]
+
+    @property
+    def errors(self) -> list[Exception]:
+        return [item for item in self.outcomes if isinstance(item, Exception)]
+
+    def __iter__(self):
+        return iter(self.outcomes)
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
 
 
 class ShardResult(Result):
@@ -121,14 +147,16 @@ class ShardedService:
 
     :param shards: number of shards.
     :param pool_size: engines *per shard*.
+    :param mode: default navigation mode of every shard.
     :param placement: explicit ``uri -> shard`` placement overrides
         (hash placement otherwise; see :class:`ShardCatalog`).
+    :param tracer: the one tracer of the collection (the CLI builds it
+        from its sampling flags); an unsampled one when omitted.
 
     A scatter runs one task per involved shard on a pool of one thread
-    per shard.  The remaining knobs mirror :class:`QueryService` and
-    apply to every shard; metrics, storage stats, tracer, plan cache,
-    and view cache are shared across the whole collection, so
-    ``/metrics`` aggregates all shards in one scrape.
+    per shard.  Metrics, storage stats, tracer, plan cache, and view
+    cache are shared across the whole collection, so ``/metrics``
+    aggregates all shards in one scrape.
     """
 
     def __init__(
@@ -137,41 +165,23 @@ class ShardedService:
         pool_size: int = 2,
         mode: str = "indexed",
         placement: Optional[dict[str, int]] = None,
-        plan_cache_capacity: int = 256,
-        view_cache_capacity: int = 64,
-        page_size: int = 4096,
-        buffer_capacity: int = 256,
-        metrics: Optional[ServiceMetrics] = None,
-        trace_sample: float = 0.0,
-        trace_buffer: int = 64,
-        slow_query_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
-        default_budget=None,
     ) -> None:
-        self.mode = mode
-        self.default_budget = default_budget
         self.catalog = ShardCatalog(shards, placement)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.stats = StorageStats()
-        self.tracer = tracer if tracer is not None else Tracer(
-            capacity=trace_buffer,
-            sample_rate=trace_sample,
-            slow_threshold_s=slow_query_s,
-        )
-        self.plan_cache = PlanCache(plan_cache_capacity, self.metrics)
-        self.view_cache = ViewCache(view_cache_capacity, self.metrics)
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.plan_cache = PlanCache(PLAN_CACHE_CAPACITY, self.metrics)
+        self.view_cache = ViewCache(VIEW_CACHE_CAPACITY, self.metrics)
         self.services: list[QueryService] = [
             QueryService(
                 pool_size=pool_size,
                 mode=mode,
-                page_size=page_size,
-                buffer_capacity=buffer_capacity,
                 metrics=self.metrics,
                 tracer=self.tracer,
                 stats=self.stats,
                 plan_cache=self.plan_cache,
                 view_cache=self.view_cache,
-                default_budget=default_budget,
             )
             for _ in range(shards)
         ]
@@ -229,65 +239,49 @@ class ShardedService:
 
     # -- documents ---------------------------------------------------------------
 
+    def _place(self, uri: str, shard: Optional[int], attach):
+        """Register ``uri`` on its shard (``shard`` overrides the hash
+        placement), attach it there with ``attach(service)``, and seed
+        the shard's replicas with the attached store."""
+        owner = self.catalog.register(uri, shard)
+        self.metrics.incr("shard.documents", labels={"shard": str(owner)})
+        service = self.services[owner]
+        attached = attach(service)
+        if self.replica_sets is not None:
+            self.replica_sets[owner].seed(uri, service.store(uri))
+        return attached
+
     def load(
         self, uri: str, source: Union[str, "DocumentNode"], shard: Optional[int] = None
     ) -> "DocumentStore":
-        """Load a document onto its placed shard (``shard`` overrides the
-        hash placement for this uri)."""
-        owner = self.catalog.register(uri, shard)
-        self.metrics.incr("shard.documents", labels={"shard": str(owner)})
-        store = self.services[owner].load(uri, source)
-        if self.replica_sets is not None:
-            self.replica_sets[owner].seed(uri, store)
-        return store
+        """Load a document onto its placed shard."""
+        return self._place(uri, shard, lambda service: service.load(uri, source))
 
-    def open_image(
+    def open(
         self, path: str, uri: Optional[str] = None, shard: Optional[int] = None
     ) -> "DocumentStore":
-        """Load a persisted store image onto the owning shard."""
+        """Load a persisted store image (under its saved uri, or ``uri``)
+        onto the owning shard."""
         if uri is None:
             from repro.storage.persist import peek_uri
 
             uri = peek_uri(path)
-        owner = self.catalog.register(uri, shard)
-        self.metrics.incr("shard.documents", labels={"shard": str(owner)})
-        store = self.services[owner].open_image(path, uri=uri)
-        if self.replica_sets is not None:
-            self.replica_sets[owner].seed(uri, store)
-        return store
+        return self._place(uri, shard, lambda service: service.open(path, uri=uri))
 
     def open_durable(
         self, directory: str, uri: Optional[str] = None, shard: Optional[int] = None
     ) -> "DurableStore":
         """Open a durable store directory and attach it to the owning
         shard; ``update`` calls for its uri go through that shard's WAL."""
-        from repro.updates.durable import DurableStore
-
-        knobs = self.services[0]
-        with self.tracer.start(
-            "recovery", detail=directory, stats=self.stats, force=True
-        ):
-            durable = DurableStore.open(
-                directory,
-                page_size=knobs.page_size,
-                buffer_capacity=knobs.buffer_capacity,
-            )
+        durable = recover(directory, self.tracer, self.stats)
         key = uri if uri is not None else durable.store.document.uri
-        owner = self.catalog.register(key, shard)
-        self.metrics.incr("shard.documents", labels={"shard": str(owner)})
-        adopted = self.services[owner].adopt_durable(durable, uri=key)
-        if self.replica_sets is not None:
-            self.replica_sets[owner].seed(key, self.services[owner].store(key))
-        return adopted
+        return self._place(key, shard, lambda service: service.adopt_durable(durable, uri=key))
 
     def store(self, uri: str) -> "DocumentStore":
         return self.service_for(uri).store(uri)
 
     def uris(self) -> list[str]:
         return self.catalog.uris()
-
-    def warm(self, uri: str, spec: str) -> None:
-        self.service_for(uri).warm(uri, spec)
 
     # -- updates -----------------------------------------------------------------
 
@@ -424,12 +418,12 @@ class ShardedService:
             shard: self._pool.submit(
                 _run_forked,
                 fork("shard.scatter", f"shard={shard}"),
-                executors[shard].execute_plan,
+                executors[shard].execute,
                 plan,
-                mode,
-                variables,
-                f"shard={shard} {detail}",
-                budget,
+                mode=mode,
+                variables=variables,
+                budget=budget,
+                detail=f"shard={shard} {detail}",
             )
             for shard, plan in sorted(plans.items())
         }
@@ -456,9 +450,26 @@ class ShardedService:
         mode: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> BatchResult:
-        """Evaluate many queries concurrently (each individually routed
-        or scattered), outcomes in submission order."""
-        return run_batch(self, queries, mode, workers or self.catalog.shards * 2)
+        """Evaluate ``queries`` on at most ``workers`` threads (default two
+        per shard), each routed or scattered as :meth:`execute` would;
+        outcomes in submission order, failures captured per query, not
+        raised."""
+        self.metrics.incr("service.batches")
+        started = time.perf_counter()
+        workers = min(workers or self.catalog.shards * 2, max(len(queries), 1))
+
+        def run(text: str):
+            try:
+                return self.execute(text, mode=mode)
+            except Exception as error:  # per-query fault isolation
+                return error
+
+        if workers <= 1:
+            outcomes = [run(text) for text in queries]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as executor:
+                outcomes = list(executor.map(run, queries))
+        return BatchResult(outcomes, time.perf_counter() - started)
 
     # -- explain -----------------------------------------------------------------
 
@@ -517,10 +528,6 @@ class ShardedService:
         report["shards"] = self.catalog.summary()
         return report
 
-    def reset_stats(self) -> None:
-        self.stats.reset()
-        self.metrics.reset()
-
     def close(self) -> None:
         """Shut down the scatter pool."""
         self._pool.shutdown(wait=False)
@@ -534,7 +541,7 @@ def _by_shard(involved: dict[str, int]) -> dict[int, set[str]]:
     return shard_uris
 
 
-def _run_forked(fragment, fn, *args):
+def _run_forked(fragment, fn, *args, **kwargs):
     """Run a scatter task inside its forked span (on the pool thread)."""
     with fragment:
-        return fn(*args)
+        return fn(*args, **kwargs)

@@ -48,10 +48,10 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
+from itertools import accumulate
 from typing import Callable, Optional
 
 from repro.pbn.columnar import ValueColumn
-from repro.pbn.succinct import PrefixSums
 
 #: Per-type cap on memoized predicate answers (one entry per distinct
 #: ``(op, constant)``); cleared wholesale when full so a churning workload
@@ -98,7 +98,7 @@ class CasColumns:
         self.strings = ValueColumn(string_pairs)
         self._matches: dict = {}
         #: rank-ordered coerced values (NaN for non-coercible), backing
-        #: the aggregation fast path; the PrefixSums pair is built lazily.
+        #: the aggregation fast path; its prefix arrays are built lazily.
         self._numbers = numbers
         self._sums = None
 
@@ -142,11 +142,14 @@ class CasColumns:
         declines (some value is a non-integral finite number, where
         float addition order would show).
 
-        Answerable columns split into a :class:`PrefixSums` over exact
-        ints (integral floats below 2**53 add exactly in any association
-        order) and one over NaN flags — a run containing a non-coercible
-        value sums to NaN, exactly like the scalar loop.  Returns an
-        ``int`` total; the caller owns the int-vs-float result shaping.
+        Answerable columns keep two static prefix arrays — the running
+        total of the values as exact ints (integral floats below 2**53
+        add exactly in any association order) and the running count of
+        NaNs — so a run is two subtractions: the static end of Pibiri &
+        Venturini's prefix-sum trade-off (arXiv 2006.14552), the column
+        being immutable.  A run containing a non-coercible value sums to
+        NaN, exactly like the scalar loop.  Returns an ``int`` total; the
+        caller owns the int-vs-float result shaping.
         """
         sums = self._sums
         if sums is None:
@@ -163,14 +166,14 @@ class CasColumns:
                     sums = False
                     break
             else:
-                sums = (PrefixSums(ints), PrefixSums(nans))
+                sums = (list(accumulate(ints, initial=0)), list(accumulate(nans, initial=0)))
             self._sums = sums
         if sums is False:
             return None
-        totals, nan_flags = sums
-        if nan_flags.range_sum(lo, hi):
+        totals, nan_counts = sums
+        if nan_counts[hi] - nan_counts[lo]:
             return float("nan")
-        return totals.range_sum(lo, hi)
+        return totals[hi] - totals[lo]
 
 
 class CasIndex:

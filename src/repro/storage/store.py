@@ -162,6 +162,20 @@ class DocumentStore:
         store.version = version
         return store
 
+    def rehome(self, stats: StorageStats, metrics, uri: Optional[str] = None) -> str:
+        """Count this store's work on its new owner's ``stats`` and
+        buffer ``metrics`` (a store read from an image or a durable
+        directory starts on blocks of its own), renaming its document to
+        ``uri`` when one is given; returns the document's uri."""
+        self.stats = stats
+        self.page_manager.stats = stats
+        self.type_index.stats = stats
+        self.value_index.stats = stats
+        self.buffer_pool.metrics = metrics
+        if uri is not None:
+            self.document.uri = uri
+        return self.document.uri
+
     # -- node and type lookup -----------------------------------------------------
 
     def node(self, number: Pbn) -> Node:

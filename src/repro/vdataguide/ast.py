@@ -80,6 +80,7 @@ class VType:
         "is_attribute",
         "_cuts",
         "_chain",
+        "_complete_chain",
     )
 
     def __init__(self, original: GuideType, parent: Optional["VType"]) -> None:
@@ -99,6 +100,7 @@ class VType:
         self.is_attribute = original.is_attribute
         self._cuts: Optional[tuple[int, ...]] = None
         self._chain: Optional[tuple["VType", ...]] = None
+        self._complete_chain: Optional[bool] = None
 
     @property
     def name(self) -> str:
@@ -149,6 +151,27 @@ class VType:
         if self.parent is None:
             return self.original.parent is None
         return self.parent.original.is_ancestor_of(self.original)
+
+    def complete_chain(self) -> bool:
+        """True iff every cut below the root of this type's chain is
+        complete (:meth:`complete_cut`): each virtual ancestor is the
+        instance's own physical ancestor, its key a prefix of the
+        instance's — so every instance of the type occurs in the virtual
+        document.  Memoized per type and filled in top-down from the
+        nearest ancestor that knows, so a chain costs one
+        :meth:`complete_cut` per type, not one per type per descendant."""
+        if self._complete_chain is None:
+            pending = []
+            vtype: Optional[VType] = self
+            while vtype is not None and vtype._complete_chain is None:
+                pending.append(vtype)
+                vtype = vtype.parent
+            complete = True if vtype is None else vtype._complete_chain
+            for vtype in reversed(pending):
+                if vtype.parent is not None:
+                    complete = complete and vtype.complete_cut()
+                vtype._complete_chain = complete
+        return self._complete_chain
 
     def iter_subtree(self) -> Iterator["VType"]:
         stack = [self]

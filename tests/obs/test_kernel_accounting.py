@@ -26,6 +26,7 @@ from collections import Counter
 import pytest
 
 from repro.obs.profile import build_profile, operators
+from repro.obs.trace import Tracer
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator
 from repro.query.joins import NO_KERNEL
@@ -144,7 +145,7 @@ QUERY = (
 
 
 def test_explain_rows_trace_spans_and_metrics_reconcile():
-    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, tracer=Tracer(sample_rate=1.0))
     service.load("book.xml", books_document(10, seed=5))
     with served(service) as srv:
         before = _kernel_series(srv)
@@ -199,7 +200,7 @@ def test_explain_answers_whatever_the_request_sampling(sample_rate):
     untraced.load("book.xml", books_document(10, seed=5))
     expected = untraced.explain(QUERY)["operators"]
     assert expected
-    service = ShardedService(shards=1, pool_size=1, trace_sample=sample_rate)
+    service = ShardedService(shards=1, pool_size=1, tracer=Tracer(sample_rate=sample_rate))
     service.load("book.xml", books_document(10, seed=5))
     with served(service) as srv:
         for _ in range(2):
@@ -237,7 +238,7 @@ SETOP_QUERY = (
 
 
 def test_setop_spans_and_the_order_counter_reconcile():
-    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, tracer=Tracer(sample_rate=1.0))
     service.load("book.xml", books_document(10, seed=5))
     service.load("dblp.xml", dblp_document(8, seed=5))
     with served(service) as srv:

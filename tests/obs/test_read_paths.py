@@ -14,6 +14,7 @@ import asyncio
 import json
 from collections import Counter
 
+from repro.obs.trace import Tracer
 from repro.serve.app import build_serving
 from repro.shard.service import ShardedService
 from repro.workloads.books import books_document
@@ -41,7 +42,7 @@ def _mix() -> list[tuple[str, dict, str]]:
 
 
 def test_read_counters_spans_and_hops_reconcile():
-    sharded = ShardedService(shards=2, pool_size=2, trace_sample=1.0, trace_buffer=256)
+    sharded = ShardedService(shards=2, pool_size=2, tracer=Tracer(capacity=256, sample_rate=1.0))
     for index in range(DOCS):
         sharded.load(f"d{index}", serialize(books_document(300, seed=index)))
     app = build_serving(sharded, replicas=1)

@@ -1,6 +1,6 @@
 """Succinct column codecs: randomized differentials against the raw
-column, prefix sums under interleaved updates, raggedness fallbacks, and
-the engine-level aggregation fast path they back."""
+column, CAS prefix sums against the scalar ``sum()``, raggedness
+fallbacks, and the engine-level aggregation fast path they back."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.pbn.succinct import (
     CODECS,
     MIN_ENCODED_ROWS,
     PackedColumn,
-    PrefixSums,
     SuccinctColumn,
     build_column,
     default_codec,
@@ -23,6 +22,8 @@ from repro.pbn.succinct import (
 )
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator
+from repro.query.items import to_number
+from repro.storage.cas_index import CasColumns
 
 
 def _random_keys(rng: random.Random, n: int, width: int, magnitude: int) -> list:
@@ -160,37 +161,32 @@ def test_codec_registry_round_trip():
         set_default_codec(previous)
 
 
-@pytest.mark.parametrize("block_bits", [1, 3, 6])
-def test_prefix_sums_match_naive_model(block_bits):
-    """Randomized interleaved append / point-update / query differential
-    against a plain list."""
-    rng = random.Random(block_bits * 101)
-    model: list[int] = []
-    sums = PrefixSums(block_bits=block_bits)
-    for _ in range(600):
-        action = rng.random()
-        if action < 0.45 or not model:
-            value = rng.randint(-50, 50)
-            model.append(value)
-            sums.append(value)
-        elif action < 0.7:
-            i = rng.randrange(len(model))
-            delta = rng.randint(-20, 20)
-            model[i] += delta
-            sums.add(i, delta)
-        else:
-            i = rng.randint(0, len(model))
-            assert sums.prefix(i) == sum(model[:i])
-            j = rng.randint(0, len(model))
-            lo, hi = min(i, j), max(i, j)
-            assert sums.range_sum(lo, hi) == sum(model[lo:hi])
-    assert len(sums) == len(model)
-    assert sums.total() == sum(model)
-    assert [sums.get(i) for i in range(len(model))] == model
-    assert sums.nbytes > 0
-    seeded = PrefixSums(model, block_bits=block_bits)
-    assert seeded.total() == sum(model)
-    assert seeded.prefix(len(model) // 2) == sum(model[: len(model) // 2])
+def test_sum_over_matches_the_scalar_sum():
+    """Differential over random rank runs: ``CasColumns.sum_over`` adds
+    what the scalar ``sum()`` of the coerced values adds — NaN for a run
+    holding a non-number — and declines (``None``) on a column with a
+    non-integral or too-large value, where float addition order shows."""
+    rng = random.Random(2006)
+    for _ in range(40):
+        values = [
+            rng.choice(["x", "", " 7 ", "NaN"]) if rng.random() < 0.1
+            else str(rng.randint(-50, 50)) + rng.choice(["", ".0"])
+            for _ in range(rng.randint(1, 120))
+        ]
+        columns = CasColumns(list(range(len(values))), values)
+        for _ in range(30):
+            lo = rng.randint(0, len(values))
+            hi = rng.randint(lo, len(values))
+            expected = sum(to_number(value) for value in values[lo:hi])
+            total = columns.sum_over(lo, hi)
+            if expected != expected:
+                assert total != total
+            else:
+                assert type(total) is int and total == expected
+    for inexact in ("1.5", str(2**53)):
+        columns = CasColumns([0, 1, 2], ["1", inexact, "2"])
+        assert columns.sum_over(0, 1) is None
+        assert columns.sum_over(0, 3) is None
 
 
 # ---------------------------------------------------------------------------

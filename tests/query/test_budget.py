@@ -142,18 +142,17 @@ def test_budget_rejection_increments_metric():
 # -- service / sharded threading -------------------------------------------------
 
 
-def test_service_default_budget_enforced():
-    service = QueryService(
-        pool_size=1, default_budget=CostBudget(max_node_visits=5)
-    )
+def test_service_budget_enforced():
+    service = QueryService(pool_size=1)
     service.load("doc.xml", DOC)
     with pytest.raises(QueryBudgetExceeded):
-        service.execute("doc('doc.xml')//b")
-    # Explicit per-query budget overrides the default.
+        service.execute("doc('doc.xml')//b", budget=CostBudget(max_node_visits=5))
+    # The budget is per call: the next query runs under its own.
     result = service.execute(
         "count(doc('doc.xml')//b)", budget=CostBudget(max_node_visits=10_000)
     )
     assert result.values() == ["20"]
+    assert service.execute("count(doc('doc.xml')//b)").values() == ["20"]
 
 
 def test_sharded_routed_budget():

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _load_documents, main
+from repro.shard import ShardedService
 from repro.workloads.books import paper_figure2
 from repro.xmlmodel.serializer import serialize
 
@@ -127,3 +131,49 @@ def test_save_and_reopen_image(book_file, tmp_path, capsys):
     # -d accepts store images transparently (magic-sniffed).
     main(["query", "-d", f"book.xml={image}", 'count(doc("book.xml")//book)'])
     assert capsys.readouterr().out.strip() == "2"
+
+
+def _documents(*specs):
+    return argparse.Namespace(document=list(specs), books=None, auction=None, dblp=None, seed=7)
+
+
+def test_serve_loads_a_saved_image_like_its_text(book_file, tmp_path, capsys):
+    """``serve -d URI=IMAGE`` opens a store image onto the sharded
+    service ``serve`` builds, and answers what the text load answers."""
+    image = str(tmp_path / "books.vpbn")
+    assert main(["save", "-d", f"book.xml={book_file}", image]) == 0
+    capsys.readouterr()
+    query = 'virtualDoc("book.xml", "title { author }")//title'
+    answers = []
+    for path in (image, book_file):
+        service = ShardedService(shards=1)
+        assert _load_documents(service, _documents(f"book.xml={path}")) == ["book.xml"]
+        answers.append(service.execute(query).to_xml())
+        service.close()
+    assert answers[0] == answers[1]
+    assert "<title>" in answers[0]
+
+
+def test_batch_prints_each_answer_once_and_metrics_as_json(book_file, capsys):
+    """``batch`` runs on the one-shard collection ``serve`` builds: its
+    metrics report the shard topology and one routed read per query."""
+    queries = ['count(doc("book.xml")//book)', 'doc("book.xml")//title/text()']
+    code = main(["batch", "-d", f"book.xml={book_file}", "--repeat", "2", "--metrics", *queries])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == ["2", "XY"]
+    metrics = json.loads(captured.err)
+    assert metrics["caches"]["plan"]["entries"] == 2
+    assert metrics["counters"]["service.batches"] == 2
+    assert metrics["counters"]["cache.plan.hits"] >= 2
+    assert metrics["shards"]["by_shard"] == {"0": ["book.xml"]}
+    assert metrics["counters"]["shard.routed_single"] == 4
+
+
+def test_batch_exits_1_when_a_query_fails(book_file, capsys):
+    code = main(["batch", "-d", f"book.xml={book_file}",
+                 'count(doc("book.xml")//book)', 'doc("nope.xml")//x'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["2"]
+    assert "error: 'doc(\"nope.xml\")//x'" in captured.err

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dataguide.guide import GuideType
 from repro.query.engine import Engine
 
 DEPTH = 600
@@ -36,3 +37,23 @@ def test_sql_answers_a_deep_chain_as_indexed_does(engine, query):
     expected = engine.execute(query, mode="indexed").values()
     assert expected in (["600"], ["599"])
     assert engine.execute(query, mode="sql").values() == expected
+
+
+def test_a_deep_chain_checks_each_cut_once(monkeypatch):
+    """Whether a virtual type's chain is complete is decided once per
+    type, top-down: one ``is_ancestor_of`` per level, not one per level
+    per descendant (O(depth³) over a deep chain)."""
+    calls = 0
+    is_ancestor_of = GuideType.is_ancestor_of
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return is_ancestor_of(self, other)
+
+    monkeypatch.setattr(GuideType, "is_ancestor_of", counted)
+    engine = Engine()
+    engine.load("d", "<a>" * DEPTH + "</a>" * DEPTH)
+    query = 'count(doc("d")//a[last()]/ancestor::a)'
+    assert engine.execute(query).values() == [str(DEPTH - 1)]
+    assert calls <= 2 * DEPTH

@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.serve.app import INLINE_BUDGET, ServingApp, build_serving
 from repro.service.service import QueryService
 from repro.shard.service import ShardedService
@@ -50,7 +51,7 @@ def _find(span, name: str) -> list:
 
 @pytest.fixture
 def books300():
-    service = ShardedService(shards=1, pool_size=2, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=2, tracer=Tracer(sample_rate=1.0))
     service.load("d", serialize(books_document(300, seed=3)))
     app = build_serving(service, max_inflight=4)
     yield app, service
@@ -241,7 +242,7 @@ def test_a_read_finding_the_engine_busy_goes_to_the_pool():
 
 
 def test_a_replica_with_records_to_replay_is_read_on_the_pool():
-    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, tracer=Tracer(sample_rate=1.0))
     service.load("d", "<a><b>1</b></a>")
     app = build_serving(service, replicas=1)
     try:

@@ -43,7 +43,7 @@ def _union_count() -> str:
 
 @pytest.fixture
 def served():
-    sharded = ShardedService(shards=SHARDS, pool_size=2, trace_sample=1.0)
+    sharded = ShardedService(shards=SHARDS, pool_size=2, tracer=Tracer(sample_rate=1.0))
     for i in range(DOCS):
         sharded.load(f"doc{i}.xml", _xml(i), shard=i % SHARDS)
     app = build_serving(
@@ -184,7 +184,7 @@ def test_served_exclusive_costs_still_sum_to_the_unit():
     # costs must sum exactly to the engine's stats delta for the run.
     from repro.obs.profile import build_profile, totals
 
-    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, tracer=Tracer(sample_rate=1.0))
     service.load("book.xml", books_document(20, seed=7))
     app = build_serving(service, max_inflight=1, queue_limit=1)
     try:

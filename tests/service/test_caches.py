@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.service import LRUCache, QueryService, ServiceMetrics
+from repro.service import LRUCache, PlanCache, QueryService, ServiceMetrics, ViewCache
 from repro.workloads.books import books_document
 
 
@@ -90,7 +90,8 @@ def test_lru_eviction_metrics():
 
 
 def test_same_query_text_against_different_documents_does_not_alias():
-    service = QueryService(pool_size=1, plan_cache_capacity=8)
+    metrics = ServiceMetrics()
+    service = QueryService(pool_size=1, metrics=metrics, plan_cache=PlanCache(8, metrics))
     service.load("a.xml", "<data><x>1</x><x>2</x></data>")
     service.load("b.xml", "<data><x>9</x></data>")
     # Distinct texts referencing each document share nothing.
@@ -152,7 +153,8 @@ def test_same_spec_different_documents_do_not_alias():
 
 
 def test_view_cache_eviction_keeps_answers_correct():
-    service = QueryService(pool_size=1, view_cache_capacity=1)
+    metrics = ServiceMetrics()
+    service = QueryService(pool_size=1, metrics=metrics, view_cache=ViewCache(1, metrics))
     service.load("book.xml", books_document(5, seed=3))
     q_invert = 'count(virtualDoc("book.xml", "title { author }")//author)'
     q_names = 'count(virtualDoc("book.xml", "title { name }")//name)'

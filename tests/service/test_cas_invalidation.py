@@ -239,7 +239,7 @@ def test_views_borrow_store_columns_for_intact_vtypes_across_updates():
     before = service.execute(query).values()
     service.execute(by_value)
     store = service.store("book.xml")
-    first = columns_of(service.resolve_view("book.xml", spec))
+    first = columns_of(service.warm("book.xml", spec))
     assert first["name"] is stored(store, "name")
     assert first["author"] is stored(store, "author")
     assert first["title"] is not stored(store, "title")
@@ -250,7 +250,7 @@ def test_views_borrow_store_columns_for_intact_vtypes_across_updates():
         "book.xml", ReplaceText(target=Pbn.parse(str(target.pbn)), text="Fresh")
     )
     new_store = service.store("book.xml")
-    rebuilt_view = service.resolve_view("book.xml", spec)
+    rebuilt_view = service.warm("book.xml", spec)
     second = columns_of(rebuilt_view)
     assert second["name"] is first["name"] is stored(new_store, "name")
     assert second["author"] is first["author"]
@@ -264,7 +264,7 @@ def test_views_borrow_store_columns_for_intact_vtypes_across_updates():
     service.update(
         "book.xml", ReplaceText(target=Pbn.parse(str(name_text.pbn)), text="Renamed")
     )
-    third = columns_of(service.resolve_view("book.xml", spec))
+    third = columns_of(service.warm("book.xml", spec))
     assert third["name"] is not second["name"]
     assert third["name"] is stored(service.store("book.xml"), "name")
     assert len(service.execute(query.replace("Codd", "Renamed"))) == 1

@@ -23,6 +23,7 @@ import threading
 
 from repro.query.engine import Engine
 from repro.service import QueryService
+from repro.shard import ShardedService
 from repro.workloads.books import books_document
 from repro.workloads import queries as Q
 
@@ -117,7 +118,7 @@ def test_threads_match_serial_run_and_metrics_balance():
 def test_batch_parallel_matches_serial_batch():
     """The thread-pooled batch path returns the same outcomes, in order,
     as a single-threaded batch of the same queries."""
-    service = QueryService(pool_size=4)
+    service = ShardedService(shards=1, pool_size=4)
     for uri, document in _documents().items():
         service.load(uri, document)
     queries = [text for text, _ in WORKLOAD] * 5
@@ -126,3 +127,4 @@ def test_batch_parallel_matches_serial_batch():
     assert [r.values() for r in serial.outcomes] == [
         r.values() for r in parallel.outcomes
     ]
+    service.close()

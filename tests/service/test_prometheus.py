@@ -12,6 +12,7 @@ from repro.obs.prometheus import (
     metric_name,
     render_prometheus,
 )
+from repro.obs.trace import Tracer
 from repro.service import QueryService
 from repro.service.metrics import ServiceMetrics
 from repro.shard import ShardedService
@@ -163,7 +164,7 @@ def test_unsampled_histograms_render_no_exemplar():
 def test_serving_gauges_and_exemplars_reach_the_exposition():
     from repro.serve.app import build_serving
 
-    service = ShardedService(shards=1, pool_size=1, trace_sample=1.0)
+    service = ShardedService(shards=1, pool_size=1, tracer=Tracer(sample_rate=1.0))
     service.load("book.xml", books_document(10, seed=11))
     app = build_serving(service, replicas=2, max_inflight=4, queue_limit=8)
     try:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import QueryParseError
 from repro.service import QueryService
+from repro.shard import ShardedService
 from repro.workloads.books import books_document
 from repro.workloads import queries as Q
 
@@ -55,14 +56,18 @@ def test_warm_repeat_skips_parse_and_level_array_construction(service):
 
 
 def test_warm_prebuilds_a_view(service):
-    service.warm("book.xml", Q.BOOKS_INVERT.spec)
+    view = service.warm("book.xml", Q.BOOKS_INVERT.spec)
     assert service.metrics.counter("engine.views_built") == 1
     service.execute(E2_STYLE_QUERY)
     assert service.metrics.counter("engine.views_built") == 1
     assert service.metrics.counter("cache.view.hits") == 1
+    # The view handed back is the cached instance queries navigate.
+    assert service.warm("book.xml", Q.BOOKS_INVERT.spec) is view
 
 
-def test_batch_preserves_order_and_isolates_failures(service):
+def test_batch_preserves_order_and_isolates_failures():
+    service = ShardedService(shards=1, pool_size=2)
+    service.load("book.xml", books_document(20, seed=42))
     queries = [
         'count(doc("book.xml")//book)',
         "this is ( not a query",
@@ -77,6 +82,7 @@ def test_batch_preserves_order_and_isolates_failures(service):
     assert len(outcome.errors) == 1
     assert outcome.elapsed_seconds > 0
     assert service.metrics.counter("service.batches") == 1
+    service.close()
 
 
 def test_pool_engines_share_stores_and_caches():

@@ -318,14 +318,14 @@ def test_scatter_racing_an_update_answers_its_snapshot(source):
         service.load("b.xml", _xml(1))
         title = service.execute('doc("a.xml")/book/title/text()').items[0]
         shard = service.services[0]
-        evaluate = shard.execute_plan
+        evaluate = shard.execute
 
         def evaluate_then_update(*args, **kwargs):
             result = evaluate(*args, **kwargs)
             service.update("a.xml", ReplaceText(target=title.pbn, text="NEW"))
             return result
 
-        shard.execute_plan = evaluate_then_update
+        shard.execute = evaluate_then_update
         if source == "doc":
             query = _union(["a.xml", "b.xml"], "//title/text()")
         else:
@@ -335,7 +335,7 @@ def test_scatter_racing_an_update_answers_its_snapshot(source):
         result = service.execute(query)
         assert isinstance(result, ShardResult)
         assert result.values() == ["T0", "T1"]
-        del shard.execute_plan
+        del shard.execute
         assert service.execute(query).values() == ["NEW", "T1"]
     finally:
         service.close()
