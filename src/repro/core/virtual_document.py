@@ -47,16 +47,21 @@ class VNode:
     virtual type.  Identity (equality, hashing) is the pair.
 
     The ``_vdoc`` slot lets the query layer tag a VNode with the
-    :class:`VirtualDocument` it came from; it carries no identity.
+    :class:`VirtualDocument` it came from, and ``_row`` with its row in
+    that view's column of its original type, where the step that made it
+    knew it; neither carries identity.
     """
 
-    __slots__ = ("vtype", "node", "_vdoc", "_vpbn")
+    __slots__ = ("vtype", "node", "_vdoc", "_vpbn", "_row")
 
-    def __init__(self, vtype: VType, node: Node, vdoc: "Optional[VirtualDocument]" = None) -> None:
+    def __init__(
+        self, vtype: VType, node: Node, vdoc: "Optional[VirtualDocument]" = None, row=None
+    ) -> None:
         self.vtype = vtype
         self.node = node
         self._vdoc = vdoc
         self._vpbn: Optional[VPbn] = None
+        self._row = row
 
     @property
     def vpbn(self) -> VPbn:
@@ -168,6 +173,8 @@ class VirtualDocument:
         # The virtual navigator's order decisions (repro.query.eval_virtual):
         # first-copy order key, and the order class of each step shape.
         self._order_memo: dict = {}
+        # Per child vtype: its run under each parent row (child_runs).
+        self._child_run_tables: dict = {}
         # Reentrant: reachability recurses parent-ward under the lock.  A
         # view cached by the service is navigated from several engine
         # threads at once; the lock keeps the lazy memos single-build.
@@ -270,23 +277,45 @@ class VirtualDocument:
         posting list, read-only, no node resolved."""
         return self._type_index.postings(self._type_id(original))
 
-    def nodes_in(self, original: GuideType, column: Column, bounds, keys=None) -> list[Node]:
-        """The type's nodes in the row runs ``bounds`` of its column
-        (``keys``: the runs' keys, when the caller has decoded them).
-        Read off the type's node list once that exists; until then a
-        request for under a quarter of the type resolves just its own
-        rows by key, and a larger one builds the list it would mostly pay
-        for anyway — so a view built after an update resolves the rows it
-        returns, and a warm view slices."""
-        entry = self._rows.get(original)
-        if entry is None:
-            if 4 * sum(high - low for low, high in bounds) < len(column):
-                if keys is None:
-                    keys = column.key_runs(bounds)
-                return self.nodes_of(original, keys)
-            entry = self.rows(original)
-        nodes = entry[1]
-        return [node for low, high in bounds for node in nodes[low:high]]
+    def row_nodes(self, original: GuideType, column: Column, bounds, keys=None):
+        """The type's nodes of the row runs ``bounds`` of its column, by
+        row (``keys``: the runs' keys, when the caller has decoded them).
+        The type's node list once that exists; until then a request for
+        under a quarter of the type resolves just its own rows by key (a
+        dict), and a larger one builds the list it would mostly pay for
+        anyway — so a view built after an update resolves the rows it
+        returns, and a warm view indexes its list."""
+        if self._rows.get(original) is None and 4 * sum(
+            high - low for low, high in bounds
+        ) < len(column):
+            if keys is None:
+                keys = column.key_runs(bounds)
+            rows = [row for low, high in bounds for row in range(low, high)]
+            return dict(zip(rows, self.nodes_of(original, keys)))
+        return self.rows(original)[1]
+
+    def child_runs(self, vtype: VType) -> Optional[list[tuple[int, int]]]:
+        """Per row ``r`` of the virtual parent's original type, the
+        ``(low, high)`` run of ``vtype``'s rows under row ``r``'s
+        ``lcaLength`` prefix (paper Section 5.2) — an incomplete cut's
+        (``title { author }``) too.  One prefix sweep on first use, kept
+        with the (immutable) view; ``None`` for a type without instances."""
+        column = self.column(vtype.original)
+        table = self._child_run_tables.get(id(vtype))
+        if table is None and column is not None:
+            with self._memo_lock:
+                keys = distinct = self.postings(vtype.parent.original)
+                if not vtype.complete_cut():  # parent rows share prefixes
+                    lca = vtype.lca_length
+                    keys = [key[:lca] for key in keys]
+                    distinct = list(dict.fromkeys(keys))  # still sorted
+                table, scans = column.prefix_runs(distinct)
+                self.stats.index_range_scans += scans
+                if distinct is not keys:
+                    run_of = dict(zip(distinct, table))
+                    table = [run_of[key] for key in keys]
+                self._child_run_tables[id(vtype)] = table
+        return table
 
     def nodes_of(self, original: GuideType, keys: Sequence[tuple[int, ...]]) -> list[Node]:
         """The type's nodes numbered ``keys`` — what a step that filtered

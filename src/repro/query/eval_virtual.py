@@ -8,9 +8,9 @@ document navigates as its store's identity view (``DocumentStore.view``,
 ``root { ** }``), whose answers the evaluator hands back as the stored
 nodes they are:
 
-* ``child``/``attribute`` steps are prefix-range scans on the per-type
-  posting lists — the prefix is the ``lcaLength`` components shared with
-  the virtual parent (Section 5.2's instance relation);
+* ``child``/``attribute`` steps read the run under the ``lcaLength``
+  prefix shared with the virtual parent (Section 5.2's instance relation)
+  by the parent's row off a per-view run table, or by a prefix scan;
 * ``descendant`` steps expand child ranges level by level through the
   vDataGuide (each hop one range scan), touching only data below the
   context node — one prefix run per type below a context whose subtree
@@ -40,7 +40,8 @@ tree's first-copy order key (:meth:`VirtualNavigator._order_keys`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, lt
 from typing import Optional
 
 from repro.core import vpbn
@@ -229,8 +230,8 @@ class VirtualNavigator:
         first copy sits under the first of them: within one type,
         first-copy order is component order (induction from the roots:
         parents under disjoint prefixes keep their prefixes' order), so
-        that is one bisect in the parent type's column, memoized per type
-        and prefix.
+        that is one bisect in the parent type's column.  Parents' keys are
+        memoized per type and prefix: a key costs one level, not a climb.
 
         Built on first use, memoized *with the view* (views are cached
         and outlive any one evaluator) under its reentrant memo lock like
@@ -251,8 +252,8 @@ class VirtualNavigator:
             plans[id(vtype)] = (
                 parent,
                 vtype.lca_length,
-                # per-prefix memo of the first-copy parent's key
-                None if parent is None or vtype.complete_cut() else {},
+                {},  # per-prefix memo of the first-copy parent's key
+                parent is not None and vtype.complete_cut(),
                 0 if vtype.is_attribute else 1,
                 vtype.pbn.components,
             )
@@ -272,25 +273,23 @@ class VirtualNavigator:
             # root, or a memoized first-copy parent's key — collecting one
             # token per level, then build the key top-down in one tuple
             # and fill the memo entries the climb passed (each is a prefix
-            # of the key).  A loop, not a recursion: views are as deep as
-            # their documents.
+            # of the key), so the next key below them stops there.  A
+            # loop, not a recursion: views are as deep as their documents.
             tokens: list = []
             fills: list = []  # (tokens below the entry, memo, prefix)
             while True:
-                parent, lca, memo, rank, type_order = plans[id(vtype)]
+                parent, lca, memo, complete, rank, type_order = plans[id(vtype)]
                 tokens.append((rank, comps, type_order))
                 if parent is None:
                     head = (type_order[0],)  # the tree index
                     break
                 prefix = comps[:lca]
-                if memo is None:  # a complete cut: the prefix numbers the parent
-                    comps = prefix
-                else:
-                    head = memo.get(prefix)
-                    if head is not None:
-                        break
-                    fills.append((len(tokens), memo, prefix))
-                    comps = first_copy(parent, prefix)
+                head = memo.get(prefix)
+                if head is not None:
+                    break
+                fills.append((len(tokens), memo, prefix))
+                # a complete cut: the prefix numbers the parent itself
+                comps = prefix if complete else first_copy(parent, prefix)
                 vtype = parent
             tokens.reverse()
             key = head + tuple(tokens)
@@ -299,12 +298,11 @@ class VirtualNavigator:
             return key
 
         def parent_key(vtype: VType, prefix: tuple) -> tuple:
-            parent, _, memo, _, _ = plans[id(vtype)]
-            if memo is None:  # a complete cut: the prefix numbers the parent
-                return key_of(parent, prefix)
+            parent, _, memo, complete, _, _ = plans[id(vtype)]
             head = memo.get(prefix)
             if head is None:
-                head = memo[prefix] = key_of(parent, first_copy(parent, prefix))
+                comps = prefix if complete else first_copy(parent, prefix)
+                head = memo[prefix] = key_of(parent, comps)
             return head
 
         return (lambda vnode: key_of(vnode.vtype, vnode.node.pbn.components)), parent_key
@@ -617,7 +615,8 @@ class VirtualNavigator:
         the keys are tested first and only survivors resolve a node."""
         keys = column.key_runs(bounds)  # one bulk decode
         if keep is None:
-            return keys, vdoc.nodes_in(vtype.original, column, bounds, keys)
+            nodes = vdoc.row_nodes(vtype.original, column, bounds, keys)
+            return keys, [nodes[row] for low, high in bounds for row in range(low, high)]
         accepts = keep.accepts(vtype)
         keys = [key for key in keys if accepts(key)]
         return keys, vdoc.nodes_of(vtype.original, keys)
@@ -642,27 +641,53 @@ class VirtualNavigator:
                 entry[2].append(vnode)
         return list(groups.values())
 
-    def _child_runs(self, vdoc, groups, test, axis):
-        """``(child vtype, column, prefixes, bounds)`` per matching child
-        type of the context groups: ``bounds[i]`` is the run of rows
-        under ``prefixes[i]``, one of the contexts' distinct
-        ``lcaLength`` prefixes (paper Section 5.2) — every context with
-        that prefix has exactly that run as its share of the type.
-        Sorted, equal-width, distinct prefixes give disjoint ascending
-        runs, and a child type has one parent type — so the runs together
-        are the type's whole share of the step's result, distinct and in
-        key order.  The one child/attribute kernel: :meth:`step_many` and
-        :meth:`aggregate_many` flatten its runs, :meth:`step_groups` and
-        :meth:`aggregate_groups` keep them apart per context."""
-        for vtype, ctx_keys, _ in groups:
-            for child_vtype in vtype.children:
-                if not type_matches(child_vtype, test, axis):
-                    continue
+    def _child_runs(self, vdoc, group, test, axis):
+        """``(child vtype, column, runs)`` per matching child type of one
+        context group: ``runs[i]`` is the run of the type's rows under the
+        ``lcaLength`` prefix (paper Section 5.2) of the group's context
+        ``i`` — read off the view's parent->child run table
+        (:meth:`VirtualDocument.child_runs`) by the context's row where
+        the contexts know their rows (:meth:`_context_rows`), else probed
+        per distinct prefix.  Contexts sharing a prefix share its run;
+        distinct prefixes' runs are disjoint, and a child type has one
+        parent type.  The one child/attribute kernel: :meth:`step_many`
+        and :meth:`aggregate_many` take each run once, :meth:`step_groups`
+        and :meth:`aggregate_groups` per context."""
+        vtype, ctx_keys, ctx_vnodes = group
+        children = [child for child in vtype.children if type_matches(child, test, axis)]
+        rows = self._context_rows(vdoc, vtype, ctx_keys, ctx_vnodes, children) if children else None
+        for child_vtype in children:
+            if rows is None:
                 lca = child_vtype.lca_length
                 prefixes = sorted({key[:lca] for key in ctx_keys})
                 found = self._runs(vdoc, child_vtype, prefixes)
-                if found is not None:
-                    yield child_vtype, found[0], prefixes, found[1]
+                if found is None:
+                    continue
+                run_of = dict(zip(prefixes, found[1]))
+                yield child_vtype, found[0], [run_of[key[:lca]] for key in ctx_keys]
+                continue
+            self.stats.index_range_scans += 1  # one read of the table
+            table = vdoc.child_runs(child_vtype)
+            if table is not None:
+                runs = table if isinstance(rows, range) else list(map(table.__getitem__, rows))
+                yield child_vtype, vdoc.column(child_vtype.original), runs
+
+    @staticmethod
+    def _context_rows(vdoc, vtype: VType, keys: list, vnodes: list, children: list):
+        """Each context's row in its type's column, where the step reads its
+        runs off the run tables: ``0..n-1`` for the whole type in key order
+        (which builds a missing table: one sweep, like the probe it saves),
+        else the rows carried over from the step that made the contexts,
+        once the tables exist.  ``None`` for any other context set (a part
+        of a type, read first after an update): it probes, building nothing."""
+        total = len(vdoc.column(vtype.original))
+        if len(keys) == total and all(map(lt, keys, islice(keys, 1, None))):
+            return range(total)
+        rows = [vnode._row for vnode in vnodes]
+        tables = vdoc._child_run_tables
+        if None in rows or not all(id(child) in tables for child in children):
+            return None
+        return rows
 
     def _runs(self, vdoc, vtype: VType, prefixes: list):
         """``(column, bounds)``: the run of rows under each of the sorted,
@@ -679,12 +704,19 @@ class VirtualNavigator:
 
     def _batch_child_like(self, vdoc, groups, test, axis, keep=None):
         runs = []
-        for child_vtype, column, _, bounds in self._child_runs(vdoc, groups, test, axis):
-            if keep is None:  # no key is needed: none is decoded
-                nodes = vdoc.nodes_in(child_vtype.original, column, bounds)
-            else:
-                _, nodes = self._run_rows(vdoc, child_vtype, column, bounds, keep)
-            runs.append([VNode(child_vtype, node, vdoc) for node in nodes])
+        for group in groups:
+            for child_vtype, column, ctx_runs in self._child_runs(vdoc, group, test, axis):
+                bounds = sorted({run for run in ctx_runs if run[0] < run[1]})
+                if keep is not None:
+                    _, nodes = self._run_rows(vdoc, child_vtype, column, bounds, keep)
+                    runs.append([VNode(child_vtype, node, vdoc) for node in nodes])
+                    continue
+                nodes = vdoc.row_nodes(child_vtype.original, column, bounds)
+                runs.append([
+                    VNode(child_vtype, nodes[row], vdoc, row)
+                    for low, high in bounds
+                    for row in range(low, high)
+                ])
         return self._merge_runs(vdoc, runs)
 
     def _batch_descendant(self, vdoc, groups, test, axis, keep=None):
@@ -826,18 +858,26 @@ class VirtualNavigator:
 
     def _batch_ancestor(self, vdoc, groups, test, axis):
         """Complete chains: a context's ancestor at each level is its key
-        cut to that ancestor type's original length.  The document node
+        cut to that ancestor type's original length.  Each context walks
+        up its chain and stops at the first cut already collected (every
+        cut above it was collected with it), so a context set down a deep
+        chain costs its answer plus a step per context.  The document node
         comes first, as a root's parent."""
         cuts: dict[int, tuple[VType, set]] = {}
         for vtype, ctx_keys, _ in groups:
-            chain = vtype.chain()
-            for ancestor in chain if axis == "ancestor-or-self" else chain[:-1]:
-                if type_matches(ancestor, test, axis):
-                    cut = ancestor.original.length
-                    cuts.setdefault(id(ancestor), (ancestor, set()))[1].update(
-                        key[:cut] for key in ctx_keys
-                    )
-        found = self._truncated(vdoc, cuts)
+            start = vtype if axis == "ancestor-or-self" else vtype.parent
+            for key in ctx_keys:
+                ancestor = start
+                while ancestor is not None:
+                    seen = cuts.setdefault(id(ancestor), (ancestor, set()))[1]
+                    cut = key[: ancestor.original.length]
+                    if cut in seen:
+                        break
+                    seen.add(cut)
+                    ancestor = ancestor.parent
+        found = self._truncated(vdoc, {
+            tid: entry for tid, entry in cuts.items() if type_matches(entry[0], test, axis)
+        })
         if test.kind == "node":
             return [VirtualDocItem(vdoc), *found]
         return found
@@ -1122,9 +1162,10 @@ class VirtualNavigator:
         disjoint even where contexts nest across groups."""
         if axis in ("child", "attribute"):
             return [
-                (child_vtype, low, high)
-                for child_vtype, _, _, bounds in self._child_runs(vdoc, groups, test, axis)
-                for low, high in bounds
+                (child_vtype, *run)
+                for group in groups
+                for child_vtype, _, runs in self._child_runs(vdoc, group, test, axis)
+                for run in sorted(set(runs))
             ]
         intact = self._intact(vdoc)[0]
         if axis != "descendant" or not all(id(group[0]) in intact for group in groups):
@@ -1143,59 +1184,32 @@ class VirtualNavigator:
 
     # -- grouped kernels: one context set, rows kept apart per segment -------------
 
-    def _segment_runs(self, vdoc, flat: list, test, axis):
-        """``(children, shares)`` for :meth:`_child_runs` over the contexts
-        of all segments at once: ``children[id(context vtype)]`` lists
-        ``(child vtype, {prefix: (low, high, start)})`` — each child
-        type's runs keyed by the ``lcaLength`` prefix a context finds its
-        run under, ``start`` being the run's offset among the type's
-        matched rows — and ``shares`` the ``(child vtype, column,
-        bounds)`` of every child type with runs."""
+    def _runs_per_segment(self, vdoc, flat: list, segments: list, test, axis):
+        """``(runs, shares)``: per segment the non-empty ``(child vtype,
+        low, high)`` runs of :meth:`_child_runs` over the contexts ``flat``
+        of all segments at once — each run once, child types in
+        specification order, a type's runs in context order — and the
+        ``(child vtype, column, runs)`` of every matching child type."""
         groups = self._grouped(flat)
-        tables: dict[int, dict] = {}
+        seg_of = [index for index, segment in enumerate(segments) for _ in segment]
+        at = {id(groups[0][0]): seg_of}
+        if len(groups) > 1:
+            at = {}
+            for vnode, index in zip(flat, seg_of):
+                at.setdefault(id(vnode.vtype), []).append(index)
+        out: list = [[] for _ in segments]
         shares = []
-        for child_vtype, column, prefixes, bounds in self._child_runs(
-            vdoc, groups, test, axis
-        ):
-            table = tables[id(child_vtype)] = {}
-            start = 0
-            for prefix, (low, high) in zip(prefixes, bounds):
-                table[prefix] = (low, high, start)
-                start += high - low
-            shares.append((child_vtype, column, bounds))
-        children = {
-            id(vtype): [
-                (child_vtype, tables[id(child_vtype)])
-                for child_vtype in vtype.children
-                if id(child_vtype) in tables
-            ]
-            for vtype, _, _ in groups
-        }
-        return children, shares
-
-    @staticmethod
-    def _context_runs(children, segment: list) -> list:
-        """``(child vtype, low, high, start)`` of one segment's contexts,
-        each run once (contexts sharing a prefix share their run): per
-        child type in key order, child types in specification order for
-        a single context."""
-        if len(segment) == 1:
-            vnode = segment[0]
-            key = vnode.node.pbn.components
-            return [
-                (child_vtype, *table[key[: child_vtype.lca_length]])
-                for child_vtype, table in children[id(vnode.vtype)]
-            ]
-        seen: set = set()
-        runs = []
-        for vnode in segment:
-            key = vnode.node.pbn.components
-            for child_vtype, table in children[id(vnode.vtype)]:
-                prefix = key[: child_vtype.lca_length]
-                if (id(child_vtype), prefix) not in seen:
-                    seen.add((id(child_vtype), prefix))
-                    runs.append((child_vtype, *table[prefix]))
-        return runs
+        for group in groups:
+            for share in self._child_runs(vdoc, group, test, axis):
+                child_vtype = share[0]
+                for index, (low, high) in zip(at[id(group[0])], share[2]):
+                    if low < high:
+                        out[index].append((child_vtype, low, high))
+                shares.append(share)
+        for index, segment in enumerate(segments):
+            if len(segment) > 1:  # contexts sharing a prefix share its run
+                out[index] = list(dict.fromkeys(out[index]))
+        return out, shares
 
     def step_groups(self, segments: list, axis: str, test: NodeTest) -> list:
         """A predicate-free ``child`` / ``attribute`` step for several
@@ -1208,22 +1222,24 @@ class VirtualNavigator:
         if not flat:
             return [[] for _ in segments]
         vdoc: VirtualDocument = flat[0]._vdoc
-        children, shares = self._segment_runs(vdoc, flat, test, axis)
-        matched = {
-            id(child_vtype): [
-                VNode(child_vtype, node, vdoc)
-                for node in vdoc.nodes_in(child_vtype.original, column, bounds)
-            ]
-            for child_vtype, column, bounds in shares
+        runs_of, shares = self._runs_per_segment(vdoc, flat, segments, test, axis)
+        nodes_of = {
+            child_vtype: vdoc.row_nodes(child_vtype.original, column, sorted(set(runs)))
+            for child_vtype, column, runs in shares
         }
         out = []
-        for segment in segments:
-            by_type: dict[int, list] = {}
-            for child_vtype, low, high, start in self._context_runs(children, segment):
-                if low < high:
-                    by_type.setdefault(id(child_vtype), []).extend(
-                        matched[id(child_vtype)][start : start + high - low]
-                    )
+        for runs in runs_of:
+            if len(runs) == 1:  # one run of one type: in key order already
+                child_vtype, low, high = runs[0]
+                nodes = nodes_of[child_vtype]
+                out.append([VNode(child_vtype, nodes[row], vdoc, row) for row in range(low, high)])
+                continue
+            by_type: dict = {}
+            for child_vtype, low, high in runs:
+                nodes = nodes_of[child_vtype]
+                by_type.setdefault(child_vtype, []).extend(
+                    [VNode(child_vtype, nodes[row], vdoc, row) for row in range(low, high)]
+                )
             out.append(self._merge_runs(vdoc, list(by_type.values())))
         self._count_steps(vdoc, len(flat))
         return out
@@ -1236,15 +1252,10 @@ class VirtualNavigator:
         if not flat:
             return [(0, 0) for _ in segments]
         vdoc: VirtualDocument = flat[0]._vdoc
-        children, _ = self._segment_runs(vdoc, flat, test, axis)
         columns_of = _cas_columns_of(vdoc)
         out = []
-        for segment in segments:
-            folded = joins.fold_runs(
-                [run[:3] for run in self._context_runs(children, segment)],
-                kind,
-                columns_of,
-            )
+        for runs in self._runs_per_segment(vdoc, flat, segments, test, axis)[0]:
+            folded = joins.fold_runs(runs, kind, columns_of)
             if isinstance(folded, str):
                 return folded
             out.append(folded)

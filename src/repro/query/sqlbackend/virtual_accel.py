@@ -105,9 +105,19 @@ class VirtualAccel:
                 instances.append((tid, vnode))
                 values.update(vnode.node.pbn.components)
         rank = {value: index for index, value in enumerate(sorted(values))}
+        encoded = {(): ""}
 
         def encode(components: tuple) -> str:
-            return "".join(format(rank[c], f"0{_W}x") for c in components)
+            # Extend the longest prefix already encoded (the parent's, in
+            # preorder): a component per node, not one per level.
+            size = len(components)
+            while components[:size] not in encoded:
+                size -= 1
+            text = encoded[components[:size]]
+            for end in range(size + 1, len(components) + 1):
+                text += format(rank[components[end - 1]], f"0{_W}x")
+                encoded[components[:end]] = text
+            return text
 
         order_key = _NAV._order_keys(vdoc)[0]
         ordered = sorted(

@@ -12,6 +12,13 @@ of observable plumbing the kernels do add:
 * updates through the service invalidate only the touched guide types'
   columns — untouched types keep their :class:`Column` objects by
   identity across the copy-on-write derivation.
+
+The child / attribute kernel reads its runs by row off a per-view
+parent->child run table where the contexts know their rows (the whole
+type in key order, or rows carried over from the step that made them),
+and probes their prefixes otherwise; both sides, on the views where a
+run is shared or empty, are pinned against the per-item loop,
+``mode="tree"`` and ``mode="sql"`` below.
 """
 
 from __future__ import annotations
@@ -26,8 +33,11 @@ from repro.query.engine import Engine
 from repro.query.eval import Evaluator
 from repro.service import QueryService
 from repro.updates.ops import InsertSubtree
+from repro.workloads import queries as Q
 from repro.workloads.books import books_document
+from repro.workloads.dblplike import dblp_document
 from repro.workloads.treegen import random_document, random_spec
+from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.nodes import Node
 
 # Every axis a batch kernel covers, plus a couple it does not (parent /
@@ -280,3 +290,112 @@ def test_non_linearizable_view_orders_by_first_copy(monkeypatch):
     for axis in ("descendant", "preceding", "following", "child"):
         scalar, batch = _both_ways(engine, f"{source}//*/{axis}::*", monkeypatch)
         assert batch == scalar, axis
+
+
+# -- child runs by row: the run table and the probe --------------------------
+
+
+def _gappy(books: int) -> str:
+    """Parents without children: every third ``b`` has no ``a``, every
+    other one no ``k`` attribute, and every fifth is empty."""
+    parts = ["<r>"]
+    for index in range(books):
+        if index % 5 == 4:
+            parts.append("<b/>")
+            continue
+        parts.append(f'<b k="{index}">' if index % 2 else "<b>")
+        parts.append(f"<t>T{index}</t>")
+        if index % 3:
+            parts.append("".join(f"<a>{index}.{n}</a>" for n in range(1 + index % 2)))
+        parts.append("</b>")
+    parts.append("</r>")
+    return "".join(parts)
+
+
+#: ``id -> (document text, spec or "" for the stored document, context
+#: name, child steps)``: parents without children and the attribute axis;
+#: an incomplete cut (a title's authors are its book's); a duplicating
+#: view (an article under each of its authors).
+RUN_TABLE_CASES = {
+    "gappy": (_gappy(40), "", "b", ["a", "@k", "node()", "a/text()"]),
+    "incomplete-cut": (serialize(books_document(40, seed=5)), Q.BOOKS_INVERT.spec,
+                       "title", ["author", "node()", "author/name"]),
+    "duplicating": (serialize(dblp_document(30, seed=5)), Q.DBLP_BY_AUTHOR.spec,
+                    "author", ["article", "*", "article/title"]),
+}
+
+#: Context sets: the whole type (rows ``0..n-1``: the table is read, and
+#: built on first use), half of it and three of it (their prefixes are
+#: probed; the next step of a two-step path reads its table by the rows
+#: they carry, once a whole-type query has built it), and the whole type
+#: out of key order (an ``order by``: probed).
+RUN_TABLE_SHAPES = (
+    "{src}//{ctx}/{step}",
+    "({src}//{ctx})[position() mod 2 = 0]/{step}",
+    "({src}//{ctx})[position() <= 3]/{step}",
+    "count({src}//{ctx}/{step})",
+    "count(({src}//{ctx})[position() mod 2 = 0]/{step})",
+    "for $v in {src}//{ctx} return <r>{{ $v/{step} }}|{{ count($v/{step}) }}</r>",
+    "for $v in ({src}//{ctx})[position() mod 2 = 1] return <r>{{ $v/{step} }}</r>",
+    "for $v in ({src}//{ctx})[position() <= 3] return <r>{{ count($v/{step}) }}</r>",
+    "for $v at $i in {src}//{ctx} order by $i descending "
+    "return <r>{{ $v/{step} }}{{ count($v/{step}) }}</r>",
+)
+
+
+def _run_table_queries(case: str):
+    _, spec, ctx, steps = RUN_TABLE_CASES[case]
+    src = f'virtualDoc("d.xml", "{spec}")' if spec else 'doc("d.xml")'
+    for step in steps:
+        for shape in RUN_TABLE_SHAPES:
+            yield shape.format(src=src, ctx=ctx, step=step)
+
+
+def _every_arm(execute, query, monkeypatch) -> tuple:
+    """The answer with kernels on, asserted equal — bytes and values — to
+    kernels off, ``mode="tree"`` and ``mode="sql"``."""
+    result = execute(query, None)
+    answer = (result.to_xml(), result.values())
+    monkeypatch.setattr(Evaluator, "use_batch_kernels", False)
+    loop = execute(query, None)
+    monkeypatch.setattr(Evaluator, "use_batch_kernels", True)
+    for arm, other in (("loop", loop), ("tree", execute(query, "tree")),
+                       ("sql", execute(query, "sql"))):
+        assert (other.to_xml(), other.values()) == answer, f"{arm}: {query}"
+    return answer
+
+
+@pytest.mark.parametrize("case", list(RUN_TABLE_CASES))
+def test_child_runs_match_every_arm(case, monkeypatch, each_codec):
+    for _ in each_codec():
+        engine = Engine()
+        engine.load("d.xml", RUN_TABLE_CASES[case][0])
+        execute = lambda query, mode: engine.execute(query, mode=mode)  # noqa: E731
+        answered = [_every_arm(execute, query, monkeypatch) for query in _run_table_queries(case)]
+        assert sum(bool(values) for _, values in answered) > len(RUN_TABLE_SHAPES), case
+
+
+def test_child_runs_over_careted_keys_match_every_arm(monkeypatch, each_codec):
+    """Books inserted ``before`` a sibling get rational ordinals: their
+    types' columns stay raw tuples holding ``Fraction`` components, and the
+    run tables are swept over them."""
+    for _ in each_codec():
+        service = QueryService(pool_size=1)
+        service.load("d.xml", books_document(24, seed=9))
+        for position in (2, 2, 5):
+            service.update("d.xml", InsertSubtree(
+                parent=Pbn.parse("1"),
+                fragment="<book><title>New</title><author><name>A</name></author>"
+                "<author><name>B</name></author></book>",
+                before=Pbn.parse(f"1.{position}"),
+            ))
+        store = service.store("d.xml")
+        book = store.guide.lookup_path(("data", "book"))
+        assert any(type(c) is not int for key in store.type_index.postings(
+            store.type_id(book)) for c in key)
+        execute = lambda query, mode: service.execute(query, mode=mode)  # noqa: E731
+        for spec, ctx, step in (("", "book", "author"), ("", "book", "title/text()"),
+                                (Q.BOOKS_INVERT.spec, "title", "author/name")):
+            src = f'virtualDoc("d.xml", "{spec}")' if spec else 'doc("d.xml")'
+            for shape in RUN_TABLE_SHAPES:
+                _every_arm(execute, shape.format(src=src, ctx=ctx, step=step), monkeypatch)

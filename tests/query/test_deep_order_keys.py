@@ -6,10 +6,15 @@ The sql accel sorts every instance of a view by
 parent's key plus its own token, one level per token.  On a chain of
 600 nested ``<a>`` elements (two frames a level would pass the
 interpreter's default recursion limit of 1,000) every query below must
-answer under ``sql`` exactly as under ``indexed``.
+answer under ``sql`` exactly as under ``indexed``, and the work a query
+does grows linearly with the depth of the chain: each key is its
+parent's key plus one level, and an ancestor walk stops at the first
+ancestor it has already collected.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -57,3 +62,39 @@ def test_a_deep_chain_checks_each_cut_once(monkeypatch):
     query = 'count(doc("d")//a[last()]/ancestor::a)'
     assert engine.execute(query).values() == [str(DEPTH - 1)]
     assert calls <= 2 * DEPTH
+
+
+def _calls(engine, query: str, mode: str) -> int:
+    """Function calls, Python and builtin, made while ``query`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        engine.execute(query, mode=mode)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "query, mode, warm",
+    [
+        # the ancestor kernel, on a warm engine
+        ('count(doc("d")//a[last()]/ancestor::a)', "indexed", True),
+        # the first query under sql: every instance's order key and sql key
+        ('count(doc("d")//a)', "sql", False),
+    ],
+)
+def test_work_grows_linearly_with_the_depth(query, mode, warm):
+    counts = []
+    for depth in (DEPTH, 2 * DEPTH):
+        engine = Engine()
+        engine.load("d", "<a>" * depth + "</a>" * depth)
+        if warm:
+            engine.execute(query, mode=mode)
+        counts.append(_calls(engine, query, mode))
+    assert counts[1] <= 2.2 * counts[0], counts

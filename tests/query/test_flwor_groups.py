@@ -14,8 +14,12 @@ slice.  Pinned here:
   duplicating, forest and recursive views, under both column codecs;
 * the grouping declines where the batch kernels do (bindings of two
   documents), and says so on every per-binding step row;
-* the cost is counts: the number of kernel calls does not grow with the
-  number of bindings, and the budget meter sees the loop's charges.
+* the cost is counts: the number of kernel calls, and the range scans of
+  a warm grouped path, do not grow with the number of bindings, and the
+  budget meter sees the loop's charges;
+* a view's parent->child run tables live and die with the view: one kept
+  across an unrelated update answers from its tables, one whose types an
+  update touched is evicted and its successor builds them afresh.
 """
 
 from __future__ import annotations
@@ -29,12 +33,16 @@ from repro.query.budget import CostBudget
 from repro.query.engine import Engine
 from repro.query.eval import Evaluator
 from repro.query.eval_virtual import VirtualNavigator
+from repro.pbn.number import Pbn
+from repro.service import QueryService
+from repro.updates.ops import InsertSubtree, ReplaceText
 from repro.workloads import queries as Q
 from repro.workloads.books import books_document
 from repro.workloads.dblplike import dblp_document
 from repro.workloads.treegen import random_document, random_spec
 from repro.workloads.xmarklike import auction_document
 from repro.xmlmodel.serializer import serialize
+from tests.query.test_columnar_kernels import _gappy
 from tests.query.test_path_predicates import library
 
 
@@ -94,6 +102,7 @@ CASES = {
     "library-view": (library(8, shelves=2, books=4),
                      "lib.shelf { lib.shelf.book.price lib.shelf.book.author { born name } }",
                      ["shelf", "author"], ["author", "price", "born"], ["rank", "id"]),
+    "gappy": (_gappy(24), "", ["b", "r"], ["a", "t", "b"], ["k"]),
     "recursive": _generated_view(31, ["root", "a", "c", "d"], ["a", "c", "d"], []),
     "generated-63": _generated_view(63, ["b", "f", "a"], ["a", "d", "h"], []),
     "generated-118": _generated_view(118, ["e", "h", "c"], ["f", "g", "e"], ["id"]),
@@ -276,6 +285,77 @@ def test_kernel_calls_do_not_grow_with_the_bindings(books, monkeypatch):
     result = engine.execute(query)
     assert len(result) == books
     assert calls.names == ["aggregate_groups"]  # the loop: one aggregate_many per book
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        'for $b in doc("book.xml")//book '
+        "return <e>{ $b/title/text() }<n>{ count($b/author) }</n></e>",
+        'for $b in doc("book.xml")//book return $b/author/name/text()',
+        'for $t in virtualDoc("book.xml", "title { author { name } }")//title '
+        "return <e>{ $t/text() }<n>{ count($t/author) }</n></e>",
+    ],
+)
+def test_a_warm_grouped_path_scans_the_same_for_50_and_500_bindings(query):
+    """Each context reads its runs off the view's run table by row: one
+    read per child type and step, not one probe per context prefix."""
+    scans = []
+    for books in (50, 500):
+        engine = Engine()
+        engine.load("book.xml", books_document(books, seed=7))
+        engine.execute(query)
+        before = engine.stats.index_range_scans
+        assert len(engine.execute(query)) >= books
+        scans.append(engine.stats.index_range_scans - before)
+    assert scans[0] == scans[1], scans
+
+
+VIEW = "title { author { name } }"
+COUNT = (
+    f'for $t in virtualDoc("d.xml", "{VIEW}")//title '
+    "return <e>{ $t/text() }<n>{ count($t/author) }</n></e>"
+)
+
+
+def _cold(service) -> str:
+    """The answer of a fresh service over the current document."""
+    fresh = QueryService(pool_size=1)
+    fresh.load("d.xml", service.store("d.xml").document)
+    return fresh.execute(COUNT).to_xml()
+
+
+def test_a_view_kept_across_an_unrelated_update_answers_from_its_tables():
+    service = QueryService(pool_size=1)
+    service.load("d.xml", books_document(30, seed=4))
+    service.execute(COUNT)
+    view = service.view_cache.get(("d.xml", VIEW))
+    tables = dict(view._child_run_tables)
+    assert tables  # the grouped count read its runs by row
+    # The first book's publisher's location: no type of the view is touched.
+    location = service.store("d.xml").document.root.children[0].children[-1].children[0]
+    service.update("d.xml", ReplaceText(location.children[0].pbn, "Elsewhere"))
+    answer = service.execute(COUNT).to_xml()
+    assert service.view_cache.get(("d.xml", VIEW)) is view
+    assert view._child_run_tables == tables
+    assert all(view._child_run_tables[key] is table for key, table in tables.items())
+    assert answer == _cold(service)
+
+
+def test_a_view_whose_types_an_update_touched_rebuilds_its_tables():
+    service = QueryService(pool_size=1)
+    service.load("d.xml", books_document(30, seed=4))
+    before = service.execute(COUNT).to_xml()
+    view = service.view_cache.get(("d.xml", VIEW))
+    # A third author under the first book: the child type of title's runs.
+    service.update("d.xml", InsertSubtree(
+        parent=Pbn.parse("1.1"), fragment="<author><name>Fresh</name></author>"
+    ))
+    assert service.view_cache.get(("d.xml", VIEW)) is None  # evicted
+    answer = service.execute(COUNT).to_xml()
+    rebuilt = service.view_cache.get(("d.xml", VIEW))
+    assert rebuilt is not view and rebuilt._child_run_tables
+    assert answer != before and answer == _cold(service)
 
 
 def _visits(engine, query, monkeypatch) -> int:
