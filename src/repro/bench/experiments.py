@@ -18,7 +18,6 @@ from repro.core.level_arrays import build_level_arrays
 from repro.core.values import ValueStats, write
 from repro.core.virtual_document import VirtualDocument
 from repro.core import vpbn as V
-from repro.dataguide.build import build_dataguide
 from repro.dataguide.guide import DataGuide
 from repro.dataguide.spec import guide_to_spec
 from repro.pbn import axes as pbn_axes
@@ -117,9 +116,8 @@ def e1_level_arrays() -> list[Table]:
 def e2_axis_overhead() -> list[Table]:
     """Per-comparison cost of each axis predicate, PBN vs vPBN."""
     document = books_document(books=300, seed=2)
-    guide = build_dataguide(document)
-    vguide = parse_vdataguide(Q.BOOKS_INVERT.spec, guide)
-    vdoc = VirtualDocument(document, vguide)
+    vdoc = VirtualDocument.from_spec(document, Q.BOOKS_INVERT.spec)
+    vguide = vdoc.vguide
 
     rng = random.Random(5)
     vnodes = [
@@ -328,9 +326,8 @@ def e5_space() -> list[Table]:
         ("dblp(500)", dblp_document(500, seed=5), Q.DBLP_BY_AUTHOR.spec),
     ]
     for name, document, spec in datasets:
-        guide = build_dataguide(document)
-        vguide = parse_vdataguide(spec, guide)
-        vdoc = VirtualDocument(document, vguide)
+        vdoc = VirtualDocument.from_spec(document, spec)
+        vguide = vdoc.vguide
         nodes = sum(1 for root in document.children for _ in root.iter_subtree())
         pbn_bytes = sum(
             encoded_size(node.pbn)

@@ -59,7 +59,7 @@ from typing import NamedTuple, Optional, Sequence
 from repro.core.virtual_document import VirtualDocument, VNode
 from repro.vdataguide.ast import VType
 from repro.xmlmodel.nodes import Node, NodeKind
-from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
+from repro.xmlmodel.serializer import escape_attribute, escape_text
 
 
 @dataclass
@@ -220,8 +220,6 @@ def _values(plan: _Plan, nodes: list[Node], stats: ValueStats, store) -> list[st
         ]
     if plan.intact:
         stats.spliced_ranges += len(nodes)
-        if store is None:  # a store-less view has no heap to read from
-            return [serialize(node) for node in nodes]
         return store.values_of([node.pbn for node in nodes])
     keys = [node.pbn.components for node in nodes]
     return _constructed(plan, keys, nodes[0].tag, stats, store)  # type: ignore[attr-defined]
@@ -241,8 +239,6 @@ def _row_values(entry, rows, stats: ValueStats, store) -> list[str]:
             for node in _pick(nodes, rows)
         ]
     stats.spliced_ranges += len(rows)
-    if store is None:
-        return [serialize(node) for node in _pick(nodes, rows)]
     return store.row_values(original, rows)
 
 

@@ -1,6 +1,6 @@
 """Navigation over a virtual hierarchy without materializing it.
 
-A :class:`VirtualDocument` couples an original (PBN-numbered) document with a
+A :class:`VirtualDocument` couples a stored (PBN-numbered) document with a
 resolved vDataGuide.  A position in the virtual hierarchy is a
 :class:`VNode` — an (original node, virtual type) pair; the same original
 node can occupy several virtual positions (see the duplication caveat in
@@ -10,12 +10,13 @@ Navigation never walks the virtual tree top-down from scratch: the children
 of a virtual node are found by a binary-search range scan over the type
 index's posting lists, using the ``lcaLength`` prefix that defines the
 virtual parent/child relation.  Only data the caller actually navigates to
-is touched — the paper's core efficiency argument.  A view built over a
-:class:`~repro.storage.store.DocumentStore` is a lens: it borrows the
-store's posting lists and columns by identity and resolves a type's node
-list the first time a query touches the type.  Built from a bare document
-(tests, the property oracles) it fills a private type index with one walk;
-navigation is the same code either way.
+is touched — the paper's core efficiency argument.  Every view is built
+over a :class:`~repro.storage.store.DocumentStore` and is a lens: it
+borrows the store's posting lists and columns by identity, resolves a
+type's node list the first time a query touches the type, and reads
+transformed values from the store's heap.  :meth:`VirtualDocument.from_spec`
+builds a store over a bare document first (tests, the property oracles,
+the paper experiments).
 
 :meth:`VirtualDocument.materialize` instantiates the transformed document
 (the "rewrite the data" strategy) and renumbers it; the library uses it as
@@ -31,13 +32,10 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from repro.core.vpbn import VPbn
-from repro.dataguide.build import build_dataguide
-from repro.dataguide.guide import DataGuide, GuideType
+from repro.dataguide.guide import GuideType
 from repro.pbn.assign import assign_numbers
 from repro.pbn.columnar import Column, subtree_bound
 from repro.pbn.succinct import build_column
-from repro.storage.stats import StorageStats
-from repro.storage.type_index import TypeIndex
 from repro.vdataguide.ast import VGuide, VType
 from repro.xmlmodel.nodes import Attribute, Document, Element, Node, NodeKind, Text
 
@@ -129,35 +127,29 @@ def sibling_rows(entries, components: tuple) -> list:
 
 
 class VirtualDocument:
-    """A document reinterpreted through a vDataGuide.
+    """A stored document reinterpreted through a vDataGuide.
 
-    :param document: the original document; must be PBN-numbered (call
-        :func:`repro.pbn.assign.assign_numbers` first — the constructor
-        numbers it automatically if it is not).
-    :param vguide: a resolved virtual guide with level arrays built (use
+    :param store: the :class:`~repro.storage.store.DocumentStore` holding
+        the original document.  The view borrows its type index and reads
+        transformed values from its heap.
+    :param vguide: a virtual guide resolved against ``store.guide``, with
+        level arrays built (use
         :func:`repro.vdataguide.grammar.parse_vdataguide`).
-    :param store: the store holding ``document`` (``vguide`` must be
-        resolved against ``store.guide``).  The view then borrows the
-        store's type index and reads transformed values from its heap.
+    :param stats: the counter block navigation reports into; the store's
+        when omitted.
     """
 
-    def __init__(self, document: Document, vguide: VGuide, stats=None, store=None) -> None:
-        root = document.root
-        if root is not None and root.pbn is None:
-            assign_numbers(document)
-        if store is not None and store.document is not document:
-            raise ValueError("store and virtual document must share the document")
-        self.document = document
-        self.vguide = vguide
+    def __init__(self, store, vguide: VGuide, stats=None) -> None:
         self.store = store
+        self.document = store.document
+        self.vguide = vguide
         #: True for a store's own identity view (``DocumentStore.view``):
         #: its answers are the stored document's nodes.
         self.is_store_view = False
-        self.stats = stats if stats is not None else StorageStats()
+        self.stats = stats if stats is not None else store.stats
         # Per original type: (document-ordered keys, row-aligned nodes).
-        # Over a store the key list *is* the type index's posting list and
-        # an entry appears when a type is first touched; without a store
-        # one document walk fills every entry.
+        # The key list *is* the type index's posting list; an entry
+        # appears when a type is first touched.
         self._rows: dict[GuideType, tuple[Sequence[tuple[int, ...]], list[Node]]] = {}
         self._reachable: dict[VType, list[Node]] = {}
         self._reachable_id_sets: dict[VType, frozenset] = {}
@@ -179,51 +171,21 @@ class VirtualDocument:
         # view cached by the service is navigated from several engine
         # threads at once; the lock keeps the lazy memos single-build.
         self._memo_lock = threading.RLock()
-        if store is not None:
-            self._type_index = store.type_index
-            # Not the bound method: through a weak proxy it would hold the
-            # store itself strongly.
-            self._type_id = lambda guide_type: store.type_id(guide_type)
-        else:
-            self._index_nodes()
+        self._type_index = store.type_index
+        # Not the bound method: through a weak proxy it would hold the
+        # store itself strongly.
+        self._type_id = lambda guide_type: store.type_id(guide_type)
 
     @classmethod
-    def from_spec(
-        cls, document: Document, spec: str, guide: Optional[DataGuide] = None
-    ) -> "VirtualDocument":
-        """Build directly from a specification string (parses, resolves,
-        and runs Algorithm 1)."""
+    def from_spec(cls, document: Document, spec: str) -> "VirtualDocument":
+        """Build over a fresh :class:`~repro.storage.store.DocumentStore`
+        of ``document`` (numbered in place if it is not): parses ``spec``,
+        resolves it against the store's DataGuide, and runs Algorithm 1."""
+        from repro.storage.store import DocumentStore
         from repro.vdataguide.grammar import parse_vdataguide
 
-        if guide is None:
-            guide = build_dataguide(document)
-        return cls(document, parse_vdataguide(spec, guide))
-
-    def _index_nodes(self) -> None:
-        """Store-less construction: group data nodes by original type, in
-        document order (one pass), into a private type index."""
-        guide = self.vguide.source
-        type_ids = {guide_type: i for i, guide_type in enumerate(guide.iter_types())}
-        index = TypeIndex(self.stats)
-        nodes_by_type: dict[GuideType, list[Node]] = {}
-        for root in self.document.children:
-            stack: list[tuple[Node, tuple[str, ...]]] = [(root, ())]
-            # Manual preorder keeps document order per type without sorting.
-            while stack:
-                node, parent_path = stack.pop()
-                path = parent_path + (node.name,)
-                stack.extend(
-                    (child, path) for child in reversed(node.children)
-                )
-                guide_type = guide.lookup_path(path)
-                if guide_type is None:
-                    continue  # type absent from the guide: not addressable
-                index.append(type_ids[guide_type], node.pbn)
-                nodes_by_type.setdefault(guide_type, []).append(node)
-        for guide_type, nodes in nodes_by_type.items():
-            self._rows[guide_type] = (index.postings(type_ids[guide_type]), nodes)
-        self._type_index = index
-        self._type_id = type_ids.__getitem__
+        store = DocumentStore(document)
+        return cls(store, parse_vdataguide(spec, store.guide))
 
     def rows(self, original: GuideType) -> tuple[Sequence[tuple[int, ...]], list[Node]]:
         """The type's keys in document order and the row-aligned node
@@ -235,10 +197,7 @@ class VirtualDocument:
                 entry = self._rows.get(original)
                 if entry is None:
                     keys = self.postings(original)
-                    # A store-less view reaches here only for a type
-                    # without instances; its walk filled the rest.
-                    nodes = list(map(self.store.node_by_components, keys)) if keys else []
-                    entry = self._rows[original] = (keys, nodes)
+                    entry = self._rows[original] = (keys, self.nodes_of(original, keys))
         return entry
 
     # -- navigation ----------------------------------------------------------
@@ -320,10 +279,7 @@ class VirtualDocument:
     def nodes_of(self, original: GuideType, keys: Sequence[tuple[int, ...]]) -> list[Node]:
         """The type's nodes numbered ``keys`` — what a step that filtered
         on keys resolves, without building the type's whole node list."""
-        if self.store is not None:
-            return list(map(self.store.node_by_components, keys))
-        all_keys, nodes = self.rows(original)
-        return [nodes[bisect_left(all_keys, key)] for key in keys]
+        return list(map(self.store.node_by_components, keys))
 
     def reachable_column(self, vtype: VType) -> Optional[tuple[Column, list[Node]]]:
         """Like :meth:`column` but over the *reachable* instances of one

@@ -15,11 +15,7 @@ nothing); the column adds:
   sits at one original depth, so all keys have equal length — the
   invariant the ``preceding`` kernel's prefix-exclusion relies on);
 * bisect helpers phrased in subtree terms (:meth:`prefix_bounds`,
-  :meth:`row_of`), built on :func:`subtree_bound`;
-* an optional *packed* encoding — one flat ``array('q')`` of
-  ``len * width`` machine words — materialized lazily for space accounting
-  and serialization when every component is an ``int`` (columns holding
-  ORDPATH-minted :class:`~fractions.Fraction` components stay tuple-only).
+  :meth:`row_of`), built on :func:`subtree_bound`.
 
 **Fraction safety.**  Update operations mint rational components, so the
 upper bound of a subtree scan must *not* be computed with ``last + 1``: a
@@ -33,7 +29,6 @@ integer and rational components.
 from __future__ import annotations
 
 import sys
-from array import array
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
@@ -42,11 +37,6 @@ from typing import Optional, Sequence
 TOP = float("inf")
 
 Key = tuple
-
-#: Cache sentinel for columns that cannot be packed (ragged width or
-#: rational components).
-_UNPACKABLE = array("q")
-
 
 def subtree_bound(key: Key) -> Key:
     """The exclusive upper bound of ``key``'s subtree: sorted keys ``k``
@@ -63,7 +53,7 @@ class Column:
         column is alive; owners drop the column instead).
     """
 
-    __slots__ = ("keys", "width", "_packed", "_nbytes")
+    __slots__ = ("keys", "width", "_nbytes")
 
     def __init__(self, keys: Sequence[Key]) -> None:
         self.keys = keys
@@ -73,7 +63,6 @@ class Column:
                 width = -1  # ragged: kernels needing a fixed width bail
                 break
         self.width = width
-        self._packed: Optional[array] = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -165,29 +154,6 @@ class Column:
                 cached += sum(sys.getsizeof(key) for key in keys)
             self._nbytes = cached
         return cached
-
-    # -- packed encoding -----------------------------------------------------
-
-    def packed(self) -> Optional[array]:
-        """The flat ``array('q')`` encoding (``len * width`` words), or
-        ``None`` when the column is ragged or holds rational components.
-        Built once, cached."""
-        if self._packed is None:
-            if self.width <= 0:
-                self._packed = _UNPACKABLE
-            else:
-                try:
-                    self._packed = array(
-                        "q", (component for key in self.keys for component in key)
-                    )
-                except (TypeError, OverflowError):
-                    self._packed = _UNPACKABLE  # Fractions stay tuple-only
-        return None if self._packed is _UNPACKABLE else self._packed
-
-    def packed_nbytes(self) -> int:
-        """Size of the packed encoding in bytes (0 when unavailable)."""
-        packed = self.packed()
-        return packed.itemsize * len(packed) if packed is not None else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({len(self.keys)} keys, width={self.width})"

@@ -375,7 +375,6 @@ class PackedColumn(Column):
         self._cols = cols
         self.keys = _PackedKeys(cols)
         self.width = width
-        self._packed = None
         self._nbytes = sum(col.itemsize * len(col) for col in cols) + 64 * (width + 1)
 
 
@@ -408,7 +407,6 @@ class SuccinctColumn(Column):
         self._packers: dict = {}
         self.keys = _SuccinctKeys(self._ef, spec)
         self.width = width
-        self._packed = None
         self._nbytes = self._ef.nbytes + 16 * width + 64
 
     def _packer(self, length: int):

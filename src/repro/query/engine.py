@@ -28,7 +28,6 @@ from repro.query import ast
 from repro.query.context import Context
 from repro.query.eval import Evaluator
 from repro.query.items import Constructed, items_to_xml, string_value
-from repro.query.parser import parse_query
 from repro.storage.stats import StorageStats
 from repro.storage.store import DocumentStore
 from repro.vdataguide.grammar import parse_vdataguide
@@ -121,12 +120,13 @@ class Engine:
         pooled engine the same one); a fresh block when omitted.
     :param metrics: optional :class:`~repro.service.metrics.ServiceMetrics`
         receiving operational counters and latency histograms.
-    :param plan_cache: optional :class:`~repro.service.cache.PlanCache`;
-        when set, ``execute`` resolves query text through it instead of
-        re-parsing.
-    :param view_cache: optional :class:`~repro.service.cache.ViewCache`;
-        when set, ``virtual`` resolves views through it instead of the
-        engine-local memo, sharing level arrays across an engine pool.
+    :param plan_cache: the :class:`~repro.service.cache.PlanCache`
+        ``execute`` resolves query text through — a service shares one
+        across its engine pool; the engine's own when omitted.
+    :param view_cache: the :class:`~repro.service.cache.ViewCache`
+        ``virtual`` resolves views through — shared like the plan cache,
+        so an engine pool reuses one set of level arrays; the engine's
+        own when omitted.
     :param tracer: optional :class:`~repro.obs.trace.Tracer`; when set,
         ``execute`` opens a sampled trace for queries that are not
         already running under one (the ``QueryService`` opens the trace
@@ -149,13 +149,20 @@ class Engine:
         self.buffer_capacity = buffer_capacity
         self.stats = stats if stats is not None else StorageStats()
         self.metrics = metrics
-        self.plan_cache = plan_cache
-        self.view_cache = view_cache
+        # Local import: repro.service imports this module at package init.
+        from repro.service.cache import PlanCache, ViewCache
+        from repro.service.service import PLAN_CACHE_CAPACITY, VIEW_CACHE_CAPACITY
+
+        self.plan_cache = (
+            plan_cache if plan_cache is not None else PlanCache(PLAN_CACHE_CAPACITY, metrics)
+        )
+        self.view_cache = (
+            view_cache if view_cache is not None else ViewCache(VIEW_CACHE_CAPACITY, metrics)
+        )
         self.tracer = tracer
         self._stores: dict[str, DocumentStore] = {}
         #: ``Document.lineage`` -> the one version of it this engine holds.
         self._store_by_lineage: dict[object, DocumentStore] = {}
-        self._virtuals: dict[tuple[str, str], VirtualDocument] = {}
         # strategy=sql accel tables, one per view (a store's identity
         # view included), built lazily and cached like the level arrays.
         # Keyed by object id; each entry keeps a reference to its view so
@@ -237,10 +244,7 @@ class Engine:
                 stale[1].close()
         self._stores[uri] = store
         self._store_by_lineage[lineage] = store
-        # Invalidate cached virtual views of a replaced uri.
-        for key in [k for k in self._virtuals if k[0] == uri]:
-            del self._virtuals[key]
-        if invalidate_views and self.view_cache is not None:
+        if invalidate_views:
             self.view_cache.invalidate_uri(uri)
 
     def document(self, uri: str) -> Document:
@@ -257,31 +261,22 @@ class Engine:
         """The virtual document for ``virtualDoc(uri, spec)``.
 
         Resolved vDataGuides (with their Algorithm 1 level arrays) are
-        cached per ``(uri, spec)`` — the arrays are a per-type map, built
-        once, reused by every query (paper Section 5.2).  With a shared
-        :attr:`view_cache` attached (the ``QueryService`` configuration),
-        resolution goes through it so the whole engine pool reuses one
-        build.
+        cached per ``(uri, spec)`` in :attr:`view_cache` — the arrays are
+        a per-type map, built once, reused by every query (paper Section
+        5.2), by every engine of a pool that shares the cache.
         """
-        if self.view_cache is not None:
-            return self.view_cache.get_or_build_view(self, uri, spec)
-        key = (uri, spec)
-        vdoc = self._virtuals.get(key)
-        if vdoc is None:
-            vdoc = self.build_virtual(uri, spec)
-            self._virtuals[key] = vdoc
-        return vdoc
+        return self.view_cache.get_or_build_view(self, uri, spec)
 
     def build_virtual(self, uri: str, spec: str) -> VirtualDocument:
         """Resolve ``spec`` against the stored document under ``uri`` and
-        run Algorithm 1 — the uncached work a view-cache hit skips."""
+        run Algorithm 1 — the work a view-cache hit skips."""
         store = self.store(uri)
         with span("view.resolve", f"{uri} {spec}") as resolve_span:
             with span("algorithm1"):
                 # vDataGuide resolution including the O(cN) level-array
                 # construction the paper's Algorithm 1 describes.
                 vguide = parse_vdataguide(spec, store.guide)
-            vdoc = VirtualDocument(store.document, vguide, stats=self.stats, store=store)
+            vdoc = VirtualDocument(store, vguide, stats=self.stats)
             if resolve_span is not None:
                 resolve_span.set("vtypes", len(vguide))
                 resolve_span.set("chain_exact", str(vguide.chain_exact()))
@@ -347,8 +342,9 @@ class Engine:
     ) -> Result:
         """Parse (or accept pre-parsed) and evaluate ``query``.
 
-        :param query: query text, or an already-parsed expression tree
-            (as cached by a :class:`~repro.service.cache.PlanCache`).
+        :param query: query text (resolved through :attr:`plan_cache`),
+            or an already-parsed expression tree (a sharded scatter's
+            per-shard specialization).
         :param mode: override the engine's navigation mode
             (``"indexed"``, ``"tree"``, or ``"sql"``).
         :param variables: external ``$var`` bindings (values are wrapped
@@ -391,20 +387,13 @@ class Engine:
                 strategy = "sql"
             else:
                 strategy = "virtual" if "virtualDoc" in query else effective
-            root_span = current_span()
-            if root_span is None:
-                expr = self._resolve_plan(query)
+            if current_span() is None:
+                expr = self.plan_cache.get_or_parse(query).expr
             else:
                 with span("parse") as parse_span:
-                    cached = (
-                        self.plan_cache is not None and query in self.plan_cache
-                    )
-                    expr = self._resolve_plan(query)
-                    parse_span.set(
-                        "plan_cache",
-                        "hit" if cached else
-                        ("miss" if self.plan_cache is not None else "uncached"),
-                    )
+                    cached = query in self.plan_cache
+                    expr = self.plan_cache.get_or_parse(query).expr
+                    parse_span.set("plan_cache", "hit" if cached else "miss")
         else:
             expr = query
         meter = budget.meter() if budget is not None else None
@@ -470,13 +459,6 @@ class Engine:
             )
         return Result(items, elapsed, sources)
 
-    def _resolve_plan(self, query: str):
-        if self.plan_cache is not None:
-            return self.plan_cache.get_or_parse(query)
-        if self.metrics is not None:
-            self.metrics.incr("engine.parses")
-        return parse_query(query)
-
     def explain_analyze(
         self,
         query: Union[str, ast.Expr],
@@ -516,7 +498,7 @@ class Engine:
         DataGuide statistics)."""
         from repro.query.plan import annotate_paths, explain_expr
 
-        expr = parse_query(query)
+        expr = self.plan_cache.get_or_parse(query).expr
         text = explain_expr(expr)
         annotations = annotate_paths(expr, self)
         if annotations:

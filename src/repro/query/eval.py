@@ -651,41 +651,55 @@ class Evaluator:
         if not paths:
             return None
         slices: list[dict] = [{} for _ in bindings]
+        # Per variable: the nodes it is bound to and their context set
+        # (lifted once, however many of its paths are grouped), or None.
+        contexts: dict = {}
         for expr, var in paths:
-            items = []
-            for current in bindings:
-                value = current.variables.get(var)
-                if value is None or len(value) != 1 or not is_node(value[0]):
-                    break  # the loop raises or atomizes: leave it the path
-                items.append(value[0])
-            else:
-                for slot, value in zip(slices, self._grouped_values(expr, items, bindings)):
+            if var not in contexts:
+                contexts[var] = self._bound_context(var, bindings)
+            bound = contexts[var]
+            if bound is not None:
+                for slot, value in zip(slices, self._grouped_values(expr, *bound, bindings)):
                     slot[id(expr)] = value
         return slices
 
-    def _grouped_values(self, expr: ast.Expr, items: list, bindings: list[Context]) -> list:
+    def _bound_context(self, var: str, bindings: list[Context]):
+        """``(items, owner)`` — the node ``var`` is bound to in each
+        binding, and :meth:`_context_set` of them (``"mode"`` under sql)
+        — or ``None`` where some binding does not bind it to one node
+        (the loop raises or atomizes: leave it the path)."""
+        items = []
+        for current in bindings:
+            value = current.variables.get(var)
+            if value is None or len(value) != 1 or not is_node(value[0]):
+                return None
+            items.append(value[0])
+        return items, "mode" if self.mode == "sql" else self._context_set(items)
+
+    def _grouped_values(
+        self, expr: ast.Expr, items: list, owner, bindings: list[Context]
+    ) -> list:
         """The value of a groupable path (or of ``count()`` / ``sum()`` of
         one) for each binding, ``items`` being the nodes its variable is
-        bound to: each step runs once over all bindings' contexts, the
-        navigators keeping every binding's rows apart
-        (``step_groups`` / ``aggregate_groups``).  Declines exactly where
-        the batch kernels do — sql, a stored strategy other than
-        ``indexed``, bindings of several documents or kinds — and then
-        every binding runs the path the way the loop would, its step rows
-        tagged with the reason."""
+        bound to and ``owner`` their context set: each step runs once over
+        all bindings' contexts, the navigators keeping every binding's
+        rows apart (``step_groups`` / ``aggregate_groups``).  Declines
+        exactly where the batch kernels do — sql, a stored strategy other
+        than ``indexed``, bindings of several documents or kinds — and
+        then every binding runs the path the way the loop would, its step
+        rows tagged with the reason."""
         if isinstance(expr, ast.FuncCall):
             path, aggregate = expr.args[0], expr.name
         else:
             path, aggregate = expr, None
         steps = _fuse_descendant_steps(path.steps)
-        owner = "mode" if self.mode == "sql" else self._context_set(items)
         if isinstance(owner, str):
             return [
                 self._run_path([item], steps, current, aggregate, owner)
                 for item, current in zip(items, bindings)
             ]
-        view, items = owner
-        segments: list = [[item] for item in items]
+        view, lifted = owner
+        segments: list = [[item] for item in lifted]
         for index, step in enumerate(steps):
             name = aggregate if index == len(steps) - 1 else None
             # The step seam of _apply_step for all bindings at once: one

@@ -329,7 +329,7 @@ class ServingApp:
         route = service.route(text)
         if route.shard is None:
             return None, route, "scatter"
-        if route.analysis.ranges:
+        if route.plan.analysis.ranges:
             return None, route, "budget"
         target = service.read_service(route.shard, wait=False)
         return target, route, None if target is not None else "catchup"

@@ -6,10 +6,12 @@ and running Algorithm 1 (the ``O(cN)`` level-array construction).  Both
 outputs are immutable once built, so they are shared freely across the
 engine pool:
 
-* :class:`PlanCache` maps query text to its parsed expression tree.  A
-  plan is document-independent (documents are bound at evaluation time
-  through the engine's store registry), so one entry serves every
-  document — the cache-correctness tests pin this down.
+* :class:`PlanCache` maps query text to its :class:`Plan`: the parsed
+  expression tree, plus the sharded service's source analysis and
+  per-shard specializations once it has made them.  A plan is
+  document-independent (documents are bound at evaluation time through
+  the engine's store registry), so one entry serves every document — the
+  cache-correctness tests pin this down.
 * :class:`ViewCache` maps ``(uri, spec)`` to the resolved
   :class:`~repro.core.virtual_document.VirtualDocument`.  The key carries
   the *loaded document's* identity, not just the uri text: reloading a
@@ -153,8 +155,25 @@ class LRUCache:
             return key in self._entries
 
 
+class Plan:
+    """One query text's preprocessing: its parsed expression tree
+    (:attr:`expr`), and two slots :class:`~repro.shard.ShardedService`
+    fills on first use — the plan's source analysis
+    (:func:`~repro.shard.plan.referenced_sources`) and, once it has
+    scattered, the ``(placement, specializations)`` pair: the ``uri ->
+    shard`` placement and the per-shard plans built for it.  Racing
+    threads derive equal values, so a slot is filled without a lock."""
+
+    __slots__ = ("expr", "analysis", "placed")
+
+    def __init__(self, expr) -> None:
+        self.expr = expr
+        self.analysis = None
+        self.placed = None
+
+
 class PlanCache(LRUCache):
-    """Query text -> parsed expression tree.
+    """Query text -> :class:`Plan`.
 
     Parsed expressions are immutable (evaluation never rewrites the
     tree), so a cached plan is safe to evaluate from any engine against
@@ -166,13 +185,13 @@ class PlanCache(LRUCache):
     ) -> None:
         super().__init__(capacity, metrics, name="plan")
 
-    def get_or_parse(self, text: str):
+    def get_or_parse(self, text: str) -> Plan:
         from repro.query.parser import parse_query
 
         def build():
             if self.metrics is not None:
                 self.metrics.incr("engine.parses")
-            return parse_query(text)
+            return Plan(parse_query(text))
 
         return self.get_or_build(text, build)
 

@@ -12,10 +12,10 @@ Metric names are dotted strings; the conventional namespace is:
 =============================  ==============================================
 ``engine.queries``             queries executed (one per ``Engine.execute``)
 ``engine.query_seconds``       histogram — end-to-end query latency
-``engine.parses``              query texts actually parsed (plan-cache misses
-                               plus uncached engines)
+``engine.parses``              query texts actually parsed (plan-cache misses;
+                               every engine plans through a plan cache)
 ``engine.views_built``         virtual views actually resolved (Algorithm 1
-                               runs; view-cache misses plus uncached engines)
+                               runs; view-cache misses)
 ``service.queries``            queries admitted through a ``QueryService``
 ``service.batches``            batch calls
 ``service.checkout_seconds``   histogram — time waiting for a pooled engine

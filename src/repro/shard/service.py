@@ -8,7 +8,8 @@ uris are disjoint, so cache entries never collide — and a query flows:
 
 1. **Parse once** through the shared plan cache, then analyse the plan's
    ``doc``/``virtualDoc`` sources (:mod:`repro.shard.plan`) — once per
-   query text: the analysis is kept with the text's specializations.
+   query text: the analysis, and the text's specializations, are kept in
+   its cached :class:`~repro.service.cache.Plan`.
 2. **Route.** A plan whose sources live on one shard executes there
    directly — the result object is exactly what the unsharded service
    would return.  This is the common case for per-document traffic.
@@ -37,16 +38,14 @@ the merged answer once.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from repro.obs.trace import Tracer, fork
 from repro.query.engine import Result, _preview
 from repro.query.items import is_node
-from repro.service.cache import PlanCache, ViewCache
+from repro.service.cache import Plan, PlanCache, ViewCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.service import (
     PLAN_CACHE_CAPACITY,
@@ -120,26 +119,14 @@ class ShardResult(Result):
 
 
 class Route(NamedTuple):
-    """Where one query runs (:meth:`ShardedService.route`): its parsed
-    plan, the plan's source analysis, the placement of the documents it
-    names, and the one shard it routes to — ``None`` when it scatters."""
+    """Where one query runs (:meth:`ShardedService.route`): its cached
+    :class:`~repro.service.cache.Plan` (source analysis filled), the
+    placement of the documents it names, and the one shard it routes
+    to — ``None`` when it scatters."""
 
-    expr: object
-    analysis: object
+    plan: Plan
     involved: dict
     shard: Optional[int]
-
-
-class _Planned:
-    """One query text's plan work: its source analysis and, once it has
-    scattered, its specialization per shard with the ``uri -> shard``
-    placement they were built for."""
-
-    __slots__ = ("analysis", "plans")
-
-    def __init__(self, analysis) -> None:
-        self.analysis = analysis
-        self.plans: Optional[tuple[dict[str, int], dict[int, object]]] = None
 
 
 class ShardedService:
@@ -193,15 +180,6 @@ class ShardedService:
             max_workers=max(shards, 1),
             thread_name_prefix="shard-scatter",
         )
-        # query text -> its _Planned entry.  Source analysis and
-        # specialization are pure AST work but cost O(plan size) per
-        # request (per shard, for a scatter); repeated texts (the common
-        # case behind the service layer) reuse them.  The analysis depends
-        # on the text alone; the specializations also on the placement of
-        # its documents, which changes when a uri named before it was
-        # loaded is then loaded onto another shard than its hash's.
-        self._planned: OrderedDict[str, _Planned] = OrderedDict()
-        self._planned_lock = threading.Lock()
 
     # -- topology ----------------------------------------------------------------
 
@@ -305,11 +283,15 @@ class ShardedService:
         live on, or ``None`` when the plan scatters.  Raises the routing
         errors :meth:`execute` would (a computed uri across shards, an
         unscatterable plan)."""
-        expr = self.plan_cache.get_or_parse(query)
-        analysis = self._plan_work(query, expr).analysis
+        plan = self.plan_cache.get_or_parse(query)
+        # Source analysis is pure AST work, O(plan size): kept in the plan,
+        # so a repeated text (the common case behind the service) skips it.
+        analysis = plan.analysis
+        if analysis is None:
+            analysis = plan.analysis = referenced_sources(plan.expr)
         if self.catalog.shards == 1:
             self.metrics.incr("shard.routed_single")
-            return Route(expr, analysis, {}, 0)
+            return Route(plan, {}, 0)
         if analysis.dynamic:
             raise ShardError(
                 "cannot route a doc()/virtualDoc() call with a computed uri "
@@ -319,22 +301,9 @@ class ShardedService:
         shard_set = sorted(set(involved.values()))
         if len(shard_set) <= 1:
             self.metrics.incr("shard.routed_single")
-            return Route(expr, analysis, involved, shard_set[0] if shard_set else 0)
+            return Route(plan, involved, shard_set[0] if shard_set else 0)
         check_scatterable(analysis, involved)
-        return Route(expr, analysis, involved, None)
-
-    def _plan_work(self, query: str, expr) -> "_Planned":
-        """``query``'s entry in the per-text LRU (``expr`` is its parsed
-        plan), analysed on first use."""
-        with self._planned_lock:
-            entry = self._planned.get(query)
-            if entry is None:
-                entry = self._planned[query] = _Planned(referenced_sources(expr))
-                if len(self._planned) > 128:
-                    self._planned.popitem(last=False)
-            else:
-                self._planned.move_to_end(query)
-        return entry
+        return Route(plan, involved, None)
 
     def execute(
         self,
@@ -377,21 +346,23 @@ class ShardedService:
     def _scatter(self, route: Route, query, mode, variables, budget=None):
         started = time.perf_counter()
         self.metrics.incr("shard.scatter_queries")
-        combine = combiner_of(route.expr)
+        combine = combiner_of(route.plan.expr)
         handle = self.tracer.start(
             "scatter", detail=_preview(query), stats=self.stats
         )
         with handle as root:
-            entry = self._plan_work(query, route.expr)
-            placed = entry.plans
+            # The specializations depend on the placement too: it changes
+            # when a uri the text names is loaded, after the text first
+            # ran, onto another shard than its hash's.
+            placed = route.plan.placed
             if placed is None or placed[0] != route.involved:
-                placed = entry.plans = (route.involved, {
-                    shard: specialize(route.expr, uris)
+                placed = route.plan.placed = (route.involved, {
+                    shard: specialize(route.plan.expr, uris)
                     for shard, uris in _by_shard(route.involved).items()
                 })
             plans = placed[1]
             outcome = self._gather(
-                plans, route.analysis, mode, variables, combine, query, budget
+                plans, route.plan.analysis, mode, variables, combine, query, budget
             )
             elapsed = time.perf_counter() - started
             outcome.elapsed_seconds = elapsed
@@ -493,7 +464,7 @@ class ShardedService:
         total_ms = 0.0
         for shard, uris in sorted(shard_uris.items()):
             result, trace = self.services[shard].explain_plan(
-                specialize(route.expr, uris),
+                specialize(route.plan.expr, uris),
                 mode=mode,
                 detail=f"shard={shard} {_preview(query)}",
             )

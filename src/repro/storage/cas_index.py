@@ -231,15 +231,6 @@ class CasIndex:
         successor._columns = columns
         return successor
 
-    def built_type_ids(self) -> list[int]:
-        """Type ids with materialized columns (for tests and reporting)."""
-        with self._lock:
-            return [
-                type_id
-                for type_id, built in self._columns.items()
-                if built is not None
-            ]
-
 
 # ---------------------------------------------------------------------------
 # virtual documents
@@ -252,8 +243,8 @@ def virtual_cas_columns(vdoc, vtype) -> Optional[CasColumns]:
     child's text must not leak into its parent's value).
 
     An *intact* vtype (:func:`repro.core.values.is_intact` — text and
-    attribute leaves included) of a view over a store has the stored
-    values on the store's own posting list, so it borrows the store's
+    attribute leaves included) has the stored values on its store's own
+    posting list, so it borrows the store's
     :class:`CasColumns` object: nothing is rebuilt when an update evicts
     the view, and the columns ride :meth:`CasIndex.derived` across
     versions like any stored type's.  Every other vtype gets columns of
@@ -270,7 +261,7 @@ def virtual_cas_columns(vdoc, vtype) -> Optional[CasColumns]:
         from repro.core.values import is_intact
 
         store = vdoc.store
-        if store is not None and is_intact(vdoc, vtype):
+        if is_intact(vdoc, vtype):
             built = store.cas_index.columns(store.type_id(vtype.original))
         else:
             column = vdoc.column(vtype.original)

@@ -320,10 +320,7 @@ class DocumentStore:
             with self._view_lock:
                 if self._view is None:
                     view = VirtualDocument(
-                        self.document,
-                        identity_vguide(self.guide),
-                        stats=self.stats,
-                        store=weakref.proxy(self),
+                        weakref.proxy(self), identity_vguide(self.guide), stats=self.stats
                     )
                     view.is_store_view = True
                     self._view = view

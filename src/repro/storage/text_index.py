@@ -115,10 +115,5 @@ class TextIndex:
         position = bisect_left(postings, key)
         return position < len(postings) and postings[position][: len(key)] == key
 
-    def raw_postings(self, term: str) -> list[tuple[int, ...]]:
-        """Raw component tuples (no Pbn allocation)."""
-        self.stats.index_range_scans += 1
-        return self._postings.get(term.lower(), [])
-
     def __len__(self) -> int:
         return len(self._postings)

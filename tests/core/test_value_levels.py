@@ -39,7 +39,7 @@ from repro.xmlmodel.serializer import serialize
 
 
 def _view(store: DocumentStore, spec: str) -> VirtualDocument:
-    return VirtualDocument(store.document, parse_vdataguide(spec, store.guide), store=store)
+    return VirtualDocument(store, parse_vdataguide(spec, store.guide))
 
 
 def _store(source) -> DocumentStore:

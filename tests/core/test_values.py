@@ -46,9 +46,7 @@ def _view(source, spec) -> VirtualDocument:
 
 
 def _view_over(store: DocumentStore, spec) -> VirtualDocument:
-    return VirtualDocument(
-        store.document, parse_vdataguide(spec, store.guide), store=store
-    )
+    return VirtualDocument(store, parse_vdataguide(spec, store.guide))
 
 
 def _value(vnode, stats=None) -> str:
@@ -190,13 +188,6 @@ def test_unattached_node_is_rejected():
         write(VNode(root.vtype, root.node), [])
 
 
-def test_store_must_hold_the_views_document():
-    store = DocumentStore(books_document(2, seed=4))
-    other = books_document(2, seed=5)
-    with pytest.raises(ValueError):
-        VirtualDocument(other, parse_vdataguide("title", store.guide), store=store)
-
-
 # -- ValueStats: what splicing buys -------------------------------------------
 
 
@@ -247,7 +238,7 @@ def test_generated_document_and_spec(seed):
     document = random_document(seed, max_depth=4, max_children=3)
     spec = random_spec(build_dataguide(document), seed + 1000)
     assert_writer_matches_oracle(_view(document, spec))
-    # A store-less view has no heap: intact subtrees serialize in place.
+    # from_spec builds a second store over the (now numbered) document.
     assert_writer_matches_oracle(VirtualDocument.from_spec(document, spec))
 
 

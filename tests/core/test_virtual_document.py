@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.virtual_document import VirtualDocument, VNode
-from repro.dataguide.build import build_dataguide
 from repro.pbn.number import Pbn
 from repro.workloads.books import paper_figure2
 from repro.xmlmodel.parser import parse_document
@@ -107,8 +106,7 @@ def test_iter_preorder_matches_materialized(figure2):
 
 
 def test_vnodes_for(figure2):
-    guide = build_dataguide(figure2)
-    vdoc = VirtualDocument.from_spec(figure2, "title { author } name { author }", guide)
+    vdoc = VirtualDocument.from_spec(figure2, "title { author } name { author }")
     author = figure2.root.children[0].children[1]
     assert author.name == "author"
     assert len(vdoc.vnodes_for(author)) == 2
@@ -161,56 +159,6 @@ def test_forest_specs_group_by_root_type(figure2):
 # -- a view built over a store is a lens, not a second index ------------------
 
 
-def _positions(vnodes) -> list:
-    return [(vnode.vtype.dotted(), vnode.node.pbn.components) for vnode in vnodes]
-
-
-def _assert_same_navigation(borrowed: VirtualDocument, walked: VirtualDocument):
-    """The two views resolved their own vguides, so positions compare by
-    virtual type path and number."""
-    assert _positions(borrowed.roots()) == _positions(walked.roots())
-    assert [(_positions([v]), depth) for v, depth in borrowed.iter_preorder()] == [
-        (_positions([v]), depth) for v, depth in walked.iter_preorder()
-    ]
-    for mine, theirs in zip(borrowed.vguide.iter_vtypes(), walked.vguide.iter_vtypes()):
-        assert mine.dotted() == theirs.dotted()
-        reachable = borrowed.reachable_instances(mine)
-        assert _positions(reachable) == _positions(walked.reachable_instances(theirs))
-        for a, b in zip(reachable, walked.reachable_instances(theirs)):
-            assert _positions(borrowed.children(a)) == _positions(walked.children(b))
-            assert _positions(borrowed.parents(a)) == _positions(walked.parents(b))
-
-
-def _borrowed_and_walked(document, spec):
-    from repro.query.engine import Engine
-
-    engine = Engine()
-    engine.load("d.xml", document)
-    return engine.build_virtual("d.xml", spec), VirtualDocument.from_spec(document, spec)
-
-
-def test_engine_built_view_agrees_with_store_less_view_on_benchmark_specs():
-    from repro.workloads.queries import ALL_WORKLOADS
-    from tests.core.test_values import _workload_document
-
-    for workload in ALL_WORKLOADS:
-        borrowed, walked = _borrowed_and_walked(
-            _workload_document(workload.name), workload.spec
-        )
-        assert borrowed.store is not None and walked.store is None
-        _assert_same_navigation(borrowed, walked)
-
-
-@pytest.mark.parametrize("seed", range(25))
-def test_engine_built_view_agrees_with_store_less_view_on_generated_pairs(seed):
-    from repro.workloads.treegen import random_document, random_spec
-
-    document = random_document(seed, max_depth=4, max_children=3)
-    spec = random_spec(build_dataguide(document), seed + 1000)
-    borrowed, walked = _borrowed_and_walked(document, spec)
-    _assert_same_navigation(borrowed, walked)
-
-
 def test_view_borrows_postings_and_columns_by_identity():
     from repro.query.engine import Engine
     from repro.updates.mutations import apply_op
@@ -252,7 +200,7 @@ def test_build_virtual_allocates_nothing_for_untouched_types():
     store = engine.load("book.xml", books_document(500, seed=5))
     vdoc = engine.build_virtual("book.xml", "title { author { name } }")
     assert len(vdoc._rows) == 0  # building the view touched no type
-    engine._virtuals[("book.xml", "title { author { name } }")] = vdoc
+    engine.view_cache.put(("book.xml", "title { author { name } }"), vdoc)
     result = engine.execute('virtualDoc("book.xml", "title { author { name } }")/title')
     assert len(result) == 500
     assert [guide_type.name for guide_type in vdoc._rows] == ["title"]

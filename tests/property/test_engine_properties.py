@@ -114,7 +114,7 @@ def test_virtual_values_match_materialized_serialization(seed):
     guide = build_dataguide(document)
     spec = random_spec(guide, seed, max_roots=1, max_children=2, max_depth=3)
     store = DocumentStore(document)
-    vdoc = VirtualDocument(document, parse_vdataguide(spec, store.guide), store=store)
+    vdoc = VirtualDocument(store, parse_vdataguide(spec, store.guide))
     rng = random.Random(seed)
     vnodes = vdoc.roots()
     for root in vnodes:

@@ -31,7 +31,6 @@ from repro.query.engine import Engine
 from repro.query.eval import Evaluator
 from repro.query.eval_tree import TreeNavigator
 from repro.query.eval_virtual import VirtualNavigator
-from repro.vdataguide.grammar import parse_vdataguide
 from repro.workloads.treegen import random_document, random_spec
 
 _AXES = [
@@ -63,8 +62,8 @@ def test_virtual_steps_match_materialized_steps(seed):
     document = random_document(seed, max_depth=4, max_children=3)
     guide = build_dataguide(document)
     spec = random_spec(guide, seed, max_roots=2, max_children=2, max_depth=3)
-    vguide = parse_vdataguide(spec, guide)
-    vdoc = VirtualDocument(document, vguide)
+    vdoc = VirtualDocument.from_spec(document, spec)
+    vguide = vdoc.vguide
     materialized, provenance = vdoc.materialize_with_provenance()
 
     # entity -> built copies.

@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import vpbn as V
 from repro.core.virtual_document import VirtualDocument
 from repro.dataguide.build import build_dataguide
-from repro.vdataguide.grammar import parse_vdataguide
 from repro.workloads.treegen import random_document, random_spec
 
 _HIERARCHICAL = [
@@ -86,8 +85,8 @@ def _build_case(seed: int):
     document = random_document(seed, max_depth=4, max_children=3)
     guide = build_dataguide(document)
     spec = random_spec(guide, seed, max_roots=2, max_children=2, max_depth=3)
-    vguide = parse_vdataguide(spec, guide)
-    vdoc = VirtualDocument(document, vguide)
+    vdoc = VirtualDocument.from_spec(document, spec)
+    vguide = vdoc.vguide
     _, provenance = vdoc.materialize_with_provenance()
     copies: dict = {}
     for built, vnode in provenance.items():

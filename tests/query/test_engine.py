@@ -38,6 +38,26 @@ def test_reload_invalidates_virtual_cache():
     assert result.values() == ["B"]
 
 
+def test_a_bare_engine_parses_a_repeated_text_once(monkeypatch):
+    """An engine built without a plan cache makes its own: a text it
+    executes again is looked up, not parsed again."""
+    import repro.query.parser as parser
+
+    parsed = []
+    parse_all = parser._parse_all
+
+    def counting(state):
+        parsed.append(state)
+        return parse_all(state)
+
+    monkeypatch.setattr(parser, "_parse_all", counting)
+    engine = Engine()
+    engine.load("book.xml", books_document(5, seed=1))
+    for _ in range(5):
+        assert engine.execute('count(doc("book.xml")//book)').values() == ["5"]
+    assert len(parsed) == 1
+
+
 def test_modes_agree(books_engine):
     queries = [
         'doc("book.xml")//book/title/text()',

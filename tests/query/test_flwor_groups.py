@@ -287,6 +287,31 @@ def test_kernel_calls_do_not_grow_with_the_bindings(books, monkeypatch):
     assert calls.names == ["aggregate_groups"]  # the loop: one aggregate_many per book
 
 
+def test_a_variables_bound_nodes_are_lifted_once_per_query(monkeypatch):
+    """Every grouped path of one variable reads one lifted context set:
+    the stored twin of ``books-invert.author-count`` lifts its 500 bound
+    books into the store's identity view once, not once per path."""
+    import repro.query.eval as eval_module
+
+    engine = Engine()
+    engine.load("book.xml", books_document(500, seed=7))
+    query = (
+        'for $b in doc("book.xml")//book '
+        "return <entry>{ $b/title/text() }<n>{ count($b/author) }</n></entry>"
+    )
+    expected = engine.execute(query).to_xml()
+    sizes = []
+    lift = eval_module._lift
+
+    def counting(view, items):
+        sizes.append(len(items))
+        return lift(view, items)
+
+    monkeypatch.setattr(eval_module, "_lift", counting)
+    assert engine.execute(query).to_xml() == expected
+    assert sizes.count(500) == 1, sizes
+
+
 @pytest.mark.parametrize(
     "query",
     [

@@ -40,7 +40,6 @@ import pytest
 from repro.core.virtual_document import VirtualDocument
 from repro.dataguide.build import build_dataguide
 from repro.service import QueryService
-from repro.vdataguide.grammar import parse_vdataguide
 from repro.workloads.querygen import random_queries
 from repro.workloads.treegen import random_document, random_spec
 
@@ -67,8 +66,8 @@ class Case:
         self.spec = random_spec(
             guide, seed, max_roots=2, max_children=2, max_depth=3
         )
-        vguide = parse_vdataguide(self.spec, guide)
-        vdoc = VirtualDocument(self.document, vguide)
+        vdoc = VirtualDocument.from_spec(self.document, self.spec)
+        vguide = vdoc.vguide
         self.materialized, provenance = vdoc.materialize_with_provenance()
         copies: dict[tuple[int, int], int] = {}
         for vnode in provenance.values():

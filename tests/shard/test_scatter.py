@@ -90,20 +90,21 @@ def test_a_query_text_is_analysed_once(monkeypatch):
 
 
 def test_the_per_text_cache_holds_under_concurrent_evictions():
-    """More texts than the per-text LRU holds, routed and scattered from
+    """More texts than the plan cache holds, routed and scattered from
     more threads than cores with a short switch interval: every answer
-    stays right and the LRU stays bounded."""
+    stays right and the cache stays bounded."""
     import sys
     import threading
 
     service = ShardedService(shards=4, pool_size=2)
     uris = _load(service)
     # Padding makes distinct texts (cache keys) of one plan.
+    count = service.plan_cache.capacity + 64
     texts = [
         (f'count(doc("{uris[i % DOCS]}")//p){" " * i}', ["1"])
         if i % 2
         else (f"count({_union(uris)}){' ' * i}", [str(DOCS)])
-        for i in range(160)
+        for i in range(count)
     ]
     failures: list = []
 
@@ -118,7 +119,7 @@ def test_the_per_text_cache_holds_under_concurrent_evictions():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=run, args=(40 * n,)) for n in range(4)]
+        threads = [threading.Thread(target=run, args=(count // 4 * n,)) for n in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -128,7 +129,8 @@ def test_the_per_text_cache_holds_under_concurrent_evictions():
         sys.setswitchinterval(interval)
         service.close()
     assert failures == []
-    assert len(service._planned) <= 128
+    assert len(service.plan_cache) <= service.plan_cache.capacity
+    assert service.metrics.counter("cache.plan.evictions") > 0
 
 
 def test_a_text_respecializes_when_a_document_lands_off_its_hash_shard():

@@ -83,8 +83,7 @@ def test_identity_via_starstar_matches_document(guide):
     from repro.xmlmodel.serializer import serialize
 
     document = paper_figure2()
-    vguide = parse_vdataguide("data { ** }", build_dataguide(document))
-    vdoc = VirtualDocument(document, vguide)
+    vdoc = VirtualDocument.from_spec(document, "data { ** }")
     assert serialize(vdoc.materialize()) == serialize(document)
 
 
