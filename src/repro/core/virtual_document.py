@@ -406,16 +406,6 @@ class VirtualDocument:
                 return position
         raise ValueError(f"{vnode!r} is not reachable in this virtual document")
 
-    def vnodes_for(self, node: Node) -> list[VNode]:
-        """Every virtual position the original ``node`` occupies a type at
-        (instance-level membership under each position is not checked here;
-        it depends on the ancestor the node is reached through)."""
-        guide_type = self.vguide.source.type_of(node)
-        return [
-            VNode(vtype, node, self)
-            for vtype in self.vguide.vtypes_of(guide_type)
-        ]
-
     def iter_preorder(self) -> Iterator[tuple[VNode, int]]:
         """Yield ``(vnode, depth)`` in virtual document order.  Copies are
         expanded the way the materialized document would contain them."""

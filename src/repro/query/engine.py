@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.core.virtual_document import VirtualDocument
 from repro.errors import LineageError, QueryBudgetExceeded, QueryEvaluationError
@@ -40,6 +40,38 @@ logger = logging.getLogger("repro.engine")
 def _preview(text: str, limit: int = 120) -> str:
     """Query text bounded for span details and log lines."""
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+class StoreMap(NamedTuple):
+    """The document versions a query sees: ``uri -> store`` and
+    ``Document.lineage -> store``.  Never mutated, so publishing a
+    version is one reference swap."""
+
+    stores: dict
+    by_lineage: dict
+
+    def attached(self, uri: str, store: DocumentStore, view_cache) -> "StoreMap":
+        """This map with ``store`` under ``uri``.  A lineage held under
+        another uri raises :class:`~repro.errors.LineageError` (versions
+        share nodes: a union over both would dedupe them).  Another
+        lineage under a held uri is a reload and drops the uri's views
+        from ``view_cache``; the next version of a held document leaves
+        them to ``ViewCache.revalidate`` and the cache's document check."""
+        lineage = store.document.lineage
+        previous = self.stores.get(uri)
+        held = self.by_lineage.get(lineage)
+        if held is not None and held is not previous:
+            raise LineageError(uri, next(u for u, s in self.stores.items() if s is held))
+        by_lineage = dict(self.by_lineage)
+        if previous is not None and previous.document.lineage is not lineage:
+            del by_lineage[previous.document.lineage]
+            view_cache.invalidate_uri(uri)
+        by_lineage[lineage] = store
+        return StoreMap({**self.stores, uri: store}, by_lineage)
+
+
+#: The map of an engine that holds no document.
+NO_STORES = StoreMap({}, {})
 
 
 class Result:
@@ -160,9 +192,8 @@ class Engine:
             view_cache if view_cache is not None else ViewCache(VIEW_CACHE_CAPACITY, metrics)
         )
         self.tracer = tracer
-        self._stores: dict[str, DocumentStore] = {}
-        #: ``Document.lineage`` -> the one version of it this engine holds.
-        self._store_by_lineage: dict[object, DocumentStore] = {}
+        #: The document versions this engine's queries see.
+        self.store_map = NO_STORES
         # strategy=sql accel tables, one per view (a store's identity
         # view included), built lazily and cached like the level arrays.
         # Keyed by object id; each entry keeps a reference to its view so
@@ -202,57 +233,32 @@ class Engine:
         self.attach(uri, store)
         return store
 
-    def attach(self, uri: str, store: DocumentStore, invalidate_views: bool = True) -> None:
-        """Register a pre-built store under ``uri`` without rebuilding it.
+    def attach(self, uri: str, store: DocumentStore) -> None:
+        """Register a pre-built store under ``uri`` without rebuilding it
+        (:meth:`StoreMap.attached`).  Only call while no query is in
+        flight on this engine."""
+        self.adopt(self.store_map.attached(uri, store, self.view_cache))
 
-        ``QueryService`` loads each document once and attaches the same
-        immutable store to every pooled engine; reloading a uri drops any
-        cached virtual views over the old document.  The service passes
-        ``invalidate_views=False`` when publishing an *update* version —
-        it already ran the shared cache's fine-grained revalidation, and
-        a blanket eviction here would throw away views the update never
-        touched.
-
-        An engine holds one version of a document: attaching a version
-        whose lineage (:attr:`~repro.xmlmodel.nodes.Document.lineage`) is
-        held under another uri raises :class:`~repro.errors.LineageError`
-        — the versions share nodes, and answers over both would dedupe
-        them.  Attaching the next version under the same uri replaces
-        the previous one.
-
-        Only call while no query is in flight on this engine: the maps
-        for the uri's previous store are dropped.
-        """
-        lineage = store.document.lineage
-        held = self._store_by_lineage.get(lineage)
-        if held is not None and self._stores.get(uri) is not held:
-            raise LineageError(
-                uri, next(u for u, s in self._stores.items() if s is held)
-            )
-        previous = self._stores.get(uri)
-        if previous is not None and previous is not store:
-            self._store_by_lineage.pop(previous.document.lineage, None)
-            # Copy-on-write invalidation for strategy=sql: a durable
-            # update publishes a *new* store object with a view of its
-            # own, so closing the accel of the previous store's identity
-            # view — if that view was ever built — is the entire story.
-            # (Touched views get new vdoc objects from revalidation and
-            # miss the cache the same way.)
-            view = previous._view
-            stale = None if view is None else self._sql_accels.pop(id(view), None)
-            if stale is not None:
-                stale[1].close()
-        self._stores[uri] = store
-        self._store_by_lineage[lineage] = store
-        if invalidate_views:
-            self.view_cache.invalidate_uri(uri)
+    def adopt(self, store_map: StoreMap) -> None:
+        """Hold ``store_map`` (a pooled engine: the published one, at
+        checkout), closing the ``strategy=sql`` accels of identity views
+        whose store it no longer holds — an update's version is a new
+        store with a view of its own."""
+        self.store_map = store_map
+        accels = self._sql_accels
+        if accels:
+            held = {id(store._view) for store in store_map.stores.values()}
+            for key, (view, accel) in list(accels.items()):
+                if view.is_store_view and key not in held:
+                    del accels[key]
+                    accel.close()
 
     def document(self, uri: str) -> Document:
         """The document node for ``doc(uri)``."""
         return self.store(uri).document
 
     def store(self, uri: str) -> DocumentStore:
-        store = self._stores.get(uri)
+        store = self.store_map.stores.get(uri)
         if store is None:
             raise QueryEvaluationError(f"no document loaded under {uri!r}")
         return store
@@ -295,7 +301,7 @@ class Engine:
         while top.parent is not None:
             top = top.parent
         if top.kind is NodeKind.DOCUMENT:
-            return self._store_by_lineage.get(top.lineage)
+            return self.store_map.by_lineage.get(top.lineage)
         return None
 
     def root_of(self, node: Node) -> Node:
@@ -555,8 +561,8 @@ class Engine:
 
     def cold_caches(self) -> None:
         """Clear every buffer pool (simulate a cold start for I/O runs)."""
-        for store in self._stores.values():
+        for store in self.store_map.stores.values():
             store.buffer_pool.clear()
 
     def uris(self) -> list[str]:
-        return list(self._stores)
+        return list(self.store_map.stores)

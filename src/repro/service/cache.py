@@ -232,9 +232,11 @@ class ViewCache(LRUCache):
             return engine.build_virtual(uri, spec)
 
         vdoc = self.get_or_build(key, build)
+        if vdoc.document is document:
+            return vdoc
         with self._lock:
             bound = self._bound.get(key)
-        if vdoc.document is not document and bound is not document:
+        if bound is not document:
             # The uri was reloaded underneath a stale entry; replace it.
             self.invalidate(key)
             return self.get_or_build(key, build)

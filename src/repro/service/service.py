@@ -2,7 +2,8 @@
 
 A :class:`QueryService` owns each loaded document exactly once — one
 immutable :class:`~repro.storage.store.DocumentStore` (heap, buffer pool,
-value/type indexes, DataGuide) attached to every engine in the pool — and
+value/type indexes, DataGuide) in the one published
+:class:`~repro.query.engine.StoreMap` every pooled engine adopts — and
 shares one :class:`~repro.service.cache.PlanCache` and one
 :class:`~repro.service.cache.ViewCache` across them.  A query therefore
 pays parsing and Algorithm 1 once per distinct (text, view) regardless of
@@ -15,13 +16,13 @@ Thread-safety contract:
 * ``execute`` is safe from any number of threads; callers block while
   all pooled engines are busy (``execute(..., wait=False)`` answers
   ``None`` instead).
-* ``load`` / ``open`` / ``update`` take the topology lock and are
-  safe to call concurrently with queries.  Topology changes reach an
-  engine only while it is *idle* — a replacement store is attached
-  immediately to engines waiting in the pool and queued as *pending*
-  for busy ones, which drain the queue at their next checkout.  A query
-  therefore sees one consistent snapshot end to end: the version its
-  engine held when the query started, never a mid-flight mix.
+* ``load`` / ``open`` / ``update`` are safe to call concurrently with
+  queries.  Each publishes under the write lock by swapping the
+  service's :attr:`~QueryService.store_map` for a derived one; nothing
+  else changes.  An engine adopts the published map at checkout and
+  drops it at checkin (an idle engine holds no version), so a query
+  sees one consistent snapshot end to end: the map published when its
+  engine was checked out, never a mid-flight mix.
 * ``update`` serializes writers per service; each applied operation
   derives a new copy-on-write store version
   (:mod:`repro.updates.mutations`) and publishes it without waiting for
@@ -43,7 +44,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.obs.trace import Tracer, span
-from repro.query.engine import Engine, Result, _preview
+from repro.query.engine import NO_STORES, Engine, Result, _preview
 from repro.service.cache import PlanCache, ViewCache
 from repro.service.metrics import ServiceMetrics
 from repro.storage.stats import StorageStats
@@ -149,9 +150,9 @@ class QueryService:
             if view_cache is not None
             else ViewCache(VIEW_CACHE_CAPACITY, self.metrics)
         )
-        self._stores: dict[str, DocumentStore] = {}
+        #: The published document versions: every checkout adopts it.
+        self.store_map = NO_STORES
         self._durables: dict[str, "DurableStore"] = {}
-        self._topology_lock = threading.Lock()
         self._write_lock = threading.Lock()
         self._engines: list[Engine] = [
             Engine(
@@ -166,11 +167,6 @@ class QueryService:
             )
             for _ in range(pool_size)
         ]
-        #: per-engine stores attached while the engine was busy; drained
-        #: (newest version per uri) at its next checkout.
-        self._pending: dict[int, dict[str, DocumentStore]] = {
-            id(engine): {} for engine in self._engines
-        }
         self._idle: queue.LifoQueue = queue.LifoQueue()
         for engine in self._engines:
             self._idle.put(engine)
@@ -178,8 +174,8 @@ class QueryService:
     # -- documents ---------------------------------------------------------------
 
     def load(self, uri: str, source: Union[str, Document]) -> DocumentStore:
-        """Parse (if text), number, and store a document once; attach the
-        store to every pooled engine under ``uri``."""
+        """Parse (if text), number, and store a document once, and publish
+        it under ``uri``."""
         if isinstance(source, str):
             document = parse_document(source, uri)
         else:
@@ -192,81 +188,53 @@ class QueryService:
             stats=self.stats,
             metrics=self.metrics,
         )
-        self._attach(uri, store)
-        return store
+        return self.adopt_store(uri, store)
 
     def open(self, path: str, uri: Optional[str] = None) -> DocumentStore:
         """Load a persisted store image (under its saved uri, or ``uri``)
-        and attach it pool-wide, as :meth:`Engine.open` does."""
+        and publish it, as :meth:`Engine.open` does."""
         from repro.storage.persist import load_store
 
         store = load_store(path, page_size=PAGE_SIZE, buffer_capacity=BUFFER_CAPACITY)
-        self._attach(store.rehome(self.stats, self.metrics, uri), store)
-        return store
+        return self.adopt_store(store.rehome(self.stats, self.metrics, uri), store)
 
     def open_durable(self, directory: str, uri: Optional[str] = None) -> "DurableStore":
-        """Open (recovering if needed) a durable store directory and attach
-        its current version pool-wide; subsequent :meth:`update` calls for
+        """Open (recovering if needed) a durable store directory and publish
+        its current version; subsequent :meth:`update` calls for
         its uri go through the WAL."""
         return self.adopt_durable(recover(directory, self.tracer, self.stats), uri=uri)
 
     def adopt_durable(self, durable: "DurableStore", uri: Optional[str] = None) -> "DurableStore":
-        """Attach an already-opened :class:`DurableStore` pool-wide (the
-        sharded service opens first, then routes to the owning shard)."""
+        """Publish an already-opened :class:`DurableStore` (the sharded
+        service opens first, then routes to the owning shard)."""
         key = durable.store.rehome(self.stats, self.metrics, uri)
         self.metrics.observe("service.recovery_seconds", durable.recovery.duration_s)
         if durable.recovery.replayed:
             self.metrics.incr("service.recovery_replayed", durable.recovery.replayed)
         with self._write_lock:
+            self._publish(key, durable.store)
             self._durables[key] = durable
-            self._attach(key, durable.store)
+        self.metrics.incr("service.documents_loaded")
         return durable
 
     def adopt_store(self, uri: str, store: DocumentStore) -> DocumentStore:
-        """Attach an externally built (immutable) store pool-wide.
+        """Publish an externally built (immutable) store under ``uri``.
 
         The replica tier (:mod:`repro.serve.replica`) seeds each replica
         with the primary's current store object — safe to share because
         stores are never mutated in place; updates derive copy-on-write
         versions — and then applies the shipped WAL tail through the
-        replica's own :meth:`update` path."""
-        self._attach(uri, store)
+        replica's own :meth:`update` path.  A refused store
+        (:class:`~repro.errors.LineageError`) changes nothing."""
+        with self._write_lock:
+            self._publish(uri, store)
+        self.metrics.incr("service.documents_loaded")
         return store
 
-    def _attach(self, uri: str, store: DocumentStore) -> None:
-        """Full (re)load of a uri: swap the store in and blanket-evict its
-        cached views.  Busy engines pick the store up at their next
-        checkout; idle ones are attached here."""
-        with self._topology_lock:
-            self._stores[uri] = store
-            self.view_cache.invalidate_uri(uri)
-            self._publish_locked(uri, store, invalidate_views=True)
-        self.metrics.incr("service.documents_loaded")
-
-    def _publish_locked(
-        self, uri: str, store: DocumentStore, invalidate_views: bool
-    ) -> None:
-        """Hand ``store`` to every engine — immediately to engines idle in
-        the pool, as a pending attach to busy ones.  Caller holds the
-        topology lock, so an engine checked in concurrently still drains
-        its pending entry before serving another query."""
-        idle: list[Engine] = []
-        while True:
-            try:
-                idle.append(self._idle.get_nowait())
-            except queue.Empty:
-                break
-        idle_ids = {id(engine) for engine in idle}
-        for engine in self._engines:
-            if id(engine) not in idle_ids:
-                self._pending[id(engine)][uri] = store
-        for engine in idle:
-            # An engine checked in since an earlier publish still holds
-            # that version as pending; its next checkout would attach it
-            # over this one.
-            self._pending[id(engine)].pop(uri, None)
-            engine.attach(uri, store, invalidate_views=invalidate_views)
-            self._idle.put(engine)
+    def _publish(self, uri: str, store: DocumentStore) -> None:
+        """Make ``store`` the version of ``uri`` every later checkout
+        sees: one swap of :attr:`store_map`.  Caller holds the write lock."""
+        self.store_map = self.store_map.attached(uri, store, self.view_cache)
 
     # -- updates -----------------------------------------------------------------
 
@@ -298,12 +266,11 @@ class QueryService:
             except ReproError:
                 self.metrics.incr("service.updates_aborted")
                 raise
-            with span("update.publish"), self._topology_lock:
-                self._stores[uri] = result.store
+            with span("update.publish"):
                 self.view_cache.revalidate(
                     uri, result.store.document, result.touched_paths
                 )
-                self._publish_locked(uri, result.store, invalidate_views=False)
+                self._publish(uri, result.store)
         self.metrics.incr("service.updates_applied")
         return result
 
@@ -320,8 +287,7 @@ class QueryService:
                 return durable.checkpoint()
 
     def store(self, uri: str) -> DocumentStore:
-        with self._topology_lock:
-            store = self._stores.get(uri)
+        store = self.store_map.stores.get(uri)
         if store is None:
             from repro.errors import QueryEvaluationError
 
@@ -329,8 +295,7 @@ class QueryService:
         return store
 
     def uris(self) -> list[str]:
-        with self._topology_lock:
-            return list(self._stores)
+        return list(self.store_map.stores)
 
     def warm(self, uri: str, spec: str):
         """Resolve a virtual view so the first query finds it hot; returns
@@ -342,38 +307,29 @@ class QueryService:
     # -- execution ---------------------------------------------------------------
 
     def _checkout(self, wait: bool = True) -> Optional[Engine]:
-        """The next idle engine with its pending stores attached.  With
-        ``wait=False``, ``None`` instead of blocking: no engine is idle,
-        or a writer holds the topology lock (it is publishing)."""
+        """The next idle engine, holding the published map.  With
+        ``wait=False``, ``None`` instead of blocking when no engine is
+        idle."""
         started = time.perf_counter()
         with span("checkout") as checkout_span:
             if wait:
                 engine = self._idle.get()
-                self._topology_lock.acquire()
             else:
                 try:
                     engine = self._idle.get_nowait()
                 except queue.Empty:
                     checkout_span.set("busy", True)
                     return None
-                if not self._topology_lock.acquire(blocking=False):
-                    self._idle.put(engine)
-                    checkout_span.set("busy", True)
-                    return None
-            try:
-                pending = self._pending[id(engine)]
-                if pending:
-                    for uri, store in pending.items():
-                        engine.attach(uri, store, invalidate_views=False)
-                    pending.clear()
-            finally:
-                self._topology_lock.release()
+            engine.adopt(self.store_map)
         self.metrics.observe(
             "service.checkout_seconds", time.perf_counter() - started
         )
         return engine
 
     def _checkin(self, engine: Engine) -> None:
+        # An idle engine holds no version: an update's replaced store is
+        # freed by the update, not by the next checkout.
+        engine.store_map = NO_STORES
         self._idle.put(engine)
 
     @contextmanager

@@ -218,13 +218,16 @@ class ShardedService:
     # -- documents ---------------------------------------------------------------
 
     def _place(self, uri: str, shard: Optional[int], attach):
-        """Register ``uri`` on its shard (``shard`` overrides the hash
-        placement), attach it there with ``attach(service)``, and seed
-        the shard's replicas with the attached store."""
-        owner = self.catalog.register(uri, shard)
-        self.metrics.incr("shard.documents", labels={"shard": str(owner)})
+        """Attach ``uri`` on its shard with ``attach(service)`` (``shard``
+        overrides the hash placement; a reload keeps its shard), then
+        register it and seed the shard's replicas with the attached
+        store.  An attach that raises leaves no trace of ``uri``."""
+        catalog = self.catalog
+        owner = catalog.shard_of(uri) if uri in catalog else catalog.place(uri, shard)
         service = self.services[owner]
         attached = attach(service)
+        catalog.register(uri, owner)
+        self.metrics.incr("shard.documents", labels={"shard": str(owner)})
         if self.replica_sets is not None:
             self.replica_sets[owner].seed(uri, service.store(uri))
         return attached

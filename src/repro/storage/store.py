@@ -195,10 +195,6 @@ class DocumentStore:
             raise StorageError(f"no node {components} in document {self.document.uri!r}")
         return node
 
-    def contains_node(self, node: Node) -> bool:
-        """True iff ``node`` belongs to this store's document."""
-        return node in self._type_of_node
-
     def parent_of(self, node: Node) -> Optional[Node]:
         """``node``'s parent in this version, by number: the node under
         its number truncated, the document for a root element, ``None``
@@ -268,12 +264,6 @@ class DocumentStore:
             low, high = rows.start, rows.stop
             return self.heap.read_ranges(zip(starts[low:high], ends[low:high]))
         return self.heap.read_ranges(zip(map(starts.__getitem__, rows), map(ends.__getitem__, rows)))
-
-    def content_of(self, number: Pbn) -> str:
-        """An element's inner content (between its tags), or the raw text
-        of a text/attribute node."""
-        entry = self.value_index.lookup(number)
-        return self.heap.read_range(entry.content_start, entry.content_end)
 
     @property
     def text_index(self):

@@ -139,23 +139,6 @@ class TypeIndex:
         for components in postings[low:high]:
             yield Pbn(*components)
 
-    def raw_prefix_range(
-        self, type_id: int, prefix: tuple[int, ...]
-    ) -> list[tuple[int, ...]]:
-        """Like :meth:`prefix_range` but returning raw component tuples
-        (no Pbn allocation) — the hot path of the virtual evaluator."""
-        self.stats.index_range_scans += 1
-        span_add("index.range_scans")
-        postings = self._postings.get(type_id)
-        if not postings:
-            return []
-        low = bisect_left(postings, prefix)
-        if prefix:
-            high = bisect_left(postings, subtree_bound(prefix), low)
-        else:
-            high = len(postings)
-        return postings[low:high]
-
     def type_ids(self) -> list[int]:
         return list(self._postings)
 

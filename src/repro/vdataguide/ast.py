@@ -323,7 +323,3 @@ class VGuide:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_vtypes())
-
-    def max_original_depth(self) -> int:
-        """The paper's ``c``: deepest original level among resolved types."""
-        return max((v.original.length for v in self.iter_vtypes()), default=0)

@@ -84,25 +84,12 @@ class Node:
             yield node
             stack.extend(reversed(node.children))
 
-    def iter_descendants(self) -> Iterator["Node"]:
-        """Yield every proper descendant in document order."""
-        walker = self.iter_subtree()
-        next(walker)  # skip self
-        yield from walker
-
     def iter_ancestors(self) -> Iterator["Node"]:
         """Yield proper ancestors from the parent up to the document."""
         node = self.parent
         while node is not None:
             yield node
             node = node.parent
-
-    def root_element(self) -> "Node":
-        """The highest non-document ancestor-or-self of this node."""
-        node = self
-        while node.parent is not None and node.parent.kind is not NodeKind.DOCUMENT:
-            node = node.parent
-        return node
 
     # -- values ------------------------------------------------------------
 
@@ -222,10 +209,6 @@ class Element(Node):
         else:
             self._children.append(node)
         return node
-
-    def element_children(self) -> list["Element"]:
-        """Child elements only, in sibling order."""
-        return [c for c in self._children if c.kind is NodeKind.ELEMENT]  # type: ignore[misc]
 
     def text(self) -> str:
         """Concatenated immediate text-child content."""

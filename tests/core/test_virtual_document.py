@@ -105,13 +105,6 @@ def test_iter_preorder_matches_materialized(figure2):
     ]
 
 
-def test_vnodes_for(figure2):
-    vdoc = VirtualDocument.from_spec(figure2, "title { author } name { author }")
-    author = figure2.root.children[0].children[1]
-    assert author.name == "author"
-    assert len(vdoc.vnodes_for(author)) == 2
-
-
 def test_vnode_identity(figure2):
     vdoc = _vdoc(figure2, "title { author }")
     a = vdoc.roots()[0]

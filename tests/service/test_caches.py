@@ -175,3 +175,28 @@ def test_reload_invalidates_cached_views():
     assert service.execute(query).values() == ["old"]
     service.load("a.xml", "<data><book><title>new</title></book></data>")
     assert service.execute(query).values() == ["new"]
+
+
+def test_a_warm_view_hit_takes_the_cache_lock_once():
+    """A hit on a view built over the held document reads no re-binding:
+    one acquisition of the cache lock (the lookup's)."""
+    from repro.query.engine import Engine
+
+    engine = Engine()
+    engine.load("book.xml", books_document(5, seed=1))
+    engine.virtual("book.xml", "title { author }")
+    cache = engine.view_cache
+    acquisitions = []
+    lock = cache._lock
+
+    class CountingLock:
+        def __enter__(self):
+            acquisitions.append(1)
+            return lock.__enter__()
+
+        def __exit__(self, *exc):
+            return lock.__exit__(*exc)
+
+    cache._lock = CountingLock()
+    engine.virtual("book.xml", "title { author }")
+    assert len(acquisitions) == 1

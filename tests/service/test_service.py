@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.errors import QueryParseError
+from repro.errors import LineageError, QueryParseError
 from repro.service import QueryService
 from repro.shard import ShardedService
 from repro.workloads.books import books_document
@@ -88,11 +90,16 @@ def test_batch_preserves_order_and_isolates_failures():
 def test_pool_engines_share_stores_and_caches():
     service = QueryService(pool_size=3)
     store = service.load("book.xml", books_document(10, seed=1))
-    for engine in service._engines:
+    engines = [service._checkout() for _ in range(3)]
+    assert {id(engine) for engine in engines} == {id(engine) for engine in service._engines}
+    for engine in engines:
         assert engine.store("book.xml") is store
         assert engine.plan_cache is service.plan_cache
         assert engine.view_cache is service.view_cache
         assert engine.stats is service.stats
+        service._checkin(engine)
+    # An idle engine holds no version of any document.
+    assert all(engine.uris() == [] for engine in service._engines)
 
 
 def test_mode_override(service):
@@ -142,3 +149,44 @@ def test_buffer_metrics_are_threaded(service):
     store.value_of(number)
     assert service.metrics.counter("buffer.hits") > 0
     assert service.metrics.counter("buffer.misses") == misses
+
+
+# -- a refused store changes nothing ------------------------------------------
+
+
+def _answers_within(service, query, seconds=10.0):
+    """``query``'s values from a thread joined with a timeout, so a
+    drained pool fails the test instead of hanging it."""
+    answers = []
+    thread = threading.Thread(
+        target=lambda: answers.append(service.execute(query).values()), daemon=True
+    )
+    thread.start()
+    thread.join(seconds)
+    return answers
+
+
+def test_a_store_refused_for_its_lineage_changes_nothing():
+    """``"b"`` would be a second version of ``"a"``'s document: refused,
+    and the published documents and the idle pool are as they were."""
+    service = QueryService(pool_size=2)
+    store = service.load("a", "<r><x>1</x></r>")
+    with pytest.raises(LineageError):
+        service.adopt_store("b", store)
+    assert service.uris() == ["a"]
+    assert service._idle.qsize() == 2
+    assert _answers_within(service, 'doc("a")//x/text()') == [["1"]]
+
+
+def test_a_store_refused_while_every_engine_is_busy_changes_nothing():
+    """With every engine checked out the refusal still comes at once, and
+    the busy engine's next checkouts answer over ``"a"``."""
+    service = QueryService(pool_size=1)
+    store = service.load("a", "<r><x>1</x></r>")
+    with service._engine():
+        with pytest.raises(LineageError):
+            service.adopt_store("b", store)
+    assert service.uris() == ["a"]
+    assert service._idle.qsize() == 1
+    for _ in range(2):
+        assert _answers_within(service, 'doc("a")//x/text()') == [["1"]]

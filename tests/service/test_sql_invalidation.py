@@ -1,6 +1,6 @@
 """Copy-on-write invalidation of the ``strategy=sql`` accel tables.
 
-A durable update publishes a *new* immutable store object; ``Engine.attach``
+A durable update publishes a *new* immutable store object; ``Engine.adopt``
 drops (and closes) the previous store's accel, so the next sql query builds
 a fresh table.  This suite drives randomized insert/delete/replace
 sequences through :meth:`QueryService.update` (the machinery

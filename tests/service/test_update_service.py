@@ -166,11 +166,11 @@ def test_concurrent_queries_never_see_a_mixed_snapshot():
 
 
 def test_a_version_published_while_busy_never_overwrites_a_later_one():
-    """An engine busy during update 1 holds version 1 as pending; checked
-    in, it is idle at update 2 and takes version 2 at once.  Its next
-    checkout must not attach the stale pending version 1 over it — the
-    race behind ``test_concurrent_queries_never_see_a_mixed_snapshot``'s
-    rare final count short of 25."""
+    """An engine busy during update 1 and idle at update 2 must answer
+    from version 2 at its next checkout, never from the version 1
+    published while it was busy — the race behind
+    ``test_concurrent_queries_never_see_a_mixed_snapshot``'s rare final
+    count short of 25."""
     service = QueryService(pool_size=1)
     service.load("pairs.xml", parse_document("<data/>", "pairs.xml"))
     insert = InsertSubtree(parent=Pbn.parse("1"), fragment="<pair/>")

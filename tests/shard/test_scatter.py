@@ -354,6 +354,30 @@ def test_explicit_placement_and_load_override():
         service.close()
 
 
+def test_a_load_that_fails_leaves_no_phantom_document():
+    from repro.errors import XmlParseError
+
+    service = ShardedService(shards=2, placement={"a.xml": 1})
+    try:
+        with pytest.raises(XmlParseError):
+            service.load("b.xml", "<r><x>1</x>")
+        assert service.uris() == []
+        assert "b.xml" not in service.catalog
+        assert [service.metrics.counter("shard.documents", {"shard": s}) for s in "01"] == [0, 0]
+        service.load("a.xml", "<r/>")
+        with pytest.raises(XmlParseError):
+            service.load("a.xml", "<r>", shard=0)  # a failed reload is no move
+        service.load("b.xml", "<r/>")
+        service.load("a.xml", "<s/>", shard=0)  # a reload keeps its shard
+        assert service.uris() == ["a.xml", "b.xml"]
+        assert service.catalog.shard_of("a.xml") == 1
+        assert service.services[1].uris() == ["a.xml"]
+        assert service.catalog.summary()["documents"] == 2
+        assert [service.metrics.counter("shard.documents", {"shard": s}) for s in "01"] == [1, 2]
+    finally:
+        service.close()
+
+
 # -- the run-wise gather --------------------------------------------------------
 
 

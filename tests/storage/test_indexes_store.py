@@ -36,14 +36,9 @@ def test_value_of_text(store):
     assert store.value_of(Pbn(1, 1, 2, 1, 1)) == "C"
 
 
-def test_content_of_element(store):
-    assert store.content_of(Pbn(1, 1, 2)) == "<name>C</name>"
-
-
 def test_value_of_attribute():
     store = DocumentStore(parse_document('<a id="x&amp;y"><b/></a>'))
     assert store.value_of(Pbn(1, 1)) == 'id="x&amp;y"'
-    assert store.content_of(Pbn(1, 1)) == "x&amp;y"
 
 
 def test_value_of_unknown_number(store):
@@ -93,9 +88,7 @@ def test_node_lookup(store):
 def test_type_of_node(store):
     node = store.node(Pbn(1, 1, 2))
     assert store.type_of(node).dotted() == "data.book.author"
-    assert store.contains_node(node)
     foreign = parse_document("<x/>").root
-    assert not store.contains_node(foreign)
     with pytest.raises(StorageError):
         store.type_of(foreign)
 
@@ -149,8 +142,6 @@ def test_type_index_prefix_range():
         index.append(5, Pbn(*components))
     assert [str(n) for n in index.prefix_range(5, (1, 2))] == ["1.2.2", "1.2.3"]
     assert [str(n) for n in index.prefix_range(5, (3,))] == []
-    assert index.raw_prefix_range(5, (1,)) == [(1, 1, 2), (1, 2, 2), (1, 2, 3)]
-    assert index.raw_prefix_range(9, (1,)) == []
 
 
 def test_type_index_counts():

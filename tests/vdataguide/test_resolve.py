@@ -120,12 +120,6 @@ def test_vguide_type_numbering(guide):
     assert title.is_guide_ancestor_of(title.children[-1])
 
 
-def test_max_original_depth(guide):
-    vguide = resolve_spec(parse_spec("title { author { name } }"), guide)
-    # Deepest original path is data.book.author.name.#text (length 5).
-    assert vguide.max_original_depth() == 5
-
-
 def test_dotted_path(guide):
     vguide = resolve_spec(parse_spec("title { author { name } }"), guide)
     vtypes = _vtypes(vguide)

@@ -77,11 +77,6 @@ def test_iter_subtree_is_document_order():
     assert names == ["r", "a", TEXT_NAME, "b"]
 
 
-def test_iter_descendants_skips_self():
-    root = elem("r", elem("a"))
-    assert [n.name for n in root.iter_descendants()] == ["a"]
-
-
 def test_iter_ancestors():
     document = Document("d")
     a = document.append(Element("a"))
@@ -111,16 +106,3 @@ def test_document_root():
     assert document.root is None
     first = document.append(Element("a"))
     assert document.root is first
-
-
-def test_root_element():
-    document = Document("d")
-    a = document.append(Element("a"))
-    b = a.append(Element("b"))
-    assert b.root_element() is a
-    assert a.root_element() is a
-
-
-def test_element_children_filter():
-    root = elem("r", text("t"), elem("a"), attr_not_used="v")
-    assert [c.name for c in root.element_children()] == ["a"]
